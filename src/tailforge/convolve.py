@@ -160,8 +160,9 @@ def g_conv2_identity_residual(
 class BracketGrid:
     """Certified log-tail bounds for an n-fold convolution on a step grid.
 
-    ``log_lower[k] <= log F*n(grid[k]) <= log_upper[k]`` for every node;
-    -inf marks a provably zero tail.  ``h`` is the discretization step,
+    ``log_lower[k] <= log F*n(grid[k]) <= log_upper[k]`` for every node.
+    A lower bound of -inf only says the tail is at least 0; an upper bound
+    of -inf marks a provably zero tail.  ``h`` is the discretization step,
     ``cap`` the per-summand truncation point (inf when absent).
     """
 
@@ -286,8 +287,29 @@ def _bracket(d: Distribution, n: int, x_max: float, h: float, cap: float) -> Bra
     with np.errstate(divide="ignore"):
         log_lower = np.log(np.maximum(tail_d, 0.0)) + math.log1p(-margin)
         log_upper = np.log(np.maximum(tail_u, 0.0)) + math.log1p(margin)
-    log_upper = np.maximum(log_upper, log_lower)
     nodes = np.arange(M + 1) * h
+    # Results that underflow are rounded in absolute terms: about 2 n M^2
+    # roundings of at most half a subnormal ulp (tiny * eps / 2) each.  On a
+    # tail of at least n M tiny that is a relative error of at most M eps,
+    # well inside the margin.  Below that floor the lower bound drops to 0
+    # and the upper bound becomes the union bound P(S_n > v) <= n F(v/n),
+    # with v/n rounded down, except where the upper staircase itself puts
+    # no mass: past n times its last node with mass, when nothing
+    # overflows, its tail is exactly 0 and so is the true one.  The tail is
+    # nonincreasing, so an upper bound also holds at every later node;
+    # carrying the running minimum keeps the tighter of the two.
+    floor = n * max(M, 1) * np.finfo(float).tiny
+    log_lower[tail_d < floor] = _NEG_INF
+    with_mass = np.flatnonzero(pmf_up)
+    if overflow > 0:
+        zero_from = M + 1
+    else:
+        zero_from = n * int(with_mass[-1]) if with_mass.size else 0
+    deep = np.flatnonzero(tail_u[:zero_from] < floor)
+    if deep.size:
+        share = np.nextafter(nodes[deep] / n, 0.0)
+        log_upper[deep] = math.log(n) + math.log1p(margin) + d.tail.log_tail(share)
+    log_upper = np.minimum.accumulate(np.maximum(log_upper, log_lower))
     return BracketGrid(nodes, log_lower, log_upper, n=n, h=h, cap=cap)
 
 

@@ -95,8 +95,11 @@ class Segment(ABC):
         """Exact log of integral_a^b F(y) dy, or None if no closed form."""
         return None
 
-    def inverse(self, log_u: float) -> float | None:
-        """Exact x in [lo, hi] with log_value(x) = log_u, or None."""
+    def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray | None:
+        """Exact x in [lo, hi] with log_value(x) = log_u, or None.
+
+        Takes a scalar or an array of log levels and returns the same shape.
+        """
         return None
 
     def with_offset(self, delta: float) -> "Segment":
@@ -167,8 +170,13 @@ class AffineSegment(Segment):
         return self.log_v_hi + self.log_offset + math.log(b - a) + math.log(mid_factor)
 
     def inverse(self, log_u):
-        x = self.hi + math.expm1(log_u - self.log_offset - self.log_v_hi) / self.ratio
-        return min(max(x, self.lo), self.hi)
+        x = np.array(log_u, dtype=float)
+        x -= self.log_offset
+        x -= self.log_v_hi
+        np.expm1(x, out=x)
+        x /= self.ratio
+        x += self.hi
+        return _clamped(x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -209,8 +217,13 @@ class PowerSegment(Segment):
         return base + logsubexp(p * la, p * lb) - math.log(-p)
 
     def inverse(self, log_u):
-        x = math.exp((log_u - self.log_offset - self.log_coeff) / self.exponent) - self.shift
-        return min(max(x, self.lo), self.hi)
+        x = np.array(log_u, dtype=float)
+        x -= self.log_offset
+        x -= self.log_coeff
+        x /= self.exponent
+        np.exp(x, out=x)
+        x -= self.shift
+        return _clamped(x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -239,8 +252,11 @@ class ExpAffineSegment(Segment):
         return self.log_offset + logsubexp(la, lb) - math.log(self.rate)
 
     def inverse(self, log_u):
-        x = self.lo + (self.log_v_lo + self.log_offset - log_u) / self.rate
-        return min(max(x, self.lo), self.hi)
+        x = np.array(log_u, dtype=float)
+        np.subtract(self.log_v_lo + self.log_offset, x, out=x)
+        x /= self.rate
+        x += self.lo
+        return _clamped(x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -286,11 +302,14 @@ class ExpPowSegment(Segment):
         return self.log_offset + logsubexp(anti(a), anti(b))
 
     def inverse(self, log_u):
-        target = (self.log_offset - log_u) / self.coeff
-        if target < 0:
-            return self.lo
-        x = target ** (1.0 / self.beta)
-        return min(max(x, self.lo), self.hi)
+        x = np.array(log_u, dtype=float)
+        np.subtract(self.log_offset, x, out=x)
+        x /= self.coeff
+        # Levels above the curve's top have a negative target; flooring it
+        # at 0 sends them to lo through the clamp.
+        np.maximum(x, 0.0, out=x)
+        np.power(x, 1.0 / self.beta, out=x)
+        return _clamped(x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -322,8 +341,7 @@ class PowerOfSegment(Segment):
         return self.inner.has_density
 
     def inverse(self, log_u):
-        inner_x = self.inner.inverse((log_u - self.log_offset) / self.m)
-        return inner_x
+        return self.inner.inverse(np.subtract(log_u, self.log_offset) / self.m)
 
 
 @dataclass(frozen=True)
@@ -364,6 +382,13 @@ class TiltedSegment(Segment):
         la = level_at(a)
         lb = level_at(b)
         return logsubexp(la, lb) - math.log(rate)
+
+
+def _clamped(x: np.ndarray, lo: float, hi: float):
+    """Clamp x to [lo, hi] in place; a 0-d array comes back as a scalar."""
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
+    return x[()]
 
 
 def _flatten_tilt(seg: TiltedSegment):
@@ -472,7 +497,10 @@ class TailCurve:
         """log F(x); scalar in, scalar out.  x < 0 gives 0.0 (tail is 1)."""
         scalar = np.isscalar(x)
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xa > self.truncation_hi):
+        # One comparison catches both NaN and points past the truncation.
+        if not np.all(xa <= self.truncation_hi):
+            if np.any(np.isnan(xa)):
+                raise ParameterError("tail argument x is NaN")
             bad = float(xa[xa > self.truncation_hi][0])
             raise TruncationError(
                 f"x={bad!r} beyond materialized breakpoint {self.truncation_hi!r}; "
@@ -515,7 +543,8 @@ class TailCurve:
         """
         scalar = np.isscalar(u)
         ua = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((ua <= 0) | (ua > 1)):
+        # Written so that NaN fails the test too.
+        if np.any(~((ua > 0) & (ua <= 1))):
             raise ParameterError("quantile level u must lie in (0, 1]")
         lu = np.log(ua)
         tail_floor = self._ends[-1]
@@ -524,6 +553,10 @@ class TailCurve:
                 "quantile level below the tail at the truncation point "
                 f"(log u < {tail_floor!r})"
             )
+        if len(self.segments) == 1 and lu.size and lu.max() < self._starts[0]:
+            # Every level lies inside the only segment.
+            out = self._invert_in_segment(0, lu)
+            return float(out[0]) if scalar else out
         # First segment index k with start log-value <= lu.
         k1 = np.searchsorted(-self._starts, -lu, side="left")
         out = np.empty_like(ua)
@@ -554,12 +587,9 @@ class TailCurve:
 
     def _invert_in_segment(self, k: int, lu: np.ndarray) -> np.ndarray:
         seg = self.segments[k]
-        res = np.empty_like(lu)
-        closed = seg.inverse(float(lu[0])) if lu.size else None
+        closed = seg.inverse(lu)
         if closed is not None:
-            for i, v in enumerate(lu):
-                res[i] = seg.inverse(float(v))
-            return res
+            return closed
         # Monotone bisection in x.
         hi = seg.hi if math.isfinite(seg.hi) else self._finite_hi_for_bisect(seg, float(np.min(lu)))
         lo_arr = np.full_like(lu, seg.lo)

@@ -162,6 +162,26 @@ def test_bracket_monotone_columns(pareto3):
     assert np.all(bg.log_lower <= bg.log_upper + 1e-12)
 
 
+def test_bracket_survives_underflow(exp1):
+    # Q_2(x) = (1 + x) e^{-x} sits near e^-783, where the staircase
+    # products underflow; the bracket must still contain it.
+    bg = tf.convn_tail_grid(exp1, 2, 800.0, 0.5)
+    k = int(np.searchsorted(bg.grid, 790.0))
+    exact = math.log(791.0) - 790.0
+    assert bg.log_lower[k] <= exact <= bg.log_upper[k]
+    assert np.all(bg.log_upper > -math.inf)
+    assert np.all(np.diff(bg.log_upper) <= 1e-12)
+    # capped at c = 600: P(both <= c, S > x) = e^{-x} (2c - x - 1) + e^{-2c}
+    tb = tf.trunc_convn_tail_grid(exp1, 2, 600.0, 800.0, 0.5)
+    capped = math.log(409.0) - 790.0
+    assert tb.log_lower[k] <= capped <= tb.log_upper[k]
+
+
+def test_conv2_refuses_nan(exp1):
+    with pytest.raises(ParameterError):
+        tf.conv2_tail(exp1, math.nan)
+
+
 def test_trunc_support_bound(exp1):
     # both summands <= cap: the sum cannot reach beyond 2 * cap
     cap = 3.0

@@ -12,6 +12,7 @@ from tailforge.tailcurve import (
     ConstSegment,
     ExpAffineSegment,
     ExpPowSegment,
+    PowerOfSegment,
     PowerSegment,
     TailCurve,
     TiltedSegment,
@@ -28,6 +29,12 @@ SEGMENTS = [
     TiltedSegment(lo=1.0, hi=4.0, inner=ConstSegment(lo=1.0, hi=4.0, level=-0.5), gamma=0.9),
     TiltedSegment(
         lo=1.0, hi=4.0, inner=ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3), gamma=0.4
+    ),
+    PowerOfSegment(
+        lo=1.0,
+        hi=4.0,
+        inner=AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
+        m=3,
     ),
 ]
 
@@ -49,6 +56,53 @@ def test_inverse_roundtrip(seg):
         if inv is None:
             pytest.skip("bisection handled at curve level")
         assert inv == pytest.approx(x, rel=1e-10)
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.3])
+@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+def test_array_inverse_matches_elementwise(seg, offset):
+    seg = seg.with_offset(offset) if offset else seg
+    start, end = seg.log_value_at(seg.lo), seg.log_value_at(seg.hi)
+    # u = 1, above the start (clamps to lo), the ends, interior, below the end
+    lu = np.concatenate([[0.0, start + 0.5, start, end, end - 0.5], np.linspace(start, end, 41)])
+    before = lu.copy()
+    arr = seg.inverse(lu)
+    if arr is None:
+        pytest.skip("bisection handled at curve level")
+    assert np.array_equal(lu, before)  # the levels are not overwritten
+    assert arr.shape == lu.shape
+    one = [seg.inverse(float(v)) for v in lu]
+    assert all(np.ndim(v) == 0 for v in one)  # scalar in, scalar out
+    np.testing.assert_allclose(arr, one, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert arr[1] == seg.lo and arr[4] == seg.hi
+    assert np.all((arr >= seg.lo) & (arr <= seg.hi))
+
+
+def test_one_segment_fast_path_matches_general_path(pareto3):
+    seg = pareto3.tail.segments[0]
+    split = TailCurve([seg.with_bounds(0.0, 5.0), seg.with_bounds(5.0, math.inf)])
+    rng = np.random.default_rng(5)
+    # every level below 1, so the one-segment curve skips the bookkeeping
+    u = np.concatenate([[6.0**-3, 0.5, 1e-9], rng.uniform(1e-12, 1.0, 2000)])
+    fast = pareto3.tail.quantile(u)
+    np.testing.assert_allclose(fast, split.quantile(u), rtol=1e-14, atol=0.0)
+    assert fast[1] == pytest.approx(2.0 ** (1 / 3) - 1, rel=1e-14)
+    # u = 1 sits on the start value and takes the general path on both
+    assert pareto3.tail.quantile(1.0) == 0.0 == split.quantile(1.0)
+
+
+def test_log_tail_refuses_nan(pareto3):
+    with pytest.raises(ParameterError):
+        pareto3.tail.log_tail(math.nan)
+    with pytest.raises(ParameterError):
+        pareto3.tail.log_tail(np.array([1.0, math.nan]))
+
+
+def test_quantile_refuses_nan(pareto3):
+    with pytest.raises(ParameterError):
+        pareto3.tail.quantile(math.nan)
+    with pytest.raises(ParameterError):
+        pareto3.tail.quantile(np.array([0.5, math.nan]))
 
 
 @pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
