@@ -199,9 +199,12 @@ class BracketGrid:
 def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
     """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow.
 
-    Returns (pmf_down, pmf_up, overflow) where overflow applies to both
+    Returns (pmf_down, pmf_up, overflow, end) where overflow applies to both
     staircases (mass at or beyond the last node, and beyond cap it is
-    dropped entirely).
+    dropped entirely).  ``end`` is the first node index the (restricted)
+    summand provably never exceeds, read from the log-domain tail and the
+    cap rather than from the PMFs, whose small masses underflow; it is
+    M + 1 when no node qualifies.
     """
     M = int(math.ceil(x_max / h - 1e-12))
     if M + 1 > MAX_CELLS:
@@ -216,7 +219,8 @@ def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
         )
     # Left-limit tails at the nodes: right-continuous tail plus any atom
     # sitting exactly on the node.
-    t_left = np.exp(np.atleast_1d(d.tail.log_tail(nodes)))
+    log_t = np.atleast_1d(d.tail.log_tail(nodes))
+    t_left = np.exp(log_t)
     atom_on_node = np.zeros(M + 1)
     for a in d.parts.atoms:
         if a.location > nodes[-1]:
@@ -227,11 +231,12 @@ def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
             t_left[j] += mass
             if a.location <= cap:
                 atom_on_node[j] = mass
-    fbar_cap = 0.0
+    log_fcap = _NEG_INF
     if math.isfinite(cap):
         if cap > trunc:
             raise TruncationError(f"cap={cap!r} beyond materialized breakpoint {trunc!r}")
-        fbar_cap = math.exp(d.tail.log_tail(cap))
+        log_fcap = d.tail.log_tail(cap)
+    fbar_cap = math.exp(log_fcap)
     s = np.maximum(t_left - fbar_cap, 0.0)
     masses = np.maximum(s[:-1] - s[1:], 0.0)  # cell [v_j, v_{j+1})
     overflow = float(s[-1])
@@ -242,7 +247,12 @@ def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
     pmf_up = np.zeros(M + 1)
     pmf_up[1:] = masses - atom_cell
     pmf_up[:-1] += atom_cell
-    return pmf_down, pmf_up, overflow
+    # F(v_j) = F(c) (F(v_j) = 0 without a cap) leaves no mass in (v_j, c],
+    # and no restricted draw passes a node at or past c: either way the
+    # restricted summand is at most v_j.
+    bounded = np.flatnonzero((log_t <= log_fcap) | (nodes >= cap))
+    end = int(bounded[0]) if bounded.size else M + 1
+    return pmf_down, pmf_up, overflow, end
 
 
 def _convolve_defective(p1, o1, p2, o2, M):
@@ -271,7 +281,7 @@ def _bracket(d: Distribution, n: int, x_max: float, h: float, cap: float) -> Bra
         raise ParameterError(f"fold count {n} beyond configured cap {MAX_FOLDS}")
     if h <= 0:
         raise ParameterError(f"step must be positive, got {h}")
-    pmf_down, pmf_up, overflow = _staircase_masses(d, x_max, h, cap)
+    pmf_down, pmf_up, overflow, end = _staircase_masses(d, x_max, h, cap)
     M = len(pmf_down) - 1
     acc_d, ov_d = pmf_down, overflow
     acc_u, ov_u = pmf_up, overflow
@@ -293,19 +303,13 @@ def _bracket(d: Distribution, n: int, x_max: float, h: float, cap: float) -> Bra
     # tail of at least n M tiny that is a relative error of at most M eps,
     # well inside the margin.  Below that floor the lower bound drops to 0
     # and the upper bound becomes the union bound P(S_n > v) <= n F(v/n),
-    # with v/n rounded down, except where the upper staircase itself puts
-    # no mass: past n times its last node with mass, when nothing
-    # overflows, its tail is exactly 0 and so is the true one.  The tail is
-    # nonincreasing, so an upper bound also holds at every later node;
-    # carrying the running minimum keeps the tighter of the two.
+    # with v/n rounded down, except from n times the summand's support end
+    # on, where the true tail is exactly 0.  The tail is nonincreasing, so
+    # an upper bound also holds at every later node; carrying the running
+    # minimum keeps the tighter of the two.
     floor = n * max(M, 1) * np.finfo(float).tiny
     log_lower[tail_d < floor] = _NEG_INF
-    with_mass = np.flatnonzero(pmf_up)
-    if overflow > 0:
-        zero_from = M + 1
-    else:
-        zero_from = n * int(with_mass[-1]) if with_mass.size else 0
-    deep = np.flatnonzero(tail_u[:zero_from] < floor)
+    deep = np.flatnonzero(tail_u[: n * end] < floor)
     if deep.size:
         share = np.nextafter(nodes[deep] / n, 0.0)
         log_upper[deep] = math.log(n) + math.log1p(margin) + d.tail.log_tail(share)

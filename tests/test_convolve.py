@@ -177,6 +177,22 @@ def test_bracket_survives_underflow(exp1):
     assert tb.log_lower[k] <= capped <= tb.log_upper[k]
 
 
+def test_bracket_survives_underflowed_summand_tail(exp1):
+    # Past x = 745 the summand's own staircase masses underflow to 0, so
+    # they cannot tell where the support ends; Q_2(1500) is still positive.
+    bg = tf.convn_tail_grid(exp1, 2, 1600.0, 1.0)
+    k = int(np.searchsorted(bg.grid, 1500.0))
+    exact = math.log(1501.0) - 1500.0
+    assert bg.log_lower[k] <= exact <= bg.log_upper[k]
+    assert np.all(bg.log_upper > -math.inf)
+    # capped at c = 800, whose tail e^-800 underflows too
+    tb = tf.trunc_convn_tail_grid(exp1, 2, 800.0, 1600.0, 1.0)
+    capped = math.log(99.0) - 1500.0
+    assert tb.log_lower[k] <= capped <= tb.log_upper[k]
+    # both summands <= c: the sum cannot exceed 2c = 1600
+    assert tb.log_upper[-1] == -math.inf
+
+
 def test_conv2_refuses_nan(exp1):
     with pytest.raises(ParameterError):
         tf.conv2_tail(exp1, math.nan)
