@@ -1,9 +1,13 @@
 """Optional on-disk cache for bracket grids.
 
 Activated by the TAILFORGE_CACHE_DIR environment variable.  Entries are
-JSON files named by the SHA-256 of the canonical request (distribution spec,
-fold count, range, step, cap) holding a header plus a base-10 grid payload;
-no binary formats, so cache files diff and ship cleanly.
+JSON files named by the SHA-256 of the canonical request (schema tag,
+distribution spec, fold count, range, step, cap) holding a header plus a
+base-10 grid payload; no binary formats, so cache files diff and ship
+cleanly.  The schema tag names the bracket arithmetic: bumping it when the
+computed bits change retires every older entry.  Entries are written to a
+temporary file and renamed into place, and an entry that cannot be decoded
+is treated as a miss and rewritten.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,8 @@ from .distribution import Distribution
 __all__ = ["cache_dir", "cached_convn_tail_grid"]
 
 _PAYLOAD_FMT = "{:.17g}"
+# /2: one-chain staircases for atom-free laws and truncated products.
+_SCHEMA = "tailforge-bracket/2"
 
 
 def cache_dir() -> Path | None:
@@ -31,10 +38,58 @@ def cache_dir() -> Path | None:
 
 def _key(spec: dict, n: int, x_max: float, h: float, cap: float) -> str:
     doc = json.dumps(
-        {"spec": spec, "n": n, "x_max": x_max, "h": h, "cap": None if math.isinf(cap) else cap},
+        {
+            "schema": _SCHEMA,
+            "spec": spec,
+            "n": n,
+            "x_max": x_max,
+            "h": h,
+            "cap": None if math.isinf(cap) else cap,
+        },
         sort_keys=True,
     )
     return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _load(path: Path) -> BracketGrid | None:
+    """The entry at path, or None when it is missing or cannot be decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        header = doc["header"]
+        if header["schema"] != _SCHEMA:
+            return None
+        cols = [
+            np.array([float(v) for v in doc[name]])
+            for name in ("grid", "log_lower", "log_upper")
+        ]
+        if not len(cols[0]) == len(cols[1]) == len(cols[2]) > 0:
+            return None
+        return BracketGrid(
+            *cols,
+            n=header["n"],
+            h=header["h"],
+            cap=math.inf if header["cap"] is None else header["cap"],
+        )
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        # ValueError covers JSON, UTF-8 and number decoding, and a stored
+        # bracket whose lower column exceeds its upper one.
+        return None
+
+
+def _store(path: Path, doc: dict) -> None:
+    # A unique sibling, renamed over the entry: readers see the old file or
+    # the whole new one, never a partial write.  Unlike mkstemp, open keeps
+    # the umask's permissions, so a shared cache stays readable.
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cached_convn_tail_grid(
@@ -47,21 +102,13 @@ def cached_convn_tail_grid(
     root.mkdir(parents=True, exist_ok=True)
     key = _key(d.spec, n, x_max, h, cap)
     path = root / f"bracket-{key}.json"
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return BracketGrid(
-            grid=np.array([float(v) for v in doc["grid"]]),
-            log_lower=np.array([float(v) for v in doc["log_lower"]]),
-            log_upper=np.array([float(v) for v in doc["log_upper"]]),
-            n=doc["header"]["n"],
-            h=doc["header"]["h"],
-            cap=math.inf if doc["header"]["cap"] is None else doc["header"]["cap"],
-        )
+    hit = _load(path)
+    if hit is not None:
+        return hit
     grid = _compute(d, n, x_max, h, cap)
     doc = {
         "header": {
-            "schema": "tailforge-bracket/1",
+            "schema": _SCHEMA,
             "spec_hash": key,
             "spec": d.spec,
             "n": n,
@@ -73,9 +120,7 @@ def cached_convn_tail_grid(
         "log_lower": [_PAYLOAD_FMT.format(v) for v in grid.log_lower],
         "log_upper": [_PAYLOAD_FMT.format(v) for v in grid.log_upper],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _store(path, doc)
     return grid
 
 

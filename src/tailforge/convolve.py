@@ -13,6 +13,26 @@ error.  The n-fold route discretizes the measure into upper and lower
 staircases (mass in a cell pushed to its upper, resp. lower, edge; atoms on
 grid nodes assigned exactly) so that the true tail is enclosed between two
 computable discrete tails.
+
+One chain.  Where no atom sits on a node (below the last node, inside the
+cap), the upper staircase PMF is the lower one shifted up one cell, so the
+upper n-fold sum is the lower one plus n cells, overflow included:
+P(S_up > v_k) = P(S_down > v_{k-n}) for k >= n, and the n-fold's whole
+mass for k < n.  Such laws convolve the lower chain alone and read the
+upper tail off it; laws with atoms on nodes fold both chains.
+
+Rounding margin.  Each fold keeps cells 0..M of the product, each a sum of
+at most M + 1 nonnegative products formed in blocks of ``_BLOCK`` cells,
+then added across at most ceil((M + 1) / _BLOCK) partial dots; the spill
+past cell M is a dot of nonnegative terms against suffix sums of at most M
+terms.  Recursive summation of m nonnegative terms, in any order, has
+relative error at most gamma_{m-1} = (m - 1) u / (1 - (m - 1) u) with
+u = eps / 2, and a product of rounded nonnegative factors carries their
+relative errors forward.  So a fold adds at most about (2M + 4) u to the
+relative error of each cell and of the overflow, n - 1 folds about
+(n - 1)(2M + 4) u, and the final suffix sums (and, with one chain, the
+total mass) another (M + 2) u: at most n (M + 2) eps in all, which the
+outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
 """
 
 from __future__ import annotations
@@ -179,7 +199,7 @@ class BracketGrid:
 
     def at(self, x: float) -> tuple[float, float]:
         """(lower, upper) probability bounds for P(S_n > x), any x in range."""
-        if x < self.grid[0] or x > self.grid[-1]:
+        if not self.grid[0] <= x <= self.grid[-1]:
             raise ParameterError(f"x={x} outside bracket grid [{self.grid[0]}, {self.grid[-1]}]")
         k = int(np.searchsorted(self.grid, x, side="left"))
         if self.grid[k] == x:
@@ -199,12 +219,14 @@ class BracketGrid:
 def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
     """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow.
 
-    Returns (pmf_down, pmf_up, overflow, end) where overflow applies to both
-    staircases (mass at or beyond the last node, and beyond cap it is
-    dropped entirely).  ``end`` is the first node index the (restricted)
-    summand provably never exceeds, read from the log-domain tail and the
-    cap rather than from the PMFs, whose small masses underflow; it is
-    M + 1 when no node qualifies.
+    Returns (pmf_down, pmf_up, overflow, end, on_nodes) where overflow
+    applies to both staircases (mass at or beyond the last node, and beyond
+    cap it is dropped entirely).  ``end`` is the first node index the
+    (restricted) summand provably never exceeds, read from the log-domain
+    tail and the cap rather than from the PMFs, whose small masses
+    underflow; it is M + 1 when no node qualifies.  ``on_nodes`` says
+    whether an atom sits on a node below the last one and inside the cap;
+    without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.
     """
     M = int(math.ceil(x_max / h - 1e-12))
     if M + 1 > MAX_CELLS:
@@ -252,47 +274,76 @@ def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
     # restricted summand is at most v_j.
     bounded = np.flatnonzero((log_t <= log_fcap) | (nodes >= cap))
     end = int(bounded[0]) if bounded.size else M + 1
-    return pmf_down, pmf_up, overflow, end
+    return pmf_down, pmf_up, overflow, end, bool(atom_cell.any())
+
+
+# Cells of the left factor per np.convolve call in _convolve_defective: large
+# enough that each call's dots run at full speed, small enough that a block
+# and its partial output stay in cache.
+_BLOCK = 1024
+
+
+def _suffix_sums(p: np.ndarray) -> np.ndarray:
+    # out[j] = sum_{i >= j} p[i]
+    return np.cumsum(p[::-1])[::-1]
 
 
 def _convolve_defective(p1, o1, p2, o2, M):
-    full = np.convolve(p1, p2)
-    grid = full[: M + 1].copy()
-    spill = float(full[M + 1 :].sum())
-    t1 = float(p1.sum()) + o1
-    t2 = float(p2.sum()) + o2
-    overflow = spill + o1 * t2 + o2 * t1 - o1 * o2
+    """Cells 0..M of the convolution of two defective PMFs on cells 0..M,
+    plus its overflow: all mass beyond cell M, where o1 and o2 are the
+    factors' own masses beyond it.  Only nonnegative terms are summed."""
+    grid = np.zeros(M + 1)
+    for b in range(0, M + 1, _BLOCK):
+        keep = M + 1 - b
+        grid[b:] += np.convolve(p1[b : b + _BLOCK], p2[:keep])[:keep]
+    # Products p1[i] p2[j] with i + j > M: p1[i] times the mass of p2 on
+    # cells M - i + 1 .. M.
+    spill = float(np.dot(p1[1:], _suffix_sums(p2)[M:0:-1]))
+    overflow = spill + o1 * float(p2.sum()) + o2 * (float(p1.sum()) + o1)
     return grid, overflow
 
 
 def _tails_from_pmf(pmf: np.ndarray, overflow: float) -> np.ndarray:
     # tail[k] = P(S > v_k) = sum_{j > k} pmf[j] + overflow
-    rev = np.cumsum(pmf[::-1])[::-1]
     tail = np.empty_like(pmf)
-    tail[:-1] = rev[1:]
+    tail[:-1] = _suffix_sums(pmf)[1:]
     tail[-1] = 0.0
     return tail + overflow
 
 
+def _fold(pmf: np.ndarray, overflow: float, n: int, M: int):
+    acc, ov = pmf, overflow
+    for _ in range(n - 1):
+        acc, ov = _convolve_defective(acc, ov, pmf, overflow, M)
+    return acc, ov
+
+
 def _bracket(d: Distribution, n: int, x_max: float, h: float, cap: float) -> BracketGrid:
-    if n < 2 or n != int(n):
+    if not (n >= 2 and n % 1 == 0):
         raise ParameterError(f"fold count must be an integer >= 2, got {n}")
     if n > MAX_FOLDS:
         raise ParameterError(f"fold count {n} beyond configured cap {MAX_FOLDS}")
-    if h <= 0:
-        raise ParameterError(f"step must be positive, got {h}")
-    pmf_down, pmf_up, overflow, end = _staircase_masses(d, x_max, h, cap)
+    if not 0.0 < h < math.inf:
+        raise ParameterError(f"step must be positive and finite, got {h}")
+    if not 0.0 <= x_max < math.inf:
+        raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
+    pmf_down, pmf_up, overflow, end, on_nodes = _staircase_masses(d, x_max, h, cap)
     M = len(pmf_down) - 1
-    acc_d, ov_d = pmf_down, overflow
-    acc_u, ov_u = pmf_up, overflow
-    for _ in range(n - 1):
-        acc_d, ov_d = _convolve_defective(acc_d, ov_d, pmf_down, overflow, M)
-        acc_u, ov_u = _convolve_defective(acc_u, ov_u, pmf_up, overflow, M)
+    acc_d, ov_d = _fold(pmf_down, overflow, n, M)
     tail_d = _tails_from_pmf(acc_d, ov_d)
-    tail_u = _tails_from_pmf(acc_u, ov_u)
-    # Round outward by the roundoff the convolution arithmetic itself can
-    # accumulate (~n * M correctly-rounded adds), so containment of the true
-    # tail survives float summation order.
+    if on_nodes:
+        tail_u = _tails_from_pmf(*_fold(pmf_up, overflow, n, M))
+    else:
+        # One chain: the upper sum is the lower one plus n cells (module
+        # docstring), so its tail is the lower tail n nodes back, and the
+        # n-fold's whole mass below node n.
+        lead = min(n, M + 1)
+        tail_u = np.empty(M + 1)
+        tail_u[:lead] = tail_d[0] + acc_d[0]
+        tail_u[lead:] = tail_d[: M + 1 - lead]
+    # Round outward by the roundoff of the arithmetic above (module
+    # docstring): at most n (M + 2) eps relative on every tail, whichever
+    # order the blocked sums take, so the true tail stays contained.
     margin = 4.0 * np.finfo(float).eps * n * max(M, 1)
     with np.errstate(divide="ignore"):
         log_lower = np.log(np.maximum(tail_d, 0.0)) + math.log1p(-margin)
@@ -335,6 +386,6 @@ def trunc_convn_tail_grid(
     The restricted measure is defective with total mass F(cap); the bracket
     bounds P(all summands <= cap, S_n > x).
     """
-    if cap <= 0:
+    if not cap > 0:
         raise ParameterError(f"cap must be positive, got {cap}")
     return _bracket(d, n, x_max, h, cap)

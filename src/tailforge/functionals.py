@@ -256,8 +256,10 @@ def jump_cond(
     truncated bracket, the denominator P(S_n > x) from the full bracket;
     interval arithmetic combines them.  K >= x makes the event sure.
     """
-    if x <= 0:
-        raise ParameterError(f"threshold x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ParameterError(f"threshold x must be positive and finite, got {x}")
+    if not -math.inf < K < math.inf:
+        raise ParameterError(f"offset K must be finite, got {K}")
     if K >= x:
         return JumpBracket(1.0, 1.0)
     x_max = x + 2 * h

@@ -73,6 +73,8 @@ def mc_jump_cond(
         raise ParameterError(f"sample count must be >= 1, got {N}")
     if n < 1:
         raise ParameterError(f"fold count must be >= 1, got {n}")
+    if not (-math.inf < x < math.inf and -math.inf < K < math.inf):
+        raise ParameterError(f"threshold x and offset K must be finite, got x={x}, K={K}")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seed_tag = int(base.entropy) if isinstance(base.entropy, int) else 0
 

@@ -1,12 +1,16 @@
 """Convolution tails: quadrature routes, identities, certified brackets."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import tailforge as tf
+from tailforge import convolve
 from tailforge.errors import GridGuardError, ParameterError
+
+EPS = np.finfo(float).eps
 
 
 # ------------------------------------------------------------ cross integral
@@ -249,3 +253,126 @@ def test_bracket_deterministic(pareto3):
     b = tf.convn_tail_grid(pareto3, 3, 6.0, 0.01)
     assert np.array_equal(a.log_lower, b.log_lower)
     assert np.array_equal(a.log_upper, b.log_upper)
+
+
+# ------------------------------------------------------- bracket boundaries
+
+
+def test_bracket_at_refuses_nan(exp1):
+    bg = tf.convn_tail_grid(exp1, 2, 3.0, 0.5)
+    with pytest.raises(ParameterError, match="outside bracket grid"):
+        bg.at(math.nan)
+
+
+@pytest.mark.parametrize(
+    "x_max, h, match",
+    [(math.nan, 0.5, "grid end"), (3.0, math.nan, "step"), (3.0, math.inf, "step")],
+    ids=["nan-x_max", "nan-h", "inf-h"],
+)
+def test_convn_refuses_non_finite(exp1, x_max, h, match):
+    with pytest.raises(ParameterError, match=match):
+        tf.convn_tail_grid(exp1, 2, x_max, h)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
+def test_convn_refuses_non_integer_fold_count(exp1, n):
+    with pytest.raises(ParameterError, match="fold count"):
+        tf.convn_tail_grid(exp1, n, 3.0, 0.5)
+
+
+def test_trunc_refuses_nan_cap(exp1):
+    with pytest.raises(ParameterError, match="cap"):
+        tf.trunc_convn_tail_grid(exp1, 2, math.nan, 3.0, 0.01)
+
+
+# ----------------------------------------------------------- bracket kernel
+
+
+@pytest.mark.parametrize("M", [0, 1, 1023, 1024, 1025, 3000])
+def test_convolve_defective_matches_full_product(M):
+    rng = np.random.default_rng(M)
+    p1, p2 = rng.random(M + 1) / (M + 1), rng.random(M + 1) / (M + 1)
+    o1, o2 = 0.25, 0.125
+    grid, overflow = convolve._convolve_defective(p1, o1, p2, o2, M)
+    full = np.convolve(p1, p2)
+    np.testing.assert_allclose(grid, full[: M + 1], rtol=(M + 1) * EPS, atol=0)
+    spill = math.fsum(
+        itertools.chain.from_iterable((p1[i] * p2[M + 1 - i :]).tolist() for i in range(1, M + 1))
+    )
+    s1, s2 = math.fsum(p1), math.fsum(p2)
+    exact = math.fsum([spill, o1 * s2, o2 * s1, o1 * o2])
+    assert overflow == pytest.approx(exact, rel=(M + 1) * EPS)
+    assert math.fsum(full[M + 1 :]) == pytest.approx(spill, rel=(M + 1) * EPS)
+
+
+def test_convolve_defective_spill_keeps_relative_accuracy():
+    # A spill of 1e-300 next to a kept mass of about 1: total minus kept
+    # would leave nothing of it.
+    M = 2000
+    p = np.zeros(M + 1)
+    p[0], p[M] = 1.0 - 1e-150, 1e-150
+    grid, overflow = convolve._convolve_defective(p, 0.0, p, 0.0, M)
+    assert overflow == pytest.approx(1e-300, rel=4 * EPS)
+    assert grid[M] == pytest.approx(2e-150, rel=4 * EPS)
+
+
+def _two_chain(monkeypatch):
+    """Force the two-chain path by reporting an atom on a node."""
+    masses = convolve._staircase_masses
+
+    def forced(*args):
+        return (*masses(*args)[:4], True)
+
+    monkeypatch.setattr(convolve, "_staircase_masses", forced)
+
+
+@pytest.mark.parametrize("name, x_max, h", [
+    ("exp1", 20.0, 0.01), ("pareto3", 40.0, 0.02), ("plateau2", 60.0, 0.03),
+])
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_chain_matches_two_chains(request, monkeypatch, name, x_max, h, capped, n):
+    d = request.getfixturevalue(name)
+    cap = x_max / 3 if capped else math.inf
+    masses = convolve._staircase_masses(d, x_max, h, cap)
+    assert not masses[4]  # these laws have no atom on a node
+    one = convolve._bracket(d, n, x_max, h, cap)
+    _two_chain(monkeypatch)
+    two = convolve._bracket(d, n, x_max, h, cap)
+    assert np.array_equal(one.log_lower, two.log_lower)
+    assert np.array_equal(np.isfinite(one.log_upper), np.isfinite(two.log_upper))
+    fin = np.isfinite(one.log_upper)
+    margin = 4.0 * EPS * n * (len(one.grid) - 1)
+    diff = np.abs(one.log_upper[fin] - two.log_upper[fin])
+    assert np.all(diff <= 2 * margin + 4 * EPS * np.abs(two.log_upper[fin]))
+
+
+@pytest.mark.parametrize("n, x_max", [(4, 0.5), (2, 0.0)], ids=["n4-M1", "n2-M0"])
+def test_tiny_grids(exp1, monkeypatch, n, x_max):
+    bg = tf.convn_tail_grid(exp1, n, x_max, 0.5)
+    assert len(bg.grid) == round(x_max / 0.5) + 1
+    for k, v in enumerate(bg.grid):
+        # Erlang(n, 1) tail
+        truth = math.exp(-v) * sum(v**j / math.factorial(j) for j in range(n))
+        assert bg.log_lower[k] <= math.log(truth) <= bg.log_upper[k]
+    _two_chain(monkeypatch)
+    two = tf.convn_tail_grid(exp1, n, x_max, 0.5)
+    np.testing.assert_allclose(bg.log_upper, two.log_upper, rtol=0, atol=8 * n * EPS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fold_counts(exp1, dyadic, monkeypatch, n):
+    calls = []
+    kernel = convolve._convolve_defective
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(convolve, "_convolve_defective", counted)
+    tf.convn_tail_grid(exp1, n, 5.0, 0.01)
+    assert len(calls) == n - 1
+    calls.clear()
+    # dyadic atoms sit at powers of two, on the nodes of h = 1/8
+    tf.convn_tail_grid(dyadic, n, 40.0, 0.125)
+    assert len(calls) == 2 * (n - 1)

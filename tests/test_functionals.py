@@ -112,6 +112,16 @@ def test_jump_degenerate_bracket(exp1):
         tf.jump_cond(exp1, 2, 800.0, 1.0, 1.0)
 
 
+def test_jump_refuses_nan_threshold(exp1):
+    with pytest.raises(ParameterError, match="threshold"):
+        tf.jump_cond(exp1, 2, math.nan, 1.0, 0.01)
+
+
+def test_jump_refuses_nan_offset(exp1):
+    with pytest.raises(ParameterError, match="offset"):
+        tf.jump_cond(exp1, 2, 3.0, math.nan, 0.01)
+
+
 def test_jump_profile_shape(exp1):
     prof = tf.jump_profile(exp1, 2, [8.0, 12.0], [1.0, 2.0], 0.01)
     assert prof.lower.shape == (2, 2)

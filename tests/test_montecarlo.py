@@ -91,3 +91,13 @@ def test_errors_recorded_not_thrown(exp1):
 def test_validation(exp1):
     with pytest.raises(ParameterError):
         tf.mc_jump_cond(exp1, 2, 5.0, 1.0, 0, seed=1)
+
+
+def test_refuses_nan_threshold(exp1):
+    with pytest.raises(ParameterError, match="finite"):
+        tf.mc_jump_cond(exp1, 2, math.nan, 1.0, 1000, seed=1)
+
+
+def test_refuses_nan_offset(exp1):
+    with pytest.raises(ParameterError, match="finite"):
+        tf.mc_jump_cond(exp1, 2, 3.0, math.nan, 1000, seed=1)

@@ -10,6 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tailforge import conv2_tail, convn_tail_grid  # noqa: E402
+from tailforge.distribution import Distribution  # noqa: E402
 from tailforge.tailcurve import (  # noqa: E402
     AffineSegment,
     ConstSegment,
@@ -100,3 +102,19 @@ def test_array_and_scalar_quantile_agree(curve_kinds, fractions):
     one = np.array([curve.quantile(float(v)) for v in u])
     # bisected segments stop once the widest bracket is within 1e-12 (1 + x)
     np.testing.assert_allclose(arr, one, rtol=4e-12, atol=4e-12)
+
+
+@PROPERTY
+@given(curves(), st.integers(20, 200), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_bracket_contains_conv2_tail(curve_kinds, cells, fractions):
+    curve, _ = curve_kinds
+    d = Distribution(curve)
+    # nodes on the first join, so a jump there puts an atom on a node
+    h = curve.segments[0].hi / cells
+    x_max = h * math.floor(curve.truncation_hi / h)
+    bg = convn_tail_grid(d, 2, x_max, h)
+    for k in np.unique((np.asarray(fractions) * (len(bg.grid) - 1)).astype(int)):
+        q = conv2_tail(d, float(bg.grid[k]))
+        lo, up = math.exp(bg.log_lower[k]), math.exp(bg.log_upper[k])
+        # conv2_tail sums quadratures, each within a relative 1e-9
+        assert lo * (1 - 1e-8) <= q <= up * (1 + 1e-8)

@@ -1,5 +1,6 @@
 """Spec documents, export determinism, cache, and the CLI front end."""
 
+import hashlib
 import json
 import math
 
@@ -99,10 +100,46 @@ def test_bracket_cache_roundtrip(tmp_path, exp1, monkeypatch):
     files = list((tmp_path / "cache").glob("bracket-*.json"))
     assert len(files) == 1
     doc = json.loads(files[0].read_text())
-    assert doc["header"]["schema"] == "tailforge-bracket/1"
+    assert doc["header"]["schema"] == "tailforge-bracket/2"
     b = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
     assert np.allclose(a.log_lower, b.log_lower, atol=1e-15, rtol=0)
     assert np.allclose(a.log_upper, b.log_upper, atol=1e-15, rtol=0)
+
+
+def test_bracket_cache_corrupt_entry_is_a_miss(tmp_path, exp1, monkeypatch):
+    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(tmp_path / "cache"))
+    from tailforge.cache import cached_convn_tail_grid
+
+    a = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
+    (path,) = (tmp_path / "cache").glob("bracket-*.json")
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])  # a write cut short
+    b = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
+    assert np.array_equal(a.log_upper, b.log_upper)
+    assert json.loads(path.read_text())["header"]["schema"] == "tailforge-bracket/2"
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+
+
+def test_bracket_cache_ignores_old_schema(tmp_path, exp1, monkeypatch):
+    # An entry under the schema-1 key, written by the old arithmetic, is
+    # not served: the schema tag is part of the key.
+    from tailforge.cache import cached_convn_tail_grid
+
+    root = tmp_path / "cache"
+    root.mkdir()
+    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(root))
+    req = {"spec": exp1.spec, "n": 2, "x_max": 3.0, "h": 0.5, "cap": None}
+    old_key = hashlib.sha256(json.dumps(req, sort_keys=True).encode()).hexdigest()
+    stale = {
+        "header": {"schema": "tailforge-bracket/1", "n": 2, "h": 0.5, "cap": None},
+        "grid": ["0", "0.5", "1", "1.5", "2", "2.5", "3"],
+        "log_lower": ["-1"] * 7,
+        "log_upper": ["-1"] * 7,
+    }
+    (root / f"bracket-{old_key}.json").write_text(json.dumps(stale))
+    got = cached_convn_tail_grid(exp1, 2, 3.0, 0.5)
+    assert np.array_equal(got.log_upper, tf.convn_tail_grid(exp1, 2, 3.0, 0.5).log_upper)
+    assert len(list(root.glob("bracket-*.json"))) == 2
 
 
 # ----------------------------------------------------------------------- CLI
