@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 experiment expectation failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,8 +18,8 @@ from . import __version__
 from .cache import cached_convn_tail_grid
 from .distribution import quantile_from_tail, sample
 from .errors import TailforgeError
-from .experiments import EXPERIMENT_IDS, run_experiment
-from .export import export_grid, fmt_float, result_to_obj
+from .experiments import EXPERIMENT_IDS, default_config, run_experiment
+from .export import export_grid, fmt_float, result_from_obj, result_to_obj
 from .functionals import (
     ClassifyConfig,
     b2_cond,
@@ -48,6 +49,26 @@ def _out_stream(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline="\n"), True
+
+
+def _load_json(parser: argparse.ArgumentParser, path: str, what: str):
+    """Parse a JSON file, or refuse it as a usage error (exit 2)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read {what} {path}: {exc}")
+
+
+def _load_overrides(parser: argparse.ArgumentParser, path: str, known) -> dict:
+    """Config overrides from a JSON object whose keys all name known settings."""
+    overrides = _load_json(parser, path, "config")
+    if not isinstance(overrides, dict):
+        parser.error(f"config {path} must hold a JSON object")
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return overrides
 
 
 def _emit(result, fmt: str, out: str | None) -> None:
@@ -136,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", required=True, help="output directory")
     ex.add_argument("--config", default=None, help="JSON config overrides")
 
-    xp = sub.add_parser("export", help="convert a saved JSON result to CSV")
+    xp = sub.add_parser("export", help="re-export a saved JSON result as CSV or JSON")
     xp.add_argument("--infile", required=True)
     xp.add_argument("--format", choices=("csv", "json"), default="csv")
     xp.add_argument("--out", required=True)
@@ -256,13 +277,12 @@ def _cmd_conv(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    d = resolve_dist(args.dist)
+def _cmd_classify(args, parser) -> int:
     cfg = ClassifyConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        cfg = ClassifyConfig(**{**cfg.__dict__, **overrides})
+        known = [f.name for f in dataclasses.fields(ClassifyConfig)]
+        cfg = dataclasses.replace(cfg, **_load_overrides(parser, args.config, known))
+    d = resolve_dist(args.dist)
     report = classify(d, cfg)
     _emit(report, args.format, args.out)
     return 0
@@ -285,7 +305,7 @@ def main(argv=None) -> int:
         if args.command == "functional":
             return _cmd_functional(args)
         if args.command == "classify":
-            return _cmd_classify(args)
+            return _cmd_classify(args, parser)
         if args.command == "simulate":
             d = resolve_dist(args.dist)
             est = mc_jump_cond(d, args.n, args.x, args.K, args.samples, args.seed)
@@ -294,58 +314,16 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             config = None
             if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config = json.load(fh)
+                config = _load_overrides(parser, args.config, default_config(args.id))
             return run_experiment(args.id, args.out, config)
         if args.command == "export":
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            result = _obj_to_result(obj)
+            result = result_from_obj(_load_json(parser, args.infile, "result file"))
             export_grid(result, args.format, args.out)
             return 0
         raise AssertionError("unreachable")
     except TailforgeError as exc:
         print(f"tailforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-def _obj_to_result(obj: dict):
-    """Rebuild an exportable result from its JSON form (export command)."""
-    from .convolve import BracketGrid
-    from .functionals import DiagSeries
-    from .montecarlo import McEstimate
-
-    kind = obj.get("type")
-    if kind == "DiagSeries":
-        return DiagSeries(
-            kind=obj["kind"],
-            param_name=obj["param"],
-            grid=np.array(obj["grid"], dtype=float),
-            log_values=np.array(obj["log_values"], dtype=float),
-            trend=obj["trend"],
-            limit=obj.get("limit"),
-            windows=tuple(obj["windows"]) if obj.get("windows") else None,
-        )
-    if kind == "BracketGrid":
-        return BracketGrid(
-            grid=np.array(obj["x"], dtype=float),
-            log_lower=np.array(obj["log_lower"], dtype=float),
-            log_upper=np.array(obj["log_upper"], dtype=float),
-            n=obj["n"],
-            h=obj["h"],
-            cap=math.inf if obj.get("cap") is None else obj["cap"],
-        )
-    if kind == "McEstimate":
-        return McEstimate(
-            estimate=obj["estimate"],
-            std_error=obj["std_error"],
-            accepted=obj["accepted"],
-            total=obj["total"],
-            seed=obj["seed"],
-        )
-    from .errors import ParameterError
-
-    raise ParameterError(f"cannot rebuild result of type {kind!r}")
 
 
 if __name__ == "__main__":

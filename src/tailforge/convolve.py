@@ -45,6 +45,7 @@ import numpy as np
 from .distribution import Distribution
 from .errors import GridGuardError, ParameterError, TruncationError
 from .quadrature import QuadConfig, log_quad
+from .tailcurve import _logsumexp_list
 from .transform import gamma_transform
 
 __all__ = [
@@ -109,6 +110,29 @@ def cross_integral(
 # ----------------------------------------------------------- two-fold tails
 
 
+def _log_stieltjes_terms(d: Distribution, x: float, K: float, cfg: QuadConfig) -> list[float]:
+    """Log terms of int_{[0, K]} F(x - y) F(dy): one per atom, then one per
+    density piece."""
+    curve = d.tail
+    terms: list[float] = []
+    for atom in d.parts.atoms:
+        if atom.location <= K:
+            terms.append(atom.log_mass + curve.log_tail(x - atom.location))
+    bps = curve.breakpoints()
+    for piece in d.parts.density_pieces:
+        lo, hi = piece.lo, min(piece.hi, K)
+        if hi <= lo:
+            continue
+
+        def integrand(y: np.ndarray, _p=piece) -> np.ndarray:
+            return _p.log_pdf(y) + curve.log_tail(x - y)
+
+        inner = np.concatenate([bps, x - bps])
+        inner = inner[(inner > lo) & (inner < hi)]
+        terms.append(log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value)
+    return terms
+
+
 def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
     """log of F2bar(x) = F(x) + int_{[0, x]} F(x - y) F(dy)."""
     cfg = cfg or QuadConfig()
@@ -118,29 +142,7 @@ def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> 
         raise TruncationError(
             f"x={x!r} beyond materialized breakpoint {d.tail.truncation_hi!r}"
         )
-    curve = d.tail
-    pieces: list[float] = [curve.log_tail(x)]
-    for atom in d.parts.atoms:
-        if atom.location <= x:
-            pieces.append(atom.log_mass + curve.log_tail(x - atom.location))
-    bps = curve.breakpoints()
-    for piece in d.parts.density_pieces:
-        lo = piece.lo
-        hi = min(piece.hi, x)
-        if hi <= lo:
-            continue
-
-        def integrand(y: np.ndarray, _p=piece) -> np.ndarray:
-            return _p.log_pdf(y) + curve.log_tail(x - y)
-
-        inner = np.concatenate([bps, x - bps])
-        inner = inner[(inner > lo) & (inner < hi)]
-        pieces.append(log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value)
-    finite = [p for p in pieces if p > _NEG_INF]
-    if not finite:
-        return _NEG_INF
-    m = max(finite)
-    return m + math.log(sum(math.exp(p - m) for p in finite))
+    return _logsumexp_list([d.tail.log_tail(x), *_log_stieltjes_terms(d, x, x, cfg)])
 
 
 def conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:

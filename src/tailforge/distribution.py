@@ -22,10 +22,10 @@ from .quadrature import QuadConfig, log_quad
 from .tailcurve import (
     ConstSegment,
     ExpAffineSegment,
+    ExpPowSegment,
     PowerSegment,
-    Segment,
     TailCurve,
-    TiltedSegment,
+    normal_form,
     simplify_power,
 )
 
@@ -105,21 +105,6 @@ class MeasureParts:
         return tuple(a for a in self.atoms if lo <= a.location <= hi)
 
 
-def split_tilt(seg: Segment) -> tuple[float, Segment]:
-    """Unwrap nested exponential tilts: returns (total_rate, base_segment)
-    with accumulated log offsets folded into the base."""
-    rate = 0.0
-    offset = 0.0
-    cur = seg
-    while isinstance(cur, TiltedSegment):
-        rate += cur.gamma
-        offset += cur.log_offset
-        cur = cur.inner
-    if offset:
-        cur = cur.with_offset(offset)
-    return rate, cur
-
-
 def parts_from_curve(curve: TailCurve) -> MeasureParts:
     """Derive MeasureParts from a curve: density from each segment form,
     atoms from downward jumps at segment joins.  Tilted segments are split
@@ -134,15 +119,15 @@ def parts_from_curve(curve: TailCurve) -> MeasureParts:
             # Jumps at roundoff scale are continuous joins, not atoms.
             if diff < -1e-12 * max(1.0, abs(prev_end)):
                 atoms.append(Atom(seg.lo, prev_end + math.log(-math.expm1(diff))))
-        rate, base = split_tilt(seg)
+        rate, core, _, _ = normal_form(seg)
         if rate > 0.0:
             pieces.append(
                 DensityPiece(
                     seg.lo,
                     seg.hi,
-                    log_core=base.log_density,
+                    log_core=core.log_density,
                     tilt_rate=rate,
-                    log_core_tail=base.log_value,
+                    log_core_tail=core.log_value,
                 )
             )
         elif seg.has_density:
@@ -242,16 +227,11 @@ def partial_moment(
 
 def _check_terminal_convergence(d: Distribution, k: int) -> None:
     """Tail-exponent analysis of the last (infinite) segment."""
-    seg = d.tail.segments[-1]
-    base = seg
-    tilt = 0.0
-    while isinstance(base, TiltedSegment):
-        tilt += base.gamma
-        base = base.inner
-    if tilt > 0:
+    rate, _, power, base = normal_form(d.tail.segments[-1])
+    if rate > 0:
         return  # exponential decay dominates any polynomial factor
     if isinstance(base, PowerSegment):
-        eff = base.exponent * _power_multiplier(seg)
+        eff = base.exponent * power
         if k + eff >= -1.0:
             raise DivergenceError(
                 f"integral of y^{k} * tail diverges: tail exponent {eff} "
@@ -262,19 +242,6 @@ def _check_terminal_convergence(d: Distribution, k: int) -> None:
         raise DivergenceError("integral diverges: terminal segment is flat to infinity")
     # exp-affine / stretched-exponential decay beats any polynomial.
     return
-
-
-def _power_multiplier(seg: Segment) -> float:
-    """Net power applied outside a PowerSegment by power-of wrappers."""
-    from .tailcurve import PowerOfSegment
-
-    mult = 1.0
-    cur = seg
-    while isinstance(cur, (TiltedSegment, PowerOfSegment)):
-        if isinstance(cur, PowerOfSegment):
-            mult *= cur.m
-        cur = cur.inner
-    return mult
 
 
 def _effective_upper_cutoff(d: Distribution, k: int) -> float:
@@ -339,20 +306,12 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
 
 
 def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
-    from .tailcurve import ExpPowSegment
-
     seg = d.tail.segments[-1]
     if math.isfinite(seg.hi):
         return  # finite support handled by the truncation certificate
-    mult = _power_multiplier(seg)
-    base = seg
-    tilt = 0.0
-    while isinstance(base, TiltedSegment):
-        tilt += base.gamma
-        base = base.inner
-    budget = tilt
+    budget, _, power, base = normal_form(seg)
     if isinstance(base, ExpAffineSegment):
-        budget += base.rate * mult
+        budget += base.rate * power
     if lam > budget:
         raise DivergenceError(
             f"exp moment with rate {lam} diverges: terminal exponential decay "
@@ -360,7 +319,7 @@ def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
         )
     if lam == budget:
         # Boundary rate: e^{lam y} dG decays only through the base factor.
-        if isinstance(base, PowerSegment) and base.exponent * mult < -1.0:
+        if isinstance(base, PowerSegment) and base.exponent * power < -1.0:
             return  # finite-mean power residual keeps the integral finite
         if isinstance(base, ExpPowSegment):
             return  # stretched-exponential residual decays to zero
@@ -372,14 +331,14 @@ def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
 
 def _exp_moment_cutoff(d: Distribution, lam: float) -> float:
     seg = d.tail.segments[-1]
-    rate, base = split_tilt(seg)
+    rate, core, _, _ = normal_form(seg)
     net = lam - rate  # fused: evaluating tail and tilt separately cancels
     T = max(seg.lo, 1.0)
     for _ in range(600):
         T *= 2.0
         if T >= 8.9e307:
             return 8.9e307
-        if base.log_value_at(T) + net * T + 2 * math.log(T) < -60.0:
+        if core.log_value_at(T) + net * T + 2 * math.log(T) < -60.0:
             return T
     return T
 

@@ -2,7 +2,9 @@
 
 Fixed column order per type, floats printed with 17 significant digits,
 LF line endings: exporting the same result twice yields byte-identical
-files, which the determinism acceptance test relies on.
+files, which the determinism acceptance test relies on.  ``result_from_obj``
+inverts ``result_to_obj`` for every result type, so a saved JSON result
+exports to the same bytes as the object it came from.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ import math
 import os
 from typing import Any
 
+import numpy as np
+
 from .convolve import BracketGrid
 from .errors import ParameterError
-from .functionals import ClassReport, DiagSeries
-from .montecarlo import ComparisonTable, McEstimate
+from .functionals import ClassEntry, ClassReport, DiagSeries
+from .montecarlo import ComparisonRow, ComparisonTable, McEstimate
 
-__all__ = ["export_grid", "fmt_float", "result_to_obj"]
+__all__ = ["export_grid", "fmt_float", "result_from_obj", "result_to_obj"]
 
 
 def fmt_float(v: float) -> str:
@@ -148,6 +152,49 @@ def result_to_obj(result: Any) -> dict:
             ],
         }
     raise ParameterError(f"don't know how to export {type(result).__name__}")
+
+
+def result_from_obj(obj: dict) -> Any:
+    """Rebuild a result from the form ``result_to_obj`` gives it.
+
+    A ClassReport comes back without its evidence series, which the JSON
+    form does not carry.
+    """
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    try:
+        if kind == "DiagSeries":
+            return DiagSeries(
+                kind=obj["kind"],
+                param_name=obj["param"],
+                grid=np.array(obj["grid"], dtype=float),
+                log_values=np.array(obj["log_values"], dtype=float),
+                trend=obj["trend"],
+                limit=obj.get("limit"),
+                windows=tuple(obj["windows"]) if "windows" in obj else None,
+            )
+        if kind == "BracketGrid":
+            return BracketGrid(
+                grid=np.array(obj["x"], dtype=float),
+                log_lower=np.array(obj["log_lower"], dtype=float),
+                log_upper=np.array(obj["log_upper"], dtype=float),
+                n=obj["n"],
+                h=obj["h"],
+                cap=math.inf if obj.get("cap") is None else obj["cap"],
+            )
+        if kind == "McEstimate":
+            fields = ("estimate", "std_error", "accepted", "total", "seed")
+            return McEstimate(**{f: obj[f] for f in fields})
+        if kind == "ComparisonTable":
+            rows = tuple(ComparisonRow(**row) for row in obj["rows"])
+            return ComparisonTable(rows=rows, z_flag=obj["z_flag"])
+        if kind == "ClassReport":
+            entries = tuple(
+                ClassEntry(e["class"], e["verdict"], e["detail"]) for e in obj["entries"]
+            )
+            return ClassReport(obj["label"], entries, obj["disclaimer"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed {kind} result: {exc!r}") from exc
+    raise ParameterError(f"cannot rebuild result of type {kind!r}")
 
 
 def export_grid(result: Any, fmt: str, path: str | os.PathLike) -> None:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .builtins import fkz_a_sequence
 from .convolve import (
+    _log_stieltjes_terms,
     convn_tail_grid,
     log_conv2_tail,
     log_cross_integral,
@@ -43,7 +44,8 @@ from .errors import (
     TailforgeError,
     TruncationError,
 )
-from .quadrature import QuadConfig, log_quad
+from .quadrature import QuadConfig
+from .tailcurve import TailCurve, _logsumexp_list, normal_form
 
 __all__ = [
     "TrendConfig",
@@ -86,19 +88,13 @@ class TrendConfig:
 
 def _untilted_base_curve(d: Distribution):
     """The source curve beneath a (possibly nested) tilt, or None."""
-    from .distribution import split_tilt
-    from .tailcurve import TailCurve
-
-    rate, _ = split_tilt(d.tail.segments[-1])
-    if rate <= 0:
-        return None
-    bases = []
+    cores = []
     for seg in d.tail.segments:
-        r, base = split_tilt(seg)
-        if r <= 0:
+        rate, core, _, _ = normal_form(seg)
+        if rate <= 0:
             return None
-        bases.append(base)
-    return TailCurve(bases, validate=False)
+        cores.append(core)
+    return TailCurve(cores, validate=False)
 
 
 def classify_trend(
@@ -188,34 +184,6 @@ def t_ratio(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
     return min(val, 1.0)
 
 
-def _log_stieltjes_tail_vs_df(
-    d: Distribution, x: float, K: float, cfg: QuadConfig
-) -> float:
-    """log of int_{[0, K]} F(x - y) F(dy)."""
-    curve = d.tail
-    pieces: list[float] = []
-    for atom in d.parts.atoms:
-        if atom.location <= K:
-            pieces.append(atom.log_mass + curve.log_tail(x - atom.location))
-    bps = curve.breakpoints()
-    for piece in d.parts.density_pieces:
-        lo, hi = piece.lo, min(piece.hi, K)
-        if hi <= lo:
-            continue
-
-        def integrand(y: np.ndarray, _p=piece) -> np.ndarray:
-            return _p.log_pdf(y) + curve.log_tail(x - y)
-
-        inner = np.concatenate([bps, x - bps])
-        inner = inner[(inner > lo) & (inner < hi)]
-        pieces.append(log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value)
-    finite = [p for p in pieces if p > _NEG_INF]
-    if not finite:
-        return _NEG_INF
-    m = max(finite)
-    return m + math.log(sum(math.exp(p - m) for p in finite))
-
-
 def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:
     """P(smaller of two iid copies <= K | their sum > x), for x > 2K > 0.
 
@@ -224,7 +192,7 @@ def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
     if not (x > 2 * K > 0):
         raise ParameterError(f"need x > 2K > 0, got x={x}, K={K}")
     cfg = cfg or QuadConfig()
-    log_num = math.log(2.0) + _log_stieltjes_tail_vs_df(d, x, K, cfg)
+    log_num = math.log(2.0) + _logsumexp_list(_log_stieltjes_terms(d, x, K, cfg))
     log_den = log_conv2_tail(d, x, cfg)
     if log_num == _NEG_INF:
         return 0.0

@@ -45,6 +45,7 @@ __all__ = [
     "TiltedSegment",
     "TailCurve",
     "chain_segments",
+    "normal_form",
 ]
 
 _NEG_INF = float("-inf")
@@ -314,7 +315,12 @@ class ExpPowSegment(Segment):
 
 @dataclass(frozen=True)
 class PowerOfSegment(Segment):
-    """Pointwise power of an inner tail piece: F(x) = inner(x) ** m."""
+    """Pointwise power of an inner tail piece: F(x) = inner(x) ** m.
+
+    The inner piece may not be tilted: stacks are stored as tilts over
+    powers (``simplify_power`` moves a tilt outward), so ``normal_form``
+    reads every stack with one walk.
+    """
 
     inner: Segment = None  # type: ignore[assignment]
     m: int = 1
@@ -323,6 +329,11 @@ class PowerOfSegment(Segment):
         super().__post_init__()
         if self.inner is None:
             raise ParameterError("power-of segment requires an inner segment")
+        if isinstance(self.inner, TiltedSegment):
+            raise ParameterError(
+                "power of a tilted segment: build it with simplify_power, "
+                "which stores the tilt outside the power"
+            )
         if self.m < 1:
             raise ParameterError(f"power must be a positive integer, got {self.m}")
 
@@ -375,13 +386,13 @@ class TiltedSegment(Segment):
     def log_integral(self, a, b):
         if b == a:
             return _NEG_INF
-        flat = _flatten_tilt(self)
-        if flat is None:
+        # Closed form only where the tilted piece is a pure exponential.
+        rate, core, _, _ = normal_form(self)
+        if isinstance(core, ExpAffineSegment):
+            rate += core.rate
+        elif not isinstance(core, ConstSegment):
             return None
-        rate, level_at = flat
-        la = level_at(a)
-        lb = level_at(b)
-        return logsubexp(la, lb) - math.log(rate)
+        return logsubexp(self.log_value_at(a), self.log_value_at(b)) - math.log(rate)
 
 
 def _clamped(x: np.ndarray, lo: float, hi: float):
@@ -391,23 +402,27 @@ def _clamped(x: np.ndarray, lo: float, hi: float):
     return x[()]
 
 
-def _flatten_tilt(seg: TiltedSegment):
-    """If a (nested) tilt reduces to a pure exponential on the segment,
-    return (total_rate, log_value_fn); otherwise None."""
+def normal_form(seg: Segment) -> tuple[float, Segment, int, Segment]:
+    """Read a wrapper stack as (rate, core, power, base).
+
+    Stacks are tilts over powers over one closed form.  ``rate`` is the
+    summed tilt rate (outermost first), ``core`` the segment under the tilts
+    with their log offsets folded in, ``power`` the product of the power-of
+    exponents and ``base`` the innermost closed form.
+    """
     rate = 0.0
-    cur: Segment = seg
+    offset = 0.0
+    cur = seg
     while isinstance(cur, TiltedSegment):
         rate += cur.gamma
+        offset += cur.log_offset
         cur = cur.inner
-    if isinstance(cur, ConstSegment):
-        pass
-    elif isinstance(cur, ExpAffineSegment):
-        rate += cur.rate
-    else:
-        return None
-    if rate <= 0:
-        return None
-    return rate, seg.log_value_at
+    core = cur.with_offset(offset) if offset else cur
+    power = 1
+    while isinstance(cur, PowerOfSegment):
+        power *= cur.m
+        cur = cur.inner
+    return rate, core, power, cur
 
 
 def simplify_power(inner: Segment, m: int) -> Segment:
@@ -429,6 +444,14 @@ def simplify_power(inner: Segment, m: int) -> Segment:
         )
     if isinstance(inner, ExpPowSegment):
         return dataclasses.replace(inner, coeff=m * inner.coeff, log_offset=m * inner.log_offset)
+    if isinstance(inner, TiltedSegment):
+        # (F e^{-gamma x})^m = F^m e^{-m gamma x}: the tilt stays outermost.
+        return dataclasses.replace(
+            inner,
+            inner=simplify_power(inner.inner, m),
+            gamma=m * inner.gamma,
+            log_offset=m * inner.log_offset,
+        )
     return PowerOfSegment(lo=inner.lo, hi=inner.hi, inner=inner, m=m)
 
 

@@ -10,7 +10,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tailforge import conv2_tail, convn_tail_grid  # noqa: E402
+from tailforge import (  # noqa: E402
+    conv2_tail,
+    convn_tail_grid,
+    gamma_transform,
+    power_tail,
+    tilt_compose_check,
+)
 from tailforge.distribution import Distribution  # noqa: E402
 from tailforge.tailcurve import (  # noqa: E402
     AffineSegment,
@@ -66,6 +72,8 @@ def curves(draw):
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Grid points as fractions of the truncation point.
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
 
 
 @PROPERTY
@@ -118,3 +126,24 @@ def test_bracket_contains_conv2_tail(curve_kinds, cells, fractions):
         lo, up = math.exp(bg.log_lower[k]), math.exp(bg.log_upper[k])
         # conv2_tail sums quadratures, each within a relative 1e-9
         assert lo * (1 - 1e-8) <= q <= up * (1 + 1e-8)
+
+
+@PROPERTY
+@given(curves(), st.floats(0.01, 2.0), st.floats(0.01, 2.0), FRACTIONS)
+def test_tilts_compose(curve_kinds, g1, g2, fractions):
+    curve, _ = curve_kinds
+    grid = np.asarray(fractions) * curve.truncation_hi
+    report = tilt_compose_check(Distribution(curve), g1, g2, grid)
+    assert report.passed, str(report)
+
+
+@PROPERTY
+@given(curves(), st.floats(0.01, 2.0), st.integers(2, 4), FRACTIONS)
+def test_power_of_tilt_is_tilt_of_power(curve_kinds, gamma, m, fractions):
+    curve, _ = curve_kinds
+    d = Distribution(curve)
+    xs = np.asarray(fractions) * curve.truncation_hi
+    power_of_tilt = power_tail(gamma_transform(d, gamma), m).tail.log_tail(xs)
+    tilt_of_power = gamma_transform(power_tail(d, m), m * gamma).tail.log_tail(xs)
+    scale = np.maximum(1.0, np.abs(tilt_of_power))
+    assert np.all(np.abs(power_of_tilt - tilt_of_power) <= 1e-12 * scale)

@@ -238,6 +238,86 @@ def test_cli_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+CLASSIFY = ["classify", "--dist", "exponential:lam=1"]
+EXPERIMENT = ["experiment", "prop-1.3"]
+# (case, command, config file content or None for a missing file)
+CONFIG_ERRORS = [
+    ("classify-unknown-key", CLASSIFY, '{"x_hi": 1e4, "n_gird": 9}'),
+    ("classify-malformed", CLASSIFY, '{"x_hi": 1e4,'),
+    ("classify-not-object", CLASSIFY, "[1, 2]"),
+    ("classify-missing", CLASSIFY, None),
+    ("experiment-unknown-key", EXPERIMENT, '{"gama": 0.5}'),
+    ("experiment-malformed", EXPERIMENT, "{gamma: 0.5}"),
+    ("experiment-missing", EXPERIMENT, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, content", [c[1:] for c in CONFIG_ERRORS], ids=[c[0] for c in CONFIG_ERRORS]
+)
+def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, content):
+    cfgf = tmp_path / "cfg.json"
+    if content is not None:
+        cfgf.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfgf), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(cfgf) in err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
+def _result_objects():
+    from tailforge.functionals import ClassEntry, ClassReport, DiagSeries
+    from tailforge.montecarlo import ComparisonRow, ComparisonTable, McEstimate
+
+    exp1, pareto3 = tf.exponential(1.0), tf.pareto(3.0)
+    series = tf.ratio_diagnostic(pareto3, "d", np.geomspace(4.0, 1e3, 6))
+    windowed = DiagSeries.build(
+        "ol", "x", [1.0, 2.0, 3.0], [0.1, -math.inf, 0.3], windows=("W1", "W2", "W5")
+    )
+    rows = (
+        ComparisonRow(2, 5.0, 1.0, 0.625, 0.01, 0.62, 0.63, 0.4, False),
+        ComparisonRow(3, 1e3, 2.5, None, None, None, None, None, True, "LowAcceptanceError: none"),
+    )
+    report = ClassReport(
+        "pareto(3)", (ClassEntry("OL", "evidence-for", "shift ratio stays bounded", (series,)),)
+    )
+    return {
+        "DiagSeries": series,
+        "DiagSeries-windows": windowed,
+        "BracketGrid": tf.convn_tail_grid(exp1, 2, 3.0, 0.5),
+        "BracketGrid-cap": tf.trunc_convn_tail_grid(exp1, 2, 1.5, 3.0, 0.5),
+        "McEstimate": McEstimate(0.625, 0.0125, 40, 64, 7),
+        "ComparisonTable": ComparisonTable(rows, 3.5),
+        "ClassReport": report,
+    }
+
+
+@pytest.mark.parametrize("name", list(_result_objects()))
+def test_cli_export_round_trips_every_result_type(tmp_path, name):
+    result = _result_objects()[name]
+    saved = tmp_path / "saved.json"
+    export_grid(result, "json", saved)
+    for fmt in ("csv", "json"):
+        direct, rebuilt = tmp_path / f"direct.{fmt}", tmp_path / f"rebuilt.{fmt}"
+        export_grid(result, fmt, direct)
+        assert main(["export", "--infile", str(saved), "--format", fmt, "--out", str(rebuilt)]) == 0
+        assert rebuilt.read_bytes() == direct.read_bytes()
+
+
+def test_cli_export_refuses_unknown_and_malformed_results(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "Nonsense"}')
+    assert main(["export", "--infile", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+    bad.write_text('{"type": "McEstimate", "estimate": 0.5}')
+    assert main(["export", "--infile", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--infile", str(tmp_path / "none.json"), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+
+
 def test_builtin_spec_object():
     d = tf.builtin(tf.BuiltinSpec("pareto", {"alpha": 3.0}))
     assert d.log_tail(1.0) == pytest.approx(-3 * math.log(2.0))

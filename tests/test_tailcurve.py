@@ -17,6 +17,7 @@ from tailforge.tailcurve import (
     TailCurve,
     TiltedSegment,
     chain_segments,
+    normal_form,
     simplify_power,
 )
 
@@ -141,6 +142,63 @@ def test_simplify_power_folds_closed_forms():
     pw = simplify_power(PowerSegment(lo=1.0, hi=9.0, log_coeff=0.0, exponent=-2.0), 2)
     assert isinstance(pw, PowerSegment)
     assert pw.exponent == -4.0
+
+
+def _tilt(seg, gamma):
+    return TiltedSegment(lo=seg.lo, hi=seg.hi, inner=seg, gamma=gamma)
+
+
+# (label, stack builder, rate the stack adds outside seg's own tilt,
+#  factor applied to seg's own tilt rate, power the stack applies)
+STACKS = [
+    ("tilt-of-power", lambda s: _tilt(simplify_power(s, 2), 0.3), 0.3, 2, 2),
+    ("power-of-tilt", lambda s: simplify_power(_tilt(s, 0.3), 2), 0.6, 2, 2),
+    (
+        "tilts-of-powers",
+        lambda s: _tilt(_tilt(simplify_power(simplify_power(s, 2), 3), 0.2), 0.1),
+        0.1 + 0.2,
+        6,
+        6,
+    ),
+]
+
+
+@pytest.mark.parametrize("stack", STACKS, ids=lambda s: s[0])
+@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+def test_normal_form_reads_wrapper_stacks(seg, stack):
+    _, build, outer_rate, own_factor, applied = stack
+    wrapped = build(seg)
+    rate, core, power, base = normal_form(wrapped)
+    own_rate = seg.gamma if isinstance(seg, TiltedSegment) else 0.0
+    assert rate == pytest.approx(outer_rate + own_factor * own_rate, rel=1e-15)
+    assert not isinstance(core, TiltedSegment)
+    assert not isinstance(base, (TiltedSegment, PowerOfSegment))
+    # Closed forms absorb the power; the affine piece keeps its wrappers.
+    own_power = seg.m if isinstance(seg, PowerOfSegment) else 1
+    assert power == (applied * own_power if isinstance(base, AffineSegment) else 1)
+    xs = np.array([1.0, 1.7, 2.9, 3.9])
+    np.testing.assert_allclose(
+        core.log_value(xs) - rate * xs, wrapped.log_value(xs), rtol=1e-13, atol=1e-13
+    )
+    shift = core.log_value(xs) - power * base.log_value(xs)
+    np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-12)
+
+
+def test_normal_form_of_closed_form_is_itself():
+    seg = SEGMENTS[2]
+    assert normal_form(seg) == (0.0, seg, 1, seg)
+
+
+def test_power_of_tilt_is_stored_as_tilt_of_power():
+    tilted = SEGMENTS[6]
+    squared = simplify_power(tilted, 2)
+    assert isinstance(squared, TiltedSegment)
+    assert not isinstance(squared.inner, TiltedSegment)
+    assert squared.gamma == 2 * tilted.gamma
+    xs = np.array([1.0, 2.5, 3.9])
+    np.testing.assert_allclose(squared.log_value(xs), 2 * tilted.log_value(xs), rtol=1e-14)
+    with pytest.raises(ParameterError):
+        PowerOfSegment(lo=1.0, hi=4.0, inner=tilted, m=2)
 
 
 def test_chain_rejects_upward_jump():

@@ -110,3 +110,30 @@ def test_transform_spec_roundtrip(pareto3, tmp_path):
     assert np.allclose(
         np.atleast_1d(g.tail.log_tail(xs)), np.atleast_1d(g2.tail.log_tail(xs)), rtol=0, atol=0
     )
+
+
+# A tilted power built in either order is one law: (F e^{-g x})^m = F^m e^{-m g x}.
+TILTED_POWERS = [
+    # (base builder, gamma, m, exp-moment rate, closed form)
+    # exponential(1): G(x) = e^{-4x}, m(1) = 4/3
+    (lambda: tf.exponential(1.0), 1.0, 2, 1.0, 4.0 / 3.0),
+    # pareto(3): G(x) = (1+x)^{-6} e^{-x}, m(1) = 1 + int (1+y)^{-6} dy = 1.2
+    (lambda: tf.pareto(3.0), 0.5, 2, 1.0, 1.2),
+]
+
+
+@pytest.mark.parametrize("base, gamma, m, lam, exact", TILTED_POWERS, ids=("exp1", "pareto3"))
+def test_exp_moment_of_power_of_tilt(base, gamma, m, lam, exact):
+    d = base()
+    power_of_tilt = tf.power_tail(tf.gamma_transform(d, gamma), m)
+    tilt_of_power = tf.gamma_transform(tf.power_tail(d, m), m * gamma)
+    assert tf.exp_moment(power_of_tilt, lam) == pytest.approx(exact, rel=1e-9)
+    assert tf.exp_moment(tilt_of_power, lam) == pytest.approx(exact, rel=1e-9)
+
+
+def test_tilted_power_constructions_classify_alike(pareto3):
+    power_of_tilt = tf.classify(tf.power_tail(tf.gamma_transform(pareto3, 0.5), 2))
+    tilt_of_power = tf.classify(tf.gamma_transform(tf.power_tail(pareto3, 2), 1.0))
+    verdicts = [(e.cls, e.verdict) for e in power_of_tilt.entries]
+    assert verdicts == [(e.cls, e.verdict) for e in tilt_of_power.entries]
+    assert power_of_tilt.verdict("S(gamma)") == "evidence-for"
