@@ -37,12 +37,20 @@ __all__ = ["main"]
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid syntax: comma list '1,2,5' or 'geom:lo:hi:n' or 'lin:lo:hi:n'."""
-    if text.startswith("geom:") or text.startswith("lin:"):
-        kind, lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-        return np.geomspace(lo, hi, n) if kind == "geom" else np.linspace(lo, hi, n)
-    return np.array([float(v) for v in text.split(",")])
+    """Grid syntax: comma list '1,2,5' or 'geom:lo:hi:n' or 'lin:lo:hi:n'.
+
+    An argparse ``type``: bad syntax is a usage error (exit 2).
+    """
+    try:
+        if text.startswith("geom:") or text.startswith("lin:"):
+            kind, lo, hi, n = text.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
+            return np.geomspace(lo, hi, n) if kind == "geom" else np.linspace(lo, hi, n)
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r} ({exc}); use '1,2,5', 'geom:lo:hi:n' or 'lin:lo:hi:n'"
+        ) from None
 
 
 def _out_stream(path: str | None):
@@ -60,14 +68,54 @@ def _load_json(parser: argparse.ArgumentParser, path: str, what: str):
         parser.error(f"cannot read {what} {path}: {exc}")
 
 
-def _load_overrides(parser: argparse.ArgumentParser, path: str, known) -> dict:
-    """Config overrides from a JSON object whose keys all name known settings."""
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type and shape of a setting's default.
+
+    A list default takes a nonempty list of values that fit its first
+    element; a None default (an optional list) takes null or a list of
+    numbers.
+    """
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and bool(value) and all(_fits(v, default[0]) for v in value)
+    return value is None or _fits(value, [0.0])
+
+
+def _expected(default) -> str:
+    if isinstance(default, bool):
+        return "true or false"
+    if isinstance(default, int):
+        return "an integer"
+    if isinstance(default, float):
+        return "a finite number"
+    if isinstance(default, (list, tuple)):
+        return f"a nonempty list, each item {_expected(default[0])}"
+    return "null or a nonempty list of finite numbers"
+
+
+def _load_overrides(parser: argparse.ArgumentParser, path: str, defaults: dict) -> dict:
+    """Config overrides from a JSON object whose keys all name settings in
+    ``defaults`` and whose values fit their type and shape."""
     overrides = _load_json(parser, path, "config")
     if not isinstance(overrides, dict):
         parser.error(f"config {path} must hold a JSON object")
-    unknown = sorted(set(overrides) - set(known))
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    for key, value in overrides.items():
+        default = defaults[key]
+        if dataclasses.is_dataclass(default):
+            parser.error(f"config key {key!r} in {path} cannot be set from a config file")
+        if not _fits(value, default):
+            parser.error(
+                f"config key {key!r} in {path} must be {_expected(default)}, "
+                f"got {json.dumps(value)}"
+            )
     return overrides
 
 
@@ -95,8 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     show.add_argument("--out", default=None, help="write the spec document here")
     ev = dist_sub.add_parser("eval", help="evaluate log-tail / tail / quantile")
     ev.add_argument("--dist", required=True)
-    ev.add_argument("--x", default=None, help="grid of x values (list or geom:lo:hi:n)")
-    ev.add_argument("--u", default=None, help="grid of quantile levels")
+    ev.add_argument(
+        "--x", type=_parse_grid, default=None, help="grid of x values (list or geom:lo:hi:n)"
+    )
+    ev.add_argument("--u", type=_parse_grid, default=None, help="grid of quantile levels")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--out", default=None)
     smp = dist_sub.add_parser("sample", help="inverse-transform sampling")
@@ -113,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("conv", help="n-fold convolution tail brackets")
     conv.add_argument("--dist", required=True)
     conv.add_argument("--n", type=int, default=2)
-    conv.add_argument("--x", required=True, help="grid or max (single value = grid top)")
+    conv.add_argument(
+        "--x", type=_parse_grid, required=True, help="grid or max (single value = grid top)"
+    )
     conv.add_argument("--h", type=float, default=1e-3)
     conv.add_argument("--cap", type=float, default=None, help="truncate summands at this cap")
     conv.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -126,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("t_ratio", "b2", "jump", "ol", "d", "lgamma", "os", "osstar"),
     )
-    fn.add_argument("--x", required=True, help="x grid")
+    fn.add_argument("--x", type=_parse_grid, required=True, help="x grid")
     fn.add_argument("--K", type=float, default=1.0)
     fn.add_argument("--t", type=float, default=1.0)
     fn.add_argument("--gamma", type=float, default=1.0)
@@ -188,7 +240,7 @@ def _cmd_dist(args) -> int:
         stream, close = _out_stream(args.out)
         try:
             if args.x is not None:
-                xs = _parse_grid(args.x)
+                xs = args.x
                 ls = np.atleast_1d(d.tail.log_tail(xs))
                 stream.write("x,log_tail,tail\n")
                 for x, l in zip(xs, ls):
@@ -196,7 +248,7 @@ def _cmd_dist(args) -> int:
                         f"{fmt_float(float(x))},{fmt_float(float(l))},{fmt_float(math.exp(l) if l > -math.inf else 0.0)}\n"
                     )
             if args.u is not None:
-                us = _parse_grid(args.u)
+                us = args.u
                 qs = np.atleast_1d(quantile_from_tail(d, us))
                 stream.write("u,quantile\n")
                 for u, q in zip(us, qs):
@@ -221,7 +273,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_functional(args) -> int:
     d = resolve_dist(args.dist)
-    xs = _parse_grid(args.x)
+    xs = args.x
     qcfg = QuadConfig(rel_tol=args.tol)
     kind = args.kind
     if kind in ("ol", "d", "lgamma", "os", "osstar"):
@@ -258,7 +310,7 @@ def _cmd_functional(args) -> int:
 
 def _cmd_conv(args) -> int:
     d = resolve_dist(args.dist)
-    xs = _parse_grid(args.x)
+    xs = args.x
     x_max = float(np.max(xs))
     cap = args.cap if args.cap is not None else math.inf
     grid = cached_convn_tail_grid(d, args.n, x_max, args.h, cap)
@@ -280,8 +332,11 @@ def _cmd_conv(args) -> int:
 def _cmd_classify(args, parser) -> int:
     cfg = ClassifyConfig()
     if args.config:
-        known = [f.name for f in dataclasses.fields(ClassifyConfig)]
-        cfg = dataclasses.replace(cfg, **_load_overrides(parser, args.config, known))
+        defaults = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        overrides = _load_overrides(parser, args.config, defaults)
+        cfg = dataclasses.replace(
+            cfg, **{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
+        )
     d = resolve_dist(args.dist)
     report = classify(d, cfg)
     _emit(report, args.format, args.out)

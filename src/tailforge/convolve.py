@@ -38,6 +38,7 @@ outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,27 +111,37 @@ def cross_integral(
 # ----------------------------------------------------------- two-fold tails
 
 
-def _log_stieltjes_terms(d: Distribution, x: float, K: float, cfg: QuadConfig) -> list[float]:
-    """Log terms of int_{[0, K]} F(x - y) F(dy): one per atom, then one per
-    density piece."""
+def _log_stieltjes_bands(
+    d: Distribution, x: float, cuts: list[float], cfg: QuadConfig
+) -> list[list[float]]:
+    """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``.
+
+    Band j is (cuts[j-1], cuts[j]]; the first band is [0, cuts[0]].  Each
+    band lists one term per atom in it, then one per density piece that
+    meets it, so a single cut K gives the terms of int_{[0, K]}.
+    """
     curve = d.tail
-    terms: list[float] = []
+    bands: list[list[float]] = [[] for _ in cuts]
     for atom in d.parts.atoms:
-        if atom.location <= K:
-            terms.append(atom.log_mass + curve.log_tail(x - atom.location))
+        j = bisect_left(cuts, atom.location)
+        if j < len(cuts):
+            bands[j].append(atom.log_mass + curve.log_tail(x - atom.location))
     bps = curve.breakpoints()
+    inner_all = np.concatenate([bps, x - bps])
     for piece in d.parts.density_pieces:
-        lo, hi = piece.lo, min(piece.hi, K)
-        if hi <= lo:
-            continue
 
         def integrand(y: np.ndarray, _p=piece) -> np.ndarray:
             return _p.log_pdf(y) + curve.log_tail(x - y)
 
-        inner = np.concatenate([bps, x - bps])
-        inner = inner[(inner > lo) & (inner < hi)]
-        terms.append(log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value)
-    return terms
+        band_lo = -math.inf
+        for band, cut in zip(bands, cuts):
+            lo, hi = max(piece.lo, band_lo), min(piece.hi, cut)
+            band_lo = cut
+            if hi <= lo:
+                continue
+            inner = inner_all[(inner_all > lo) & (inner_all < hi)]
+            band.append(log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value)
+    return bands
 
 
 def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
@@ -142,7 +153,7 @@ def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> 
         raise TruncationError(
             f"x={x!r} beyond materialized breakpoint {d.tail.truncation_hi!r}"
         )
-    return _logsumexp_list([d.tail.log_tail(x), *_log_stieltjes_terms(d, x, x, cfg)])
+    return _logsumexp_list([d.tail.log_tail(x), *_log_stieltjes_bands(d, x, [x], cfg)[0]])
 
 
 def conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:

@@ -162,7 +162,7 @@ class Distribution:
     def log_tail(self, x):
         return self.tail.log_tail(x)
 
-    def log_tail_left(self, x: float) -> float:
+    def log_tail_left(self, x):
         return self.tail.log_tail_left(x)
 
     @property
@@ -190,10 +190,11 @@ def partial_moment(
     otherwise.  Raises DivergenceError when the integral is infinite, and
     TruncationError when B = inf cannot be certified from a finite curve.
     """
-    if k < 0 or k != int(k):
+    # Both checks are written so that NaN fails them.
+    if not (k >= 0 and k % 1 == 0):
         raise ParameterError(f"moment order must be a nonnegative integer, got {k}")
-    if B < A:
-        raise ParameterError(f"moment bounds out of order: [{A}, {B}]")
+    if not A <= B:
+        raise ParameterError(f"moment bounds out of order or NaN: [{A}, {B}]")
     cfg = cfg or QuadConfig()
     if A == B:
         return 0.0
@@ -265,6 +266,8 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
     least exponentially with rate > lam (rate >= lam with integrable
     remainder).  Raises DivergenceError otherwise.
     """
+    if not -math.inf <= lam <= math.inf:  # NaN fails this
+        raise ParameterError(f"exp moment rate must be a number, got {lam}")
     cfg = cfg or QuadConfig()
     hi = d.tail.truncation_hi
     if lam > 0:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .builtins import fkz_a_sequence
 from .convolve import (
-    _log_stieltjes_terms,
+    _log_stieltjes_bands,
     convn_tail_grid,
     log_conv2_tail,
     log_cross_integral,
@@ -189,14 +189,35 @@ def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
 
     Computed as 2 int_{[0,K]} F(x-y) F(dy) / F2bar(x); lies in [0, 1].
     """
-    if not (x > 2 * K > 0):
-        raise ParameterError(f"need x > 2K > 0, got x={x}, K={K}")
-    cfg = cfg or QuadConfig()
-    log_num = math.log(2.0) + _logsumexp_list(_log_stieltjes_terms(d, x, K, cfg))
+    return _b2_profile(d, x, [K], cfg or QuadConfig())[0]
+
+
+def _b2_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> list[float]:
+    """``b2_cond(d, x, K)`` for each K of the increasing list ``Ks``.
+
+    One banded Stieltjes pass over [0, max K], cut at every K, gives the
+    numerators as prefix sums, so the profile is nondecreasing in K; the
+    denominator is the whole two-fold tail, computed once.
+    """
+    for K in Ks:
+        if not (x > 2 * K > 0):
+            raise ParameterError(f"need x > 2K > 0, got x={x}, K={K}")
+    if not all(a < b for a, b in zip(Ks, Ks[1:])):
+        raise ParameterError(f"K values must increase, got {Ks}")
+    bands = _log_stieltjes_bands(d, x, Ks, cfg)
     log_den = log_conv2_tail(d, x, cfg)
-    if log_num == _NEG_INF:
-        return 0.0
-    return min(math.exp(log_num - log_den), 1.0)
+    out: list[float] = []
+    terms: list[float] = []
+    log_prefix = _NEG_INF
+    for band in bands:
+        terms.extend(band)
+        # max() keeps the prefix exactly nondecreasing under rounding.
+        log_prefix = max(log_prefix, _logsumexp_list(terms))
+        if log_prefix == _NEG_INF:
+            out.append(0.0)
+        else:
+            out.append(min(math.exp(math.log(2.0) + log_prefix - log_den), 1.0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -459,8 +480,6 @@ class ClassifyConfig:
     j_lo: float = 0.5
     rel_tol: float = 1e-7
     trend: TrendConfig = field(default_factory=TrendConfig)
-    use_jump: bool = False
-    jump_h: float = 0.05
 
     def quad(self) -> QuadConfig:
         return QuadConfig(rel_tol=self.rel_tol)
@@ -726,20 +745,29 @@ def _classify_j(
     profiles: list[DiagSeries] = []
     proxies: list[float] = []
     K_list = cfg.resolve_K(d)
+    grids: list[tuple[float, list[float]]] = []
     for K in K_list:
         lo = max(cfg.j_x_lo, 2.0 * K * 1.5)
         hi = min(cfg.x_hi, d.tail.truncation_hi)
-        if hi <= lo * 2:
+        if hi <= lo * 2 or not K > 0:  # b2_cond refuses K <= 0 at every x
             continue
-        grid = geometric_grid(d, lo, hi, cfg.j_n_grid)
-        vals = []
-        kept_x = []
+        grids.append((float(K), [float(x) for x in geometric_grid(d, lo, hi, cfg.j_n_grid)]))
+    # One profile per threshold covers every K whose grid holds it; an x
+    # that fails is dropped for all of them.
+    Ks_at: dict[float, set[float]] = {}
+    for K, grid in grids:
         for x in grid:
-            try:
-                vals.append(b2_cond(d, float(x), float(K), qcfg))
-                kept_x.append(float(x))
-            except TailforgeError:
-                continue
+            Ks_at.setdefault(x, set()).add(K)
+    b2: dict[tuple[float, float], float] = {}
+    for x, K_set in Ks_at.items():
+        Ks = sorted(K_set)
+        try:
+            b2.update(((x, K), v) for K, v in zip(Ks, _b2_profile(d, x, Ks, qcfg)))
+        except TailforgeError:
+            continue
+    for K, grid in grids:
+        kept_x = [x for x in grid if (x, K) in b2]
+        vals = [b2[x, K] for x in kept_x]
         if len(vals) < 3:
             continue
         log_vals = np.log(np.maximum(vals, 1e-300))

@@ -529,6 +529,13 @@ class TailCurve:
                 f"x={bad!r} beyond materialized breakpoint {self.truncation_hi!r}; "
                 "refusing to extrapolate"
             )
+        x_min = xa.min() if xa.size else -1.0  # empty: the general path
+        if x_min >= 0:
+            k = int(np.searchsorted(self._los, x_min, side="right")) - 1
+            if k + 1 == len(self._los) or xa.max() < self._los[k + 1]:
+                # Every point lies in segment k: no masks needed.
+                out = self.segments[k].log_value(xa)
+                return float(out[0]) if scalar else out
         out = np.zeros_like(xa)
         pos = xa >= 0
         if np.any(pos):
@@ -541,19 +548,23 @@ class TailCurve:
             out[pos] = vals
         return float(out[0]) if scalar else out
 
-    def log_tail_left(self, x: float) -> float:
-        """log F(x-): the left limit, which exceeds log F(x) at an atom."""
-        if x <= 0:
-            return 0.0
-        if x > self.truncation_hi:
-            raise TruncationError(
-                f"x={x!r} beyond materialized breakpoint {self.truncation_hi!r}"
-            )
-        # If x equals a segment start, evaluate the previous segment at x.
-        j = int(np.searchsorted(self._los, x, side="left"))
-        if j < len(self._los) and self._los[j] == x and j > 0:
-            return self.segments[j - 1].log_value_at(x)
-        return float(self.log_tail(x))
+    def log_tail_left(self, x) -> np.ndarray | float:
+        """log F(x-): the left limit, which exceeds log F(x) at an atom.
+
+        Scalar in, scalar out; x <= 0 gives 0.0.
+        """
+        scalar = np.isscalar(x)
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self.log_tail(xa)  # refuses NaN and points past the truncation
+        out[xa <= 0] = 0.0
+        # At a segment start, the left limit is the previous segment's value.
+        j = np.searchsorted(self._los, xa, side="left")
+        join = (j > 0) & (j < len(self._los))
+        join[join] = self._los[j[join]] == xa[join]
+        for k in np.unique(j[join]):
+            mask = join & (j == k)
+            out[mask] = self.segments[k - 1].log_value(xa[mask])
+        return float(out[0]) if scalar else out
 
     # -------------------------------------------------------------- quantile
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -48,7 +46,7 @@ def ks_statistic(d, samples: np.ndarray) -> float:
     emp_gt = (n - np.searchsorted(xs, uniq, side="right")) / n  # P_hat(X > u)
     emp_ge = (n - np.searchsorted(xs, uniq, side="left")) / n  # P_hat(X >= u)
     tails = np.exp(np.atleast_1d(d.tail.log_tail(uniq)))
-    tails_left = np.array([math.exp(d.tail.log_tail_left(float(x))) for x in uniq])
+    tails_left = np.exp(np.atleast_1d(d.tail.log_tail_left(uniq)))
     return max(
         float(np.max(np.abs(emp_gt - tails))),
         float(np.max(np.abs(emp_ge - tails_left))),

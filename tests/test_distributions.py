@@ -128,6 +128,22 @@ def test_empty_interval_moment(pareto3):
     assert tf.partial_moment(pareto3, 0, 5.0, 5.0) == 0.0
 
 
+@pytest.mark.parametrize("k, A, B", [
+    (0, 0.0, math.nan), (0, math.nan, 1.0), (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+])
+def test_partial_moment_refuses_nan(pareto3, k, A, B):
+    with pytest.raises(ParameterError):
+        tf.partial_moment(pareto3, k, A, B)
+
+
+def test_exp_moment_refuses_nan(exp1):
+    with pytest.raises(ParameterError):
+        tf.exp_moment(exp1, math.nan)
+    assert tf.exp_moment(exp1, -math.inf) == 0.0  # infinite rates keep their meaning
+    with pytest.raises(DivergenceError):
+        tf.exp_moment(exp1, math.inf)
+
+
 def test_moment_additivity(request):
     for name in ("exp1", "pareto3", "dyadic", "xu55"):
         d = request.getfixturevalue(name)

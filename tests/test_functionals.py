@@ -7,7 +7,7 @@ import pytest
 
 import tailforge as tf
 from tailforge.errors import InconclusiveBracketError, ParameterError, TruncationError
-from tailforge.functionals import classify_trend, shift_probe_grid, xu_window_labels
+from tailforge.functionals import _b2_profile, classify_trend, shift_probe_grid, xu_window_labels
 
 
 # ------------------------------------------------------------------- t_ratio
@@ -70,6 +70,43 @@ def test_b2_monotone_in_K(request):
 def test_b2_precondition(pareto3):
     with pytest.raises(ParameterError):
         tf.b2_cond(pareto3, 10.0, 5.0)
+
+
+# Values of the per-pair computation that predates the banded profile; the
+# one-cut band reproduces its terms and their summation order exactly.
+B2_PINNED = {
+    "exp1": [(10.0, 1.0, 0.18181818181818182), (64.0, 4.0, 0.12307692307692347),
+             (500.0, 16.0, 0.06387225548902081)],
+    "pareto3": [(10.0, 1.0, 0.8045635145624195), (64.0, 4.0, 0.9890337908478377),
+                (500.0, 16.0, 0.9997626996673102)],
+    "plateau2": [(10.0, 1.0, 0.5582844319067612), (64.0, 4.0, 0.6357931713210564),
+                 (500.0, 16.0, 0.9657957494850667)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(B2_PINNED))
+def test_b2_bit_identical_to_pinned(name, request):
+    d = request.getfixturevalue(name)
+    for x, K, v in B2_PINNED[name]:
+        assert tf.b2_cond(d, x, K) == v
+
+
+@pytest.mark.parametrize("name", ["exp1", "pareto3", "dyadic", "plateau2"])
+def test_b2_profile_matches_per_K(name, request):
+    d = request.getfixturevalue(name)
+    cfg = tf.QuadConfig(rel_tol=1e-7)
+    Ks = [1.0, 2.0, 3.5, 4.0, 8.0, 16.0, 31.0]
+    for x in (64.0, 300.0):
+        prof = _b2_profile(d, x, Ks, cfg)
+        assert all(b >= a for a, b in zip(prof, prof[1:]))  # exactly nondecreasing
+        np.testing.assert_allclose(prof, [tf.b2_cond(d, x, K, cfg) for K in Ks], rtol=1e-6, atol=0)
+
+
+def test_b2_profile_preconditions(pareto3):
+    cfg = tf.QuadConfig()
+    for Ks in ([1.0, 5.0], [2.0, 1.0], [1.0, 1.0], [math.nan]):
+        with pytest.raises(ParameterError):
+            _b2_profile(pareto3, 10.0, Ks, cfg)
 
 
 # ---------------------------------------------------------------- jump_cond

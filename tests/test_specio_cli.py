@@ -249,6 +249,18 @@ CONFIG_ERRORS = [
     ("experiment-unknown-key", EXPERIMENT, '{"gama": 0.5}'),
     ("experiment-malformed", EXPERIMENT, "{gamma: 0.5}"),
     ("experiment-missing", EXPERIMENT, None),
+    # settings that were removed are unknown keys
+    ("classify-removed-use-jump", CLASSIFY, '{"use_jump": true}'),
+    ("classify-removed-jump-h", CLASSIFY, '{"jump_h": 0.05}'),
+    # values of the wrong type or shape
+    ("classify-nested-trend", CLASSIFY, '{"trend": {"converge_band": 0.05}}'),
+    ("classify-float-for-int", CLASSIFY, '{"n_grid": 8.5}'),
+    ("classify-string-in-list", CLASSIFY, '{"t_list": [1.0, "2"]}'),
+    ("classify-nan", CLASSIFY, '{"x_hi": NaN}'),
+    ("classify-bool-for-number", CLASSIFY, '{"x_lo": true}'),
+    ("experiment-string-gamma", EXPERIMENT, '{"gamma": "0.5"}'),
+    ("experiment-scalar-for-list", EXPERIMENT, '{"K_list": 64.0}'),
+    ("experiment-empty-list", EXPERIMENT, '{"m_grid": []}'),
 ]
 
 
@@ -266,6 +278,30 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, content):
     assert "Traceback" not in err
     assert str(cfgf) in err.splitlines()[-1]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_values_of_the_right_shape_run(tmp_path):
+    cfgf = tmp_path / "cfg.json"
+    # ints where floats are expected, a list for a tuple, null for an option
+    cfgf.write_text('{"x_hi": 1000, "n_grid": 8, "t_list": [1], "K_list": null, "j_n_grid": 4}')
+    out = tmp_path / "report.json"
+    assert main([*CLASSIFY, "--config", str(cfgf), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["label"] == "exponential(1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "eval", "--dist", "pareto:alpha=3", "--x", "1,abc"],
+    ["dist", "eval", "--dist", "pareto:alpha=3", "--u", "geom:0.1:0.5"],
+    ["conv", "--dist", "pareto:alpha=3", "--x", "lin:1:2:x"],
+    ["functional", "--dist", "pareto:alpha=3", "--kind", "b2", "--x", "geom:0:10:3"],
+])
+def test_cli_bad_grid_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "bad grid" in err.splitlines()[-1]
 
 
 def _result_objects():

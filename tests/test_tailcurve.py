@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tailforge.errors import ParameterError
+from tailforge.errors import ParameterError, TruncationError
 from tailforge.quadrature import QuadConfig, log_quad
 from tailforge.tailcurve import (
     AffineSegment,
@@ -90,6 +90,67 @@ def test_one_segment_fast_path_matches_general_path(pareto3):
     assert fast[1] == pytest.approx(2.0 ** (1 / 3) - 1, rel=1e-14)
     # u = 1 sits on the start value and takes the general path on both
     assert pareto3.tail.quantile(1.0) == 0.0 == split.quantile(1.0)
+
+
+def _fast_vs_masked(curve, xs, monkeypatch):
+    """log_tail of points in one segment, against the masked path."""
+    # A negative point sends the call through the per-segment masks.
+    masked = curve.log_tail(np.append(xs, -1.0))
+    assert masked[-1] == 0.0
+    with monkeypatch.context() as m:
+        m.setattr(curve, "_segment_index", None)  # the fast path never calls it
+        fast = curve.log_tail(xs)
+        one = curve.log_tail(float(xs[0]))
+    assert np.array_equal(fast, masked[:-1])
+    assert one == masked[0]
+
+
+@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+def test_log_tail_fast_path_matches_masked_path(seg, monkeypatch):
+    curve = TailCurve([ConstSegment(lo=0.0, hi=1.0, level=0.0), seg])
+    # the join at 1, interior points, and the truncation point
+    _fast_vs_masked(curve, np.concatenate([[1.0], np.linspace(1.0, 4.0, 31)[1:]]), monkeypatch)
+    _fast_vs_masked(curve, np.array([0.0, 0.25, 0.999]), monkeypatch)
+
+
+def test_log_tail_fast_path_on_piecewise_laws(request, monkeypatch):
+    for name in ("dyadic", "xu55", "plateau2", "fkz"):
+        curve = request.getfixturevalue(name).tail
+        n = len(curve.segments)
+        for k in sorted({0, 1, n // 2, n - 1}):
+            seg = curve.segments[k]
+            hi = seg.hi if math.isfinite(seg.hi) else seg.lo + 100.0
+            xs = np.linspace(seg.lo, hi, 17)[:-1]  # from the join, short of the next
+            _fast_vs_masked(curve, xs, monkeypatch)
+        # points in two segments, or below 0, take the masked path
+        join = curve.segments[1].lo
+        for x in ([0.5 * join, join, 1.5 * join], [-2.0, join, 0.5 * join]):
+            assert np.array_equal(curve.log_tail(np.array(x)), [curve.log_tail(v) for v in x])
+        assert curve.log_tail(np.array([-2.0, join]))[0] == 0.0
+
+
+def test_log_tail_left_array_matches_scalar(request):
+    for name in ("exp1", "pareto3", "dyadic", "plateau2", "fkz", "xu55"):
+        curve = request.getfixturevalue(name).tail
+        bps = curve.breakpoints()
+        bps = bps[bps <= curve.truncation_hi][:60]
+        xs = np.concatenate([[-1.0, 0.0], bps, bps + 0.5, np.geomspace(1e-3, 1e3, 50)])
+        xs = xs[xs <= curve.truncation_hi]
+        arr = curve.log_tail_left(xs)
+        assert arr.shape == xs.shape
+        assert np.array_equal(arr, [curve.log_tail_left(float(x)) for x in xs])
+        assert isinstance(curve.log_tail_left(2.0), float)
+    dyadic = request.getfixturevalue("dyadic").tail
+    # at an atom the left limit is above the value; x <= 0 reads a tail of 1
+    left = dyadic.log_tail_left(np.array([-3.0, 0.0, 4.0]))
+    assert left[0] == left[1] == 0.0 and left[2] > dyadic.log_tail(4.0)
+
+
+def test_log_tail_left_refuses_nan_and_truncation(xu55):
+    with pytest.raises(ParameterError):
+        xu55.tail.log_tail_left(np.array([1.0, math.nan]))
+    with pytest.raises(TruncationError):
+        xu55.tail.log_tail_left(np.array([1.0, 2.0 * xu55.tail.truncation_hi]))
 
 
 def test_log_tail_refuses_nan(pareto3):
