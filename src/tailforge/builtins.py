@@ -4,8 +4,8 @@ Smooth families (pareto, exponential, heavy Weibull) live on a single
 segment reaching infinity.  The piecewise constructions are materialized
 segment by segment until the next breakpoint stops being representable in
 binary64; the curve then ends with a hard truncation point and a note is
-recorded on the distribution.  Atom masses are attached explicitly where
-the construction dictates them, in log form.
+recorded on the distribution.  Atoms and densities are derived from the
+curve (``parts_from_curve``); a construction only lays out its segments.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .distribution import Atom, DensityPiece, Distribution, MeasureParts, power_tail
+from .distribution import Distribution, power_tail
 from .errors import ParameterError
 from .tailcurve import (
     AffineSegment,
@@ -122,9 +122,7 @@ def dyadic_pareto(n_max: int = 998) -> Distribution:
     for n in range(1, n_max + 1):
         segs.append(ConstSegment(lo=2.0**n, hi=2.0 ** (n + 1), level=-n * _LOG4))
     curve = TailCurve(segs)
-    atoms = tuple(Atom(2.0**n, math.log(3.0) - n * _LOG4) for n in range(1, n_max + 1))
-    parts = MeasureParts(atoms, ())
-    d = Distribution(curve, parts, label="dyadic_pareto", spec={"kind": "dyadic_pareto", "n_max": n_max})
+    d = Distribution(curve, label="dyadic_pareto", spec={"kind": "dyadic_pareto", "n_max": n_max})
     d.truncation_note = f"staircase cut after n={n_max}; residual mass 4^-{n_max}"
     return d
 
@@ -206,7 +204,6 @@ def plateau_example(
     rule = next_x or (lambda y: 2.0 * y)
 
     segs: list[Segment] = []
-    atoms: list[Atom] = []
     x_i = max(y0, 1.0) + 1.0
     segs.append(ExpPowSegment(lo=0.0, hi=x_i, beta=0.5, coeff=1.0))
     pairs = 0
@@ -226,17 +223,11 @@ def plateau_example(
             break
         segs.append(ConstSegment(lo=x_i, hi=y_i, level=-sx))
         segs.append(ExpPowSegment(lo=y_i, hi=x_next, beta=0.5, coeff=1.0))
-        atoms.append(Atom(y_i, math.log(a - 1.0) - (sx + ln_a)))
         x_i = x_next
         pairs += 1
     curve = TailCurve(segs)
-    pieces = tuple(
-        DensityPiece(s.lo, s.hi, s.log_density) for s in curve.segments if s.has_density
-    )
-    parts = MeasureParts(tuple(atoms), pieces)
     d = Distribution(
         curve,
-        parts,
         label=f"plateau_example(a={a:g})",
         spec={"kind": "plateau_example", "a": float(a), "y0": float(y0), "max_pairs": max_pairs},
     )

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .cache import cached_convn_tail_grid
 from .distribution import quantile_from_tail, sample
-from .errors import TailforgeError
+from .errors import ParameterError, TailforgeError
 from .experiments import EXPERIMENT_IDS, default_config, run_experiment
 from .export import export_grid, fmt_float, result_from_obj, result_to_obj
 from .functionals import (
@@ -334,9 +334,12 @@ def _cmd_classify(args, parser) -> int:
     if args.config:
         defaults = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
         overrides = _load_overrides(parser, args.config, defaults)
-        cfg = dataclasses.replace(
-            cfg, **{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
-        )
+        try:
+            cfg = dataclasses.replace(
+                cfg, **{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
+            )
+        except ParameterError as exc:
+            parser.error(f"config {args.config}: {exc}")
     d = resolve_dist(args.dist)
     report = classify(d, cfg)
     _emit(report, args.format, args.out)

@@ -100,25 +100,26 @@ class MeasureParts:
     atoms: tuple[Atom, ...]
     density_pieces: tuple[DensityPiece, ...]
 
-    def atoms_in(self, lo: float, hi: float) -> tuple[Atom, ...]:
-        """Atoms with location in the closed interval [lo, hi]."""
-        return tuple(a for a in self.atoms if lo <= a.location <= hi)
+
+# A join is an atom when F drops there by more than this many ulps of
+# max(1, |log F|): smaller drops are rounding in the curve's log values.
+_ATOM_ULPS = 4.0
 
 
 def parts_from_curve(curve: TailCurve) -> MeasureParts:
     """Derive MeasureParts from a curve: density from each segment form,
     atoms from downward jumps at segment joins.  Tilted segments are split
     so their pieces carry the tilt rate symbolically."""
-    atoms: list[Atom] = []
+    ends, starts = curve._ends[:-1], curve._starts[1:]
+    with np.errstate(invalid="ignore"):  # a join where F is already 0
+        drops = starts - ends
+        joins = np.flatnonzero(drops < -_ATOM_ULPS * np.spacing(np.maximum(1.0, np.abs(ends))))
+    atoms = tuple(
+        Atom(curve.segments[k + 1].lo, float(ends[k] + math.log(-math.expm1(drops[k]))))
+        for k in joins
+    )
     pieces: list[DensityPiece] = []
-    for k, seg in enumerate(curve.segments):
-        if k > 0:
-            prev_end = curve.segments[k - 1].log_value_at(seg.lo)
-            start = seg.log_value_at(seg.lo)
-            diff = start - prev_end
-            # Jumps at roundoff scale are continuous joins, not atoms.
-            if diff < -1e-12 * max(1.0, abs(prev_end)):
-                atoms.append(Atom(seg.lo, prev_end + math.log(-math.expm1(diff))))
+    for seg in curve.segments:
         rate, core, _, _ = normal_form(seg)
         if rate > 0.0:
             pieces.append(
@@ -132,21 +133,18 @@ def parts_from_curve(curve: TailCurve) -> MeasureParts:
             )
         elif seg.has_density:
             pieces.append(DensityPiece(seg.lo, seg.hi, log_core=seg.log_density))
-    return MeasureParts(tuple(atoms), tuple(pieces))
+    return MeasureParts(atoms, tuple(pieces))
 
 
 class Distribution:
-    """Immutable distribution on [0, inf): tail curve, parts, label."""
+    """Immutable distribution on [0, inf): tail curve, parts, label.
 
-    def __init__(
-        self,
-        tail: TailCurve,
-        parts: MeasureParts | None = None,
-        label: str = "",
-        spec: dict | None = None,
-    ):
+    The parts are always derived from the curve by ``parts_from_curve``.
+    """
+
+    def __init__(self, tail: TailCurve, label: str = "", spec: dict | None = None):
         self.tail = tail
-        self.parts = parts if parts is not None else parts_from_curve(tail)
+        self.parts = parts_from_curve(tail)
         self.label = label
         self.spec = spec or {}
         self.truncation_note: str | None = None
@@ -385,4 +383,4 @@ def power_tail(d: Distribution, m: int) -> Distribution:
     curve = TailCurve(segs)
     label = f"{d.label}^({m})" if d.label else f"power({m})"
     spec = {"kind": "power", "m": m, "base": d.spec} if d.spec else {}
-    return Distribution(curve, parts_from_curve(curve), label=label, spec=spec)
+    return Distribution(curve, label=label, spec=spec)

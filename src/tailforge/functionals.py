@@ -481,6 +481,26 @@ class ClassifyConfig:
     rel_tol: float = 1e-7
     trend: TrendConfig = field(default_factory=TrendConfig)
 
+    def __post_init__(self):
+        # Each condition is written so that NaN fails it.
+        if not 0.0 < self.x_lo < self.x_hi:
+            raise ParameterError(f"need 0 < x_lo < x_hi, got x_lo={self.x_lo}, x_hi={self.x_hi}")
+        if not self.j_x_lo > 0.0:
+            raise ParameterError(f"j_x_lo must be positive, got {self.j_x_lo}")
+        if not (self.n_grid >= 2 and self.j_n_grid >= 2):
+            raise ParameterError(
+                f"grid sizes must be >= 2, got n_grid={self.n_grid}, j_n_grid={self.j_n_grid}"
+            )
+        for name in ("t_list", "gamma_grid", "K_list"):
+            values = getattr(self, name) or ()
+            if not all(v > 0.0 for v in values):
+                raise ParameterError(f"{name} entries must be positive, got {values}")
+        if not all(0.0 < u < 1.0 for u in self.K_levels):
+            raise ParameterError(f"K_levels must lie in (0, 1), got {self.K_levels}")
+        if not 0.0 < self.j_lo < self.j_hi <= 1.0:
+            raise ParameterError(f"need 0 < j_lo < j_hi <= 1, got j_lo={self.j_lo}, j_hi={self.j_hi}")
+        self.quad()  # refuses rel_tol <= 0
+
     def quad(self) -> QuadConfig:
         return QuadConfig(rel_tol=self.rel_tol)
 
@@ -749,7 +769,7 @@ def _classify_j(
     for K in K_list:
         lo = max(cfg.j_x_lo, 2.0 * K * 1.5)
         hi = min(cfg.x_hi, d.tail.truncation_hi)
-        if hi <= lo * 2 or not K > 0:  # b2_cond refuses K <= 0 at every x
+        if hi <= lo * 2:
             continue
         grids.append((float(K), [float(x) for x in geometric_grid(d, lo, hi, cfg.j_n_grid)]))
     # One profile per threshold covers every K whose grid holds it; an x

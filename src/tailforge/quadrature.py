@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import LogDepthError, ToleranceError
+from .errors import LogDepthError, ParameterError, ToleranceError
 
 __all__ = ["QuadConfig", "LogQuadResult", "log_quad", "logsubexp"]
 
@@ -89,9 +89,9 @@ class QuadConfig:
 
     def __post_init__(self):
         if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+            raise ParameterError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise ParameterError("max_subdivisions must be >= 1")
 
 
 @dataclass

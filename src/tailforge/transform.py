@@ -3,8 +3,9 @@
 The transform wraps every segment of the source curve rather than refitting:
 ratios like G(x - t) / G(x) have to be exact so that oscillation of the
 source tail shows up undamped in the shift diagnostics.  The measure parts
-are recomputed: atoms scale by exp(-gamma * location) and the density on
-smooth stretches becomes exp(-gamma x) * (f(x) + gamma F(x)).
+are derived from the tilted curve like any other (``parts_from_curve``):
+atoms scale by exp(-gamma * location), and every stretch carries the density
+exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
 
 This is the plain tail tilt; no Esscher normalization is applied.
 """
@@ -15,15 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Atom, DensityPiece, Distribution, MeasureParts
+from .distribution import Distribution
 from .errors import ParameterError
 from .tailcurve import TailCurve, TiltedSegment
 
 __all__ = ["TransformSpec", "gamma_transform", "tilt_compose_check", "CheckReport"]
-
-
-def _neg_inf_fn(y: np.ndarray) -> np.ndarray:
-    return np.full_like(np.asarray(y, dtype=float), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -47,47 +44,9 @@ def gamma_transform(d: Distribution, spec: TransformSpec | float) -> Distributio
     )
     curve = TailCurve(segs, validate=False)
 
-    atoms = tuple(
-        Atom(a.location, a.log_mass - gamma * a.location) for a in d.parts.atoms
-    )
-    # Density of the tilted law on smooth stretches is
-    # exp(-(rho + gamma) y) * (f0(y) + (rho + gamma) F0(y)) where f0, F0 and
-    # rho belong to the untilted ancestor; the rate stays symbolic on the
-    # piece so downstream tilted moments can fuse it exactly.
-    pieces = []
-    covered: list[tuple[float, float]] = []
-    for p in d.parts.density_pieces:
-        core_tail = p.log_core_tail if p.log_core_tail is not None else d.tail.log_tail
-        pieces.append(
-            DensityPiece(
-                p.lo,
-                p.hi,
-                log_core=p.log_core,
-                tilt_rate=p.tilt_rate + gamma,
-                log_core_tail=core_tail,
-            )
-        )
-        covered.append((p.lo, p.hi))
-    # Stretches where F was flat gain density gamma * F(y) * exp(-gamma y).
-    for seg in d.tail.segments:
-        if not seg.has_density and not any(
-            lo <= seg.lo and seg.hi <= hi for lo, hi in covered
-        ):
-            pieces.append(
-                DensityPiece(
-                    seg.lo,
-                    seg.hi,
-                    log_core=_neg_inf_fn,
-                    tilt_rate=gamma,
-                    log_core_tail=seg.log_value,
-                )
-            )
-    pieces.sort(key=lambda p: p.lo)
-    parts = MeasureParts(atoms, tuple(pieces))
-
     label = f"tilt({d.label or 'F'}, gamma={gamma:g})"
     spec_doc = {"kind": "tilted", "gamma": gamma, "base": d.spec} if d.spec else {}
-    out = Distribution(curve, parts, label=label, spec=spec_doc)
+    out = Distribution(curve, label=label, spec=spec_doc)
     out.truncation_note = d.truncation_note
     return out
 

@@ -111,6 +111,52 @@ def test_no_upward_jumps_at_breakpoints(name, request):
             assert left == pytest.approx(right, abs=1e-9 * max(1.0, abs(right)))
 
 
+def _dyadic_atoms(d):
+    """Closed-form atoms of dyadic_pareto: mass 3 * 4^-n at 2^n."""
+    return {2.0**n: math.log(3.0) - n * LOG4 for n in range(1, d.spec["n_max"] + 1)}
+
+
+def _plateau_atoms(d):
+    """Closed-form atoms of plateau_example: mass (a - 1) F1(y_i) at each
+    rejoin y_i, where sqrt(y_i) = sqrt(x_i) + ln a."""
+    a = d.spec["a"]
+    plateaus = [s for s in d.tail.segments if not s.has_density]
+    return {s.hi: math.log(a - 1.0) - (math.sqrt(s.lo) + math.log(a)) for s in plateaus}
+
+
+@pytest.mark.parametrize(
+    "name, closed_form, gamma, kept",
+    [
+        ("dyadic", _dyadic_atoms, 0.0, 998),
+        ("dyadic", _dyadic_atoms, 0.5, 51),
+        ("plateau2", _plateau_atoms, 0.0, 97),
+        ("plateau2", _plateau_atoms, 0.5, 48),
+    ],
+)
+def test_derived_atoms_match_closed_form(name, closed_form, gamma, kept, request):
+    base = request.getfixturevalue(name)
+    d = tf.gamma_transform(base, gamma) if gamma else base
+    # a tilt scales each atom by exp(-gamma * location)
+    ref = {x: lm - gamma * x for x, lm in closed_form(base).items()}
+    atoms = {a.location: a.log_mass for a in d.parts.atoms}
+    assert len(atoms) == len(d.parts.atoms) == kept
+    # the kept atoms are the leading ones; the rest sit where log F is
+    # below -1e15, so deep that the curve cannot resolve their jumps
+    locs = sorted(ref)
+    assert sorted(atoms) == locs[:kept]
+    assert all(ref[x] < -1e15 for x in locs[kept:])
+    for x, log_mass in atoms.items():
+        assert abs(log_mass - ref[x]) <= 4 * np.spacing(abs(ref[x]))
+
+
+@pytest.mark.parametrize("name", ["fkz", "xu55", "xu55_m2"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_continuous_builtins_have_no_atoms(name, gamma, request):
+    base = tf.xu_piecewise(5.5, 4096.0, m=2) if name == "xu55_m2" else request.getfixturevalue(name)
+    d = tf.gamma_transform(base, gamma) if gamma else base
+    assert d.parts.atoms == ()
+
+
 # ------------------------------------------------------------ partial moments
 
 

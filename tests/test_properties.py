@@ -113,6 +113,27 @@ def test_array_and_scalar_quantile_agree(curve_kinds, fractions):
 
 
 @PROPERTY
+@given(curves())
+def test_derived_atom_mass_is_the_jump_at_each_join(curve_kinds):
+    curve, _ = curve_kinds
+    atoms = Distribution(curve).parts.atoms
+    by_location = {a.location: a.log_mass for a in atoms}
+    assert len(by_location) == len(atoms)
+    for seg in curve.segments[1:]:
+        x = seg.lo
+        left, right = curve.log_tail_left(x), float(curve.log_tail(x))
+        if right - left >= -4 * np.spacing(max(1.0, abs(left))):
+            assert x not in by_location  # a continuous join up to rounding
+            continue
+        log_mass = by_location.pop(x)
+        # log(F(x-) - F(x)), accurate to an ulp or two
+        expected = left + math.log(-math.expm1(right - left))
+        assert abs(log_mass - expected) <= 4 * np.spacing(abs(expected))
+        assert math.exp(log_mass) == pytest.approx(math.exp(left) - math.exp(right), rel=1e-12)
+    assert not by_location  # no atom away from a join
+
+
+@PROPERTY
 @given(curves(), st.integers(20, 200), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
 def test_bracket_contains_conv2_tail(curve_kinds, cells, fractions):
     curve, _ = curve_kinds

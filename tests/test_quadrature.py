@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tailforge.errors import LogDepthError, ToleranceError
+from tailforge.errors import LogDepthError, ParameterError, ToleranceError
 from tailforge.quadrature import QuadConfig, log_quad, logsubexp
 
 
@@ -82,3 +82,9 @@ def test_logsubexp():
     assert logsubexp(math.log(3.0), math.log(1.0)) == pytest.approx(math.log(2.0), rel=1e-15)
     with pytest.raises(ValueError):
         logsubexp(0.0, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"rel_tol": math.nan}, {"max_subdivisions": 0}])
+def test_quad_config_out_of_range_is_parameter_error(kwargs):
+    with pytest.raises(ParameterError):
+        QuadConfig(**kwargs)

@@ -261,6 +261,20 @@ CONFIG_ERRORS = [
     ("experiment-string-gamma", EXPERIMENT, '{"gamma": "0.5"}'),
     ("experiment-scalar-for-list", EXPERIMENT, '{"K_list": 64.0}'),
     ("experiment-empty-list", EXPERIMENT, '{"m_grid": []}'),
+    # values of the right type but out of range
+    ("classify-zero-rel-tol", CLASSIFY, '{"rel_tol": 0}'),
+    ("classify-negative-n-grid", CLASSIFY, '{"n_grid": -3}'),
+    ("classify-one-point-j-grid", CLASSIFY, '{"j_n_grid": 1}'),
+    ("classify-zero-x-lo", CLASSIFY, '{"x_lo": 0}'),
+    ("classify-window-reversed", CLASSIFY, '{"x_lo": 1e4, "x_hi": 100}'),
+    ("classify-zero-j-x-lo", CLASSIFY, '{"j_x_lo": 0}'),
+    ("classify-negative-t", CLASSIFY, '{"t_list": [1.0, -2.0]}'),
+    ("classify-zero-gamma", CLASSIFY, '{"gamma_grid": [0.5, 0]}'),
+    ("classify-negative-K", CLASSIFY, '{"K_list": [-2.0]}'),
+    ("classify-level-one", CLASSIFY, '{"K_levels": [0.3, 1.0]}'),
+    ("classify-j-band-reversed", CLASSIFY, '{"j_lo": 0.9, "j_hi": 0.5}'),
+    ("classify-j-hi-above-one", CLASSIFY, '{"j_hi": 1.5}'),
+    ("classify-zero-j-lo", CLASSIFY, '{"j_lo": 0}'),
 ]
 
 
