@@ -19,7 +19,7 @@ from .cache import cached_convn_tail_grid
 from .distribution import quantile_from_tail, sample
 from .errors import ParameterError, TailforgeError
 from .experiments import EXPERIMENT_IDS, default_config, run_experiment
-from .export import export_grid, fmt_float, result_from_obj, result_to_obj
+from .export import _dest_stream, _write_csv, _write_json, export_grid, fmt_float, result_from_obj
 from .functionals import (
     ClassifyConfig,
     b2_cond,
@@ -51,12 +51,6 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r} ({exc}); use '1,2,5', 'geom:lo:hi:n' or 'lin:lo:hi:n'"
         ) from None
-
-
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
 def _load_json(parser: argparse.ArgumentParser, path: str, what: str):
@@ -117,15 +111,6 @@ def _load_overrides(parser: argparse.ArgumentParser, path: str, defaults: dict) 
                 f"got {json.dumps(value)}"
             )
     return overrides
-
-
-def _emit(result, fmt: str, out: str | None) -> None:
-    if out is None or out == "-":
-        obj = result_to_obj(result)
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        export_grid(result, fmt, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,42 +216,28 @@ def _cmd_dist(args) -> int:
             info["mean"] = d.mean
         except TailforgeError as exc:
             info["mean"] = f"unavailable: {exc}"
-        json.dump(info, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        _write_json(None, info)
         if args.out:
             dump_spec(d, args.out)
         return 0
     if args.dist_command == "eval":
-        stream, close = _out_stream(args.out)
-        try:
+        # Both tables go to one destination, the x table first.
+        with _dest_stream(args.out) as fh:
             if args.x is not None:
-                xs = args.x
-                ls = np.atleast_1d(d.tail.log_tail(xs))
-                stream.write("x,log_tail,tail\n")
-                for x, l in zip(xs, ls):
-                    stream.write(
-                        f"{fmt_float(float(x))},{fmt_float(float(l))},{fmt_float(math.exp(l) if l > -math.inf else 0.0)}\n"
-                    )
+                ls = np.atleast_1d(d.tail.log_tail(args.x))
+                rows = [
+                    [fmt_float(float(x)), fmt_float(float(l)), fmt_float(math.exp(l))]
+                    for x, l in zip(args.x, ls)
+                ]
+                _write_csv(fh, ["x", "log_tail", "tail"], rows)
             if args.u is not None:
-                us = args.u
-                qs = np.atleast_1d(quantile_from_tail(d, us))
-                stream.write("u,quantile\n")
-                for u, q in zip(us, qs):
-                    stream.write(f"{fmt_float(float(u))},{fmt_float(float(q))}\n")
-        finally:
-            if close:
-                stream.close()
+                qs = np.atleast_1d(quantile_from_tail(d, args.u))
+                rows = [[fmt_float(float(u)), fmt_float(float(q))] for u, q in zip(args.u, qs)]
+                _write_csv(fh, ["u", "quantile"], rows)
         return 0
     if args.dist_command == "sample":
         xs = sample(d, args.seed, args.n)
-        stream, close = _out_stream(args.out)
-        try:
-            stream.write("sample\n")
-            for v in xs:
-                stream.write(fmt_float(float(v)) + "\n")
-        finally:
-            if close:
-                stream.close()
+        _write_csv(args.out, ["sample"], [[fmt_float(float(v))] for v in xs])
         return 0
     raise AssertionError("unreachable")
 
@@ -278,33 +249,20 @@ def _cmd_functional(args) -> int:
     kind = args.kind
     if kind in ("ol", "d", "lgamma", "os", "osstar"):
         series = ratio_diagnostic(d, kind, xs, t=args.t, gamma=args.gamma, cfg=qcfg)
-        _emit(series, args.format, args.out)
+        export_grid(series, args.format, args.out)
         return 0
-    stream, close = _out_stream(args.out)
-    try:
-        if kind == "t_ratio":
-            stream.write("x,K,t_ratio\n")
-            for x in xs:
-                stream.write(
-                    f"{fmt_float(float(x))},{fmt_float(args.K)},{fmt_float(t_ratio(d, float(x), args.K, qcfg))}\n"
-                )
-        elif kind == "b2":
-            stream.write("x,K,b2\n")
-            for x in xs:
-                stream.write(
-                    f"{fmt_float(float(x))},{fmt_float(args.K)},{fmt_float(b2_cond(d, float(x), args.K, qcfg))}\n"
-                )
-        elif kind == "jump":
-            stream.write("x,K,n,lower,upper\n")
-            for x in xs:
-                br = jump_cond(d, args.n, float(x), args.K, args.h)
-                stream.write(
-                    f"{fmt_float(float(x))},{fmt_float(args.K)},{args.n},"
-                    f"{fmt_float(br.lower)},{fmt_float(br.upper)}\n"
-                )
-    finally:
-        if close:
-            stream.close()
+    if kind == "jump":
+        rows = []
+        for x in xs:
+            br = jump_cond(d, args.n, float(x), args.K, args.h)
+            rows.append(
+                [fmt_float(float(x)), fmt_float(args.K), str(args.n), fmt_float(br.lower), fmt_float(br.upper)]
+            )
+        _write_csv(args.out, ["x", "K", "n", "lower", "upper"], rows)
+        return 0
+    fn = t_ratio if kind == "t_ratio" else b2_cond
+    rows = [[fmt_float(float(x)), fmt_float(args.K), fmt_float(fn(d, float(x), args.K, qcfg))] for x in xs]
+    _write_csv(args.out, ["x", "K", kind], rows)
     return 0
 
 
@@ -315,17 +273,12 @@ def _cmd_conv(args) -> int:
     cap = args.cap if args.cap is not None else math.inf
     grid = cached_convn_tail_grid(d, args.n, x_max, args.h, cap)
     if args.out is None and args.format == "csv":
-        sys.stdout.write("x,lower,upper,method\n")
+        # The requested x values only, not the full grid --out writes.
         method = f"bracket-h={args.h:g}"
-        for x in xs:
-            lo, up = grid.at(float(x))
-            llo = math.log(lo) if lo > 0 else -math.inf
-            lup = math.log(up) if up > 0 else -math.inf
-            sys.stdout.write(
-                f"{fmt_float(float(x))},{fmt_float(llo)},{fmt_float(lup)},{method}\n"
-            )
+        rows = [[fmt_float(float(x)), *map(fmt_float, grid.log_at(float(x))), method] for x in xs]
+        _write_csv(None, ["x", "lower", "upper", "method"], rows)
         return 0
-    _emit(grid, args.format, args.out)
+    export_grid(grid, args.format, args.out)
     return 0
 
 
@@ -342,7 +295,7 @@ def _cmd_classify(args, parser) -> int:
             parser.error(f"config {args.config}: {exc}")
     d = resolve_dist(args.dist)
     report = classify(d, cfg)
-    _emit(report, args.format, args.out)
+    export_grid(report, args.format, args.out)
     return 0
 
 
@@ -367,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             d = resolve_dist(args.dist)
             est = mc_jump_cond(d, args.n, args.x, args.K, args.samples, args.seed)
-            _emit(est, args.format, args.out)
+            export_grid(est, args.format, args.out)
             return 0
         if args.command == "experiment":
             config = None

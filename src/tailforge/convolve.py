@@ -210,19 +210,19 @@ class BracketGrid:
         if np.any(self.log_lower > self.log_upper + 1e-12):
             raise ParameterError("bracket invariant violated: lower > upper")
 
-    def at(self, x: float) -> tuple[float, float]:
-        """(lower, upper) probability bounds for P(S_n > x), any x in range."""
+    def log_at(self, x: float) -> tuple[float, float]:
+        """(lower, upper) bounds on log P(S_n > x), any x in range."""
         if not self.grid[0] <= x <= self.grid[-1]:
             raise ParameterError(f"x={x} outside bracket grid [{self.grid[0]}, {self.grid[-1]}]")
         k = int(np.searchsorted(self.grid, x, side="left"))
-        if self.grid[k] == x:
-            lo = math.exp(self.log_lower[k]) if self.log_lower[k] > _NEG_INF else 0.0
-            up = math.exp(self.log_upper[k]) if self.log_upper[k] > _NEG_INF else 0.0
-            return lo, up
         # Between nodes: tails are nonincreasing, so bound by neighbors.
-        lo = math.exp(self.log_lower[k]) if self.log_lower[k] > _NEG_INF else 0.0
-        up = math.exp(self.log_upper[k - 1]) if self.log_upper[k - 1] > _NEG_INF else 0.0
-        return lo, up
+        k_up = k if self.grid[k] == x else k - 1
+        return float(self.log_lower[k]), float(self.log_upper[k_up])
+
+    def at(self, x: float) -> tuple[float, float]:
+        """(lower, upper) probability bounds for P(S_n > x), any x in range."""
+        log_lo, log_up = self.log_at(x)
+        return math.exp(log_lo), math.exp(log_up)
 
     def width_at(self, x: float) -> float:
         lo, up = self.at(x)

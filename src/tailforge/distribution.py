@@ -200,7 +200,8 @@ def partial_moment(
     if math.isinf(B):
         if math.isinf(hi):
             _check_terminal_convergence(d, k)
-            B_eff = _effective_upper_cutoff(d, k)
+            seg = d.tail.segments[-1]
+            B_eff = _cutoff(seg.lo, lambda T: seg.log_value_at(T) + (k + 2) * math.log(T))
             lv = d.tail.log_moment_range(k, A, B_eff, cfg)
             return math.exp(lv) if lv > _NEG_INF else 0.0
         # Finite truncation: integrate everything materialized, then make
@@ -243,16 +244,18 @@ def _check_terminal_convergence(d: Distribution, k: int) -> None:
     return
 
 
-def _effective_upper_cutoff(d: Distribution, k: int) -> float:
-    """A finite T with integral_T^inf y^k F(y) dy below float significance."""
-    seg = d.tail.segments[-1]
-    lo = max(seg.lo, 1.0)
-    T = lo
+def _cutoff(lo: float, log_bound: Callable[[float], float]) -> float:
+    """A finite upper limit past which an integral is below float significance.
+
+    Doubles T from max(lo, 1) until ``log_bound(T)``, the log of a bound on
+    the integrand times T^2, falls below -60; capped at 8.9e307.
+    """
+    T = max(lo, 1.0)
     for _ in range(600):
         T *= 2.0
         if T >= 8.9e307:
             return 8.9e307
-        if seg.log_value_at(T) + (k + 2) * math.log(T) < -60.0:
+        if log_bound(T) < -60.0:
             return T
     return T
 
@@ -271,7 +274,10 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
     if lam > 0:
         _check_exp_moment_convergence(d, lam)
     if math.isinf(hi):
-        B = _exp_moment_cutoff(d, lam)
+        seg = d.tail.segments[-1]
+        rate, core, _, _ = normal_form(seg)
+        net = lam - rate  # fused: evaluating tail and tilt separately cancels
+        B = _cutoff(seg.lo, lambda T: core.log_value_at(T) + net * T + 2 * math.log(T))
     else:
         B = hi
         terminal = d.tail.log_tail_left(hi) + lam * hi + math.log(max(hi, 2.0))
@@ -328,20 +334,6 @@ def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
             f"exp moment at the terminal decay rate {budget} diverges: "
             "the residual tail factor is not integrable"
         )
-
-
-def _exp_moment_cutoff(d: Distribution, lam: float) -> float:
-    seg = d.tail.segments[-1]
-    rate, core, _, _ = normal_form(seg)
-    net = lam - rate  # fused: evaluating tail and tilt separately cancels
-    T = max(seg.lo, 1.0)
-    for _ in range(600):
-        T *= 2.0
-        if T >= 8.9e307:
-            return 8.9e307
-        if core.log_value_at(T) + net * T + 2 * math.log(T) < -60.0:
-            return T
-    return T
 
 
 # ------------------------------------------------------------ quantile / rng

@@ -10,7 +10,6 @@ and a desk-scale grid can only trend toward them.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from pathlib import Path
@@ -30,7 +29,7 @@ from .builtins import (
 from .convolve import log_conv2_tail, log_cross_integral
 from .distribution import Distribution, exp_moment, power_tail
 from .errors import DivergenceError, ParameterError, TailforgeError, TruncationError
-from .export import export_grid, fmt_float
+from .export import _write_csv, _write_json, export_grid, fmt_float
 from .functionals import (
     DiagSeries,
     b2_cond,
@@ -115,13 +114,6 @@ def default_config(exp_id: str) -> dict[str, Any]:
     raise ParameterError(f"unknown experiment id {exp_id!r}; known: {EXPERIMENT_IDS}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 class _Expectations:
     def __init__(self) -> None:
         self.items: list[dict[str, Any]] = []
@@ -166,10 +158,42 @@ def run_experiment(exp_id: str, out_dir: str | os.PathLike, config: dict | None 
         "first_failure": exp.first_failure(),
         "artifacts": artifacts,
     }
-    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     return 0 if exp.all_passed else 1
+
+
+def _K_profile(
+    fn: Callable[..., float], d: Distribution, x: float, Ks, qcfg: QuadConfig, path: Path, col: str
+) -> list[float]:
+    """``fn(d, x, K)`` for each K at one threshold x, written as the
+    ``K,x,<col>`` table at ``path``."""
+    vals = [fn(d, x, float(K), qcfg) for K in Ks]
+    rows = [[fmt_float(K), fmt_float(x), fmt_float(v)] for K, v in zip(Ks, vals)]
+    _write_csv(path, ["K", "x", col], rows)
+    return vals
+
+
+def _rises(vals: list[float], level: float) -> bool:
+    """Nondecreasing up to 1e-9 and ending at or above ``level``."""
+    return all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])) and vals[-1] >= level
+
+
+def _lgamma_scan(
+    G: Distribution, grid: np.ndarray, betas, qcfg: QuadConfig, path: Path, exp: _Expectations
+) -> None:
+    """Shift-ratio scan of G at each rate beta, written to ``path``; expects
+    that no rate settles the ratio at 1."""
+    probe = shift_probe_grid(G, grid, 1.0)
+    rows = []
+    none_converge = True
+    for beta in betas:
+        s = ratio_diagnostic(G, "lgamma", probe, t=1.0, gamma=beta, cfg=qcfg)
+        if s.trend == "converging" and s.limit is not None and abs(s.limit - 1) <= 0.05:
+            none_converge = False
+        for x, v in zip(s.grid, s.values):
+            rows.append([fmt_float(beta), fmt_float(float(x)), fmt_float(float(v)), s.trend])
+    _write_csv(path, ["beta", "x", "ratio", "trend"], rows)
+    exp.check("lgamma-scan-refutes", none_converge, "no tested rate settles the shift ratio at 1")
 
 
 # ------------------------------------------------------------------ prop 1.1
@@ -291,16 +315,12 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         f"t_ratio at the deep probes stays <= {cfg['t_gate']}",
     )
 
-    x_star = a[4] ** 2
-    b2_rows = []
-    b2_ok = True
-    for K in cfg["b2_K_list"]:
-        v = b2_cond(G, x_star, K, qcfg)
-        b2_rows.append([fmt_float(K), fmt_float(x_star), fmt_float(v)])
-        if v > cfg["t_gate"]:
-            b2_ok = False
-    _write_csv(out / "b2_transform.csv", ["K", "x", "b2"], b2_rows)
-    exp.check("b2-transform-low", b2_ok, f"small-summand probability stuck <= {cfg['t_gate']}")
+    b2_vals = _K_profile(b2_cond, G, a[4] ** 2, cfg["b2_K_list"], qcfg, out / "b2_transform.csv", "b2")
+    exp.check(
+        "b2-transform-low",
+        not any(v > cfg["t_gate"] for v in b2_vals),
+        f"small-summand probability stuck <= {cfg['t_gate']}",
+    )
 
     grid = geometric_grid(F, 2.0, cfg["x_cap"], 22)
     os_g = _os_series_of_tilt_by_identity(F, cfg["gamma"], grid, qcfg)
@@ -354,17 +374,7 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     # L(beta) scan on the transform: no rate settles the shift ratio at 1.
     grid = geometric_grid(G, 64.0, 2.0**20, 25)
-    scan_rows = []
-    none_converge = True
-    for beta in cfg["beta_grid"]:
-        s = ratio_diagnostic(G, "lgamma", shift_probe_grid(G, grid, 1.0), t=1.0, gamma=beta, cfg=qcfg)
-        converged_at_1 = s.trend == "converging" and s.limit is not None and abs(s.limit - 1) <= 0.05
-        if converged_at_1:
-            none_converge = False
-        for x, v in zip(s.grid, s.values):
-            scan_rows.append([fmt_float(beta), fmt_float(float(x)), fmt_float(float(v)), s.trend])
-    _write_csv(out / "lgamma_scan.csv", ["beta", "x", "ratio", "trend"], scan_rows)
-    exp.check("lgamma-scan-refutes", none_converge, "no tested rate settles the shift ratio at 1")
+    _lgamma_scan(G, grid, cfg["beta_grid"], qcfg, out / "lgamma_scan.csv", exp)
 
     # S(gamma) evidence-against: the two-fold ratio of G does not converge.
     os_g = ratio_diagnostic(G, "os", geometric_grid(G, 4.0, 2.0**20, 22), cfg=qcfg)
@@ -391,17 +401,10 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("source-heavy-tailed", heavy_ok, "no positive exp moment certifiable for the source")
 
     # J evidence on the transform: small-summand profile rises with K.
-    b2_rows = []
-    b2_vals = []
-    for K in cfg["b2_K_list"]:
-        v = b2_cond(G, cfg["b2_x"], K, qcfg)
-        b2_vals.append(v)
-        b2_rows.append([fmt_float(K), fmt_float(cfg["b2_x"]), fmt_float(v)])
-    _write_csv(out / "b2_transform.csv", ["K", "x", "b2"], b2_rows)
+    b2_vals = _K_profile(b2_cond, G, cfg["b2_x"], cfg["b2_K_list"], qcfg, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-rises",
-        all(b2_vals[i + 1] >= b2_vals[i] - 1e-9 for i in range(len(b2_vals) - 1))
-        and b2_vals[-1] >= cfg["gate_level"],
+        _rises(b2_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
     return ["t_ratio.csv", "lgamma_scan.csv", "os_transform.csv", "b2_transform.csv"]
@@ -444,29 +447,17 @@ def _run_prop14(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
 
     # J mechanism on the source and the transform: profiles rise toward 1.
-    t_rows, t_vals = [], []
-    for K in cfg["K_list"]:
-        v = t_ratio(F, cfg["x_star"], K, qcfg)
-        t_vals.append(v)
-        t_rows.append([fmt_float(K), fmt_float(cfg["x_star"]), fmt_float(v)])
-    _write_csv(out / "t_ratio.csv", ["K", "x", "t_ratio"], t_rows)
+    t_vals = _K_profile(t_ratio, F, cfg["x_star"], cfg["K_list"], qcfg, out / "t_ratio.csv", "t_ratio")
     exp.check(
         "t-ratio-rises",
-        all(t_vals[i + 1] >= t_vals[i] - 1e-9 for i in range(len(t_vals) - 1))
-        and t_vals[-1] >= cfg["gate_level"],
+        _rises(t_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in t_vals]}",
     )
 
-    b2_rows, b2_vals = [], []
-    for K in cfg["K_list"]:
-        v = b2_cond(G, cfg["x_star"], K, qcfg)
-        b2_vals.append(v)
-        b2_rows.append([fmt_float(K), fmt_float(cfg["x_star"]), fmt_float(v)])
-    _write_csv(out / "b2_transform.csv", ["K", "x", "b2"], b2_rows)
+    b2_vals = _K_profile(b2_cond, G, cfg["x_star"], cfg["K_list"], qcfg, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-rises",
-        all(b2_vals[i + 1] >= b2_vals[i] - 1e-9 for i in range(len(b2_vals) - 1))
-        and b2_vals[-1] >= cfg["gate_level"],
+        _rises(b2_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
     return [
@@ -583,31 +574,15 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     # No exponential rate fits the tilted power family.
     lg_grid = geometric_grid(Gm, 64.0, float(xns[min(len(xns), 8) - 1]) * 2.0, 25)
-    scan_rows = []
-    none_converge = True
-    for beta in cfg["beta_grid"]:
-        s = ratio_diagnostic(Gm, "lgamma", shift_probe_grid(Gm, lg_grid, 1.0), t=1.0, gamma=beta, cfg=qcfg)
-        if s.trend == "converging" and s.limit is not None and abs(s.limit - 1) <= 0.05:
-            none_converge = False
-        for x, v in zip(s.grid, s.values):
-            scan_rows.append([fmt_float(beta), fmt_float(float(x)), fmt_float(float(v)), s.trend])
-    _write_csv(out / "lgamma_scan.csv", ["beta", "x", "ratio", "trend"], scan_rows)
-    exp.check("lgamma-scan-refutes", none_converge, "no tested rate settles the shift ratio at 1")
+    _lgamma_scan(Gm, lg_grid, cfg["beta_grid"], qcfg, out / "lgamma_scan.csv", exp)
 
     # J evidence for the tilted power family.
     x_star = 2.2 * xn
-    b2_rows, b2_vals = [], []
-    for K in cfg["K_windows"]:
-        if K > x_star / 2:
-            continue
-        v = b2_cond(Gm, x_star, float(K), qcfg)
-        b2_vals.append(v)
-        b2_rows.append([fmt_float(K), fmt_float(x_star), fmt_float(v)])
-    _write_csv(out / "b2_transform.csv", ["K", "x", "b2"], b2_rows)
+    Ks = [K for K in cfg["K_windows"] if K <= x_star / 2]
+    b2_vals = _K_profile(b2_cond, Gm, x_star, Ks, qcfg, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-rises",
-        all(b2_vals[i + 1] >= b2_vals[i] - 1e-9 for i in range(len(b2_vals) - 1))
-        and b2_vals[-1] >= cfg["b2_gate_level"],
+        _rises(b2_vals, cfg["b2_gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
     return [

@@ -1,18 +1,24 @@
 """Bit-stable export of result objects to CSV and JSON.
 
-Fixed column order per type, floats printed with 17 significant digits,
-LF line endings: exporting the same result twice yields byte-identical
-files, which the determinism acceptance test relies on.  ``result_from_obj``
-inverts ``result_to_obj`` for every result type, so a saved JSON result
-exports to the same bytes as the object it came from.
+Every table and JSON document tailforge writes goes through ``_write_csv``
+or ``_write_json`` here.  Fixed column order per type, floats printed with
+17 significant digits, LF line endings: exporting the same result twice
+yields byte-identical files, which the determinism acceptance test relies
+on.  ``result_from_obj`` inverts ``result_to_obj`` for every result type, so
+a saved JSON result exports to the same bytes as the object it came from.
+
+A destination ``dest`` is a path, an open text stream, or None / ``"-"``
+for stdout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from typing import Any
+import sys
+from typing import IO, Any, Iterator, Union
 
 import numpy as np
 
@@ -22,6 +28,37 @@ from .functionals import ClassEntry, ClassReport, DiagSeries
 from .montecarlo import ComparisonRow, ComparisonTable, McEstimate
 
 __all__ = ["export_grid", "fmt_float", "result_from_obj", "result_to_obj"]
+
+Dest = Union[str, os.PathLike, IO[str], None]
+
+
+@contextlib.contextmanager
+def _dest_stream(dest: Dest) -> Iterator[IO[str]]:
+    """A text stream for ``dest``; a path is opened here and closed on exit."""
+    if dest is None or dest == "-":
+        yield sys.stdout
+    elif hasattr(dest, "write"):
+        yield dest
+    else:
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+
+
+def _write_csv(dest: Dest, header: list[str], rows: list[list[str]]) -> None:
+    """Write comma-joined cells, header first, one LF-ended line per row."""
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    with _dest_stream(dest) as fh:
+        fh.write(text)
+
+
+def _write_json(dest: Dest, obj: Any) -> None:
+    """Write ``obj`` as JSON indented by 2 with a trailing LF.
+
+    A value that is not JSON raises TypeError before ``dest`` is touched.
+    """
+    text = json.dumps(obj, indent=2) + "\n"
+    with _dest_stream(dest) as fh:
+        fh.write(text)
 
 
 def fmt_float(v: float) -> str:
@@ -148,18 +185,20 @@ def result_to_obj(result: Any) -> dict:
             "label": result.label,
             "disclaimer": result.disclaimer,
             "entries": [
-                {"class": e.cls, "verdict": e.verdict, "detail": e.detail} for e in result.entries
+                {
+                    "class": e.cls,
+                    "verdict": e.verdict,
+                    "detail": e.detail,
+                    "evidence": [result_to_obj(s) for s in e.evidence],
+                }
+                for e in result.entries
             ],
         }
     raise ParameterError(f"don't know how to export {type(result).__name__}")
 
 
 def result_from_obj(obj: dict) -> Any:
-    """Rebuild a result from the form ``result_to_obj`` gives it.
-
-    A ClassReport comes back without its evidence series, which the JSON
-    form does not carry.
-    """
+    """Rebuild a result from the form ``result_to_obj`` gives it."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     try:
         if kind == "DiagSeries":
@@ -188,38 +227,34 @@ def result_from_obj(obj: dict) -> Any:
             rows = tuple(ComparisonRow(**row) for row in obj["rows"])
             return ComparisonTable(rows=rows, z_flag=obj["z_flag"])
         if kind == "ClassReport":
-            entries = tuple(
-                ClassEntry(e["class"], e["verdict"], e["detail"]) for e in obj["entries"]
-            )
-            return ClassReport(obj["label"], entries, obj["disclaimer"])
+            entries = []
+            for e in obj["entries"]:
+                evidence = tuple(result_from_obj(s) for s in e.get("evidence", ()))
+                if not all(isinstance(s, DiagSeries) for s in evidence):
+                    raise ParameterError("malformed ClassReport result: evidence must be series")
+                entries.append(ClassEntry(e["class"], e["verdict"], e["detail"], evidence))
+            return ClassReport(obj["label"], tuple(entries), obj["disclaimer"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed {kind} result: {exc!r}") from exc
     raise ParameterError(f"cannot rebuild result of type {kind!r}")
 
 
-def export_grid(result: Any, fmt: str, path: str | os.PathLike) -> None:
-    """Write a result object to ``path`` as csv or json (bit-stable)."""
+_CSV_ROWS = {
+    DiagSeries: _diag_rows,
+    BracketGrid: _bracket_rows,
+    McEstimate: _mc_rows,
+    ComparisonTable: _table_rows,
+    ClassReport: _report_rows,
+}
+
+
+def export_grid(result: Any, fmt: str, dest: Dest) -> None:
+    """Write a result object to ``dest`` as csv or json (bit-stable)."""
     if fmt == "json":
-        obj = result_to_obj(result)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        return
-    if fmt != "csv":
-        raise ParameterError(f"unknown export format {fmt!r}; use csv or json")
-    if isinstance(result, DiagSeries):
-        header, rows = _diag_rows(result)
-    elif isinstance(result, BracketGrid):
-        header, rows = _bracket_rows(result)
-    elif isinstance(result, McEstimate):
-        header, rows = _mc_rows(result)
-    elif isinstance(result, ComparisonTable):
-        header, rows = _table_rows(result)
-    elif isinstance(result, ClassReport):
-        header, rows = _report_rows(result)
+        _write_json(dest, result_to_obj(result))
+    elif fmt == "csv":
+        if type(result) not in _CSV_ROWS:
+            raise ParameterError(f"don't know how to export {type(result).__name__}")
+        _write_csv(dest, *_CSV_ROWS[type(result)](result))
     else:
-        raise ParameterError(f"don't know how to export {type(result).__name__}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        raise ParameterError(f"unknown export format {fmt!r}; use csv or json")

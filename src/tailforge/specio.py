@@ -19,6 +19,7 @@ from pathlib import Path
 from .builtins import builtin
 from .distribution import Distribution, power_tail
 from .errors import ParameterError
+from .export import _write_json
 from .transform import gamma_transform
 
 __all__ = ["SCHEMA", "parse_spec", "load_spec", "dump_spec", "parse_inline", "resolve_dist"]
@@ -63,10 +64,7 @@ def dump_spec(d: Distribution, path: str | os.PathLike) -> None:
         raise ParameterError(
             f"distribution {d.label!r} carries no declarative spec; cannot serialize"
         )
-    doc = {"schema": SCHEMA, **d.spec}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"schema": SCHEMA, **d.spec})
 
 
 def parse_inline(text: str) -> Distribution:

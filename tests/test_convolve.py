@@ -150,6 +150,16 @@ def test_bracket_consistent_with_conv2(request):
             assert lo <= tf.conv2_tail(d, x) <= up
 
 
+def test_bracket_log_at_keeps_bounds_that_underflow(exp1):
+    bg = tf.convn_tail_grid(exp1, 2, 1600.0, 1.0)
+    log_lo, log_up = bg.log_at(1600.0)
+    # P(S_2 > x) = (1 + x) e^{-x}; the upper bound is finite although its exp is 0
+    assert log_lo <= math.log(1601.0) - 1600.0 <= log_up
+    assert math.isfinite(log_up) and bg.at(1600.0)[1] == 0.0
+    for x in (0.5, 1.0, 2.5, 1599.5, 1600.0):
+        assert bg.at(x) == tuple(math.exp(v) for v in bg.log_at(x))
+
+
 def test_bracket_width_halves(exp1):
     w = [
         tf.convn_tail_grid(exp1, 3, 2.01, h).width_at(2.0)

@@ -182,6 +182,52 @@ def test_cli_conv_csv(capsys):
     assert float(x2[1]) <= truth <= float(x2[2])
 
 
+def test_cli_conv_stdout_reads_the_log_bounds(capsys):
+    # The upper bound at 1600 is finite but underflows as a probability.
+    argv = ["conv", "--dist", "exponential:lam=1", "--n", "2", "--x", "1550,1600", "--h", "1"]
+    assert main(argv) == 0
+    x1600 = capsys.readouterr().out.splitlines()[2].split(",")
+    assert float(x1600[1]) <= math.log(1601.0) - 1600.0 <= float(x1600[2]) < -700
+
+
+def _stdout_cases():
+    fn = ["functional", "--dist", "pareto:alpha=3", "--x", "8,16"]
+    exp1 = ["--dist", "exponential:lam=1"]
+    commands = {
+        **{f"functional-{k}": [*fn, "--kind", k] for k in ("ol", "d", "lgamma", "os", "osstar")},
+        "functional-t_ratio": [*fn, "--kind", "t_ratio", "--K", "2"],
+        "functional-b2": [*fn, "--kind", "b2", "--K", "2"],
+        "functional-jump": [
+            "functional", *exp1, "--kind", "jump", "--x", "9", "--K", "1", "--h", "0.05",
+        ],
+        "classify": ["classify", *exp1, "--config", "{config}"],
+        "simulate": ["simulate", *exp1, "--x", "5", "--K", "1", "--samples", "2000", "--seed", "9"],
+        "dist-eval": ["dist", "eval", *exp1, "--x", "1,2,10", "--u", "0.5,0.01"],
+    }
+    cases = [
+        pytest.param(argv, fmt, id=f"{name}-{fmt}")
+        for name, argv in commands.items()
+        for fmt in ("csv", "json")
+    ]
+    sample = ["dist", "sample", "--dist", "pareto:alpha=3", "--n", "20"]
+    return [*cases, pytest.param(sample, None, id="dist-sample")]
+
+
+@pytest.mark.parametrize("argv, fmt", _stdout_cases())
+def test_cli_stdout_carries_the_out_file_bytes(tmp_path, capsys, argv, fmt):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"x_hi": 1e4, "n_grid": 14, "j_n_grid": 6}))
+    argv = [str(config) if a == "{config}" else a for a in argv]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert stdout.encode() == out.read_bytes()
+
+
 def test_cli_functional_and_export(tmp_path):
     out = tmp_path / "series.json"
     code = main([
@@ -355,6 +401,18 @@ def test_cli_export_round_trips_every_result_type(tmp_path, name):
         export_grid(result, fmt, direct)
         assert main(["export", "--infile", str(saved), "--format", fmt, "--out", str(rebuilt)]) == 0
         assert rebuilt.read_bytes() == direct.read_bytes()
+
+
+def test_class_report_json_carries_its_evidence():
+    from tailforge.export import result_from_obj, result_to_obj
+
+    report = _result_objects()["ClassReport"]
+    obj = result_to_obj(report)
+    (series,) = result_from_obj(obj).entries[0].evidence
+    (original,) = report.entries[0].evidence
+    assert np.array_equal(series.log_values, original.log_values) and series.trend == original.trend
+    del obj["entries"][0]["evidence"]  # as saved before reports carried their evidence
+    assert result_from_obj(obj).entries[0].evidence == ()
 
 
 def test_cli_export_refuses_unknown_and_malformed_results(tmp_path):
