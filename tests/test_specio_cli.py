@@ -10,7 +10,7 @@ import pytest
 import tailforge as tf
 from tailforge.cli import main
 from tailforge.errors import ParameterError
-from tailforge.export import export_grid
+from tailforge.export import export_grid, result_from_obj, result_to_obj
 
 
 # -------------------------------------------------------------------- specio
@@ -404,8 +404,6 @@ def test_cli_export_round_trips_every_result_type(tmp_path, name):
 
 
 def test_class_report_json_carries_its_evidence():
-    from tailforge.export import result_from_obj, result_to_obj
-
     report = _result_objects()["ClassReport"]
     obj = result_to_obj(report)
     (series,) = result_from_obj(obj).entries[0].evidence
