@@ -34,7 +34,6 @@ from .convolve import (
 from .distribution import (
     Atom,
     Distribution,
-    MeasureParts,
     exp_moment,
     log_tail,
     partial_moment,

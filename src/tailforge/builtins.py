@@ -4,8 +4,9 @@ Smooth families (pareto, exponential, heavy Weibull) live on a single
 segment reaching infinity.  The piecewise constructions are materialized
 segment by segment until the next breakpoint stops being representable in
 binary64; the curve then ends with a hard truncation point and a note is
-recorded on the distribution.  Atoms and densities are derived from the
-curve (``parts_from_curve``); a construction only lays out its segments.
+recorded on the distribution.  The measure is read off the curve (atoms
+from ``atoms_from_curve``, densities from the segments); a construction
+only lays out its segments.
 """
 
 from __future__ import annotations
@@ -177,7 +178,6 @@ def plateau_example(
     a: float,
     y0: float | None = None,
     max_pairs: int | None = None,
-    next_x: Callable[[float], float] | None = None,
 ) -> Distribution:
     """Flat-step modification of the base tail F1(x) = exp(-sqrt(x)).
 
@@ -186,9 +186,9 @@ def plateau_example(
     sqrt(y_i) = sqrt(x_i) + ln(a).  Each rejoin point y_i carries an atom of
     mass (a - 1) * F1(y_i).
 
-    The interleaving rule x_{i+1} = next_x(y_i) (default 2 * y_i, with
-    x_1 = max(y0, 1) + 1) is a choice of this artifact, not of the
-    construction, which only requires x_i < y_i < x_{i+1}.
+    The interleaving rule x_{i+1} = 2 * y_i, with x_1 = max(y0, 1) + 1, is a
+    choice of this artifact, not of the construction, which only requires
+    x_i < y_i < x_{i+1}.
     """
     if not a > 1:
         raise ParameterError(f"plateau_example requires a > 1, got {a}")
@@ -201,7 +201,6 @@ def plateau_example(
         raise ParameterError(
             f"constraint a * F1(y0) <= 1 violated: need sqrt(y0) >= ln(a) = {ln_a:g}"
         )
-    rule = next_x or (lambda y: 2.0 * y)
 
     segs: list[Segment] = []
     x_i = max(y0, 1.0) + 1.0
@@ -214,11 +213,7 @@ def plateau_example(
             # ln(a) fell below the ulp of sqrt(x_i): the plateau is no longer
             # representable, so the construction truncates here.
             break
-        x_next = rule(y_i)
-        if x_next <= y_i:
-            raise ParameterError(
-                f"interleaving rule violated y_i < x_{{i+1}} at x_i={x_i!r}"
-            )
+        x_next = 2.0 * y_i
         if x_next >= _BREAKPOINT_CAP or (max_pairs is not None and pairs >= max_pairs):
             break
         segs.append(ConstSegment(lo=x_i, hi=y_i, level=-sx))

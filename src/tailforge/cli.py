@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--x", type=_parse_grid, default=None, help="grid of x values (list or geom:lo:hi:n)"
     )
     ev.add_argument("--u", type=_parse_grid, default=None, help="grid of quantile levels")
-    ev.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--out", default=None)
     smp = dist_sub.add_parser("sample", help="inverse-transform sampling")
     smp.add_argument("--dist", required=True)
@@ -209,7 +208,7 @@ def _cmd_dist(args) -> int:
             "spec": d.spec,
             "segments": len(d.tail.segments),
             "truncation_hi": d.tail.truncation_hi,
-            "atoms": len(d.parts.atoms),
+            "atoms": len(d.atoms),
             "truncation_note": d.truncation_note,
         }
         try:
@@ -242,11 +241,13 @@ def _cmd_dist(args) -> int:
     raise AssertionError("unreachable")
 
 
-def _cmd_functional(args) -> int:
+def _cmd_functional(args, parser) -> int:
+    kind = args.kind
+    if kind in ("t_ratio", "b2", "jump") and args.format == "json":
+        parser.error(f"functional --kind {kind} writes CSV only; --format json is not available")
     d = resolve_dist(args.dist)
     xs = args.x
     qcfg = QuadConfig(rel_tol=args.tol)
-    kind = args.kind
     if kind in ("ol", "d", "lgamma", "os", "osstar"):
         series = ratio_diagnostic(d, kind, xs, t=args.t, gamma=args.gamma, cfg=qcfg)
         export_grid(series, args.format, args.out)
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
         if args.command == "conv":
             return _cmd_conv(args)
         if args.command == "functional":
-            return _cmd_functional(args)
+            return _cmd_functional(args, parser)
         if args.command == "classify":
             return _cmd_classify(args, parser)
         if args.command == "simulate":

@@ -46,7 +46,7 @@ import numpy as np
 from .distribution import Distribution
 from .errors import GridGuardError, ParameterError, TruncationError
 from .quadrature import QuadConfig, log_quad
-from .tailcurve import _logsumexp_list
+from .tailcurve import TailCurve, _logsumexp_list
 from .transform import gamma_transform
 
 __all__ = [
@@ -70,12 +70,27 @@ MAX_CELLS = 2_000_000
 # ----------------------------------------------------------- cross integral
 
 
-def _cross_breakpoints(d: Distribution, A: float, B: float, x: float) -> np.ndarray:
-    bps = d.tail.breakpoints()
-    own = bps[(bps > A) & (bps < B)]
-    mirrored = x - bps
-    mirrored = mirrored[(mirrored > A) & (mirrored < B)]
-    return np.unique(np.concatenate([own, mirrored]))
+def _panel_seeds(curve: TailCurve, x: float) -> np.ndarray:
+    """Where g(y) F(x - y) can kink: the curve's breakpoints and their
+    mirrors about x / 2."""
+    bps = curve.breakpoints()
+    return np.concatenate([bps, x - bps])
+
+
+def _log_against_tail(
+    log_g, curve: TailCurve, x: float, lo: float, hi: float, seeds: np.ndarray, cfg: QuadConfig
+) -> float:
+    """log of int_lo^hi g(y) F(x - y) dy, with panels seeded at ``seeds``.
+
+    The seeds are filtered to (lo, hi) here: ``log_quad`` would ignore the
+    others, but only after walking them one by one in Python.
+    """
+
+    def integrand(y: np.ndarray) -> np.ndarray:
+        return log_g(y) + curve.log_tail(x - y)
+
+    inner = seeds[(seeds > lo) & (seeds < hi)]
+    return log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value
 
 
 def log_cross_integral(
@@ -92,11 +107,7 @@ def log_cross_integral(
     if A == B:
         return _NEG_INF
     curve = d.tail
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        return curve.log_tail(y) + curve.log_tail(x - y)
-
-    return log_quad(integrand, A, B, breakpoints=_cross_breakpoints(d, A, B, x), cfg=cfg).log_value
+    return _log_against_tail(curve.log_tail, curve, x, A, B, _panel_seeds(curve, x), cfg)
 
 
 def cross_integral(
@@ -117,30 +128,26 @@ def _log_stieltjes_bands(
     """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``.
 
     Band j is (cuts[j-1], cuts[j]]; the first band is [0, cuts[0]].  Each
-    band lists one term per atom in it, then one per density piece that
-    meets it, so a single cut K gives the terms of int_{[0, K]}.
+    band lists one term per atom in it, then one per segment with a density
+    that meets it, so a single cut K gives the terms of int_{[0, K]}.
     """
     curve = d.tail
     bands: list[list[float]] = [[] for _ in cuts]
-    for atom in d.parts.atoms:
+    for atom in d.atoms:
         j = bisect_left(cuts, atom.location)
         if j < len(cuts):
             bands[j].append(atom.log_mass + curve.log_tail(x - atom.location))
-    bps = curve.breakpoints()
-    inner_all = np.concatenate([bps, x - bps])
-    for piece in d.parts.density_pieces:
-
-        def integrand(y: np.ndarray, _p=piece) -> np.ndarray:
-            return _p.log_pdf(y) + curve.log_tail(x - y)
-
+    seeds = _panel_seeds(curve, x)
+    for seg in curve.segments:
+        if not seg.has_density:
+            continue
         band_lo = -math.inf
         for band, cut in zip(bands, cuts):
-            lo, hi = max(piece.lo, band_lo), min(piece.hi, cut)
+            lo, hi = max(seg.lo, band_lo), min(seg.hi, cut)
             band_lo = cut
             if hi <= lo:
                 continue
-            inner = inner_all[(inner_all > lo) & (inner_all < hi)]
-            band.append(log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value)
+            band.append(_log_against_tail(seg.log_density, curve, x, lo, hi, seeds, cfg))
     return bands
 
 
@@ -257,7 +264,7 @@ def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
     log_t = np.atleast_1d(d.tail.log_tail(nodes))
     t_left = np.exp(log_t)
     atom_on_node = np.zeros(M + 1)
-    for a in d.parts.atoms:
+    for a in d.atoms:
         if a.location > nodes[-1]:
             continue
         j = int(round(a.location / h))

@@ -1,12 +1,15 @@
-"""Distributions on [0, infinity): tail curve plus measure decomposition.
+"""Distributions on [0, infinity): a tail curve and the measure dF it defines.
 
-A Distribution couples a TailCurve with the decomposition of dF into an
-absolutely continuous part (per-segment log densities) and a list of atoms,
-which is what Stieltjes integrals against dF need.  Atom masses are stored
-as logs; the constructions here include atoms with masses like 3 * 4**-900.
+Stieltjes integrals against dF read the measure straight off the TailCurve:
+the absolutely continuous part is each segment's own ``log_density``, and
+the atoms are the curve's downward jumps (``atoms_from_curve``).  Atom
+masses are stored as logs; the constructions here include atoms with masses
+like 3 * 4**-900.
 
-Values are immutable after construction; ``sample`` is a pure function of
-(seed, n) built on inverse transform with numpy's PCG64 generator.
+The curve and its atoms are fixed at construction; the builtins fill in
+``label``, ``spec`` and ``truncation_note`` afterwards.  ``sample`` is a pure
+function of (seed, n) built on inverse transform with numpy's PCG64
+generator.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from .tailcurve import (
 
 __all__ = [
     "Atom",
-    "DensityPiece",
-    "MeasureParts",
     "Distribution",
     "partial_moment",
     "quantile_from_tail",
@@ -57,94 +58,33 @@ class Atom:
         return math.exp(self.log_mass)
 
 
-@dataclass(frozen=True)
-class DensityPiece:
-    """Absolutely continuous stretch with a vectorized log density.
-
-    Exponential tilts are carried symbolically: the full density is
-    exp(-tilt_rate * y) * (core(y) + tilt_rate * core_tail(y)), where core
-    and core_tail belong to the untilted ancestor.  Keeping the rate as a
-    number lets tilted-moment integrands fuse exp(+lam y) against the tilt
-    exactly; evaluating the two factors separately would cancel
-    catastrophically at large y.
-    """
-
-    lo: float
-    hi: float
-    log_core: Callable[[np.ndarray], np.ndarray]
-    tilt_rate: float = 0.0
-    log_core_tail: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def log_pdf(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        core = np.asarray(self.log_core(y), dtype=float)
-        if self.tilt_rate == 0.0:
-            return core
-        jump = math.log(self.tilt_rate) + np.asarray(self.log_core_tail(y), dtype=float)
-        return np.logaddexp(core, jump) - self.tilt_rate * y
-
-    def log_pdf_exp_weighted(self, y, lam: float) -> np.ndarray:
-        """log( exp(lam * y) * pdf(y) ), computed with the rates fused."""
-        y = np.asarray(y, dtype=float)
-        core = np.asarray(self.log_core(y), dtype=float)
-        if self.tilt_rate == 0.0:
-            return core + lam * y
-        jump = math.log(self.tilt_rate) + np.asarray(self.log_core_tail(y), dtype=float)
-        return np.logaddexp(core, jump) + (lam - self.tilt_rate) * y
-
-
-@dataclass(frozen=True)
-class MeasureParts:
-    """Decomposition of dF into density pieces plus atoms."""
-
-    atoms: tuple[Atom, ...]
-    density_pieces: tuple[DensityPiece, ...]
-
-
 # A join is an atom when F drops there by more than this many ulps of
 # max(1, |log F|): smaller drops are rounding in the curve's log values.
 _ATOM_ULPS = 4.0
 
 
-def parts_from_curve(curve: TailCurve) -> MeasureParts:
-    """Derive MeasureParts from a curve: density from each segment form,
-    atoms from downward jumps at segment joins.  Tilted segments are split
-    so their pieces carry the tilt rate symbolically."""
+def atoms_from_curve(curve: TailCurve) -> tuple[Atom, ...]:
+    """The atoms of dF: the downward jumps of the curve at segment joins."""
     ends, starts = curve._ends[:-1], curve._starts[1:]
     with np.errstate(invalid="ignore"):  # a join where F is already 0
         drops = starts - ends
         joins = np.flatnonzero(drops < -_ATOM_ULPS * np.spacing(np.maximum(1.0, np.abs(ends))))
-    atoms = tuple(
+    return tuple(
         Atom(curve.segments[k + 1].lo, float(ends[k] + math.log(-math.expm1(drops[k]))))
         for k in joins
     )
-    pieces: list[DensityPiece] = []
-    for seg in curve.segments:
-        rate, core, _, _ = normal_form(seg)
-        if rate > 0.0:
-            pieces.append(
-                DensityPiece(
-                    seg.lo,
-                    seg.hi,
-                    log_core=core.log_density,
-                    tilt_rate=rate,
-                    log_core_tail=core.log_value,
-                )
-            )
-        elif seg.has_density:
-            pieces.append(DensityPiece(seg.lo, seg.hi, log_core=seg.log_density))
-    return MeasureParts(atoms, tuple(pieces))
 
 
 class Distribution:
-    """Immutable distribution on [0, inf): tail curve, parts, label.
+    """Distribution on [0, inf): tail curve, atoms, label.
 
-    The parts are always derived from the curve by ``parts_from_curve``.
+    dF is read off the curve: its density is each segment's own
+    ``log_density`` and its atoms come from ``atoms_from_curve``.
     """
 
     def __init__(self, tail: TailCurve, label: str = "", spec: dict | None = None):
         self.tail = tail
-        self.parts = parts_from_curve(tail)
+        self.atoms = atoms_from_curve(tail)
         self.label = label
         self.spec = spec or {}
         self.truncation_note: str | None = None
@@ -287,22 +227,22 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
                 f"breakpoint {hi!r}"
             )
     pieces: list[float] = []
-    for atom in d.parts.atoms:
+    for atom in d.atoms:
         if atom.location <= B:
             pieces.append(atom.log_mass + lam * atom.location)
-    for piece in d.parts.density_pieces:
-        p_hi = min(piece.hi, B)
-        if p_hi <= piece.lo:
+    for seg in d.tail.segments:
+        p_hi = min(seg.hi, B)
+        if not seg.has_density or p_hi <= seg.lo:
             continue
         try:
             res = log_quad(
-                lambda y, _p=piece: _p.log_pdf_exp_weighted(y, lam),
-                piece.lo,
+                lambda y, _s=seg: _s.log_density_weighted(y, lam),
+                seg.lo,
                 p_hi,
                 cfg=cfg,
             )
         except LogDepthError:
-            continue  # piece is zero beyond float depth; siblings dominate
+            continue  # segment is zero beyond float depth; siblings dominate
         pieces.append(res.log_value)
     if not pieces:
         return 0.0

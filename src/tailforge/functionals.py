@@ -298,20 +298,15 @@ def jump_profile(
 # --------------------------------------------------------- ratio diagnostics
 
 
-def geometric_grid(
-    d: Distribution, x_lo: float, x_hi: float, n: int, augment: bool = True
-) -> np.ndarray:
+def geometric_grid(d: Distribution, x_lo: float, x_hi: float, n: int) -> np.ndarray:
     """Geometric grid clipped to the materialized range, augmented with the
     curve's breakpoints (oscillation lives exactly there)."""
     hi = min(x_hi, d.tail.truncation_hi)
     if hi <= x_lo:
         raise ParameterError(f"empty grid: [{x_lo}, {hi}]")
-    pts = np.geomspace(x_lo, hi, n)
-    if augment:
-        bps = d.tail.breakpoints()
-        bps = bps[(bps >= x_lo) & (bps <= hi)]
-        pts = np.concatenate([pts, bps])
-    return np.unique(pts)
+    bps = d.tail.breakpoints()
+    bps = bps[(bps >= x_lo) & (bps <= hi)]
+    return np.unique(np.concatenate([np.geomspace(x_lo, hi, n), bps]))
 
 
 def shift_probe_grid(d: Distribution, xgrid, t: float) -> np.ndarray:
@@ -540,10 +535,7 @@ class ClassReport:
     disclaimer: str = EVIDENCE_DISCLAIMER
 
     def verdict(self, cls: str) -> str:
-        for e in self.entries:
-            if e.cls == cls:
-                return e.verdict
-        raise KeyError(cls)
+        return self.entry(cls).verdict
 
     def entry(self, cls: str) -> ClassEntry:
         for e in self.entries:

@@ -153,12 +153,13 @@ def log_quad(
     values (-inf where the integrand vanishes).  ``breakpoints`` are forced
     panel boundaries; points outside (a, b) are ignored.
 
-    Raises ToleranceError when the requested relative tolerance cannot be
-    certified within the subdivision budget.
+    Raises ParameterError unless -inf < a <= b < inf, and ToleranceError
+    when the requested relative tolerance cannot be certified within the
+    subdivision budget.
     """
     cfg = cfg or QuadConfig()
-    if b < a:
-        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
+    if not -math.inf < a <= b < math.inf:  # NaN fails this too
+        raise ParameterError(f"integration bounds must be finite and ordered, got [{a}, {b}]")
     if b == a:
         return LogQuadResult(_NEG_INF, 0.0, 0, True)
 

@@ -24,6 +24,7 @@ Numerical conventions that matter:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -76,8 +77,8 @@ class Segment(ABC):
     @abstractmethod
     def _base_log_value(self, x: np.ndarray) -> np.ndarray: ...
 
-    @abstractmethod
-    def _base_log_density(self, x: np.ndarray) -> np.ndarray: ...
+    def _base_log_density(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError  # every closed form defines it; a tilt overrides log_density
 
     def log_value(self, x: np.ndarray) -> np.ndarray:
         return self._base_log_value(np.asarray(x, dtype=float)) + self.log_offset
@@ -87,6 +88,11 @@ class Segment(ABC):
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         return self._base_log_density(np.asarray(x, dtype=float)) + self.log_offset
+
+    def log_density_weighted(self, x: np.ndarray, lam: float) -> np.ndarray:
+        """log(exp(lam * x) * f(x)), the integrand of a tilted moment."""
+        x = np.asarray(x, dtype=float)
+        return self.log_density(x) + lam * x
 
     @property
     def has_density(self) -> bool:
@@ -372,12 +378,21 @@ class TiltedSegment(Segment):
     def _base_log_value(self, x):
         return self.inner.log_value(x) - self.gamma * x
 
-    def _base_log_density(self, x):
-        # density of the tilted law on smooth stretches:
-        # exp(-gamma x) * (f(x) + gamma * F(x))
-        inner_f = self.inner.log_density(x)
-        inner_v = math.log(self.gamma) + self.inner.log_value(x)
-        return np.logaddexp(inner_f, inner_v) - self.gamma * x
+    @functools.cached_property
+    def _normal_form(self) -> tuple[float, Segment, int, Segment]:
+        return normal_form(self)
+
+    def log_density(self, x):
+        return self.log_density_weighted(x, 0.0)
+
+    def log_density_weighted(self, x, lam):
+        # The tilted density exp(-rate x) * (f(x) + rate * F(x)) over the
+        # stack's core, with exp(lam x) fused into the summed rate: the two
+        # exponentials evaluated apart cancel catastrophically at large x.
+        x = np.asarray(x, dtype=float)
+        rate, core, _, _ = self._normal_form
+        jump = math.log(rate) + core.log_value(x)
+        return np.logaddexp(core.log_density(x), jump) + (lam - rate) * x
 
     @property
     def has_density(self) -> bool:
@@ -387,7 +402,7 @@ class TiltedSegment(Segment):
         if b == a:
             return _NEG_INF
         # Closed form only where the tilted piece is a pure exponential.
-        rate, core, _, _ = normal_form(self)
+        rate, core, _, _ = self._normal_form
         if isinstance(core, ExpAffineSegment):
             rate += core.rate
         elif not isinstance(core, ConstSegment):
@@ -654,11 +669,6 @@ class TailCurve:
         if math.isfinite(self.truncation_hi):
             pts.append(self.truncation_hi)
         return np.array(pts)
-
-    def log_integral_range(self, a: float, b: float, cfg: QuadConfig | None = None) -> float:
-        """log of integral_a^b F(y) dy, exact per segment where closed form
-        exists and adaptive Gauss-Kronrod otherwise."""
-        return self.log_moment_range(0, a, b, cfg)
 
     def log_moment_range(self, k: int, a: float, b: float, cfg: QuadConfig | None = None) -> float:
         """log of integral_a^b y^k F(y) dy over [a, b] within the support."""

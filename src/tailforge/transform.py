@@ -2,9 +2,9 @@
 
 The transform wraps every segment of the source curve rather than refitting:
 ratios like G(x - t) / G(x) have to be exact so that oscillation of the
-source tail shows up undamped in the shift diagnostics.  The measure parts
-are derived from the tilted curve like any other (``parts_from_curve``):
-atoms scale by exp(-gamma * location), and every stretch carries the density
+source tail shows up undamped in the shift diagnostics.  The measure is
+read off the tilted curve like any other: atoms (``atoms_from_curve``) scale
+by exp(-gamma * location), and every tilted segment carries the density
 exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
 
 This is the plain tail tilt; no Esscher normalization is applied.

@@ -61,7 +61,7 @@ def test_conv2_dyadic_atom_sum_oracle(dyadic):
     for x in (5.0, 12.0, 33.0):
         oracle = math.exp(dyadic.log_tail(x)) + sum(
             a.mass * math.exp(dyadic.log_tail(x - a.location))
-            for a in dyadic.parts.atoms
+            for a in dyadic.atoms
             if a.location <= x
         )
         assert tf.conv2_tail(dyadic, x) == pytest.approx(oracle, rel=1e-12)

@@ -52,7 +52,7 @@ def test_dyadic_staircase():
     assert d.log_tail(8.0) == pytest.approx(math.log(4.0**-3), rel=1e-14)
     assert d.log_tail(1.5) == 0.0
     # atom mass at 2 is F(2-) - F(2) = 1 - 1/4
-    atom = d.parts.atoms[0]
+    atom = d.atoms[0]
     assert atom.location == 2.0
     assert atom.mass == pytest.approx(0.75, rel=1e-14)
 
@@ -102,7 +102,7 @@ def test_monotone_nonincreasing(name, request):
 @pytest.mark.parametrize("name", ["dyadic", "fkz", "xu55", "plateau2"])
 def test_no_upward_jumps_at_breakpoints(name, request):
     d = request.getfixturevalue(name)
-    atom_locs = {a.location for a in d.parts.atoms}
+    atom_locs = {a.location for a in d.atoms}
     for seg in d.tail.segments[1:]:
         left = d.tail.log_tail_left(seg.lo)
         right = float(d.tail.log_tail(seg.lo))
@@ -138,8 +138,8 @@ def test_derived_atoms_match_closed_form(name, closed_form, gamma, kept, request
     d = tf.gamma_transform(base, gamma) if gamma else base
     # a tilt scales each atom by exp(-gamma * location)
     ref = {x: lm - gamma * x for x, lm in closed_form(base).items()}
-    atoms = {a.location: a.log_mass for a in d.parts.atoms}
-    assert len(atoms) == len(d.parts.atoms) == kept
+    atoms = {a.location: a.log_mass for a in d.atoms}
+    assert len(atoms) == len(d.atoms) == kept
     # the kept atoms are the leading ones; the rest sit where log F is
     # below -1e15, so deep that the curve cannot resolve their jumps
     locs = sorted(ref)
@@ -154,7 +154,7 @@ def test_derived_atoms_match_closed_form(name, closed_form, gamma, kept, request
 def test_continuous_builtins_have_no_atoms(name, gamma, request):
     base = tf.xu_piecewise(5.5, 4096.0, m=2) if name == "xu55_m2" else request.getfixturevalue(name)
     d = tf.gamma_transform(base, gamma) if gamma else base
-    assert d.parts.atoms == ()
+    assert d.atoms == ()
 
 
 # ------------------------------------------------------------ partial moments
@@ -242,7 +242,7 @@ def test_quantile_roundtrip_continuous(request):
 
 def test_quantile_atom_absorption(plateau2):
     # u strictly inside the jump at y_1 maps to y_1 itself
-    a1 = plateau2.parts.atoms[0]
+    a1 = plateau2.atoms[0]
     low = math.exp(plateau2.tail.log_tail(a1.location))
     for frac in (0.1, 0.5, 0.9):
         u = low + frac * a1.mass

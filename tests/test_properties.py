@@ -116,7 +116,7 @@ def test_array_and_scalar_quantile_agree(curve_kinds, fractions):
 @given(curves())
 def test_derived_atom_mass_is_the_jump_at_each_join(curve_kinds):
     curve, _ = curve_kinds
-    atoms = Distribution(curve).parts.atoms
+    atoms = Distribution(curve).atoms
     by_location = {a.location: a.log_mass for a in atoms}
     assert len(by_location) == len(atoms)
     for seg in curve.segments[1:]:

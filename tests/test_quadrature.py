@@ -45,6 +45,15 @@ def test_empty_interval():
     assert res.log_value == -math.inf
 
 
+@pytest.mark.parametrize(
+    "a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 0.0)]
+)
+def test_bad_bounds_are_refused(a, b):
+    # An infinite bound used to read the integral of e^-y over [0, inf) as 0.
+    with pytest.raises(ParameterError):
+        log_quad(lambda y: -y, a, b)
+
+
 def test_zero_integrand():
     res = log_quad(lambda y: np.full_like(np.asarray(y, dtype=float), -np.inf), 0.0, 1.0)
     assert res.log_value == -math.inf

@@ -190,24 +190,34 @@ def test_cli_conv_stdout_reads_the_log_bounds(capsys):
     assert float(x1600[1]) <= math.log(1601.0) - 1600.0 <= float(x1600[2]) < -700
 
 
+_FN = ["functional", "--dist", "pareto:alpha=3", "--x", "8,16"]
+_EXP1 = ["--dist", "exponential:lam=1"]
+# Commands with one table form: they write csv and refuse json.  dist eval
+# has no --format option at all.
+_CSV_ONLY = {
+    "functional-t_ratio": [*_FN, "--kind", "t_ratio", "--K", "2"],
+    "functional-b2": [*_FN, "--kind", "b2", "--K", "2"],
+    "functional-jump": [
+        "functional", *_EXP1, "--kind", "jump", "--x", "9", "--K", "1", "--h", "0.05",
+    ],
+    "dist-eval": ["dist", "eval", *_EXP1, "--x", "1,2,10", "--u", "0.5,0.01"],
+}
+
+
 def _stdout_cases():
-    fn = ["functional", "--dist", "pareto:alpha=3", "--x", "8,16"]
-    exp1 = ["--dist", "exponential:lam=1"]
     commands = {
-        **{f"functional-{k}": [*fn, "--kind", k] for k in ("ol", "d", "lgamma", "os", "osstar")},
-        "functional-t_ratio": [*fn, "--kind", "t_ratio", "--K", "2"],
-        "functional-b2": [*fn, "--kind", "b2", "--K", "2"],
-        "functional-jump": [
-            "functional", *exp1, "--kind", "jump", "--x", "9", "--K", "1", "--h", "0.05",
-        ],
-        "classify": ["classify", *exp1, "--config", "{config}"],
-        "simulate": ["simulate", *exp1, "--x", "5", "--K", "1", "--samples", "2000", "--seed", "9"],
-        "dist-eval": ["dist", "eval", *exp1, "--x", "1,2,10", "--u", "0.5,0.01"],
+        **{f"functional-{k}": [*_FN, "--kind", k] for k in ("ol", "d", "lgamma", "os", "osstar")},
+        "classify": ["classify", *_EXP1, "--config", "{config}"],
+        "simulate": ["simulate", *_EXP1, "--x", "5", "--K", "1", "--samples", "2000", "--seed", "9"],
     }
     cases = [
         pytest.param(argv, fmt, id=f"{name}-{fmt}")
         for name, argv in commands.items()
         for fmt in ("csv", "json")
+    ]
+    cases += [
+        pytest.param(argv, None if name == "dist-eval" else "csv", id=f"{name}-csv")
+        for name, argv in _CSV_ONLY.items()
     ]
     sample = ["dist", "sample", "--dist", "pareto:alpha=3", "--n", "20"]
     return [*cases, pytest.param(sample, None, id="dist-sample")]
@@ -226,6 +236,15 @@ def test_cli_stdout_carries_the_out_file_bytes(tmp_path, capsys, argv, fmt):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert stdout.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [pytest.param(a, id=f"{n}-json") for n, a in _CSV_ONLY.items()])
+def test_cli_json_refused_where_only_csv_exists(capsys, argv):
+    # These commands used to accept --format json and print CSV anyway.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert "json" in capsys.readouterr().err
 
 
 def test_cli_functional_and_export(tmp_path):

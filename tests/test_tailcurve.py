@@ -37,6 +37,20 @@ SEGMENTS = [
         inner=AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
         m=3,
     ),
+    # A tilt of a tilt, with a log offset on each tilt.
+    TiltedSegment(
+        lo=1.0,
+        hi=4.0,
+        inner=TiltedSegment(
+            lo=1.0,
+            hi=4.0,
+            inner=ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3),
+            gamma=0.4,
+            log_offset=-0.2,
+        ),
+        gamma=0.25,
+        log_offset=-0.1,
+    ),
 ]
 
 
@@ -230,7 +244,9 @@ def test_normal_form_reads_wrapper_stacks(seg, stack):
     _, build, outer_rate, own_factor, applied = stack
     wrapped = build(seg)
     rate, core, power, base = normal_form(wrapped)
-    own_rate = seg.gamma if isinstance(seg, TiltedSegment) else 0.0
+    own_rate, cur = 0.0, seg
+    while isinstance(cur, TiltedSegment):
+        own_rate, cur = own_rate + cur.gamma, cur.inner
     assert rate == pytest.approx(outer_rate + own_factor * own_rate, rel=1e-15)
     assert not isinstance(core, TiltedSegment)
     assert not isinstance(base, (TiltedSegment, PowerOfSegment))
@@ -308,5 +324,5 @@ def test_log_moment_range_splits_at_breakpoints():
     )
     # int_0^2 1 dy + int_2^5 e^{-(y-2)} dy
     expect = 2.0 + (1.0 - math.exp(-3.0))
-    got = math.exp(curve.log_integral_range(0.0, 5.0))
+    got = math.exp(curve.log_moment_range(0, 0.0, 5.0))
     assert got == pytest.approx(expect, rel=1e-10)

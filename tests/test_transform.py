@@ -83,7 +83,7 @@ def test_light_tail_of_transform(pareto3):
 
 def test_atoms_scale(dyadic):
     g = tf.gamma_transform(dyadic, 0.25)
-    for a_f, a_g in zip(dyadic.parts.atoms[:5], g.parts.atoms[:5]):
+    for a_f, a_g in zip(dyadic.atoms[:5], g.atoms[:5]):
         assert a_g.location == a_f.location
         assert a_g.log_mass == pytest.approx(a_f.log_mass - 0.25 * a_f.location, rel=1e-14)
 
@@ -92,6 +92,15 @@ def test_tilted_density_total_mass(pareto3):
     # density of the tilt integrates to 1: e^{-gy}(f + gF) is a proper pdf
     g = tf.gamma_transform(pareto3, 0.5)
     assert tf.exp_moment(g, 0.0) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_tilt_of_tilt_integrates_against_the_summed_rate(pareto3):
+    # A tilt of a tilt has one density, exp(-0.5 y) (f + 0.5 F), read off
+    # the stack's normal form; these values are pinned bit for bit.
+    g = tf.gamma_transform(tf.gamma_transform(pareto3, 0.3), 0.2)
+    assert tf.log_conv2_tail(g, 7.0) == -8.585103134836201
+    assert tf.b2_cond(g, 10.0, 2.0) == 0.895092353875746
+    assert tf.exp_moment(g, 0.25) == 1.1042256675377455
 
 
 def test_invalid_gamma(pareto3):
