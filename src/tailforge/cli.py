@@ -45,6 +45,8 @@ def _parse_grid(text: str) -> np.ndarray:
         if text.startswith("geom:") or text.startswith("lin:"):
             kind, lo, hi, n = text.split(":")
             lo, hi, n = float(lo), float(hi), int(n)
+            if n < 1:
+                raise ValueError("a grid needs at least one point")
             return np.geomspace(lo, hi, n) if kind == "geom" else np.linspace(lo, hi, n)
         return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:

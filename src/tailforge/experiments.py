@@ -203,22 +203,16 @@ def _osstar_log_ratio(d: Distribution, x: float, qcfg: QuadConfig) -> float:
     return log_cross_integral(d, 0.0, x, x, qcfg) - d.tail.log_tail(x)
 
 
-def _os_series_of_tilt_by_identity(
-    F: Distribution, gamma: float, grid: np.ndarray, qcfg: QuadConfig
-) -> DiagSeries:
+def _os_series_of_tilt_by_identity(os_f: DiagSeries, osstar_f: DiagSeries, gamma: float) -> DiagSeries:
     """Two-fold ratio series of the tilt computed through the exact identity
-    G2bar/Gbar = F2bar/Fbar + gamma * crossint/Fbar.
+    G2bar/Gbar = F2bar/Fbar + gamma * crossint/Fbar, from the untilted 'os'
+    and 'osstar' series of F on one grid.
 
     Beyond moderate x the direct route loses the ratio to float noise of the
     huge exp(-gamma x) factors, while the identity route only ever touches
     untilted quantities."""
-    logs = []
-    for x in grid:
-        lt = F.tail.log_tail(float(x))
-        os_f = log_conv2_tail(F, float(x), qcfg) - lt
-        osstar_f = log_cross_integral(F, 0.0, float(x), float(x), qcfg) - lt
-        logs.append(float(np.logaddexp(os_f, math.log(gamma) + osstar_f)))
-    return DiagSeries.build("os(tilt, identity route)", "x", grid, logs)
+    logs = np.logaddexp(os_f.log_values, math.log(gamma) + osstar_f.log_values)
+    return DiagSeries.build("os(tilt, identity route)", "x", os_f.grid, logs)
 
 
 def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
@@ -275,7 +269,8 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     _write_csv(out / "os_identity_check.csv", ["x", "direct", "reconstructed", "rel_err"], id_rows)
     exp.check("os-identity-agrees", id_ok, "direct and reconstructed tilted ratios match to 1e-6")
 
-    os_g = _os_series_of_tilt_by_identity(F, cfg["gamma"], grid, qcfg)
+    os_series = ratio_diagnostic(F, "os", grid, cfg=qcfg)
+    os_g = _os_series_of_tilt_by_identity(os_series, osstar, cfg["gamma"])
     export_grid(os_g, "csv", out / "os_transform.csv")
     exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
     return [
@@ -323,7 +318,8 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     )
 
     grid = geometric_grid(F, 2.0, cfg["x_cap"], 22)
-    os_g = _os_series_of_tilt_by_identity(F, cfg["gamma"], grid, qcfg)
+    os_f, osstar_f = (ratio_diagnostic(F, kind, grid, cfg=qcfg) for kind in ("os", "osstar"))
+    os_g = _os_series_of_tilt_by_identity(os_f, osstar_f, cfg["gamma"])
     export_grid(os_g, "csv", out / "os_transform.csv")
     exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
     return ["t_ratio.csv", "b2_transform.csv", "os_transform.csv"]

@@ -5,7 +5,9 @@ magnitudes can span thousands of orders (values like exp(-7e18) appear in the
 deep piecewise constructions), so panel contributions are represented as
 logarithms and combined with log-sum-exp.  A (G7, K15) rule is applied per
 panel; the worst panel (by estimated absolute error) is bisected until the
-total error estimate meets the requested relative tolerance.
+total error estimate meets the requested relative tolerance.  The panels
+live in one list in the order they were made: a bisected panel's halves go
+to its end, and of panels with equal error the earliest is bisected first.
 
 Panels are seeded from caller-supplied mandatory breakpoints, which for tail
 integrands are the segment boundaries of both factors.  That keeps every
@@ -15,7 +17,6 @@ trustworthy.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -106,7 +107,6 @@ class LogQuadResult:
     log_value: float
     rel_error: float
     n_panels: int
-    converged: bool
 
     @property
     def value(self) -> float:
@@ -161,23 +161,15 @@ def log_quad(
     if not -math.inf < a <= b < math.inf:  # NaN fails this too
         raise ParameterError(f"integration bounds must be finite and ordered, got [{a}, {b}]")
     if b == a:
-        return LogQuadResult(_NEG_INF, 0.0, 0, True)
+        return LogQuadResult(_NEG_INF, 0.0, 0)
 
     pts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    # Panel heap keyed by descending error; counter breaks ties deterministically.
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    panels: dict[int, tuple[float, float, float, float]] = {}
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        lv, le = _panel_gk15(log_f, lo, hi)
-        panels[counter] = (lo, hi, lv, le)
-        heapq.heappush(heap, (-le, counter, lo, hi, lv))
-        counter += 1
-
+    # Panels (lo, hi, log value, log error) in the order they were made.
+    panels = [(lo, hi, *_panel_gk15(log_f, lo, hi)) for lo, hi in zip(pts[:-1], pts[1:])]
     splits = 0
-    while splits < cfg.max_subdivisions:
-        vals = np.array([p[2] for p in panels.values()])
-        errs = np.array([p[3] for p in panels.values()])
+    while True:
+        vals = np.array([p[2] for p in panels])
+        errs = np.array([p[3] for p in panels])
         total = _logsumexp(vals)
         toterr = _logsumexp(errs)
         if math.isfinite(total) and abs(total) > 4.5e15:
@@ -189,39 +181,25 @@ def log_quad(
                 achieved_rel_error=math.inf,
             )
         if toterr == _NEG_INF:
-            return LogQuadResult(total, 0.0, len(panels), True)
+            return LogQuadResult(total, 0.0, len(panels))
         if total > _NEG_INF and toterr - total <= math.log(cfg.rel_tol):
-            return LogQuadResult(total, math.exp(toterr - total), len(panels), True)
-        # Refine the worst panel.
-        neg_le, key, lo, hi, lv_old = heapq.heappop(heap)
-        if key not in panels:
-            continue
-        del panels[key]
+            return LogQuadResult(total, math.exp(toterr - total), len(panels))
+        if splits >= cfg.max_subdivisions:
+            achieved = math.inf if total == _NEG_INF else math.exp(toterr - total)
+            raise ToleranceError(
+                f"quadrature on [{a}, {b}] achieved relative error {achieved:.3e} "
+                f"> requested {cfg.rel_tol:.3e} after {splits} subdivisions",
+                achieved_rel_error=achieved,
+            )
+        # Refine the worst panel; argmax takes the earliest of equal errors.
+        lo, hi, lv, _ = panels.pop(int(np.argmax(errs)))
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # Panel narrower than float resolution: accept its estimate as is.
-            panels[key] = (lo, hi, lv_old, _NEG_INF)
+            panels.append((lo, hi, lv, _NEG_INF))
             continue
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            lv, le = _panel_gk15(log_f, lo2, hi2)
-            panels[counter] = (lo2, hi2, lv, le)
-            heapq.heappush(heap, (-le, counter, lo2, hi2, lv))
-            counter += 1
+        panels += [(lo, mid, *_panel_gk15(log_f, lo, mid)), (mid, hi, *_panel_gk15(log_f, mid, hi))]
         splits += 1
-
-    vals = np.array([p[2] for p in panels.values()])
-    errs = np.array([p[3] for p in panels.values()])
-    total = _logsumexp(vals)
-    toterr = _logsumexp(errs)
-    if toterr == _NEG_INF or (total > _NEG_INF and toterr - total <= math.log(cfg.rel_tol)):
-        rel = 0.0 if toterr == _NEG_INF else math.exp(toterr - total)
-        return LogQuadResult(total, rel, len(panels), True)
-    achieved = math.inf if total == _NEG_INF else math.exp(toterr - total)
-    raise ToleranceError(
-        f"quadrature on [{a}, {b}] achieved relative error {achieved:.3e} "
-        f"> requested {cfg.rel_tol:.3e} after {splits} subdivisions",
-        achieved_rel_error=achieved,
-    )
 
 
 def _logsumexp(values: np.ndarray) -> float:

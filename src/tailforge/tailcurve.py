@@ -606,32 +606,15 @@ class TailCurve:
             # Every level lies inside the only segment.
             out = self._invert_in_segment(0, lu)
             return float(out[0]) if scalar else out
-        # First segment index k with start log-value <= lu.
-        k1 = np.searchsorted(-self._starts, -lu, side="left")
-        out = np.empty_like(ua)
-        at_start = k1 < len(self.segments)
-        # Default: land exactly on a segment start (covers atoms and flats).
-        out[at_start] = self._los[np.clip(k1[at_start], 0, len(self._los) - 1)]
-        # Land beyond the last start: invert within the final segment.
-        interior = np.zeros_like(at_start)
-        prev = k1 - 1
-        valid_prev = prev >= 0
-        lands_inside = np.zeros_like(at_start)
-        lands_inside[valid_prev] = lu[valid_prev] >= self._ends[prev[valid_prev]]
-        sel = valid_prev & lands_inside
-        interior |= sel
-        out_idx = np.where(sel, prev, 0)
-        overflow = k1 >= len(self.segments)
-        # u smaller than every start: must land inside some segment; the
-        # tail_floor check above guarantees the last one works.
-        need_last = overflow & ~interior
-        if np.any(need_last):
-            interior |= need_last
-            out_idx = np.where(need_last, len(self.segments) - 1, out_idx)
-        if np.any(interior):
-            for k in np.unique(out_idx[interior]):
-                mask = interior & (out_idx == k)
-                out[mask] = self._invert_in_segment(int(k), lu[mask])
+        # First segment k whose end value is at most lu (the floor check
+        # above keeps k in range): the level lands on its start (an atom or
+        # a flat) or inside it.
+        k = np.searchsorted(-self._ends, -lu, side="left")
+        inside = self._starts[k] > lu
+        out = self._los[k]
+        for j in np.unique(k[inside]):
+            mask = inside & (k == j)
+            out[mask] = self._invert_in_segment(int(j), lu[mask])
         return float(out[0]) if scalar else out
 
     def _invert_in_segment(self, k: int, lu: np.ndarray) -> np.ndarray:

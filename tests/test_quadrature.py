@@ -12,7 +12,6 @@ from tailforge.quadrature import QuadConfig, log_quad, logsubexp
 def test_exponential_integral():
     # int_0^50 e^-y dy = 1 - e^-50
     res = log_quad(lambda y: -y, 0.0, 50.0)
-    assert res.converged
     assert math.exp(res.log_value) == pytest.approx(1.0 - math.exp(-50.0), rel=1e-12)
 
 
@@ -57,6 +56,16 @@ def test_bad_bounds_are_refused(a, b):
 def test_zero_integrand():
     res = log_quad(lambda y: np.full_like(np.asarray(y, dtype=float), -np.inf), 0.0, 1.0)
     assert res.log_value == -math.inf
+
+
+def test_panels_narrower_than_float_resolution():
+    # rel_tol below the rule's 1e-16 error floor bisects down to 1-ulp
+    # panels, whose estimates are then accepted with zero error.
+    b = 1.0 + 64 * math.ulp(1.0)
+    res = log_quad(lambda y: -y, 1.0, b, cfg=QuadConfig(rel_tol=1e-18))
+    assert res.n_panels == 64
+    assert res.rel_error == 0.0
+    assert math.exp(res.log_value) == pytest.approx((b - 1.0) * math.exp(-1.0), rel=1e-12)
 
 
 def test_tolerance_error_carries_estimate():

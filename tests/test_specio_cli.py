@@ -373,6 +373,9 @@ def test_cli_config_values_of_the_right_shape_run(tmp_path):
     ["dist", "eval", "--dist", "pareto:alpha=3", "--u", "geom:0.1:0.5"],
     ["conv", "--dist", "pareto:alpha=3", "--x", "lin:1:2:x"],
     ["functional", "--dist", "pareto:alpha=3", "--kind", "b2", "--x", "geom:0:10:3"],
+    ["functional", "--dist", "pareto:alpha=3", "--kind", "ol", "--x", "geom:4:10:0"],
+    ["conv", "--dist", "exponential:lam=1", "--x", "geom:4:10:0"],
+    ["dist", "eval", "--dist", "pareto:alpha=3", "--u", "lin:0.1:0.5:0"],
 ])
 def test_cli_bad_grid_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

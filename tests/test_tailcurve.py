@@ -106,6 +106,21 @@ def test_one_segment_fast_path_matches_general_path(pareto3):
     assert pareto3.tail.quantile(1.0) == 0.0 == split.quantile(1.0)
 
 
+def test_quantile_lands_on_atoms_and_segment_ends(dyadic, pareto3):
+    # dyadic_pareto: F = 4^-n on [2^n, 2^(n+1)), so the level 4^-n lands on
+    # the atom at 2^n and a level just below it on the next atom.
+    n = np.arange(1, 10)
+    u = np.concatenate([4.0**-n, 4.0**-n * (1 - 1e-9)])
+    want = np.concatenate([2.0**n, 2.0 ** (n + 1)])
+    # a continuous curve: the end value of a segment lands on its end
+    seg = pareto3.tail.segments[0]
+    split = TailCurve([seg.with_bounds(0.0, 5.0), seg.with_bounds(5.0, math.inf)])
+    for curve, levels, expect in ((dyadic.tail, u, want), (split, np.exp(split._ends[:1]), [5.0])):
+        arr = curve.quantile(levels)
+        assert np.array_equal(arr, expect)
+        assert [curve.quantile(float(v)) for v in levels] == list(arr)
+
+
 def _fast_vs_masked(curve, xs, monkeypatch):
     """log_tail of points in one segment, against the masked path."""
     # A negative point sends the call through the per-segment masks.
