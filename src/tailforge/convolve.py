@@ -72,25 +72,50 @@ MAX_CELLS = 2_000_000
 
 def _panel_seeds(curve: TailCurve, x: float) -> np.ndarray:
     """Where g(y) F(x - y) can kink: the curve's breakpoints and their
-    mirrors about x / 2."""
+    mirrors about x / 2.  The set is the same in y and in u = x - y."""
     bps = curve.breakpoints()
     return np.concatenate([bps, x - bps])
+
+
+# Geometric offsets w 2^-k, k = 1..60, from a part's small-argument end.
+_GRADES = 2.0 ** -np.arange(1, 61)
+
+
+def _log_graded(integrand, a: float, b: float, seeds: np.ndarray, cfg: QuadConfig) -> float:
+    """log of int_a^b exp(integrand), seeded at ``seeds`` inside (a, b) and
+    at a + (b - a) 2^-k, so a peak at a gets its panels up front."""
+    graded = np.concatenate([seeds, a + (b - a) * _GRADES])
+    return log_quad(integrand, a, b, breakpoints=graded, cfg=cfg).log_value
 
 
 def _log_against_tail(
     log_g, curve: TailCurve, x: float, lo: float, hi: float, seeds: np.ndarray, cfg: QuadConfig
 ) -> float:
-    """log of int_lo^hi g(y) F(x - y) dy, with panels seeded at ``seeds``.
+    """log of int_lo^hi g(y) F(x - y) dy, in two halves.
 
-    The seeds are filtered to (lo, hi) here: ``log_quad`` would ignore the
-    others, but only after walking them one by one in Python.
+    The part of [lo, hi] below x / 2 is integrated in y, and the part above
+    in u = x - y, as int g(x - u) F(u) du.  So the argument that can be
+    small, y of g below x / 2 and u of F above it, is exact: it is never x
+    minus a nearly equal number, which at x = 4e20 rounds to a multiple of
+    2^16.  Each half is seeded at ``seeds`` (breakpoints and their mirrors)
+    and at geometric offsets w 2^-k, k = 1..60, from its small-argument end,
+    where w is the half's width: the O(1)-wide peak of F near u = 0, or of
+    a density near y = 0, gets panels in the first round instead of one
+    bisection per round.
     """
+    c = 0.5 * x
+    parts = []
+    if lo < c:
+        def lower(y: np.ndarray) -> np.ndarray:
+            return log_g(y) + curve.log_tail(x - y)
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        return log_g(y) + curve.log_tail(x - y)
+        parts.append(_log_graded(lower, lo, min(hi, c), seeds, cfg))
+    if hi > c:
+        def upper(u: np.ndarray) -> np.ndarray:
+            return log_g(x - u) + curve.log_tail(u)
 
-    inner = seeds[(seeds > lo) & (seeds < hi)]
-    return log_quad(integrand, lo, hi, breakpoints=inner, cfg=cfg).log_value
+        parts.append(_log_graded(upper, x - hi, x - max(lo, c), seeds, cfg))
+    return _logsumexp_list(parts)
 
 
 def log_cross_integral(
@@ -107,7 +132,11 @@ def log_cross_integral(
     if A == B:
         return _NEG_INF
     curve = d.tail
-    return _log_against_tail(curve.log_tail, curve, x, A, B, _panel_seeds(curve, x), cfg)
+    seeds = _panel_seeds(curve, x)
+    if A == 0.0 and B == x:
+        # F(y) F(x - y) is symmetric about x / 2, and so are the two halves.
+        return math.log(2.0) + _log_against_tail(curve.log_tail, curve, x, 0.0, 0.5 * x, seeds, cfg)
+    return _log_against_tail(curve.log_tail, curve, x, A, B, seeds, cfg)
 
 
 def cross_integral(
@@ -139,6 +168,8 @@ def _log_stieltjes_bands(
             bands[j].append(atom.log_mass + curve.log_tail(x - atom.location))
     seeds = _panel_seeds(curve, x)
     for seg in curve.segments:
+        if seg.lo >= cuts[-1]:
+            break  # segments are in order: no later one meets a band
         if not seg.has_density:
             continue
         band_lo = -math.inf

@@ -42,6 +42,7 @@ from .errors import (
     InconclusiveBracketError,
     ParameterError,
     TailforgeError,
+    ToleranceError,
     TruncationError,
 )
 from .quadrature import QuadConfig
@@ -180,8 +181,7 @@ def t_ratio(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
     cfg = cfg or QuadConfig()
     log_num = math.log(2.0) + log_cross_integral(d, 0.0, K, x, cfg)
     log_den = math.log(2.0) + log_cross_integral(d, 0.0, x / 2.0, x, cfg)
-    val = math.exp(log_num - log_den)
-    return min(val, 1.0)
+    return _at_most_one(math.exp(log_num - log_den), x, K, cfg)
 
 
 def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:
@@ -209,15 +209,31 @@ def _b2_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> 
     out: list[float] = []
     terms: list[float] = []
     log_prefix = _NEG_INF
-    for band in bands:
+    for K, band in zip(Ks, bands):
         terms.extend(band)
         # max() keeps the prefix exactly nondecreasing under rounding.
         log_prefix = max(log_prefix, _logsumexp_list(terms))
         if log_prefix == _NEG_INF:
             out.append(0.0)
         else:
-            out.append(min(math.exp(math.log(2.0) + log_prefix - log_den), 1.0))
+            out.append(_at_most_one(math.exp(math.log(2.0) + log_prefix - log_den), x, K, cfg))
     return out
+
+
+def _at_most_one(val: float, x: float, K: float, cfg: QuadConfig) -> float:
+    """A probability read off a ratio of two quadratures, clamped to 1 when
+    it exceeds 1 by at most 10 rel_tol; a larger excess means one of the
+    quadratures missed mass, and raises ToleranceError."""
+    excess = val - 1.0
+    if excess <= 0.0:
+        return val
+    if excess > 10.0 * cfg.rel_tol:
+        raise ToleranceError(
+            f"ratio at x={x!r}, K={K!r} exceeds 1 by {excess:.3e}, beyond "
+            f"10 x rel_tol = {10.0 * cfg.rel_tol:.3e}",
+            achieved_rel_error=excess,
+        )
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -339,10 +355,21 @@ def ratio_diagnostic(
     """
     cfg = cfg or QuadConfig()
     xs = np.unique(np.asarray(xgrid, dtype=float))
-    if kind in ("ol", "lgamma") and t >= xs.min():
-        raise ParameterError(f"shift t={t} must be below the smallest grid x={xs.min()}")
-    logs = np.empty(len(xs))
     curve = d.tail
+    if kind in ("ol", "lgamma"):
+        if t >= xs.min():
+            raise ParameterError(f"shift t={t} must be below the smallest grid x={xs.min()}")
+        keep = _shift_resolved(xs, t)
+        if kind == "lgamma":
+            keep &= xs + t <= curve.truncation_hi
+        if not keep.any():
+            raise ParameterError(
+                f"no grid point x where x - {t} and x + {t} differ from x within the support"
+            )
+        if windows is not None:
+            windows = tuple(w for w, k in zip(windows, keep) if k)
+        xs = xs[keep]
+    logs = np.empty(len(xs))
     if kind == "ol":
         lt = np.atleast_1d(curve.log_tail(xs))
         lt_sh = np.atleast_1d(curve.log_tail(xs - t))
@@ -352,9 +379,6 @@ def ratio_diagnostic(
         lt_half = np.atleast_1d(curve.log_tail(xs / 2.0))
         logs = lt_half - lt
     elif kind == "lgamma":
-        if np.any(xs + t > curve.truncation_hi):
-            xs = xs[xs + t <= curve.truncation_hi]
-            logs = np.empty(len(xs))
         lt = np.atleast_1d(curve.log_tail(xs))
         lt_sh = np.atleast_1d(curve.log_tail(xs + t))
         logs = gamma * t + lt_sh - lt
@@ -407,9 +431,21 @@ def weak_equiv_diag(
     lt = np.atleast_1d(curve.log_tail(xs))
     sups = np.empty(len(tgrid))
     for i, t in enumerate(tgrid):
-        lt_sh = np.atleast_1d(curve.log_tail(xs - t))
-        sups[i] = float(np.max(lt_sh - lt))
+        keep = _shift_resolved(xs, t)
+        if not keep.any():
+            raise ParameterError(f"no grid point x where x - {t} and x + {t} differ from x")
+        lt_sh = np.atleast_1d(curve.log_tail(xs[keep] - t))
+        sups[i] = float(np.max(lt_sh - lt[keep]))
     return DiagSeries.build("weak_equiv", "t", tgrid, sups, trend_cfg)
+
+
+def _shift_resolved(xs: np.ndarray, t: float) -> np.ndarray:
+    """Mask of the grid points where x - t and x + t both differ from x.
+
+    Past 2^53 t the shift rounds away, and the ratio at such a point would
+    compare the tail with itself; those points are dropped, not read as 1.
+    """
+    return (xs - t != xs) & (xs + t != xs)
 
 
 def xu_window_labels(d: Distribution, xgrid, K: float) -> tuple[str, ...]:

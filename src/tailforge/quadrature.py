@@ -4,10 +4,19 @@ All integrands in this package are products of survival functions whose
 magnitudes can span thousands of orders (values like exp(-7e18) appear in the
 deep piecewise constructions), so panel contributions are represented as
 logarithms and combined with log-sum-exp.  A (G7, K15) rule is applied per
-panel; the worst panel (by estimated absolute error) is bisected until the
-total error estimate meets the requested relative tolerance.  The panels
-live in one list in the order they were made: a bisected panel's halves go
-to its end, and of panels with equal error the earliest is bisected first.
+panel, and refinement runs in rounds.  Each round bisects every panel whose
+log error exceeds log(total * rel_tol / n_panels), its even share of the
+target, and always the worst panel while the total error misses the target;
+all new halves are evaluated in one call of the integrand.  The panels live
+in one list in the order they were made: bisected panels leave it and their
+halves go to its end.  ``max_subdivisions`` counts bisections; a round that
+would overrun it bisects the worst panels first, the earliest of equal
+errors first.
+
+The K15 and G7 sums of a panel are row sums over its 15 nodes, not a matrix
+product against the weights: a product's blocking makes a row's last bits
+depend on where it sits in the batch, and a row sum does not, so a panel
+has the same value alone as in a round of any size.
 
 Panels are seeded from caller-supplied mandatory breakpoints, which for tail
 integrands are the segment boundaries of both factors.  That keeps every
@@ -113,31 +122,33 @@ class LogQuadResult:
         return math.exp(self.log_value) if self.log_value > _NEG_INF else 0.0
 
 
-def _panel_gk15(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """One (G7, K15) application on [a, b] in the log domain.
+def _gk15(log_f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.ndarray):
+    """(G7, K15) on every panel [los[i], his[i]] with one call of ``log_f``.
 
-    Returns (log_integral, log_abs_error_estimate).
+    Returns (log integrals, log abs error estimates), one entry per panel.
+    The rule's sums are row sums, so each panel's result is the same bits
+    whatever other panels share the call.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid + half * _XGK
-    ls = np.asarray(log_f(xs), dtype=float)
-    m = np.max(ls)
-    if not np.isfinite(m):
-        # Integrand is identically zero (or invalid) on this panel.
-        return _NEG_INF, _NEG_INF
-    scaled = np.exp(ls - m)
-    k15 = float(np.dot(_WGK, scaled))
-    g7 = float(np.dot(_WG, scaled))
-    if k15 <= 0.0:
-        return _NEG_INF, _NEG_INF
-    log_value = m + math.log(k15) + math.log(half)
-    diff = abs(k15 - g7)
-    # QUADPACK-style sharpened estimate; floored at 1 ulp of the value.
-    err = (200.0 * diff) ** 1.5 if diff > 0 else 0.0
-    err = max(min(err, diff), diff * 1e-6, k15 * 1e-16)
-    log_err = m + math.log(err) + math.log(half) if err > 0 else _NEG_INF
-    return log_value, log_err
+    half = 0.5 * (his - los)
+    xs = (0.5 * (los + his))[:, None] + half[:, None] * _XGK
+    ls = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape)
+    m = ls.max(axis=1)
+    # A row whose maximum is not finite is identically zero (or invalid);
+    # its sums are formed against 0 and then discarded.
+    live = np.isfinite(m)
+    m[~live] = 0.0
+    with np.errstate(all="ignore"):
+        scaled = np.exp(ls - m[:, None])
+        k15 = (scaled * _WGK).sum(axis=1)
+        g7 = (scaled * _WG).sum(axis=1)
+        diff = np.abs(k15 - g7)
+        # QUADPACK-style sharpened estimate; floored at 1 ulp of the value.
+        err = np.maximum(np.maximum(np.minimum((200.0 * diff) ** 1.5, diff), diff * 1e-6), k15 * 1e-16)
+        log_half = np.log(half)
+        live &= k15 > 0.0
+        vals = np.where(live, m + np.log(k15) + log_half, _NEG_INF)
+        errs = np.where(live & (err > 0.0), m + np.log(err) + log_half, _NEG_INF)
+    return vals, errs
 
 
 def log_quad(
@@ -163,13 +174,15 @@ def log_quad(
     if b == a:
         return LogQuadResult(_NEG_INF, 0.0, 0)
 
-    pts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    # Panels (lo, hi, log value, log error) in the order they were made.
-    panels = [(lo, hi, *_panel_gk15(log_f, lo, hi)) for lo, hi in zip(pts[:-1], pts[1:])]
+    bps = np.asarray(breakpoints if isinstance(breakpoints, np.ndarray) else list(breakpoints), dtype=float)
+    inner = bps[(bps > a) & (bps < b)]
+    pts = np.unique(np.concatenate([[a, b], inner])) if inner.size else np.array([a, b], dtype=float)
+    # Panels in the order they were made: bounds, log values, log errors.
+    los, his = pts[:-1], pts[1:]
+    vals, errs = _gk15(log_f, los, his)
+    log_tol = math.log(cfg.rel_tol)
     splits = 0
     while True:
-        vals = np.array([p[2] for p in panels])
-        errs = np.array([p[3] for p in panels])
         total = _logsumexp(vals)
         toterr = _logsumexp(errs)
         if math.isfinite(total) and abs(total) > 4.5e15:
@@ -181,9 +194,21 @@ def log_quad(
                 achieved_rel_error=math.inf,
             )
         if toterr == _NEG_INF:
-            return LogQuadResult(total, 0.0, len(panels))
-        if total > _NEG_INF and toterr - total <= math.log(cfg.rel_tol):
-            return LogQuadResult(total, math.exp(toterr - total), len(panels))
+            return LogQuadResult(total, 0.0, len(los))
+        if total > _NEG_INF and toterr - total <= log_tol:
+            return LogQuadResult(total, math.exp(toterr - total), len(los))
+        # This round splits every panel over its even share of the target
+        # error, and always the worst one (argmax takes the earliest).
+        split = errs > total + log_tol - math.log(len(los))
+        split[int(np.argmax(errs))] = True
+        mids = 0.5 * (los + his)
+        narrow = split & ((mids <= los) | (mids >= his))
+        if narrow.any():
+            # Panels narrower than float resolution: accept their estimates.
+            errs[narrow] = _NEG_INF
+            split &= ~narrow
+            if not split.any():
+                continue
         if splits >= cfg.max_subdivisions:
             achieved = math.inf if total == _NEG_INF else math.exp(toterr - total)
             raise ToleranceError(
@@ -191,20 +216,27 @@ def log_quad(
                 f"> requested {cfg.rel_tol:.3e} after {splits} subdivisions",
                 achieved_rel_error=achieved,
             )
-        # Refine the worst panel; argmax takes the earliest of equal errors.
-        lo, hi, lv, _ = panels.pop(int(np.argmax(errs)))
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Panel narrower than float resolution: accept its estimate as is.
-            panels.append((lo, hi, lv, _NEG_INF))
-            continue
-        panels += [(lo, mid, *_panel_gk15(log_f, lo, mid)), (mid, hi, *_panel_gk15(log_f, mid, hi))]
-        splits += 1
+        idx = np.flatnonzero(split)
+        room = cfg.max_subdivisions - splits
+        if len(idx) > room:
+            # Worst first, the earliest of equal errors first.
+            idx = np.sort(idx[np.argsort(-errs[idx], kind="stable")[:room]])
+        # Halves of each split panel, lower then upper, in split order.
+        new_los = np.stack([los[idx], mids[idx]], axis=1).ravel()
+        new_his = np.stack([mids[idx], his[idx]], axis=1).ravel()
+        new_vals, new_errs = _gk15(log_f, new_los, new_his)
+        keep = np.ones(len(los), dtype=bool)
+        keep[idx] = False
+        los = np.concatenate([los[keep], new_los])
+        his = np.concatenate([his[keep], new_his])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
+        splits += len(idx)
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    # Panel logs are finite or -inf, and exp(-inf - m) is 0.
+    m = float(values.max())
+    if m == _NEG_INF:
         return _NEG_INF
-    m = float(np.max(finite))
-    return m + math.log(float(np.sum(np.exp(finite - m))))
+    return m + math.log(float(np.exp(values - m).sum()))

@@ -122,6 +122,84 @@ def test_os_ratio_identity_pointwise(request):
             assert os_g == pytest.approx(os_f + gamma * osstar_f, rel=1e-6)
 
 
+# ------------------------------------------------------ second-order oracles
+#
+# F2/F - 2 ~ 2 mu lambda(x), with mean mu and hazard lambda (Omey and
+# Willekens 1986); for a tilt G of F in S(gamma), G2/G -> 2 m_G(gamma)
+# (Embrechts and Goldie 1982).  The peak of F(x - y) near y = x is O(1) wide
+# in [0, x], so these fail when the quadrature misses it.
+
+
+def _os_ratio(d, x):
+    return math.exp(tf.log_conv2_tail(d, x) - d.log_tail(x))
+
+
+@pytest.mark.parametrize("x", [1e4, 2.5e5, 1e6])
+def test_weibull_second_order(x):
+    # mu = 2 and lambda = 1 / (2 sqrt(x)) for exp(-sqrt(x)).
+    r = _os_ratio(tf.weibull_heavy(0.5), x)
+    assert (r - 2.0) / (2.0 / math.sqrt(x)) == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("x", [1e3, 1e4, 1e5, 1e6])
+def test_pareto_second_order(pareto3, x):
+    # mu = 1/2 and lambda = 3 / (1 + x) for (1 + x)^-3.
+    r = _os_ratio(pareto3, x)
+    assert (r - 2.0) / (3.0 / (1.0 + x)) == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("x", [1.0, 10.0, 100.0, 700.0])
+def test_exponential_two_fold_closed_form(exp1, x):
+    assert _os_ratio(exp1, x) == pytest.approx(1.0 + x, rel=1e-9)
+
+
+def test_tilted_weibull_two_fold_limit():
+    g = tf.gamma_transform(tf.weibull_heavy(0.5), 0.5)
+    limit = 2.0 * tf.exp_moment(g, 0.5)  # 2 (1 + gamma mu) = 4
+    assert limit == pytest.approx(4.0, rel=1e-8)
+    for x in (1e4, 2.5e5, 1e6):
+        assert limit <= _os_ratio(g, x) <= 4.1
+
+
+@pytest.mark.parametrize("x", [2.5e5, 1e6])
+def test_identity_residual_tilted_weibull(x):
+    assert tf.g_conv2_identity_residual(tf.weibull_heavy(0.5), 0.5, x) < 1e-8
+
+
+def _log_osstar_bracket(d, x, cells=100_000):
+    """Lower and upper log of int_0^x F(x - y) F(y) dy / F(x), from Riemann
+    sums: int_0^x = 2 int_0^{x/2}, and on a cell (a, b] the integrand lies
+    between F(x - a) F(b) and F(x - b) F(a).  The cells are geometric in the
+    distance from either end of [0, x/2]."""
+    lt = d.tail.log_tail
+    c = 0.5 * x
+    off = np.geomspace(1e-3, 0.5 * c, cells)
+    edges = np.unique(np.concatenate([[0.0, c], off, c - off]))
+    a, b = edges[:-1], edges[1:]
+    lw = np.log(b - a)
+
+    def lse(v):
+        m = v.max()
+        return m + math.log(np.exp(v - m).sum())
+
+    base = math.log(2.0) - lt(x)
+    return lse(lw + lt(x - a) + lt(b)) + base, lse(lw + lt(x - b) + lt(a)) + base
+
+
+def test_fkz_osstar_inside_riemann_bracket(fkz):
+    # prop-1.1's OS* grid from 1e10 on.  There x - y rounds to a multiple of
+    # 2^k for y near x, which the u = x - y half avoids.
+    cfg = tf.QuadConfig(rel_tol=1e-7)
+    xs = [x for x in tf.geometric_grid(fkz, 2.0, 1e24, 22) if x >= 1e10]
+    assert len(xs) == 13
+    for x in xs:
+        lo, up = _log_osstar_bracket(fkz, float(x))
+        v = tf.log_cross_integral(fkz, 0.0, x, x, cfg) - fkz.log_tail(x)
+        assert lo <= v <= up, (x, math.exp(lo), math.exp(v), math.exp(up))
+        if x < 1e20:
+            assert up - lo < 1e-3  # the bracket has teeth where it is tight
+
+
 # ------------------------------------------------------------ grid brackets
 
 

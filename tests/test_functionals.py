@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tailforge as tf
-from tailforge.errors import InconclusiveBracketError, ParameterError, TruncationError
+from tailforge import functionals
+from tailforge.errors import InconclusiveBracketError, ParameterError, ToleranceError, TruncationError
 from tailforge.functionals import _b2_profile, classify_trend, shift_probe_grid, xu_window_labels
 
 
@@ -72,15 +73,16 @@ def test_b2_precondition(pareto3):
         tf.b2_cond(pareto3, 10.0, 5.0)
 
 
-# Values of the per-pair computation that predates the banded profile; the
-# one-cut band reproduces its terms and their summation order exactly.
+# Values of the two-halves quadrature with graded seeds, pinned bit for bit;
+# each lies within 1e-9 relative of the greedy one-panel-per-step values
+# that came before it.
 B2_PINNED = {
-    "exp1": [(10.0, 1.0, 0.18181818181818182), (64.0, 4.0, 0.12307692307692347),
+    "exp1": [(10.0, 1.0, 0.18181818181818166), (64.0, 4.0, 0.12307692307692347),
              (500.0, 16.0, 0.06387225548902081)],
-    "pareto3": [(10.0, 1.0, 0.8045635145624195), (64.0, 4.0, 0.9890337908478377),
+    "pareto3": [(10.0, 1.0, 0.8045635145624203), (64.0, 4.0, 0.9890337908478377),
                 (500.0, 16.0, 0.9997626996673102)],
-    "plateau2": [(10.0, 1.0, 0.5582844319067612), (64.0, 4.0, 0.6357931713210564),
-                 (500.0, 16.0, 0.9657957494850667)],
+    "plateau2": [(10.0, 1.0, 0.5582844321072503), (64.0, 4.0, 0.6357931715699193),
+                 (500.0, 16.0, 0.9657957497035446)],
 }
 
 
@@ -89,6 +91,42 @@ def test_b2_bit_identical_to_pinned(name, request):
     d = request.getfixturevalue(name)
     for x, K, v in B2_PINNED[name]:
         assert tf.b2_cond(d, x, K) == v
+
+
+def test_b2_pinned_exponential_closed_form():
+    # For e^-x, 2 int_0^K e^-(x-y) e^-y dy / ((1 + x) e^-x) = 2K / (1 + x).
+    for x, K, v in B2_PINNED["exp1"]:
+        assert v == pytest.approx(2.0 * K / (1.0 + x), rel=1e-12)
+
+
+def test_b2_tilted_weibull_is_below_one():
+    # The two-fold tail once missed the peak of F near y = x, and the ratio
+    # read past 1 (b2 = 1.3186 before a silent clamp to 1.0).
+    g = tf.gamma_transform(tf.weibull_heavy(0.5), 0.5)
+    v = tf.b2_cond(g, 359873.1850021813, 33.7461422819146, tf.QuadConfig(rel_tol=1e-7))
+    assert v < 1.0
+    assert v == pytest.approx(0.9878337, abs=1e-6)
+
+
+def test_ratio_past_one_clamps_only_within_tolerance(monkeypatch, pareto3):
+    # b2(pareto(3), 500, 16) = 0.99976...; numerator terms pushed up by a
+    # log shift read past 1.  An excess up to 10 rel_tol is clamped to 1, a
+    # larger one is refused.
+    x, K, v = B2_PINNED["pareto3"][2]
+    real = functionals._log_stieltjes_bands
+
+    def shifted(shift):
+        def bands(d, x, cuts, cfg):
+            return [[t + shift for t in band] for band in real(d, x, cuts, cfg)]
+
+        return bands
+
+    cfg = tf.QuadConfig()
+    monkeypatch.setattr(functionals, "_log_stieltjes_bands", shifted(-math.log(v) + 5 * cfg.rel_tol))
+    assert tf.b2_cond(pareto3, x, K, cfg) == 1.0
+    monkeypatch.setattr(functionals, "_log_stieltjes_bands", shifted(1e-3))
+    with pytest.raises(ToleranceError, match="x=500.0, K=16.0"):
+        tf.b2_cond(pareto3, x, K, cfg)
 
 
 @pytest.mark.parametrize("name", ["exp1", "pareto3", "dyadic", "plateau2"])
@@ -218,6 +256,27 @@ def test_lgamma_exponential_exact(exp1):
     xs = np.geomspace(4, 100, 10)
     s = tf.ratio_diagnostic(exp1, "lgamma", xs, t=1.0, gamma=1.0)
     assert np.allclose(s.values, 1.0, rtol=1e-12)
+
+
+def test_collapsed_shift_points_are_dropped(pareto3):
+    # At x = 1e20 the shift by t = 1 rounds away: x - 1 == x.
+    with pytest.raises(ParameterError):
+        tf.ratio_diagnostic(pareto3, "ol", [1e20], t=1)
+    with pytest.raises(ParameterError):
+        tf.ratio_diagnostic(pareto3, "lgamma", [1e20], t=1)
+    s = tf.ratio_diagnostic(pareto3, "ol", [10.0, 1e20], t=1)
+    assert list(s.grid) == [10.0]
+    assert s.log_values[0] == pytest.approx(3.0 * math.log(11.0 / 10.0), rel=1e-12)
+    s = tf.ratio_diagnostic(pareto3, "lgamma", [10.0, 1e20], t=1, gamma=0.5)
+    assert list(s.grid) == [10.0]
+
+
+def test_weak_equiv_drops_collapsed_points(pareto3):
+    # The collapsed x = 1e20 would read the ratio 1; it is left out of the sup.
+    s = tf.weak_equiv_diag(pareto3, [1.0, 2.0], [10.0, 1e20])
+    assert s.log_values == pytest.approx([3.0 * math.log(11.0 / 10.0), 3.0 * math.log(11.0 / 9.0)])
+    with pytest.raises(ParameterError):
+        tf.weak_equiv_diag(pareto3, [1.0, 2.0], [1e20, 2e20])
 
 
 def test_ratio_kind_validation(pareto3):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tailforge.errors import LogDepthError, ParameterError, ToleranceError
-from tailforge.quadrature import QuadConfig, log_quad, logsubexp
+from tailforge.quadrature import QuadConfig, _gk15, log_quad, logsubexp
 
 
 def test_exponential_integral():
@@ -77,6 +77,47 @@ def test_tolerance_error_carries_estimate():
     with pytest.raises(ToleranceError) as err:
         log_quad(logf, 0.0, 1.0, cfg=QuadConfig(rel_tol=1e-12, max_subdivisions=1))
     assert err.value.achieved_rel_error > 1e-12
+
+
+def test_one_split_budget_raises_with_many_candidates():
+    # Ten seeded panels all want splitting in the first round; a budget of
+    # one split takes the worst of them and then gives up.
+    def logf(y):
+        y = np.asarray(y, dtype=float)
+        return np.sin(40.0 * y)
+
+    with pytest.raises(ToleranceError, match="after 1 subdivisions"):
+        log_quad(logf, 0.0, 10.0, breakpoints=np.arange(1.0, 10.0),
+                 cfg=QuadConfig(rel_tol=1e-12, max_subdivisions=1))
+
+
+def test_panel_same_alone_as_in_batch():
+    # Row sums make a panel's bits independent of the other rows in a call.
+    def logf(y):
+        return np.sin(3.0 * y) - 0.1 * y * y
+
+    edges = np.geomspace(1e-3, 50.0, 101)
+    vals, errs = _gk15(logf, edges[:-1], edges[1:])
+    for i in range(100):
+        v, e = _gk15(logf, edges[i : i + 1], edges[i + 1 : i + 2])
+        assert (v[0], e[0]) == (vals[i], errs[i])
+
+
+def test_one_integrand_call_per_round():
+    # An oscillation across the whole range needs many splits, and they
+    # come in a few batched calls: each call evaluates 15 nodes on every
+    # panel it makes.
+    calls = []
+
+    def logf(y):
+        calls.append(len(y))
+        return np.log(2.0 + np.sin(50.0 * y))
+
+    res = log_quad(logf, 0.0, 10.0, cfg=QuadConfig(rel_tol=1e-12))
+    assert sum(calls) == 15 * (2 * res.n_panels - 1)
+    assert len(calls) < res.n_panels / 10
+    exact = 20.0 + (1.0 - math.cos(500.0)) / 50.0
+    assert math.exp(res.log_value) == pytest.approx(exact, rel=1e-11)
 
 
 def test_log_depth_guard():
