@@ -73,9 +73,8 @@ def test_b2_precondition(pareto3):
         tf.b2_cond(pareto3, 10.0, 5.0)
 
 
-# Values of the two-halves quadrature with graded seeds, pinned bit for bit;
-# each lies within 1e-9 relative of the greedy one-panel-per-step values
-# that came before it.
+# b2 values pinned bit for bit, so that any change to the quadrature's
+# panels or summation order shows here and is declared.
 B2_PINNED = {
     "exp1": [(10.0, 1.0, 0.18181818181818166), (64.0, 4.0, 0.12307692307692347),
              (500.0, 16.0, 0.06387225548902081)],
@@ -100,8 +99,8 @@ def test_b2_pinned_exponential_closed_form():
 
 
 def test_b2_tilted_weibull_is_below_one():
-    # The two-fold tail once missed the peak of F near y = x, and the ratio
-    # read past 1 (b2 = 1.3186 before a silent clamp to 1.0).
+    # The denominator must count the peak of F(x - y) near y = x; without it
+    # the ratio reads 1.3186, which a bare clamp would turn into 1.0.
     g = tf.gamma_transform(tf.weibull_heavy(0.5), 0.5)
     v = tf.b2_cond(g, 359873.1850021813, 33.7461422819146, tf.QuadConfig(rel_tol=1e-7))
     assert v < 1.0
