@@ -46,7 +46,11 @@ class GridGuardError(TailforgeError):
 
 
 class LowAcceptanceError(TailforgeError):
-    """Monte Carlo pilot acceptance below floor; use the quadrature route."""
+    """Monte Carlo acceptance below floor; use the quadrature route.
+
+    ``pilot_acceptance`` is the share of the run's own first ceil(10 / floor)
+    draws with S_n > x, or 0.0 when no draw of the run was accepted.
+    """
 
     def __init__(self, message: str, pilot_acceptance: float):
         super().__init__(message)

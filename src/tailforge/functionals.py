@@ -352,9 +352,19 @@ def ratio_diagnostic(
           'lgamma'  e^{gamma t} F(x+t)/F(x)    (-> 1 <=> L(gamma))
           'os'      F2bar(x)/F(x)              (bounded <=> OS)
           'osstar'  int_0^x F(x-y)F(y)dy/F(x)  (bounded <=> OS*)
+
+    ``windows`` labels the points of a strictly increasing grid, one each.
     """
     cfg = cfg or QuadConfig()
-    xs = np.unique(np.asarray(xgrid, dtype=float))
+    given = np.atleast_1d(np.asarray(xgrid, dtype=float))
+    # Labels follow the caller's points, so a grid that sorting or merging
+    # would reorder cannot carry them.
+    if windows is not None and (len(windows) != given.size or np.any(~(np.diff(given) > 0))):
+        raise ParameterError(
+            "a labelled grid must be strictly increasing with one label per point, "
+            f"got {given.size} points and {len(windows)} labels"
+        )
+    xs = np.unique(given)
     curve = d.tail
     if kind in ("ol", "lgamma"):
         if t >= xs.min():

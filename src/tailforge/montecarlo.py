@@ -9,7 +9,9 @@ share assumptions with the code it is meant to check).
 Streams: scenario i draws from SeedSequence(seed, spawn_key=(i,)) and chunk
 c of a run from spawn_key=(..., c), so results are bit-reproducible for a
 fixed (seed, N) and adding scenarios or extending N never perturbs earlier
-draws.
+draws.  A run draws one stream: the acceptance check reads its first
+ceil(10 / floor) draws and the estimate its first N, with no separate pilot
+key.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ def _chunk_streams(base: np.random.SeedSequence, count: int) -> list[np.random.S
     ]
 
 
+def _count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def mc_jump_cond(
     d: Distribution,
     n: int,
@@ -65,57 +75,65 @@ def mc_jump_cond(
 ) -> McEstimate:
     """Estimate P(X_{n,1} > x - K | S_n > x) from N rejection-sampled tuples.
 
-    A pilot run checks that the acceptance probability P(S_n > x) clears
-    ``acceptance_floor``; below it the quadrature/bracket route is the right
-    tool and LowAcceptanceError says so.
+    The run checks that the acceptance probability P(S_n > x) clears
+    ``acceptance_floor``: the share of its own first ceil(10 / floor) draws
+    with S_n > x must reach the floor, or LowAcceptanceError says the
+    quadrature/bracket route is the right tool.  A run of fewer draws still
+    draws that many for the check; the estimate reads the first N.  Floors
+    that would need more than ``_PILOT_CAP`` draws skip the check and rely
+    on the zero-accepted guard.
     """
-    if N < 1:
-        raise ParameterError(f"sample count must be >= 1, got {N}")
-    if n < 1:
-        raise ParameterError(f"fold count must be >= 1, got {n}")
+    n = _count("fold count", n, 1)
+    N = _count("sample count", N, 1)
     if not (-math.inf < x < math.inf and -math.inf < K < math.inf):
         raise ParameterError(f"threshold x and offset K must be finite, got x={x}, K={K}")
+    # Written so that NaN fails the test too.
+    if not 0.0 <= acceptance_floor < 1.0:
+        raise ParameterError(f"acceptance floor must lie in [0, 1), got {acceptance_floor}")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seed_tag = int(base.entropy) if isinstance(base.entropy, int) else 0
 
     threshold = x - K  # max > threshold; threshold <= 0 makes the event sure
-
-    def run_chunk(ss: np.random.SeedSequence, size: int) -> tuple[int, int]:
-        rng = np.random.Generator(np.random.PCG64(ss))
-        u = 1.0 - rng.random((size, n))
-        xs = np.asarray(d.tail.quantile(u.ravel())).reshape(size, n)
-        sums = xs.sum(axis=1)
-        accepted = sums > x
-        if threshold <= 0:
-            return int(np.sum(accepted)), int(np.sum(accepted))
-        events = accepted & (xs.max(axis=1) > threshold)
-        return int(np.sum(accepted)), int(np.sum(events))
-
-    # Pilot sized to resolve the floor (about 10 expected hits at the floor);
-    # floors too small to certify cheaply skip the pilot and rely on the
-    # zero-accepted guard below.
+    # The acceptance check reads the run's first pilot_n draws (about 10
+    # expected hits at the floor); floors too small to certify cheaply skip it.
     pilot_n = int(math.ceil(10.0 / acceptance_floor)) if acceptance_floor > 0 else 0
-    if 0 < pilot_n <= _PILOT_CAP:
-        pilot_ss = np.random.SeedSequence(
-            entropy=base.entropy, spawn_key=base.spawn_key + (0xFFFF,)
-        )
-        acc, _ = run_chunk(pilot_ss, pilot_n)
-        pilot_rate = acc / pilot_n
-        if pilot_rate < acceptance_floor:
-            raise LowAcceptanceError(
-                f"pilot acceptance {pilot_rate:.2e} below floor {acceptance_floor:.0e} "
-                f"for P(S_{n} > {x}); use the quadrature/bracket route",
-                pilot_acceptance=pilot_rate,
-            )
+    if pilot_n > _PILOT_CAP:
+        pilot_n = 0
+    total = max(N, pilot_n)
 
-    n_chunks = (N + _CHUNK - 1) // _CHUNK
     accepted = 0
     events = 0
+    pilot_hits = 0
+    n_chunks = (total + _CHUNK - 1) // _CHUNK
     for c, ss in enumerate(_chunk_streams(base, n_chunks)):
-        size = min(_CHUNK, N - c * _CHUNK)
-        a, e = run_chunk(ss, size)
-        accepted += a
-        events += e
+        start = c * _CHUNK
+        size = min(_CHUNK, total - start)
+        # random((size, n)) fills rows in C order, so the first rows of a
+        # chunk are the draws a shorter chunk of the same stream makes.
+        u = 1.0 - np.random.Generator(np.random.PCG64(ss)).random((size, n))
+        xs = np.asarray(d.tail.quantile(u.ravel())).reshape(size, n)
+        # Running sum and maximum over the n columns: a reduction along a
+        # short row axis is many times slower, and for n below numpy's
+        # pairwise block of 8 it adds in the same order.
+        sums = xs[:, 0].copy()
+        top = xs[:, 0].copy()
+        for j in range(1, n):
+            sums += xs[:, j]
+            np.maximum(top, xs[:, j], out=top)
+        hit = sums > x
+        event = hit if threshold <= 0 else hit & (top > threshold)
+        if start < N:
+            accepted += int(np.count_nonzero(hit[: N - start]))
+            events += int(np.count_nonzero(event[: N - start]))
+        if start < pilot_n:
+            pilot_hits += int(np.count_nonzero(hit[: pilot_n - start]))
+            if start + size >= pilot_n and pilot_hits / pilot_n < acceptance_floor:
+                rate = pilot_hits / pilot_n
+                raise LowAcceptanceError(
+                    f"acceptance {rate:.2e} over the first {pilot_n} draws below floor "
+                    f"{acceptance_floor:.0e} for P(S_{n} > {x}); use the quadrature/bracket route",
+                    pilot_acceptance=rate,
+                )
     if accepted == 0:
         raise LowAcceptanceError(
             f"no accepted tuples among {N} draws for P(S_{n} > {x})",

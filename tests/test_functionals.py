@@ -270,6 +270,22 @@ def test_collapsed_shift_points_are_dropped(pareto3):
     assert list(s.grid) == [10.0]
 
 
+def test_labelled_grid_must_be_increasing(pareto3):
+    # Sorting and merging [8, 4, 8] would leave x = 4 labelled "at8".
+    for grid, labels in (
+        ([8.0, 4.0, 8.0], ("at8", "at4", "at8 again")),
+        ([4.0, 8.0, 8.0], ("at4", "at8", "at8 again")),
+        ([4.0, 8.0], ("at4",)),
+        ([4.0, math.nan], ("at4", "nan")),
+    ):
+        with pytest.raises(ParameterError, match="labelled grid"):
+            tf.ratio_diagnostic(pareto3, "d", grid, windows=labels)
+    s = tf.ratio_diagnostic(pareto3, "d", [4.0, 8.0], windows=("at4", "at8"))
+    assert list(s.grid) == [4.0, 8.0] and s.windows == ("at4", "at8")
+    s = tf.ratio_diagnostic(pareto3, "ol", [1e20, 2e20, 10.0], t=1)
+    assert list(s.grid) == [10.0]
+
+
 def test_weak_equiv_drops_collapsed_points(pareto3):
     # The collapsed x = 1e20 would read the ratio 1; it is left out of the sup.
     s = tf.weak_equiv_diag(pareto3, [1.0, 2.0], [10.0, 1e20])

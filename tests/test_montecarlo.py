@@ -37,7 +37,7 @@ def test_pareto_against_bracket(pareto3):
 
 
 def test_pareto_n3_low_acceptance_route(pareto3):
-    # P(S_3 > 50) ~ 2e-5 sits below the default pilot floor
+    # P(S_3 > 50) ~ 2e-5 sits below the default acceptance floor
     with pytest.raises(LowAcceptanceError):
         tf.mc_jump_cond(pareto3, 3, 50.0, 10.0, 10**5, seed=1)
     # lowering the floor enables the run; the harness z stays sane
@@ -63,7 +63,7 @@ def test_empty_scenarios(exp1):
 
 
 def test_ten_exponential_scenarios_no_flags(exp1):
-    # thresholds chosen so pilot acceptance clears the default floor
+    # thresholds chosen so the acceptance clears the default floor
     scenarios = [(2, x, 1.0) for x in (3.0, 5.0, 8.0, 9.0, 10.0)]
     scenarios += [(3, x, 1.0) for x in (3.0, 5.0, 8.0, 10.0, 12.0)]
     table = tf.mc_vs_quadrature(exp1, scenarios, 100000, seed=20240808)
@@ -101,3 +101,56 @@ def test_refuses_nan_threshold(exp1):
 def test_refuses_nan_offset(exp1):
     with pytest.raises(ParameterError, match="finite"):
         tf.mc_jump_cond(exp1, 2, 3.0, math.nan, 1000, seed=1)
+
+
+# (accepted, estimate) at seed 11, read before the acceptance check moved
+# onto the run's own draws: the estimates keep their bits.
+MC_PINNED = [
+    ("exp1", 2, 5.0, 1.0, 200000, 8053, 0.6529243760089408),
+    ("exp1", 3, 5.0, 1.0, 200000, 24804, 0.3973552652797936),
+    ("dyadic", 3, 12.0, 2.0, 200000, 19299, 0.4724597129384942),
+    ("pareto3", 1, 2.0, 0.5, 200000, 7476, 1.0),
+    ("exp1", 2, 5.0, 6.0, 200000, 8053, 1.0),
+    # N below the 10 / floor draws of the acceptance check
+    ("exp1", 2, 5.0, 1.0, 50000, 2036, 0.6517681728880157),
+]
+
+
+@pytest.mark.parametrize("name,n,x,K,N,accepted,estimate", MC_PINNED)
+def test_estimates_bit_identical_to_pinned(request, name, n, x, K, N, accepted, estimate):
+    est = tf.mc_jump_cond(request.getfixturevalue(name), n, x, K, N, seed=11)
+    assert (est.accepted, est.estimate, est.total) == (accepted, estimate, N)
+
+
+def test_acceptance_check_reads_the_runs_own_draws(pareto3):
+    # P(S_2 > 30) is about 7e-5, below the default floor of 1e-4.
+    free = tf.mc_jump_cond(pareto3, 2, 30.0, 5.0, 10**5, seed=5, acceptance_floor=0)
+    with pytest.raises(LowAcceptanceError) as info:
+        tf.mc_jump_cond(pareto3, 2, 30.0, 5.0, 10**5, seed=5)
+    assert info.value.pilot_acceptance == free.accepted / 10**5 == 3e-05
+
+
+def test_acceptance_check_draws_past_a_short_run(pareto3):
+    # A run of N = 1000 still draws 10 / floor tuples for the check (1000
+    # draws alone would hold no hit and read 0), and the estimate reads the
+    # first N of them.
+    with pytest.raises(LowAcceptanceError) as info:
+        tf.mc_jump_cond(pareto3, 2, 30.0, 5.0, 1000, seed=5)
+    assert info.value.pilot_acceptance == 3e-05
+    short = tf.mc_jump_cond(pareto3, 2, 5.0, 1.0, 1000, seed=5)
+    free = tf.mc_jump_cond(pareto3, 2, 5.0, 1.0, 1000, seed=5, acceptance_floor=0)
+    assert short == free
+
+
+@pytest.mark.parametrize(
+    "n,N", [(2.5, 1000), (True, 1000), (2, 1000.0), (2, False), (2, "1000"), (0, 1000)]
+)
+def test_refuses_non_integer_counts(exp1, n, N):
+    with pytest.raises(ParameterError):
+        tf.mc_jump_cond(exp1, n, 5.0, 1.0, N, seed=1)
+
+
+@pytest.mark.parametrize("floor", [math.nan, -1e-4, 1.0, 2.0])
+def test_refuses_bad_acceptance_floor(exp1, floor):
+    with pytest.raises(ParameterError, match="acceptance floor"):
+        tf.mc_jump_cond(exp1, 2, 5.0, 1.0, 1000, seed=1, acceptance_floor=floor)
