@@ -6,7 +6,7 @@ test suite: ``conv2_tail`` evaluates the Stieltjes integral of the tail
 against dF directly, while ``g_conv2_identity_residual`` reconciles the
 tilted two-fold tail with the identity
 
-    G2bar(x) = (F2bar(x) + 2 gamma * int_{x/2}^x F(x-y) F(y) dy) e^{-gamma x},
+    G2bar(x) = (F2bar(x) + gamma * int_0^x F(x-y) F(y) dy) e^{-gamma x},
 
 so disagreement between quadratures is a detectable failure, not silent
 error.  The n-fold route discretizes the measure into upper and lower
@@ -56,6 +56,7 @@ __all__ = [
     "conv2_tail",
     "log_conv2_tail",
     "g_conv2_identity_residual",
+    "log_tilt_identity",
     "convn_tail_grid",
     "trunc_convn_tail_grid",
     "MAX_FOLDS",
@@ -157,8 +158,8 @@ def _log_stieltjes_bands(
     """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``.
 
     Band j is (cuts[j-1], cuts[j]]; the first band is [0, cuts[0]].  Each
-    band lists one term per atom in it, then one per segment with a density
-    that meets it, so a single cut K gives the terms of int_{[0, K]}.
+    band lists one term per atom in it, then one for the curve's density
+    if it has one there, so a single cut K gives the terms of int_{[0, K]}.
     """
     curve = d.tail
     bands: list[list[float]] = [[] for _ in cuts]
@@ -167,18 +168,9 @@ def _log_stieltjes_bands(
         if j < len(cuts):
             bands[j].append(atom.log_mass + curve.log_tail(x - atom.location))
     seeds = _panel_seeds(curve, x)
-    for seg in curve.segments:
-        if seg.lo >= cuts[-1]:
-            break  # segments are in order: no later one meets a band
-        if not seg.has_density:
-            continue
-        band_lo = -math.inf
-        for band, cut in zip(bands, cuts):
-            lo, hi = max(seg.lo, band_lo), min(seg.hi, cut)
-            band_lo = cut
-            if hi <= lo:
-                continue
-            band.append(_log_against_tail(seg.log_density, curve, x, lo, hi, seeds, cfg))
+    for band, lo, hi in zip(bands, [0.0, *cuts], cuts):
+        if curve.has_density_in(lo, hi):
+            band.append(_log_against_tail(curve.log_density, curve, x, lo, hi, seeds, cfg))
     return bands
 
 
@@ -200,6 +192,13 @@ def conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> floa
     return math.exp(lv) if lv > _NEG_INF else 0.0
 
 
+def log_tilt_identity(log_f2, log_cross, gamma: float):
+    """log G2bar(x) e^{gamma x} = log(F2bar(x) + gamma int_0^x F(x-y) F(y) dy)
+    from the logs of the two untilted terms (module docstring).  Given them
+    divided by F(x), it returns log G2bar(x) / G(x)."""
+    return np.logaddexp(log_f2, math.log(gamma) + log_cross)
+
+
 def g_conv2_identity_residual(
     d: Distribution, gamma: float, x: float, cfg: QuadConfig | None = None
 ) -> float:
@@ -214,13 +213,9 @@ def g_conv2_identity_residual(
     cfg = cfg or QuadConfig()
     g = gamma_transform(d, gamma)
     lr1 = log_conv2_tail(g, x, cfg)
-    if x == 0:
-        lf = log_conv2_tail(d, 0.0, cfg)
-        return abs(math.expm1(lf - lr1))
-    lcross = log_cross_integral(d, x / 2.0, x, x, cfg)
+    lcross = log_cross_integral(d, 0.0, x, x, cfg)
     lf2 = log_conv2_tail(d, x, cfg)
-    stacked = np.logaddexp(lf2, math.log(2.0 * gamma) + lcross)
-    lr2 = stacked - gamma * x
+    lr2 = log_tilt_identity(lf2, lcross, gamma) - gamma * x
     return abs(math.expm1(lr2 - lr1))
 
 
@@ -261,10 +256,6 @@ class BracketGrid:
         """(lower, upper) probability bounds for P(S_n > x), any x in range."""
         log_lo, log_up = self.log_at(x)
         return math.exp(log_lo), math.exp(log_up)
-
-    def width_at(self, x: float) -> float:
-        lo, up = self.at(x)
-        return up - lo
 
 
 def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):

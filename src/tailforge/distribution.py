@@ -1,10 +1,10 @@
 """Distributions on [0, infinity): a tail curve and the measure dF it defines.
 
-Stieltjes integrals against dF read the measure straight off the TailCurve:
-the absolutely continuous part is each segment's own ``log_density``, and
-the atoms are the curve's downward jumps (``atoms_from_curve``).  Atom
-masses are stored as logs; the constructions here include atoms with masses
-like 3 * 4**-900.
+Stieltjes integrals against dF read the measure off the TailCurve: its atoms
+are the curve's downward jumps (``atoms_from_curve``), the rest one piecewise
+density, ``TailCurve.log_density``, integrated by one quadrature seeded at
+every join.  Atom masses are stored as logs; some here are as small as
+3 * 4**-900.
 
 The curve and its atoms are fixed at construction; the builtins fill in
 ``label``, ``spec`` and ``truncation_note`` afterwards.  ``sample`` is a pure
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, LogDepthError, ParameterError, TruncationError
+from .errors import DivergenceError, ParameterError, TruncationError
 from .quadrature import QuadConfig, log_quad
 from .tailcurve import (
     ConstSegment,
@@ -28,6 +28,7 @@ from .tailcurve import (
     ExpPowSegment,
     PowerSegment,
     TailCurve,
+    _logsumexp_list,
     normal_form,
     simplify_power,
 )
@@ -78,8 +79,8 @@ def atoms_from_curve(curve: TailCurve) -> tuple[Atom, ...]:
 class Distribution:
     """Distribution on [0, inf): tail curve, atoms, label.
 
-    dF is read off the curve: its density is each segment's own
-    ``log_density`` and its atoms come from ``atoms_from_curve``.
+    dF is read off the curve: its density is ``TailCurve.log_density`` and
+    its atoms come from ``atoms_from_curve``.
     """
 
     def __init__(self, tail: TailCurve, label: str = "", spec: dict | None = None):
@@ -226,30 +227,14 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
                 "cannot certify the tilted moment beyond the materialized "
                 f"breakpoint {hi!r}"
             )
-    pieces: list[float] = []
-    for atom in d.atoms:
-        if atom.location <= B:
-            pieces.append(atom.log_mass + lam * atom.location)
-    for seg in d.tail.segments:
-        p_hi = min(seg.hi, B)
-        if not seg.has_density or p_hi <= seg.lo:
-            continue
-        try:
-            res = log_quad(
-                lambda y, _s=seg: _s.log_density_weighted(y, lam),
-                seg.lo,
-                p_hi,
-                cfg=cfg,
-            )
-        except LogDepthError:
-            continue  # segment is zero beyond float depth; siblings dominate
-        pieces.append(res.log_value)
-    if not pieces:
-        return 0.0
-    m = max(pieces)
-    if m == _NEG_INF:
-        return 0.0
-    return math.exp(m) * sum(math.exp(p - m) for p in pieces)
+    # One quadrature of the curve's density over [0, B], seeded at every
+    # join so that no panel straddles one; rel_tol bounds the whole
+    # integral, not each segment's share of it.
+    dens = log_quad(lambda y: d.tail.log_density(y, lam), 0.0, B, d.tail.breakpoints(), cfg)
+    lv = _logsumexp_list(
+        [a.log_mass + lam * a.location for a in d.atoms if a.location <= B] + [dens.log_value]
+    )
+    return math.exp(lv) if lv > _NEG_INF else 0.0
 
 
 def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:

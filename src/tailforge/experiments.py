@@ -26,13 +26,13 @@ from .builtins import (
     xu_breakpoints,
     xu_piecewise,
 )
-from .convolve import log_conv2_tail, log_cross_integral
+from .convolve import log_conv2_tail, log_cross_integral, log_tilt_identity
 from .distribution import Distribution, exp_moment, power_tail
 from .errors import DivergenceError, ParameterError, TailforgeError, TruncationError
 from .export import _write_csv, _write_json, export_grid, fmt_float
 from .functionals import (
     DiagSeries,
-    b2_cond,
+    _b2_profile,
     shift_probe_grid,
     exam300_lower_bound,
     geometric_grid,
@@ -162,15 +162,11 @@ def run_experiment(exp_id: str, out_dir: str | os.PathLike, config: dict | None 
     return 0 if exp.all_passed else 1
 
 
-def _K_profile(
-    fn: Callable[..., float], d: Distribution, x: float, Ks, qcfg: QuadConfig, path: Path, col: str
-) -> list[float]:
-    """``fn(d, x, K)`` for each K at one threshold x, written as the
+def _K_profile(Ks, x: float, vals: list[float], path: Path, col: str) -> None:
+    """Write the values of one K-profile at threshold x as the
     ``K,x,<col>`` table at ``path``."""
-    vals = [fn(d, x, float(K), qcfg) for K in Ks]
     rows = [[fmt_float(K), fmt_float(x), fmt_float(v)] for K, v in zip(Ks, vals)]
     _write_csv(path, ["K", "x", col], rows)
-    return vals
 
 
 def _rises(vals: list[float], level: float) -> bool:
@@ -199,10 +195,6 @@ def _lgamma_scan(
 # ------------------------------------------------------------------ prop 1.1
 
 
-def _osstar_log_ratio(d: Distribution, x: float, qcfg: QuadConfig) -> float:
-    return log_cross_integral(d, 0.0, x, x, qcfg) - d.tail.log_tail(x)
-
-
 def _os_series_of_tilt_by_identity(os_f: DiagSeries, osstar_f: DiagSeries, gamma: float) -> DiagSeries:
     """Two-fold ratio series of the tilt computed through the exact identity
     G2bar/Gbar = F2bar/Fbar + gamma * crossint/Fbar, from the untilted 'os'
@@ -211,7 +203,7 @@ def _os_series_of_tilt_by_identity(os_f: DiagSeries, osstar_f: DiagSeries, gamma
     Beyond moderate x the direct route loses the ratio to float noise of the
     huge exp(-gamma x) factors, while the identity route only ever touches
     untilted quantities."""
-    logs = np.logaddexp(os_f.log_values, math.log(gamma) + osstar_f.log_values)
+    logs = log_tilt_identity(os_f.log_values, osstar_f.log_values, gamma)
     return DiagSeries.build("os(tilt, identity route)", "x", os_f.grid, logs)
 
 
@@ -240,7 +232,7 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         if n + 1 >= len(a):
             continue
         x = a[n + 1] ** 2
-        ratio = math.exp(_osstar_log_ratio(F, x, qcfg))
+        ratio = math.exp(ratio_diagnostic(F, "osstar", [x], cfg=qcfg).log_values[0])
         ratio_rows.append([str(n), fmt_float(x), fmt_float(ratio), fmt_float(bounds.get(n, 0.0))])
         if not ratio >= bounds[n]:
             chain_ok = False
@@ -256,14 +248,12 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     # on the full grid; the two must agree where both run.
     id_rows = []
     id_ok = True
-    for x in cfg["identity_x"]:
-        lt = F.tail.log_tail(float(x))
-        direct = math.exp(log_conv2_tail(G, float(x), qcfg) - G.tail.log_tail(float(x)))
-        os_f = math.exp(log_conv2_tail(F, float(x), qcfg) - lt)
-        osstar_f = math.exp(log_cross_integral(F, 0.0, float(x), float(x), qcfg) - lt)
-        recon = os_f + cfg["gamma"] * osstar_f
+    for x in map(float, cfg["identity_x"]):
+        direct = math.exp(log_conv2_tail(G, x, qcfg) - G.tail.log_tail(x))
+        lf2, lcross = log_conv2_tail(F, x, qcfg), log_cross_integral(F, 0.0, x, x, qcfg)
+        recon = math.exp(log_tilt_identity(lf2, lcross, cfg["gamma"]) - F.tail.log_tail(x))
         rel = abs(recon / direct - 1.0)
-        id_rows.append([fmt_float(float(x)), fmt_float(direct), fmt_float(recon), fmt_float(rel)])
+        id_rows.append([fmt_float(x), fmt_float(direct), fmt_float(recon), fmt_float(rel)])
         if rel > 1e-6:
             id_ok = False
     _write_csv(out / "os_identity_check.csv", ["x", "direct", "reconstructed", "rel_err"], id_rows)
@@ -310,7 +300,8 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         f"t_ratio at the deep probes stays <= {cfg['t_gate']}",
     )
 
-    b2_vals = _K_profile(b2_cond, G, a[4] ** 2, cfg["b2_K_list"], qcfg, out / "b2_transform.csv", "b2")
+    b2_vals = _b2_profile(G, a[4] ** 2, cfg["b2_K_list"], qcfg)
+    _K_profile(cfg["b2_K_list"], a[4] ** 2, b2_vals, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-low",
         not any(v > cfg["t_gate"] for v in b2_vals),
@@ -397,7 +388,8 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("source-heavy-tailed", heavy_ok, "no positive exp moment certifiable for the source")
 
     # J evidence on the transform: small-summand profile rises with K.
-    b2_vals = _K_profile(b2_cond, G, cfg["b2_x"], cfg["b2_K_list"], qcfg, out / "b2_transform.csv", "b2")
+    b2_vals = _b2_profile(G, cfg["b2_x"], cfg["b2_K_list"], qcfg)
+    _K_profile(cfg["b2_K_list"], cfg["b2_x"], b2_vals, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-rises",
         _rises(b2_vals, cfg["gate_level"]),
@@ -443,14 +435,16 @@ def _run_prop14(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
 
     # J mechanism on the source and the transform: profiles rise toward 1.
-    t_vals = _K_profile(t_ratio, F, cfg["x_star"], cfg["K_list"], qcfg, out / "t_ratio.csv", "t_ratio")
+    t_vals = [t_ratio(F, cfg["x_star"], float(K), qcfg) for K in cfg["K_list"]]
+    _K_profile(cfg["K_list"], cfg["x_star"], t_vals, out / "t_ratio.csv", "t_ratio")
     exp.check(
         "t-ratio-rises",
         _rises(t_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in t_vals]}",
     )
 
-    b2_vals = _K_profile(b2_cond, G, cfg["x_star"], cfg["K_list"], qcfg, out / "b2_transform.csv", "b2")
+    b2_vals = _b2_profile(G, cfg["x_star"], cfg["K_list"], qcfg)
+    _K_profile(cfg["K_list"], cfg["x_star"], b2_vals, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-rises",
         _rises(b2_vals, cfg["gate_level"]),
@@ -575,7 +569,8 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     # J evidence for the tilted power family.
     x_star = 2.2 * xn
     Ks = [K for K in cfg["K_windows"] if K <= x_star / 2]
-    b2_vals = _K_profile(b2_cond, Gm, x_star, Ks, qcfg, out / "b2_transform.csv", "b2")
+    b2_vals = _b2_profile(Gm, x_star, Ks, qcfg)
+    _K_profile(Ks, x_star, b2_vals, out / "b2_transform.csv", "b2")
     exp.check(
         "b2-transform-rises",
         _rises(b2_vals, cfg["b2_gate_level"]),

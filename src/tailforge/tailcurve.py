@@ -524,6 +524,7 @@ class TailCurve:
         self._ends = np.array(
             [s.log_value_at(s.hi) if math.isfinite(s.hi) else _NEG_INF for s in segs]
         )
+        self._dense = np.array([s.has_density for s in segs])
 
     # ------------------------------------------------------------------ eval
 
@@ -544,24 +545,37 @@ class TailCurve:
                 f"x={bad!r} beyond materialized breakpoint {self.truncation_hi!r}; "
                 "refusing to extrapolate"
             )
-        x_min = xa.min() if xa.size else -1.0  # empty: the general path
+        out = self._by_segment(xa, Segment.log_value, 0.0)
+        return float(out[0]) if scalar else out
+
+    def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """log(e^{lam x} f(x)) on an array x within the support, f the density
+        of dF: each point's segment's own ``log_density_weighted``, -inf on
+        flat segments and for x < 0."""
+        return self._by_segment(
+            np.asarray(x, dtype=float), lambda seg, y: seg.log_density_weighted(y, lam), _NEG_INF
+        )
+
+    def _by_segment(self, x: np.ndarray, fn, below: float) -> np.ndarray:
+        """``fn(segment, points)`` on the points of x in each segment, and
+        ``below`` where x < 0."""
+        x_min = x.min() if x.size else -1.0  # empty: the masked path
         if x_min >= 0:
             k = int(np.searchsorted(self._los, x_min, side="right")) - 1
-            if k + 1 == len(self._los) or xa.max() < self._los[k + 1]:
+            if k + 1 == len(self._los) or x.max() < self._los[k + 1]:
                 # Every point lies in segment k: no masks needed.
-                out = self.segments[k].log_value(xa)
-                return float(out[0]) if scalar else out
-        out = np.zeros_like(xa)
-        pos = xa >= 0
+                return fn(self.segments[k], x)
+        out = np.full_like(x, below)
+        pos = x >= 0
         if np.any(pos):
-            xp = xa[pos]
+            xp = x[pos]
             idx = self._segment_index(xp)
             vals = np.empty_like(xp)
             for k in np.unique(idx):
                 mask = idx == k
-                vals[mask] = self.segments[k].log_value(xp[mask])
+                vals[mask] = fn(self.segments[k], xp[mask])
             out[pos] = vals
-        return float(out[0]) if scalar else out
+        return out
 
     def log_tail_left(self, x) -> np.ndarray | float:
         """log F(x-): the left limit, which exceeds log F(x) at an atom.
@@ -622,28 +636,30 @@ class TailCurve:
         closed = seg.inverse(lu)
         if closed is not None:
             return closed
-        # Monotone bisection in x.
-        hi = seg.hi if math.isfinite(seg.hi) else self._finite_hi_for_bisect(seg, float(np.min(lu)))
-        lo_arr = np.full_like(lu, seg.lo)
-        hi_arr = np.full_like(lu, hi)
+        # Monotone bisection in x.  Each level has its own upper end and
+        # stops on its own, so its quantile is the same in any call.
+        if math.isfinite(seg.hi):
+            hi = np.full_like(lu, seg.hi)
+        else:
+            hi = np.full_like(lu, max(seg.lo + 1.0, 1.0))
+            for _ in range(400):
+                short = seg.log_value(hi) > lu
+                if not short.any():
+                    break
+                hi[short] *= 2.0
+            else:
+                raise ParameterError("failed to bracket quantile on an infinite segment")
+        lo = np.full_like(lu, seg.lo)
+        live = np.arange(lu.size)
         for _ in range(200):
-            mid = 0.5 * (lo_arr + hi_arr)
-            vals = seg.log_value(mid)
-            too_high = vals > lu  # tail still above u: move right
-            lo_arr = np.where(too_high, mid, lo_arr)
-            hi_arr = np.where(too_high, hi_arr, mid)
-            if np.all(hi_arr - lo_arr <= 1e-12 * (1.0 + np.abs(hi_arr))):
+            mid = 0.5 * (lo[live] + hi[live])
+            too_high = seg.log_value(mid) > lu[live]  # tail still above u: move right
+            lo[live[too_high]] = mid[too_high]
+            hi[live[~too_high]] = mid[~too_high]
+            live = live[hi[live] - lo[live] > 1e-12 * (1.0 + np.abs(hi[live]))]
+            if not live.size:
                 break
-        return hi_arr
-
-    @staticmethod
-    def _finite_hi_for_bisect(seg: Segment, target: float) -> float:
-        hi = max(seg.lo + 1.0, 1.0)
-        for _ in range(400):
-            if seg.log_value_at(hi) <= target:
-                return hi
-            hi *= 2.0
-        raise ParameterError("failed to bracket quantile on an infinite segment")
+        return hi
 
     # ------------------------------------------------------------- integrals
 
@@ -652,6 +668,12 @@ class TailCurve:
         if math.isfinite(self.truncation_hi):
             pts.append(self.truncation_hi)
         return np.array(pts)
+
+    def has_density_in(self, lo: float, hi: float) -> bool:
+        """Whether a segment with a density meets (lo, hi)."""
+        first = max(int(np.searchsorted(self._los, lo, side="right")) - 1, 0)
+        stop = int(np.searchsorted(self._los, hi, side="left"))
+        return lo < hi and bool(self._dense[first:stop].any())
 
     def log_moment_range(self, k: int, a: float, b: float, cfg: QuadConfig | None = None) -> float:
         """log of integral_a^b y^k F(y) dy over [a, b] within the support."""

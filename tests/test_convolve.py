@@ -240,8 +240,8 @@ def test_bracket_log_at_keeps_bounds_that_underflow(exp1):
 
 def test_bracket_width_halves(exp1):
     w = [
-        tf.convn_tail_grid(exp1, 3, 2.01, h).width_at(2.0)
-        for h in (4e-3, 2e-3, 1e-3)
+        up - lo
+        for lo, up in (tf.convn_tail_grid(exp1, 3, 2.01, h).at(2.0) for h in (4e-3, 2e-3, 1e-3))
     ]
     assert w[1] / w[0] <= 0.6
     assert w[2] / w[1] <= 0.6

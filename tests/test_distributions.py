@@ -190,6 +190,14 @@ def test_exp_moment_refuses_nan(exp1):
         tf.exp_moment(exp1, math.inf)
 
 
+def test_exp_moment_of_a_many_segment_tilt_meets_the_default_tolerance(dyadic):
+    # One quadrature over the whole curve: rel_tol bounds the moment, so a
+    # negligible deep segment such as [2^43, 2^44] need not reach it alone.
+    g = tf.gamma_transform(dyadic, 0.5)
+    loose = tf.exp_moment(g, 0.25, tf.QuadConfig(rel_tol=1e-7))
+    assert tf.exp_moment(g, 0.25) == pytest.approx(loose, rel=1e-7)
+
+
 def test_moment_additivity(request):
     for name in ("exp1", "pareto3", "dyadic", "xu55"):
         d = request.getfixturevalue(name)

@@ -80,8 +80,8 @@ B2_PINNED = {
              (500.0, 16.0, 0.06387225548902081)],
     "pareto3": [(10.0, 1.0, 0.8045635145624203), (64.0, 4.0, 0.9890337908478377),
                 (500.0, 16.0, 0.9997626996673102)],
-    "plateau2": [(10.0, 1.0, 0.5582844321072503), (64.0, 4.0, 0.6357931715699193),
-                 (500.0, 16.0, 0.9657957497035446)],
+    "plateau2": [(10.0, 1.0, 0.55828443211156), (64.0, 4.0, 0.6357931715831654),
+                 (500.0, 16.0, 0.9657957497911019)],
 }
 
 

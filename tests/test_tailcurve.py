@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tailforge as tf
 from tailforge.errors import ParameterError, TruncationError
 from tailforge.quadrature import QuadConfig, log_quad
 from tailforge.tailcurve import (
@@ -119,6 +120,41 @@ def test_quantile_lands_on_atoms_and_segment_ends(dyadic, pareto3):
         arr = curve.quantile(levels)
         assert np.array_equal(arr, expect)
         assert [curve.quantile(float(v)) for v in levels] == list(arr)
+
+
+def test_bisected_quantile_is_the_same_in_any_batch():
+    # Tilted segments have no closed inverse: each level is bisected from
+    # its own upper end until its own interval is narrow, so a level's
+    # quantile does not depend on the other levels of the call.
+    u = np.random.default_rng(3).uniform(1e-12, 1.0, 2000)
+    for base in (tf.weibull_heavy(0.5), tf.xu_piecewise(5.5, 4096.0)):
+        curve = tf.gamma_transform(base, 0.5).tail
+        batch = curve.quantile(u)
+        assert [curve.quantile(float(v)) for v in u[:200]] == list(batch[:200])
+
+
+BUILTINS = [
+    tf.pareto(3.0),
+    tf.exponential(1.0),
+    tf.weibull_heavy(0.5),
+    tf.dyadic_pareto(),
+    tf.fkz_example(),
+    tf.plateau_example(2.0),
+    tf.xu_piecewise(5.5, 4096.0),
+]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("law", BUILTINS, ids=lambda d: d.label)
+def test_curve_density_is_each_segments_own(law, gamma):
+    curve = (tf.gamma_transform(law, gamma) if gamma else law).tail
+    segs = curve.segments
+    mids = np.array([s.lo + (0.5 * (s.hi - s.lo) if math.isfinite(s.hi) else 1.0) for s in segs])
+    inside = [k for k, (s, m) in enumerate(zip(segs, mids)) if s.lo < m < s.hi]
+    for lam in (0.0, 0.25):
+        want = [float(segs[k].log_density_weighted(mids[k : k + 1], lam)[0]) for k in inside]
+        assert list(curve.log_density(mids[inside], lam)) == want
+    assert curve.log_density(np.array([-1.0, mids[0]]))[0] == -math.inf
 
 
 def _fast_vs_masked(curve, xs, monkeypatch):
