@@ -38,14 +38,13 @@ outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import Distribution
-from .errors import GridGuardError, ParameterError, TruncationError
-from .quadrature import QuadConfig, log_quad
+from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError
+from .quadrature import QuadConfig, log_quads, unwrap
 from .tailcurve import TailCurve, _logsumexp_list
 from .transform import gamma_transform
 
@@ -82,62 +81,89 @@ def _panel_seeds(curve: TailCurve, x: float) -> np.ndarray:
 _GRADES = 2.0 ** -np.arange(1, 61)
 
 
-def _log_graded(integrand, a: float, b: float, seeds: np.ndarray, cfg: QuadConfig) -> float:
-    """log of int_a^b exp(integrand), seeded at ``seeds`` inside (a, b) and
-    at a + (b - a) 2^-k, so a peak at a gets its panels up front."""
-    graded = np.concatenate([seeds, a + (b - a) * _GRADES])
-    return log_quad(integrand, a, b, breakpoints=graded, cfg=cfg).log_value
-
-
-def _log_against_tail(
-    log_g, curve: TailCurve, x: float, lo: float, hi: float, seeds: np.ndarray, cfg: QuadConfig
-) -> float:
-    """log of int_lo^hi g(y) F(x - y) dy, in two halves.
+def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
+    """log of int_lo^hi g(y) F(x - y) dy for each job (x, lo, hi), each in
+    two halves, all in one ``log_quads`` batch.
 
     The part of [lo, hi] below x / 2 is integrated in y, and the part above
     in u = x - y, as int g(x - u) F(u) du.  So the argument that can be
     small, y of g below x / 2 and u of F above it, is exact: it is never x
     minus a nearly equal number, which at x = 4e20 rounds to a multiple of
-    2^16.  Each half is seeded at ``seeds`` (breakpoints and their mirrors)
-    and at geometric offsets w 2^-k, k = 1..60, from its small-argument end,
-    where w is the half's width: the O(1)-wide peak of F near u = 0, or of
-    a density near y = 0, gets panels in the first round instead of one
-    bisection per round.
+    2^16.  Each half is seeded at the curve's breakpoints and their mirrors
+    (``_panel_seeds``) and at geometric offsets w 2^-k, k = 1..60, from its
+    small-argument end, where w is the half's width: the O(1)-wide peak of
+    F near u = 0, or of a density near y = 0, gets panels in the first
+    round instead of one bisection per round.  The integrand reads each
+    point's x and half from its owner.  Entry i is a float, or the error of
+    job i's first failing half.
     """
-    c = 0.5 * x
-    parts = []
-    if lo < c:
-        def lower(y: np.ndarray) -> np.ndarray:
-            return log_g(y) + curve.log_tail(x - y)
+    halves = []  # (job, x, in u, a, b)
+    for i, (x, lo, hi) in enumerate(jobs):
+        c = 0.5 * x
+        if lo < c:
+            halves.append((i, x, False, lo, min(hi, c)))
+        if hi > c:
+            halves.append((i, x, True, x - hi, x - max(lo, c)))
+    x_of = np.array([h[1] for h in halves], dtype=float)
+    in_u = np.array([h[2] for h in halves], dtype=bool)
 
-        parts.append(_log_graded(lower, lo, min(hi, c), seeds, cfg))
-    if hi > c:
-        def upper(u: np.ndarray) -> np.ndarray:
-            return log_g(x - u) + curve.log_tail(u)
+    def integrand(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        x, u = x_of[owner], in_u[owner]
+        rest = x - v
+        return log_g(np.where(u, rest, v)) + curve.log_tail(np.where(u, v, rest))
 
-        parts.append(_log_graded(upper, x - hi, x - max(lo, c), seeds, cfg))
-    return _logsumexp_list(parts)
+    seeds = (
+        np.concatenate([_panel_seeds(curve, x), a + (b - a) * _GRADES]) for _, x, _, a, b in halves
+    )
+    results = log_quads(integrand, [h[3] for h in halves], [h[4] for h in halves], seeds, cfg)
+    parts: list[list] = [[] for _ in jobs]
+    for (i, *_), res in zip(halves, results):
+        parts[i].append(res if isinstance(res, TailforgeError) else res.log_value)
+    return [_first_error(p) or _logsumexp_list(p) for p in parts]
+
+
+def _first_error(entries: list):
+    return next((e for e in entries if isinstance(e, TailforgeError)), None)
+
+
+def _checked_x(d: Distribution, x: float) -> TailforgeError | None:
+    """The error of a tail quadrature at x past the curve, or None."""
+    if x != x:
+        return ParameterError("tail argument x is NaN")
+    if x > d.tail.truncation_hi:
+        return TruncationError(f"x={x!r} beyond materialized breakpoint {d.tail.truncation_hi!r}")
+    return None
+
+
+def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list:
+    """``log_cross_integral`` for each job (A, B, x), in one batch; entry i
+    is a float or the error job i raises alone."""
+    out: list = [None] * len(jobs)
+    quad, doubled = [], []
+    for i, (A, B, x) in enumerate(jobs):
+        if not (0 <= A <= B <= x):
+            out[i] = ParameterError(f"need 0 <= A <= B <= x, got A={A}, B={B}, x={x}")
+        elif x > d.tail.truncation_hi:
+            out[i] = _checked_x(d, x)
+        elif A == B:
+            out[i] = _NEG_INF
+        else:
+            # F(y) F(x - y) is symmetric about x / 2, and so are the two halves.
+            whole = A == 0.0 and B == x
+            quad.append((i, (x, 0.0, 0.5 * x) if whole else (x, A, B)))
+            doubled.append(whole)
+    curve = d.tail
+    vals = _log_against_tail(curve.log_tail, curve, [job for _, job in quad], cfg)
+    for (i, _), v, whole in zip(quad, vals, doubled):
+        out[i] = math.log(2.0) + v if whole and not isinstance(v, TailforgeError) else v
+    return out
 
 
 def log_cross_integral(
     d: Distribution, A: float, B: float, x: float, cfg: QuadConfig | None = None
 ) -> float:
     """log of integral_A^B F(x - y) F(y) dy for 0 <= A <= B <= x."""
-    cfg = cfg or QuadConfig()
-    if not (0 <= A <= B <= x):
-        raise ParameterError(f"need 0 <= A <= B <= x, got A={A}, B={B}, x={x}")
-    if x > d.tail.truncation_hi:
-        raise TruncationError(
-            f"x={x!r} beyond materialized breakpoint {d.tail.truncation_hi!r}"
-        )
-    if A == B:
-        return _NEG_INF
-    curve = d.tail
-    seeds = _panel_seeds(curve, x)
-    if A == 0.0 and B == x:
-        # F(y) F(x - y) is symmetric about x / 2, and so are the two halves.
-        return math.log(2.0) + _log_against_tail(curve.log_tail, curve, x, 0.0, 0.5 * x, seeds, cfg)
-    return _log_against_tail(curve.log_tail, curve, x, A, B, seeds, cfg)
+    return unwrap(_log_cross_integrals(d, [(A, B, x)], cfg or QuadConfig())[0])
 
 
 def cross_integral(
@@ -152,38 +178,69 @@ def cross_integral(
 # ----------------------------------------------------------- two-fold tails
 
 
-def _log_stieltjes_bands(
-    d: Distribution, x: float, cuts: list[float], cfg: QuadConfig
-) -> list[list[float]]:
-    """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``.
+def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
+    """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``,
+    for each job (x, cuts), in one batch.
 
     Band j is (cuts[j-1], cuts[j]]; the first band is [0, cuts[0]].  Each
     band lists one term per atom in it, then one for the curve's density
     if it has one there, so a single cut K gives the terms of int_{[0, K]}.
+    The atom terms of all jobs come from one ``log_tail`` call and the
+    density terms from one ``_log_against_tail`` batch.  Entry i is job i's
+    list of bands, or the error of its first failing band.
     """
     curve = d.tail
-    bands: list[list[float]] = [[] for _ in cuts]
-    for atom in d.atoms:
-        j = bisect_left(cuts, atom.location)
-        if j < len(cuts):
-            bands[j].append(atom.log_mass + curve.log_tail(x - atom.location))
-    seeds = _panel_seeds(curve, x)
-    for band, lo, hi in zip(bands, [0.0, *cuts], cuts):
-        if curve.has_density_in(lo, hi):
-            band.append(_log_against_tail(curve.log_density, curve, x, lo, hi, seeds, cfg))
-    return bands
+    out: list = [[[] for _ in cuts] for _, cuts in jobs]
+    if d.atoms and jobs:
+        locs = np.array([a.location for a in d.atoms])
+        log_masses = np.array([a.log_mass for a in d.atoms])
+        hits = []  # (job, band of each atom in it, atoms in it)
+        for i, (x, cuts) in enumerate(jobs):
+            band = np.searchsorted(cuts, locs, side="left")
+            at = np.flatnonzero(band < len(cuts))
+            hits.append((i, band[at], at))
+        args = np.concatenate([jobs[i][0] - locs[at] for i, _, at in hits])
+        terms = iter((log_masses[np.concatenate([at for *_, at in hits])] + curve.log_tail(args)).tolist())
+        for i, band, _ in hits:
+            for j in band.tolist():
+                out[i][j].append(next(terms))
+    dense = [
+        (i, j, (x, lo, hi))
+        for i, (x, cuts) in enumerate(jobs)
+        for j, (lo, hi) in enumerate(zip([0.0, *cuts], cuts))
+        if curve.has_density_in(lo, hi)
+    ]
+    vals = _log_against_tail(curve.log_density, curve, [job for *_, job in dense], cfg)
+    for (i, j, _), v in zip(dense, vals):
+        if isinstance(out[i], TailforgeError):
+            continue
+        if isinstance(v, TailforgeError):
+            out[i] = v
+        else:
+            out[i][j].append(v)
+    return out
+
+
+def _log_conv2_tails(d: Distribution, xs, cfg: QuadConfig) -> list:
+    """``log_conv2_tail`` at each x, in one batch; entry i is a float or the
+    error x[i] raises alone."""
+    out: list = [0.0] * len(xs)
+    quad = []
+    for i, x in enumerate(xs):
+        if not x < 0:
+            out[i] = _checked_x(d, x)
+            if out[i] is None:
+                quad.append(i)
+    jobs = [(xs[i], [xs[i]]) for i in quad]
+    heads = d.tail.log_tail(np.array([x for x, _ in jobs], dtype=float)).tolist()
+    for i, head, bands in zip(quad, heads, _log_stieltjes_bands(d, jobs, cfg)):
+        out[i] = bands if isinstance(bands, TailforgeError) else _logsumexp_list([head, *bands[0]])
+    return out
 
 
 def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
     """log of F2bar(x) = F(x) + int_{[0, x]} F(x - y) F(dy)."""
-    cfg = cfg or QuadConfig()
-    if x < 0:
-        return 0.0
-    if x > d.tail.truncation_hi:
-        raise TruncationError(
-            f"x={x!r} beyond materialized breakpoint {d.tail.truncation_hi!r}"
-        )
-    return _logsumexp_list([d.tail.log_tail(x), *_log_stieltjes_bands(d, x, [x], cfg)[0]])
+    return unwrap(_log_conv2_tails(d, [x], cfg or QuadConfig())[0])
 
 
 def conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:

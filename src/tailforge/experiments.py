@@ -26,7 +26,7 @@ from .builtins import (
     xu_breakpoints,
     xu_piecewise,
 )
-from .convolve import log_conv2_tail, log_cross_integral, log_tilt_identity
+from .convolve import _log_conv2_tails, _log_cross_integrals, log_tilt_identity
 from .distribution import Distribution, exp_moment, power_tail
 from .errors import DivergenceError, ParameterError, TailforgeError, TruncationError
 from .export import _write_csv, _write_json, export_grid, fmt_float
@@ -41,7 +41,7 @@ from .functionals import (
     weak_equiv_diag,
     xu_window_labels,
 )
-from .quadrature import QuadConfig
+from .quadrature import QuadConfig, unwrap
 from .transform import gamma_transform
 
 __all__ = ["EXPERIMENT_IDS", "default_config", "run_experiment"]
@@ -228,11 +228,11 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     # Cross-integral ratio at the construction's breakpoints dominates the bound.
     ratio_rows = []
     chain_ok = True
-    for n in cfg["gate_n"]:
-        if n + 1 >= len(a):
-            continue
-        x = a[n + 1] ** 2
-        ratio = math.exp(ratio_diagnostic(F, "osstar", [x], cfg=qcfg).log_values[0])
+    gate_n = [n for n in cfg["gate_n"] if n + 1 < len(a)]
+    gate_x = [a[n + 1] ** 2 for n in gate_n]
+    log_cross = _log_cross_integrals(F, [(0.0, x, x) for x in gate_x], qcfg)
+    for n, x, lv in zip(gate_n, gate_x, log_cross):
+        ratio = math.exp(unwrap(lv) - F.tail.log_tail(x))
         ratio_rows.append([str(n), fmt_float(x), fmt_float(ratio), fmt_float(bounds.get(n, 0.0))])
         if not ratio >= bounds[n]:
             chain_ok = False
@@ -248,9 +248,15 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     # on the full grid; the two must agree where both run.
     id_rows = []
     id_ok = True
-    for x in map(float, cfg["identity_x"]):
-        direct = math.exp(log_conv2_tail(G, x, qcfg) - G.tail.log_tail(x))
-        lf2, lcross = log_conv2_tail(F, x, qcfg), log_cross_integral(F, 0.0, x, x, qcfg)
+    xs = [float(x) for x in cfg["identity_x"]]
+    batches = (
+        _log_conv2_tails(G, xs, qcfg),
+        _log_conv2_tails(F, xs, qcfg),
+        _log_cross_integrals(F, [(0.0, x, x) for x in xs], qcfg),
+    )
+    for x, lg2, lf2, lcross in zip(xs, *batches):
+        direct = math.exp(unwrap(lg2) - G.tail.log_tail(x))
+        lf2, lcross = unwrap(lf2), unwrap(lcross)
         recon = math.exp(log_tilt_identity(lf2, lcross, cfg["gamma"]) - F.tail.log_tail(x))
         rel = abs(recon / direct - 1.0)
         id_rows.append([fmt_float(x), fmt_float(direct), fmt_float(recon), fmt_float(rel)])

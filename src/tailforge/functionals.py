@@ -30,9 +30,10 @@ import numpy as np
 
 from .builtins import fkz_a_sequence
 from .convolve import (
+    _log_conv2_tails,
+    _log_cross_integrals,
     _log_stieltjes_bands,
     convn_tail_grid,
-    log_conv2_tail,
     log_cross_integral,
     trunc_convn_tail_grid,
 )
@@ -45,7 +46,7 @@ from .errors import (
     ToleranceError,
     TruncationError,
 )
-from .quadrature import QuadConfig
+from .quadrature import QuadConfig, unwrap
 from .tailcurve import TailCurve, _logsumexp_list, normal_form
 
 __all__ = [
@@ -193,19 +194,39 @@ def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
 
 
 def _b2_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> list[float]:
-    """``b2_cond(d, x, K)`` for each K of the increasing list ``Ks``.
+    """``b2_cond(d, x, K)`` for each K of the increasing list ``Ks``."""
+    return unwrap(_b2_profiles(d, [(x, Ks)], cfg)[0])
+
+
+def _b2_profiles(d: Distribution, jobs, cfg: QuadConfig) -> list:
+    """``_b2_profile`` for each job (x, Ks), in one batch of numerators and
+    one of denominators; entry i is a list or the error job i raises alone.
 
     One banded Stieltjes pass over [0, max K], cut at every K, gives the
     numerators as prefix sums, so the profile is nondecreasing in K; the
     denominator is the whole two-fold tail, computed once.
     """
-    for K in Ks:
-        if not (x > 2 * K > 0):
-            raise ParameterError(f"need x > 2K > 0, got x={x}, K={K}")
-    if not all(a < b for a, b in zip(Ks, Ks[1:])):
-        raise ParameterError(f"K values must increase, got {Ks}")
-    bands = _log_stieltjes_bands(d, x, Ks, cfg)
-    log_den = log_conv2_tail(d, x, cfg)
+    out: list = [None] * len(jobs)
+    ok = []
+    for i, (x, Ks) in enumerate(jobs):
+        bad = next((K for K in Ks if not (x > 2 * K > 0)), None)
+        if bad is not None:
+            out[i] = ParameterError(f"need x > 2K > 0, got x={x}, K={bad}")
+        elif not all(a < b for a, b in zip(Ks, Ks[1:])):
+            out[i] = ParameterError(f"K values must increase, got {Ks}")
+        else:
+            ok.append(i)
+    bands = _log_stieltjes_bands(d, [jobs[i] for i in ok], cfg)
+    dens = _log_conv2_tails(d, [jobs[i][0] for i in ok], cfg)
+    for i, job_bands, log_den in zip(ok, bands, dens):
+        try:
+            out[i] = _prefix_ratios(*jobs[i], unwrap(job_bands), unwrap(log_den), cfg)
+        except TailforgeError as err:
+            out[i] = err
+    return out
+
+
+def _prefix_ratios(x: float, Ks: list[float], bands, log_den: float, cfg: QuadConfig) -> list[float]:
     out: list[float] = []
     terms: list[float] = []
     log_prefix = _NEG_INF
@@ -379,7 +400,6 @@ def ratio_diagnostic(
         if windows is not None:
             windows = tuple(w for w, k in zip(windows, keep) if k)
         xs = xs[keep]
-    logs = np.empty(len(xs))
     if kind == "ol":
         lt = np.atleast_1d(curve.log_tail(xs))
         lt_sh = np.atleast_1d(curve.log_tail(xs - t))
@@ -393,11 +413,11 @@ def ratio_diagnostic(
         lt_sh = np.atleast_1d(curve.log_tail(xs + t))
         logs = gamma * t + lt_sh - lt
     elif kind == "os":
-        for i, x in enumerate(xs):
-            logs[i] = log_conv2_tail(d, float(x), cfg) - curve.log_tail(float(x))
+        entries = _log_conv2_tails(d, xs.tolist(), cfg)
+        logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
     elif kind == "osstar":
-        for i, x in enumerate(xs):
-            logs[i] = log_cross_integral(d, 0.0, float(x), float(x), cfg) - curve.log_tail(float(x))
+        entries = _log_cross_integrals(d, [(0.0, x, x) for x in xs.tolist()], cfg)
+        logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
     else:
         raise ParameterError(f"unknown ratio kind {kind!r}")
     return DiagSeries.build(kind, "x", xs, logs, trend_cfg, windows)
@@ -816,13 +836,11 @@ def _classify_j(
     for K, grid in grids:
         for x in grid:
             Ks_at.setdefault(x, set()).add(K)
+    jobs = [(x, sorted(K_set)) for x, K_set in Ks_at.items()]
     b2: dict[tuple[float, float], float] = {}
-    for x, K_set in Ks_at.items():
-        Ks = sorted(K_set)
-        try:
-            b2.update(((x, K), v) for K, v in zip(Ks, _b2_profile(d, x, Ks, qcfg)))
-        except TailforgeError:
-            continue
+    for (x, Ks), prof in zip(jobs, _b2_profiles(d, jobs, qcfg)):
+        if not isinstance(prof, TailforgeError):
+            b2.update(((x, K), v) for K, v in zip(Ks, prof))
     for K, grid in grids:
         kept_x = [x for x in grid if (x, K) in b2]
         vals = [b2[x, K] for x in kept_x]

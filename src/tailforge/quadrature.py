@@ -6,12 +6,17 @@ deep piecewise constructions), so panel contributions are represented as
 logarithms and combined with log-sum-exp.  A (G7, K15) rule is applied per
 panel, and refinement runs in rounds.  Each round bisects every panel whose
 log error exceeds log(total * rel_tol / n_panels), its even share of the
-target, and always the worst panel while the total error misses the target;
-all new halves are evaluated in one call of the integrand.  The panels live
-in one list in the order they were made: bisected panels leave it and their
-halves go to its end.  ``max_subdivisions`` counts bisections; a round that
-would overrun it bisects the worst panels first, the earliest of equal
-errors first.
+target, and always the worst panel while the total error misses the target.
+The panels live in one list in the order they were made: bisected panels
+leave it and their halves go to its end.  ``max_subdivisions`` counts
+bisections; a round that would overrun it bisects the worst panels first,
+the earliest of equal errors first.
+
+``log_quads`` refines a batch of integrals together, and a round spans
+every live integral of the batch: the new halves of all of them are
+evaluated together, up to ``_MAX_PANELS`` panels per call of the
+integrand, which is told each point's integral.  Each integral keeps its own panel list, budget and errors, so it
+gets the same bits as alone; ``log_quad`` is the batch of one.
 
 The K15 and G7 sums of a panel are row sums over its 15 nodes, not a matrix
 product against the weights: a product's blocking makes a row's last bits
@@ -28,13 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import LogDepthError, ParameterError, ToleranceError
+from .errors import LogDepthError, ParameterError, TailforgeError, ToleranceError
 
-__all__ = ["QuadConfig", "LogQuadResult", "log_quad", "logsubexp"]
+__all__ = ["QuadConfig", "LogQuadResult", "log_quad", "log_quads", "logsubexp"]
 
 # 15-point Kronrod nodes on [-1, 1] (positive half; rule is symmetric) with
 # the embedded 7-point Gauss rule on the odd-indexed nodes.  Standard
@@ -151,6 +156,161 @@ def _gk15(log_f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.nd
     return vals, errs
 
 
+# Memory caps of log_quads: how many integrals refine at once, and how many
+# panels go into one call of the integrand.  Both bound the working set, not
+# the results: a panel's bits do not depend on its call (see _gk15).
+_MAX_LIVE = 32
+_MAX_PANELS = 512
+
+
+class _Refinement:
+    """One integral's adaptive refinement: its panel list, split rule,
+    subdivision budget and depth guard.
+
+    ``new_los``/``new_his`` are the panels awaiting evaluation; ``absorb``
+    takes their (G7, K15) results and advances to the next request or to
+    ``outcome``, a LogQuadResult or the error the integral raises.
+    """
+
+    def __init__(self, a: float, b: float, breakpoints, cfg: QuadConfig):
+        if not -math.inf < a <= b < math.inf:  # NaN fails this too
+            raise ParameterError(f"integration bounds must be finite and ordered, got [{a}, {b}]")
+        self.a, self.b, self.cfg = a, b, cfg
+        self.outcome: LogQuadResult | ToleranceError | None = None
+        if b == a:
+            self.outcome = LogQuadResult(_NEG_INF, 0.0, 0)
+            return
+        bps = np.asarray(breakpoints if isinstance(breakpoints, np.ndarray) else list(breakpoints), dtype=float)
+        inner = bps[(bps > a) & (bps < b)]
+        pts = np.unique(np.concatenate([[a, b], inner])) if inner.size else np.array([a, b], dtype=float)
+        # Panels in the order they were made: bounds, log values, log errors.
+        self.los = self.his = self.vals = self.errs = np.empty(0)
+        self.keep = np.empty(0, dtype=bool)
+        self.new_los, self.new_his = pts[:-1], pts[1:]
+        self.splits = 0
+
+    def absorb(self, new_vals: np.ndarray, new_errs: np.ndarray) -> None:
+        # Bisected panels leave the list and their halves go to its end.
+        keep = self.keep
+        self.los = np.concatenate([self.los[keep], self.new_los])
+        self.his = np.concatenate([self.his[keep], self.new_his])
+        self.vals = np.concatenate([self.vals[keep], new_vals])
+        self.errs = np.concatenate([self.errs[keep], new_errs])
+        self.splits += len(keep) - int(keep.sum())
+        self._advance()
+
+    def _advance(self) -> None:
+        los, his, errs, cfg = self.los, self.his, self.errs, self.cfg
+        log_tol = math.log(cfg.rel_tol)
+        while True:
+            total = _logsumexp(self.vals)
+            toterr = _logsumexp(errs)
+            if math.isfinite(total) and abs(total) > 4.5e15:
+                # The ulp of the log exceeds any log-domain correction: a value
+                # this deep has no representable relative structure in binary64.
+                self.outcome = LogDepthError(
+                    f"integral magnitude exp({total:.3e}) is beyond log-domain float "
+                    "resolution; no relative accuracy is attainable at this depth",
+                    achieved_rel_error=math.inf,
+                )
+                return
+            if toterr == _NEG_INF:
+                self.outcome = LogQuadResult(total, 0.0, len(los))
+                return
+            if total > _NEG_INF and toterr - total <= log_tol:
+                self.outcome = LogQuadResult(total, math.exp(toterr - total), len(los))
+                return
+            # This round splits every panel over its even share of the target
+            # error, and always the worst one (argmax takes the earliest).
+            split = errs > total + log_tol - math.log(len(los))
+            split[int(np.argmax(errs))] = True
+            mids = 0.5 * (los + his)
+            narrow = split & ((mids <= los) | (mids >= his))
+            if narrow.any():
+                # Panels narrower than float resolution: accept their estimates.
+                errs[narrow] = _NEG_INF
+                split &= ~narrow
+                if not split.any():
+                    continue
+            if self.splits >= cfg.max_subdivisions:
+                achieved = math.inf if total == _NEG_INF else math.exp(toterr - total)
+                self.outcome = ToleranceError(
+                    f"quadrature on [{self.a}, {self.b}] achieved relative error {achieved:.3e} "
+                    f"> requested {cfg.rel_tol:.3e} after {self.splits} subdivisions",
+                    achieved_rel_error=achieved,
+                )
+                return
+            idx = np.flatnonzero(split)
+            room = cfg.max_subdivisions - self.splits
+            if len(idx) > room:
+                # Worst first, the earliest of equal errors first.
+                idx = np.sort(idx[np.argsort(-errs[idx], kind="stable")[:room]])
+            # Halves of each split panel, lower then upper, in split order.
+            self.new_los = np.stack([los[idx], mids[idx]], axis=1).ravel()
+            self.new_his = np.stack([mids[idx], his[idx]], axis=1).ravel()
+            self.keep = np.ones(len(los), dtype=bool)
+            self.keep[idx] = False
+            return
+
+
+def log_quads(
+    log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
+    breakpoints: Iterable[Iterable[float]],
+    cfg: QuadConfig | None = None,
+) -> list[LogQuadResult | TailforgeError]:
+    """``log_quad`` on the integrals i = 0, 1, ... of [a[i], b[i]] together.
+
+    ``log_f(y, owner)`` returns log-integrand values at the abscissae y,
+    where ``owner[j]`` is the index of the integral that y[j] belongs to.
+    ``breakpoints`` gives each integral's forced panel boundaries; it is
+    read one entry at a time as integrals start, so it may be a generator.
+
+    Each round evaluates the pending panels of every live integral with one
+    call of ``log_f`` (at most ``_MAX_PANELS`` panels per call).  Every
+    integral refines on its own, exactly as alone, so entry i of the result
+    is the LogQuadResult ``log_quad`` returns for it, or the error it raises
+    there (ParameterError, ToleranceError or LogDepthError); a failing
+    integral does not stop the others.
+    """
+    cfg = cfg or QuadConfig()
+    results: list[LogQuadResult | TailforgeError | None] = [None] * len(a)
+    waiting = enumerate(zip(a, b, breakpoints))
+    live: dict[int, _Refinement] = {}
+    while True:
+        for i, (lo, hi, bps) in waiting:
+            try:
+                q = _Refinement(lo, hi, bps, cfg)
+            except ParameterError as err:
+                results[i] = err
+                continue
+            if q.outcome is not None:
+                results[i] = q.outcome
+                continue
+            live[i] = q
+            if len(live) == _MAX_LIVE:
+                break
+        if not live:
+            return results  # type: ignore[return-value]
+        owners = np.concatenate([np.full(len(q.new_los), i) for i, q in live.items()])
+        los = np.concatenate([q.new_los for q in live.values()])
+        his = np.concatenate([q.new_his for q in live.values()])
+        vals, errs = np.empty(len(los)), np.empty(len(los))
+        for s in range(0, len(los), _MAX_PANELS):
+            part = slice(s, s + _MAX_PANELS)
+            owner = np.repeat(owners[part], len(_XGK))
+            vals[part], errs[part] = _gk15(lambda y: log_f(y, owner), los[part], his[part])
+        start = 0
+        for i, q in list(live.items()):
+            stop = start + len(q.new_los)
+            q.absorb(vals[start:stop], errs[start:stop])
+            start = stop
+            if q.outcome is not None:
+                results[i] = q.outcome
+                del live[i]
+
+
 def log_quad(
     log_f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -168,70 +328,14 @@ def log_quad(
     when the requested relative tolerance cannot be certified within the
     subdivision budget.
     """
-    cfg = cfg or QuadConfig()
-    if not -math.inf < a <= b < math.inf:  # NaN fails this too
-        raise ParameterError(f"integration bounds must be finite and ordered, got [{a}, {b}]")
-    if b == a:
-        return LogQuadResult(_NEG_INF, 0.0, 0)
+    return unwrap(log_quads(lambda y, owner: log_f(y), [a], [b], [breakpoints], cfg)[0])
 
-    bps = np.asarray(breakpoints if isinstance(breakpoints, np.ndarray) else list(breakpoints), dtype=float)
-    inner = bps[(bps > a) & (bps < b)]
-    pts = np.unique(np.concatenate([[a, b], inner])) if inner.size else np.array([a, b], dtype=float)
-    # Panels in the order they were made: bounds, log values, log errors.
-    los, his = pts[:-1], pts[1:]
-    vals, errs = _gk15(log_f, los, his)
-    log_tol = math.log(cfg.rel_tol)
-    splits = 0
-    while True:
-        total = _logsumexp(vals)
-        toterr = _logsumexp(errs)
-        if math.isfinite(total) and abs(total) > 4.5e15:
-            # The ulp of the log exceeds any log-domain correction: a value
-            # this deep has no representable relative structure in binary64.
-            raise LogDepthError(
-                f"integral magnitude exp({total:.3e}) is beyond log-domain float "
-                "resolution; no relative accuracy is attainable at this depth",
-                achieved_rel_error=math.inf,
-            )
-        if toterr == _NEG_INF:
-            return LogQuadResult(total, 0.0, len(los))
-        if total > _NEG_INF and toterr - total <= log_tol:
-            return LogQuadResult(total, math.exp(toterr - total), len(los))
-        # This round splits every panel over its even share of the target
-        # error, and always the worst one (argmax takes the earliest).
-        split = errs > total + log_tol - math.log(len(los))
-        split[int(np.argmax(errs))] = True
-        mids = 0.5 * (los + his)
-        narrow = split & ((mids <= los) | (mids >= his))
-        if narrow.any():
-            # Panels narrower than float resolution: accept their estimates.
-            errs[narrow] = _NEG_INF
-            split &= ~narrow
-            if not split.any():
-                continue
-        if splits >= cfg.max_subdivisions:
-            achieved = math.inf if total == _NEG_INF else math.exp(toterr - total)
-            raise ToleranceError(
-                f"quadrature on [{a}, {b}] achieved relative error {achieved:.3e} "
-                f"> requested {cfg.rel_tol:.3e} after {splits} subdivisions",
-                achieved_rel_error=achieved,
-            )
-        idx = np.flatnonzero(split)
-        room = cfg.max_subdivisions - splits
-        if len(idx) > room:
-            # Worst first, the earliest of equal errors first.
-            idx = np.sort(idx[np.argsort(-errs[idx], kind="stable")[:room]])
-        # Halves of each split panel, lower then upper, in split order.
-        new_los = np.stack([los[idx], mids[idx]], axis=1).ravel()
-        new_his = np.stack([mids[idx], his[idx]], axis=1).ravel()
-        new_vals, new_errs = _gk15(log_f, new_los, new_his)
-        keep = np.ones(len(los), dtype=bool)
-        keep[idx] = False
-        los = np.concatenate([los[keep], new_los])
-        his = np.concatenate([his[keep], new_his])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        splits += len(idx)
+
+def unwrap(entry):
+    """The value of one entry of a batched result, or raise its error."""
+    if isinstance(entry, TailforgeError):
+        raise entry
+    return entry
 
 
 def _logsumexp(values: np.ndarray) -> float:

@@ -525,6 +525,9 @@ class TailCurve:
             [s.log_value_at(s.hi) if math.isfinite(s.hi) else _NEG_INF for s in segs]
         )
         self._dense = np.array([s.has_density for s in segs])
+        finite_hi = [self.truncation_hi] if math.isfinite(self.truncation_hi) else []
+        self._breakpoints = np.append(self._los, finite_hi)
+        self._breakpoints.flags.writeable = False
 
     # ------------------------------------------------------------------ eval
 
@@ -559,22 +562,17 @@ class TailCurve:
     def _by_segment(self, x: np.ndarray, fn, below: float) -> np.ndarray:
         """``fn(segment, points)`` on the points of x in each segment, and
         ``below`` where x < 0."""
-        x_min = x.min() if x.size else -1.0  # empty: the masked path
+        x_min = x.min() if x.size else -1.0  # empty: the grouped path
         if x_min >= 0:
             k = int(np.searchsorted(self._los, x_min, side="right")) - 1
             if k + 1 == len(self._los) or x.max() < self._los[k + 1]:
-                # Every point lies in segment k: no masks needed.
+                # Every point lies in segment k: no grouping needed.
                 return fn(self.segments[k], x)
         out = np.full_like(x, below)
-        pos = x >= 0
-        if np.any(pos):
-            xp = x[pos]
-            idx = self._segment_index(xp)
-            vals = np.empty_like(xp)
-            for k in np.unique(idx):
-                mask = idx == k
-                vals[mask] = fn(self.segments[k], xp[mask])
-            out[pos] = vals
+        pos = np.flatnonzero(x >= 0)
+        for k, at in _groups(self._segment_index(x[pos])):
+            sel = pos[at]
+            out[sel] = fn(self.segments[k], x[sel])
         return out
 
     def log_tail_left(self, x) -> np.ndarray | float:
@@ -590,9 +588,10 @@ class TailCurve:
         j = np.searchsorted(self._los, xa, side="left")
         join = (j > 0) & (j < len(self._los))
         join[join] = self._los[j[join]] == xa[join]
-        for k in np.unique(j[join]):
-            mask = join & (j == k)
-            out[mask] = self.segments[k - 1].log_value(xa[mask])
+        joins = np.flatnonzero(join)
+        for k, at in _groups(j[joins]):
+            sel = joins[at]
+            out[sel] = self.segments[k - 1].log_value(xa[sel])
         return float(out[0]) if scalar else out
 
     # -------------------------------------------------------------- quantile
@@ -624,11 +623,11 @@ class TailCurve:
         # above keeps k in range): the level lands on its start (an atom or
         # a flat) or inside it.
         k = np.searchsorted(-self._ends, -lu, side="left")
-        inside = self._starts[k] > lu
+        inside = np.flatnonzero(self._starts[k] > lu)
         out = self._los[k]
-        for j in np.unique(k[inside]):
-            mask = inside & (k == j)
-            out[mask] = self._invert_in_segment(int(j), lu[mask])
+        for j, at in _groups(k[inside]):
+            sel = inside[at]
+            out[sel] = self._invert_in_segment(j, lu[sel])
         return float(out[0]) if scalar else out
 
     def _invert_in_segment(self, k: int, lu: np.ndarray) -> np.ndarray:
@@ -664,10 +663,8 @@ class TailCurve:
     # ------------------------------------------------------------- integrals
 
     def breakpoints(self) -> np.ndarray:
-        pts = [s.lo for s in self.segments]
-        if math.isfinite(self.truncation_hi):
-            pts.append(self.truncation_hi)
-        return np.array(pts)
+        """The segment starts and a finite truncation point, read-only."""
+        return self._breakpoints
 
     def has_density_in(self, lo: float, hi: float) -> bool:
         """Whether a segment with a density meets (lo, hi)."""
@@ -715,6 +712,17 @@ class TailCurve:
             return vals
 
         return log_quad(integrand, a, b, cfg=cfg).log_value
+
+
+def _groups(keys: np.ndarray):
+    """(key, positions) for each distinct key of a nonnegative integer
+    array, keys in increasing order and each key's positions in increasing
+    order: one stable argsort and contiguous slices of it."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    for s, e in zip(starts, [*starts[1:], len(keys)]):
+        yield int(ordered[s]), order[s:e]
 
 
 def _logsumexp_list(values: list[float]) -> float:

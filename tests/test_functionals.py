@@ -7,8 +7,22 @@ import pytest
 
 import tailforge as tf
 from tailforge import functionals
-from tailforge.errors import InconclusiveBracketError, ParameterError, ToleranceError, TruncationError
-from tailforge.functionals import _b2_profile, classify_trend, shift_probe_grid, xu_window_labels
+from tailforge.errors import (
+    InconclusiveBracketError,
+    ParameterError,
+    TailforgeError,
+    ToleranceError,
+    TruncationError,
+)
+from tailforge.functionals import (
+    ClassifyConfig,
+    _b2_profile,
+    _classify_j,
+    classify_trend,
+    geometric_grid,
+    shift_probe_grid,
+    xu_window_labels,
+)
 
 
 # ------------------------------------------------------------------- t_ratio
@@ -115,8 +129,8 @@ def test_ratio_past_one_clamps_only_within_tolerance(monkeypatch, pareto3):
     real = functionals._log_stieltjes_bands
 
     def shifted(shift):
-        def bands(d, x, cuts, cfg):
-            return [[t + shift for t in band] for band in real(d, x, cuts, cfg)]
+        def bands(d, jobs, cfg):
+            return [[[t + shift for t in band] for band in job] for job in real(d, jobs, cfg)]
 
         return bands
 
@@ -249,6 +263,51 @@ def test_osstar_series_pareto(pareto3):
     s = tf.ratio_diagnostic(pareto3, "osstar", xs)
     assert s.trend == "converging"
     assert s.limit == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_two_fold_series_equal_per_x_calls(tilted, plateau2, dyadic):
+    # One batch per series gives each x the bits of its own call.
+    d = tf.gamma_transform(dyadic, 0.5) if tilted else plateau2
+    cfg = tf.QuadConfig(rel_tol=1e-7)
+    xs = geometric_grid(d, 4.0, 1e6, 28)
+    os_ = tf.ratio_diagnostic(d, "os", xs, cfg=cfg)
+    osstar = tf.ratio_diagnostic(d, "osstar", xs, cfg=cfg)
+    for i, x in enumerate(map(float, os_.grid)):
+        lt = d.tail.log_tail(x)
+        assert os_.log_values[i] == tf.log_conv2_tail(d, x, cfg) - lt
+        assert osstar.log_values[i] == tf.log_cross_integral(d, 0.0, x, x, cfg) - lt
+
+
+def test_j_profile_drops_only_failing_x(plateau2):
+    # Four subdivisions fail some (x, K) thresholds of plateau(2) and not
+    # others; the batch keeps what a per-x loop over _b2_profile keeps.
+    cfg, qcfg = ClassifyConfig(), tf.QuadConfig(rel_tol=1e-7, max_subdivisions=4)
+    entry = _classify_j(plateau2, cfg, qcfg, os_against=False)
+    got = {s.kind: (s.grid.tolist(), s.log_values.tolist()) for s in entry.evidence}
+    Ks_at: dict[float, list[float]] = {}
+    for K in cfg.resolve_K(plateau2):
+        lo, hi = max(cfg.j_x_lo, 3.0 * K), min(cfg.x_hi, plateau2.tail.truncation_hi)
+        if hi > 2 * lo:
+            for x in geometric_grid(plateau2, lo, hi, cfg.j_n_grid).tolist():
+                Ks_at.setdefault(x, []).append(K)
+    kept: dict[str, dict[float, float]] = {}
+    failed = 0
+    for x, Ks in Ks_at.items():
+        try:
+            vals = _b2_profile(plateau2, x, sorted(Ks), qcfg)
+        except TailforgeError:
+            failed += 1
+            continue
+        for K, v in zip(sorted(Ks), vals):
+            kept.setdefault(f"b2(K={K:g})", {})[x] = v
+    assert 0 < failed < len(Ks_at)
+    want = {
+        k: (sorted(at), np.log(np.maximum([at[x] for x in sorted(at)], 1e-300)).tolist())
+        for k, at in kept.items()
+        if len(at) >= 3
+    }
+    assert got == want
 
 
 def test_lgamma_exponential_exact(exp1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tailforge.errors import LogDepthError, ParameterError, ToleranceError
-from tailforge.quadrature import QuadConfig, _gk15, log_quad, logsubexp
+from tailforge.quadrature import _MAX_LIVE, _MAX_PANELS, QuadConfig, _gk15, log_quad, log_quads, logsubexp
 
 
 def test_exponential_integral():
@@ -118,6 +118,72 @@ def test_one_integrand_call_per_round():
     assert len(calls) < res.n_panels / 10
     exact = 20.0 + (1.0 - math.cos(500.0)) / 50.0
     assert math.exp(res.log_value) == pytest.approx(exact, rel=1e-11)
+
+
+def _alone(log_f, a, b, bps, cfg):
+    try:
+        return log_quad(log_f, a, b, bps, cfg)
+    except (ParameterError, ToleranceError) as err:
+        return err
+
+
+def _same(batched, alone):
+    # Equal bits for a result; the same class, message and estimate for an error.
+    if isinstance(alone, Exception):
+        assert type(batched) is type(alone) and str(batched) == str(alone)
+        assert getattr(batched, "achieved_rel_error", None) == getattr(alone, "achieved_rel_error", None)
+    else:
+        assert (batched.log_value, batched.rel_error, batched.n_panels) == (
+            alone.log_value, alone.rel_error, alone.n_panels)
+
+
+def test_batch_equals_separate_calls():
+    # A converging integral, a zero-width one, a needle that one subdivision
+    # cannot certify, one beyond log-domain resolution and bad bounds: each
+    # entry is what the integral gives or raises alone, and a failing one
+    # does not stop the others.
+    fs = [
+        lambda y: -y,
+        lambda y: -y,
+        lambda y: -1e6 * (y - 0.333333) ** 2,
+        lambda y: np.full_like(y, -8e15),
+        lambda y: -y,
+    ]
+    a, b = [0.0, 2.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0, 1.0, 0.0]
+    bps = [[0.5], [], [], [], []]
+    cfg = QuadConfig(rel_tol=1e-12, max_subdivisions=1)
+
+    def log_f(y, owner):
+        out = np.empty_like(y)
+        for i, f in enumerate(fs):
+            out[owner == i] = f(y[owner == i])
+        return out
+
+    batched = log_quads(log_f, a, b, iter(bps), cfg)
+    kinds = [type(r) for r in batched]
+    assert kinds[2] is ToleranceError and kinds[3] is LogDepthError and kinds[4] is ParameterError
+    for i, f in enumerate(fs):
+        _same(batched[i], _alone(f, a[i], b[i], bps[i], cfg))
+
+
+def test_batch_beyond_the_memory_caps_equals_separate_calls():
+    # More integrals than may refine at once, and first rounds of more
+    # panels than one integrand call takes.
+    n = _MAX_LIVE + 9
+    scales = np.linspace(5.0, 60.0, n)
+    a, b = np.zeros(n), np.linspace(3.0, 10.0, n)
+    bps = [np.linspace(0.0, hi, 2 * _MAX_PANELS // n + 3) for hi in b]
+    calls = []
+
+    def log_f(y, owner):
+        calls.append(len(y))
+        return np.log(2.0 + np.sin(scales[owner] * y))
+
+    cfg = QuadConfig(rel_tol=1e-11)
+    batched = log_quads(log_f, a, b, bps, cfg)
+    assert max(calls) <= 15 * _MAX_PANELS
+    for i in range(n):
+        _same(batched[i], _alone(lambda y, s=scales[i]: np.log(2.0 + np.sin(s * y)), a[i], b[i], bps[i], cfg))
 
 
 def test_log_depth_guard():
