@@ -127,7 +127,8 @@ def _first_error(entries: list):
 
 
 def _checked_x(d: Distribution, x: float) -> TailforgeError | None:
-    """The error of a tail quadrature at x past the curve, or None."""
+    """The error a tail quadrature at x raises before it integrates (x is
+    NaN or past the curve), or None."""
     if x != x:
         return ParameterError("tail argument x is NaN")
     if x > d.tail.truncation_hi:
@@ -143,8 +144,8 @@ def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list:
     for i, (A, B, x) in enumerate(jobs):
         if not (0 <= A <= B <= x):
             out[i] = ParameterError(f"need 0 <= A <= B <= x, got A={A}, B={B}, x={x}")
-        elif x > d.tail.truncation_hi:
-            out[i] = _checked_x(d, x)
+        elif (bad := _checked_x(d, x)) is not None:
+            out[i] = bad
         elif A == B:
             out[i] = _NEG_INF
         else:
@@ -200,7 +201,8 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
             at = np.flatnonzero(band < len(cuts))
             hits.append((i, band[at], at))
         args = np.concatenate([jobs[i][0] - locs[at] for i, _, at in hits])
-        terms = iter((log_masses[np.concatenate([at for *_, at in hits])] + curve.log_tail(args)).tolist())
+        masses = log_masses[np.concatenate([at for *_, at in hits])]
+        terms = iter((masses + curve.log_tail(args)).tolist())
         for i, band, _ in hits:
             for j in band.tolist():
                 out[i][j].append(next(terms))
@@ -224,13 +226,15 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
 def _log_conv2_tails(d: Distribution, xs, cfg: QuadConfig) -> list:
     """``log_conv2_tail`` at each x, in one batch; entry i is a float or the
     error x[i] raises alone."""
-    out: list = [0.0] * len(xs)
+    out: list = [0.0] * len(xs)  # log F2bar(x) = 0 for x < 0
     quad = []
     for i, x in enumerate(xs):
-        if not x < 0:
-            out[i] = _checked_x(d, x)
-            if out[i] is None:
-                quad.append(i)
+        if x < 0:
+            continue
+        if (bad := _checked_x(d, x)) is not None:
+            out[i] = bad
+        else:
+            quad.append(i)
     jobs = [(xs[i], [xs[i]]) for i in quad]
     heads = d.tail.log_tail(np.array([x for x, _ in jobs], dtype=float)).tolist()
     for i, head, bands in zip(quad, heads, _log_stieltjes_bands(d, jobs, cfg)):
