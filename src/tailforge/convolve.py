@@ -33,6 +33,19 @@ relative error of each cell and of the overflow, n - 1 folds about
 (n - 1)(2M + 4) u, and the final suffix sums (and, with one chain, the
 total mass) another (M + 2) u: at most n (M + 2) eps in all, which the
 outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
+
+Node readings.  A bracket read at one point x (``jump_cond``) needs the
+tails at two nodes only, and a tail at node k sums cells k + 1..M.  So the
+first n - 2 folds run in full, and the last one forms only the cells from
+the lowest node the reading needs: that node, or n nodes lower with one
+chain.  Each such cell is formed from the same partial dots, in the same
+block order, as in the full fold, and the suffix sums run down from cell M
+alike, so every tail read keeps its bits, and the margin and containment
+argument above holds unchanged.  The tails are nonincreasing node by node
+in floating point too, so the running minimum of the upper bounds, taken
+from the read node on, is the whole grid's when that node's upper tail is
+above the underflow floor (or its bound is already -inf); otherwise the
+reading falls back to the full last fold.
 """
 
 from __future__ import annotations
@@ -391,19 +404,45 @@ def _suffix_sums(p: np.ndarray) -> np.ndarray:
     return np.cumsum(p[::-1])[::-1]
 
 
-def _convolve_defective(p1, o1, p2, o2, M):
-    """Cells 0..M of the convolution of two defective PMFs on cells 0..M,
-    plus its overflow: all mass beyond cell M, where o1 and o2 are the
-    factors' own masses beyond it.  Only nonnegative terms are summed."""
-    grid = np.zeros(M + 1)
+def _outputs_from(a, v, lo):
+    """np.convolve(a, v)[lo : len(v)] for len(a) <= len(v), each output the
+    dot that np.convolve forms it by.
+
+    np.convolve correlates its longer factor with the shorter one reversed,
+    m terms long: output i < m - 1 is numpy's dot over the overlap of i + 1
+    terms, and every later output its 'valid' loop, a dot of m terms (or,
+    for m at most a few terms, its unrolled loop).  From lo > 0 on, the
+    same dots are taken over the same slices in the same order, so each
+    output keeps its bits.
+    """
+    keep = len(v)
+    if lo == 0:
+        return np.convolve(a, v)[:keep]
+    long, short = (v, a) if len(a) < keep else (a, v)
+    m = len(short)
+    rev = short[::-1].copy()
+    out = np.empty(keep - lo)
+    for i in range(lo, m - 1):
+        out[i - lo] = np.dot(long[: i + 1], rev[m - 1 - i :])
+    s = max(lo, m - 1)
+    out[s - lo :] = np.convolve(long[s - m + 1 :], short, mode="valid")
+    return out
+
+
+def _convolve_defective(p1, o1, p2, o2, M, first=0):
+    """Cells first..M of the convolution of two defective PMFs on cells
+    0..M, plus its overflow: all mass beyond cell M, where o1 and o2 are
+    the factors' own masses beyond it.  Only nonnegative terms are summed,
+    and each cell gets the same bits whatever ``first`` is."""
+    cells = np.zeros(M + 1 - first)
     for b in range(0, M + 1, _BLOCK):
-        keep = M + 1 - b
-        grid[b:] += np.convolve(p1[b : b + _BLOCK], p2[:keep])[:keep]
+        lo = max(first - b, 0)
+        cells[b + lo - first :] += _outputs_from(p1[b : b + _BLOCK], p2[: M + 1 - b], lo)
     # Products p1[i] p2[j] with i + j > M: p1[i] times the mass of p2 on
     # cells M - i + 1 .. M.
     spill = float(np.dot(p1[1:], _suffix_sums(p2)[M:0:-1]))
     overflow = spill + o1 * float(p2.sum()) + o2 * (float(p1.sum()) + o1)
-    return grid, overflow
+    return cells, overflow
 
 
 def _tails_from_pmf(pmf: np.ndarray, overflow: float) -> np.ndarray:
@@ -421,7 +460,13 @@ def _fold(pmf: np.ndarray, overflow: float, n: int, M: int):
     return acc, ov
 
 
-def _bracket(d: Distribution, n: int, x_max: float, h: float, cap: float) -> BracketGrid:
+def _bracket(
+    d: Distribution, n: int, x_max: float, h: float, cap: float, at: float | None = None
+) -> BracketGrid:
+    """The bracket on nodes j*h, j = 0..M; given ``at``, the same bracket
+    on the nodes from the lowest one that ``log_at(at)`` reads, with the
+    same bits there.  The last fold then forms only the cells from that
+    node on (from n nodes lower with one chain)."""
     if not (n >= 2 and n % 1 == 0):
         raise ParameterError(f"fold count must be an integer >= 2, got {n}")
     if n > MAX_FOLDS:
@@ -432,43 +477,67 @@ def _bracket(d: Distribution, n: int, x_max: float, h: float, cap: float) -> Bra
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
     pmf_down, pmf_up, overflow, end, on_nodes = _staircase_masses(d, x_max, h, cap)
     M = len(pmf_down) - 1
-    acc_d, ov_d = _fold(pmf_down, overflow, n, M)
-    tail_d = _tails_from_pmf(acc_d, ov_d)
-    if on_nodes:
-        tail_u = _tails_from_pmf(*_fold(pmf_up, overflow, n, M))
-    else:
-        # One chain: the upper sum is the lower one plus n cells (module
-        # docstring), so its tail is the lower tail n nodes back, and the
-        # n-fold's whole mass below node n.
-        lead = min(n, M + 1)
-        tail_u = np.empty(M + 1)
-        tail_u[:lead] = tail_d[0] + acc_d[0]
-        tail_u[lead:] = tail_d[: M + 1 - lead]
-    # Round outward by the roundoff of the arithmetic above (module
-    # docstring): at most n (M + 2) eps relative on every tail, whichever
-    # order the blocked sums take, so the true tail stays contained.
-    margin = 4.0 * np.finfo(float).eps * n * max(M, 1)
-    with np.errstate(divide="ignore"):
-        log_lower = np.log(np.maximum(tail_d, 0.0)) + math.log1p(-margin)
-        log_upper = np.log(np.maximum(tail_u, 0.0)) + math.log1p(margin)
     nodes = np.arange(M + 1) * h
-    # Results that underflow are rounded in absolute terms: about 2 n M^2
-    # roundings of at most half a subnormal ulp (tiny * eps / 2) each.  On a
-    # tail of at least n M tiny that is a relative error of at most M eps,
-    # well inside the margin.  Below that floor the lower bound drops to 0
-    # and the upper bound becomes the union bound P(S_n > v) <= n F(v/n),
-    # with v/n rounded down, except from n times the summand's support end
-    # on, where the true tail is exactly 0.  The tail is nonincreasing, so
-    # an upper bound also holds at every later node; carrying the running
-    # minimum keeps the tighter of the two.
-    floor = n * max(M, 1) * np.finfo(float).tiny
-    log_lower[tail_d < floor] = _NEG_INF
-    deep = np.flatnonzero(tail_u[: n * end] < floor)
-    if deep.size:
-        share = np.nextafter(nodes[deep] / n, 0.0)
-        log_upper[deep] = math.log(n) + math.log1p(margin) + d.tail.log_tail(share)
-    log_upper = np.minimum.accumulate(np.maximum(log_upper, log_lower))
-    return BracketGrid(nodes, log_lower, log_upper, n=n, h=h, cap=cap)
+    pmfs = (pmf_down, pmf_up) if on_nodes else (pmf_down,)
+    heads = [_fold(pmf, overflow, n - 1, M) for pmf in pmfs]
+
+    def tails(chain: int, first: int):
+        # Tails on nodes first..M from the last fold's cells first..M.
+        acc, ov = _convolve_defective(*heads[chain], pmfs[chain], overflow, M, first)
+        return acc, _tails_from_pmf(acc, ov)
+
+    def bounds(first: int):
+        if on_nodes:
+            tail_d, tail_u = tails(0, first)[1], tails(1, first)[1]
+        elif first >= n:
+            # One chain: the upper sum is the lower one plus n cells (module
+            # docstring), so its tail is the lower tail n nodes back.
+            tail_d = tails(0, first - n)[1]
+            tail_d, tail_u = tail_d[n:], tail_d[: M + 1 - first]
+        else:
+            # ... and the n-fold's whole mass below node n.
+            acc_d, tail_d = tails(0, 0)
+            lead = min(n, M + 1)
+            tail_u = np.empty(M + 1)
+            tail_u[:lead] = tail_d[0] + acc_d[0]
+            tail_u[lead:] = tail_d[: M + 1 - lead]
+            tail_d, tail_u = tail_d[first:], tail_u[first:]
+        # Round outward by the roundoff of the arithmetic above (module
+        # docstring): at most n (M + 2) eps relative on every tail, whichever
+        # order the blocked sums take, so the true tail stays contained.
+        margin = 4.0 * np.finfo(float).eps * n * max(M, 1)
+        with np.errstate(divide="ignore"):
+            log_lower = np.log(np.maximum(tail_d, 0.0)) + math.log1p(-margin)
+            log_upper = np.log(np.maximum(tail_u, 0.0)) + math.log1p(margin)
+        # Results that underflow are rounded in absolute terms: about 2 n M^2
+        # roundings of at most half a subnormal ulp (tiny * eps / 2) each.  On
+        # a tail of at least n M tiny that is a relative error of at most
+        # M eps, well inside the margin.  Below that floor the lower bound
+        # drops to 0 and the upper bound becomes the union bound
+        # P(S_n > v) <= n F(v/n), with v/n rounded down, except from n times
+        # the summand's support end on, where the true tail is exactly 0.
+        # The tail is nonincreasing, so an upper bound also holds at every
+        # later node; carrying the running minimum keeps the tighter of the
+        # two.
+        floor = n * max(M, 1) * np.finfo(float).tiny
+        log_lower[tail_d < floor] = _NEG_INF
+        deep = np.flatnonzero(tail_u[: max(n * end - first, 0)] < floor)
+        if deep.size:
+            share = np.nextafter(nodes[first + deep] / n, 0.0)
+            log_upper[deep] = math.log(n) + math.log1p(margin) + d.tail.log_tail(share)
+        log_upper = np.minimum.accumulate(np.maximum(log_upper, log_lower))
+        # The running minimum from node first on is the whole grid's when
+        # no node below it is under the floor (their tails, and the logs of
+        # them, are no smaller), or when it is already -inf.
+        exact = first == 0 or tail_u[0] >= floor or log_upper[0] == _NEG_INF
+        return BracketGrid(nodes[first:], log_lower, log_upper, n=n, h=h, cap=cap), exact
+
+    first = 0
+    if at is not None and 0.0 <= at <= nodes[-1]:
+        k = int(np.searchsorted(nodes, at, side="left"))
+        first = k if nodes[k] == at else k - 1
+    bracket, exact = bounds(first)
+    return bracket if exact else bounds(0)[0]
 
 
 def convn_tail_grid(d: Distribution, n: int, x_max: float, h: float) -> BracketGrid:

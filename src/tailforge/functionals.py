@@ -23,6 +23,7 @@ saturation at the float maximum, so a series may legitimately end in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,12 +31,11 @@ import numpy as np
 
 from .builtins import fkz_a_sequence
 from .convolve import (
+    _bracket,
     _log_conv2_tails,
     _log_cross_integrals,
     _log_stieltjes_bands,
-    convn_tail_grid,
     log_cross_integral,
-    trunc_convn_tail_grid,
 )
 from .distribution import Distribution, exp_moment
 from .errors import (
@@ -279,20 +279,32 @@ def jump_cond(
     """Bracketed P(X_{n,1} > x - K | S_n > x) from staircase convolutions.
 
     The numerator complement P(all X_i <= x - K, S_n > x) comes from the
-    truncated bracket, the denominator P(S_n > x) from the full bracket;
-    interval arithmetic combines them.  K >= x makes the event sure.
+    truncated bracket, the denominator P(S_n > x) from the full bracket,
+    each on nodes j*h up to x + 2h and read at x as ``BracketGrid.at``
+    reads it; interval arithmetic combines them.  Each bracket forms only
+    the last fold's cells that this reading needs, with the bits of
+    ``trunc_convn_tail_grid`` and ``convn_tail_grid``.  K >= x makes the
+    event sure.
     """
+    return _jump_cond(d, n, x, K, h, lambda x: _bounds_at(d, n, x, h))
+
+
+def _bounds_at(d: Distribution, n: int, x: float, h: float, cap: float = math.inf):
+    """(lower, upper) bounds on P(S_n > x), summands capped at ``cap``, from
+    the bracket on nodes j*h up to x + 2h."""
+    return _bracket(d, n, x + 2 * h, h, cap, x).at(x)
+
+
+def _jump_cond(d: Distribution, n: int, x: float, K: float, h: float, den_at) -> JumpBracket:
+    """``jump_cond`` with the denominator bounds read by ``den_at(x)``."""
     if not 0 < x < math.inf:
         raise ParameterError(f"threshold x must be positive and finite, got {x}")
     if not -math.inf < K < math.inf:
         raise ParameterError(f"offset K must be finite, got {K}")
     if K >= x:
         return JumpBracket(1.0, 1.0)
-    x_max = x + 2 * h
-    den = convn_tail_grid(d, n, x_max, h)
-    num = trunc_convn_tail_grid(d, n, x - K, x_max, h)
-    den_lo, den_up = den.at(x)
-    num_lo, num_up = num.at(x)
+    den_lo, den_up = den_at(x)
+    num_lo, num_up = _bounds_at(d, n, x, h, x - K)
     if den_lo <= 0.0:
         raise InconclusiveBracketError(
             f"P(S_{n} > {x}) lower bound is 0 at step h={h}; bracket degenerate"
@@ -320,13 +332,15 @@ class JumpProfile:
 def jump_profile(
     d: Distribution, n: int, x_grid, K_grid, h: float
 ) -> JumpProfile:
+    """``jump_cond`` at every (K, x), with each x's denominator read once."""
     x_grid = np.asarray(x_grid, dtype=float)
     K_grid = np.asarray(K_grid, dtype=float)
+    den_at = functools.cache(lambda x: _bounds_at(d, n, x, h))
     lower = np.zeros((len(K_grid), len(x_grid)))
     upper = np.zeros_like(lower)
     for i, K in enumerate(K_grid):
         for j, x in enumerate(x_grid):
-            br = jump_cond(d, n, float(x), float(K), h)
+            br = _jump_cond(d, n, float(x), float(K), h, den_at)
             lower[i, j] = br.lower
             upper[i, j] = br.upper
     return JumpProfile(n, K_grid, x_grid, lower, upper)

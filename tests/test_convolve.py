@@ -393,6 +393,20 @@ def test_convolve_defective_matches_full_product(M):
     assert math.fsum(full[M + 1 :]) == pytest.approx(spill, rel=(M + 1) * EPS)
 
 
+# M + 1 cells at and around the 1024-cell block edges, with last blocks of
+# 1..11 cells (np.convolve sums those by its unrolled loop, not a dot).
+@pytest.mark.parametrize("M", [1, 5, 11, 1022, 1023, 1024, 1025, 1027, 1034, 2047, 2048, 3000])
+def test_convolve_defective_from_first_keeps_the_bits(M):
+    rng = np.random.default_rng(M)
+    p1, p2 = rng.random(M + 1) ** 4, rng.random(M + 1) ** 4
+    whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    cuts = {1, 2, M // 2, M - 1030, M - 1024, M - 1023, M - 12, M - 8, M - 2, M - 1, M}
+    for first in sorted(c for c in cuts if 1 <= c <= M):
+        cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+        assert ov == overflow
+
+
 def test_convolve_defective_spill_keeps_relative_accuracy():
     # A spill of 1e-300 next to a kept mass of about 1: total minus kept
     # would leave nothing of it.
@@ -464,3 +478,22 @@ def test_fold_counts(exp1, dyadic, monkeypatch, n):
     # dyadic atoms sit at powers of two, on the nodes of h = 1/8
     tf.convn_tail_grid(dyadic, n, 40.0, 0.125)
     assert len(calls) == 2 * (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_node_reading_forms_the_last_fold_from_the_read_node(exp1, dyadic, monkeypatch, n):
+    firsts = []
+    kernel = convolve._convolve_defective
+
+    def counted(*args):
+        firsts.append(args[5] if len(args) > 5 else 0)
+        return kernel(*args)
+
+    monkeypatch.setattr(convolve, "_convolve_defective", counted)
+    # x = 5 sits on node 500 of 502; one chain reads the lower tail n nodes back
+    tf.jump_cond(exp1, n, 5.0, 1.0, 0.01)
+    assert firsts == 2 * ([0] * (n - 2) + [500 - n])
+    firsts.clear()
+    # two chains (atoms on nodes): both read from node 40
+    tf.jump_cond(dyadic, n, 5.0, 1.0, 0.125)
+    assert firsts == 2 * (2 * [0] * (n - 2) + [40, 40])

@@ -7,7 +7,9 @@ import pytest
 
 import tailforge as tf
 from tailforge import functionals
+from tailforge.convolve import MAX_FOLDS
 from tailforge.errors import (
+    GridGuardError,
     InconclusiveBracketError,
     ParameterError,
     TailforgeError,
@@ -211,10 +213,100 @@ def test_jump_refuses_nan_offset(exp1):
 
 
 def test_jump_profile_shape(exp1):
-    prof = tf.jump_profile(exp1, 2, [8.0, 12.0], [1.0, 2.0], 0.01)
-    assert prof.lower.shape == (2, 2)
+    xs, Ks = [8.0, 12.0], [1.0, 2.0, 10.0]
+    prof = tf.jump_profile(exp1, 2, xs, Ks, 0.01)
+    assert prof.lower.shape == (3, 2)
     assert np.all(prof.lower <= prof.upper + 1e-12)
     assert np.all((0 <= prof.lower) & (prof.upper <= 1))
+    for i, K in enumerate(Ks):
+        for j, x in enumerate(xs):
+            br = tf.jump_cond(exp1, 2, x, K, 0.01)
+            assert (prof.lower[i, j], prof.upper[i, j]) == (br.lower, br.upper)
+
+
+def _grid_jump(d, n, x, K, h):
+    """jump_cond as read off the two whole grids, combined as jump_cond does."""
+    den_lo, den_up = tf.convn_tail_grid(d, n, x + 2 * h, h).at(x)
+    num_lo, num_up = tf.trunc_convn_tail_grid(d, n, x - K, x + 2 * h, h).at(x)
+    if den_lo <= 0.0:
+        raise InconclusiveBracketError("degenerate")
+    ratio_lo = min(num_lo / den_up, 1.0) if den_up > 0 else 0.0
+    ratio_up = min(num_up / den_lo, 1.0)
+    return max(1.0 - ratio_up, 0.0), min(1.0 - ratio_lo, 1.0)
+
+
+_NODE_LAWS = {
+    # law -> (threshold scale, step or None); dyadic's atoms sit on the nodes
+    "exponential": (lambda: tf.exponential(1.0), 12.0, None),
+    "pareto": (lambda: tf.pareto(3.0), 60.0, None),
+    "dyadic": (lambda: tf.dyadic_pareto(), None, 0.125),
+    "plateau": (lambda: tf.plateau_example(2.0), 150.0, None),
+    "tilted-pareto": (lambda: tf.gamma_transform(tf.pareto(3.0), 0.5), 20.0, None),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_NODE_LAWS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jump_reads_the_grid_nodes_bit_for_bit(law, n):
+    make, scale, step = _NODE_LAWS[law]
+    d = make()
+    # M + 1 cells at the edges of the convolution's 1024-cell blocks, and a
+    # last block of 6 cells, which np.convolve sums by its unrolled loop; x
+    # on the node two below the last, or halfway between two nodes.
+    for cells in (1023, 1024, 1025, 1030, 2049):
+        h = step or scale / (cells - 3)
+        for x in ((cells - 3) * h, (cells - 3.5) * h):
+            K = 0.3 * x
+            br = tf.jump_cond(d, n, x, K, h)
+            assert (br.lower, br.upper) == _grid_jump(d, n, x, K, h), (cells, x)
+
+
+@pytest.mark.parametrize("name, n, x, K, h", [
+    # capped reading past n * cap: the truncated tail is provably 0
+    ("dyadic", 2, 6.0, 4.0, 2.0**-9),
+    # the truncated upper tail at x sinks under the underflow floor, and the
+    # running minimum carries a lower node's bound
+    ("exp1", 2, 703.0, 350.0, 1.0),
+    # x within n cells of 0: the upper tail is the n-fold's whole mass
+    ("exp1", 2, 0.015, 0.001, 0.01),
+    ("exp1", 3, 0.02, 0.001, 0.01),
+    ("exp1", 4, 0.03, 0.001, 0.01),
+    ("pareto3", 3, 1.02, 0.5, 0.01),
+    ("dyadic", 3, 0.25, 0.1, 0.125),
+])
+def test_jump_node_reading_edge_cases(request, name, n, x, K, h):
+    d = request.getfixturevalue(name)
+    br = tf.jump_cond(d, n, x, K, h)
+    assert (br.lower, br.upper) == _grid_jump(d, n, x, K, h)
+
+
+def test_jump_union_bound_reading_is_under_the_floor(exp1):
+    # The case above reads a node whose upper staircase tail underflows.
+    tb = tf.trunc_convn_tail_grid(exp1, 2, 353.0, 705.0, 1.0)
+    k = int(np.searchsorted(tb.grid, 703.0))
+    floor = 2 * (len(tb.grid) - 1) * np.finfo(float).tiny
+    assert tb.log_lower[k] == -math.inf
+    assert tb.log_upper[k] > math.log(floor)
+    assert tb.log_upper[k] < math.log(2.0) + exp1.tail.log_tail(703.0 / 2)
+
+
+@pytest.mark.parametrize("n, h, x, error", [
+    (1, 0.01, 5.0, ParameterError),
+    (2.5, 0.01, 5.0, ParameterError),
+    (MAX_FOLDS + 1, 0.01, 5.0, ParameterError),
+    (2, 0.0, 5.0, ParameterError),
+    (2, -1.0, 5.0, ParameterError),
+    (2, math.nan, 5.0, ParameterError),
+    (2, math.inf, 5.0, ParameterError),
+    (2, 1e-6, 5.0, GridGuardError),
+    (2, 1e31, 1.4e32, TruncationError),
+], ids=["n1", "n2.5", "n-past-cap", "h0", "h-1", "h-nan", "h-inf", "cells", "truncation"])
+def test_jump_keeps_the_grid_refusals(plateau2, n, h, x, error):
+    with pytest.raises(error) as grid:
+        _grid_jump(plateau2, n, x, 1.0, h)
+    with pytest.raises(error) as node:
+        tf.jump_cond(plateau2, n, x, 1.0, h)
+    assert str(node.value) == str(grid.value)
 
 
 # --------------------------------------------------------- ratio diagnostics
