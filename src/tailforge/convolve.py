@@ -404,28 +404,39 @@ def _suffix_sums(p: np.ndarray) -> np.ndarray:
     return np.cumsum(p[::-1])[::-1]
 
 
-def _outputs_from(a, v, lo):
-    """np.convolve(a, v)[lo : len(v)] for len(a) <= len(v), each output the
-    dot that np.convolve forms it by.
+def _aligned(n: int) -> np.ndarray:
+    """An empty array of n floats that starts on a 64-byte boundary."""
+    buf = np.empty(n + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + n]
 
-    np.convolve correlates its longer factor with the shorter one reversed,
-    m terms long: output i < m - 1 is numpy's dot over the overlap of i + 1
-    terms, and every later output its 'valid' loop, a dot of m terms (or,
-    for m at most a few terms, its unrolled loop).  From lo > 0 on, the
-    same dots are taken over the same slices in the same order, so each
-    output keeps its bits.
+
+def _outputs_from(a, v, lo, rev):
+    """np.convolve(a, v)[lo : len(v)] for len(a) <= len(v), each output the
+    dot that np.convolve forms it by; ``rev`` is scratch space.
+
+    np.convolve correlates its longer factor with a reversed copy of the
+    shorter one, m terms long: output i < m - 1 is numpy's dot over the
+    overlap of i + 1 terms, and every later output its 'valid' loop, a dot
+    of m terms (or, for m at most a few terms, its unrolled loop).
+    np.correlate runs the same loop on a reversed copy given to it, here one
+    on a 64-byte boundary: np.convolve's own copy lands wherever the heap
+    puts it, and off that boundary the same dots take up to a third longer.
+    From lo > 0 on, the same dots are taken over the same slices in the same
+    order, so each output keeps its bits.
     """
     keep = len(v)
-    if lo == 0:
-        return np.convolve(a, v)[:keep]
     long, short = (v, a) if len(a) < keep else (a, v)
     m = len(short)
-    rev = short[::-1].copy()
+    rev = rev[:m]
+    rev[:] = short[::-1]
+    if lo == 0:
+        return np.correlate(long, rev, "full")[:keep]
     out = np.empty(keep - lo)
     for i in range(lo, m - 1):
         out[i - lo] = np.dot(long[: i + 1], rev[m - 1 - i :])
     s = max(lo, m - 1)
-    out[s - lo :] = np.convolve(long[s - m + 1 :], short, mode="valid")
+    out[s - lo :] = np.correlate(long[s - m + 1 :], rev, "valid")
     return out
 
 
@@ -435,9 +446,10 @@ def _convolve_defective(p1, o1, p2, o2, M, first=0):
     the factors' own masses beyond it.  Only nonnegative terms are summed,
     and each cell gets the same bits whatever ``first`` is."""
     cells = np.zeros(M + 1 - first)
+    rev = _aligned(min(_BLOCK, M + 1))
     for b in range(0, M + 1, _BLOCK):
         lo = max(first - b, 0)
-        cells[b + lo - first :] += _outputs_from(p1[b : b + _BLOCK], p2[: M + 1 - b], lo)
+        cells[b + lo - first :] += _outputs_from(p1[b : b + _BLOCK], p2[: M + 1 - b], lo, rev)
     # Products p1[i] p2[j] with i + j > M: p1[i] times the mass of p2 on
     # cells M - i + 1 .. M.
     spill = float(np.dot(p1[1:], _suffix_sums(p2)[M:0:-1]))

@@ -400,6 +400,11 @@ def test_convolve_defective_from_first_keeps_the_bits(M):
     rng = np.random.default_rng(M)
     p1, p2 = rng.random(M + 1) ** 4, rng.random(M + 1) ** 4
     whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    # the blocked np.convolve loop, term for term
+    ref = np.zeros(M + 1)
+    for b in range(0, M + 1, convolve._BLOCK):
+        ref[b:] += np.convolve(p1[b : b + convolve._BLOCK], p2[: M + 1 - b])[: M + 1 - b]
+    assert np.array_equal(whole, ref)
     cuts = {1, 2, M // 2, M - 1030, M - 1024, M - 1023, M - 12, M - 8, M - 2, M - 1, M}
     for first in sorted(c for c in cuts if 1 <= c <= M):
         cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M, first)
