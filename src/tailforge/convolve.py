@@ -21,6 +21,12 @@ P(S_up > v_k) = P(S_down > v_{k-n}) for k >= n, and the n-fold's whole
 mass for k < n.  Such laws convolve the lower chain alone and read the
 upper tail off it; laws with atoms on nodes fold both chains.
 
+Product tree.  The staircase sum of n summands is formed by halves,
+S_n = S_ceil(n/2) * S_floor(n/2), larger half first, each power once per
+chain: S_2 = S_1 * S_1 and S_3 = S_2 * S_1 as a fold one summand at a time
+would form them, but S_4 = S_2 * S_2 and S_8 = S_4 * S_4, so a grid takes
+n - 1 full folds for n <= 3, two for n = 4 and three for n = 8.
+
 Rounding margin.  Each fold keeps cells 0..M of the product, each a sum of
 at most M + 1 nonnegative products formed in blocks of ``_BLOCK`` cells,
 then added across at most ceil((M + 1) / _BLOCK) partial dots; the spill
@@ -28,16 +34,18 @@ past cell M is a dot of nonnegative terms against suffix sums of at most M
 terms.  Recursive summation of m nonnegative terms, in any order, has
 relative error at most gamma_{m-1} = (m - 1) u / (1 - (m - 1) u) with
 u = eps / 2, and a product of rounded nonnegative factors carries their
-relative errors forward.  So a fold adds at most about (2M + 4) u to the
-relative error of each cell and of the overflow, n - 1 folds about
-(n - 1)(2M + 4) u, and the final suffix sums (and, with one chain, the
-total mass) another (M + 2) u: at most n (M + 2) eps in all, which the
-outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
+relative errors forward.  So the fold S_a * S_b has relative error at
+most err(S_a) + err(S_b) + about (2M + 4) u on each cell and on the
+overflow, and along any product tree of n leaves (n - 1 folds) the errors
+add up to about (n - 1)(2M + 4) u.  The final suffix sums (and, with one
+chain, the total mass) add another (M + 2) u: at most n (M + 2) eps in
+all, which the outward margin 4 eps n max(M, 1) of ``_bracket`` covers for
+every M >= 0.
 
 Node readings.  A bracket read at one point x (``jump_cond``) needs the
 tails at two nodes only, and a tail at node k sums cells k + 1..M.  So the
-first n - 2 folds run in full, and the last one forms only the cells from
-the lowest node the reading needs: that node, or n nodes lower with one
+halves run in full, and the last product forms only the cells from the
+lowest node the reading needs: that node, or n nodes lower with one
 chain.  Each such cell is formed from the same partial dots, in the same
 block order, as in the full fold, and the suffix sums run down from cell M
 alike, so every tail read keeps its bits, and the margin and containment
@@ -45,7 +53,7 @@ argument above holds unchanged.  The tails are nonincreasing node by node
 in floating point too, so the running minimum of the upper bounds, taken
 from the read node on, is the whole grid's when that node's upper tail is
 above the underflow floor (or its bound is already -inf); otherwise the
-reading falls back to the full last fold.
+reading falls back to the full last product.
 """
 
 from __future__ import annotations
@@ -444,12 +452,16 @@ def _convolve_defective(p1, o1, p2, o2, M, first=0):
     """Cells first..M of the convolution of two defective PMFs on cells
     0..M, plus its overflow: all mass beyond cell M, where o1 and o2 are
     the factors' own masses beyond it.  Only nonnegative terms are summed,
-    and each cell gets the same bits whatever ``first`` is."""
+    and each cell gets the same bits whatever ``first`` is.  A block of p1
+    that is all zero is skipped: its partial dots would add exact zeros."""
     cells = np.zeros(M + 1 - first)
     rev = _aligned(min(_BLOCK, M + 1))
     for b in range(0, M + 1, _BLOCK):
+        block = p1[b : b + _BLOCK]
+        if not block.any():
+            continue
         lo = max(first - b, 0)
-        cells[b + lo - first :] += _outputs_from(p1[b : b + _BLOCK], p2[: M + 1 - b], lo, rev)
+        cells[b + lo - first :] += _outputs_from(block, p2[: M + 1 - b], lo, rev)
     # Products p1[i] p2[j] with i + j > M: p1[i] times the mass of p2 on
     # cells M - i + 1 .. M.
     spill = float(np.dot(p1[1:], _suffix_sums(p2)[M:0:-1]))
@@ -465,11 +477,18 @@ def _tails_from_pmf(pmf: np.ndarray, overflow: float) -> np.ndarray:
     return tail + overflow
 
 
-def _fold(pmf: np.ndarray, overflow: float, n: int, M: int):
-    acc, ov = pmf, overflow
-    for _ in range(n - 1):
-        acc, ov = _convolve_defective(acc, ov, pmf, overflow, M)
-    return acc, ov
+def _halves(pmf: np.ndarray, overflow: float, n: int, M: int):
+    """S_ceil(n/2) and S_floor(n/2), each with its overflow, for the staircase
+    sum S_k of k summands: S_k = S_ceil(k/2) * S_floor(k/2), larger half
+    first, each power formed once."""
+    powers = {1: (pmf, overflow)}
+
+    def power(k: int):
+        if k not in powers:
+            powers[k] = _convolve_defective(*power(k - k // 2), *power(k // 2), M)
+        return powers[k]
+
+    return (*power(n - n // 2), *power(n // 2))
 
 
 def _bracket(
@@ -477,8 +496,8 @@ def _bracket(
 ) -> BracketGrid:
     """The bracket on nodes j*h, j = 0..M; given ``at``, the same bracket
     on the nodes from the lowest one that ``log_at(at)`` reads, with the
-    same bits there.  The last fold then forms only the cells from that
-    node on (from n nodes lower with one chain)."""
+    same bits there.  The last product of the two halves then forms only
+    the cells from that node on (from n nodes lower with one chain)."""
     if not (n >= 2 and n % 1 == 0):
         raise ParameterError(f"fold count must be an integer >= 2, got {n}")
     if n > MAX_FOLDS:
@@ -491,11 +510,11 @@ def _bracket(
     M = len(pmf_down) - 1
     nodes = np.arange(M + 1) * h
     pmfs = (pmf_down, pmf_up) if on_nodes else (pmf_down,)
-    heads = [_fold(pmf, overflow, n - 1, M) for pmf in pmfs]
+    halves = [_halves(pmf, overflow, n, M) for pmf in pmfs]
 
     def tails(chain: int, first: int):
         # Tails on nodes first..M from the last fold's cells first..M.
-        acc, ov = _convolve_defective(*heads[chain], pmfs[chain], overflow, M, first)
+        acc, ov = _convolve_defective(*halves[chain], M, first)
         return acc, _tails_from_pmf(acc, ov)
 
     def bounds(first: int):

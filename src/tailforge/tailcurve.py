@@ -92,7 +92,9 @@ class Segment(ABC):
     def log_density_weighted(self, x: np.ndarray, lam: float) -> np.ndarray:
         """log(exp(lam * x) * f(x)), the integrand of a tilted moment."""
         x = np.asarray(x, dtype=float)
-        return self.log_density(x) + lam * x
+        # lam = 0 adds nothing, and 0 * inf would turn a density's -inf at
+        # x = inf into NaN.
+        return self.log_density(x) + lam * x if lam else self.log_density(x)
 
     @property
     def has_density(self) -> bool:
@@ -535,9 +537,8 @@ class TailCurve:
         idx = np.searchsorted(self._los, x, side="right") - 1
         return np.clip(idx, 0, len(self.segments) - 1)
 
-    def log_tail(self, x) -> np.ndarray | float:
-        """log F(x); scalar in, scalar out.  x < 0 gives 0.0 (tail is 1)."""
-        scalar = np.isscalar(x)
+    def _checked(self, x) -> np.ndarray:
+        """x as a 1-d float array, refused if NaN or past the truncation."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         # One comparison catches both NaN and points past the truncation.
         if not np.all(xa <= self.truncation_hi):
@@ -548,15 +549,20 @@ class TailCurve:
                 f"x={bad!r} beyond materialized breakpoint {self.truncation_hi!r}; "
                 "refusing to extrapolate"
             )
-        out = self._by_segment(xa, Segment.log_value, 0.0)
-        return float(out[0]) if scalar else out
+        return xa
+
+    def log_tail(self, x) -> np.ndarray | float:
+        """log F(x); scalar in, scalar out.  x < 0 gives 0.0 (tail is 1)."""
+        out = self._by_segment(self._checked(x), Segment.log_value, 0.0)
+        return float(out[0]) if np.isscalar(x) else out
 
     def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """log(e^{lam x} f(x)) on an array x within the support, f the density
         of dF: each point's segment's own ``log_density_weighted``, -inf on
-        flat segments and for x < 0."""
+        flat segments and for x < 0.  NaN and points past the truncation are
+        refused as ``log_tail`` refuses them."""
         return self._by_segment(
-            np.asarray(x, dtype=float), lambda seg, y: seg.log_density_weighted(y, lam), _NEG_INF
+            self._checked(x), lambda seg, y: seg.log_density_weighted(y, lam), _NEG_INF
         )
 
     def _by_segment(self, x: np.ndarray, fn, below: float) -> np.ndarray:

@@ -412,6 +412,36 @@ def test_convolve_defective_from_first_keeps_the_bits(M):
         assert ov == overflow
 
 
+@pytest.mark.parametrize("M", [1025, 3000, 5000])
+def test_convolve_defective_skips_zero_blocks_and_keeps_the_bits(monkeypatch, M):
+    # A staircase with few atoms (dyadic_pareto's) leaves whole blocks of
+    # the left factor at zero; their dots would add exact zeros.
+    rng = np.random.default_rng(M)
+    p1, p2 = rng.random(M + 1) ** 4, rng.random(M + 1) ** 4
+    p1[: convolve._BLOCK] = 0.0
+    p1[2 * convolve._BLOCK : 3 * convolve._BLOCK] = 0.0
+    p2[convolve._BLOCK : 2 * convolve._BLOCK] = 0.0
+    ref = np.zeros(M + 1)
+    for b in range(0, M + 1, convolve._BLOCK):
+        ref[b:] += np.convolve(p1[b : b + convolve._BLOCK], p2[: M + 1 - b])[: M + 1 - b]
+    blocks = []
+    outputs = convolve._outputs_from
+
+    def counted(a, *args):
+        blocks.append(len(a))
+        return outputs(a, *args)
+
+    monkeypatch.setattr(convolve, "_outputs_from", counted)
+    whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    assert np.array_equal(whole, ref)
+    nonzero = [b for b in range(0, M + 1, convolve._BLOCK) if p1[b : b + convolve._BLOCK].any()]
+    assert len(blocks) == len(nonzero)
+    for first in (1, M // 2, M - 7, M):
+        cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+        assert ov == overflow
+
+
 def test_convolve_defective_spill_keeps_relative_accuracy():
     # A spill of 1e-300 next to a kept mass of about 1: total minus kept
     # would leave nothing of it.
@@ -467,7 +497,12 @@ def test_tiny_grids(exp1, monkeypatch, n, x_max):
     np.testing.assert_allclose(bg.log_upper, two.log_upper, rtol=0, atol=8 * n * EPS)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+# Full folds per chain for a grid: S_n = S_ceil(n/2) * S_floor(n/2), each
+# power once (S_2, S_3 = S_2 * S_1, S_4 = S_2 * S_2, ...).
+_FULL_FOLDS = {2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 3}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_fold_counts(exp1, dyadic, monkeypatch, n):
     calls = []
     kernel = convolve._convolve_defective
@@ -478,11 +513,11 @@ def test_fold_counts(exp1, dyadic, monkeypatch, n):
 
     monkeypatch.setattr(convolve, "_convolve_defective", counted)
     tf.convn_tail_grid(exp1, n, 5.0, 0.01)
-    assert len(calls) == n - 1
+    assert len(calls) == _FULL_FOLDS[n]
     calls.clear()
     # dyadic atoms sit at powers of two, on the nodes of h = 1/8
     tf.convn_tail_grid(dyadic, n, 40.0, 0.125)
-    assert len(calls) == 2 * (n - 1)
+    assert len(calls) == 2 * _FULL_FOLDS[n]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -495,10 +530,57 @@ def test_node_reading_forms_the_last_fold_from_the_read_node(exp1, dyadic, monke
         return kernel(*args)
 
     monkeypatch.setattr(convolve, "_convolve_defective", counted)
+    halves = [0] * (_FULL_FOLDS[n] - 1)  # the halves, formed in full
     # x = 5 sits on node 500 of 502; one chain reads the lower tail n nodes back
     tf.jump_cond(exp1, n, 5.0, 1.0, 0.01)
-    assert firsts == 2 * ([0] * (n - 2) + [500 - n])
+    assert firsts == 2 * (halves + [500 - n])
     firsts.clear()
     # two chains (atoms on nodes): both read from node 40
     tf.jump_cond(dyadic, n, 5.0, 1.0, 0.125)
-    assert firsts == 2 * (2 * [0] * (n - 2) + [40, 40])
+    assert firsts == 2 * (2 * halves + [40, 40])
+
+
+def _sequential(pmf, overflow, n, M):
+    """The two last factors of a fold one summand at a time: S_{n-1} and S_1."""
+    acc, ov = pmf, overflow
+    for _ in range(n - 2):
+        acc, ov = convolve._convolve_defective(acc, ov, pmf, overflow, M)
+    return acc, ov, pmf, overflow
+
+
+@pytest.mark.parametrize("name, x_max, h", [
+    ("exp1", 20.0, 0.01), ("pareto3", 40.0, 0.02), ("plateau2", 60.0, 0.03), ("dyadic", 300.0, 0.125),
+])
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_halves_match_a_sequential_fold(request, monkeypatch, name, x_max, h, capped, n):
+    d = request.getfixturevalue(name)
+    cap = x_max / 3 if capped else math.inf
+    by_halves = convolve._bracket(d, n, x_max, h, cap)
+    monkeypatch.setattr(convolve, "_halves", _sequential)
+    folded = convolve._bracket(d, n, x_max, h, cap)
+    if n <= 3:
+        # S_2 = S_1 * S_1 and S_3 = S_2 * S_1 either way: the same products
+        assert np.array_equal(by_halves.log_lower, folded.log_lower)
+        assert np.array_equal(by_halves.log_upper, folded.log_upper)
+        return
+    # another product tree: both within the outward margin of the truth
+    margin = 4.0 * EPS * n * (len(folded.grid) - 1)
+    for a, b in ((by_halves.log_lower, folded.log_lower), (by_halves.log_upper, folded.log_upper)):
+        assert np.array_equal(np.isfinite(a), np.isfinite(b))
+        fin = np.isfinite(a)
+        assert np.all(np.abs(a[fin] - b[fin]) <= 2 * margin + 4 * EPS * np.abs(b[fin]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_bracket_contains_erlang_tails_past_three_folds(exp1, n):
+    h = 0.005
+    bg = tf.convn_tail_grid(exp1, n, 12.0, h)
+    v = bg.grid
+    # Erlang(n, 1): P(S_n > v) = e^{-v} sum_{j < n} v^j / j!
+    terms = np.array([v**j / math.factorial(j) for j in range(n)])
+    log_truth = np.log(terms.sum(axis=0)) - v
+    assert np.all(bg.log_lower <= log_truth)
+    assert np.all(log_truth <= bg.log_upper)
+    k = int(np.searchsorted(v, 10.0))
+    assert bg.log_upper[k] - bg.log_lower[k] < 2 * n * h  # the bracket has teeth

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tailforge as tf
-from tailforge import functionals
+from tailforge import convolve, functionals
 from tailforge.convolve import MAX_FOLDS
 from tailforge.errors import (
     GridGuardError,
@@ -257,6 +257,23 @@ def test_jump_reads_the_grid_nodes_bit_for_bit(law, n):
         h = step or scale / (cells - 3)
         for x in ((cells - 3) * h, (cells - 3.5) * h):
             K = 0.3 * x
+            br = tf.jump_cond(d, n, x, K, h)
+            assert (br.lower, br.upper) == _grid_jump(d, n, x, K, h), (cells, x)
+
+
+@pytest.mark.parametrize("law", sorted(_NODE_LAWS))
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_jump_reads_the_grid_log_at_past_three_folds(law, n):
+    make, scale, step = _NODE_LAWS[law]
+    d = make()
+    for cells in (1025, 2049):
+        h = step or scale / (cells - 3)
+        for x in ((cells - 3) * h, (cells - 3.5) * h):
+            K = 0.3 * x
+            for cap in (math.inf, x - K):
+                node = convolve._bracket(d, n, x + 2 * h, h, cap, x).log_at(x)
+                grid = convolve._bracket(d, n, x + 2 * h, h, cap).log_at(x)
+                assert node == grid, (cells, x, cap)
             br = tf.jump_cond(d, n, x, K, h)
             assert (br.lower, br.upper) == _grid_jump(d, n, x, K, h), (cells, x)
 

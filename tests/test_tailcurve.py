@@ -225,6 +225,23 @@ def test_log_tail_refuses_nan(pareto3):
         pareto3.tail.log_tail(np.array([1.0, math.nan]))
 
 
+def test_log_density_refuses_nan(pareto3):
+    with pytest.raises(ParameterError, match="NaN"):
+        pareto3.tail.log_density(np.array([1.0, math.nan]))
+
+
+def test_log_density_refuses_points_past_the_truncation(plateau2):
+    trunc = plateau2.tail.truncation_hi
+    with pytest.raises(TruncationError):
+        plateau2.tail.log_density(np.array([1.0, 10.0 * trunc]))
+
+
+def test_log_density_at_infinity_is_minus_infinity(pareto3):
+    with np.errstate(all="raise"):
+        out = pareto3.tail.log_density(np.array([math.inf, 1.0]))
+    assert out[0] == -math.inf and math.isfinite(out[1])
+
+
 def test_quantile_refuses_nan(pareto3):
     with pytest.raises(ParameterError):
         pareto3.tail.quantile(math.nan)
