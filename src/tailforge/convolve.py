@@ -477,18 +477,23 @@ def _tails_from_pmf(pmf: np.ndarray, overflow: float) -> np.ndarray:
     return tail + overflow
 
 
-def _halves(pmf: np.ndarray, overflow: float, n: int, M: int):
-    """S_ceil(n/2) and S_floor(n/2), each with its overflow, for the staircase
-    sum S_k of k summands: S_k = S_ceil(k/2) * S_floor(k/2), larger half
+def _power(powers: dict, k: int, M: int):
+    """The staircase sum S_k of k summands with its overflow, from the
+    powers formed so far: S_k = S_ceil(k/2) * S_floor(k/2), larger half
     first, each power formed once."""
+    if k not in powers:
+        powers[k] = _convolve_defective(
+            *_power(powers, k - k // 2, M), *_power(powers, k // 2, M), M
+        )
+    return powers[k]
+
+
+def _halves(pmf: np.ndarray, overflow: float, n: int, M: int):
+    """S_ceil(n/2) and S_floor(n/2), each with its overflow.  (A nested
+    recursive helper would hold itself in its closure, and the powers until
+    the cycle collector runs.)"""
     powers = {1: (pmf, overflow)}
-
-    def power(k: int):
-        if k not in powers:
-            powers[k] = _convolve_defective(*power(k - k // 2), *power(k // 2), M)
-        return powers[k]
-
-    return (*power(n - n // 2), *power(n // 2))
+    return (*_power(powers, n - n // 2, M), *_power(powers, n // 2, M))
 
 
 def _bracket(
