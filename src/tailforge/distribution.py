@@ -29,7 +29,6 @@ from .tailcurve import (
     PowerSegment,
     TailCurve,
     _logsumexp_list,
-    normal_form,
     simplify_power,
 )
 
@@ -168,18 +167,17 @@ def partial_moment(
 
 def _check_terminal_convergence(d: Distribution, k: int) -> None:
     """Tail-exponent analysis of the last (infinite) segment."""
-    rate, _, power, base = normal_form(d.tail.segments[-1])
-    if rate > 0:
+    seg = d.tail.segments[-1]
+    if seg.tilt > 0:
         return  # exponential decay dominates any polynomial factor
-    if isinstance(base, PowerSegment):
-        eff = base.exponent * power
-        if k + eff >= -1.0:
+    if isinstance(seg, PowerSegment):
+        if k + seg.exponent >= -1.0:
             raise DivergenceError(
-                f"integral of y^{k} * tail diverges: tail exponent {eff} "
+                f"integral of y^{k} * tail diverges: tail exponent {seg.exponent} "
                 f"needs k + exponent < -1"
             )
         return
-    if isinstance(base, ConstSegment):
+    if isinstance(seg, ConstSegment):
         raise DivergenceError("integral diverges: terminal segment is flat to infinity")
     # exp-affine / stretched-exponential decay beats any polynomial.
     return
@@ -216,8 +214,8 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
         _check_exp_moment_convergence(d, lam)
     if math.isinf(hi):
         seg = d.tail.segments[-1]
-        rate, core, _, _ = normal_form(seg)
-        net = lam - rate  # fused: evaluating tail and tilt separately cancels
+        core = seg.untilted()
+        net = lam - seg.tilt  # fused: evaluating tail and tilt separately cancels
         B = _cutoff(seg.lo, lambda T: core.log_value_at(T) + net * T + 2 * math.log(T))
     else:
         B = hi
@@ -241,9 +239,9 @@ def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
     seg = d.tail.segments[-1]
     if math.isfinite(seg.hi):
         return  # finite support handled by the truncation certificate
-    budget, _, power, base = normal_form(seg)
-    if isinstance(base, ExpAffineSegment):
-        budget += base.rate * power
+    budget = seg.tilt
+    if isinstance(seg, ExpAffineSegment):
+        budget += seg.rate
     if lam > budget:
         raise DivergenceError(
             f"exp moment with rate {lam} diverges: terminal exponential decay "
@@ -251,9 +249,9 @@ def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
         )
     if lam == budget:
         # Boundary rate: e^{lam y} dG decays only through the base factor.
-        if isinstance(base, PowerSegment) and base.exponent * power < -1.0:
+        if isinstance(seg, PowerSegment) and seg.exponent < -1.0:
             return  # finite-mean power residual keeps the integral finite
-        if isinstance(base, ExpPowSegment):
+        if isinstance(seg, ExpPowSegment):
             return  # stretched-exponential residual decays to zero
         raise DivergenceError(
             f"exp moment at the terminal decay rate {budget} diverges: "

@@ -47,7 +47,7 @@ from .errors import (
     TruncationError,
 )
 from .quadrature import QuadConfig, unwrap
-from .tailcurve import TailCurve, _logsumexp_list, normal_form
+from .tailcurve import TailCurve, _logsumexp_list
 
 __all__ = [
     "TrendConfig",
@@ -89,14 +89,10 @@ class TrendConfig:
 
 
 def _untilted_base_curve(d: Distribution):
-    """The source curve beneath a (possibly nested) tilt, or None."""
-    cores = []
-    for seg in d.tail.segments:
-        rate, core, _, _ = normal_form(seg)
-        if rate <= 0:
-            return None
-        cores.append(core)
-    return TailCurve(cores, validate=False)
+    """The source curve beneath a tilt of every segment, or None."""
+    if not all(seg.tilt > 0 for seg in d.tail.segments):
+        return None
+    return TailCurve([seg.untilted() for seg in d.tail.segments], validate=False)
 
 
 def classify_trend(

@@ -19,12 +19,14 @@ Numerical conventions that matter:
   roundoff are construction errors.
 * Queries beyond the last materialized breakpoint raise TruncationError;
   extrapolating an infinite construction would fabricate its asymptotics.
+* An exponential tilt is a number on the segment, not a wrapper: every piece
+  reads log F(x) = closed form + log_offset - tilt * x, and a power of a
+  tilted piece keeps the tilt outside the power (``simplify_power``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -43,10 +45,8 @@ __all__ = [
     "ExpAffineSegment",
     "ExpPowSegment",
     "PowerOfSegment",
-    "TiltedSegment",
     "TailCurve",
     "chain_segments",
-    "normal_form",
 ]
 
 _NEG_INF = float("-inf")
@@ -59,42 +59,62 @@ _SNAP_RTOL = 1e-9
 class Segment(ABC):
     """One piece of a survival function on [lo, hi).
 
-    Subclasses provide the exact log tail value, the log density of the
-    absolutely continuous part (-inf where flat), an exact log integral of
-    the tail when a closed form exists, and an exact inverse when the form
-    is invertible in closed form.  ``log_offset`` is a vertical shift in the
-    log domain used for join snapping and for power/tilt simplifications.
+    Subclasses provide the exact log tail value of a closed form, its log
+    density (-inf where flat), an exact log integral of the tail when a
+    closed form exists, and an exact inverse when the form is invertible in
+    closed form.  ``log_offset`` is a vertical shift in the log domain used
+    for join snapping and power simplifications.  ``tilt`` is the rate
+    gamma >= 0 of the exponential tilt G(x) = F(x) e^{-gamma x} applied to
+    the closed form: log G(x) = closed form + log_offset - tilt * x.
     """
 
     lo: float
     hi: float
     log_offset: float = 0.0
+    tilt: float = 0.0
 
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ParameterError(f"segment bounds out of order: [{self.lo}, {self.hi})")
+        if not 0.0 <= self.tilt < math.inf:
+            raise ParameterError(f"tilt rate must be finite and nonnegative, got {self.tilt}")
 
     @abstractmethod
     def _base_log_value(self, x: np.ndarray) -> np.ndarray: ...
 
-    def _base_log_density(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError  # every closed form defines it; a tilt overrides log_density
+    @abstractmethod
+    def _base_log_density(self, x: np.ndarray) -> np.ndarray: ...
+
+    def _base_log_integral(self, a: float, b: float) -> float | None:
+        return None
+
+    def _base_inverse(self, log_u):
+        return None
 
     def log_value(self, x: np.ndarray) -> np.ndarray:
-        return self._base_log_value(np.asarray(x, dtype=float)) + self.log_offset
+        x = np.asarray(x, dtype=float)
+        out = self._base_log_value(x) + self.log_offset
+        # tilt = 0 subtracts nothing, and 0 * inf would turn -inf at x = inf
+        # into NaN.
+        return out - self.tilt * x if self.tilt else out
 
     def log_value_at(self, x: float) -> float:
         return float(self.log_value(np.array([x]))[0])
 
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        return self._base_log_density(np.asarray(x, dtype=float)) + self.log_offset
-
-    def log_density_weighted(self, x: np.ndarray, lam: float) -> np.ndarray:
-        """log(exp(lam * x) * f(x)), the integrand of a tilted moment."""
+    def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """log(exp(lam * x) * f(x)), f the density of the piece; lam != 0
+        gives the integrand of a tilted moment."""
         x = np.asarray(x, dtype=float)
-        # lam = 0 adds nothing, and 0 * inf would turn a density's -inf at
-        # x = inf into NaN.
-        return self.log_density(x) + lam * x if lam else self.log_density(x)
+        dens = self._base_log_density(x) + self.log_offset
+        if not self.tilt:
+            # lam = 0 adds nothing, and 0 * inf would turn a density's -inf
+            # at x = inf into NaN.
+            return dens + lam * x if lam else dens
+        # The tilted density exp(-tilt x) * (f(x) + tilt * F(x)), with
+        # exp(lam x) fused into the net rate: the two exponentials evaluated
+        # apart cancel catastrophically at large x.
+        jump = math.log(self.tilt) + (self._base_log_value(x) + self.log_offset)
+        return np.logaddexp(dens, jump) + (lam - self.tilt) * x
 
     @property
     def has_density(self) -> bool:
@@ -102,14 +122,31 @@ class Segment(ABC):
 
     def log_integral(self, a: float, b: float) -> float | None:
         """Exact log of integral_a^b F(y) dy, or None if no closed form."""
-        return None
+        if b == a:
+            return _NEG_INF
+        if not self.tilt:
+            return self._base_log_integral(a, b)
+        # Tilted, the closed form survives only where the piece is a pure
+        # exponential.
+        if isinstance(self, ExpAffineSegment):
+            rate = self.tilt + self.rate
+        elif isinstance(self, ConstSegment):
+            rate = self.tilt
+        else:
+            return None
+        return logsubexp(self.log_value_at(a), self.log_value_at(b)) - math.log(rate)
 
     def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray | None:
         """Exact x in [lo, hi] with log_value(x) = log_u, or None.
 
         Takes a scalar or an array of log levels and returns the same shape.
+        A tilted piece has no closed inverse; the curve bisects it.
         """
-        return None
+        return None if self.tilt else self._base_inverse(log_u)
+
+    def untilted(self) -> "Segment":
+        """The same piece with tilt 0."""
+        return dataclasses.replace(self, tilt=0.0) if self.tilt else self
 
     def with_offset(self, delta: float) -> "Segment":
         return dataclasses.replace(self, log_offset=self.log_offset + delta)
@@ -120,7 +157,7 @@ class Segment(ABC):
 
 @dataclass(frozen=True)
 class ConstSegment(Segment):
-    """Flat tail: F(x) = exp(level).  Carries no density."""
+    """Flat tail: F(x) = exp(level).  Carries no density unless tilted."""
 
     level: float = 0.0
 
@@ -132,11 +169,9 @@ class ConstSegment(Segment):
 
     @property
     def has_density(self) -> bool:
-        return False
+        return self.tilt > 0  # a tilt gives a flat piece the density tilt * G
 
-    def log_integral(self, a, b):
-        if b == a:
-            return _NEG_INF
+    def _base_log_integral(self, a, b):
         return self.level + self.log_offset + math.log(b - a)
 
 
@@ -172,13 +207,11 @@ class AffineSegment(Segment):
     def _base_log_density(self, x):
         return np.full_like(x, self.log_v_hi + math.log(-self.ratio))
 
-    def log_integral(self, a, b):
-        if b == a:
-            return _NEG_INF
+    def _base_log_integral(self, a, b):
         mid_factor = 1.0 + self.ratio * (0.5 * (a + b) - self.hi)
         return self.log_v_hi + self.log_offset + math.log(b - a) + math.log(mid_factor)
 
-    def inverse(self, log_u):
+    def _base_inverse(self, log_u):
         x = np.array(log_u, dtype=float)
         x -= self.log_offset
         x -= self.log_v_hi
@@ -213,9 +246,7 @@ class PowerSegment(Segment):
             + (self.exponent - 1.0) * np.log(self.shift + x)
         )
 
-    def log_integral(self, a, b):
-        if b == a:
-            return _NEG_INF
+    def _base_log_integral(self, a, b):
         p = self.exponent + 1.0
         la, lb = math.log(self.shift + a), math.log(self.shift + b)
         base = self.log_coeff + self.log_offset
@@ -225,7 +256,7 @@ class PowerSegment(Segment):
             return base + logsubexp(p * lb, p * la) - math.log(p)
         return base + logsubexp(p * la, p * lb) - math.log(-p)
 
-    def inverse(self, log_u):
+    def _base_inverse(self, log_u):
         x = np.array(log_u, dtype=float)
         x -= self.log_offset
         x -= self.log_coeff
@@ -253,14 +284,12 @@ class ExpAffineSegment(Segment):
     def _base_log_density(self, x):
         return math.log(self.rate) + self._base_log_value(x)
 
-    def log_integral(self, a, b):
-        if b == a:
-            return _NEG_INF
+    def _base_log_integral(self, a, b):
         la = self.log_v_lo - self.rate * (a - self.lo)
         lb = self.log_v_lo - self.rate * (b - self.lo)
         return self.log_offset + logsubexp(la, lb) - math.log(self.rate)
 
-    def inverse(self, log_u):
+    def _base_inverse(self, log_u):
         x = np.array(log_u, dtype=float)
         np.subtract(self.log_v_lo + self.log_offset, x, out=x)
         x /= self.rate
@@ -295,9 +324,7 @@ class ExpPowSegment(Segment):
                 - self.coeff * np.power(x, self.beta)
             )
 
-    def log_integral(self, a, b):
-        if b == a:
-            return _NEG_INF
+    def _base_log_integral(self, a, b):
         if self.beta != 0.5:
             return None
         c = self.coeff
@@ -310,7 +337,7 @@ class ExpPowSegment(Segment):
 
         return self.log_offset + logsubexp(anti(a), anti(b))
 
-    def inverse(self, log_u):
+    def _base_inverse(self, log_u):
         x = np.array(log_u, dtype=float)
         np.subtract(self.log_offset, x, out=x)
         x /= self.coeff
@@ -325,9 +352,10 @@ class ExpPowSegment(Segment):
 class PowerOfSegment(Segment):
     """Pointwise power of an inner tail piece: F(x) = inner(x) ** m.
 
-    The inner piece may not be tilted: stacks are stored as tilts over
-    powers (``simplify_power`` moves a tilt outward), so ``normal_form``
-    reads every stack with one walk.
+    ``simplify_power`` builds it for the pieces it cannot fold, with the
+    tilt outside the power and an untilted inner.  Those pieces are affine,
+    which ends at a finite point, so a power-of segment must too: the
+    terminal analysis of a curve reads its last segment's own family.
     """
 
     inner: Segment = None  # type: ignore[assignment]
@@ -337,13 +365,10 @@ class PowerOfSegment(Segment):
         super().__post_init__()
         if self.inner is None:
             raise ParameterError("power-of segment requires an inner segment")
-        if isinstance(self.inner, TiltedSegment):
-            raise ParameterError(
-                "power of a tilted segment: build it with simplify_power, "
-                "which stores the tilt outside the power"
-            )
         if self.m < 1:
             raise ParameterError(f"power must be a positive integer, got {self.m}")
+        if not math.isfinite(self.hi):
+            raise ParameterError("power-of segment must end at a finite point")
 
     def _base_log_value(self, x):
         return self.m * self.inner.log_value(x)
@@ -357,59 +382,10 @@ class PowerOfSegment(Segment):
 
     @property
     def has_density(self) -> bool:
-        return self.inner.has_density
+        return self.tilt > 0 or self.inner.has_density
 
-    def inverse(self, log_u):
+    def _base_inverse(self, log_u):
         return self.inner.inverse(np.subtract(log_u, self.log_offset) / self.m)
-
-
-@dataclass(frozen=True)
-class TiltedSegment(Segment):
-    """Exponentially tilted tail piece: F(x) = inner(x) * exp(-gamma * x)."""
-
-    inner: Segment = None  # type: ignore[assignment]
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.inner is None:
-            raise ParameterError("tilted segment requires an inner segment")
-        if not self.gamma > 0:
-            raise ParameterError(f"tilt rate must be positive, got {self.gamma}")
-
-    def _base_log_value(self, x):
-        return self.inner.log_value(x) - self.gamma * x
-
-    @functools.cached_property
-    def _normal_form(self) -> tuple[float, Segment, int, Segment]:
-        return normal_form(self)
-
-    def log_density(self, x):
-        return self.log_density_weighted(x, 0.0)
-
-    def log_density_weighted(self, x, lam):
-        # The tilted density exp(-rate x) * (f(x) + rate * F(x)) over the
-        # stack's core, with exp(lam x) fused into the summed rate: the two
-        # exponentials evaluated apart cancel catastrophically at large x.
-        x = np.asarray(x, dtype=float)
-        rate, core, _, _ = self._normal_form
-        jump = math.log(rate) + core.log_value(x)
-        return np.logaddexp(core.log_density(x), jump) + (lam - rate) * x
-
-    @property
-    def has_density(self) -> bool:
-        return True
-
-    def log_integral(self, a, b):
-        if b == a:
-            return _NEG_INF
-        # Closed form only where the tilted piece is a pure exponential.
-        rate, core, _, _ = self._normal_form
-        if isinstance(core, ExpAffineSegment):
-            rate += core.rate
-        elif not isinstance(core, ConstSegment):
-            return None
-        return logsubexp(self.log_value_at(a), self.log_value_at(b)) - math.log(rate)
 
 
 def _clamped(x: np.ndarray, lo: float, hi: float):
@@ -419,57 +395,28 @@ def _clamped(x: np.ndarray, lo: float, hi: float):
     return x[()]
 
 
-def normal_form(seg: Segment) -> tuple[float, Segment, int, Segment]:
-    """Read a wrapper stack as (rate, core, power, base).
-
-    Stacks are tilts over powers over one closed form.  ``rate`` is the
-    summed tilt rate (outermost first), ``core`` the segment under the tilts
-    with their log offsets folded in, ``power`` the product of the power-of
-    exponents and ``base`` the innermost closed form.
-    """
-    rate = 0.0
-    offset = 0.0
-    cur = seg
-    while isinstance(cur, TiltedSegment):
-        rate += cur.gamma
-        offset += cur.log_offset
-        cur = cur.inner
-    core = cur.with_offset(offset) if offset else cur
-    power = 1
-    while isinstance(cur, PowerOfSegment):
-        power *= cur.m
-        cur = cur.inner
-    return rate, core, power, cur
-
-
 def simplify_power(inner: Segment, m: int) -> Segment:
-    """Raise a segment's tail to an integer power, folding closed forms."""
+    """Raise a segment's tail to an integer power, folding closed forms.
+
+    (F e^{-tilt x})^m = F^m e^{-m tilt x}: the tilt stays outside the power.
+    """
     if m == 1:
         return inner
+    scaled = {"log_offset": m * inner.log_offset, "tilt": m * inner.tilt}
     if isinstance(inner, ConstSegment):
-        return dataclasses.replace(inner, level=m * inner.level, log_offset=m * inner.log_offset)
+        return dataclasses.replace(inner, level=m * inner.level, **scaled)
     if isinstance(inner, ExpAffineSegment):
         return dataclasses.replace(
-            inner, log_v_lo=m * inner.log_v_lo, rate=m * inner.rate, log_offset=m * inner.log_offset
+            inner, log_v_lo=m * inner.log_v_lo, rate=m * inner.rate, **scaled
         )
     if isinstance(inner, PowerSegment):
         return dataclasses.replace(
-            inner,
-            log_coeff=m * inner.log_coeff,
-            exponent=m * inner.exponent,
-            log_offset=m * inner.log_offset,
+            inner, log_coeff=m * inner.log_coeff, exponent=m * inner.exponent, **scaled
         )
     if isinstance(inner, ExpPowSegment):
-        return dataclasses.replace(inner, coeff=m * inner.coeff, log_offset=m * inner.log_offset)
-    if isinstance(inner, TiltedSegment):
-        # (F e^{-gamma x})^m = F^m e^{-m gamma x}: the tilt stays outermost.
-        return dataclasses.replace(
-            inner,
-            inner=simplify_power(inner.inner, m),
-            gamma=m * inner.gamma,
-            log_offset=m * inner.log_offset,
-        )
-    return PowerOfSegment(lo=inner.lo, hi=inner.hi, inner=inner, m=m)
+        return dataclasses.replace(inner, coeff=m * inner.coeff, **scaled)
+    untilted = inner.untilted()
+    return PowerOfSegment(lo=inner.lo, hi=inner.hi, inner=untilted, m=m, tilt=m * inner.tilt)
 
 
 def chain_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
@@ -558,12 +505,14 @@ class TailCurve:
 
     def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """log(e^{lam x} f(x)) on an array x within the support, f the density
-        of dF: each point's segment's own ``log_density_weighted``, -inf on
-        flat segments and for x < 0.  NaN and points past the truncation are
-        refused as ``log_tail`` refuses them."""
-        return self._by_segment(
-            self._checked(x), lambda seg, y: seg.log_density_weighted(y, lam), _NEG_INF
-        )
+        of dF: each point's segment's own ``log_density``, -inf on flat
+        segments and for x < 0.  NaN and points past the truncation are
+        refused as ``log_tail`` refuses them, and x = +-inf when lam != 0,
+        where e^{lam x} f(x) has no value to read."""
+        xa = self._checked(x)
+        if lam and not np.isfinite(xa).all():
+            raise ParameterError(f"log_density with lam={lam!r} needs finite x")
+        return self._by_segment(xa, lambda seg, y: seg.log_density(y, lam), _NEG_INF)
 
     def _by_segment(self, x: np.ndarray, fn, below: float) -> np.ndarray:
         """``fn(segment, points)`` on the points of x in each segment, and
@@ -703,7 +652,7 @@ class TailCurve:
             exact = seg.log_integral(a, b)
             if exact is not None:
                 return exact
-        elif isinstance(seg, ConstSegment):
+        elif isinstance(seg, ConstSegment) and not seg.tilt:
             # integral y^k on [a, b] in logs; b can be astronomically large.
             kk = k + 1.0
             la = kk * math.log(a) if a > 0 else _NEG_INF

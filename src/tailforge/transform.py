@@ -1,24 +1,28 @@
 """The heavy-to-light tail tilt G(x) = F(x) * exp(-gamma x) and its algebra.
 
-The transform wraps every segment of the source curve rather than refitting:
-ratios like G(x - t) / G(x) have to be exact so that oscillation of the
-source tail shows up undamped in the shift diagnostics.  The measure is
-read off the tilted curve like any other: atoms (``atoms_from_curve``) scale
-by exp(-gamma * location), and every tilted segment carries the density
-exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
+The transform adds gamma to the ``tilt`` of every segment of the source curve
+rather than refitting: ratios like G(x - t) / G(x) have to be exact so that
+oscillation of the source tail shows up undamped in the shift diagnostics.
+Tilting twice adds the rates, so tilt(tilt(d, g1), g2) and tilt(d, g1 + g2)
+are the same curve whenever the rates sum to the same float.  The measure
+is read off the tilted curve like any other: atoms (``atoms_from_curve``)
+scale by exp(-gamma * location), and every tilted segment carries the
+density exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
 
 This is the plain tail tilt; no Esscher normalization is applied.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import Distribution
 from .errors import ParameterError
-from .tailcurve import TailCurve, TiltedSegment
+from .tailcurve import TailCurve
 
 __all__ = ["TransformSpec", "gamma_transform", "tilt_compose_check", "CheckReport"]
 
@@ -30,18 +34,16 @@ class TransformSpec:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"tilt rate must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ParameterError(f"tilt rate must be positive and finite, got {self.gamma}")
 
 
 def gamma_transform(d: Distribution, spec: TransformSpec | float) -> Distribution:
     """Distribution with tail G(x) = F(x) * exp(-gamma x) for x >= 0."""
     gamma = spec.gamma if isinstance(spec, TransformSpec) else float(spec)
-    if not gamma > 0:
-        raise ParameterError(f"tilt rate must be positive, got {gamma}")
-    segs = tuple(
-        TiltedSegment(lo=s.lo, hi=s.hi, inner=s, gamma=gamma) for s in d.tail.segments
-    )
+    if not 0 < gamma < math.inf:
+        raise ParameterError(f"tilt rate must be positive and finite, got {gamma}")
+    segs = tuple(dataclasses.replace(s, tilt=s.tilt + gamma) for s in d.tail.segments)
     curve = TailCurve(segs, validate=False)
 
     label = f"tilt({d.label or 'F'}, gamma={gamma:g})"
@@ -78,10 +80,12 @@ def tilt_compose_check(
 ) -> CheckReport:
     """Verify tilt(tilt(d, g1), g2) matches tilt(d, g1 + g2) on a grid.
 
-    Log tails are compared with tolerance tol * max(1, |log value|), which
-    absorbs the one-ulp float non-associativity of (g1 + g2) * x at large x.
-    ``candidate`` overrides the composed route (used to inject failures in
-    self-tests).
+    Tilting adds the rate to each segment's ``tilt``, so the two routes are
+    the same curve, bit for bit, when their summed rates are the same float:
+    always for an untilted d.  On an already tilted d, (t + g1) + g2 may
+    differ from t + (g1 + g2) in the last ulp; log tails are compared with
+    tolerance tol * max(1, |log value|), which absorbs that.  ``candidate``
+    overrides the composed route (used to inject failures in self-tests).
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ParameterError("tilt rates must be positive")

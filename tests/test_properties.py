@@ -26,12 +26,12 @@ from tailforge.tailcurve import (  # noqa: E402
     PowerOfSegment,
     PowerSegment,
     TailCurve,
-    TiltedSegment,
 )
 
 KINDS = ("const", "affine", "power", "exp", "exppow", "powerof", "tilted")
 # Segments whose tail strictly decreases, so every level inside is attained once.
 STRICT = {"affine", "power", "exp", "exppow", "powerof", "tilted"}
+UNTILTED = tuple(k for k in KINDS if k != "tilted")
 
 
 def _segment(kind, lo, hi, a, b):
@@ -49,18 +49,17 @@ def _segment(kind, lo, hi, a, b):
     if kind == "powerof":
         inner = AffineSegment.from_endpoints(lo, hi, 0.0, -0.1 - a)
         return PowerOfSegment(lo=lo, hi=hi, inner=inner, m=2 + int(3 * b))
-    inner = ExpAffineSegment(lo=lo, hi=hi, rate=0.1 + a)
-    return TiltedSegment(lo=lo, hi=hi, inner=inner, gamma=0.05 + b)
+    return ExpAffineSegment(lo=lo, hi=hi, rate=0.1 + a, tilt=0.05 + b)
 
 
 @st.composite
-def curves(draw):
+def curves(draw, kinds=KINDS):
     """(curve, kinds): 1-5 segments, each starting at or below where the
     previous one ends (a downward jump is an atom)."""
     count = draw(st.integers(1, 5))
     unit = st.floats(0.0, 1.0, exclude_max=True)
     widths = [draw(st.floats(0.25, 4.0)) for _ in range(count)]
-    kinds = [draw(st.sampled_from(KINDS)) for _ in range(count)]
+    kinds = [draw(st.sampled_from(kinds)) for _ in range(count)]
     segs, lo, level = [], 0.0, 0.0
     for kind, width in zip(kinds, widths):
         seg = _segment(kind, lo, lo + width, draw(unit), draw(unit))
@@ -156,6 +155,21 @@ def test_tilts_compose(curve_kinds, g1, g2, fractions):
     grid = np.asarray(fractions) * curve.truncation_hi
     report = tilt_compose_check(Distribution(curve), g1, g2, grid)
     assert report.passed, str(report)
+
+
+@PROPERTY
+@given(curves(kinds=UNTILTED), st.floats(0.01, 2.0), st.floats(0.01, 2.0), FRACTIONS)
+def test_tilt_of_tilt_is_one_tilt_bit_for_bit(curve_kinds, g1, g2, fractions):
+    # Tilting adds the rate to each segment's tilt: on an untilted law both
+    # routes hold the same rate g1 + g2, hence the same segments and bits.
+    curve, _ = curve_kinds
+    d = Distribution(curve)
+    composed = gamma_transform(gamma_transform(d, g1), g2).tail
+    direct = gamma_transform(d, g1 + g2).tail
+    assert composed.segments == direct.segments
+    xs = np.asarray(fractions) * curve.truncation_hi
+    assert composed.log_tail(xs).tobytes() == direct.log_tail(xs).tobytes()
+    assert composed.log_density(xs, 0.25).tobytes() == direct.log_density(xs, 0.25).tobytes()
 
 
 @PROPERTY

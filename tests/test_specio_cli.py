@@ -182,6 +182,19 @@ def test_cli_conv_csv(capsys):
     assert float(x2[1]) <= truth <= float(x2[2])
 
 
+def test_cli_conv_unusable_cache_dir_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(blocker))
+    with pytest.raises(SystemExit) as exc:
+        main(["conv", "--dist", "exponential:lam=1", "--n", "2", "--x", "1,2", "--h", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"TAILFORGE_CACHE_DIR={blocker}" in err.splitlines()[-1]
+    assert blocker.read_text() == ""
+
+
 def test_cli_conv_stdout_reads_the_log_bounds(capsys):
     # The upper bound at 1600 is finite but underflows as a probability.
     argv = ["conv", "--dist", "exponential:lam=1", "--n", "2", "--x", "1550,1600", "--h", "1"]

@@ -1,5 +1,6 @@
 """Segment forms: values, closed-form integrals, inverses, densities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,7 @@ from tailforge.tailcurve import (
     PowerOfSegment,
     PowerSegment,
     TailCurve,
-    TiltedSegment,
     chain_segments,
-    normal_form,
     simplify_power,
 )
 
@@ -28,34 +27,33 @@ SEGMENTS = [
     PowerSegment(lo=1.0, hi=4.0, log_coeff=0.0, exponent=-2.5, shift=1.0),
     ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=math.log(0.8), rate=0.7),
     ExpPowSegment(lo=1.0, hi=4.0, beta=0.5, coeff=1.3),
-    TiltedSegment(lo=1.0, hi=4.0, inner=ConstSegment(lo=1.0, hi=4.0, level=-0.5), gamma=0.9),
-    TiltedSegment(
-        lo=1.0, hi=4.0, inner=ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3), gamma=0.4
-    ),
+    ConstSegment(lo=1.0, hi=4.0, level=-0.5, tilt=0.9),
+    ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, tilt=0.4),
     PowerOfSegment(
         lo=1.0,
         hi=4.0,
         inner=AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
         m=3,
     ),
-    # A tilt of a tilt, with a log offset on each tilt.
-    TiltedSegment(
+    # Two tilts, 0.4 and 0.25, each with a log offset: one summed tilt.
+    ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, tilt=0.4 + 0.25, log_offset=-0.3),
+    # A tilted piece with no closed form to fold a power into.
+    PowerOfSegment(
         lo=1.0,
         hi=4.0,
-        inner=TiltedSegment(
-            lo=1.0,
-            hi=4.0,
-            inner=ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3),
-            gamma=0.4,
-            log_offset=-0.2,
-        ),
-        gamma=0.25,
-        log_offset=-0.1,
+        inner=AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
+        m=2,
+        tilt=0.35,
     ),
 ]
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+def _seg_id(seg):
+    """A test id: the family, or TiltedSegment for a tilted piece of any family."""
+    return "TiltedSegment" if seg.tilt else type(seg).__name__
+
+
+@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_closed_integral_matches_quadrature(seg):
     exact = seg.log_integral(1.5, 3.5)
     if exact is None:
@@ -64,7 +62,7 @@ def test_closed_integral_matches_quadrature(seg):
     assert exact == pytest.approx(quad, abs=1e-9)
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_inverse_roundtrip(seg):
     for x in (1.2, 2.0, 3.7):
         lu = seg.log_value_at(x)
@@ -75,7 +73,7 @@ def test_inverse_roundtrip(seg):
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.3])
-@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_array_inverse_matches_elementwise(seg, offset):
     seg = seg.with_offset(offset) if offset else seg
     start, end = seg.log_value_at(seg.lo), seg.log_value_at(seg.hi)
@@ -152,7 +150,7 @@ def test_curve_density_is_each_segments_own(law, gamma):
     mids = np.array([s.lo + (0.5 * (s.hi - s.lo) if math.isfinite(s.hi) else 1.0) for s in segs])
     inside = [k for k, (s, m) in enumerate(zip(segs, mids)) if s.lo < m < s.hi]
     for lam in (0.0, 0.25):
-        want = [float(segs[k].log_density_weighted(mids[k : k + 1], lam)[0]) for k in inside]
+        want = [float(segs[k].log_density(mids[k : k + 1], lam)[0]) for k in inside]
         assert list(curve.log_density(mids[inside], lam)) == want
     assert curve.log_density(np.array([-1.0, mids[0]]))[0] == -math.inf
 
@@ -170,7 +168,7 @@ def _fast_vs_masked(curve, xs, monkeypatch):
     assert one == masked[0]
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_log_tail_fast_path_matches_masked_path(seg, monkeypatch):
     curve = TailCurve([ConstSegment(lo=0.0, hi=1.0, level=0.0), seg])
     # the join at 1, interior points, and the truncation point
@@ -249,7 +247,7 @@ def test_quantile_refuses_nan(pareto3):
         pareto3.tail.quantile(np.array([0.5, math.nan]))
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_density_matches_finite_difference(seg):
     if not seg.has_density:
         pytest.skip("flat segment carries no density")
@@ -288,62 +286,84 @@ def test_simplify_power_folds_closed_forms():
 
 
 def _tilt(seg, gamma):
-    return TiltedSegment(lo=seg.lo, hi=seg.hi, inner=seg, gamma=gamma)
+    return dataclasses.replace(seg, tilt=seg.tilt + gamma)
 
 
 # (label, stack builder, rate the stack adds outside seg's own tilt,
-#  factor applied to seg's own tilt rate, power the stack applies)
+#  factor applied to seg's own tilt rate, power the stack applies,
+#  log tail the stack means, from seg's log tail v at x)
 STACKS = [
-    ("tilt-of-power", lambda s: _tilt(simplify_power(s, 2), 0.3), 0.3, 2, 2),
-    ("power-of-tilt", lambda s: simplify_power(_tilt(s, 0.3), 2), 0.6, 2, 2),
+    (
+        "tilt-of-power",
+        lambda s: _tilt(simplify_power(s, 2), 0.3),
+        0.3,
+        2,
+        2,
+        lambda v, x: 2 * v - 0.3 * x,
+    ),
+    (
+        "power-of-tilt",
+        lambda s: simplify_power(_tilt(s, 0.3), 2),
+        0.6,
+        2,
+        2,
+        lambda v, x: 2 * (v - 0.3 * x),
+    ),
     (
         "tilts-of-powers",
         lambda s: _tilt(_tilt(simplify_power(simplify_power(s, 2), 3), 0.2), 0.1),
         0.1 + 0.2,
         6,
         6,
+        lambda v, x: 6 * v - 0.2 * x - 0.1 * x,
     ),
 ]
 
 
 @pytest.mark.parametrize("stack", STACKS, ids=lambda s: s[0])
-@pytest.mark.parametrize("seg", SEGMENTS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_normal_form_reads_wrapper_stacks(seg, stack):
-    _, build, outer_rate, own_factor, applied = stack
-    wrapped = build(seg)
-    rate, core, power, base = normal_form(wrapped)
-    own_rate, cur = 0.0, seg
-    while isinstance(cur, TiltedSegment):
-        own_rate, cur = own_rate + cur.gamma, cur.inner
-    assert rate == pytest.approx(outer_rate + own_factor * own_rate, rel=1e-15)
-    assert not isinstance(core, TiltedSegment)
-    assert not isinstance(base, (TiltedSegment, PowerOfSegment))
+    # A stack of tilts and powers is one segment: the summed tilt, over the
+    # power folded into a closed form or held by power-of wrappers whose
+    # inner pieces are untilted.
+    _, build, outer_rate, own_factor, applied, meaning = stack
+    stacked = build(seg)
+    assert stacked.tilt == pytest.approx(outer_rate + own_factor * seg.tilt, rel=1e-15)
+    power, base = 1, stacked
+    while isinstance(base, PowerOfSegment):
+        power, base = power * base.m, base.inner
+        assert base.tilt == 0.0
     # Closed forms absorb the power; the affine piece keeps its wrappers.
     own_power = seg.m if isinstance(seg, PowerOfSegment) else 1
     assert power == (applied * own_power if isinstance(base, AffineSegment) else 1)
     xs = np.array([1.0, 1.7, 2.9, 3.9])
-    np.testing.assert_allclose(
-        core.log_value(xs) - rate * xs, wrapped.log_value(xs), rtol=1e-13, atol=1e-13
-    )
-    shift = core.log_value(xs) - power * base.log_value(xs)
+    got = stacked.log_value(xs)
+    np.testing.assert_allclose(got, meaning(seg.log_value(xs), xs), rtol=1e-13, atol=1e-13)
+    core = stacked.untilted()
+    np.testing.assert_allclose(core.log_value(xs) - stacked.tilt * xs, got, rtol=1e-13, atol=1e-13)
+    shift = core.log_value(xs) - power * base.untilted().log_value(xs)
     np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-12)
 
 
 def test_normal_form_of_closed_form_is_itself():
     seg = SEGMENTS[2]
-    assert normal_form(seg) == (0.0, seg, 1, seg)
+    assert seg.tilt == 0.0
+    assert seg.untilted() is seg and simplify_power(seg, 1) is seg
 
 
 def test_power_of_tilt_is_stored_as_tilt_of_power():
+    xs = np.array([1.0, 2.5, 3.9])
     tilted = SEGMENTS[6]
     squared = simplify_power(tilted, 2)
-    assert isinstance(squared, TiltedSegment)
-    assert not isinstance(squared.inner, TiltedSegment)
-    assert squared.gamma == 2 * tilted.gamma
-    xs = np.array([1.0, 2.5, 3.9])
+    assert isinstance(squared, ExpAffineSegment)
+    assert squared.tilt == 2 * tilted.tilt
     np.testing.assert_allclose(squared.log_value(xs), 2 * tilted.log_value(xs), rtol=1e-14)
-    with pytest.raises(ParameterError):
-        PowerOfSegment(lo=1.0, hi=4.0, inner=tilted, m=2)
+    # A piece no closed form absorbs: the tilt goes outside the wrapper.
+    affine = _tilt(SEGMENTS[1], 0.4)
+    squared = simplify_power(affine, 2)
+    assert isinstance(squared, PowerOfSegment)
+    assert squared.tilt == 2 * affine.tilt and squared.inner == SEGMENTS[1]
+    np.testing.assert_allclose(squared.log_value(xs), 2 * affine.log_value(xs), rtol=1e-14)
 
 
 def test_chain_rejects_upward_jump():
@@ -381,6 +401,11 @@ def test_segment_validation():
         ExpPowSegment(lo=0.0, hi=1.0, beta=1.5)
     with pytest.raises(ParameterError):
         ConstSegment(lo=2.0, hi=1.0)
+    for tilt in (-0.5, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            ConstSegment(lo=0.0, hi=1.0, tilt=tilt)
+    with pytest.raises(ParameterError):  # simplify_power never wraps a piece reaching infinity
+        PowerOfSegment(lo=1.0, hi=math.inf, inner=PowerSegment(lo=1.0, hi=math.inf), m=2)
 
 
 def test_log_moment_range_splits_at_breakpoints():
@@ -394,3 +419,32 @@ def test_log_moment_range_splits_at_breakpoints():
     expect = 2.0 + (1.0 - math.exp(-3.0))
     got = math.exp(curve.log_moment_range(0, 0.0, 5.0))
     assert got == pytest.approx(expect, rel=1e-10)
+
+
+def test_log_moment_range_of_a_tilted_flat_piece():
+    # A tilted ConstSegment is not flat: y F(y) = y e^{-0.5 - 0.9 y}.
+    seg = ConstSegment(lo=0.0, hi=5.0, level=-0.5, tilt=0.9)
+    curve = TailCurve([seg], validate=False)
+    quad = log_quad(lambda y: np.log(y) + seg.log_value(y), 0.0, 5.0, cfg=QuadConfig(rel_tol=1e-12))
+    assert curve.log_moment_range(1, 0.0, 5.0) == pytest.approx(quad.log_value, abs=1e-9)
+    # In closed form: e^{-0.5} (1 - (1 + 4.5) e^{-4.5}) / 0.81.
+    exact = math.log(math.exp(-0.5) * (1 - 5.5 * math.exp(-4.5)) / 0.81)
+    assert curve.log_moment_range(1, 0.0, 5.0) == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "law, lam",
+    [
+        (tf.pareto(3.0), 0.5),
+        (tf.exponential(1.0), 1.0),
+        (tf.gamma_transform(tf.pareto(3.0), 0.5), 0.5),
+    ],
+    ids=["pareto3", "exp1", "tilted-pareto3"],
+)
+def test_weighted_density_refuses_infinite_points(law, lam):
+    # e^{lam x} f(x) at x = +-inf has no value to read (inf * 0 or inf - inf).
+    for x in (math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            law.tail.log_density(np.array([1.0, x]), lam)
+    assert np.isfinite(law.tail.log_density(np.array([1.0, 2.0]), lam)).all()
+    assert law.tail.log_density(np.array([math.inf]))[0] == -math.inf

@@ -108,6 +108,11 @@ def test_invalid_gamma(pareto3):
         tf.gamma_transform(pareto3, 0.0)
     with pytest.raises(ParameterError):
         tf.TransformSpec(-1.0)
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            tf.gamma_transform(pareto3, gamma)
+        with pytest.raises(ParameterError):
+            tf.TransformSpec(gamma)
 
 
 def test_transform_spec_roundtrip(pareto3, tmp_path):
