@@ -340,18 +340,8 @@ class BracketGrid:
         return math.exp(log_lo), math.exp(log_up)
 
 
-def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
-    """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow.
-
-    Returns (pmf_down, pmf_up, overflow, end, on_nodes) where overflow
-    applies to both staircases (mass at or beyond the last node, and beyond
-    cap it is dropped entirely).  ``end`` is the first node index the
-    (restricted) summand provably never exceeds, read from the log-domain
-    tail and the cap rather than from the PMFs, whose small masses
-    underflow; it is M + 1 when no node qualifies.  ``on_nodes`` says
-    whether an atom sits on a node below the last one and inside the cap;
-    without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.
-    """
+def _node_log_tails(d: Distribution, x_max: float, h: float) -> np.ndarray:
+    """log F at the nodes j*h, j = 0..M, M = ceil(x_max / h)."""
     M = int(math.ceil(x_max / h - 1e-12))
     if M + 1 > MAX_CELLS:
         raise GridGuardError(
@@ -363,9 +353,31 @@ def _staircase_masses(d: Distribution, x_max: float, h: float, cap: float):
         raise TruncationError(
             f"grid reaches {nodes[-1]!r}, beyond materialized breakpoint {trunc!r}"
         )
+    return np.atleast_1d(d.tail.log_tail(nodes))
+
+
+def _staircase_masses(
+    d: Distribution, x_max: float, h: float, cap: float, log_t: np.ndarray | None = None
+):
+    """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow.
+
+    Returns (pmf_down, pmf_up, overflow, end, on_nodes) where overflow
+    applies to both staircases (mass at or beyond the last node, and beyond
+    cap it is dropped entirely).  ``end`` is the first node index the
+    (restricted) summand provably never exceeds, read from the log-domain
+    tail and the cap rather than from the PMFs, whose small masses
+    underflow; it is M + 1 when no node qualifies.  ``on_nodes`` says
+    whether an atom sits on a node below the last one and inside the cap;
+    without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.  ``log_t``
+    is ``_node_log_tails(d, x_max, h)``, evaluated here when not given.
+    """
+    if log_t is None:
+        log_t = _node_log_tails(d, x_max, h)
+    M = len(log_t) - 1
+    nodes = np.arange(M + 1) * h
+    trunc = d.tail.truncation_hi
     # Left-limit tails at the nodes: right-continuous tail plus any atom
     # sitting exactly on the node.
-    log_t = np.atleast_1d(d.tail.log_tail(nodes))
     t_left = np.exp(log_t)
     atom_on_node = np.zeros(M + 1)
     for a in d.atoms:
@@ -448,12 +460,8 @@ def _outputs_from(a, v, lo, rev):
     return out
 
 
-def _convolve_defective(p1, o1, p2, o2, M, first=0):
-    """Cells first..M of the convolution of two defective PMFs on cells
-    0..M, plus its overflow: all mass beyond cell M, where o1 and o2 are
-    the factors' own masses beyond it.  Only nonnegative terms are summed,
-    and each cell gets the same bits whatever ``first`` is.  A block of p1
-    that is all zero is skipped: its partial dots would add exact zeros."""
+def _product_cells(p1, p2, M, first):
+    """Cells first..M of p1 * p2, one block of p1 at a time."""
     cells = np.zeros(M + 1 - first)
     rev = _aligned(min(_BLOCK, M + 1))
     for b in range(0, M + 1, _BLOCK):
@@ -462,6 +470,46 @@ def _convolve_defective(p1, o1, p2, o2, M, first=0):
             continue
         lo = max(first - b, 0)
         cells[b + lo - first :] += _outputs_from(block, p2[: M + 1 - b], lo, rev)
+    return cells
+
+
+def _square_cells(p, M, first):
+    """Cells first..M of p * p.  Cell k sums p[i] p[j] over i + j = k, and
+    the pairs (i, j) and (j, i) carry the same product.  So each block of p
+    adds its own block-by-block product once, and twice its dots against
+    the cells after it, up to cell M; doubling is exact.  A block's cells
+    start at twice its first index, so the blocks past M / 2 add nothing.
+    The own product is formed in full whenever a cell of it is kept, so
+    each cell gets the same bits whatever ``first`` is."""
+    cells = np.zeros(M + 1 - first)
+    rev = _aligned(min(_BLOCK, M + 1))
+    for b in range(0, M // 2 + 1, _BLOCK):
+        block = p[b : b + _BLOCK]
+        if not block.any():
+            continue
+        size, start = len(block), 2 * b
+        end = min(start + 2 * size - 1, M + 1)  # past the own product's cells
+        if end > first:
+            rev[:size] = block[::-1]
+            own = np.correlate(block, rev[:size], "full")
+            lo = max(first - start, 0)
+            cells[start + lo - first : end - first] += own[lo : end - start]
+        rest = p[b + size : M + 1 - b]  # the partners of cells start + size..M
+        lo = max(first - start - size, 0)
+        if lo < len(rest):
+            part = _outputs_from(block[: len(rest)], rest, lo, rev)
+            cells[start + size + lo - first :] += 2.0 * part
+    return cells
+
+
+def _convolve_defective(p1, o1, p2, o2, M, first=0):
+    """Cells first..M of the convolution of two defective PMFs on cells
+    0..M, plus its overflow: all mass beyond cell M, where o1 and o2 are
+    the factors' own masses beyond it.  Only nonnegative terms are summed,
+    and each cell gets the same bits whatever ``first`` is.  A square (p1
+    is p2) forms each pair of cells once.  A block of the left factor that
+    is all zero is skipped: its partial dots would add exact zeros."""
+    cells = _square_cells(p1, M, first) if p1 is p2 else _product_cells(p1, p2, M, first)
     # Products p1[i] p2[j] with i + j > M: p1[i] times the mass of p2 on
     # cells M - i + 1 .. M.
     spill = float(np.dot(p1[1:], _suffix_sums(p2)[M:0:-1]))
@@ -503,6 +551,14 @@ def _bracket(
     on the nodes from the lowest one that ``log_at(at)`` reads, with the
     same bits there.  The last product of the two halves then forms only
     the cells from that node on (from n nodes lower with one chain)."""
+    return _brackets(d, n, x_max, h, (cap,), at)[0]
+
+
+def _brackets(
+    d: Distribution, n: int, x_max: float, h: float, caps, at: float | None = None
+) -> list[BracketGrid]:
+    """``_bracket`` for each cap in turn, on the same nodes: the summand's
+    log tails there are evaluated once for all of them."""
     if not (n >= 2 and n % 1 == 0):
         raise ParameterError(f"fold count must be an integer >= 2, got {n}")
     if n > MAX_FOLDS:
@@ -511,7 +567,16 @@ def _bracket(
         raise ParameterError(f"step must be positive and finite, got {h}")
     if not 0.0 <= x_max < math.inf:
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
-    pmf_down, pmf_up, overflow, end, on_nodes = _staircase_masses(d, x_max, h, cap)
+    log_t = _node_log_tails(d, x_max, h)
+    return [
+        _bracket_from(d, n, h, cap, at, _staircase_masses(d, x_max, h, cap, log_t))
+        for cap in caps
+    ]
+
+
+def _bracket_from(d: Distribution, n: int, h: float, cap: float, at, masses) -> BracketGrid:
+    """``_bracket`` from the staircase masses of ``_staircase_masses``."""
+    pmf_down, pmf_up, overflow, end, on_nodes = masses
     M = len(pmf_down) - 1
     nodes = np.arange(M + 1) * h
     pmfs = (pmf_down, pmf_up) if on_nodes else (pmf_down,)

@@ -23,7 +23,6 @@ saturation at the float maximum, so a series may legitimately end in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .builtins import fkz_a_sequence
 from .convolve import (
-    _bracket,
+    _brackets,
     _log_conv2_tails,
     _log_cross_integrals,
     _log_stieltjes_bands,
@@ -282,32 +281,39 @@ def jump_cond(
     ``trunc_convn_tail_grid`` and ``convn_tail_grid``.  K >= x makes the
     event sure.
     """
-    return _jump_cond(d, n, x, K, h, lambda x: _bounds_at(d, n, x, h))
+    return _jump_conds(d, n, x, [K], h)[0]
 
 
-def _bounds_at(d: Distribution, n: int, x: float, h: float, cap: float = math.inf):
-    """(lower, upper) bounds on P(S_n > x), summands capped at ``cap``, from
-    the bracket on nodes j*h up to x + 2h."""
-    return _bracket(d, n, x + 2 * h, h, cap, x).at(x)
-
-
-def _jump_cond(d: Distribution, n: int, x: float, K: float, h: float, den_at) -> JumpBracket:
-    """``jump_cond`` with the denominator bounds read by ``den_at(x)``."""
+def _jump_conds(d: Distribution, n: int, x: float, Ks, h: float) -> list[JumpBracket]:
+    """``jump_cond`` at x for each K in Ks.  The denominator is read once,
+    and one evaluation of the summand's tails at the nodes serves every
+    bracket."""
     if not 0 < x < math.inf:
         raise ParameterError(f"threshold x must be positive and finite, got {x}")
-    if not -math.inf < K < math.inf:
-        raise ParameterError(f"offset K must be finite, got {K}")
-    if K >= x:
-        return JumpBracket(1.0, 1.0)
-    den_lo, den_up = den_at(x)
-    num_lo, num_up = _bounds_at(d, n, x, h, x - K)
+    for K in Ks:
+        if not -math.inf < K < math.inf:
+            raise ParameterError(f"offset K must be finite, got {K}")
+    caps = [x - K for K in Ks if K < x]  # K >= x makes the event sure
+    if not caps:
+        return [JumpBracket(1.0, 1.0) for _ in Ks]
+    (den_lo, den_up), *nums = (
+        g.at(x) for g in _brackets(d, n, x + 2 * h, h, [math.inf, *caps], x)
+    )
     if den_lo <= 0.0:
         raise InconclusiveBracketError(
             f"P(S_{n} > {x}) lower bound is 0 at step h={h}; bracket degenerate"
         )
-    ratio_lo = min(num_lo / den_up, 1.0) if den_up > 0 else 0.0
-    ratio_up = min(num_up / den_lo, 1.0)
-    return JumpBracket(max(1.0 - ratio_up, 0.0), min(1.0 - ratio_lo, 1.0))
+    nums = iter(nums)
+    out = []
+    for K in Ks:
+        if K >= x:
+            out.append(JumpBracket(1.0, 1.0))
+            continue
+        num_lo, num_up = next(nums)
+        ratio_lo = min(num_lo / den_up, 1.0) if den_up > 0 else 0.0
+        ratio_up = min(num_up / den_lo, 1.0)
+        out.append(JumpBracket(max(1.0 - ratio_up, 0.0), min(1.0 - ratio_lo, 1.0)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -328,15 +334,14 @@ class JumpProfile:
 def jump_profile(
     d: Distribution, n: int, x_grid, K_grid, h: float
 ) -> JumpProfile:
-    """``jump_cond`` at every (K, x), with each x's denominator read once."""
+    """``jump_cond`` at every (K, x), with each x's denominator and node
+    tails read once."""
     x_grid = np.asarray(x_grid, dtype=float)
     K_grid = np.asarray(K_grid, dtype=float)
-    den_at = functools.cache(lambda x: _bounds_at(d, n, x, h))
     lower = np.zeros((len(K_grid), len(x_grid)))
     upper = np.zeros_like(lower)
-    for i, K in enumerate(K_grid):
-        for j, x in enumerate(x_grid):
-            br = _jump_cond(d, n, float(x), float(K), h, den_at)
+    for j, x in enumerate(x_grid.tolist()):
+        for i, br in enumerate(_jump_conds(d, n, x, K_grid.tolist(), h)):
             lower[i, j] = br.lower
             upper[i, j] = br.upper
     return JumpProfile(n, K_grid, x_grid, lower, upper)

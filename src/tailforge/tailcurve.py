@@ -190,6 +190,9 @@ class AffineSegment(Segment):
         super().__post_init__()
         if not self.ratio < 0:
             raise ParameterError(f"affine tail must decrease: ratio={self.ratio}")
+        # An affine tail reaches 0 at a finite point; past it log F is not real.
+        if not self.hi < math.inf:
+            raise ParameterError("affine tail needs a finite upper end, got hi=inf")
         # Value must stay positive on [lo, hi).
         if 1.0 + self.ratio * (self.lo - self.hi) <= 0.0:
             raise ParameterError("affine tail nonpositive at segment start")

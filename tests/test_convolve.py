@@ -453,6 +453,106 @@ def test_convolve_defective_spill_keeps_relative_accuracy():
     assert grid[M] == pytest.approx(2e-150, rel=4 * EPS)
 
 
+def _blocked_square(p, M):
+    """Cells 0..M of p * p as ``_square_cells`` sums them, through every
+    block: its own product once, then twice its dots against the cells
+    after it, each by np.convolve."""
+    B = convolve._BLOCK
+    ref = np.zeros(M + 1)
+    for b in range(0, M // 2 + 1, B):
+        block, rest = p[b : b + B], p[b + B : M + 1 - b]
+        own = np.convolve(block, block)[: M + 1 - 2 * b]
+        ref[2 * b : 2 * b + len(own)] += own
+        if len(rest):
+            ref[2 * b + B :] += 2.0 * np.convolve(block[: len(rest)], rest)[: len(rest)]
+    return ref
+
+
+_SQUARE_MS = [0, 1, 5, 11, 1022, 1023, 1024, 1025, 2047, 2048, 3000]
+
+
+@pytest.mark.parametrize("M", _SQUARE_MS)
+def test_square_matches_an_exact_sum(M):
+    rng = np.random.default_rng(M)
+    p = rng.random(M + 1) ** 4 / (M + 1)
+    cells, overflow = convolve._convolve_defective(p, 0.25, p, 0.25, M)
+    exact = [math.fsum((p[: k + 1] * p[k::-1]).tolist()) for k in range(M + 1)]
+    np.testing.assert_allclose(cells, exact, rtol=(M + 1) * EPS, atol=0)
+    # the spill and overflow formula is the product's
+    assert overflow == convolve._convolve_defective(p, 0.25, p.copy(), 0.25, M)[1]
+    assert np.array_equal(cells, _blocked_square(p, M))
+
+
+# cuts around the blocks' own products (cells 2b..2b + 2047) and their
+# dots against later cells (from 2b + 1024)
+@pytest.mark.parametrize("M", [1, 5, 11, 1022, 1023, 1024, 1025, 2047, 2048, 3000, 5000])
+def test_square_from_first_keeps_the_bits(M):
+    rng = np.random.default_rng(M)
+    p = rng.random(M + 1) ** 4
+    whole, overflow = convolve._convolve_defective(p, 0.25, p, 0.25, M)
+    edges = [e + d for e in (1024, 2048, 3072, 4096, M // 2, M) for d in (-2, -1, 0, 1)]
+    for first in sorted({c for c in [1, 2, *edges] if 1 <= c <= M}):
+        cells, ov = convolve._convolve_defective(p, 0.25, p, 0.25, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+        assert ov == overflow
+
+
+@pytest.mark.parametrize("M", [3000, 5000])
+def test_square_skips_zero_blocks(monkeypatch, M):
+    rng = np.random.default_rng(M)
+    p = rng.random(M + 1) ** 4
+    p[: convolve._BLOCK] = 0.0
+    p[2 * convolve._BLOCK : 3 * convolve._BLOCK] = 0.0
+    ref = _blocked_square(p, M)
+    blocks = []
+    outputs = convolve._outputs_from
+
+    def counted(a, *args):
+        blocks.append(len(a))
+        return outputs(a, *args)
+
+    monkeypatch.setattr(convolve, "_outputs_from", counted)
+    whole, _ = convolve._convolve_defective(p, 0.25, p, 0.25, M)
+    assert np.array_equal(whole, ref)
+    # blocks at b <= M / 2 with cells after them up to M - b, and not all zero
+    kept = [
+        b for b in range(0, M // 2 + 1, convolve._BLOCK)
+        if p[b : b + convolve._BLOCK].any() and b + convolve._BLOCK <= M - b
+    ]
+    assert len(blocks) == len(kept)
+    for first in (1, M // 2, M - 7, M):
+        cells, _ = convolve._convolve_defective(p, 0.25, p, 0.25, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+
+
+def test_square_forms_about_half_the_products(monkeypatch):
+    # Count the products of every np.correlate and np.dot the kernel takes.
+    M = 8191
+    products = []
+    correlate, dot = np.correlate, np.dot
+
+    def counted_correlate(a, v, mode):
+        k = len(a) * len(v) if mode == "full" else (len(a) - len(v) + 1) * len(v)
+        products.append(k)
+        return correlate(a, v, mode)
+
+    def counted_dot(a, b):
+        products.append(len(a))
+        return dot(a, b)
+
+    p = np.random.default_rng(1).random(M + 1) / (M + 1)
+    monkeypatch.setattr(np, "correlate", counted_correlate)
+    monkeypatch.setattr(np, "dot", counted_dot)
+    convolve._convolve_defective(p, 0.0, p.copy(), 0.0, M)
+    product = sum(products)
+    products.clear()
+    convolve._convolve_defective(p, 0.0, p, 0.0, M)
+    square = sum(products)
+    # (M + 1)^2 / 2 against (M + 1)^2 / 4, plus a block's own products
+    assert product >= (M + 1) ** 2 / 2
+    assert square <= product / 2 + (M + 1) * convolve._BLOCK / 2
+
+
 def _two_chain(monkeypatch):
     """Force the two-chain path by reporting an atom on a node."""
     masses = convolve._staircase_masses

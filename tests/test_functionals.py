@@ -8,6 +8,7 @@ import pytest
 import tailforge as tf
 from tailforge import convolve, functionals
 from tailforge.convolve import MAX_FOLDS
+from tailforge.tailcurve import TailCurve
 from tailforge.errors import (
     GridGuardError,
     InconclusiveBracketError,
@@ -222,6 +223,32 @@ def test_jump_profile_shape(exp1):
         for j, x in enumerate(xs):
             br = tf.jump_cond(exp1, 2, x, K, 0.01)
             assert (prof.lower[i, j], prof.upper[i, j]) == (br.lower, br.upper)
+
+
+@pytest.mark.parametrize("name, h", [("pareto3", 0.01), ("dyadic", 0.125)])
+def test_jump_reads_the_node_tails_once(request, monkeypatch, name, h):
+    # The full and the capped brackets at one x stand on the same nodes: one
+    # log_tail call evaluates the summand there for all of them.
+    d = request.getfixturevalue(name)
+    xs, Ks = [5.0, 6.0], [0.5, 1.0, 2.0]
+    expect = {(x, K): _grid_jump(d, 2, x, K, h) for x in xs for K in Ks}
+    sizes = []
+    log_tail = TailCurve.log_tail
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return log_tail(self, x)
+
+    monkeypatch.setattr(TailCurve, "log_tail", counted)
+    br = tf.jump_cond(d, 2, 5.0, 1.0, h)
+    assert (br.lower, br.upper) == expect[5.0, 1.0]
+    assert sizes == [round(5.0 / h) + 3, 1]  # the nodes up to x + 2h, then F(cap)
+    sizes.clear()
+    prof = tf.jump_profile(d, 2, xs, Ks, h)
+    assert [s for s in sizes if s > 1] == [round(x / h) + 3 for x in xs]
+    for i, K in enumerate(Ks):
+        for j, x in enumerate(xs):
+            assert (prof.lower[i, j], prof.upper[i, j]) == expect[x, K]
 
 
 def _grid_jump(d, n, x, K, h):

@@ -408,6 +408,13 @@ def test_segment_validation():
         PowerOfSegment(lo=1.0, hi=math.inf, inner=PowerSegment(lo=1.0, hi=math.inf), m=2)
 
 
+def test_affine_segment_refuses_an_infinite_end():
+    # Its positivity check would read 1 + ratio * (lo - inf) = +inf > 0, and
+    # the segment log F = +inf.
+    with pytest.raises(ParameterError, match="finite upper end"):
+        AffineSegment(lo=0.0, hi=math.inf, log_v_hi=-1.0, ratio=-1.0)
+
+
 def test_log_moment_range_splits_at_breakpoints():
     curve = TailCurve(
         [
