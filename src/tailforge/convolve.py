@@ -25,35 +25,45 @@ Product tree.  The staircase sum of n summands is formed by halves,
 S_n = S_ceil(n/2) * S_floor(n/2), larger half first, each power once per
 chain: S_2 = S_1 * S_1 and S_3 = S_2 * S_1 as a fold one summand at a time
 would form them, but S_4 = S_2 * S_2 and S_8 = S_4 * S_4, so a grid takes
-n - 1 full folds for n <= 3, two for n = 4 and three for n = 8.
+n - 1 full folds for n <= 3, two for n = 4 and three for n = 8.  Most of
+these folds are squares (S_2, S_4, and the last product for even n): cell k
+of S_a * S_a sums p[i] p[j] over i + j = k, symmetric in i and j, so each
+block of p adds its own block-by-block product once and twice its dots
+against the cells after it, up to cell M.  A square forms about half the
+products of a fold of two different factors.
 
 Rounding margin.  Each fold keeps cells 0..M of the product, each a sum of
 at most M + 1 nonnegative products formed in blocks of ``_BLOCK`` cells,
-then added across at most ceil((M + 1) / _BLOCK) partial dots; the spill
-past cell M is a dot of nonnegative terms against suffix sums of at most M
-terms.  Recursive summation of m nonnegative terms, in any order, has
-relative error at most gamma_{m-1} = (m - 1) u / (1 - (m - 1) u) with
+then added across at most ceil((M + 1) / _BLOCK) partial dots.  In a
+square, doubling is exact: a doubled partial dot is the same dot of the
+terms 2 p[i] p[j], each standing for the two terms p[i] p[j] and
+p[j] p[i], so each cell still sums at most M + 1 rounded products.  The
+spill past cell M is a dot of nonnegative terms against suffix sums of
+at most M terms.  Recursive summation of m nonnegative terms, in any order,
+has relative error at most gamma_{m-1} = (m - 1) u / (1 - (m - 1) u) with
 u = eps / 2, and a product of rounded nonnegative factors carries their
-relative errors forward.  So the fold S_a * S_b has relative error at
-most err(S_a) + err(S_b) + about (2M + 4) u on each cell and on the
-overflow, and along any product tree of n leaves (n - 1 folds) the errors
-add up to about (n - 1)(2M + 4) u.  The final suffix sums (and, with one
-chain, the total mass) add another (M + 2) u: at most n (M + 2) eps in
-all, which the outward margin 4 eps n max(M, 1) of ``_bracket`` covers for
-every M >= 0.
+relative errors forward.  So the fold S_a * S_b has relative error at most
+err(S_a) + err(S_b) + about (2M + 4) u on each cell and on the overflow,
+and along any product tree of n leaves (n - 1 folds) the errors add up to
+about (n - 1)(2M + 4) u.  The final suffix sums (and, with one chain, the
+total mass) add another (M + 2) u: at most n (M + 2) eps in all, which the
+outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
 
 Node readings.  A bracket read at one point x (``jump_cond``) needs the
 tails at two nodes only, and a tail at node k sums cells k + 1..M.  So the
 halves run in full, and the last product forms only the cells from the
-lowest node the reading needs: that node, or n nodes lower with one
-chain.  Each such cell is formed from the same partial dots, in the same
-block order, as in the full fold, and the suffix sums run down from cell M
-alike, so every tail read keeps its bits, and the margin and containment
-argument above holds unchanged.  The tails are nonincreasing node by node
-in floating point too, so the running minimum of the upper bounds, taken
-from the read node on, is the whole grid's when that node's upper tail is
-above the underflow floor (or its bound is already -inf); otherwise the
-reading falls back to the full last product.
+lowest node the reading needs: that node, or n nodes lower with one chain.
+Each such cell is formed from the same partial dots, in the same block
+order, as in the full fold (a square forms a block's own product in full
+whenever one of its cells is kept), and the suffix sums run down from cell
+M alike, so every tail read keeps its bits, and the margin and containment
+argument above holds unchanged.  The full bracket and the capped ones at
+one x share one evaluation of the summand's tails at the nodes
+(``_brackets``).  The tails are nonincreasing node by node in floating
+point too, so the running minimum of the upper bounds, taken from the read
+node on, is the whole grid's when that node's upper tail is above the
+underflow floor (or its bound is already -inf); otherwise the reading falls
+back to the full last product.
 """
 
 from __future__ import annotations
@@ -356,10 +366,9 @@ def _node_log_tails(d: Distribution, x_max: float, h: float) -> np.ndarray:
     return np.atleast_1d(d.tail.log_tail(nodes))
 
 
-def _staircase_masses(
-    d: Distribution, x_max: float, h: float, cap: float, log_t: np.ndarray | None = None
-):
-    """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow.
+def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
+    """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow,
+    from the log tails ``log_t`` at the nodes (``_node_log_tails``).
 
     Returns (pmf_down, pmf_up, overflow, end, on_nodes) where overflow
     applies to both staircases (mass at or beyond the last node, and beyond
@@ -368,11 +377,8 @@ def _staircase_masses(
     tail and the cap rather than from the PMFs, whose small masses
     underflow; it is M + 1 when no node qualifies.  ``on_nodes`` says
     whether an atom sits on a node below the last one and inside the cap;
-    without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.  ``log_t``
-    is ``_node_log_tails(d, x_max, h)``, evaluated here when not given.
+    without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.
     """
-    if log_t is None:
-        log_t = _node_log_tails(d, x_max, h)
     M = len(log_t) - 1
     nodes = np.arange(M + 1) * h
     trunc = d.tail.truncation_hi
@@ -568,15 +574,12 @@ def _brackets(
     if not 0.0 <= x_max < math.inf:
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
     log_t = _node_log_tails(d, x_max, h)
-    return [
-        _bracket_from(d, n, h, cap, at, _staircase_masses(d, x_max, h, cap, log_t))
-        for cap in caps
-    ]
+    return [_bracket_on(d, n, log_t, h, cap, at) for cap in caps]
 
 
-def _bracket_from(d: Distribution, n: int, h: float, cap: float, at, masses) -> BracketGrid:
-    """``_bracket`` from the staircase masses of ``_staircase_masses``."""
-    pmf_down, pmf_up, overflow, end, on_nodes = masses
+def _bracket_on(d: Distribution, n: int, log_t, h: float, cap: float, at) -> BracketGrid:
+    """``_bracket`` on the nodes whose log tails are ``log_t``."""
+    pmf_down, pmf_up, overflow, end, on_nodes = _staircase_masses(d, log_t, h, cap)
     M = len(pmf_down) - 1
     nodes = np.arange(M + 1) * h
     pmfs = (pmf_down, pmf_up) if on_nodes else (pmf_down,)
