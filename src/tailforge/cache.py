@@ -29,7 +29,8 @@ __all__ = ["cache_dir", "cached_convn_tail_grid"]
 _PAYLOAD_FMT = "{:.17g}"
 # /2: one-chain staircases for atom-free laws and truncated products.
 # /3: sums by halves (S_4 = S_2 * S_2) and squares formed by symmetry.
-_SCHEMA = "tailforge-bracket/3"
+# /4: folds of factors with few nonzero cells formed from those cells.
+_SCHEMA = "tailforge-bracket/4"
 
 
 def cache_dir() -> Path | None:

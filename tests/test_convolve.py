@@ -1,7 +1,9 @@
 """Convolution tails: quadrature routes, identities, certified brackets."""
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -553,6 +555,129 @@ def test_square_forms_about_half_the_products(monkeypatch):
     assert square <= product / 2 + (M + 1) * convolve._BLOCK / 2
 
 
+def _scattered(M, k, seed):
+    """A defective PMF on cells 0..M with k nonzero cells at random places."""
+    rng = np.random.default_rng(seed)
+    p = np.zeros(M + 1)
+    p[rng.choice(M + 1, k, replace=False)] = rng.random(k) / k
+    return p
+
+
+def _sparse_factors(square, M=3000):
+    p1 = _scattered(M, 40, M)
+    return p1, p1 if square else _scattered(M, 60, M + 1)
+
+
+def _sparse_calls(monkeypatch):
+    """A list that grows by one on each call of the sparse route."""
+    calls = []
+    sparse = convolve._sparse_cells
+
+    def counted(*args):
+        calls.append(1)
+        return sparse(*args)
+
+    monkeypatch.setattr(convolve, "_sparse_cells", counted)
+    return calls
+
+
+_SQUARE_IDS = ["product", "square"]
+
+
+@pytest.mark.parametrize("M", [3000, 5000])
+@pytest.mark.parametrize("square", [False, True], ids=_SQUARE_IDS)
+def test_sparse_fold_matches_an_exact_sum(monkeypatch, M, square):
+    p1, p2 = _sparse_factors(square, M)
+    calls = _sparse_calls(monkeypatch)
+    cells, _ = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    assert calls == [1]
+    terms = [[] for _ in range(M + 1)]
+    for i in np.flatnonzero(p1).tolist():
+        for j in np.flatnonzero(p2[: M + 1 - i]).tolist():
+            terms[i + j].append(p1[i] * p2[j])
+    exact = [math.fsum(t) for t in terms]
+    np.testing.assert_allclose(cells, exact, rtol=(M + 1) * EPS, atol=0)
+
+
+@pytest.mark.parametrize("square", [False, True], ids=_SQUARE_IDS)
+def test_sparse_fold_from_first_keeps_the_bits(monkeypatch, square):
+    M = 3000
+    p1, p2 = _sparse_factors(square, M)
+    calls = _sparse_calls(monkeypatch)
+    whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    firsts = (1, 2, 1023, 1024, M // 2, M - 1, M)
+    for first in firsts:
+        cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+        assert ov == overflow
+    assert len(calls) == 1 + len(firsts)
+
+
+def test_sparse_fold_of_atoms_at_the_ends_and_of_a_zero_factor(monkeypatch):
+    M = 2000
+    p, q, zero = np.zeros(M + 1), np.zeros(M + 1), np.zeros(M + 1)
+    p[0], p[M] = 0.75, 0.25
+    q[0], q[M] = 0.5, 0.125
+    calls = _sparse_calls(monkeypatch)
+    # pairs (0, 0) -> cell 0, (0, M) and (M, 0) -> cell M, (M, M) -> overflow
+    cells, ov = convolve._convolve_defective(p, 0.0, q, 0.0, M)
+    assert cells[0] == 0.375 and cells[M] == 0.75 * 0.125 + 0.25 * 0.5
+    assert not cells[1:M].any() and ov == 0.25 * 0.125
+    cells, ov = convolve._convolve_defective(p, 0.0, p, 0.0, M)
+    assert cells[0] == 0.5625 and cells[M] == 2 * 0.75 * 0.25
+    assert not cells[1:M].any() and ov == 0.0625
+    cells, ov = convolve._convolve_defective(p, 0.5, zero, 0.25, M)
+    assert not cells.any() and ov == 0.25 * 1.5
+    assert len(calls) == 3
+    # an all-zero left factor has no block for the dense route to form
+    cells, ov = convolve._convolve_defective(zero, 0.25, p, 0.5, M)
+    assert not cells.any() and ov == 0.25 * 1.0 + 0.5 * 0.25
+
+
+@pytest.mark.parametrize("square", [False, True], ids=_SQUARE_IDS)
+def test_sparse_fold_overflow_is_the_dense_routes(monkeypatch, square):
+    M = 3000
+    p1, p2 = _sparse_factors(square, M)
+    calls = _sparse_calls(monkeypatch)
+    cells, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    monkeypatch.setattr(convolve, "_SPARSE_COST", math.inf)  # every fold dense
+    dense, dense_overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    assert calls == [1]
+    assert overflow == dense_overflow
+    np.testing.assert_allclose(cells, dense, rtol=2 * (M + 1) * EPS, atol=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 120, 1000])
+@pytest.mark.parametrize("square", [False, True], ids=_SQUARE_IDS)
+def test_sparse_fold_chunks_keep_the_bits(monkeypatch, chunk, square):
+    M = 3000
+    p1, p2 = _sparse_factors(square, M)
+    calls = _sparse_calls(monkeypatch)
+    whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    monkeypatch.setattr(convolve, "_CHUNK", chunk)
+    cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
+    assert calls == [1, 1]
+    assert np.array_equal(cells, whole) and ov == overflow
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dyadic_folds_take_the_sparse_route(dyadic, monkeypatch, n):
+    # At h = 1/8 and 20001 cells, dyadic_pareto's S_1 has 16 nonzero cells
+    # and S_2 120, but most 1024-cell blocks of both hold one of them.
+    dense = []
+    for name in ("_outputs_from", "_square_cells", "_product_cells"):
+        def counted(*args, kernel=getattr(convolve, name), name=name):
+            dense.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(convolve, name, counted)
+    calls = _sparse_calls(monkeypatch)
+    tf.convn_tail_grid(dyadic, n, 2500.0, 0.125)
+    tf.jump_cond(dyadic, n, 2400.0, 300.0, 0.125)
+    assert dense == []
+    assert len(calls) == 2 * _FULL_FOLDS[n] + 2 * 2 * _FULL_FOLDS[n]
+
+
 def _two_chain(monkeypatch):
     """Force the two-chain path by reporting an atom on a node."""
     masses = convolve._staircase_masses
@@ -684,3 +809,42 @@ def test_bracket_contains_erlang_tails_past_three_folds(exp1, n):
     assert np.all(log_truth <= bg.log_upper)
     k = int(np.searchsorted(v, 10.0))
     assert bg.log_upper[k] - bg.log_lower[k] < 2 * n * h  # the bracket has teeth
+
+
+def _dyadic_single_tail(z: Fraction) -> Fraction:
+    """P(X > z) for dyadic_pareto: 1 below 2, 4^-j on [2^j, 2^(j+1))."""
+    j = 0
+    while 2 ** (j + 1) <= z:
+        j += 1
+    return Fraction(1, 4**j)
+
+
+@functools.lru_cache(maxsize=None)
+def _dyadic_exact(n: int, z: Fraction, cap: int | None = None) -> Fraction:
+    """P(every summand <= cap, S_n > z) for dyadic_pareto, whose atoms are
+    3 * 4^-j at 2^j, j >= 1, summed exactly; without a cap, the atoms
+    beyond z count through the summand's own tail."""
+    if n == 0:
+        return Fraction(int(z < 0))
+    total, top = (_dyadic_single_tail(z), z) if cap is None else (Fraction(0), cap)
+    j = 1
+    while 2**j <= top:
+        total += Fraction(3, 4**j) * _dyadic_exact(n - 1, z - 2**j, cap)
+        j += 1
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_dyadic_grid_contains_the_enumerated_tail(dyadic, n):
+    bg = tf.convn_tail_grid(dyadic, n, 24.0, 0.125)
+    M = len(bg.grid) - 1
+    for k in range(0, M + 1, M // 16):
+        truth = math.log(_dyadic_exact(n, Fraction(bg.grid[k])))
+        assert bg.log_lower[k] <= truth <= bg.log_upper[k], k
+
+
+def test_dyadic_jump_cond_contains_the_enumerated_conditional(dyadic):
+    br = tf.jump_cond(dyadic, 3, 24.0, 4.0, 0.125)
+    x = Fraction(24)
+    truth = 1 - _dyadic_exact(3, x, 20) / _dyadic_exact(3, x)
+    assert br.lower <= truth <= br.upper
