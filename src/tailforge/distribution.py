@@ -235,13 +235,18 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
     return math.exp(lv) if lv > _NEG_INF else 0.0
 
 
+def _terminal_rate(d: Distribution) -> float:
+    """The exponential decay rate of the last segment: its tilt, plus its
+    rate when it is exp-affine."""
+    seg = d.tail.segments[-1]
+    return seg.tilt + seg.rate if isinstance(seg, ExpAffineSegment) else seg.tilt
+
+
 def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
     seg = d.tail.segments[-1]
     if math.isfinite(seg.hi):
         return  # finite support handled by the truncation certificate
-    budget = seg.tilt
-    if isinstance(seg, ExpAffineSegment):
-        budget += seg.rate
+    budget = _terminal_rate(d)
     if lam > budget:
         raise DivergenceError(
             f"exp moment with rate {lam} diverges: terminal exponential decay "

@@ -36,7 +36,7 @@ from .convolve import (
     _log_stieltjes_bands,
     log_cross_integral,
 )
-from .distribution import Distribution, exp_moment
+from .distribution import Distribution, _terminal_rate, exp_moment
 from .errors import (
     DivergenceError,
     InconclusiveBracketError,
@@ -539,13 +539,20 @@ class ClassifyConfig:
     defining excursions live beyond ``x_hi`` (doubly-exponential breakpoint
     spacing, say) reads as bounded here, and the scripted experiments with
     purpose-built grids are the instrument for those.
+
+    L(gamma) and S(gamma) are read at one rate taken from the curve: the
+    last segment's tilt, plus its rate when it is exp-affine (the rate
+    ``exp_moment`` checks against).  L(gamma) needs the tilted shift ratio
+    to converge within ``l_tol`` of 1 for every t in ``t_list``; S(gamma)
+    compares the two-fold ratio with 2 m(gamma) at the same rate.  When
+    e^{gamma t} - 1 <= ``l_tol`` for the largest t, the window cannot tell
+    the rate from 0, and L(gamma) reads evidence-against.
     """
 
     x_lo: float = 4.0
     x_hi: float = 1.0e6
     n_grid: int = 28
     t_list: tuple[float, ...] = (1.0, 2.0)
-    gamma_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
     K_list: tuple[float, ...] | None = None
     K_levels: tuple[float, ...] = (0.3, 0.1, 0.03, 0.01, 0.003)
     j_x_lo: float = 64.0
@@ -567,7 +574,7 @@ class ClassifyConfig:
             raise ParameterError(
                 f"grid sizes must be >= 2, got n_grid={self.n_grid}, j_n_grid={self.j_n_grid}"
             )
-        for name in ("t_list", "gamma_grid", "K_list"):
+        for name in ("t_list", "K_list"):
             values = getattr(self, name) or ()
             if not all(v > 0.0 for v in values):
                 raise ParameterError(f"{name} entries must be positive, got {values}")
@@ -705,35 +712,36 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
         d_verdict, d_detail = "inconclusive", f"halving ratio trend {d_series.trend}"
     entries.append(ClassEntry("D", d_verdict, d_detail, (d_series,)))
 
-    # --- L(gamma) scan ------------------------------------------------------
-    lg_series: list[DiagSeries] = []
-    winner: float | None = None
-    for g in cfg.gamma_grid:
-        ok = True
-        for t in cfg.t_list:
-            s = ratio_diagnostic(
-                d,
-                "lgamma",
-                shift_probe_grid(d, xgrid, t),
-                t=t,
-                gamma=g,
-                cfg=qcfg,
-                trend_cfg=cfg.trend,
-            )
-            lg_series.append(s)
-            if not (
-                s.trend == "converging" and s.limit is not None and abs(s.limit - 1.0) <= cfg.l_tol
-            ):
-                ok = False
-        if ok and winner is None:
-            winner = g
-    if winner is not None:
+    # --- L(gamma) at the terminal decay rate ------------------------------
+    gamma = _terminal_rate(d)
+    lg_series = tuple(
+        ratio_diagnostic(
+            d,
+            "lgamma",
+            shift_probe_grid(d, xgrid, t),
+            t=t,
+            gamma=gamma,
+            cfg=qcfg,
+            trend_cfg=cfg.trend,
+        )
+        for t in cfg.t_list
+    )
+    t_max = max(cfg.t_list)
+    if math.expm1(gamma * t_max) <= cfg.l_tol:
+        # e^{gamma t} stays within l_tol of 1 at every shift, so the window
+        # cannot tell this rate from 0.
+        lg_verdict = "evidence-against"
+        lg_detail = f"no exponential decay resolved at shifts up to {t_max:g} (rate {gamma:g})"
+    elif all(
+        s.trend == "converging" and s.limit is not None and abs(s.limit - 1.0) <= cfg.l_tol
+        for s in lg_series
+    ):
         lg_verdict = "evidence-for"
-        lg_detail = f"tilted shift ratio settles at 1 for gamma={winner:g}"
+        lg_detail = f"tilted shift ratio settles at 1 for gamma={gamma:g}"
     else:
         lg_verdict = "evidence-against"
-        lg_detail = f"no gamma in {cfg.gamma_grid} settles the tilted shift ratio at 1"
-    entries.append(ClassEntry("L(gamma)", lg_verdict, lg_detail, tuple(lg_series)))
+        lg_detail = f"tilted shift ratio does not settle at 1 for gamma={gamma:g}"
+    entries.append(ClassEntry("L(gamma)", lg_verdict, lg_detail, lg_series))
 
     # --- convolution ratios: OS, OS*, S ------------------------------------
     os_series = ratio_diagnostic(d, "os", xgrid, cfg=qcfg, trend_cfg=cfg.trend)
@@ -780,50 +788,34 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries.append(ClassEntry("S", s_verdict, s_detail, (os_series,)))
 
     # --- S(gamma) ------------------------------------------------------------
-    if winner is None:
-        entries.append(
-            ClassEntry(
-                "S(gamma)",
-                "evidence-against",
-                "no exponential shift rate found (not in any L(gamma))",
-            )
-        )
+    sg_evidence: tuple[DiagSeries, ...] = ()
+    if lg_verdict != "evidence-for":
+        sg_verdict = "evidence-against"
+        sg_detail = "no exponential shift rate found (not in any L(gamma))"
     else:
         try:
-            m_gamma = exp_moment(d, winner, qcfg)
-        except (DivergenceError, TruncationError) as exc:
-            entries.append(
-                ClassEntry(
-                    "S(gamma)",
-                    "evidence-against",
-                    f"tilted moment at gamma={winner:g} not finite ({exc})",
-                )
-            )
-            m_gamma = None
-        if m_gamma is not None:
-            target = 2.0 * m_gamma
+            target = 2.0 * exp_moment(d, gamma, qcfg)
+        except DivergenceError as exc:
+            sg_verdict = "evidence-against"
+            sg_detail = f"tilted moment at gamma={gamma:g} not finite ({exc})"
+        except TruncationError as exc:
+            sg_verdict = "inconclusive"
+            sg_detail = f"tilted moment at gamma={gamma:g} not certified ({exc})"
+        else:
+            sg_evidence = (os_series,)
             if (
                 os_series.trend == "converging"
                 and os_series.limit is not None
                 and abs(os_series.limit - target) <= cfg.s_rel_band * target
             ):
-                entries.append(
-                    ClassEntry(
-                        "S(gamma)",
-                        "evidence-for",
-                        f"two-fold ratio -> {os_series.limit:.4g} ~ 2*m(gamma={winner:g}) = {target:.4g}",
-                        (os_series,),
-                    )
+                sg_verdict = "evidence-for"
+                sg_detail = (
+                    f"two-fold ratio -> {os_series.limit:.4g} ~ 2*m(gamma={gamma:g}) = {target:.4g}"
                 )
             else:
-                entries.append(
-                    ClassEntry(
-                        "S(gamma)",
-                        "evidence-against",
-                        f"two-fold ratio does not settle at 2*m(gamma={winner:g}) = {target:.4g}",
-                        (os_series,),
-                    )
-                )
+                sg_verdict = "evidence-against"
+                sg_detail = f"two-fold ratio does not settle at 2*m(gamma={gamma:g}) = {target:.4g}"
+    entries.append(ClassEntry("S(gamma)", sg_verdict, sg_detail, sg_evidence))
 
     # --- J: conditional-small-summand profile -------------------------------
     j_entries = _classify_j(d, cfg, qcfg, os_against)

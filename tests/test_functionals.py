@@ -603,11 +603,23 @@ def test_classify_pareto(pareto3):
     assert rep.disclaimer == "numerical evidence, not proof"
 
 
-def test_classify_exponential(exp1):
-    rep = tf.classify(exp1)
+@pytest.mark.parametrize(
+    "law, rate",
+    [
+        (tf.exponential(1.0), 1.0),
+        (tf.exponential(1.5), 1.5),
+        (tf.gamma_transform(tf.exponential(1.0), 0.5), 1.5),
+    ],
+    ids=["exp1", "exp1.5", "tilt-exp1-0.5"],
+)
+def test_classify_exponential(law, rate):
+    rep = tf.classify(law)
     assert rep.verdict("J") == "evidence-against"
     assert rep.verdict("L") == "evidence-against"
     assert rep.verdict("L(gamma)") == "evidence-for"
+    assert rep.entry("L(gamma)").detail.endswith(f"gamma={rate:g}")
+    # one tilted shift series per t, at the rate read off the curve
+    assert [s.kind for s in rep.entry("L(gamma)").evidence] == ["lgamma", "lgamma"]
     assert rep.verdict("S(gamma)") == "evidence-against"
 
 
@@ -619,12 +631,35 @@ def test_classify_dyadic(dyadic):
         assert rep.verdict(cls) == "evidence-against", cls
 
 
-def test_classify_tilted_pareto(pareto3):
-    rep = tf.classify(tf.gamma_transform(pareto3, 0.5))
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+def test_classify_tilted_pareto(pareto3, gamma):
+    rep = tf.classify(tf.gamma_transform(pareto3, gamma))
     assert rep.verdict("L(gamma)") == "evidence-for"
     assert rep.verdict("S(gamma)") == "evidence-for"
+    assert f"2*m(gamma={gamma:g})" in rep.entry("S(gamma)").detail
     assert rep.verdict("J") == "evidence-for"
     assert rep.verdict("L") == "evidence-against"
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.7])
+def test_classify_tilted_weibull_off_the_old_grid(gamma):
+    rep = tf.classify(tf.gamma_transform(tf.weibull_heavy(0.5), gamma))
+    assert rep.verdict("L(gamma)") == "evidence-for"
+    assert rep.verdict("S(gamma)") == "evidence-for"
+    assert f"2*m(gamma={gamma:g})" in rep.entry("S(gamma)").detail
+
+
+def test_classify_fkz_rate_below_resolution(fkz):
+    # The last segment decays at rate 1.35e-19: e^{gamma t} - 1 is far below
+    # l_tol at every shift, so the window cannot tell it from 0.
+    rep = tf.classify(fkz)
+    assert rep.verdict("L(gamma)") == "evidence-against"
+    assert rep.verdict("S(gamma)") == "evidence-against"
+    # The tilt's moment cannot be certified past the materialized curve,
+    # which is no evidence either way.
+    rep = tf.classify(tf.gamma_transform(fkz, 0.5))
+    assert rep.verdict("L(gamma)") == "evidence-for"
+    assert rep.verdict("S(gamma)") == "inconclusive"
 
 
 def test_classify_tilted_staircase_signature(dyadic):

@@ -376,6 +376,7 @@ CONFIG_ERRORS = [
     # settings that were removed are unknown keys
     ("classify-removed-use-jump", CLASSIFY, '{"use_jump": true}'),
     ("classify-removed-jump-h", CLASSIFY, '{"jump_h": 0.05}'),
+    ("classify-removed-gamma-grid", CLASSIFY, '{"gamma_grid": [0.5]}'),
     # values of the wrong type or shape
     ("classify-nested-trend", CLASSIFY, '{"trend": {"converge_band": 0.05}}'),
     ("classify-float-for-int", CLASSIFY, '{"n_grid": 8.5}'),
@@ -393,7 +394,6 @@ CONFIG_ERRORS = [
     ("classify-window-reversed", CLASSIFY, '{"x_lo": 1e4, "x_hi": 100}'),
     ("classify-zero-j-x-lo", CLASSIFY, '{"j_x_lo": 0}'),
     ("classify-negative-t", CLASSIFY, '{"t_list": [1.0, -2.0]}'),
-    ("classify-zero-gamma", CLASSIFY, '{"gamma_grid": [0.5, 0]}'),
     ("classify-negative-K", CLASSIFY, '{"K_list": [-2.0]}'),
     ("classify-level-one", CLASSIFY, '{"K_levels": [0.3, 1.0]}'),
     ("classify-j-band-reversed", CLASSIFY, '{"j_lo": 0.9, "j_hi": 0.5}'),
