@@ -270,28 +270,38 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     return out
 
 
-def _log_conv2_tails(d: Distribution, xs, cfg: QuadConfig) -> list:
-    """``log_conv2_tail`` at each x, in one batch; entry i is a float or the
-    error x[i] raises alone."""
-    out: list = [0.0] * len(xs)  # log F2bar(x) = 0 for x < 0
+def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
+    """For each job (x, cuts), log F2bar(x) and the bands of
+    ``_log_stieltjes_bands`` below the last cut, in one batch.
+
+    Both come from one pass cut at the increasing ``cuts``, all below x, and
+    at x: log F2bar(x) sums F(x) and the terms of every band, so a prefix of
+    the bands and the total share their quadratures.  With no cuts the pass
+    is the one band [0, x].  Entry i is the pair, or the error job i raises
+    alone.
+    """
+    out: list = [None] * len(jobs)
     quad = []
-    for i, x in enumerate(xs):
+    for i, (x, cuts) in enumerate(jobs):
         if x < 0:
-            continue
-        if (bad := _checked_x(d, x)) is not None:
+            out[i] = (0.0, [[] for _ in cuts])  # log F2bar(x) = 0 for x < 0
+        elif (bad := _checked_x(d, x)) is not None:
             out[i] = bad
         else:
             quad.append(i)
-    jobs = [(xs[i], [xs[i]]) for i in quad]
-    heads = d.tail.log_tail(np.array([x for x, _ in jobs], dtype=float)).tolist()
-    for i, head, bands in zip(quad, heads, _log_stieltjes_bands(d, jobs, cfg)):
-        out[i] = bands if isinstance(bands, TailforgeError) else _logsumexp_list([head, *bands[0]])
+    passes = [(jobs[i][0], [*jobs[i][1], jobs[i][0]]) for i in quad]
+    heads = d.tail.log_tail(np.array([x for x, _ in passes], dtype=float)).tolist()
+    for i, head, bands in zip(quad, heads, _log_stieltjes_bands(d, passes, cfg)):
+        if isinstance(bands, TailforgeError):
+            out[i] = bands
+        else:
+            out[i] = (_logsumexp_list([head, *(t for band in bands for t in band)]), bands[:-1])
     return out
 
 
 def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
     """log of F2bar(x) = F(x) + int_{[0, x]} F(x - y) F(dy)."""
-    return unwrap(_log_conv2_tails(d, [x], cfg or QuadConfig())[0])
+    return unwrap(_log_conv2_tails(d, [(x, [])], cfg or QuadConfig())[0])[0]
 
 
 def conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:

@@ -250,13 +250,13 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     id_ok = True
     xs = [float(x) for x in cfg["identity_x"]]
     batches = (
-        _log_conv2_tails(G, xs, qcfg),
-        _log_conv2_tails(F, xs, qcfg),
+        _log_conv2_tails(G, [(x, []) for x in xs], qcfg),
+        _log_conv2_tails(F, [(x, []) for x in xs], qcfg),
         _log_cross_integrals(F, [(0.0, x, x) for x in xs], qcfg),
     )
     for x, lg2, lf2, lcross in zip(xs, *batches):
-        direct = math.exp(unwrap(lg2) - G.tail.log_tail(x))
-        lf2, lcross = unwrap(lf2), unwrap(lcross)
+        direct = math.exp(unwrap(lg2)[0] - G.tail.log_tail(x))
+        lf2, lcross = unwrap(lf2)[0], unwrap(lcross)
         recon = math.exp(log_tilt_identity(lf2, lcross, cfg["gamma"]) - F.tail.log_tail(x))
         rel = abs(recon / direct - 1.0)
         id_rows.append([fmt_float(x), fmt_float(direct), fmt_float(recon), fmt_float(rel)])

@@ -33,7 +33,6 @@ from .convolve import (
     _brackets,
     _log_conv2_tails,
     _log_cross_integrals,
-    _log_stieltjes_bands,
     log_cross_integral,
 )
 from .distribution import Distribution, _terminal_rate, exp_moment
@@ -189,39 +188,22 @@ def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
 
 
 def _b2_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> list[float]:
-    """``b2_cond(d, x, K)`` for each K of the increasing list ``Ks``."""
-    return unwrap(_b2_profiles(d, [(x, Ks)], cfg)[0])
+    """``b2_cond(d, x, K)`` for each K of the increasing list ``Ks``.
 
-
-def _b2_profiles(d: Distribution, jobs, cfg: QuadConfig) -> list:
-    """``_b2_profile`` for each job (x, Ks), in one batch of numerators and
-    one of denominators; entry i is a list or the error job i raises alone.
-
-    One banded Stieltjes pass over [0, max K], cut at every K, gives the
-    numerators as prefix sums, so the profile is nondecreasing in K; the
-    denominator is the whole two-fold tail, computed once.
+    One banded Stieltjes pass over [0, x], cut at every K, gives the
+    numerators as prefix sums, so the profile is nondecreasing in K, and
+    the denominator F2bar(x) as the pass's total.
     """
-    out: list = [None] * len(jobs)
-    ok = []
-    for i, (x, Ks) in enumerate(jobs):
-        bad = next((K for K in Ks if not (x > 2 * K > 0)), None)
-        if bad is not None:
-            out[i] = ParameterError(f"need x > 2K > 0, got x={x}, K={bad}")
-        elif not all(a < b for a, b in zip(Ks, Ks[1:])):
-            out[i] = ParameterError(f"K values must increase, got {Ks}")
-        else:
-            ok.append(i)
-    bands = _log_stieltjes_bands(d, [jobs[i] for i in ok], cfg)
-    dens = _log_conv2_tails(d, [jobs[i][0] for i in ok], cfg)
-    for i, job_bands, log_den in zip(ok, bands, dens):
-        try:
-            out[i] = _prefix_ratios(*jobs[i], unwrap(job_bands), unwrap(log_den), cfg)
-        except TailforgeError as err:
-            out[i] = err
-    return out
+    bad = next((K for K in Ks if not (x > 2 * K > 0)), None)
+    if bad is not None:
+        raise ParameterError(f"need x > 2K > 0, got x={x}, K={bad}")
+    if not all(a < b for a, b in zip(Ks, Ks[1:])):
+        raise ParameterError(f"K values must increase, got {Ks}")
+    log_den, bands = unwrap(_log_conv2_tails(d, [(x, Ks)], cfg)[0])
+    return _prefix_ratios(x, Ks, log_den, bands, cfg)
 
 
-def _prefix_ratios(x: float, Ks: list[float], bands, log_den: float, cfg: QuadConfig) -> list[float]:
+def _prefix_ratios(x: float, Ks: list[float], log_den: float, bands, cfg: QuadConfig) -> list[float]:
     out: list[float] = []
     terms: list[float] = []
     log_prefix = _NEG_INF
@@ -428,8 +410,8 @@ def ratio_diagnostic(
         lt_sh = np.atleast_1d(curve.log_tail(xs + t))
         logs = gamma * t + lt_sh - lt
     elif kind == "os":
-        entries = _log_conv2_tails(d, xs.tolist(), cfg)
-        logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
+        entries = _log_conv2_tails(d, [(x, []) for x in xs.tolist()], cfg)
+        logs = np.array([unwrap(v)[0] for v in entries]) - curve.log_tail(xs)
     elif kind == "osstar":
         entries = _log_cross_integrals(d, [(0.0, x, x) for x in xs.tolist()], cfg)
         logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
@@ -547,6 +529,9 @@ class ClassifyConfig:
     compares the two-fold ratio with 2 m(gamma) at the same rate.  When
     e^{gamma t} - 1 <= ``l_tol`` for the largest t, the window cannot tell
     the rate from 0, and L(gamma) reads evidence-against.
+
+    J reads b2(x, K) at the points of the OS grid from max(``j_x_lo``, 3K)
+    up, off the same two-fold pass as OS.
     """
 
     x_lo: float = 4.0
@@ -556,7 +541,6 @@ class ClassifyConfig:
     K_list: tuple[float, ...] | None = None
     K_levels: tuple[float, ...] = (0.3, 0.1, 0.03, 0.01, 0.003)
     j_x_lo: float = 64.0
-    j_n_grid: int = 10
     l_tol: float = 0.05
     s_rel_band: float = 0.1
     j_hi: float = 0.9
@@ -570,10 +554,8 @@ class ClassifyConfig:
             raise ParameterError(f"need 0 < x_lo < x_hi, got x_lo={self.x_lo}, x_hi={self.x_hi}")
         if not self.j_x_lo > 0.0:
             raise ParameterError(f"j_x_lo must be positive, got {self.j_x_lo}")
-        if not (self.n_grid >= 2 and self.j_n_grid >= 2):
-            raise ParameterError(
-                f"grid sizes must be >= 2, got n_grid={self.n_grid}, j_n_grid={self.j_n_grid}"
-            )
+        if not self.n_grid >= 2:
+            raise ParameterError(f"n_grid must be >= 2, got {self.n_grid}")
         for name in ("t_list", "K_list"):
             values = getattr(self, name) or ()
             if not all(v > 0.0 for v in values):
@@ -744,7 +726,15 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries.append(ClassEntry("L(gamma)", lg_verdict, lg_detail, lg_series))
 
     # --- convolution ratios: OS, OS*, S ------------------------------------
-    os_series = ratio_diagnostic(d, "os", xgrid, cfg=qcfg, trend_cfg=cfg.trend)
+    # One two-fold pass per grid point, cut at each K whose J profile reads
+    # it: OS reads the totals, J the prefixes.
+    K_list = cfg.resolve_K(d)
+    j_jobs = [
+        (x, sorted({K for K in K_list if x >= max(cfg.j_x_lo, 3.0 * K)})) for x in xgrid.tolist()
+    ]
+    conv2 = [unwrap(v) for v in _log_conv2_tails(d, j_jobs, qcfg)]
+    os_logs = np.array([log_f2 for log_f2, _ in conv2]) - d.tail.log_tail(xgrid)
+    os_series = DiagSeries.build("os", "x", xgrid, os_logs, cfg.trend)
     osstar_series = ratio_diagnostic(d, "osstar", xgrid, cfg=qcfg, trend_cfg=cfg.trend)
     os_against = os_series.trend == "diverging"
     entries.append(
@@ -818,39 +808,27 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries.append(ClassEntry("S(gamma)", sg_verdict, sg_detail, sg_evidence))
 
     # --- J: conditional-small-summand profile -------------------------------
-    j_entries = _classify_j(d, cfg, qcfg, os_against)
-    entries.append(j_entries)
+    entries.append(_classify_j(cfg, qcfg, K_list, j_jobs, conv2, os_against))
 
     return ClassReport(d.label or "distribution", tuple(entries))
 
 
 def _classify_j(
-    d: Distribution, cfg: ClassifyConfig, qcfg: QuadConfig, os_against: bool
+    cfg: ClassifyConfig, qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool
 ) -> ClassEntry:
+    rows: dict[float, tuple[list[float], list[float]]] = {K: ([], []) for K in K_list}
+    for (x, Ks), (log_den, bands) in zip(jobs, conv2):
+        try:
+            vals = _prefix_ratios(x, Ks, log_den, bands, qcfg)
+        except TailforgeError:
+            continue  # a refused ratio at x leaves every profile
+        for K, v in zip(Ks, vals):
+            rows[K][0].append(x)
+            rows[K][1].append(v)
     profiles: list[DiagSeries] = []
     proxies: list[float] = []
-    K_list = cfg.resolve_K(d)
-    grids: list[tuple[float, list[float]]] = []
     for K in K_list:
-        lo = max(cfg.j_x_lo, 2.0 * K * 1.5)
-        hi = min(cfg.x_hi, d.tail.truncation_hi)
-        if hi <= lo * 2:
-            continue
-        grids.append((float(K), [float(x) for x in geometric_grid(d, lo, hi, cfg.j_n_grid)]))
-    # One profile per threshold covers every K whose grid holds it; an x
-    # that fails is dropped for all of them.
-    Ks_at: dict[float, set[float]] = {}
-    for K, grid in grids:
-        for x in grid:
-            Ks_at.setdefault(x, set()).add(K)
-    jobs = [(x, sorted(K_set)) for x, K_set in Ks_at.items()]
-    b2: dict[tuple[float, float], float] = {}
-    for (x, Ks), prof in zip(jobs, _b2_profiles(d, jobs, qcfg)):
-        if not isinstance(prof, TailforgeError):
-            b2.update(((x, K), v) for K, v in zip(Ks, prof))
-    for K, grid in grids:
-        kept_x = [x for x in grid if (x, K) in b2]
-        vals = [b2[x, K] for x in kept_x]
+        kept_x, vals = rows[K]
         if len(vals) < 3:
             continue
         log_vals = np.log(np.maximum(vals, 1e-300))
@@ -858,6 +836,7 @@ def _classify_j(
         profiles.append(series)
         half = np.asarray(vals)[len(vals) // 2 :]
         proxies.append(float(np.min(half)))
+        last_K = K
     if os_against:
         return ClassEntry(
             "J",
@@ -873,16 +852,16 @@ def _classify_j(
     if proxies[-1] >= cfg.j_hi and nondecreasing:
         verdict, detail = (
             "evidence-for",
-            f"small-summand profile reaches {proxies[-1]:.4g} at K={K_list[-1]:g}",
+            f"small-summand profile reaches {proxies[-1]:.4g} at K={last_K:g}",
         )
     elif proxies[-1] <= cfg.j_lo:
         verdict, detail = (
             "evidence-against",
-            f"small-summand profile stuck at {proxies[-1]:.4g} at K={K_list[-1]:g}",
+            f"small-summand profile stuck at {proxies[-1]:.4g} at K={last_K:g}",
         )
     else:
         verdict, detail = (
             "inconclusive",
-            f"profile at K={K_list[-1]:g} is {proxies[-1]:.4g}",
+            f"profile at K={last_K:g} is {proxies[-1]:.4g}",
         )
     return ClassEntry("J", verdict, detail, tuple(profiles))

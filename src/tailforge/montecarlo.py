@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distribution import Distribution
-from .errors import LowAcceptanceError, ParameterError
+from .errors import LowAcceptanceError, ParameterError, TailforgeError
 from .functionals import jump_cond
 
 __all__ = ["McEstimate", "mc_jump_cond", "ComparisonRow", "ComparisonTable", "mc_vs_quadrature"]
@@ -197,8 +197,8 @@ def mc_vs_quadrature(
     where SE_ac is the Agresti-Coull adjusted standard error (two pseudo
     successes and failures), which stays positive at empirical rates of 0
     or 1 where the plain binomial SE degenerates.  Rows with |z| > z_flag
-    are flagged.  Per-scenario errors are recorded in the table, not
-    raised.  ``bias_injection`` maps row index -> additive bias, a
+    are flagged.  A scenario's ``TailforgeError`` is recorded in the table,
+    not raised; any other exception is a fault and propagates.  ``bias_injection`` maps row index -> additive bias, a
     self-test hook for verifying that the harness flags what it should.
     """
     rows: list[ComparisonRow] = []
@@ -230,7 +230,7 @@ def mc_vs_quadrature(
                     flagged=abs(z) > z_flag,
                 )
             )
-        except Exception as exc:  # recorded, not thrown, per contract
+        except TailforgeError as exc:  # recorded, not thrown; a coding fault propagates
             rows.append(
                 ComparisonRow(
                     n=n,

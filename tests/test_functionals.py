@@ -13,14 +13,12 @@ from tailforge.errors import (
     GridGuardError,
     InconclusiveBracketError,
     ParameterError,
-    TailforgeError,
     ToleranceError,
     TruncationError,
 )
 from tailforge.functionals import (
     ClassifyConfig,
     _b2_profile,
-    _classify_j,
     classify_trend,
     geometric_grid,
     shift_probe_grid,
@@ -93,12 +91,12 @@ def test_b2_precondition(pareto3):
 # b2 values pinned bit for bit, so that any change to the quadrature's
 # panels or summation order shows here and is declared.
 B2_PINNED = {
-    "exp1": [(10.0, 1.0, 0.18181818181818166), (64.0, 4.0, 0.12307692307692347),
-             (500.0, 16.0, 0.06387225548902081)],
-    "pareto3": [(10.0, 1.0, 0.8045635145624203), (64.0, 4.0, 0.9890337908478377),
+    "exp1": [(10.0, 1.0, 0.18181818181818182), (64.0, 4.0, 0.12307692307692347),
+             (500.0, 16.0, 0.06387225548902443)],
+    "pareto3": [(10.0, 1.0, 0.8045635145624195), (64.0, 4.0, 0.9890337908478377),
                 (500.0, 16.0, 0.9997626996673102)],
-    "plateau2": [(10.0, 1.0, 0.55828443211156), (64.0, 4.0, 0.6357931715831654),
-                 (500.0, 16.0, 0.9657957497911019)],
+    "plateau2": [(10.0, 1.0, 0.5582844321050779), (64.0, 4.0, 0.6357931715629825),
+                 (500.0, 16.0, 0.9657957496767333)],
 }
 
 
@@ -126,21 +124,24 @@ def test_b2_tilted_weibull_is_below_one():
 
 def test_ratio_past_one_clamps_only_within_tolerance(monkeypatch, pareto3):
     # b2(pareto(3), 500, 16) = 0.99976...; numerator terms pushed up by a
-    # log shift read past 1.  An excess up to 10 rel_tol is clamped to 1, a
-    # larger one is refused.
+    # log shift, with the two-fold total left as it is, read past 1.  An
+    # excess up to 10 rel_tol is clamped to 1, a larger one is refused.
     x, K, v = B2_PINNED["pareto3"][2]
-    real = functionals._log_stieltjes_bands
+    real = functionals._log_conv2_tails
 
     def shifted(shift):
-        def bands(d, jobs, cfg):
-            return [[[t + shift for t in band] for band in job] for job in real(d, jobs, cfg)]
+        def conv2(d, jobs, cfg):
+            return [
+                (log_f2, [[t + shift for t in band] for band in bands])
+                for log_f2, bands in real(d, jobs, cfg)
+            ]
 
-        return bands
+        return conv2
 
     cfg = tf.QuadConfig()
-    monkeypatch.setattr(functionals, "_log_stieltjes_bands", shifted(-math.log(v) + 5 * cfg.rel_tol))
+    monkeypatch.setattr(functionals, "_log_conv2_tails", shifted(-math.log(v) + 5 * cfg.rel_tol))
     assert tf.b2_cond(pareto3, x, K, cfg) == 1.0
-    monkeypatch.setattr(functionals, "_log_stieltjes_bands", shifted(1e-3))
+    monkeypatch.setattr(functionals, "_log_conv2_tails", shifted(1e-3))
     with pytest.raises(ToleranceError, match="x=500.0, K=16.0"):
         tf.b2_cond(pareto3, x, K, cfg)
 
@@ -415,35 +416,50 @@ def test_two_fold_series_equal_per_x_calls(tilted, plateau2, dyadic):
         assert osstar.log_values[i] == tf.log_cross_integral(d, 0.0, x, x, cfg) - lt
 
 
-def test_j_profile_drops_only_failing_x(plateau2):
-    # Four subdivisions fail some (x, K) thresholds of plateau(2) and not
-    # others; the batch keeps what a per-x loop over _b2_profile keeps.
-    cfg, qcfg = ClassifyConfig(), tf.QuadConfig(rel_tol=1e-7, max_subdivisions=4)
-    entry = _classify_j(plateau2, cfg, qcfg, os_against=False)
-    got = {s.kind: (s.grid.tolist(), s.log_values.tolist()) for s in entry.evidence}
-    Ks_at: dict[float, list[float]] = {}
-    for K in cfg.resolve_K(plateau2):
-        lo, hi = max(cfg.j_x_lo, 3.0 * K), min(cfg.x_hi, plateau2.tail.truncation_hi)
-        if hi > 2 * lo:
-            for x in geometric_grid(plateau2, lo, hi, cfg.j_n_grid).tolist():
-                Ks_at.setdefault(x, []).append(K)
-    kept: dict[str, dict[float, float]] = {}
-    failed = 0
-    for x, Ks in Ks_at.items():
-        try:
-            vals = _b2_profile(plateau2, x, sorted(Ks), qcfg)
-        except TailforgeError:
-            failed += 1
-            continue
-        for K, v in zip(sorted(Ks), vals):
-            kept.setdefault(f"b2(K={K:g})", {})[x] = v
-    assert 0 < failed < len(Ks_at)
-    want = {
-        k: (sorted(at), np.log(np.maximum([at[x] for x in sorted(at)], 1e-300)).tolist())
-        for k, at in kept.items()
-        if len(at) >= 3
+def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
+    # classify makes one two-fold pass: J reads the OS grid from
+    # max(j_x_lo, 3K) up, each b2 denominator is the OS total, and an x whose
+    # ratio is refused (its bands pushed up past the total) leaves every J
+    # profile but stays in OS.
+    cfg = ClassifyConfig()
+    xs = geometric_grid(pareto3, cfg.x_lo, cfg.x_hi, cfg.n_grid).tolist()
+    refused = xs[len(xs) // 2]
+    real_conv2, real_ratios = functionals._log_conv2_tails, functionals._prefix_ratios
+    passes, dens = [], {}
+
+    def conv2(d, jobs, qcfg):
+        passes.append(jobs)
+        return [
+            (log_f2, [[t + 10.0 for t in band] for band in bands] if x == refused else bands)
+            for (x, _), (log_f2, bands) in zip(jobs, real_conv2(d, jobs, qcfg))
+        ]
+
+    def ratios(x, Ks, log_den, bands, qcfg):
+        dens[x] = log_den
+        return real_ratios(x, Ks, log_den, bands, qcfg)
+
+    monkeypatch.setattr(functionals, "_log_conv2_tails", conv2)
+    monkeypatch.setattr(functionals, "_prefix_ratios", ratios)
+    rep = tf.classify(pareto3, cfg)
+    os_ = rep.entry("OS").evidence[0]
+    assert len(passes) == 1 and os_.grid.tolist() == xs
+    profiles = {s.kind: s.grid.tolist() for s in rep.entry("J").evidence}
+    Ks = cfg.resolve_K(pareto3)
+    assert profiles == {
+        f"b2(K={K:g})": [x for x in xs if x >= max(cfg.j_x_lo, 3.0 * K) and x != refused]
+        for K in Ks
     }
-    assert got == want
+    assert refused in dens and refused >= 3.0 * max(Ks)
+    for x, log_den in dens.items():
+        assert log_den - pareto3.tail.log_tail(x) == os_.log_values[xs.index(x)]
+
+
+def test_j_detail_names_the_last_profile_read(pareto3):
+    # K = 2e5 reads at most the grid points from 6e5 to 1e6, too few for a
+    # profile, so the verdict rests on K = 4.
+    rep = tf.classify(pareto3, ClassifyConfig(K_list=(1, 4, 2e5)))
+    assert [s.kind for s in rep.entry("J").evidence] == ["b2(K=1)", "b2(K=4)"]
+    assert rep.entry("J").detail.endswith("at K=4")
 
 
 def test_lgamma_exponential_exact(exp1):
@@ -666,7 +682,7 @@ def test_classify_tilted_staircase_signature(dyadic):
     # the tilt of the dominatedly-varying staircase stays in J but admits
     # no exponential rate: light-tailed big-jump law beyond the
     # convolution-equivalent families
-    cfg = tf.ClassifyConfig(x_hi=1e5, n_grid=18, j_n_grid=6)
+    cfg = tf.ClassifyConfig(x_hi=1e5, n_grid=18)
     rep = tf.classify(tf.gamma_transform(dyadic, 0.5), cfg)
     assert rep.verdict("J") == "evidence-for"
     assert rep.verdict("L(gamma)") == "evidence-against"
@@ -674,7 +690,7 @@ def test_classify_tilted_staircase_signature(dyadic):
 
 
 def test_classify_tilted_ramp_plateau_signature(xu55):
-    cfg = tf.ClassifyConfig(x_hi=1e5, n_grid=18, j_n_grid=6)
+    cfg = tf.ClassifyConfig(x_hi=1e5, n_grid=18)
     rep = tf.classify(tf.gamma_transform(xu55, 1.0), cfg)
     assert rep.verdict("J") == "evidence-for"
     assert rep.verdict("L(gamma)") == "evidence-against"
@@ -683,7 +699,7 @@ def test_classify_tilted_ramp_plateau_signature(xu55):
 
 
 def test_classify_runs_on_every_builtin(request):
-    cfg = tf.ClassifyConfig(x_hi=1e5, n_grid=14, j_n_grid=5)
+    cfg = tf.ClassifyConfig(x_hi=1e5, n_grid=14)
     for name in ("fkz", "xu55", "plateau2"):
         d = request.getfixturevalue(name)
         rep = tf.classify(d, cfg)

@@ -88,6 +88,22 @@ def test_errors_recorded_not_thrown(exp1):
     assert table.rows[1].flagged
 
 
+def test_only_tailforge_errors_are_recorded(monkeypatch, exp1):
+    # A coding fault in the bracket route propagates; the deep-tail row,
+    # which fails in the Monte Carlo route first, still records its
+    # LowAcceptanceError.
+    from tailforge import montecarlo
+
+    def broken(*args):
+        raise TypeError("broken route")
+
+    monkeypatch.setattr(montecarlo, "jump_cond", broken)
+    table = tf.mc_vs_quadrature(exp1, [(2, 200.0, 1.0)], 10000, seed=2)
+    assert table.rows[0].error.startswith("LowAcceptanceError")
+    with pytest.raises(TypeError, match="broken route"):
+        tf.mc_vs_quadrature(exp1, [(2, 5.0, 1.0)], 10000, seed=2)
+
+
 def test_validation(exp1):
     with pytest.raises(ParameterError):
         tf.mc_jump_cond(exp1, 2, 5.0, 1.0, 0, seed=1)

@@ -285,7 +285,7 @@ def _stdout_cases():
 @pytest.mark.parametrize("argv, fmt", _stdout_cases())
 def test_cli_stdout_carries_the_out_file_bytes(tmp_path, capsys, argv, fmt):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"x_hi": 1e4, "n_grid": 14, "j_n_grid": 6}))
+    config.write_text(json.dumps({"x_hi": 1e4, "n_grid": 14}))
     argv = [str(config) if a == "{config}" else a for a in argv]
     if fmt is not None:
         argv += ["--format", fmt]
@@ -335,7 +335,7 @@ def test_cli_simulate(tmp_path):
 def test_cli_classify(tmp_path):
     out = tmp_path / "report.json"
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"x_hi": 1e4, "n_grid": 14, "j_n_grid": 6}))
+    cfgf.write_text(json.dumps({"x_hi": 1e4, "n_grid": 14}))
     code = main([
         "classify", "--dist", "exponential:lam=1", "--config", str(cfgf),
         "--out", str(out), "--format", "json",
@@ -377,6 +377,7 @@ CONFIG_ERRORS = [
     ("classify-removed-use-jump", CLASSIFY, '{"use_jump": true}'),
     ("classify-removed-jump-h", CLASSIFY, '{"jump_h": 0.05}'),
     ("classify-removed-gamma-grid", CLASSIFY, '{"gamma_grid": [0.5]}'),
+    ("classify-removed-j-n-grid", CLASSIFY, '{"j_n_grid": 10}'),
     # values of the wrong type or shape
     ("classify-nested-trend", CLASSIFY, '{"trend": {"converge_band": 0.05}}'),
     ("classify-float-for-int", CLASSIFY, '{"n_grid": 8.5}'),
@@ -389,7 +390,7 @@ CONFIG_ERRORS = [
     # values of the right type but out of range
     ("classify-zero-rel-tol", CLASSIFY, '{"rel_tol": 0}'),
     ("classify-negative-n-grid", CLASSIFY, '{"n_grid": -3}'),
-    ("classify-one-point-j-grid", CLASSIFY, '{"j_n_grid": 1}'),
+    ("classify-one-point-grid", CLASSIFY, '{"n_grid": 1}'),
     ("classify-zero-x-lo", CLASSIFY, '{"x_lo": 0}'),
     ("classify-window-reversed", CLASSIFY, '{"x_lo": 1e4, "x_hi": 100}'),
     ("classify-zero-j-x-lo", CLASSIFY, '{"j_x_lo": 0}'),
@@ -421,7 +422,7 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, content):
 def test_cli_config_values_of_the_right_shape_run(tmp_path):
     cfgf = tmp_path / "cfg.json"
     # ints where floats are expected, a list for a tuple, null for an option
-    cfgf.write_text('{"x_hi": 1000, "n_grid": 8, "t_list": [1], "K_list": null, "j_n_grid": 4}')
+    cfgf.write_text('{"x_hi": 1000, "n_grid": 8, "t_list": [1], "K_list": null}')
     out = tmp_path / "report.json"
     assert main([*CLASSIFY, "--config", str(cfgf), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["label"] == "exponential(1)"
