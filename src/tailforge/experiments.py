@@ -33,11 +33,11 @@ from .export import _write_csv, _write_json, export_grid, fmt_float
 from .functionals import (
     DiagSeries,
     _b2_profile,
+    _t_profile,
     shift_probe_grid,
     exam300_lower_bound,
     geometric_grid,
     ratio_diagnostic,
-    t_ratio,
     weak_equiv_diag,
     xu_window_labels,
 )
@@ -74,7 +74,6 @@ def default_config(exp_id: str) -> dict[str, Any]:
     if exp_id == "prop-1.3":
         return {
             "gamma": 0.5,
-            "beta_grid": [0.25, 0.5, 1.0],
             "K_list": [64.0, 256.0, 1024.0],
             "m_grid": [12, 13, 14, 15, 16, 17, 18, 19, 20],
             "gate_m_min": 15,
@@ -106,7 +105,6 @@ def default_config(exp_id: str) -> dict[str, Any]:
             "ol_t_list": [1.0, 2.0, 4.0],
             "K_windows": [512.0, 1024.0, 2048.0, 4096.0],
             "n_window": 3,
-            "beta_grid": [0.5, 1.0, 2.0],
             "gate_level": 0.9,
             "b2_gate_level": 0.85,
             "rel_tol": 1e-7,
@@ -169,27 +167,37 @@ def _K_profile(Ks, x: float, vals: list[float], path: Path, col: str) -> None:
     _write_csv(path, ["K", "x", col], rows)
 
 
+def _t_values(F: Distribution, pairs, qcfg: QuadConfig) -> dict[tuple[float, float], float]:
+    """t_ratio at each (K, x) pair, from one ``_t_profile`` per distinct x
+    over its Ks in increasing order."""
+    Ks_at: dict[float, set[float]] = {}
+    for K, x in pairs:
+        Ks_at.setdefault(x, set()).add(K)
+    return {
+        (K, x): v
+        for x, Ks in Ks_at.items()
+        for K, v in zip(sorted(Ks), _t_profile(F, x, sorted(Ks), qcfg))
+    }
+
+
 def _rises(vals: list[float], level: float) -> bool:
     """Nondecreasing up to 1e-9 and ending at or above ``level``."""
     return all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])) and vals[-1] >= level
 
 
-def _lgamma_scan(
-    G: Distribution, grid: np.ndarray, betas, qcfg: QuadConfig, path: Path, exp: _Expectations
+def _shift_ratio_unsettled(
+    G: Distribution, grid: np.ndarray, qcfg: QuadConfig, out: Path, exp: _Expectations
 ) -> None:
-    """Shift-ratio scan of G at each rate beta, written to ``path``; expects
-    that no rate settles the ratio at 1."""
-    probe = shift_probe_grid(G, grid, 1.0)
-    rows = []
-    none_converge = True
-    for beta in betas:
-        s = ratio_diagnostic(G, "lgamma", probe, t=1.0, gamma=beta, cfg=qcfg)
-        if s.trend == "converging" and s.limit is not None and abs(s.limit - 1) <= 0.05:
-            none_converge = False
-        for x, v in zip(s.grid, s.values):
-            rows.append([fmt_float(beta), fmt_float(float(x)), fmt_float(float(v)), s.trend])
-    _write_csv(path, ["beta", "x", "ratio", "trend"], rows)
-    exp.check("lgamma-scan-refutes", none_converge, "no tested rate settles the shift ratio at 1")
+    """Write G(x+1)/G(x) on the shift-probe grid to ``shift_ratio.csv`` and
+    expect it not to settle: G is in L(beta) iff the ratio settles at
+    e^{-beta}, so this one series refutes every rate."""
+    shift = ratio_diagnostic(
+        G, "lgamma", shift_probe_grid(G, grid, 1.0), t=1.0, gamma=0.0, cfg=qcfg
+    )
+    export_grid(shift, "csv", out / "shift_ratio.csv")
+    exp.check(
+        "shift-ratio-unsettled", shift.trend != "converging", f"G(x+1)/G(x) trend {shift.trend}"
+    )
 
 
 # ------------------------------------------------------------------ prop 1.1
@@ -289,16 +297,15 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     shallow_xs = [a[n] ** 2 for n in range(2, len(a)) if a[n] ** 2 <= cfg["x_cap"]]
     probe_xs = sorted(set(shallow_xs) | set(cfg["deep_x"]))
 
+    pairs = [(K, x) for K in cfg["K_list"] for x in probe_xs if K <= x / 2]
+    t_at = _t_values(F, pairs, qcfg)
     rows = []
     deep_ok = True
-    for K in cfg["K_list"]:
-        for x in probe_xs:
-            if K > x / 2:
-                continue
-            v = t_ratio(F, x, K, qcfg)
-            rows.append([fmt_float(K), fmt_float(x), fmt_float(v)])
-            if x in cfg["deep_x"] and v > cfg["t_gate"]:
-                deep_ok = False
+    for K, x in pairs:
+        v = t_at[K, x]
+        rows.append([fmt_float(K), fmt_float(x), fmt_float(v)])
+        if x in cfg["deep_x"] and v > cfg["t_gate"]:
+            deep_ok = False
     _write_csv(out / "t_ratio.csv", ["K", "x", "t_ratio"], rows)
     exp.check(
         "t-criterion-fails",
@@ -331,19 +338,14 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     G = gamma_transform(F, cfg["gamma"])
 
     # t_ratio K-profiles on the power-of-two grid.
-    rows = []
-    profile: dict[float, list[float]] = {}
-    for K in cfg["K_list"]:
-        vals = []
-        for m in cfg["m_grid"]:
-            x = 2.0**m
-            if K > x / 2:
-                vals.append(float("nan"))
-                continue
-            v = t_ratio(F, x, K, qcfg)
-            vals.append(v)
-            rows.append([fmt_float(K), str(m), fmt_float(x), fmt_float(v)])
-        profile[K] = vals
+    cells = [(K, m) for K in cfg["K_list"] for m in cfg["m_grid"] if K <= 2.0**m / 2]
+    t_at = _t_values(F, [(K, 2.0**m) for K, m in cells], qcfg)
+    rows = [
+        [fmt_float(K), str(m), fmt_float(2.0**m), fmt_float(t_at[K, 2.0**m])] for K, m in cells
+    ]
+    profile = {
+        K: [t_at.get((K, 2.0**m), float("nan")) for m in cfg["m_grid"]] for K in cfg["K_list"]
+    }
     _write_csv(out / "t_ratio.csv", ["K", "m", "x", "t_ratio"], rows)
     K_max = max(cfg["K_list"])
     gate_vals = [
@@ -365,9 +367,8 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
                 monotone = False
     exp.check("t-ratio-monotone-in-K", monotone, "profiles nondecreasing in K")
 
-    # L(beta) scan on the transform: no rate settles the shift ratio at 1.
-    grid = geometric_grid(G, 64.0, 2.0**20, 25)
-    _lgamma_scan(G, grid, cfg["beta_grid"], qcfg, out / "lgamma_scan.csv", exp)
+    # The transform lies in no L(beta).
+    _shift_ratio_unsettled(G, geometric_grid(G, 64.0, 2.0**20, 25), qcfg, out, exp)
 
     # S(gamma) evidence-against: the two-fold ratio of G does not converge.
     os_g = ratio_diagnostic(G, "os", geometric_grid(G, 4.0, 2.0**20, 22), cfg=qcfg)
@@ -401,7 +402,7 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         _rises(b2_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
-    return ["t_ratio.csv", "lgamma_scan.csv", "os_transform.csv", "b2_transform.csv"]
+    return ["t_ratio.csv", "shift_ratio.csv", "os_transform.csv", "b2_transform.csv"]
 
 
 # ------------------------------------------------------------------ prop 1.4
@@ -441,7 +442,7 @@ def _run_prop14(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
 
     # J mechanism on the source and the transform: profiles rise toward 1.
-    t_vals = [t_ratio(F, cfg["x_star"], float(K), qcfg) for K in cfg["K_list"]]
+    t_vals = _t_profile(F, cfg["x_star"], cfg["K_list"], qcfg)
     _K_profile(cfg["K_list"], cfg["x_star"], t_vals, out / "t_ratio.csv", "t_ratio")
     exp.check(
         "t-ratio-rises",
@@ -534,8 +535,7 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     nw = int(cfg["n_window"])
     xn = float(xns[nw - 1])
     x_next = float(xns[nw]) if nw < len(xns) else 4.0 * xn
-    win_rows = []
-    mins: dict[float, dict[str, float]] = {}
+    cells = []  # (K, window, x)
     for K in cfg["K_windows"]:
         xs = [
             xn + 0.5 * K,
@@ -544,14 +544,14 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
             2.0 * xn + 0.5 * K,
             min(2.0 * xn + 2.0 * K, 0.5 * (2.0 * xn + K + x_next)),
         ]
-        labels = xu_window_labels(F, xs, K)
-        mins[K] = {}
-        for x, w in zip(xs, labels):
-            if K > x / 2:
-                continue
-            v = t_ratio(F, float(x), float(K), qcfg)
-            win_rows.append([fmt_float(K), w, fmt_float(float(x)), fmt_float(v)])
-            mins[K][w] = min(mins[K].get(w, 1.0), v)
+        cells += [(K, w, x) for x, w in zip(xs, xu_window_labels(F, xs, K)) if K <= x / 2]
+    t_at = _t_values(F, [(K, x) for K, _, x in cells], qcfg)
+    win_rows = []
+    mins: dict[float, dict[str, float]] = {K: {} for K in cfg["K_windows"]}
+    for K, w, x in cells:
+        v = t_at[K, x]
+        win_rows.append([fmt_float(K), w, fmt_float(x), fmt_float(v)])
+        mins[K][w] = min(mins[K].get(w, 1.0), v)
     _write_csv(out / "t_windows.csv", ["K", "window", "x", "t_ratio"], win_rows)
     ks = sorted(cfg["K_windows"])
     windows = sorted({w for K in ks for w in mins[K]})
@@ -570,7 +570,7 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     # No exponential rate fits the tilted power family.
     lg_grid = geometric_grid(Gm, 64.0, float(xns[min(len(xns), 8) - 1]) * 2.0, 25)
-    _lgamma_scan(Gm, lg_grid, cfg["beta_grid"], qcfg, out / "lgamma_scan.csv", exp)
+    _shift_ratio_unsettled(Gm, lg_grid, qcfg, out, exp)
 
     # J evidence for the tilted power family.
     x_star = 2.2 * xn
@@ -587,6 +587,6 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         "ol_identity.csv",
         "weak_equiv.csv",
         "t_windows.csv",
-        "lgamma_scan.csv",
+        "shift_ratio.csv",
         "b2_transform.csv",
     ]

@@ -71,14 +71,10 @@ def fmt_float(v: float) -> str:
 
 def _diag_rows(s: DiagSeries):
     header = [s.param_name, "value", "log_value"]
-    if s.windows is not None:
-        header.append("window")
-    rows = []
-    for i in range(len(s.grid)):
-        row = [fmt_float(float(s.grid[i])), fmt_float(float(s.values[i])), fmt_float(float(s.log_values[i]))]
-        if s.windows is not None:
-            row.append(s.windows[i])
-        rows.append(row)
+    rows = [
+        [fmt_float(float(s.grid[i])), fmt_float(float(s.values[i])), fmt_float(float(s.log_values[i]))]
+        for i in range(len(s.grid))
+    ]
     return header, rows
 
 
@@ -127,7 +123,7 @@ def _report_rows(rep: ClassReport):
 def result_to_obj(result: Any) -> dict:
     """JSON-able representation with a type tag (used by `export`)."""
     if isinstance(result, DiagSeries):
-        obj = {
+        return {
             "type": "DiagSeries",
             "kind": result.kind,
             "param": result.param_name,
@@ -137,9 +133,6 @@ def result_to_obj(result: Any) -> dict:
             "trend": result.trend,
             "limit": result.limit,
         }
-        if result.windows is not None:
-            obj["windows"] = list(result.windows)
-        return obj
     if isinstance(result, BracketGrid):
         return {
             "type": "BracketGrid",
@@ -209,7 +202,6 @@ def result_from_obj(obj: dict) -> Any:
                 log_values=np.array(obj["log_values"], dtype=float),
                 trend=obj["trend"],
                 limit=obj.get("limit"),
-                windows=tuple(obj["windows"]) if "windows" in obj else None,
             )
         if kind == "BracketGrid":
             return BracketGrid(

@@ -33,7 +33,6 @@ from .convolve import (
     _brackets,
     _log_conv2_tails,
     _log_cross_integrals,
-    log_cross_integral,
 )
 from .distribution import Distribution, _terminal_rate, exp_moment
 from .errors import (
@@ -127,8 +126,7 @@ class DiagSeries:
 
     ``values`` = exp(log_values) saturated at the float maximum; ``trend``
     follows the documented classifier rule; ``limit`` is the last-quarter
-    mean when the trend is converging.  ``windows`` optionally labels which
-    ramp/plateau window each grid point falls in.
+    mean when the trend is converging.
     """
 
     kind: str
@@ -137,7 +135,6 @@ class DiagSeries:
     log_values: np.ndarray
     trend: str
     limit: float | None = None
-    windows: tuple[str, ...] | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -150,7 +147,6 @@ class DiagSeries:
         grid,
         log_values,
         trend_cfg: TrendConfig | None = None,
-        windows: tuple[str, ...] | None = None,
     ) -> "DiagSeries":
         grid = np.asarray(grid, dtype=float)
         log_values = np.asarray(log_values, dtype=float)
@@ -160,7 +156,7 @@ class DiagSeries:
         else:
             vals = np.exp(np.minimum(log_values, _SAT_LOG))
             trend, limit = classify_trend(grid, vals, trend_cfg)
-        return DiagSeries(kind, param_name, grid, log_values, trend, limit, windows)
+        return DiagSeries(kind, param_name, grid, log_values, trend, limit)
 
 
 # ----------------------------------------------------------------- t / b2 / jump
@@ -169,14 +165,30 @@ class DiagSeries:
 def t_ratio(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:
     """2 int_0^K F(x-y) F(y) dy  /  int_0^x F(x-y) F(y) dy, in (0, 1].
 
-    Exactly 1 at K = x/2 by the y -> x - y symmetry of the denominator.
+    The one-K case of ``_t_profile``; exactly 1 at K = x/2 by the
+    y -> x - y symmetry of the denominator.
     """
-    if not (0 < K <= x / 2):
-        raise ParameterError(f"need 0 < K <= x/2, got K={K}, x={x}")
-    cfg = cfg or QuadConfig()
-    log_num = math.log(2.0) + log_cross_integral(d, 0.0, K, x, cfg)
-    log_den = math.log(2.0) + log_cross_integral(d, 0.0, x / 2.0, x, cfg)
-    return _at_most_one(math.exp(log_num - log_den), x, K, cfg)
+    return _t_profile(d, x, [K], cfg or QuadConfig())[0]
+
+
+def _t_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> list[float]:
+    """``t_ratio(d, x, K)`` for each K of the increasing list ``Ks``.
+
+    One batch of cross-integral bands over [0, x/2], cut at every K, gives
+    the numerators as prefix sums, so the profile is nondecreasing in K,
+    and half the denominator as the bands' total; at K = x/2 the prefix is
+    that total, so the entry there is exactly 1.
+    """
+    bad = next((K for K in Ks if not (0 < K <= x / 2)), None)
+    if bad is not None:
+        raise ParameterError(f"need 0 < K <= x/2, got K={bad}, x={x}")
+    if not all(a < b for a, b in zip(Ks, Ks[1:])):
+        raise ParameterError(f"K values must increase, got {Ks}")
+    cuts = [0.0, *Ks] if Ks[-1] == x / 2 else [0.0, *Ks, x / 2]
+    jobs = [(a, b, x) for a, b in zip(cuts, cuts[1:])]
+    bands = [[unwrap(v)] for v in _log_cross_integrals(d, jobs, cfg)]
+    log_den = math.log(2.0) + _logsumexp_list([v for (v,) in bands])
+    return _prefix_ratios(x, Ks, log_den, bands, cfg)
 
 
 def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:
@@ -204,6 +216,9 @@ def _b2_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> 
 
 
 def _prefix_ratios(x: float, Ks: list[float], log_den: float, bands, cfg: QuadConfig) -> list[float]:
+    """2 e^{prefix - log_den} at each K, where the prefix sums the log terms
+    of ``bands`` up to K's band: b2 reads the Stieltjes bands against
+    F2bar(x), and t the cross-integral bands against twice their total."""
     out: list[float] = []
     terms: list[float] = []
     log_prefix = _NEG_INF
@@ -361,7 +376,6 @@ def ratio_diagnostic(
     gamma: float = 1.0,
     cfg: QuadConfig | None = None,
     trend_cfg: TrendConfig | None = None,
-    windows: tuple[str, ...] | None = None,
 ) -> DiagSeries:
     """Per-x ratio series for one of the class functionals.
 
@@ -370,19 +384,9 @@ def ratio_diagnostic(
           'lgamma'  e^{gamma t} F(x+t)/F(x)    (-> 1 <=> L(gamma))
           'os'      F2bar(x)/F(x)              (bounded <=> OS)
           'osstar'  int_0^x F(x-y)F(y)dy/F(x)  (bounded <=> OS*)
-
-    ``windows`` labels the points of a strictly increasing grid, one each.
     """
     cfg = cfg or QuadConfig()
-    given = np.atleast_1d(np.asarray(xgrid, dtype=float))
-    # Labels follow the caller's points, so a grid that sorting or merging
-    # would reorder cannot carry them.
-    if windows is not None and (len(windows) != given.size or np.any(~(np.diff(given) > 0))):
-        raise ParameterError(
-            "a labelled grid must be strictly increasing with one label per point, "
-            f"got {given.size} points and {len(windows)} labels"
-        )
-    xs = np.unique(given)
+    xs = np.unique(np.asarray(xgrid, dtype=float))
     curve = d.tail
     if kind in ("ol", "lgamma"):
         if t >= xs.min():
@@ -394,8 +398,6 @@ def ratio_diagnostic(
             raise ParameterError(
                 f"no grid point x where x - {t} and x + {t} differ from x within the support"
             )
-        if windows is not None:
-            windows = tuple(w for w, k in zip(windows, keep) if k)
         xs = xs[keep]
     if kind == "ol":
         lt = np.atleast_1d(curve.log_tail(xs))
@@ -417,7 +419,7 @@ def ratio_diagnostic(
         logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
     else:
         raise ParameterError(f"unknown ratio kind {kind!r}")
-    return DiagSeries.build(kind, "x", xs, logs, trend_cfg, windows)
+    return DiagSeries.build(kind, "x", xs, logs, trend_cfg)
 
 
 def exam300_lower_bound(n: int) -> float:
@@ -511,11 +513,11 @@ def xu_window_labels(d: Distribution, xgrid, K: float) -> tuple[str, ...]:
 class ClassifyConfig:
     """Grids and deterministic verdict thresholds for classify().
 
-    ``K_list`` may be given explicitly; by default the K grid is derived
-    from the distribution's own quantiles at ``K_levels`` (plus the untilted
-    base's quantiles for tilted laws) so that the small-summand profile
-    always probes K values carrying most of the mass; a fixed K grid says
-    nothing about a law whose mean sits at 2000.
+    ``K_list`` may be given explicitly, strictly increasing; by default the
+    K grid is derived from the distribution's own quantiles at ``K_levels``
+    (plus the untilted base's quantiles for tilted laws) so that the
+    small-summand profile always probes K values carrying most of the mass;
+    a fixed K grid says nothing about a law whose mean sits at 2000.
 
     Verdicts are relative to the configured x window: a construction whose
     defining excursions live beyond ``x_hi`` (doubly-exponential breakpoint
@@ -560,6 +562,9 @@ class ClassifyConfig:
             values = getattr(self, name) or ()
             if not all(v > 0.0 for v in values):
                 raise ParameterError(f"{name} entries must be positive, got {values}")
+        K_list = self.K_list or ()
+        if not all(a < b for a, b in zip(K_list, K_list[1:])):
+            raise ParameterError(f"K_list must be strictly increasing, got {self.K_list}")
         if not all(0.0 < u < 1.0 for u in self.K_levels):
             raise ParameterError(f"K_levels must lie in (0, 1), got {self.K_levels}")
         if not 0.0 < self.j_lo < self.j_hi <= 1.0:

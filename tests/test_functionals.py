@@ -19,6 +19,7 @@ from tailforge.errors import (
 from tailforge.functionals import (
     ClassifyConfig,
     _b2_profile,
+    _t_profile,
     classify_trend,
     geometric_grid,
     shift_probe_grid,
@@ -60,6 +61,56 @@ def test_t_ratio_dyadic_approaches_one(dyadic):
 def test_t_ratio_precondition(pareto3):
     with pytest.raises(ParameterError):
         tf.t_ratio(pareto3, 10.0, 6.0)
+
+
+@pytest.mark.parametrize("name", ["exp1", "pareto3", "dyadic", "plateau2", "fkz"])
+def test_t_profile_matches_two_cross_integrals(name, request):
+    d = request.getfixturevalue(name)
+    cfg = tf.QuadConfig(rel_tol=1e-7)
+    Ks = [0.5, 1.0, 2.0, 3.5, 4.0, 8.0, 16.0, 31.0]
+    for x in (64.0, 300.0):
+        prof = _t_profile(d, x, Ks, cfg)
+        assert all(b >= a for a, b in zip(prof, prof[1:]))  # exactly nondecreasing
+        log_den = tf.log_cross_integral(d, 0.0, x / 2, x, cfg)
+        two_calls = [math.exp(tf.log_cross_integral(d, 0.0, K, x, cfg) - log_den) for K in Ks]
+        np.testing.assert_allclose(prof, two_calls, rtol=cfg.rel_tol, atol=0)
+
+
+def test_t_profile_is_exactly_one_at_half(request):
+    cfg = tf.QuadConfig()
+    for name in ("exp1", "pareto3", "dyadic", "plateau2", "xu55"):
+        d = request.getfixturevalue(name)
+        for x in (10.0, 300.0, 2.0**20):
+            prof = _t_profile(d, x, [1.0, 4.0, x / 2], cfg)
+            assert prof[-1] == 1.0 and prof[0] < 1.0
+
+
+def test_t_profile_preconditions(pareto3):
+    cfg = tf.QuadConfig()
+    for Ks in ([1.0, 1.0], [2.0, 1.0], [1.0, 6.0], [0.0, 1.0], [math.nan]):
+        with pytest.raises(ParameterError):
+            _t_profile(pareto3, 10.0, Ks, cfg)
+
+
+def _shift_series(d):
+    # prop-1.3's shift-probe grid: G is in L(beta) iff the ratio settles at e^{-beta}
+    grid = shift_probe_grid(d, geometric_grid(d, 64.0, 2.0**20, 25), 1.0)
+    return tf.ratio_diagnostic(d, "lgamma", grid, t=1.0, gamma=0.0)
+
+
+@pytest.mark.parametrize("d, rate", [
+    (tf.exponential(1.0), 1.0),
+    (tf.gamma_transform(tf.pareto(3.0), 0.5), 0.5),
+])
+def test_shift_series_settles_at_the_rate(d, rate):
+    s = _shift_series(d)
+    assert s.trend == "converging"
+    assert s.limit == pytest.approx(math.exp(-rate), rel=1e-3)
+
+
+def test_shift_series_of_the_tilted_dyadic_does_not_settle():
+    s = _shift_series(tf.gamma_transform(tf.dyadic_pareto(), 0.5))
+    assert s.trend != "converging"
 
 
 # ------------------------------------------------------------------ b2_cond
@@ -454,6 +505,20 @@ def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
         assert log_den - pareto3.tail.log_tail(x) == os_.log_values[xs.index(x)]
 
 
+def test_K_list_must_strictly_increase(pareto3):
+    # Read in the given order, (4, 4, 1) gave two b2(K=4) profiles and J
+    # inconclusive off the K = 1 profile.
+    for K_list in ((4.0, 4.0, 1.0), (4.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            ClassifyConfig(K_list=K_list)
+
+
+def test_increasing_K_list_reads_J(pareto3):
+    rep = tf.classify(pareto3, ClassifyConfig(K_list=(1.0, 4.0)))
+    assert [s.kind for s in rep.entry("J").evidence] == ["b2(K=1)", "b2(K=4)"]
+    assert rep.verdict("J") == "evidence-for"
+
+
 def test_j_detail_names_the_last_profile_read(pareto3):
     # K = 2e5 reads at most the grid points from 6e5 to 1e6, too few for a
     # profile, so the verdict rests on K = 4.
@@ -479,20 +544,6 @@ def test_collapsed_shift_points_are_dropped(pareto3):
     assert s.log_values[0] == pytest.approx(3.0 * math.log(11.0 / 10.0), rel=1e-12)
     s = tf.ratio_diagnostic(pareto3, "lgamma", [10.0, 1e20], t=1, gamma=0.5)
     assert list(s.grid) == [10.0]
-
-
-def test_labelled_grid_must_be_increasing(pareto3):
-    # Sorting and merging [8, 4, 8] would leave x = 4 labelled "at8".
-    for grid, labels in (
-        ([8.0, 4.0, 8.0], ("at8", "at4", "at8 again")),
-        ([4.0, 8.0, 8.0], ("at4", "at8", "at8 again")),
-        ([4.0, 8.0], ("at4",)),
-        ([4.0, math.nan], ("at4", "nan")),
-    ):
-        with pytest.raises(ParameterError, match="labelled grid"):
-            tf.ratio_diagnostic(pareto3, "d", grid, windows=labels)
-    s = tf.ratio_diagnostic(pareto3, "d", [4.0, 8.0], windows=("at4", "at8"))
-    assert list(s.grid) == [4.0, 8.0] and s.windows == ("at4", "at8")
     s = tf.ratio_diagnostic(pareto3, "ol", [1e20, 2e20, 10.0], t=1)
     assert list(s.grid) == [10.0]
 

@@ -378,6 +378,7 @@ CONFIG_ERRORS = [
     ("classify-removed-jump-h", CLASSIFY, '{"jump_h": 0.05}'),
     ("classify-removed-gamma-grid", CLASSIFY, '{"gamma_grid": [0.5]}'),
     ("classify-removed-j-n-grid", CLASSIFY, '{"j_n_grid": 10}'),
+    ("experiment-removed-beta-grid", EXPERIMENT, '{"beta_grid": [0.5]}'),
     # values of the wrong type or shape
     ("classify-nested-trend", CLASSIFY, '{"trend": {"converge_band": 0.05}}'),
     ("classify-float-for-int", CLASSIFY, '{"n_grid": 8.5}'),
@@ -396,6 +397,7 @@ CONFIG_ERRORS = [
     ("classify-zero-j-x-lo", CLASSIFY, '{"j_x_lo": 0}'),
     ("classify-negative-t", CLASSIFY, '{"t_list": [1.0, -2.0]}'),
     ("classify-negative-K", CLASSIFY, '{"K_list": [-2.0]}'),
+    ("classify-K-list-not-increasing", CLASSIFY, '{"K_list": [4.0, 4.0, 1.0]}'),
     ("classify-level-one", CLASSIFY, '{"K_levels": [0.3, 1.0]}'),
     ("classify-j-band-reversed", CLASSIFY, '{"j_lo": 0.9, "j_hi": 0.5}'),
     ("classify-j-hi-above-one", CLASSIFY, '{"j_hi": 1.5}'),
@@ -447,14 +449,11 @@ def test_cli_bad_grid_is_usage_error(capsys, argv):
 
 
 def _result_objects():
-    from tailforge.functionals import ClassEntry, ClassReport, DiagSeries
+    from tailforge.functionals import ClassEntry, ClassReport
     from tailforge.montecarlo import ComparisonRow, ComparisonTable, McEstimate
 
     exp1, pareto3 = tf.exponential(1.0), tf.pareto(3.0)
     series = tf.ratio_diagnostic(pareto3, "d", np.geomspace(4.0, 1e3, 6))
-    windowed = DiagSeries.build(
-        "ol", "x", [1.0, 2.0, 3.0], [0.1, -math.inf, 0.3], windows=("W1", "W2", "W5")
-    )
     rows = (
         ComparisonRow(2, 5.0, 1.0, 0.625, 0.01, 0.62, 0.63, 0.4, False),
         ComparisonRow(3, 1e3, 2.5, None, None, None, None, None, True, "LowAcceptanceError: none"),
@@ -464,7 +463,6 @@ def _result_objects():
     )
     return {
         "DiagSeries": series,
-        "DiagSeries-windows": windowed,
         "BracketGrid": tf.convn_tail_grid(exp1, 2, 3.0, 0.5),
         "BracketGrid-cap": tf.trunc_convn_tail_grid(exp1, 2, 1.5, 3.0, 0.5),
         "McEstimate": McEstimate(0.625, 0.0125, 40, 64, 7),
