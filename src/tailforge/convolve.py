@@ -124,8 +124,10 @@ def _panel_seeds(curve: TailCurve, x: float) -> np.ndarray:
     return np.concatenate([bps, x - bps])
 
 
-# Geometric offsets w 2^-k, k = 1..60, from a part's small-argument end.
-_GRADES = 2.0 ** -np.arange(1, 61)
+# Geometric offsets w 8^-k, k = 1..20, from a part's small-argument end: a
+# ratio of 8 down to the same w 2^-60 floor as a ratio of 2 with 60 seeds.
+# Refinement fills in between grades where it must, and mostly it need not.
+_GRADES = 8.0 ** -np.arange(1, 21)
 
 
 def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
@@ -137,10 +139,10 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
     small, y of g below x / 2 and u of F above it, is exact: it is never x
     minus a nearly equal number, which at x = 4e20 rounds to a multiple of
     2^16.  Each half is seeded at the curve's breakpoints and their mirrors
-    (``_panel_seeds``) and at geometric offsets w 2^-k, k = 1..60, from its
-    small-argument end, where w is the half's width: the O(1)-wide peak of
-    F near u = 0, or of a density near y = 0, gets panels in the first
-    round instead of one bisection per round.  The integrand reads each
+    (``_panel_seeds``) and at geometric offsets w 8^-k, k = 1..20
+    (``_GRADES``), from its small-argument end, where w is the half's width:
+    the O(1)-wide peak of F near u = 0, or of a density near y = 0, gets
+    panels in the first round instead of one bisection per round.  The integrand reads each
     point's x and half from its owner.  Entry i is a float, or the error of
     job i's first failing half.
     """

@@ -203,7 +203,9 @@ def _shift_ratio_unsettled(
 # ------------------------------------------------------------------ prop 1.1
 
 
-def _os_series_of_tilt_by_identity(os_f: DiagSeries, osstar_f: DiagSeries, gamma: float) -> DiagSeries:
+def _os_series_of_tilt_by_identity(
+    os_f: DiagSeries, osstar_f: DiagSeries, gamma: float, rel_tol: float
+) -> DiagSeries:
     """Two-fold ratio series of the tilt computed through the exact identity
     G2bar/Gbar = F2bar/Fbar + gamma * crossint/Fbar, from the untilted 'os'
     and 'osstar' series of F on one grid.
@@ -212,7 +214,7 @@ def _os_series_of_tilt_by_identity(os_f: DiagSeries, osstar_f: DiagSeries, gamma
     huge exp(-gamma x) factors, while the identity route only ever touches
     untilted quantities."""
     logs = log_tilt_identity(os_f.log_values, osstar_f.log_values, gamma)
-    return DiagSeries.build("os(tilt, identity route)", "x", os_f.grid, logs)
+    return DiagSeries.build("os(tilt, identity route)", "x", os_f.grid, logs, rel_tol=rel_tol)
 
 
 def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
@@ -274,7 +276,7 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("os-identity-agrees", id_ok, "direct and reconstructed tilted ratios match to 1e-6")
 
     os_series = ratio_diagnostic(F, "os", grid, cfg=qcfg)
-    os_g = _os_series_of_tilt_by_identity(os_series, osstar, cfg["gamma"])
+    os_g = _os_series_of_tilt_by_identity(os_series, osstar, cfg["gamma"], qcfg.rel_tol)
     export_grid(os_g, "csv", out / "os_transform.csv")
     exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
     return [
@@ -323,13 +325,35 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     grid = geometric_grid(F, 2.0, cfg["x_cap"], 22)
     os_f, osstar_f = (ratio_diagnostic(F, kind, grid, cfg=qcfg) for kind in ("os", "osstar"))
-    os_g = _os_series_of_tilt_by_identity(os_f, osstar_f, cfg["gamma"])
+    os_g = _os_series_of_tilt_by_identity(os_f, osstar_f, cfg["gamma"], qcfg.rel_tol)
     export_grid(os_g, "csv", out / "os_transform.csv")
     exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
     return ["t_ratio.csv", "b2_transform.csv", "os_transform.csv"]
 
 
 # ------------------------------------------------------------------ prop 1.3
+
+
+def _dyadic_level(y: float) -> float:
+    """dyadic_pareto's tail at y >= 0: 1 on [0, 2), 4^-n on [2^n, 2^(n+1))."""
+    return 1.0 if y < 2.0 else math.ldexp(1.0, -2 * (math.frexp(y)[1] - 1))
+
+
+def _dyadic_step_t(x: float, K: float) -> float:
+    """t_ratio(dyadic_pareto(), x, K) as a finite sum, for x below the
+    staircase's cut: F(x - y) F(y) is constant between consecutive cell
+    edges 2^n and their mirrors x - 2^n, so each integral is a sum of level
+    times overlap, exact up to the rounding of one ``math.fsum``."""
+    edges = [0.0, x] + [e for n in range(1, math.frexp(x)[1] + 1) for e in (2.0**n, x - 2.0**n)]
+
+    def integral(hi: float) -> float:
+        pts = sorted({p for p in edges if 0.0 < p < hi} | {0.0, hi})
+        return math.fsum(
+            _dyadic_level(0.5 * (a + b)) * _dyadic_level(x - 0.5 * (a + b)) * (b - a)
+            for a, b in zip(pts, pts[1:])
+        )
+
+    return 2.0 * integral(K) / integral(x)
 
 
 def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
@@ -359,13 +383,14 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         f"min t_ratio at K={K_max:g} over m >= {cfg['gate_m_min']} is "
         f"{min(gate_vals) if gate_vals else float('nan'):.4g}",
     )
-    ks = sorted(cfg["K_list"])
-    monotone = True
-    for i in range(len(ks) - 1):
-        for va, vb in zip(profile[ks[i]], profile[ks[i + 1]]):
-            if not (math.isnan(va) or math.isnan(vb)) and vb < va - 1e-9:
-                monotone = False
-    exp.check("t-ratio-monotone-in-K", monotone, "profiles nondecreasing in K")
+    tol = 10.0 * cfg["rel_tol"]
+    gap = max(abs(t_at[K, 2.0**m] / _dyadic_step_t(2.0**m, K) - 1.0) for K, m in cells)
+    exp.check(
+        "t-ratio-matches-step-sum",
+        gap <= tol,
+        f"largest relative gap to the exact step-function sum is {gap:.3e} "
+        f"over {len(cells)} (K, x) cells; tolerance {tol:.3e}",
+    )
 
     # The transform lies in no L(beta).
     _shift_ratio_unsettled(G, geometric_grid(G, 64.0, 2.0**20, 25), qcfg, out, exp)

@@ -93,9 +93,14 @@ def _untilted_base_curve(d: Distribution):
 
 
 def classify_trend(
-    grid: np.ndarray, values: np.ndarray, cfg: TrendConfig | None = None
+    grid: np.ndarray, values: np.ndarray, cfg: TrendConfig | None = None, rel_tol: float = 0.0
 ) -> tuple[str, float | None]:
-    """Classify a ratio series; returns (trend, limit_estimate_or_None)."""
+    """Classify a ratio series; returns (trend, limit_estimate_or_None).
+
+    ``rel_tol`` is the relative tolerance the values were computed at: a
+    step of at most 10 rel_tol of the larger neighbour is a tie, so that
+    rounding cannot count as an oscillation.
+    """
     cfg = cfg or TrendConfig()
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -113,7 +118,8 @@ def classify_trend(
     if values[-1] > cfg.diverge_ratio * values[0] and slope > 0:
         return "diverging", None
     diffs = np.diff(values)
-    nz = diffs[diffs != 0]
+    ties = np.abs(diffs) <= 10.0 * rel_tol * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
+    nz = diffs[~ties]
     sign_changes = int(np.sum(nz[:-1] * nz[1:] < 0)) if len(nz) > 1 else 0
     if len(diffs) > 0 and sign_changes > cfg.oscillate_frac * len(diffs):
         return "oscillating", None
@@ -147,6 +153,7 @@ class DiagSeries:
         grid,
         log_values,
         trend_cfg: TrendConfig | None = None,
+        rel_tol: float = 0.0,
     ) -> "DiagSeries":
         grid = np.asarray(grid, dtype=float)
         log_values = np.asarray(log_values, dtype=float)
@@ -155,7 +162,7 @@ class DiagSeries:
             trend, limit = "diverging", None
         else:
             vals = np.exp(np.minimum(log_values, _SAT_LOG))
-            trend, limit = classify_trend(grid, vals, trend_cfg)
+            trend, limit = classify_trend(grid, vals, trend_cfg, rel_tol)
         return DiagSeries(kind, param_name, grid, log_values, trend, limit)
 
 
@@ -419,7 +426,7 @@ def ratio_diagnostic(
         logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
     else:
         raise ParameterError(f"unknown ratio kind {kind!r}")
-    return DiagSeries.build(kind, "x", xs, logs, trend_cfg)
+    return DiagSeries.build(kind, "x", xs, logs, trend_cfg, cfg.rel_tol)
 
 
 def exam300_lower_bound(n: int) -> float:
@@ -739,7 +746,7 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     ]
     conv2 = [unwrap(v) for v in _log_conv2_tails(d, j_jobs, qcfg)]
     os_logs = np.array([log_f2 for log_f2, _ in conv2]) - d.tail.log_tail(xgrid)
-    os_series = DiagSeries.build("os", "x", xgrid, os_logs, cfg.trend)
+    os_series = DiagSeries.build("os", "x", xgrid, os_logs, cfg.trend, qcfg.rel_tol)
     osstar_series = ratio_diagnostic(d, "osstar", xgrid, cfg=qcfg, trend_cfg=cfg.trend)
     os_against = os_series.trend == "diverging"
     entries.append(
@@ -837,7 +844,9 @@ def _classify_j(
         if len(vals) < 3:
             continue
         log_vals = np.log(np.maximum(vals, 1e-300))
-        series = DiagSeries.build(f"b2(K={K:g})", "x", np.array(kept_x), log_vals, cfg.trend)
+        series = DiagSeries.build(
+            f"b2(K={K:g})", "x", np.array(kept_x), log_vals, cfg.trend, qcfg.rel_tol
+        )
         profiles.append(series)
         half = np.asarray(vals)[len(vals) // 2 :]
         proxies.append(float(np.min(half)))

@@ -7,16 +7,20 @@ logarithms and combined with log-sum-exp.  A (G7, K15) rule is applied per
 panel, and refinement runs in rounds.  Each round bisects every panel whose
 log error exceeds log(total * rel_tol / n_panels), its even share of the
 target, and always the worst panel while the total error misses the target.
-The panels live in one list in the order they were made: bisected panels
-leave it and their halves go to its end.  ``max_subdivisions`` counts
-bisections; a round that would overrun it bisects the worst panels first,
-the earliest of equal errors first.
+An integral's panels stay in ascending order: a bisected panel is replaced
+in place by its lower then its upper half, and the worst panel is the first
+of equal errors.  ``max_subdivisions`` counts bisections; a round that would
+overrun it bisects the worst panels first, the first of equal errors first.
 
-``log_quads`` refines a batch of integrals together, and a round spans
-every live integral of the batch: the new halves of all of them are
-evaluated together, up to ``_MAX_PANELS`` panels per call of the
-integrand, which is told each point's integral.  Each integral keeps its own panel list, budget and errors, so it
-gets the same bits as alone; ``log_quad`` is the batch of one.
+``log_quads`` refines a batch of integrals as one panel table, grouped by
+integral, and a round applies these rules to every live integral at once
+with segmented numpy reductions (``np.maximum.reduceat``,
+``np.add.reduceat``): totals, errors, the convergence test, the depth guard,
+the splits, the narrow-panel rule and the budget.  The new panels of all
+integrals are evaluated together, up to ``_MAX_PANELS`` panels per call of
+the integrand, which is told each point's integral.  A segment's sums read
+its own entries only, so each integral gets the same bits as alone;
+``log_quad`` is the batch of one.
 
 The K15 and G7 sums of a panel are row sums over its 15 nodes, not a matrix
 product against the weights: a product's blocking makes a row's last bits
@@ -156,101 +160,41 @@ def _gk15(log_f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.nd
     return vals, errs
 
 
-# Memory caps of log_quads: how many integrals refine at once, and how many
-# panels go into one call of the integrand.  Both bound the working set, not
-# the results: a panel's bits do not depend on its call (see _gk15).
-_MAX_LIVE = 32
+# Memory caps of log_quads: integrals join the panel table while it holds
+# fewer than _MAX_LIVE_PANELS panels, and one call of the integrand takes at
+# most _MAX_PANELS panels.  Both bound the working set, not the results: a
+# panel's bits do not depend on its call (see _gk15), nor an integral's sums
+# on its place in the table.
+_MAX_LIVE_PANELS = 4096
 _MAX_PANELS = 512
 
 
-class _Refinement:
-    """One integral's adaptive refinement: its panel list, split rule,
-    subdivision budget and depth guard.
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Marks the first entry of each run of equal keys."""
+    heads = np.ones(len(keys), dtype=bool)
+    heads[1:] = keys[1:] != keys[:-1]
+    return heads
 
-    ``new_los``/``new_his`` are the panels awaiting evaluation; ``absorb``
-    takes their (G7, K15) results and advances to the next request or to
-    ``outcome``, a LogQuadResult or the error the integral raises.
-    """
 
-    def __init__(self, a: float, b: float, breakpoints, cfg: QuadConfig):
-        if not -math.inf < a <= b < math.inf:  # NaN fails this too
-            raise ParameterError(f"integration bounds must be finite and ordered, got [{a}, {b}]")
-        self.a, self.b, self.cfg = a, b, cfg
-        self.outcome: LogQuadResult | ToleranceError | None = None
-        if b == a:
-            self.outcome = LogQuadResult(_NEG_INF, 0.0, 0)
-            return
-        bps = np.asarray(breakpoints if isinstance(breakpoints, np.ndarray) else list(breakpoints), dtype=float)
-        inner = bps[(bps > a) & (bps < b)]
-        pts = np.unique(np.concatenate([[a, b], inner])) if inner.size else np.array([a, b], dtype=float)
-        # Panels in the order they were made: bounds, log values, log errors.
-        self.los = self.his = self.vals = self.errs = np.empty(0)
-        self.keep = np.empty(0, dtype=bool)
-        self.new_los, self.new_his = pts[:-1], pts[1:]
-        self.splits = 0
+def _seed_panels(owners: np.ndarray, pts: np.ndarray):
+    """Panels (owner, lo, hi) between the distinct points of each owner,
+    grouped by owner and ascending within each group."""
+    order = np.lexsort((pts, owners))
+    owners, pts = owners[order], pts[order]
+    first = _heads(owners) | _heads(pts)
+    owners, pts = owners[first], pts[first]
+    pair = owners[1:] == owners[:-1]
+    return owners[1:][pair], pts[:-1][pair], pts[1:][pair]
 
-    def absorb(self, new_vals: np.ndarray, new_errs: np.ndarray) -> None:
-        # Bisected panels leave the list and their halves go to its end.
-        keep = self.keep
-        self.los = np.concatenate([self.los[keep], self.new_los])
-        self.his = np.concatenate([self.his[keep], self.new_his])
-        self.vals = np.concatenate([self.vals[keep], new_vals])
-        self.errs = np.concatenate([self.errs[keep], new_errs])
-        self.splits += len(keep) - int(keep.sum())
-        self._advance()
 
-    def _advance(self) -> None:
-        los, his, errs, cfg = self.los, self.his, self.errs, self.cfg
-        log_tol = math.log(cfg.rel_tol)
-        while True:
-            total = _logsumexp(self.vals)
-            toterr = _logsumexp(errs)
-            if math.isfinite(total) and abs(total) > 4.5e15:
-                # The ulp of the log exceeds any log-domain correction: a value
-                # this deep has no representable relative structure in binary64.
-                self.outcome = LogDepthError(
-                    f"integral magnitude exp({total:.3e}) is beyond log-domain float "
-                    "resolution; no relative accuracy is attainable at this depth",
-                    achieved_rel_error=math.inf,
-                )
-                return
-            if toterr == _NEG_INF:
-                self.outcome = LogQuadResult(total, 0.0, len(los))
-                return
-            if total > _NEG_INF and toterr - total <= log_tol:
-                self.outcome = LogQuadResult(total, math.exp(toterr - total), len(los))
-                return
-            # This round splits every panel over its even share of the target
-            # error, and always the worst one (argmax takes the earliest).
-            split = errs > total + log_tol - math.log(len(los))
-            split[int(np.argmax(errs))] = True
-            mids = 0.5 * (los + his)
-            narrow = split & ((mids <= los) | (mids >= his))
-            if narrow.any():
-                # Panels narrower than float resolution: accept their estimates.
-                errs[narrow] = _NEG_INF
-                split &= ~narrow
-                if not split.any():
-                    continue
-            if self.splits >= cfg.max_subdivisions:
-                achieved = math.inf if total == _NEG_INF else math.exp(toterr - total)
-                self.outcome = ToleranceError(
-                    f"quadrature on [{self.a}, {self.b}] achieved relative error {achieved:.3e} "
-                    f"> requested {cfg.rel_tol:.3e} after {self.splits} subdivisions",
-                    achieved_rel_error=achieved,
-                )
-                return
-            idx = np.flatnonzero(split)
-            room = cfg.max_subdivisions - self.splits
-            if len(idx) > room:
-                # Worst first, the earliest of equal errors first.
-                idx = np.sort(idx[np.argsort(-errs[idx], kind="stable")[:room]])
-            # Halves of each split panel, lower then upper, in split order.
-            self.new_los = np.stack([los[idx], mids[idx]], axis=1).ravel()
-            self.new_his = np.stack([mids[idx], his[idx]], axis=1).ravel()
-            self.keep = np.ones(len(los), dtype=bool)
-            self.keep[idx] = False
-            return
+def _seg_logsumexp(x: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Log-sum-exp of each segment x[starts[k]:starts[k] + counts[k]], and
+    each segment's maximum.  A segment's bits depend on its entries alone."""
+    m = np.maximum.reduceat(x, starts)
+    shift = np.where(m == _NEG_INF, 0.0, m)
+    with np.errstate(divide="ignore"):
+        s = np.log(np.add.reduceat(np.exp(x - np.repeat(shift, counts)), starts))
+    return np.where(m == _NEG_INF, _NEG_INF, shift + s), m
 
 
 def log_quads(
@@ -267,48 +211,145 @@ def log_quads(
     ``breakpoints`` gives each integral's forced panel boundaries; it is
     read one entry at a time as integrals start, so it may be a generator.
 
-    Each round evaluates the pending panels of every live integral with one
-    call of ``log_f`` (at most ``_MAX_PANELS`` panels per call).  Every
-    integral refines on its own, exactly as alone, so entry i of the result
-    is the LogQuadResult ``log_quad`` returns for it, or the error it raises
-    there (ParameterError, ToleranceError or LogDepthError); a failing
-    integral does not stop the others.
+    The live panels of all integrals form one table, grouped by integral
+    and ascending within each; integrals join it while it holds fewer than
+    ``_MAX_LIVE_PANELS`` panels.  Each round evaluates the table's new
+    panels with one call of ``log_f`` (at most ``_MAX_PANELS`` panels per
+    call) and then applies the rules of the module docstring to every
+    integral at once with segmented reductions.  Every integral refines on
+    its own, exactly as alone, so entry i of the result is the LogQuadResult
+    ``log_quad`` returns for it, or the error it raises there
+    (ParameterError, ToleranceError or LogDepthError); a failing integral
+    does not stop the others.
     """
     cfg = cfg or QuadConfig()
+    log_tol = math.log(cfg.rel_tol)
     results: list[LogQuadResult | TailforgeError | None] = [None] * len(a)
     waiting = enumerate(zip(a, b, breakpoints))
-    live: dict[int, _Refinement] = {}
+    bounds: dict[int, tuple[float, float]] = {}  # of the live integrals
+    splits = np.zeros(len(a), dtype=np.int64)
+    owner = np.empty(0, dtype=np.int64)
+    los = his = vals = errs = np.empty(0)
+    fresh = np.empty(0, dtype=np.int64)  # rows awaiting evaluation
     while True:
-        for i, (lo, hi, bps) in waiting:
-            try:
-                q = _Refinement(lo, hi, bps, cfg)
-            except ParameterError as err:
-                results[i] = err
+        # Admit integrals while the table has room.
+        new_owners, new_pts, free = [], [], _MAX_LIVE_PANELS - len(owner)
+        for i, (lo, hi, bps) in waiting if free > 0 else ():
+            if not -math.inf < lo <= hi < math.inf:  # NaN fails this too
+                results[i] = ParameterError(
+                    f"integration bounds must be finite and ordered, got [{lo}, {hi}]"
+                )
                 continue
-            if q.outcome is not None:
-                results[i] = q.outcome
+            if lo == hi:
+                results[i] = LogQuadResult(_NEG_INF, 0.0, 0)
                 continue
-            live[i] = q
-            if len(live) == _MAX_LIVE:
+            bps = np.asarray(bps if isinstance(bps, np.ndarray) else list(bps), dtype=float)
+            pts = np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]])
+            bounds[i] = (lo, hi)
+            new_owners.append(np.full(len(pts), i))
+            new_pts.append(pts)
+            free -= len(pts) - 1
+            if free <= 0:
                 break
-        if not live:
+        if new_owners:
+            o, lo_, hi_ = _seed_panels(np.concatenate(new_owners), np.concatenate(new_pts))
+            fresh = np.concatenate([fresh, len(owner) + np.arange(len(o))])
+            owner = np.concatenate([owner, o])
+            los, his = np.concatenate([los, lo_]), np.concatenate([his, hi_])
+            vals, errs = (np.concatenate([v, np.empty(len(o))]) for v in (vals, errs))
+        if not len(owner):
             return results  # type: ignore[return-value]
-        owners = np.concatenate([np.full(len(q.new_los), i) for i, q in live.items()])
-        los = np.concatenate([q.new_los for q in live.values()])
-        his = np.concatenate([q.new_his for q in live.values()])
-        vals, errs = np.empty(len(los)), np.empty(len(los))
-        for s in range(0, len(los), _MAX_PANELS):
-            part = slice(s, s + _MAX_PANELS)
-            owner = np.repeat(owners[part], len(_XGK))
-            vals[part], errs[part] = _gk15(lambda y: log_f(y, owner), los[part], his[part])
-        start = 0
-        for i, q in list(live.items()):
-            stop = start + len(q.new_los)
-            q.absorb(vals[start:stop], errs[start:stop])
-            start = stop
-            if q.outcome is not None:
-                results[i] = q.outcome
-                del live[i]
+        for s in range(0, len(fresh), _MAX_PANELS):
+            part = fresh[s : s + _MAX_PANELS]
+            rep = np.repeat(owner[part], len(_XGK))
+            vals[part], errs[part] = _gk15(lambda y: log_f(y, rep), los[part], his[part])
+
+        starts = np.flatnonzero(_heads(owner))
+        counts = np.diff(np.r_[starts, len(owner)])
+        seg_owner = owner[starts]
+        mids = 0.5 * (los + his)
+        # Panels narrower than float resolution are accepted, not split.
+        narrow = (mids <= los) | (mids >= his)
+        split = np.zeros(len(owner), dtype=bool)
+        done = np.zeros(len(starts), dtype=bool)
+        todo = np.ones(len(starts), dtype=bool)
+        rel = np.empty(len(starts))  # as of the pass that judged each integral
+        while todo.any():
+            total, _ = _seg_logsumexp(vals, starts, counts)
+            toterr, worst = _seg_logsumexp(errs, starts, counts)
+            with np.errstate(invalid="ignore", over="ignore"):
+                gap = toterr - total
+                rel[todo] = np.exp(gap[todo])
+            for k in np.flatnonzero(todo & np.isfinite(total) & (np.abs(total) > 4.5e15)):
+                # The ulp of the log exceeds any log-domain correction: a value
+                # this deep has no representable relative structure in binary64.
+                results[seg_owner[k]] = LogDepthError(
+                    f"integral magnitude exp({total[k]:.3e}) is beyond log-domain float "
+                    "resolution; no relative accuracy is attainable at this depth",
+                    achieved_rel_error=math.inf,
+                )
+                done[k] = True
+            todo &= ~done
+            exact = todo & (toterr == _NEG_INF)
+            met = todo & (total > _NEG_INF) & (gap <= log_tol)
+            for k in np.flatnonzero(exact | met):
+                results[seg_owner[k]] = LogQuadResult(
+                    float(total[k]), float(rel[k]) if met[k] else 0.0, int(counts[k])
+                )
+            done |= exact | met
+            todo &= ~done
+            # Split every panel over its even share of the target error, and
+            # always the worst one, the first of equal errors.
+            rows = np.repeat(todo, counts)
+            want = rows & (errs > np.repeat(total + log_tol - np.log(counts), counts))
+            tops = np.flatnonzero(rows & (errs == np.repeat(worst, counts)))
+            want[tops[_heads(owner[tops])]] = True
+            errs[want & narrow] = _NEG_INF
+            want &= ~narrow
+            split |= want
+            # An integral whose every split was narrow is judged again.
+            todo &= ~np.logical_or.reduceat(want, starts)
+
+        # The subdivision budget: an integral that has spent it fails, and one
+        # that would overrun it splits its worst panels first, the first of
+        # equal errors first.
+        n_split = np.add.reduceat(split, starts)
+        spent = (n_split > 0) & (splits[seg_owner] >= cfg.max_subdivisions)
+        for k in np.flatnonzero(spent):
+            i = seg_owner[k]
+            achieved = math.inf if total[k] == _NEG_INF else float(rel[k])
+            results[i] = ToleranceError(
+                f"quadrature on [{bounds[i][0]}, {bounds[i][1]}] achieved relative error "
+                f"{achieved:.3e} > requested {cfg.rel_tol:.3e} after {splits[i]} subdivisions",
+                achieved_rel_error=achieved,
+            )
+        done |= spent
+        keep = np.repeat(~done, counts)
+        split &= keep
+        room = cfg.max_subdivisions - splits[seg_owner]
+        over = ~done & (n_split > room)
+        if over.any():
+            rows = np.flatnonzero(split & np.repeat(over, counts))
+            rows = rows[np.lexsort((rows, -errs[rows], owner[rows]))]
+            firsts = np.flatnonzero(_heads(owner[rows]))
+            sizes = np.diff(np.r_[firsts, len(rows)])
+            rank = np.arange(len(rows)) - np.repeat(firsts, sizes)
+            split[rows[rank >= np.repeat(room[over], sizes)]] = False
+        splits[seg_owner] += np.add.reduceat(split, starts)
+        for k in np.flatnonzero(done):
+            del bounds[seg_owner[k]]
+
+        # Drop finished integrals; each split panel becomes its lower then
+        # its upper half, in place, so the table stays grouped and ascending.
+        cuts = mids[split]
+        reps = (1 + split)[keep]
+        halves = (np.cumsum(reps) - reps)[split[keep]]
+        owner, los, his, vals, errs = (
+            np.repeat(v[keep], reps) for v in (owner, los, his, vals, errs)
+        )
+        his[halves] = cuts
+        los[halves + 1] = cuts
+        fresh = np.stack([halves, halves + 1], axis=1).ravel()
 
 
 def log_quad(
@@ -337,10 +378,3 @@ def unwrap(entry):
         raise entry
     return entry
 
-
-def _logsumexp(values: np.ndarray) -> float:
-    # Panel logs are finite or -inf, and exp(-inf - m) is 0.
-    m = float(values.max())
-    if m == _NEG_INF:
-        return _NEG_INF
-    return m + math.log(float(np.exp(values - m).sum()))

@@ -146,8 +146,8 @@ B2_PINNED = {
              (500.0, 16.0, 0.06387225548902443)],
     "pareto3": [(10.0, 1.0, 0.8045635145624195), (64.0, 4.0, 0.9890337908478377),
                 (500.0, 16.0, 0.9997626996673102)],
-    "plateau2": [(10.0, 1.0, 0.5582844321050779), (64.0, 4.0, 0.6357931715629825),
-                 (500.0, 16.0, 0.9657957496767333)],
+    "plateau2": [(10.0, 1.0, 0.5582844321118496), (64.0, 4.0, 0.6357931715748254),
+                 (500.0, 16.0, 0.9657957496974714)],
 }
 
 
@@ -578,6 +578,12 @@ def test_trend_rules():
     assert inc == "increasing"
     dec, _ = classify_trend(grid, np.linspace(5, 1, 12))
     assert dec == "decreasing"
+    # Constant up to rounding, then falling: at rel_tol 0 the 1e-12 wiggles
+    # count as sign changes, at the tolerance of the values they are ties.
+    values = np.concatenate([5.0 * (1.0 + 1e-12 * np.array([1.0, -1.0] * 4)), [4.0, 3.0, 2.0, 1.0]])
+    grid = np.geomspace(1, 100, len(values))
+    assert classify_trend(grid, values)[0] == "oscillating"
+    assert classify_trend(grid, values, rel_tol=1e-9)[0] == "decreasing"
 
 
 # ------------------------------------------------------ exam300 lower bound
@@ -696,6 +702,10 @@ def test_classify_dyadic(dyadic):
         assert rep.verdict(cls) == "evidence-for", cls
     for cls in ("L", "S"):
         assert rep.verdict(cls) == "evidence-against", cls
+    # Its shift and two-fold ratios jump between levels far apart, so the
+    # ties at the classify tolerance leave them oscillating.
+    for cls in ("OL", "OS", "OS*"):
+        assert {s.trend for s in rep.entry(cls).evidence} == {"oscillating"}, cls
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tailforge.errors import LogDepthError, ParameterError, ToleranceError
-from tailforge.quadrature import _MAX_LIVE, _MAX_PANELS, QuadConfig, _gk15, log_quad, log_quads, logsubexp
+from tailforge.quadrature import _MAX_LIVE_PANELS, _MAX_PANELS, QuadConfig, _gk15, log_quad, log_quads, logsubexp
 
 
 def test_exponential_integral():
@@ -139,18 +139,23 @@ def _same(batched, alone):
 
 def test_batch_equals_separate_calls():
     # A converging integral, a zero-width one, a needle that one subdivision
-    # cannot certify, one beyond log-domain resolution and bad bounds: each
-    # entry is what the integral gives or raises alone, and a failing one
-    # does not stop the others.
+    # cannot certify, one beyond log-domain resolution, bad bounds, a jump
+    # inside a panel one ulp wide (the narrow-panel rule accepts it), and an
+    # oscillation whose first round wants more splits than its budget has
+    # room for: each entry is what the integral gives or raises alone, and
+    # a failing one does not stop the others.
     fs = [
         lambda y: -y,
         lambda y: -y,
         lambda y: -1e6 * (y - 0.333333) ** 2,
         lambda y: np.full_like(y, -8e15),
         lambda y: -y,
+        lambda y: np.where(y >= 1.0, 0.0, -50.0),
+        lambda y: np.sin(40.0 * y),
     ]
-    a, b = [0.0, 2.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0, 1.0, 0.0]
-    bps = [[0.5], [], [], [], []]
+    a = [0.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+    b = [1.0, 2.0, 1.0, 1.0, 0.0, 1.0 + math.ulp(1.0), 10.0]
+    bps = [[0.5], [], [], [], [], [], np.arange(1.0, 10.0)]
     cfg = QuadConfig(rel_tol=1e-12, max_subdivisions=1)
 
     def log_f(y, owner):
@@ -162,17 +167,19 @@ def test_batch_equals_separate_calls():
     batched = log_quads(log_f, a, b, iter(bps), cfg)
     kinds = [type(r) for r in batched]
     assert kinds[2] is ToleranceError and kinds[3] is LogDepthError and kinds[4] is ParameterError
+    assert (batched[5].n_panels, batched[5].rel_error) == (1, 0.0)
+    assert kinds[6] is ToleranceError and "after 1 subdivisions" in str(batched[6])
     for i, f in enumerate(fs):
         _same(batched[i], _alone(f, a[i], b[i], bps[i], cfg))
 
 
 def test_batch_beyond_the_memory_caps_equals_separate_calls():
-    # More integrals than may refine at once, and first rounds of more
+    # More seed panels than may refine at once, and first rounds of more
     # panels than one integrand call takes.
-    n = _MAX_LIVE + 9
+    n = 41
     scales = np.linspace(5.0, 60.0, n)
     a, b = np.zeros(n), np.linspace(3.0, 10.0, n)
-    bps = [np.linspace(0.0, hi, 2 * _MAX_PANELS // n + 3) for hi in b]
+    bps = [np.linspace(0.0, hi, 2 * _MAX_LIVE_PANELS // n + 3) for hi in b]
     calls = []
 
     def log_f(y, owner):
