@@ -57,7 +57,6 @@ from .functionals import (
     ClassReport,
     DiagSeries,
     JumpProfile,
-    TrendConfig,
     b2_cond,
     classify,
     classify_trend,

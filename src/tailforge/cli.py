@@ -105,8 +105,6 @@ def _load_overrides(parser: argparse.ArgumentParser, path: str, defaults: dict) 
         parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
     for key, value in overrides.items():
         default = defaults[key]
-        if dataclasses.is_dataclass(default):
-            parser.error(f"config key {key!r} in {path} cannot be set from a config file")
         if not _fits(value, default):
             parser.error(
                 f"config key {key!r} in {path} must be {_expected(default)}, "

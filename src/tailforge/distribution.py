@@ -226,12 +226,12 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
                 f"breakpoint {hi!r}"
             )
     # One quadrature of the curve's density over [0, B], seeded at every
-    # join so that no panel straddles one, and at the powers of 8 from 8^-10
-    # (about 1e-9) up to B, so that every scale of a heavy tail, and of a
-    # density singular at 0, has its panel in the first round instead of one
-    # bisection per round; rel_tol bounds the whole integral, not each
-    # segment's share of it.
-    ladder = 2.0 ** np.arange(-30.0, math.log2(B), 3.0)
+    # join so that no panel straddles one, and at the powers of 8 from 2^-60
+    # (about 1e-18, the floor of the tail grades) up to B, so that every
+    # scale of a heavy tail, and of a density singular at 0, has its panel
+    # in the first round instead of one bisection per round; rel_tol bounds
+    # the whole integral, not each segment's share of it.
+    ladder = 2.0 ** np.arange(-60.0, math.log2(B), 3.0)
     seeds = np.concatenate([d.tail.breakpoints(), ladder])
     dens = log_quad(lambda y: d.tail.log_density(y, lam), 0.0, B, seeds, cfg)
     lv = _logsumexp_list(

@@ -8,13 +8,16 @@ inconclusive and never as theorem claims.
 Trend rule (documented, pure function of the values):
 
 1. converging(limit) when the last quarter of the series stays inside a
-   relative band (default 2%) around its mean;
-2. diverging when the final value exceeds ``diverge_ratio`` times the first
-   (default 10x) and the least-squares slope of the last half of the series
-   against log(parameter) is positive;
+   relative band of ``_CONVERGE_BAND`` around its mean;
+2. diverging when the final value exceeds ``diverge_ratio`` (10 by
+   default) times the first and the least-squares slope of the last half
+   of the series against log(parameter) is positive;
 3. oscillating when successive differences change sign on more than
-   ``oscillate_frac`` (default 25%) of the steps;
+   ``_OSCILLATE_FRAC`` of the steps;
 4. otherwise increasing or decreasing by the sign of that slope.
+
+The thresholds of this rule and of ``classify``'s verdicts are the module
+constants named in one block below, not settings.
 
 Ratio values are computed in the log domain and exponentiated with
 saturation at the float maximum, so a series may legitimately end in
@@ -24,7 +27,7 @@ saturation at the float maximum, so a series may legitimately end in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from .quadrature import QuadConfig, unwrap
 from .tailcurve import TailCurve, _logsumexp_list
 
 __all__ = [
-    "TrendConfig",
     "DiagSeries",
     "ClassEntry",
     "ClassReport",
@@ -73,16 +75,22 @@ _SAT_LOG = 709.0  # exp saturates just below float max
 EVIDENCE_DISCLAIMER = "numerical evidence, not proof"
 
 
+# --------------------------------------------------------------- thresholds
+
+_CONVERGE_BAND = 0.02  # trend: last quarter within this relative band
+_OSCILLATE_FRAC = 0.25  # trend: sign changes on more than this share of steps
+_K_LEVELS = (0.3, 0.1, 0.03, 0.01, 0.003)  # tail levels of the default J Ks
+_J_X_LO = 64.0  # J reads b2(x, K) from max(_J_X_LO, 3K) up
+_J_HI = 0.9  # J: for when the last profile's late minimum reaches this
+_J_LO = 0.5  # J: against when it stays at or below this
+_J_SLACK = 0.05  # J: a profile may fall this far below the previous K's
+_L_TOL = 0.05  # L, L(gamma): a shift ratio settles within this of 1
+_L_EXCURSION = 10.0  # L, L(gamma): a late excursion past this many _L_TOL refutes
+_D_SPREAD = 100.0  # D: max over median of the halving ratio, bounded
+_S_REL_BAND = 0.1  # S, S(gamma): relative band around 2 and 2 m(gamma)
+
+
 # ------------------------------------------------------------------- trends
-
-
-@dataclass(frozen=True)
-class TrendConfig:
-    """Thresholds for the deterministic trend classifier."""
-
-    converge_band: float = 0.02
-    diverge_ratio: float = 10.0
-    oscillate_frac: float = 0.25
 
 
 def _untilted_base_curve(d: Distribution):
@@ -93,7 +101,7 @@ def _untilted_base_curve(d: Distribution):
 
 
 def classify_trend(
-    grid: np.ndarray, values: np.ndarray, cfg: TrendConfig | None = None, rel_tol: float = 0.0
+    grid: np.ndarray, values: np.ndarray, diverge_ratio: float = 10.0, rel_tol: float = 0.0
 ) -> tuple[str, float | None]:
     """Classify a ratio series; returns (trend, limit_estimate_or_None).
 
@@ -101,7 +109,6 @@ def classify_trend(
     step of at most 10 rel_tol of the larger neighbour is a tie, so that
     rounding cannot count as an oscillation.
     """
-    cfg = cfg or TrendConfig()
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -109,19 +116,19 @@ def classify_trend(
         return "inconclusive", None
     quarter = values[min(3 * n // 4, n - 2) :]
     center = float(np.mean(quarter))
-    band = cfg.converge_band * max(abs(center), 1e-300)
+    band = _CONVERGE_BAND * max(abs(center), 1e-300)
     if float(np.max(quarter) - np.min(quarter)) <= 2 * band:
         return "converging", center
     half_v = values[n // 2 :]
     half_g = np.log(grid[n // 2 :])
     slope = float(np.polyfit(half_g, half_v, 1)[0]) if len(half_v) >= 2 else 0.0
-    if values[-1] > cfg.diverge_ratio * values[0] and slope > 0:
+    if values[-1] > diverge_ratio * values[0] and slope > 0:
         return "diverging", None
     diffs = np.diff(values)
     ties = np.abs(diffs) <= 10.0 * rel_tol * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
     nz = diffs[~ties]
     sign_changes = int(np.sum(nz[:-1] * nz[1:] < 0)) if len(nz) > 1 else 0
-    if len(diffs) > 0 and sign_changes > cfg.oscillate_frac * len(diffs):
+    if len(diffs) > 0 and sign_changes > _OSCILLATE_FRAC * len(diffs):
         return "oscillating", None
     return ("increasing" if slope > 0 else "decreasing"), None
 
@@ -152,7 +159,7 @@ class DiagSeries:
         param_name: str,
         grid,
         log_values,
-        trend_cfg: TrendConfig | None = None,
+        diverge_ratio: float = 10.0,
         rel_tol: float = 0.0,
     ) -> "DiagSeries":
         grid = np.asarray(grid, dtype=float)
@@ -162,7 +169,7 @@ class DiagSeries:
             trend, limit = "diverging", None
         else:
             vals = np.exp(np.minimum(log_values, _SAT_LOG))
-            trend, limit = classify_trend(grid, vals, trend_cfg, rel_tol)
+            trend, limit = classify_trend(grid, vals, diverge_ratio, rel_tol)
         return DiagSeries(kind, param_name, grid, log_values, trend, limit)
 
 
@@ -382,7 +389,6 @@ def ratio_diagnostic(
     t: float = 1.0,
     gamma: float = 1.0,
     cfg: QuadConfig | None = None,
-    trend_cfg: TrendConfig | None = None,
 ) -> DiagSeries:
     """Per-x ratio series for one of the class functionals.
 
@@ -426,7 +432,7 @@ def ratio_diagnostic(
         logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
     else:
         raise ParameterError(f"unknown ratio kind {kind!r}")
-    return DiagSeries.build(kind, "x", xs, logs, trend_cfg, cfg.rel_tol)
+    return DiagSeries.build(kind, "x", xs, logs, rel_tol=cfg.rel_tol)
 
 
 def exam300_lower_bound(n: int) -> float:
@@ -445,24 +451,23 @@ def exam300_lower_bound(n: int) -> float:
     return math.exp(math.log(gap) - a[n])
 
 
-def weak_equiv_diag(
-    d: Distribution,
-    tgrid,
-    xgrid,
-    trend_cfg: TrendConfig | None = None,
-) -> DiagSeries:
+def weak_equiv_diag(d: Distribution, tgrid, xgrid) -> DiagSeries:
     """Series over t of sup over the x grid of F(x-t)/F(x).
 
-    A diverging trend is numerical evidence that the tail is not weakly
-    equivalent to any long-tailed function.  Because t grids span about a
-    decade (not the decades x grids cover), the default divergence ratio
-    here is 4 rather than the generic 10.
+    The sup runs over the whole x grid, not a late part of it, so a
+    transient near the grid's start can set it: ``pareto(3)`` reads
+    "diverging" for t = 1, 2, 4, 8, 16 on a geometric grid from x_lo = 32
+    to 1e12, each sup taken at x = 32.  A diverging trend is numerical evidence that the
+    tail is not weakly equivalent to any long-tailed function only on a
+    grid that starts past the transients, as thm-1.1's grid of recurring
+    ramp tops does.  Because t grids span about a decade (not the decades
+    x grids cover), the divergence ratio here is 4 rather than the generic
+    10.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     xs = np.asarray(xgrid, dtype=float)
     if tgrid.max() >= xs.min():
         raise ParameterError("largest t must stay below the smallest grid x")
-    trend_cfg = trend_cfg or TrendConfig(diverge_ratio=4.0)
     curve = d.tail
     lt = np.atleast_1d(curve.log_tail(xs))
     sups = np.empty(len(tgrid))
@@ -472,7 +477,7 @@ def weak_equiv_diag(
             raise ParameterError(f"no grid point x where x - {t} and x + {t} differ from x")
         lt_sh = np.atleast_1d(curve.log_tail(xs[keep] - t))
         sups[i] = float(np.max(lt_sh - lt[keep]))
-    return DiagSeries.build("weak_equiv", "t", tgrid, sups, trend_cfg)
+    return DiagSeries.build("weak_equiv", "t", tgrid, sups, diverge_ratio=4.0)
 
 
 def _shift_resolved(xs: np.ndarray, t: float) -> np.ndarray:
@@ -518,29 +523,16 @@ def xu_window_labels(d: Distribution, xgrid, K: float) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Grids and deterministic verdict thresholds for classify().
+    """The x window, shifts, K grid and precision of classify().
 
     ``K_list`` may be given explicitly, strictly increasing; by default the
-    K grid is derived from the distribution's own quantiles at ``K_levels``
-    (plus the untilted base's quantiles for tilted laws) so that the
-    small-summand profile always probes K values carrying most of the mass;
-    a fixed K grid says nothing about a law whose mean sits at 2000.
+    K grid is the distribution's own quantiles at ``_K_LEVELS`` (plus the
+    untilted base's for tilted laws), so that the small-summand profile
+    probes K values carrying most of the mass.
 
-    Verdicts are relative to the configured x window: a construction whose
-    defining excursions live beyond ``x_hi`` (doubly-exponential breakpoint
-    spacing, say) reads as bounded here, and the scripted experiments with
-    purpose-built grids are the instrument for those.
-
-    L(gamma) and S(gamma) are read at one rate taken from the curve: the
-    last segment's tilt, plus its rate when it is exp-affine (the rate
-    ``exp_moment`` checks against).  L(gamma) needs the tilted shift ratio
-    to converge within ``l_tol`` of 1 for every t in ``t_list``; S(gamma)
-    compares the two-fold ratio with 2 m(gamma) at the same rate.  When
-    e^{gamma t} - 1 <= ``l_tol`` for the largest t, the window cannot tell
-    the rate from 0, and L(gamma) reads evidence-against.
-
-    J reads b2(x, K) at the points of the OS grid from max(``j_x_lo``, 3K)
-    up, off the same two-fold pass as OS.
+    Verdicts are relative to the x window: a construction whose defining
+    excursions live beyond ``x_hi`` reads as bounded here, and the scripted
+    experiments with purpose-built grids are the instrument for those.
     """
 
     x_lo: float = 4.0
@@ -548,21 +540,12 @@ class ClassifyConfig:
     n_grid: int = 28
     t_list: tuple[float, ...] = (1.0, 2.0)
     K_list: tuple[float, ...] | None = None
-    K_levels: tuple[float, ...] = (0.3, 0.1, 0.03, 0.01, 0.003)
-    j_x_lo: float = 64.0
-    l_tol: float = 0.05
-    s_rel_band: float = 0.1
-    j_hi: float = 0.9
-    j_lo: float = 0.5
     rel_tol: float = 1e-7
-    trend: TrendConfig = field(default_factory=TrendConfig)
 
     def __post_init__(self):
         # Each condition is written so that NaN fails it.
         if not 0.0 < self.x_lo < self.x_hi:
             raise ParameterError(f"need 0 < x_lo < x_hi, got x_lo={self.x_lo}, x_hi={self.x_hi}")
-        if not self.j_x_lo > 0.0:
-            raise ParameterError(f"j_x_lo must be positive, got {self.j_x_lo}")
         if not self.n_grid >= 2:
             raise ParameterError(f"n_grid must be >= 2, got {self.n_grid}")
         for name in ("t_list", "K_list"):
@@ -572,10 +555,6 @@ class ClassifyConfig:
         K_list = self.K_list or ()
         if not all(a < b for a, b in zip(K_list, K_list[1:])):
             raise ParameterError(f"K_list must be strictly increasing, got {self.K_list}")
-        if not all(0.0 < u < 1.0 for u in self.K_levels):
-            raise ParameterError(f"K_levels must lie in (0, 1), got {self.K_levels}")
-        if not 0.0 < self.j_lo < self.j_hi <= 1.0:
-            raise ParameterError(f"need 0 < j_lo < j_hi <= 1, got j_lo={self.j_lo}, j_hi={self.j_hi}")
         self.quad()  # refuses rel_tol <= 0
 
     def quad(self) -> QuadConfig:
@@ -593,7 +572,7 @@ class ClassifyConfig:
             curves.append(base)
         ks = []
         for curve in curves:
-            for u in sorted(self.K_levels, reverse=True):
+            for u in _K_LEVELS:
                 try:
                     ks.append(max(float(curve.quantile(u)), 1.0))
                 except TailforgeError:
@@ -632,12 +611,47 @@ class ClassReport:
         return "\n".join(lines)
 
 
+def _bounded(series) -> str:
+    """OL, OS and OS*: evidence-against iff a series diverges."""
+    return "evidence-against" if any(s.trend == "diverging" for s in series) else "evidence-for"
+
+
+def _settles_at_one(series) -> str:
+    """L and L(gamma): whether the shift ratio series settle at 1.
+
+    evidence-for when every series converges within ``_L_TOL`` of 1 and no
+    value of its last half strays more than ``_L_EXCURSION`` ``_L_TOL`` from
+    1; evidence-against when a series oscillates, diverges, converges
+    elsewhere or strays that far (a persistent late excursion refutes shift
+    invariance even when sparse spikes do not register as oscillation);
+    inconclusive otherwise, and for no series at all.
+    """
+
+    def limit_off(s: DiagSeries) -> float:
+        # NaN, which no comparison passes, when the series has no limit
+        converged = s.trend == "converging" and s.limit is not None
+        return abs(s.limit - 1.0) if converged else math.nan
+
+    def excursion(s: DiagSeries) -> float:
+        return float(np.max(np.abs(s.values[len(s.values) // 2 :] - 1.0)))
+
+    bound = _L_EXCURSION * _L_TOL
+    if series and all(limit_off(s) <= _L_TOL and excursion(s) <= bound for s in series):
+        return "evidence-for"
+    if any(
+        s.trend in ("oscillating", "diverging") or limit_off(s) > _L_TOL or excursion(s) > bound
+        for s in series
+    ):
+        return "evidence-against"
+    return "inconclusive"
+
+
 def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassReport:
     """Run the full diagnostic battery and aggregate deterministic verdicts.
 
     The verdict rules are documented inline; every one of them reduces to
-    thresholds from the config applied to trend classifications, so a report
-    is reproducible from (distribution spec, config) alone.
+    the module's named thresholds applied to trend classifications, so a
+    report is reproducible from (distribution spec, config) alone.
     """
     cfg = config or ClassifyConfig()
     qcfg = cfg.quad()
@@ -645,60 +659,33 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries: list[ClassEntry] = []
 
     # --- shift ratios: OL and L -------------------------------------------
-    ol_series = []
-    for t in cfg.t_list:
-        if t < xgrid.min():
-            ol_series.append(
-                ratio_diagnostic(d, "ol", xgrid, t=t, cfg=qcfg, trend_cfg=cfg.trend)
-            )
-    ol_diverging = any(s.trend == "diverging" for s in ol_series)
-    entries.append(
-        ClassEntry(
-            "OL",
-            "evidence-against" if ol_diverging else "evidence-for",
-            "shift ratio " + ("diverges" if ol_diverging else "stays bounded"),
-            tuple(ol_series),
-        )
+    ol_series = tuple(
+        ratio_diagnostic(d, "ol", xgrid, t=t, cfg=qcfg) for t in cfg.t_list if t < xgrid.min()
     )
-    def late_excursion(s: DiagSeries) -> float:
-        half = s.values[len(s.values) // 2 :]
-        return float(np.max(np.abs(half - 1.0)))
-
-    l_ok = all(
-        s.trend == "converging"
-        and s.limit is not None
-        and abs(s.limit - 1.0) <= cfg.l_tol
-        and late_excursion(s) <= 10 * cfg.l_tol
-        for s in ol_series
-    ) and bool(ol_series)
-    if l_ok:
-        l_verdict, l_detail = "evidence-for", "shift ratios converge to 1"
-    elif any(
-        s.trend in ("oscillating", "diverging")
-        or (s.trend == "converging" and s.limit is not None and abs(s.limit - 1.0) > cfg.l_tol)
-        or late_excursion(s) > 10 * cfg.l_tol
-        for s in ol_series
-    ):
-        # persistent late excursions away from 1 refute shift invariance even
-        # when sparse spikes do not register as oscillation
-        l_verdict, l_detail = "evidence-against", "shift ratio fails to settle at 1"
-    else:
-        l_verdict, l_detail = "inconclusive", "shift ratio trend ambiguous"
-    entries.append(ClassEntry("L", l_verdict, l_detail, tuple(ol_series)))
+    ol_verdict = _bounded(ol_series)
+    ol_detail = "diverges" if ol_verdict == "evidence-against" else "stays bounded"
+    entries.append(ClassEntry("OL", ol_verdict, f"shift ratio {ol_detail}", ol_series))
+    l_verdict = _settles_at_one(ol_series)
+    l_detail = {
+        "evidence-for": "shift ratios converge to 1",
+        "evidence-against": "shift ratio fails to settle at 1",
+        "inconclusive": "shift ratio trend ambiguous",
+    }[l_verdict]
+    entries.append(ClassEntry("L", l_verdict, l_detail, ol_series))
 
     # --- dominated variation ----------------------------------------------
-    d_series = ratio_diagnostic(d, "d", xgrid, cfg=qcfg, trend_cfg=cfg.trend)
+    d_series = ratio_diagnostic(d, "d", xgrid, cfg=qcfg)
     d_spread = float(np.max(d_series.values)) / max(float(np.median(d_series.values)), 1e-300)
     if d_series.trend == "diverging":
         d_verdict, d_detail = "evidence-against", "halving ratio diverges"
-    elif d_series.trend in ("converging", "decreasing") and d_spread <= 100.0:
+    elif d_series.trend in ("converging", "decreasing") and d_spread <= _D_SPREAD:
         d_verdict, d_detail = (
             "evidence-for",
             f"halving ratio bounded (limit ~ {d_series.limit:.4g})"
             if d_series.limit is not None
             else "halving ratio bounded",
         )
-    elif d_series.trend == "oscillating" and d_spread <= 100.0:
+    elif d_series.trend == "oscillating" and d_spread <= _D_SPREAD:
         d_verdict, d_detail = "evidence-for", "halving ratio oscillates in a bounded band"
     else:
         # isolated excursions spanning orders of magnitude leave the limsup
@@ -707,34 +694,28 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries.append(ClassEntry("D", d_verdict, d_detail, (d_series,)))
 
     # --- L(gamma) at the terminal decay rate ------------------------------
+    # The rate is read off the curve: the last segment's tilt, plus its rate
+    # when it is exp-affine (the rate exp_moment checks a moment against).
+    # L(gamma) reads the tilted shift ratios on the shift-probe grid as L
+    # reads its own; S(gamma) compares the two-fold ratio with 2 m(gamma).
     gamma = _terminal_rate(d)
     lg_series = tuple(
-        ratio_diagnostic(
-            d,
-            "lgamma",
-            shift_probe_grid(d, xgrid, t),
-            t=t,
-            gamma=gamma,
-            cfg=qcfg,
-            trend_cfg=cfg.trend,
-        )
+        ratio_diagnostic(d, "lgamma", shift_probe_grid(d, xgrid, t), t=t, gamma=gamma, cfg=qcfg)
         for t in cfg.t_list
     )
     t_max = max(cfg.t_list)
-    if math.expm1(gamma * t_max) <= cfg.l_tol:
-        # e^{gamma t} stays within l_tol of 1 at every shift, so the window
+    if math.expm1(gamma * t_max) <= _L_TOL:
+        # e^{gamma t} stays within _L_TOL of 1 at every shift, so the window
         # cannot tell this rate from 0.
         lg_verdict = "evidence-against"
         lg_detail = f"no exponential decay resolved at shifts up to {t_max:g} (rate {gamma:g})"
-    elif all(
-        s.trend == "converging" and s.limit is not None and abs(s.limit - 1.0) <= cfg.l_tol
-        for s in lg_series
-    ):
-        lg_verdict = "evidence-for"
-        lg_detail = f"tilted shift ratio settles at 1 for gamma={gamma:g}"
     else:
-        lg_verdict = "evidence-against"
-        lg_detail = f"tilted shift ratio does not settle at 1 for gamma={gamma:g}"
+        lg_verdict = _settles_at_one(lg_series)
+        lg_detail = {
+            "evidence-for": f"tilted shift ratio settles at 1 for gamma={gamma:g}",
+            "evidence-against": f"tilted shift ratio does not settle at 1 for gamma={gamma:g}",
+            "inconclusive": f"tilted shift ratio trend ambiguous for gamma={gamma:g}",
+        }[lg_verdict]
     entries.append(ClassEntry("L(gamma)", lg_verdict, lg_detail, lg_series))
 
     # --- convolution ratios: OS, OS*, S ------------------------------------
@@ -742,31 +723,25 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     # it: OS reads the totals, J the prefixes.
     K_list = cfg.resolve_K(d)
     j_jobs = [
-        (x, sorted({K for K in K_list if x >= max(cfg.j_x_lo, 3.0 * K)})) for x in xgrid.tolist()
+        (x, sorted({K for K in K_list if x >= max(_J_X_LO, 3.0 * K)})) for x in xgrid.tolist()
     ]
     conv2 = [unwrap(v) for v in _log_conv2_tails(d, j_jobs, qcfg)]
     os_logs = np.array([log_f2 for log_f2, _ in conv2]) - d.tail.log_tail(xgrid)
-    os_series = DiagSeries.build("os", "x", xgrid, os_logs, cfg.trend, qcfg.rel_tol)
-    osstar_series = ratio_diagnostic(d, "osstar", xgrid, cfg=qcfg, trend_cfg=cfg.trend)
-    os_against = os_series.trend == "diverging"
-    entries.append(
-        ClassEntry(
-            "OS",
-            "evidence-against" if os_against else "evidence-for",
-            f"two-fold ratio trend {os_series.trend}"
-            + (f", limit ~ {os_series.limit:.4g}" if os_series.limit is not None else ""),
-            (os_series,),
-        )
-    )
+    os_series = DiagSeries.build("os", "x", xgrid, os_logs, rel_tol=qcfg.rel_tol)
+    osstar_series = ratio_diagnostic(d, "osstar", xgrid, cfg=qcfg)
+    os_verdict = _bounded([os_series])
+    os_limit = f", limit ~ {os_series.limit:.4g}" if os_series.limit is not None else ""
+    os_detail = f"two-fold ratio trend {os_series.trend}{os_limit}"
+    entries.append(ClassEntry("OS", os_verdict, os_detail, (os_series,)))
     entries.append(
         ClassEntry(
             "OS*",
-            "evidence-against" if osstar_series.trend == "diverging" else "evidence-for",
+            _bounded([osstar_series]),
             f"cross-integral ratio trend {osstar_series.trend}",
             (osstar_series,),
         )
     )
-    s_band = cfg.s_rel_band * 2.0
+    s_band = _S_REL_BAND * 2.0
     os_late_max = float(np.max(os_series.values[len(os_series.values) // 2 :]))
     if os_series.trend == "converging" and os_series.limit is not None:
         if abs(os_series.limit - 2.0) <= s_band and os_late_max <= 2.0 + 2 * s_band:
@@ -808,7 +783,7 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
             if (
                 os_series.trend == "converging"
                 and os_series.limit is not None
-                and abs(os_series.limit - target) <= cfg.s_rel_band * target
+                and abs(os_series.limit - target) <= _S_REL_BAND * target
             ):
                 sg_verdict = "evidence-for"
                 sg_detail = (
@@ -820,14 +795,12 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries.append(ClassEntry("S(gamma)", sg_verdict, sg_detail, sg_evidence))
 
     # --- J: conditional-small-summand profile -------------------------------
-    entries.append(_classify_j(cfg, qcfg, K_list, j_jobs, conv2, os_against))
+    entries.append(_classify_j(qcfg, K_list, j_jobs, conv2, os_verdict == "evidence-against"))
 
     return ClassReport(d.label or "distribution", tuple(entries))
 
 
-def _classify_j(
-    cfg: ClassifyConfig, qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool
-) -> ClassEntry:
+def _classify_j(qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool) -> ClassEntry:
     rows: dict[float, tuple[list[float], list[float]]] = {K: ([], []) for K in K_list}
     for (x, Ks), (log_den, bands) in zip(jobs, conv2):
         try:
@@ -844,9 +817,7 @@ def _classify_j(
         if len(vals) < 3:
             continue
         log_vals = np.log(np.maximum(vals, 1e-300))
-        series = DiagSeries.build(
-            f"b2(K={K:g})", "x", np.array(kept_x), log_vals, cfg.trend, qcfg.rel_tol
-        )
+        series = DiagSeries.build(f"b2(K={K:g})", "x", kept_x, log_vals, rel_tol=qcfg.rel_tol)
         profiles.append(series)
         half = np.asarray(vals)[len(vals) // 2 :]
         proxies.append(float(np.min(half)))
@@ -860,15 +831,13 @@ def _classify_j(
         )
     if not proxies:
         return ClassEntry("J", "inconclusive", "no usable (x, K) grid", tuple(profiles))
-    nondecreasing = all(
-        proxies[i + 1] >= proxies[i] - 0.05 for i in range(len(proxies) - 1)
-    )
-    if proxies[-1] >= cfg.j_hi and nondecreasing:
+    nondecreasing = all(b >= a - _J_SLACK for a, b in zip(proxies, proxies[1:]))
+    if proxies[-1] >= _J_HI and nondecreasing:
         verdict, detail = (
             "evidence-for",
             f"small-summand profile reaches {proxies[-1]:.4g} at K={last_K:g}",
         )
-    elif proxies[-1] <= cfg.j_lo:
+    elif proxies[-1] <= _J_LO:
         verdict, detail = (
             "evidence-against",
             f"small-summand profile stuck at {proxies[-1]:.4g} at K={last_K:g}",

@@ -191,23 +191,35 @@ def test_exp_moment_refuses_nan(exp1):
         tf.exp_moment(exp1, math.inf)
 
 
-def test_exp_moment_of_a_light_tilt_takes_few_rounds(monkeypatch, pareto3):
-    # int e^{y/2} G(dy) for G = F e^{-y/2} is 1 + E[X]/2 = 1.25.  The
-    # density reaches out to B ~ 1e26; the geometric ladder of seeds gives
-    # each scale its panel at once, so the integral takes a few rounds of
-    # one integrand call each instead of one bisection per round.
+def _gk15_calls(monkeypatch) -> list:
     calls = []
     real = quadrature._gk15
     monkeypatch.setattr(
         quadrature, "_gk15", lambda f, lo, hi: calls.append(len(lo)) or real(f, lo, hi)
     )
+    return calls
+
+
+def test_exp_moment_of_a_light_tilt_takes_few_rounds(monkeypatch, pareto3):
+    # int e^{y/2} G(dy) for G = F e^{-y/2} is 1 + E[X]/2 = 1.25.  The
+    # density reaches out to B ~ 1e26; the geometric ladder of seeds gives
+    # each scale its panel at once, so the integral takes a few rounds of
+    # one integrand call each instead of one bisection per round.
+    calls = _gk15_calls(monkeypatch)
     assert tf.exp_moment(tf.gamma_transform(pareto3, 0.5), 0.5) == pytest.approx(1.25, abs=1e-12)
     assert len(calls) <= 5 and max(calls) <= quadrature._MAX_PANELS
 
 
-def test_exp_moment_with_a_singular_density_at_the_seeded_end():
-    # weibull_heavy(0.5) has the density y^(-1/2) e^(-sqrt y) / 2 near 0.
-    assert tf.exp_moment(tf.weibull_heavy(0.5), 0.0) == pytest.approx(1.0, abs=1e-9)
+def test_exp_moment_with_a_singular_density_at_the_seeded_end(monkeypatch):
+    # weibull_heavy(0.5) has the density y^(-1/2) e^(-sqrt y) / 2 near 0,
+    # and int e^{y/2} G(dy) for its 0.5 tilt G is 1 + E[X]/2 = 2.  The
+    # ladder reaches down to 2^-60, so that end has its panels at once.
+    f = tf.weibull_heavy(0.5)
+    calls = _gk15_calls(monkeypatch)
+    for d, rate, moment in ((f, 0.0, 1.0), (tf.gamma_transform(f, 0.5), 0.5, 2.0)):
+        calls.clear()
+        assert tf.exp_moment(d, rate) == pytest.approx(moment, abs=1e-10)
+        assert len(calls) <= 5
 
 
 def test_exp_moment_of_a_many_segment_tilt_meets_the_default_tolerance(dyadic):

@@ -469,7 +469,7 @@ def test_two_fold_series_equal_per_x_calls(tilted, plateau2, dyadic):
 
 def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
     # classify makes one two-fold pass: J reads the OS grid from
-    # max(j_x_lo, 3K) up, each b2 denominator is the OS total, and an x whose
+    # max(_J_X_LO, 3K) up, each b2 denominator is the OS total, and an x whose
     # ratio is refused (its bands pushed up past the total) leaves every J
     # profile but stays in OS.
     cfg = ClassifyConfig()
@@ -497,7 +497,7 @@ def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
     profiles = {s.kind: s.grid.tolist() for s in rep.entry("J").evidence}
     Ks = cfg.resolve_K(pareto3)
     assert profiles == {
-        f"b2(K={K:g})": [x for x in xs if x >= max(cfg.j_x_lo, 3.0 * K) and x != refused]
+        f"b2(K={K:g})": [x for x in xs if x >= max(functionals._J_X_LO, 3.0 * K) and x != refused]
         for K in Ks
     }
     assert refused in dens and refused >= 3.0 * max(Ks)
@@ -584,6 +584,48 @@ def test_trend_rules():
     grid = np.geomspace(1, 100, len(values))
     assert classify_trend(grid, values)[0] == "oscillating"
     assert classify_trend(grid, values, rel_tol=1e-9)[0] == "decreasing"
+
+
+# ------------------------------------------------- settling at 1: L, L(gamma)
+
+_GRID12 = np.geomspace(4.0, 1e6, 12)
+_SHIFT_SERIES = {
+    # converges to 1 from above
+    "settled": (1.0 + 0.01 / _GRID12, "converging", "evidence-for"),
+    "oscillating": (np.array([1.0, 1.3] * 6), "oscillating", "evidence-against"),
+    # rises from 0.6 to 1.4, never strays past 10 _L_TOL from 1, never settles
+    "rising": (np.linspace(0.6, 1.4, 12), "increasing", "inconclusive"),
+}
+
+
+def _hand_series(values):
+    return functionals.DiagSeries.build("lgamma", "x", _GRID12, np.log(values), rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("case", sorted(_SHIFT_SERIES))
+def test_settles_at_one_reads_hand_built_series(case):
+    values, trend, verdict = _SHIFT_SERIES[case]
+    s = _hand_series(values)
+    assert s.trend == trend
+    assert functionals._settles_at_one([s]) == verdict
+    assert functionals._settles_at_one([_hand_series(_SHIFT_SERIES["settled"][0]), s]) == verdict
+    assert functionals._settles_at_one(()) == "inconclusive"
+
+
+def test_lgamma_reads_an_unsettled_series_as_inconclusive(monkeypatch, exp1):
+    # L(gamma) reads its tilted shift ratios as L does, so a series that
+    # rises without settling leaves it undecided.
+    real = functionals.ratio_diagnostic
+
+    def rising_lgamma(d, kind, xgrid, **kw):
+        if kind == "lgamma":
+            return _hand_series(_SHIFT_SERIES["rising"][0])
+        return real(d, kind, xgrid, **kw)
+
+    monkeypatch.setattr(functionals, "ratio_diagnostic", rising_lgamma)
+    entry = tf.classify(exp1).entry("L(gamma)")
+    assert entry.verdict == "inconclusive"
+    assert entry.detail == "tilted shift ratio trend ambiguous for gamma=1"
 
 
 # ------------------------------------------------------ exam300 lower bound
@@ -728,7 +770,7 @@ def test_classify_tilted_weibull_off_the_old_grid(gamma):
 
 def test_classify_fkz_rate_below_resolution(fkz):
     # The last segment decays at rate 1.35e-19: e^{gamma t} - 1 is far below
-    # l_tol at every shift, so the window cannot tell it from 0.
+    # _L_TOL at every shift, so the window cannot tell it from 0.
     rep = tf.classify(fkz)
     assert rep.verdict("L(gamma)") == "evidence-against"
     assert rep.verdict("S(gamma)") == "evidence-against"

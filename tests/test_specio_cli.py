@@ -379,8 +379,16 @@ CONFIG_ERRORS = [
     ("classify-removed-gamma-grid", CLASSIFY, '{"gamma_grid": [0.5]}'),
     ("classify-removed-j-n-grid", CLASSIFY, '{"j_n_grid": 10}'),
     ("experiment-removed-beta-grid", EXPERIMENT, '{"beta_grid": [0.5]}'),
+    # verdict thresholds are module constants, not settings
+    ("classify-removed-trend", CLASSIFY, '{"trend": {"converge_band": 0.05}}'),
+    ("classify-removed-j-x-lo", CLASSIFY, '{"j_x_lo": 0}'),
+    ("classify-removed-K-levels", CLASSIFY, '{"K_levels": [0.3, 1.0]}'),
+    ("classify-removed-j-band", CLASSIFY, '{"j_lo": 0.9, "j_hi": 0.5}'),
+    ("classify-j-hi-above-one", CLASSIFY, '{"j_hi": 1.5}'),
+    ("classify-zero-j-lo", CLASSIFY, '{"j_lo": 0}'),
+    ("classify-removed-l-tol", CLASSIFY, '{"l_tol": 0.05}'),
+    ("classify-removed-s-rel-band", CLASSIFY, '{"s_rel_band": 0.1}'),
     # values of the wrong type or shape
-    ("classify-nested-trend", CLASSIFY, '{"trend": {"converge_band": 0.05}}'),
     ("classify-float-for-int", CLASSIFY, '{"n_grid": 8.5}'),
     ("classify-string-in-list", CLASSIFY, '{"t_list": [1.0, "2"]}'),
     ("classify-nan", CLASSIFY, '{"x_hi": NaN}'),
@@ -394,14 +402,9 @@ CONFIG_ERRORS = [
     ("classify-one-point-grid", CLASSIFY, '{"n_grid": 1}'),
     ("classify-zero-x-lo", CLASSIFY, '{"x_lo": 0}'),
     ("classify-window-reversed", CLASSIFY, '{"x_lo": 1e4, "x_hi": 100}'),
-    ("classify-zero-j-x-lo", CLASSIFY, '{"j_x_lo": 0}'),
     ("classify-negative-t", CLASSIFY, '{"t_list": [1.0, -2.0]}'),
     ("classify-negative-K", CLASSIFY, '{"K_list": [-2.0]}'),
     ("classify-K-list-not-increasing", CLASSIFY, '{"K_list": [4.0, 4.0, 1.0]}'),
-    ("classify-level-one", CLASSIFY, '{"K_levels": [0.3, 1.0]}'),
-    ("classify-j-band-reversed", CLASSIFY, '{"j_lo": 0.9, "j_hi": 0.5}'),
-    ("classify-j-hi-above-one", CLASSIFY, '{"j_hi": 1.5}'),
-    ("classify-zero-j-lo", CLASSIFY, '{"j_lo": 0}'),
 ]
 
 
