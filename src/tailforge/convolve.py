@@ -1,10 +1,15 @@
 """Convolution tails: exact two-fold Stieltjes quadrature and certified
 n-fold grid brackets.
 
-Two independent routes are deliberately kept apart and cross-checked by the
-test suite: ``conv2_tail`` evaluates the Stieltjes integral of the tail
-against dF directly, while ``g_conv2_identity_residual`` reconciles the
-tilted two-fold tail with the identity
+A tilt is an exact factor.  For a tail G(x) = F(x) e^{-gamma x}
+(``distribution._split_tilt``) the two-fold quadratures integrate the base
+F only: F(x - y) F(y), and F(x - y) against F's atoms and against
+f + gamma F, G's density at its rate.  They return G's values divided by
+e^{-gamma x}, a factor no quadrature reads: its rounding alone is 6e-5
+relative at gamma x = 1e12.  Two routes to a tilted two-fold tail remain,
+both on the base, cross-checked by ``g_conv2_identity_residual``: the
+fused one above, and the split one, F2bar and the cross integral apart,
+joined by
 
     G2bar(x) = (F2bar(x) + gamma * int_0^x F(x-y) F(y) dy) e^{-gamma x},
 
@@ -86,10 +91,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .distribution import Distribution
+from .distribution import Distribution, _split_tilt
 from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError
 from .quadrature import QuadConfig, log_quads, unwrap
 from .tailcurve import TailCurve, _logsumexp_list
@@ -186,8 +192,9 @@ def _checked_x(d: Distribution, x: float) -> TailforgeError | None:
 
 
 def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list:
-    """``log_cross_integral`` for each job (A, B, x), in one batch; entry i
-    is a float or the error job i raises alone."""
+    """``log_cross_integral`` for each job (A, B, x), in one batch, per
+    e^{-gamma x} of d's tilt (``_split_tilt``): the integral of the base's
+    F(x - y) F(y).  Entry i is a float or the error job i raises alone."""
     out: list = [None] * len(jobs)
     quad, doubled = [], []
     for i, (A, B, x) in enumerate(jobs):
@@ -202,7 +209,7 @@ def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list:
             whole = A == 0.0 and B == x
             quad.append((i, (x, 0.0, 0.5 * x) if whole else (x, A, B)))
             doubled.append(whole)
-    curve = d.tail
+    curve = _split_tilt(d)[0].tail
     vals = _log_against_tail(curve.log_tail, curve, [job for _, job in quad], cfg)
     for (i, _), v, whole in zip(quad, vals, doubled):
         out[i] = math.log(2.0) + v if whole and not isinstance(v, TailforgeError) else v
@@ -213,7 +220,9 @@ def log_cross_integral(
     d: Distribution, A: float, B: float, x: float, cfg: QuadConfig | None = None
 ) -> float:
     """log of integral_A^B F(x - y) F(y) dy for 0 <= A <= B <= x."""
-    return unwrap(_log_cross_integrals(d, [(A, B, x)], cfg or QuadConfig())[0])
+    rate = _split_tilt(d)[1]
+    lv = unwrap(_log_cross_integrals(d, [(A, B, x)], cfg or QuadConfig())[0])
+    return lv - rate * x if rate else lv
 
 
 def cross_integral(
@@ -230,20 +239,22 @@ def cross_integral(
 
 def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``,
-    for each job (x, cuts), in one batch.
+    for each job (x, cuts), in one batch, per e^{-gamma x} of d's tilt.
 
     Band j is (cuts[j-1], cuts[j]]; the first band is [0, cuts[0]].  Each
-    band lists one term per atom in it, then one for the curve's density
-    if it has one there, so a single cut K gives the terms of int_{[0, K]}.
+    band lists one term per atom of the base in it, then one for d's
+    density at its rate, ``log_density(y, gamma)`` = log(f + gamma F), if
+    it has one there, so a single cut K gives the terms of int_{[0, K]}.
     The atom terms of all jobs come from one ``log_tail`` call and the
     density terms from one ``_log_against_tail`` batch.  Entry i is job i's
     list of bands, or the error of its first failing band.
     """
-    curve = d.tail
+    base, rate = _split_tilt(d)
+    curve = base.tail
     out: list = [[[] for _ in cuts] for _, cuts in jobs]
-    if d.atoms and jobs:
-        locs = np.array([a.location for a in d.atoms])
-        log_masses = np.array([a.log_mass for a in d.atoms])
+    if base.atoms and jobs:
+        locs = np.array([a.location for a in base.atoms])
+        log_masses = np.array([a.log_mass for a in base.atoms])
         hits = []  # (job, band of each atom in it, atoms in it)
         for i, (x, cuts) in enumerate(jobs):
             band = np.searchsorted(cuts, locs, side="left")
@@ -259,9 +270,10 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
         (i, j, (x, lo, hi))
         for i, (x, cuts) in enumerate(jobs)
         for j, (lo, hi) in enumerate(zip([0.0, *cuts], cuts))
-        if curve.has_density_in(lo, hi)
+        if d.tail.has_density_in(lo, hi)
     ]
-    vals = _log_against_tail(curve.log_density, curve, [job for *_, job in dense], cfg)
+    log_g = partial(d.tail.log_density, lam=rate)
+    vals = _log_against_tail(log_g, curve, [job for *_, job in dense], cfg)
     for (i, j, _), v in zip(dense, vals):
         if isinstance(out[i], TailforgeError):
             continue
@@ -274,7 +286,7 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
 
 def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
     """For each job (x, cuts), log F2bar(x) and the bands of
-    ``_log_stieltjes_bands`` below the last cut, in one batch.
+    ``_log_stieltjes_bands`` below the last cut, both per e^{-gamma x}.
 
     Both come from one pass cut at the increasing ``cuts``, all below x, and
     at x: log F2bar(x) sums F(x) and the terms of every band, so a prefix of
@@ -292,7 +304,8 @@ def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
         else:
             quad.append(i)
     passes = [(jobs[i][0], [*jobs[i][1], jobs[i][0]]) for i in quad]
-    heads = d.tail.log_tail(np.array([x for x, _ in passes], dtype=float)).tolist()
+    base = _split_tilt(d)[0]
+    heads = base.tail.log_tail(np.array([x for x, _ in passes], dtype=float)).tolist()
     for i, head, bands in zip(quad, heads, _log_stieltjes_bands(d, passes, cfg)):
         if isinstance(bands, TailforgeError):
             out[i] = bands
@@ -303,7 +316,9 @@ def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
 
 def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
     """log of F2bar(x) = F(x) + int_{[0, x]} F(x - y) F(dy)."""
-    return unwrap(_log_conv2_tails(d, [(x, [])], cfg or QuadConfig())[0])[0]
+    rate = _split_tilt(d)[1]
+    lv = unwrap(_log_conv2_tails(d, [(x, [])], cfg or QuadConfig())[0])[0]
+    return lv - rate * max(x, 0.0) if rate else lv  # the tail is 1 below 0
 
 
 def conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
@@ -319,24 +334,28 @@ def log_tilt_identity(log_f2, log_cross, gamma: float):
     return np.logaddexp(log_f2, math.log(gamma) + log_cross)
 
 
+def _fused_and_split(d: Distribution, gamma: float, xs, cfg: QuadConfig) -> list:
+    """(fused, split) at each x: log G2bar(x) e^{gamma x} for G the tilt of d
+    at gamma, by the module docstring's two routes, per d's own tilt."""
+    jobs = [(x, []) for x in xs]
+    fused = _log_conv2_tails(gamma_transform(d, gamma), jobs, cfg)
+    f2 = _log_conv2_tails(d, jobs, cfg)
+    cross = _log_cross_integrals(d, [(0.0, x, x) for x in xs], cfg)
+    return [
+        (unwrap(g2)[0], float(log_tilt_identity(unwrap(lf2)[0], unwrap(lc), gamma)))
+        for g2, lf2, lc in zip(fused, f2, cross)
+    ]
+
+
 def g_conv2_identity_residual(
     d: Distribution, gamma: float, x: float, cfg: QuadConfig | None = None
 ) -> float:
-    """Relative residual between the two routes to the tilted two-fold tail.
-
-    Route 1 computes G2bar(x) by direct Stieltjes quadrature on the tilted
-    distribution; route 2 reconstructs it from untilted quantities via the
-    exact identity above.  Returns |route2/route1 - 1|.
-    """
+    """Relative residual between the two quadratures of the tilted two-fold
+    tail (``_fused_and_split``): |split / fused - 1|."""
     if x < 0 or gamma <= 0:
         raise ParameterError(f"need x >= 0 and gamma > 0, got x={x}, gamma={gamma}")
-    cfg = cfg or QuadConfig()
-    g = gamma_transform(d, gamma)
-    lr1 = log_conv2_tail(g, x, cfg)
-    lcross = log_cross_integral(d, 0.0, x, x, cfg)
-    lf2 = log_conv2_tail(d, x, cfg)
-    lr2 = log_tilt_identity(lf2, lcross, gamma) - gamma * x
-    return abs(math.expm1(lr2 - lr1))
+    fused, split = _fused_and_split(d, gamma, [x], cfg or QuadConfig())[0]
+    return abs(math.expm1(split - fused))
 
 
 # ------------------------------------------------------------ grid brackets

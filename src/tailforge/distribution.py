@@ -14,6 +14,7 @@ generator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -89,6 +90,7 @@ class Distribution:
         self.spec = spec or {}
         self.truncation_note: str | None = None
         self._mean: float | None = None
+        self._split: tuple[Distribution, float] | None = None  # see _split_tilt
 
     def __repr__(self) -> str:
         return f"Distribution({self.label or 'anonymous'}, segments={len(self.tail.segments)})"
@@ -238,6 +240,20 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
         [a.log_mass + lam * a.location for a in d.atoms if a.location <= B] + [dens.log_value]
     )
     return math.exp(lv) if lv > _NEG_INF else 0.0
+
+
+def _split_tilt(d: Distribution) -> tuple[Distribution, float]:
+    """The base law F and rate gamma of d's tail F(x) e^{-gamma x}, gamma the
+    smallest segment tilt (d and 0 if a segment is untilted).  A tilt takes
+    its source's split from ``gamma_transform``; other laws build it once."""
+    if d._split is None:
+        rate = min(seg.tilt for seg in d.tail.segments)
+        base = d
+        if rate:
+            segs = [dataclasses.replace(seg, tilt=seg.tilt - rate) for seg in d.tail.segments]
+            base = Distribution(TailCurve(segs, validate=False))
+        d._split = (base, rate)
+    return d._split
 
 
 def _terminal_rate(d: Distribution) -> float:

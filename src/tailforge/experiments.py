@@ -26,12 +26,11 @@ from .builtins import (
     xu_breakpoints,
     xu_piecewise,
 )
-from .convolve import _log_conv2_tails, _log_cross_integrals, log_tilt_identity
+from .convolve import _fused_and_split
 from .distribution import Distribution, exp_moment, power_tail
 from .errors import DivergenceError, ParameterError, TailforgeError, TruncationError
 from .export import _write_csv, _write_json, export_grid, fmt_float
 from .functionals import (
-    DiagSeries,
     _b2_profile,
     _t_profile,
     shift_probe_grid,
@@ -41,7 +40,7 @@ from .functionals import (
     weak_equiv_diag,
     xu_window_labels,
 )
-from .quadrature import QuadConfig, unwrap
+from .quadrature import QuadConfig
 from .transform import gamma_transform
 
 __all__ = ["EXPERIMENT_IDS", "default_config", "run_experiment"]
@@ -203,20 +202,6 @@ def _shift_ratio_unsettled(
 # ------------------------------------------------------------------ prop 1.1
 
 
-def _os_series_of_tilt_by_identity(
-    os_f: DiagSeries, osstar_f: DiagSeries, gamma: float, rel_tol: float
-) -> DiagSeries:
-    """Two-fold ratio series of the tilt computed through the exact identity
-    G2bar/Gbar = F2bar/Fbar + gamma * crossint/Fbar, from the untilted 'os'
-    and 'osstar' series of F on one grid.
-
-    Beyond moderate x the direct route loses the ratio to float noise of the
-    huge exp(-gamma x) factors, while the identity route only ever touches
-    untilted quantities."""
-    logs = log_tilt_identity(os_f.log_values, osstar_f.log_values, gamma)
-    return DiagSeries.build("os(tilt, identity route)", "x", os_f.grid, logs, rel_tol=rel_tol)
-
-
 def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
     F = fkz_example()
@@ -240,9 +225,8 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     chain_ok = True
     gate_n = [n for n in cfg["gate_n"] if n + 1 < len(a)]
     gate_x = [a[n + 1] ** 2 for n in gate_n]
-    log_cross = _log_cross_integrals(F, [(0.0, x, x) for x in gate_x], qcfg)
-    for n, x, lv in zip(gate_n, gate_x, log_cross):
-        ratio = math.exp(unwrap(lv) - F.tail.log_tail(x))
+    ratios = ratio_diagnostic(F, "osstar", gate_x, cfg=qcfg).values.tolist()
+    for n, x, ratio in zip(gate_n, gate_x, ratios):
         ratio_rows.append([str(n), fmt_float(x), fmt_float(ratio), fmt_float(bounds.get(n, 0.0))])
         if not ratio >= bounds[n]:
             chain_ok = False
@@ -254,29 +238,22 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     export_grid(osstar, "csv", out / "osstar_series.csv")
     exp.check("osstar-diverging", osstar.trend == "diverging", f"trend {osstar.trend}")
 
-    # Tilted two-fold ratio: direct route where floats allow, identity route
-    # on the full grid; the two must agree where both run.
+    # Tilted two-fold ratio, read through the base F on the full grid.  Its
+    # two quadratures, fused (f + gamma F in one pass) and split (F2bar and
+    # gamma int FF apart), must agree.
     id_rows = []
     id_ok = True
     xs = [float(x) for x in cfg["identity_x"]]
-    batches = (
-        _log_conv2_tails(G, [(x, []) for x in xs], qcfg),
-        _log_conv2_tails(F, [(x, []) for x in xs], qcfg),
-        _log_cross_integrals(F, [(0.0, x, x) for x in xs], qcfg),
-    )
-    for x, lg2, lf2, lcross in zip(xs, *batches):
-        direct = math.exp(unwrap(lg2)[0] - G.tail.log_tail(x))
-        lf2, lcross = unwrap(lf2)[0], unwrap(lcross)
-        recon = math.exp(log_tilt_identity(lf2, lcross, cfg["gamma"]) - F.tail.log_tail(x))
-        rel = abs(recon / direct - 1.0)
-        id_rows.append([fmt_float(x), fmt_float(direct), fmt_float(recon), fmt_float(rel)])
+    for x, (fused, split) in zip(xs, _fused_and_split(F, cfg["gamma"], xs, qcfg)):
+        rel = abs(math.expm1(split - fused))
+        lt = F.tail.log_tail(x)
+        id_rows.append([fmt_float(v) for v in (x, math.exp(fused - lt), math.exp(split - lt), rel)])
         if rel > 1e-6:
             id_ok = False
-    _write_csv(out / "os_identity_check.csv", ["x", "direct", "reconstructed", "rel_err"], id_rows)
-    exp.check("os-identity-agrees", id_ok, "direct and reconstructed tilted ratios match to 1e-6")
+    _write_csv(out / "os_identity_check.csv", ["x", "fused", "split", "rel_err"], id_rows)
+    exp.check("os-identity-agrees", id_ok, "fused and split tilted ratios match to 1e-6")
 
-    os_series = ratio_diagnostic(F, "os", grid, cfg=qcfg)
-    os_g = _os_series_of_tilt_by_identity(os_series, osstar, cfg["gamma"], qcfg.rel_tol)
+    os_g = ratio_diagnostic(G, "os", grid, cfg=qcfg)
     export_grid(os_g, "csv", out / "os_transform.csv")
     exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
     return [
@@ -323,9 +300,7 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         f"small-summand probability stuck <= {cfg['t_gate']}",
     )
 
-    grid = geometric_grid(F, 2.0, cfg["x_cap"], 22)
-    os_f, osstar_f = (ratio_diagnostic(F, kind, grid, cfg=qcfg) for kind in ("os", "osstar"))
-    os_g = _os_series_of_tilt_by_identity(os_f, osstar_f, cfg["gamma"], qcfg.rel_tol)
+    os_g = ratio_diagnostic(G, "os", geometric_grid(G, 2.0, cfg["x_cap"], 22), cfg=qcfg)
     export_grid(os_g, "csv", out / "os_transform.csv")
     exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
     return ["t_ratio.csv", "b2_transform.csv", "os_transform.csv"]

@@ -37,7 +37,7 @@ from .convolve import (
     _log_conv2_tails,
     _log_cross_integrals,
 )
-from .distribution import Distribution, _terminal_rate, exp_moment
+from .distribution import Distribution, _split_tilt, _terminal_rate, exp_moment
 from .errors import (
     DivergenceError,
     InconclusiveBracketError,
@@ -47,7 +47,7 @@ from .errors import (
     TruncationError,
 )
 from .quadrature import QuadConfig, unwrap
-from .tailcurve import TailCurve, _logsumexp_list
+from .tailcurve import _logsumexp_list
 
 __all__ = [
     "DiagSeries",
@@ -91,13 +91,6 @@ _S_REL_BAND = 0.1  # S, S(gamma): relative band around 2 and 2 m(gamma)
 
 
 # ------------------------------------------------------------------- trends
-
-
-def _untilted_base_curve(d: Distribution):
-    """The source curve beneath a tilt of every segment, or None."""
-    if not all(seg.tilt > 0 for seg in d.tail.segments):
-        return None
-    return TailCurve([seg.untilted() for seg in d.tail.segments], validate=False)
 
 
 def classify_trend(
@@ -397,10 +390,14 @@ def ratio_diagnostic(
           'lgamma'  e^{gamma t} F(x+t)/F(x)    (-> 1 <=> L(gamma))
           'os'      F2bar(x)/F(x)              (bounded <=> OS)
           'osstar'  int_0^x F(x-y)F(y)dy/F(x)  (bounded <=> OS*)
+
+    Each ratio reads d's base F (``_split_tilt``) and adds d's tilt as an
+    exact term; the two-fold values, per e^{-rate x}, are divided by F(x).
     """
     cfg = cfg or QuadConfig()
     xs = np.unique(np.asarray(xgrid, dtype=float))
-    curve = d.tail
+    base, rate = _split_tilt(d)
+    curve = base.tail
     if kind in ("ol", "lgamma"):
         if t >= xs.min():
             raise ParameterError(f"shift t={t} must be below the smallest grid x={xs.min()}")
@@ -412,18 +409,14 @@ def ratio_diagnostic(
                 f"no grid point x where x - {t} and x + {t} differ from x within the support"
             )
         xs = xs[keep]
-    if kind == "ol":
-        lt = np.atleast_1d(curve.log_tail(xs))
-        lt_sh = np.atleast_1d(curve.log_tail(xs - t))
-        logs = lt_sh - lt
-    elif kind == "d":
-        lt = np.atleast_1d(curve.log_tail(xs))
-        lt_half = np.atleast_1d(curve.log_tail(xs / 2.0))
-        logs = lt_half - lt
-    elif kind == "lgamma":
-        lt = np.atleast_1d(curve.log_tail(xs))
-        lt_sh = np.atleast_1d(curve.log_tail(xs + t))
-        logs = gamma * t + lt_sh - lt
+    if kind in ("ol", "d", "lgamma"):
+        # The tilt's exact term (0 without a tilt) + log F(y) - log F(x) on the base.
+        y, term = {
+            "ol": (xs - t, rate * t),
+            "d": (xs / 2.0, rate * np.maximum(xs, 0.0) / 2.0),  # the tail is 1 below 0
+            "lgamma": (xs + t, (gamma - rate) * t),
+        }[kind]
+        logs = term + np.atleast_1d(curve.log_tail(y)) - np.atleast_1d(curve.log_tail(xs))
     elif kind == "os":
         entries = _log_conv2_tails(d, [(x, []) for x in xs.tolist()], cfg)
         logs = np.array([unwrap(v)[0] for v in entries]) - curve.log_tail(xs)
@@ -462,21 +455,12 @@ def weak_equiv_diag(d: Distribution, tgrid, xgrid) -> DiagSeries:
     grid that starts past the transients, as thm-1.1's grid of recurring
     ramp tops does.  Because t grids span about a decade (not the decades
     x grids cover), the divergence ratio here is 4 rather than the generic
-    10.
+    10.  Each sup is the largest value of ``ratio_diagnostic``'s 'ol' series.
     """
     tgrid = np.asarray(tgrid, dtype=float)
-    xs = np.asarray(xgrid, dtype=float)
-    if tgrid.max() >= xs.min():
+    if tgrid.max() >= np.min(xgrid):
         raise ParameterError("largest t must stay below the smallest grid x")
-    curve = d.tail
-    lt = np.atleast_1d(curve.log_tail(xs))
-    sups = np.empty(len(tgrid))
-    for i, t in enumerate(tgrid):
-        keep = _shift_resolved(xs, t)
-        if not keep.any():
-            raise ParameterError(f"no grid point x where x - {t} and x + {t} differ from x")
-        lt_sh = np.atleast_1d(curve.log_tail(xs[keep] - t))
-        sups[i] = float(np.max(lt_sh - lt[keep]))
+    sups = [np.max(ratio_diagnostic(d, "ol", xgrid, t=t).log_values) for t in tgrid.tolist()]
     return DiagSeries.build("weak_equiv", "t", tgrid, sups, diverge_ratio=4.0)
 
 
@@ -564,12 +548,12 @@ class ClassifyConfig:
         if self.K_list is not None:
             return self.K_list
         curves = [d.tail]
-        base = _untilted_base_curve(d)
-        if base is not None:
+        base, rate = _split_tilt(d)
+        if rate:
             # For a tilted law the small-summand scale is set by the heavy
             # base: the tilt compresses d's own quantiles to O(1/gamma)
             # while the conditional mechanism still integrates base mass.
-            curves.append(base)
+            curves.append(base.tail)
         ks = []
         for curve in curves:
             for u in _K_LEVELS:
@@ -726,7 +710,7 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
         (x, sorted({K for K in K_list if x >= max(_J_X_LO, 3.0 * K)})) for x in xgrid.tolist()
     ]
     conv2 = [unwrap(v) for v in _log_conv2_tails(d, j_jobs, qcfg)]
-    os_logs = np.array([log_f2 for log_f2, _ in conv2]) - d.tail.log_tail(xgrid)
+    os_logs = np.array([log_f2 for log_f2, _ in conv2]) - _split_tilt(d)[0].tail.log_tail(xgrid)
     os_series = DiagSeries.build("os", "x", xgrid, os_logs, rel_tol=qcfg.rel_tol)
     osstar_series = ratio_diagnostic(d, "osstar", xgrid, cfg=qcfg)
     os_verdict = _bounded([os_series])
@@ -766,7 +750,9 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
 
     # --- S(gamma) ------------------------------------------------------------
     sg_evidence: tuple[DiagSeries, ...] = ()
-    if lg_verdict != "evidence-for":
+    if lg_verdict == "inconclusive":
+        sg_verdict, sg_detail = "inconclusive", "exponential shift rate not settled (L(gamma))"
+    elif lg_verdict != "evidence-for":
         sg_verdict = "evidence-against"
         sg_detail = "no exponential shift rate found (not in any L(gamma))"
     else:

@@ -8,6 +8,8 @@ are the same curve whenever the rates sum to the same float.  The measure
 is read off the tilted curve like any other: atoms (``atoms_from_curve``)
 scale by exp(-gamma * location), and every tilted segment carries the
 density exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
+The tilt keeps its source's base and the summed rate as its split
+(``distribution._split_tilt``), which the two-fold quadratures read.
 
 This is the plain tail tilt; no Esscher normalization is applied.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Distribution
+from .distribution import Distribution, _split_tilt
 from .errors import ParameterError
 from .tailcurve import TailCurve
 
@@ -50,6 +52,8 @@ def gamma_transform(d: Distribution, spec: TransformSpec | float) -> Distributio
     spec_doc = {"kind": "tilted", "gamma": gamma, "base": d.spec} if d.spec else {}
     out = Distribution(curve, label=label, spec=spec_doc)
     out.truncation_note = d.truncation_note
+    base, rate = _split_tilt(d)
+    out._split = (base, rate + gamma)
     return out
 
 

@@ -16,6 +16,8 @@ from tailforge.errors import (
     ToleranceError,
     TruncationError,
 )
+from tailforge.distribution import _split_tilt
+from tailforge.quadrature import unwrap
 from tailforge.functionals import (
     ClassifyConfig,
     _b2_profile,
@@ -423,6 +425,27 @@ def test_dyadic_halving_ratio_exactly_four(dyadic):
     assert np.allclose(s.values, 4.0, rtol=1e-12)
 
 
+def test_shift_ratio_of_a_tilt_is_read_exactly(xu55):
+    # G(x+1)/G(x) = F(x+1)/F(x) e^{-1} for G the unit tilt of F = xu^2, at
+    # the shift-probe point one below the ramp top 2 x_8 = 8.6e11: the tilt
+    # enters as the exact term -1, not through the rounding of x + 1 and x
+    # times the rate, which moves the log by 5.8e-5.
+    Fm = tf.power_tail(xu55, 2)
+    x = 2.0 * float(tf.xu_breakpoints(xu55)[7]) - 1.0
+    s = tf.ratio_diagnostic(tf.gamma_transform(Fm, 1.0), "lgamma", [x], t=1.0, gamma=0.0)
+    exact = Fm.tail.log_tail(x + 1.0) - Fm.tail.log_tail(x) - 1.0
+    assert s.log_values[0] == pytest.approx(exact, abs=1e-12)
+
+
+def test_a_tilt_reads_a_tail_of_one_below_zero(pareto3):
+    # G = F e^{-gamma x} holds from 0 on; below 0 both tails are 1, so the
+    # tilt's exact term is left out there.
+    g = tf.gamma_transform(pareto3, 0.5)
+    assert tf.ratio_diagnostic(g, "d", [-4.0, 8.0]).log_values[0] == 0.0
+    assert tf.ratio_diagnostic(g, "os", [-4.0, 8.0]).log_values[0] == 0.0
+    assert tf.log_conv2_tail(g, -1.0) == 0.0
+
+
 def test_xu_shift_ratio_identity(xu55):
     xns = tf.xu_breakpoints(xu55)
     t = 2.0
@@ -455,16 +478,23 @@ def test_osstar_series_pareto(pareto3):
 
 @pytest.mark.parametrize("tilted", [False, True])
 def test_two_fold_series_equal_per_x_calls(tilted, plateau2, dyadic):
-    # One batch per series gives each x the bits of its own call.
+    # One batch per series gives each x the bits of its own call, read per
+    # e^{-rate x} on the base; the public values subtract exactly rate * x.
     d = tf.gamma_transform(dyadic, 0.5) if tilted else plateau2
+    base, rate = _split_tilt(d)
+    assert (base, rate) == ((dyadic, 0.5) if tilted else (plateau2, 0.0))
     cfg = tf.QuadConfig(rel_tol=1e-7)
     xs = geometric_grid(d, 4.0, 1e6, 28)
     os_ = tf.ratio_diagnostic(d, "os", xs, cfg=cfg)
     osstar = tf.ratio_diagnostic(d, "osstar", xs, cfg=cfg)
     for i, x in enumerate(map(float, os_.grid)):
-        lt = d.tail.log_tail(x)
-        assert os_.log_values[i] == tf.log_conv2_tail(d, x, cfg) - lt
-        assert osstar.log_values[i] == tf.log_cross_integral(d, 0.0, x, x, cfg) - lt
+        lt = base.tail.log_tail(x)
+        f2 = unwrap(convolve._log_conv2_tails(d, [(x, [])], cfg)[0])[0]
+        cross = unwrap(convolve._log_cross_integrals(d, [(0.0, x, x)], cfg)[0])
+        assert os_.log_values[i] == f2 - lt
+        assert osstar.log_values[i] == cross - lt
+        assert tf.log_conv2_tail(d, x, cfg) == f2 - rate * x
+        assert tf.log_cross_integral(d, 0.0, x, x, cfg) == cross - rate * x
 
 
 def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
@@ -623,9 +653,12 @@ def test_lgamma_reads_an_unsettled_series_as_inconclusive(monkeypatch, exp1):
         return real(d, kind, xgrid, **kw)
 
     monkeypatch.setattr(functionals, "ratio_diagnostic", rising_lgamma)
-    entry = tf.classify(exp1).entry("L(gamma)")
+    rep = tf.classify(exp1)
+    entry = rep.entry("L(gamma)")
     assert entry.verdict == "inconclusive"
     assert entry.detail == "tilted shift ratio trend ambiguous for gamma=1"
+    # An unsettled rate leaves S(gamma) undecided too, not refuted.
+    assert rep.verdict("S(gamma)") == "inconclusive"
 
 
 # ------------------------------------------------------ exam300 lower bound
@@ -779,6 +812,18 @@ def test_classify_fkz_rate_below_resolution(fkz):
     rep = tf.classify(tf.gamma_transform(fkz, 0.5))
     assert rep.verdict("L(gamma)") == "evidence-for"
     assert rep.verdict("S(gamma)") == "inconclusive"
+
+
+@pytest.mark.parametrize("name", ["pareto3", "fkz"])
+def test_classify_reads_a_tilt_on_a_wide_window(request, name):
+    # Read through the base, the small-y bands of x near 1e12 resolve: no
+    # value carries the rounding of e^{-gamma x}, and the verdicts are the
+    # default window's.
+    g = tf.gamma_transform(request.getfixturevalue(name), 0.5)
+    wide = tf.classify(g, ClassifyConfig(x_hi=1e12, n_grid=56))
+    assert [(e.cls, e.verdict) for e in wide.entries] == [
+        (e.cls, e.verdict) for e in tf.classify(g).entries
+    ]
 
 
 def test_classify_tilted_staircase_signature(dyadic):
