@@ -9,7 +9,6 @@ the classes L, D, S, L(gamma), S(gamma), OS, OS*, OL, and J.
 __version__ = "0.1.0"
 
 from .builtins import (
-    BuiltinSpec,
     builtin,
     dyadic_pareto,
     exponential,
@@ -72,4 +71,4 @@ from .montecarlo import McEstimate, mc_jump_cond, mc_vs_quadrature
 from .quadrature import LogQuadResult, QuadConfig, log_quad
 from .specio import dump_spec, load_spec, parse_inline, parse_spec, resolve_dist
 from .tailcurve import TailCurve
-from .transform import TransformSpec, gamma_transform, tilt_compose_check
+from .transform import gamma_transform, tilt_compose_check

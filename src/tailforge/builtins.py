@@ -12,8 +12,7 @@ only lays out its segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .tailcurve import (
 )
 
 __all__ = [
-    "BuiltinSpec",
     "builtin",
     "pareto",
     "exponential",
@@ -48,21 +46,11 @@ _LOG4 = math.log(4.0)
 _BREAKPOINT_CAP = 1e306
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
-    """Declarative handle for a built-in distribution."""
-
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-
-def builtin(spec: BuiltinSpec | dict) -> Distribution:
-    """Construct a built-in distribution from a declarative spec."""
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        params = {k: v for k, v in spec.items() if k not in ("kind", "schema")}
-    else:
-        kind, params = spec.kind, dict(spec.params)
+def builtin(spec: dict) -> Distribution:
+    """Construct a built-in distribution from a spec document: its ``kind``
+    and the builder's keyword parameters (a ``schema`` key is ignored)."""
+    kind = spec.get("kind")
+    params = {k: v for k, v in spec.items() if k not in ("kind", "schema")}
     builders: dict[str, Callable[..., Distribution]] = {
         "pareto": pareto,
         "exponential": exponential,

@@ -18,7 +18,7 @@ from . import __version__
 from .cache import cache_dir, cached_convn_tail_grid
 from .distribution import quantile_from_tail, sample
 from .errors import ParameterError, TailforgeError
-from .experiments import EXPERIMENT_IDS, default_config, run_experiment
+from .experiments import EXPERIMENT_IDS, run_experiment
 from .export import _dest_stream, _write_csv, _write_json, export_grid, fmt_float, result_from_obj
 from .functionals import (
     ClassifyConfig,
@@ -71,8 +71,6 @@ def _fits(value, default) -> bool:
     element; a None default (an optional list) takes null or a list of
     numbers.
     """
-    if isinstance(default, bool):
-        return isinstance(value, bool)
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, float):
@@ -83,8 +81,6 @@ def _fits(value, default) -> bool:
 
 
 def _expected(default) -> str:
-    if isinstance(default, bool):
-        return "true or false"
     if isinstance(default, int):
         return "an integer"
     if isinstance(default, float):
@@ -191,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("experiment", help="run a scripted proposition experiment")
     ex.add_argument("id", choices=EXPERIMENT_IDS)
     ex.add_argument("--out", required=True, help="output directory")
-    ex.add_argument("--config", default=None, help="JSON config overrides")
 
     xp = sub.add_parser("export", help="re-export a saved JSON result as CSV or JSON")
     xp.add_argument("--infile", required=True)
@@ -327,10 +322,7 @@ def main(argv=None) -> int:
             export_grid(est, args.format, args.out)
             return 0
         if args.command == "experiment":
-            config = None
-            if args.config:
-                config = _load_overrides(parser, args.config, default_config(args.id))
-            return run_experiment(args.id, args.out, config)
+            return run_experiment(args.id, args.out)
         if args.command == "export":
             result = result_from_obj(_load_json(parser, args.infile, "result file"))
             export_grid(result, args.format, args.out)

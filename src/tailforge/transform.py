@@ -26,23 +26,13 @@ from .distribution import Distribution, _split_tilt
 from .errors import ParameterError
 from .tailcurve import TailCurve
 
-__all__ = ["TransformSpec", "gamma_transform", "tilt_compose_check", "CheckReport"]
+__all__ = ["gamma_transform", "tilt_compose_check", "CheckReport"]
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Tilt rate gamma > 0 (units 1/x)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ParameterError(f"tilt rate must be positive and finite, got {self.gamma}")
-
-
-def gamma_transform(d: Distribution, spec: TransformSpec | float) -> Distribution:
-    """Distribution with tail G(x) = F(x) * exp(-gamma x) for x >= 0."""
-    gamma = spec.gamma if isinstance(spec, TransformSpec) else float(spec)
+def gamma_transform(d: Distribution, gamma: float) -> Distribution:
+    """Distribution with tail G(x) = F(x) * exp(-gamma x) for x >= 0, for a
+    tilt rate gamma > 0 (units 1/x)."""
+    gamma = float(gamma)
     if not 0 < gamma < math.inf:
         raise ParameterError(f"tilt rate must be positive and finite, got {gamma}")
     segs = tuple(dataclasses.replace(s, tilt=s.tilt + gamma) for s in d.tail.segments)

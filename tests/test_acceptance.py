@@ -228,7 +228,55 @@ def test_09_transform_algebra(request):
 # -------------------------------------------------------------- criterion 10
 
 
+# Each experiment's checks in run order, and the constants its summary.json
+# records; a check that drops out or a constant that moves fails here.
+EXPERIMENT_CHECKS = {
+    "prop-1.1": [
+        "exam300-increasing-from-2", "exam300-explodes", "osstar-dominates-bound",
+        "osstar-diverging", "os-identity-agrees", "os-transform-diverging",
+    ],
+    "prop-1.2": ["t-criterion-fails", "b2-transform-low", "os-transform-diverging"],
+    "prop-1.3": [
+        "t-ratio-near-1", "t-ratio-matches-step-sum", "shift-ratio-unsettled",
+        "sgamma-against", "transform-light-tailed", "source-heavy-tailed", "b2-transform-rises",
+    ],
+    "prop-1.4": [
+        "ol-bounded-but-not-1", "d-diverging", "weak-equiv-to-base", "t-ratio-rises",
+        "b2-transform-rises",
+    ],
+    "thm-1.1": [
+        "bound-3.5", "ol-identity", "weak-equiv-diverging", "five-windows-rise",
+        "shift-ratio-unsettled", "b2-transform-rises",
+    ],
+}
+EXPERIMENT_CONFIGS = {
+    "prop-1.1": {
+        "gamma": 1.0, "bound_n": [1, 2, 3, 4], "gate_n": [1, 2, 3], "x_cap": 1e24,
+        "identity_x": [1.0, 2.0, 5.0, 10.0, 100.0, 1e4, 1e6], "rel_tol": 1e-7,
+    },
+    "prop-1.2": {
+        "gamma": 1.0, "K_list": [5.0, 10.0], "deep_x": [2237.9586057345873, 1e22, 1e24],
+        "b2_K_list": [4.0, 16.0], "t_gate": 0.5, "x_cap": 1e24, "rel_tol": 1e-7,
+    },
+    "prop-1.3": {
+        "gamma": 0.5, "K_list": [64.0, 256.0, 1024.0], "m_grid": list(range(12, 21)),
+        "gate_m_min": 15, "gate_level": 0.9, "b2_K_list": [64.0, 1024.0], "b2_x": 262144.0,
+        "rel_tol": 1e-7,
+    },
+    "prop-1.4": {
+        "a": 2.0, "gamma": 1.0, "K_list": [16.0, 64.0, 256.0], "x_star": 1e8, "x_lo": 4.0,
+        "x_hi": 1e8, "n_grid": 40, "t": 1.0, "gate_level": 0.85, "rel_tol": 1e-7,
+    },
+    "thm-1.1": {
+        "alpha": 5.5, "x1": 4096.0, "m": 2, "gamma": 1.0, "t_list": [1.0, 2.0, 4.0, 8.0, 16.0],
+        "ol_t_list": [1.0, 2.0, 4.0], "K_windows": [512.0, 1024.0, 2048.0, 4096.0],
+        "n_window": 3, "gate_level": 0.9, "b2_gate_level": 0.85, "rel_tol": 1e-7,
+    },
+}
+
+
 def test_10_cli_experiment_determinism(tmp_path):
+    assert list(EXPERIMENT_CHECKS) == list(tf.EXPERIMENT_IDS)
     for exp_id in tf.EXPERIMENT_IDS:
         d1 = tmp_path / exp_id / "run1"
         d2 = tmp_path / exp_id / "run2"
@@ -241,4 +289,8 @@ def test_10_cli_experiment_determinism(tmp_path):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (exp_id, name)
         summary = json.loads((d1 / "summary.json").read_text())
         assert summary["passed"] is True
+        assert [c["name"] for c in summary["expectations"]] == EXPERIMENT_CHECKS[exp_id]
+        # items, not the dict: the key order is part of the byte-stable file
+        config = list(summary["config"].items())
+        assert config == list(EXPERIMENT_CONFIGS[exp_id].items()), exp_id
     _ok("10 determinism", f"({len(tf.EXPERIMENT_IDS)} experiments byte-stable)")

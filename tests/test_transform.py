@@ -107,13 +107,9 @@ def test_tilt_of_tilt_integrates_against_the_summed_rate(pareto3):
 def test_invalid_gamma(pareto3):
     with pytest.raises(ParameterError):
         tf.gamma_transform(pareto3, 0.0)
-    with pytest.raises(ParameterError):
-        tf.TransformSpec(-1.0)
-    for gamma in (math.inf, math.nan):
+    for gamma in (-1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             tf.gamma_transform(pareto3, gamma)
-        with pytest.raises(ParameterError):
-            tf.TransformSpec(gamma)
 
 
 def test_transform_spec_roundtrip(pareto3, tmp_path):
