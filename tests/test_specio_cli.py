@@ -524,3 +524,14 @@ def test_cli_functional_jump(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     oracle = 1 - (6 * math.exp(-9) + math.exp(-16)) / (10 * math.exp(-9))
     assert float(row[3]) <= oracle <= float(row[4])
+
+
+def test_cli_experiment_deterministic(tmp_path):
+    d1, d2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["experiment", "prop-1.3", "--out", str(d1)]) == 0
+    assert main(["experiment", "prop-1.3", "--out", str(d2)]) == 0
+    files1 = sorted(p.name for p in d1.iterdir())
+    files2 = sorted(p.name for p in d2.iterdir())
+    assert files1 == files2 and "summary.json" in files1
+    for name in files1:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
