@@ -293,6 +293,28 @@ def quantile_from_tail(d: Distribution, u) -> float | np.ndarray:
     return d.tail.quantile(u)
 
 
+# Rows per block of draws, a divisor of montecarlo's chunk: a block's levels,
+# quantiles and whatever the caller does with them stay in cache.
+_BLOCK = 8192
+
+
+def quantile_blocks(d: Distribution, rng: np.random.Generator, rows: int, cols: int = 1):
+    """Inverse-transform draws of ``rows`` tuples of ``cols`` values from
+    ``rng``, as (first row, quantiles of shape (size, cols)) for consecutive
+    blocks of up to ``_BLOCK`` rows.
+
+    Consecutive ``random`` calls continue one stream in C order, so the
+    blocks hold the values that one ``random((rows, cols))`` call maps to.
+    Levels are 1 - u, in (0, 1].
+    """
+    levels = np.empty((min(rows, _BLOCK), cols))
+    for start in range(0, rows, _BLOCK):
+        u = levels[: min(_BLOCK, rows - start)]
+        rng.random(out=u)
+        np.subtract(1.0, u, out=u)
+        yield start, d.tail.quantile(u.ravel()).reshape(u.shape)
+
+
 def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
     """Draw n values by inverse transform; deterministic in (seed, n).
 
@@ -302,8 +324,10 @@ def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = 1.0 - rng.random(n)
-    return np.asarray(d.tail.quantile(u))
+    out = np.empty(n)
+    for start, xs in quantile_blocks(d, rng, n):
+        out[start : start + len(xs)] = xs[:, 0]
+    return out
 
 
 # ------------------------------------------------------------------ algebra

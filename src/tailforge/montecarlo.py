@@ -12,6 +12,12 @@ fixed (seed, N) and adding scenarios or extending N never perturbs earlier
 draws.  A run draws one stream: the acceptance check reads its first
 ceil(10 / floor) draws and the estimate its first N, with no separate pilot
 key.
+
+A chunk of 65536 rows is drawn from its one generator in blocks of 8192
+rows (``distribution.quantile_blocks``), each inverted, summed and counted
+while it stays in cache.  Consecutive draws continue the chunk's stream, so
+the blocks hold the draws a whole chunk drew, and the check stops the run
+at the block that holds its last draw.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distribution import Distribution
+from .distribution import Distribution, quantile_blocks
 from .errors import LowAcceptanceError, ParameterError, TailforgeError
 from .functionals import jump_cond
 
@@ -106,34 +112,34 @@ def mc_jump_cond(
     pilot_hits = 0
     n_chunks = (total + _CHUNK - 1) // _CHUNK
     for c, ss in enumerate(_chunk_streams(base, n_chunks)):
-        start = c * _CHUNK
-        size = min(_CHUNK, total - start)
-        # random((size, n)) fills rows in C order, so the first rows of a
-        # chunk are the draws a shorter chunk of the same stream makes.
-        u = 1.0 - np.random.Generator(np.random.PCG64(ss)).random((size, n))
-        xs = np.asarray(d.tail.quantile(u.ravel())).reshape(size, n)
-        # Running sum and maximum over the n columns: a reduction along a
-        # short row axis is many times slower, and for n below numpy's
-        # pairwise block of 8 it adds in the same order.
-        sums = xs[:, 0].copy()
-        top = xs[:, 0].copy()
-        for j in range(1, n):
-            sums += xs[:, j]
-            np.maximum(top, xs[:, j], out=top)
-        hit = sums > x
-        event = hit if threshold <= 0 else hit & (top > threshold)
-        if start < N:
-            accepted += int(np.count_nonzero(hit[: N - start]))
-            events += int(np.count_nonzero(event[: N - start]))
-        if start < pilot_n:
-            pilot_hits += int(np.count_nonzero(hit[: pilot_n - start]))
-            if start + size >= pilot_n and pilot_hits / pilot_n < acceptance_floor:
-                rate = pilot_hits / pilot_n
-                raise LowAcceptanceError(
-                    f"acceptance {rate:.2e} over the first {pilot_n} draws below floor "
-                    f"{acceptance_floor:.0e} for P(S_{n} > {x}); use the quadrature/bracket route",
-                    pilot_acceptance=rate,
-                )
+        rng = np.random.Generator(np.random.PCG64(ss))
+        first = c * _CHUNK
+        # The chunk's blocks continue its one stream row by row, so the
+        # first rows of a chunk are the draws a shorter chunk makes.
+        for offset, xs in quantile_blocks(d, rng, min(_CHUNK, total - first), n):
+            start = first + offset
+            # Running sum and maximum over the n columns: a reduction along
+            # a short row axis is many times slower, and for n below numpy's
+            # pairwise block of 8 it adds in the same order.
+            sums = xs[:, 0].copy()
+            top = xs[:, 0].copy()
+            for j in range(1, n):
+                sums += xs[:, j]
+                np.maximum(top, xs[:, j], out=top)
+            hit = sums > x
+            event = hit if threshold <= 0 else hit & (top > threshold)
+            if start < N:
+                accepted += int(np.count_nonzero(hit[: N - start]))
+                events += int(np.count_nonzero(event[: N - start]))
+            if start < pilot_n:
+                pilot_hits += int(np.count_nonzero(hit[: pilot_n - start]))
+                if start + len(xs) >= pilot_n and pilot_hits / pilot_n < acceptance_floor:
+                    rate = pilot_hits / pilot_n
+                    raise LowAcceptanceError(
+                        f"acceptance {rate:.2e} over the first {pilot_n} draws below floor "
+                        f"{acceptance_floor:.0e} for P(S_{n} > {x}); use the quadrature/bracket route",
+                        pilot_acceptance=rate,
+                    )
     if accepted == 0:
         raise LowAcceptanceError(
             f"no accepted tuples among {N} draws for P(S_{n} > {x})",

@@ -53,6 +53,11 @@ _NEG_INF = float("-inf")
 # Permitted relative size of an upward jump at a join before it is treated
 # as a construction bug rather than roundoff.
 _SNAP_RTOL = 1e-9
+# Quantile's segment table (a guide table, Chen & Asau 1974): v = -log u
+# over [0, 64) in buckets of width 2^-6, so v * 64 is exact and its floor is
+# each level's bucket.
+_GUIDE_SCALE = 64.0
+_GUIDE_BUCKETS = 4096
 
 
 @dataclass(frozen=True)
@@ -477,6 +482,7 @@ class TailCurve:
             [s.log_value_at(s.hi) if math.isfinite(s.hi) else _NEG_INF for s in segs]
         )
         self._dense = np.array([s.has_density for s in segs])
+        self._guide: np.ndarray | None = None  # built by the first quantile call
         finite_hi = [self.truncation_hi] if math.isfinite(self.truncation_hi) else []
         self._breakpoints = np.append(self._los, finite_hi)
         self._breakpoints.flags.writeable = False
@@ -563,30 +569,50 @@ class TailCurve:
         """
         scalar = np.isscalar(u)
         ua = np.atleast_1d(np.asarray(u, dtype=float))
+        if not ua.size:
+            return np.empty_like(ua)
         # Written so that NaN fails the test too.
-        if np.any(~((ua > 0) & (ua <= 1))):
+        if not (ua.min() > 0 and ua.max() <= 1):
             raise ParameterError("quantile level u must lie in (0, 1]")
         lu = np.log(ua)
         tail_floor = self._ends[-1]
-        if np.any(lu < tail_floor):
+        if lu.min() < tail_floor:
             raise TruncationError(
                 "quantile level below the tail at the truncation point "
                 f"(log u < {tail_floor!r})"
             )
-        if len(self.segments) == 1 and lu.size and lu.max() < self._starts[0]:
+        if len(self.segments) == 1 and lu.max() < self._starts[0]:
             # Every level lies inside the only segment.
             out = self._invert_in_segment(0, lu)
             return float(out[0]) if scalar else out
-        # First segment k whose end value is at most lu (the floor check
-        # above keeps k in range): the level lands on its start (an atom or
-        # a flat) or inside it.
-        k = np.searchsorted(-self._ends, -lu, side="left")
+        k = self._segment_of_level(lu)
         inside = np.flatnonzero(self._starts[k] > lu)
         out = self._los[k]
         for j, at in _groups(k[inside]):
             sel = inside[at]
             out[sel] = self._invert_in_segment(j, lu[sel])
         return float(out[0]) if scalar else out
+
+    def _segment_of_level(self, lu: np.ndarray) -> np.ndarray:
+        """First segment k whose end value is at most lu, that is
+        ``searchsorted(-_ends, -lu, "left")`` (the floor check in
+        ``quantile`` keeps k in range): the level lands on its start (an
+        atom or a flat) or inside it.
+
+        k is read from the bucket of v = -lu where k is the same at both
+        ends of the bucket; levels in the other buckets, and in the last
+        one, which also holds v >= 64, are searched.  u > 0 keeps v below
+        745, so v * 64 fits an index."""
+        if self._guide is None:
+            v_ends = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_SCALE
+            k_ends = np.searchsorted(-self._ends, v_ends, side="left")
+            guide = np.where(k_ends[:-1] == k_ends[1:], k_ends[:-1], -1)
+            guide[-1] = -1
+            self._guide = guide
+        k = self._guide.take((lu * -_GUIDE_SCALE).astype(np.intp), mode="clip")
+        search = np.flatnonzero(k < 0)
+        k[search] = np.searchsorted(-self._ends, -lu[search], side="left")
+        return k
 
     def _invert_in_segment(self, k: int, lu: np.ndarray) -> np.ndarray:
         seg = self.segments[k]

@@ -7,6 +7,7 @@ import pytest
 
 import tailforge as tf
 from tailforge import quadrature
+from tailforge.distribution import _BLOCK
 from tailforge.errors import DivergenceError, ParameterError, TruncationError
 
 from conftest import ks_statistic
@@ -295,6 +296,10 @@ def test_quantile_beyond_depth():
     floor = math.exp(d.tail.log_tail(d.tail.truncation_hi))
     with pytest.raises(TruncationError):
         tf.quantile_from_tail(d, floor / 1e6)
+    u = np.full(10**5, 0.5)
+    u[-1] = floor / 1e6
+    with pytest.raises(TruncationError, match=r"^quantile level below the tail at the truncation"):
+        tf.quantile_from_tail(d, u)
 
 
 def test_quantile_domain():
@@ -309,6 +314,15 @@ def test_sampling_deterministic(exp1):
     s1 = tf.sample(exp1, 42, 1000)
     s2 = tf.sample(exp1, 42, 1000)
     assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("name", ["exp1", "dyadic", "plateau2"])
+def test_sampling_in_blocks_keeps_one_calls_bits(name, request):
+    # Two whole blocks and part of a third.
+    d = request.getfixturevalue(name)
+    n = 2 * _BLOCK + 3617
+    u = 1.0 - np.random.Generator(np.random.PCG64(17)).random(n)
+    assert np.array_equal(tf.sample(d, 17, n), d.tail.quantile(u))
 
 
 def test_sampling_mean_clt(exp1):

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import tailforge as tf
+from tailforge.distribution import _BLOCK
 from tailforge.errors import LowAcceptanceError, ParameterError
+from tailforge.montecarlo import _CHUNK
 
 
 def test_determinism_bitwise(exp1):
@@ -136,6 +139,63 @@ MC_PINNED = [
 def test_estimates_bit_identical_to_pinned(request, name, n, x, K, N, accepted, estimate):
     est = tf.mc_jump_cond(request.getfixturevalue(name), n, x, K, N, seed=11)
     assert (est.accepted, est.estimate, est.total) == (accepted, estimate, N)
+
+
+def _whole_chunk_reference(d, n, x, K, N, seed, floor=1e-4):
+    """The estimator with each chunk drawn and inverted in one call:
+    (estimate, accepted), or the pilot acceptance that fails the floor."""
+    base = np.random.SeedSequence(seed)
+    pilot_n = math.ceil(10.0 / floor)
+    total = max(N, pilot_n)
+    chunks = []
+    for c in range(-(-total // _CHUNK)):
+        ss = np.random.SeedSequence(entropy=base.entropy, spawn_key=(c,))
+        size = min(_CHUNK, total - c * _CHUNK)
+        u = 1.0 - np.random.Generator(np.random.PCG64(ss)).random((size, n))
+        chunks.append(d.tail.quantile(u.ravel()).reshape(size, n))
+    xs = np.concatenate(chunks)
+    sums = xs[:, 0].copy()
+    for j in range(1, n):
+        sums += xs[:, j]
+    hit = sums > x
+    rate = np.count_nonzero(hit[:pilot_n]) / pilot_n
+    if rate < floor:
+        return rate
+    event = hit & (xs.max(axis=1) > x - K)
+    accepted = np.count_nonzero(hit[:N])
+    return np.count_nonzero(event[:N]) / accepted, accepted
+
+
+@pytest.mark.parametrize(
+    "name,x,K", [("exp1", 5.0, 1.0), ("exp1", 8.0, 0.5), ("dyadic", 12.0, 2.0), ("dyadic", 24.0, 4.0)]
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_draws_match_whole_chunks(request, name, n, x, K):
+    # N ends past the first chunk's edge and inside a block.
+    N = 70001
+    assert N > _CHUNK and (N - _CHUNK) % _BLOCK
+    d = request.getfixturevalue(name)
+    want = _whole_chunk_reference(d, n, x, K, N, seed=29)
+    est = tf.mc_jump_cond(d, n, x, K, N, seed=29)
+    assert (est.estimate, est.accepted, est.total) == (*want, N)
+
+
+@pytest.mark.parametrize(
+    "name,n,x,K,floor",
+    [("pareto3", 2, 30.0, 5.0, 1e-4), ("exp1", 2, 13.0, 1.0, 1e-4), ("exp1", 2, 8.0, 1.0, 1e-2)],
+)
+def test_blocked_acceptance_check_matches_whole_chunks(request, name, n, x, K, floor):
+    # The check's 10 / floor draws end inside a block (of the first chunk
+    # or the second) that the run of N draws fills to its end.
+    N = 120000
+    pilot_n = math.ceil(10.0 / floor)
+    assert pilot_n % _CHUNK % _BLOCK and N >= (pilot_n // _BLOCK + 1) * _BLOCK
+    d = request.getfixturevalue(name)
+    rate = _whole_chunk_reference(d, n, x, K, N, seed=29, floor=floor)
+    assert 0 < rate < floor
+    with pytest.raises(LowAcceptanceError) as info:
+        tf.mc_jump_cond(d, n, x, K, N, seed=29, acceptance_floor=floor)
+    assert info.value.pilot_acceptance == rate
 
 
 def test_acceptance_check_reads_the_runs_own_draws(pareto3):

@@ -155,6 +155,45 @@ def test_curve_density_is_each_segments_own(law, gamma):
     assert curve.log_density(np.array([-1.0, mids[0]]))[0] == -math.inf
 
 
+def _search(curve, lu):
+    """quantile's segment per level, found by a plain search."""
+    return np.searchsorted(-curve._ends, -lu, side="left")
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("law", BUILTINS, ids=lambda d: d.label)
+def test_quantile_segment_table_matches_the_search(law, gamma, monkeypatch):
+    curve = (tf.gamma_transform(law, gamma) if gamma else law).tail
+    lowest = max(float(curve._ends[-1]), math.log(5e-324))  # log u of a positive u
+    rng = np.random.default_rng(29)
+    # Segment start and end values and the bucket edges, with their
+    # neighbours one ulp away, and levels far below the table's last bucket.
+    edges = np.concatenate([curve._starts, curve._ends, -np.arange(4097) / 64.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges, -1.0)])
+    lu = np.concatenate(
+        [
+            np.log(1.0 - rng.random(50_000)),
+            -rng.uniform(0.0, -lowest, 50_000),
+            edges,
+            [0.0, -64.0, -64.5, -200.0, -700.0, lowest],
+        ]
+    )
+    lu = lu[(lu >= lowest) & (lu <= 0.0)]
+    assert np.array_equal(curve._segment_of_level(lu), _search(curve, lu))
+
+    # quantile's bits: against the plain search on every level, and
+    # against one call per level on a sample of them.
+    u = np.exp(lu)
+    u = np.concatenate([u[(u > 0) & (np.log(u) >= lowest)], [1.0]])
+    table = curve.quantile(u)
+    with monkeypatch.context() as m:
+        m.setattr(curve, "_segment_of_level", lambda lu: _search(curve, lu))
+        assert np.array_equal(table, curve.quantile(u))
+    some = np.concatenate([rng.choice(u.size, 300, replace=False), [u.size - 1]])
+    assert [curve.quantile(float(v)) for v in u[some]] == list(table[some])
+    assert curve.quantile(1.0) == 0.0
+
+
 def _fast_vs_masked(curve, xs, monkeypatch):
     """log_tail of points in one segment, against the masked path."""
     # A negative point sends the call through the per-segment masks.
@@ -240,11 +279,16 @@ def test_log_density_at_infinity_is_minus_infinity(pareto3):
     assert out[0] == -math.inf and math.isfinite(out[1])
 
 
-def test_quantile_refuses_nan(pareto3):
-    with pytest.raises(ParameterError):
-        pareto3.tail.quantile(math.nan)
-    with pytest.raises(ParameterError):
-        pareto3.tail.quantile(np.array([0.5, math.nan]))
+def test_quantile_refuses_nan(pareto3, dyadic):
+    # Every level outside (0, 1] is refused, NaN at any position among them.
+    last_nan = np.full(10**5, 0.5)
+    last_nan[-1] = math.nan
+    for curve in (pareto3.tail, dyadic.tail):
+        for bad in (math.nan, np.array([0.5, math.nan]), last_nan, 0.0, 1.0 + 2.0**-52):
+            with pytest.raises(ParameterError, match=r"^quantile level u must lie in \(0, 1\]$"):
+                curve.quantile(bad)
+        empty = curve.quantile(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
