@@ -123,17 +123,36 @@ MAX_CELLS = 2_000_000
 # ----------------------------------------------------------- cross integral
 
 
-def _panel_seeds(curve: TailCurve, x: float) -> np.ndarray:
-    """Where g(y) F(x - y) can kink: the curve's breakpoints and their
-    mirrors about x / 2.  The set is the same in y and in u = x - y."""
-    bps = curve.breakpoints()
-    return np.concatenate([bps, x - bps])
-
-
 # Geometric offsets w 8^-k, k = 1..20, from a part's small-argument end: a
 # ratio of 8 down to the same w 2^-60 floor as a ratio of 2 with 60 seeds.
 # Refinement fills in between grades where it must, and mostly it need not.
 _GRADES = 8.0 ** -np.arange(1, 21)
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, index) of every index in the ranges starts[row]:stops[row]."""
+    counts = np.maximum(stops - starts, 0)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+
+
+def _half_seeds(curve: TailCurve, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The seed table (owner, point) of the halves [a[i], b[i]] at x[i]: the
+    points strictly inside (a, b) among the curve's breakpoints, their
+    mirrors x - breakpoint, and the grades a + (b - a) 8^-k, where g(y)
+    F(x - y) can kink or peak.  Breakpoints and mirrors are read off
+    ``searchsorted`` slices of the sorted breakpoints.  x - bp is
+    nonincreasing in bp, and lies in (a, b) only if bp lies in
+    [x - b, x - a] as rounded, so that slice holds every mirror inside."""
+    bps = curve.breakpoints()
+    own, at = _spans(np.searchsorted(bps, a, "right"), np.searchsorted(bps, b, "left"))
+    m_own, m_at = _spans(np.searchsorted(bps, x - b, "left"), np.searchsorted(bps, x - a, "right"))
+    mirrors = x[m_own] - bps[m_at]
+    grades = a[:, None] + (b - a)[:, None] * _GRADES
+    owners = np.concatenate([own, m_own, np.repeat(np.arange(len(a)), len(_GRADES))])
+    pts = np.concatenate([bps[at], mirrors, grades.ravel()])
+    keep = (pts > a[owners]) & (pts < b[owners])
+    return owners[keep], pts[keep]
 
 
 def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
@@ -144,13 +163,14 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
     in u = x - y, as int g(x - u) F(u) du.  So the argument that can be
     small, y of g below x / 2 and u of F above it, is exact: it is never x
     minus a nearly equal number, which at x = 4e20 rounds to a multiple of
-    2^16.  Each half is seeded at the curve's breakpoints and their mirrors
-    (``_panel_seeds``) and at geometric offsets w 8^-k, k = 1..20
-    (``_GRADES``), from its small-argument end, where w is the half's width:
-    the O(1)-wide peak of F near u = 0, or of a density near y = 0, gets
-    panels in the first round instead of one bisection per round.  The integrand reads each
-    point's x and half from its owner.  Entry i is a float, or the error of
-    job i's first failing half.
+    2^16.  Each half is seeded (``_half_seeds``) at the curve's
+    breakpoints and their mirrors about x / 2, a set that is the same in y
+    and in u, and at geometric offsets w 8^-k, k = 1..20 (``_GRADES``),
+    from its small-argument end, where w is the half's width: the O(1)-wide
+    peak of F near u = 0, or of a density near y = 0, gets panels in the
+    first round instead of one bisection per round.  The integrand reads
+    each point's x and half from its owner.  Entry i is a float, or the
+    error of job i's first failing half.
     """
     halves = []  # (job, x, in u, a, b)
     for i, (x, lo, hi) in enumerate(jobs):
@@ -161,16 +181,15 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
             halves.append((i, x, True, x - hi, x - max(lo, c)))
     x_of = np.array([h[1] for h in halves], dtype=float)
     in_u = np.array([h[2] for h in halves], dtype=bool)
+    a = np.array([h[3] for h in halves], dtype=float)
+    b = np.array([h[4] for h in halves], dtype=float)
 
     def integrand(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
         x, u = x_of[owner], in_u[owner]
         rest = x - v
         return log_g(np.where(u, rest, v)) + curve.log_tail(np.where(u, v, rest))
 
-    seeds = (
-        np.concatenate([_panel_seeds(curve, x), a + (b - a) * _GRADES]) for _, x, _, a, b in halves
-    )
-    results = log_quads(integrand, [h[3] for h in halves], [h[4] for h in halves], seeds, cfg)
+    results = log_quads(integrand, a, b, _half_seeds(curve, x_of, a, b), cfg)
     parts: list[list] = [[] for _ in jobs]
     for (i, *_), res in zip(halves, results):
         parts[i].append(res if isinstance(res, TailforgeError) else res.log_value)
@@ -266,12 +285,13 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
         for i, band, _ in hits:
             for j in band.tolist():
                 out[i][j].append(next(terms))
-    dense = [
+    bands = [
         (i, j, (x, lo, hi))
         for i, (x, cuts) in enumerate(jobs)
         for j, (lo, hi) in enumerate(zip([0.0, *cuts], cuts))
-        if d.tail.has_density_in(lo, hi)
     ]
+    ends = np.array([job[1:] for *_, job in bands], dtype=float).reshape(-1, 2)
+    dense = [bands[k] for k in np.flatnonzero(d.tail.has_density_in(ends[:, 0], ends[:, 1]))]
     log_g = partial(d.tail.log_density, lam=rate)
     vals = _log_against_tail(log_g, curve, [job for *_, job in dense], cfg)
     for (i, j, _), v in zip(dense, vals):

@@ -30,7 +30,10 @@ has the same value alone as in a round of any size.
 Panels are seeded from caller-supplied mandatory breakpoints, which for tail
 integrands are the segment boundaries of both factors.  That keeps every
 panel's integrand smooth, which is what makes the K15-G7 error estimate
-trustworthy.
+trustworthy.  A batch takes them as one seed table, a row (integral,
+point) per breakpoint, and cuts every integral's seed panels in one sort;
+integrals then join the panel table in order, by the running count of
+their seed panels.
 """
 
 from __future__ import annotations
@@ -162,9 +165,11 @@ def _gk15(log_f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.nd
 
 # Memory caps of log_quads: integrals join the panel table while it holds
 # fewer than _MAX_LIVE_PANELS panels, and one call of the integrand takes at
-# most _MAX_PANELS panels.  Both bound the working set, not the results: a
+# most _MAX_PANELS panels.  Both bound the refined panels, not the results: a
 # panel's bits do not depend on its call (see _gk15), nor an integral's sums
-# on its place in the table.
+# on its place in the table.  The seed panels of the whole batch (three
+# arrays, one entry per seed panel) are cut before the first round and held
+# until the last, so a batch's seed table is not bounded by these caps.
 _MAX_LIVE_PANELS = 4096
 _MAX_PANELS = 512
 
@@ -201,18 +206,20 @@ def log_quads(
     log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: Sequence[float],
     b: Sequence[float],
-    breakpoints: Iterable[Iterable[float]],
+    seeds: tuple[np.ndarray, np.ndarray],
     cfg: QuadConfig | None = None,
 ) -> list[LogQuadResult | TailforgeError]:
     """``log_quad`` on the integrals i = 0, 1, ... of [a[i], b[i]] together.
 
     ``log_f(y, owner)`` returns log-integrand values at the abscissae y,
     where ``owner[j]`` is the index of the integral that y[j] belongs to.
-    ``breakpoints`` gives each integral's forced panel boundaries; it is
-    read one entry at a time as integrals start, so it may be a generator.
+    ``seeds`` is the seed table (owner, point) of forced panel boundaries:
+    point j is one of integral owner[j]'s, in any order, and points outside
+    (a[i], b[i]) are ignored.
 
     The live panels of all integrals form one table, grouped by integral
-    and ascending within each; integrals join it while it holds fewer than
+    and ascending within each.  Integrals join it in order, by the running
+    count of their seed panels, while it holds fewer than
     ``_MAX_LIVE_PANELS`` panels.  Each round evaluates the table's new
     panels with one call of ``log_f`` (at most ``_MAX_PANELS`` panels per
     call) and then applies the rules of the module docstring to every
@@ -224,39 +231,43 @@ def log_quads(
     """
     cfg = cfg or QuadConfig()
     log_tol = math.log(cfg.rel_tol)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     results: list[LogQuadResult | TailforgeError | None] = [None] * len(a)
-    waiting = enumerate(zip(a, b, breakpoints))
-    bounds: dict[int, tuple[float, float]] = {}  # of the live integrals
+    ordered = (-math.inf < a) & (a <= b) & (b < math.inf)  # NaN fails this too
+    for i in np.flatnonzero(~ordered):
+        results[i] = ParameterError(
+            f"integration bounds must be finite and ordered, got [{a[i]}, {b[i]}]"
+        )
+    for i in np.flatnonzero(ordered & (a == b)):
+        results[i] = LogQuadResult(_NEG_INF, 0.0, 0)
+    live = np.flatnonzero(ordered & (a < b))
+    s_owner, s_pts = np.asarray(seeds[0], dtype=np.intp), np.asarray(seeds[1], dtype=float)
+    inside = ordered[s_owner] & (s_pts > a[s_owner]) & (s_pts < b[s_owner])
+    # Every seed panel, grouped by integral in increasing order; integrals
+    # are admitted from the front.
+    w_owner, w_lo, w_hi = _seed_panels(
+        np.concatenate([live, live, s_owner[inside]]),
+        np.concatenate([a[live], b[live], s_pts[inside]]),
+    )
+    w_starts = np.flatnonzero(_heads(w_owner))
+    taken = 0  # seed panels admitted
     splits = np.zeros(len(a), dtype=np.int64)
-    owner = np.empty(0, dtype=np.int64)
+    owner = np.empty(0, dtype=np.intp)
     los = his = vals = errs = np.empty(0)
-    fresh = np.empty(0, dtype=np.int64)  # rows awaiting evaluation
+    fresh = np.empty(0, dtype=np.intp)  # rows awaiting evaluation
     while True:
-        # Admit integrals while the table has room.
-        new_owners, new_pts, free = [], [], _MAX_LIVE_PANELS - len(owner)
-        for i, (lo, hi, bps) in waiting if free > 0 else ():
-            if not -math.inf < lo <= hi < math.inf:  # NaN fails this too
-                results[i] = ParameterError(
-                    f"integration bounds must be finite and ordered, got [{lo}, {hi}]"
-                )
-                continue
-            if lo == hi:
-                results[i] = LogQuadResult(_NEG_INF, 0.0, 0)
-                continue
-            bps = np.asarray(bps if isinstance(bps, np.ndarray) else list(bps), dtype=float)
-            pts = np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]])
-            bounds[i] = (lo, hi)
-            new_owners.append(np.full(len(pts), i))
-            new_pts.append(pts)
-            free -= len(pts) - 1
-            if free <= 0:
-                break
-        if new_owners:
-            o, lo_, hi_ = _seed_panels(np.concatenate(new_owners), np.concatenate(new_pts))
-            fresh = np.concatenate([fresh, len(owner) + np.arange(len(o))])
-            owner = np.concatenate([owner, o])
-            los, his = np.concatenate([los, lo_]), np.concatenate([his, hi_])
-            vals, errs = (np.concatenate([v, np.empty(len(o))]) for v in (vals, errs))
+        # Admit integrals while the table has room: each one whose earlier
+        # admitted panels leave some.
+        free = _MAX_LIVE_PANELS - len(owner)
+        if free > 0 and taken < len(w_owner):
+            k = np.searchsorted(w_starts, taken + free, side="left")
+            end = int(w_starts[k]) if k < len(w_starts) else len(w_owner)
+            fresh = np.concatenate([fresh, len(owner) + np.arange(end - taken)])
+            owner = np.concatenate([owner, w_owner[taken:end]])
+            los = np.concatenate([los, w_lo[taken:end]])
+            his = np.concatenate([his, w_hi[taken:end]])
+            vals, errs = (np.concatenate([v, np.empty(end - taken)]) for v in (vals, errs))
+            taken = end
         if not len(owner):
             return results  # type: ignore[return-value]
         for s in range(0, len(fresh), _MAX_PANELS):
@@ -319,7 +330,7 @@ def log_quads(
             i = seg_owner[k]
             achieved = math.inf if total[k] == _NEG_INF else float(rel[k])
             results[i] = ToleranceError(
-                f"quadrature on [{bounds[i][0]}, {bounds[i][1]}] achieved relative error "
+                f"quadrature on [{a[i]}, {b[i]}] achieved relative error "
                 f"{achieved:.3e} > requested {cfg.rel_tol:.3e} after {splits[i]} subdivisions",
                 achieved_rel_error=achieved,
             )
@@ -336,8 +347,6 @@ def log_quads(
             rank = np.arange(len(rows)) - np.repeat(firsts, sizes)
             split[rows[rank >= np.repeat(room[over], sizes)]] = False
         splits[seg_owner] += np.add.reduceat(split, starts)
-        for k in np.flatnonzero(done):
-            del bounds[seg_owner[k]]
 
         # Drop finished integrals; each split panel becomes its lower then
         # its upper half, in place, so the table stays grouped and ascending.
@@ -369,7 +378,11 @@ def log_quad(
     when the requested relative tolerance cannot be certified within the
     subdivision budget.
     """
-    return unwrap(log_quads(lambda y, owner: log_f(y), [a], [b], [breakpoints], cfg)[0])
+    bps = np.asarray(
+        breakpoints if isinstance(breakpoints, np.ndarray) else list(breakpoints), dtype=float
+    )
+    seeds = (np.zeros(len(bps), dtype=np.intp), bps)
+    return unwrap(log_quads(lambda y, owner: log_f(y), [a], [b], seeds, cfg)[0])
 
 
 def unwrap(entry):

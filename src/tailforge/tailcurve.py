@@ -22,6 +22,17 @@ Numerical conventions that matter:
 * An exponential tilt is a number on the segment, not a wrapper: every piece
   reads log F(x) = closed form + log_offset - tilt * x, and a power of a
   tilted piece keeps the tilt outside the power (``simplify_power``).
+
+Each segment family writes its closed form once, as ``_value(p, x)`` and
+``_density(p, x)`` over a parameter holder p.  A segment passes itself, so
+its fields are scalars.  A curve keeps a family table (``_SegmentTable``),
+which groups its segments by family, by whether they are tilted and, for
+the stretched exponential, by ``beta``; it passes a group's fields
+gathered into arrays with one entry per point.  So a curve evaluates any
+number of points in one array pass per group, and each point gets the bits
+its own segment gives it (points that all lie in one segment pass that
+segment itself).  Constants such as log(rate) are computed once per
+segment, by the segment's ``log_dcoeff``.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ import dataclasses
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property, partial
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -78,17 +90,33 @@ class Segment(ABC):
     log_offset: float = 0.0
     tilt: float = 0.0
 
+    # Fields a family table keeps as one scalar per group (module docstring).
+    _SCALARS: ClassVar[tuple[str, ...]] = ()
+
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ParameterError(f"segment bounds out of order: [{self.lo}, {self.hi})")
         if not 0.0 <= self.tilt < math.inf:
             raise ParameterError(f"tilt rate must be finite and nonnegative, got {self.tilt}")
 
+    @staticmethod
     @abstractmethod
-    def _base_log_value(self, x: np.ndarray) -> np.ndarray: ...
+    def _value(p, x: np.ndarray) -> np.ndarray:
+        """log of the closed form at x, for the parameters p."""
 
+    @staticmethod
     @abstractmethod
-    def _base_log_density(self, x: np.ndarray) -> np.ndarray: ...
+    def _density(p, x: np.ndarray) -> np.ndarray:
+        """log of the closed form's density at x, for the parameters p."""
+
+    @property
+    def log_dcoeff(self) -> float:
+        """log of the constant factor of the closed form's density."""
+        return _NEG_INF
+
+    @property
+    def log_tilt(self) -> float:
+        return math.log(self.tilt)
 
     def _base_log_integral(self, a: float, b: float) -> float | None:
         return None
@@ -97,11 +125,7 @@ class Segment(ABC):
         return None
 
     def log_value(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self._base_log_value(x) + self.log_offset
-        # tilt = 0 subtracts nothing, and 0 * inf would turn -inf at x = inf
-        # into NaN.
-        return out - self.tilt * x if self.tilt else out
+        return _log_value(type(self), self, np.asarray(x, dtype=float), bool(self.tilt))
 
     def log_value_at(self, x: float) -> float:
         return float(self.log_value(np.array([x]))[0])
@@ -109,17 +133,7 @@ class Segment(ABC):
     def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """log(exp(lam * x) * f(x)), f the density of the piece; lam != 0
         gives the integrand of a tilted moment."""
-        x = np.asarray(x, dtype=float)
-        dens = self._base_log_density(x) + self.log_offset
-        if not self.tilt:
-            # lam = 0 adds nothing, and 0 * inf would turn a density's -inf
-            # at x = inf into NaN.
-            return dens + lam * x if lam else dens
-        # The tilted density exp(-tilt x) * (f(x) + tilt * F(x)), with
-        # exp(lam x) fused into the net rate: the two exponentials evaluated
-        # apart cancel catastrophically at large x.
-        jump = math.log(self.tilt) + (self._base_log_value(x) + self.log_offset)
-        return np.logaddexp(dens, jump) + (lam - self.tilt) * x
+        return _log_density(type(self), self, np.asarray(x, dtype=float), lam, bool(self.tilt))
 
     @property
     def has_density(self) -> bool:
@@ -160,16 +174,40 @@ class Segment(ABC):
         return dataclasses.replace(self, lo=lo, hi=hi)
 
 
+def _log_value(fam: type[Segment], p, x: np.ndarray, tilted: bool) -> np.ndarray:
+    """log G(x) of the family ``fam`` with parameters p (module docstring)."""
+    out = fam._value(p, x) + p.log_offset
+    # An untilted piece subtracts nothing: 0 * inf would turn -inf at
+    # x = inf into NaN.
+    return out - p.tilt * x if tilted else out
+
+
+def _log_density(fam: type[Segment], p, x: np.ndarray, lam, tilted: bool) -> np.ndarray:
+    """log(e^{lam x} g(x)), g the density of ``fam``'s G with parameters p."""
+    dens = fam._density(p, x) + p.log_offset
+    if not tilted:
+        # lam = 0 adds nothing, and 0 * inf would turn a density's -inf at
+        # x = inf into NaN.
+        return dens + lam * x if lam else dens
+    # The tilted density exp(-tilt x) * (f(x) + tilt * F(x)), with
+    # exp(lam x) fused into the net rate: the two exponentials evaluated
+    # apart cancel catastrophically at large x.
+    jump = p.log_tilt + (fam._value(p, x) + p.log_offset)
+    return np.logaddexp(dens, jump) + (lam - p.tilt) * x
+
+
 @dataclass(frozen=True)
 class ConstSegment(Segment):
     """Flat tail: F(x) = exp(level).  Carries no density unless tilted."""
 
     level: float = 0.0
 
-    def _base_log_value(self, x):
-        return np.full_like(x, self.level)
+    @staticmethod
+    def _value(p, x):
+        return np.full_like(x, p.level)
 
-    def _base_log_density(self, x):
+    @staticmethod
+    def _density(p, x):
         return np.full_like(x, _NEG_INF)
 
     @property
@@ -209,11 +247,17 @@ class AffineSegment(Segment):
         ratio = math.expm1(log_v_lo - log_v_hi) / (lo - hi)
         return AffineSegment(lo=lo, hi=hi, log_v_hi=log_v_hi, ratio=ratio)
 
-    def _base_log_value(self, x):
-        return self.log_v_hi + np.log1p(self.ratio * (x - self.hi))
+    @staticmethod
+    def _value(p, x):
+        return p.log_v_hi + np.log1p(p.ratio * (x - p.hi))
 
-    def _base_log_density(self, x):
-        return np.full_like(x, self.log_v_hi + math.log(-self.ratio))
+    @staticmethod
+    def _density(p, x):
+        return np.full_like(x, p.log_dcoeff)
+
+    @property
+    def log_dcoeff(self) -> float:
+        return self.log_v_hi + math.log(-self.ratio)
 
     def _base_log_integral(self, a, b):
         mid_factor = 1.0 + self.ratio * (0.5 * (a + b) - self.hi)
@@ -244,15 +288,17 @@ class PowerSegment(Segment):
         if self.shift + self.lo <= 0:
             raise ParameterError("power tail undefined: shift + lo <= 0")
 
-    def _base_log_value(self, x):
-        return self.log_coeff + self.exponent * np.log(self.shift + x)
+    @staticmethod
+    def _value(p, x):
+        return p.log_coeff + p.exponent * np.log(p.shift + x)
 
-    def _base_log_density(self, x):
-        return (
-            self.log_coeff
-            + math.log(-self.exponent)
-            + (self.exponent - 1.0) * np.log(self.shift + x)
-        )
+    @staticmethod
+    def _density(p, x):
+        return p.log_dcoeff + (p.exponent - 1.0) * np.log(p.shift + x)
+
+    @property
+    def log_dcoeff(self) -> float:
+        return self.log_coeff + math.log(-self.exponent)
 
     def _base_log_integral(self, a, b):
         p = self.exponent + 1.0
@@ -286,11 +332,17 @@ class ExpAffineSegment(Segment):
         if not self.rate > 0:
             raise ParameterError(f"exp-affine rate must be positive, got {self.rate}")
 
-    def _base_log_value(self, x):
-        return self.log_v_lo - self.rate * (x - self.lo)
+    @staticmethod
+    def _value(p, x):
+        return p.log_v_lo - p.rate * (x - p.lo)
 
-    def _base_log_density(self, x):
-        return math.log(self.rate) + self._base_log_value(x)
+    @staticmethod
+    def _density(p, x):
+        return p.log_dcoeff + ExpAffineSegment._value(p, x)
+
+    @property
+    def log_dcoeff(self) -> float:
+        return math.log(self.rate)
 
     def _base_log_integral(self, a, b):
         la = self.log_v_lo - self.rate * (a - self.lo)
@@ -312,6 +364,9 @@ class ExpPowSegment(Segment):
     beta: float = 0.5
     coeff: float = 1.0
 
+    # numpy takes x ** 0.5 as a square root for a scalar exponent only.
+    _SCALARS = ("beta",)
+
     def __post_init__(self):
         super().__post_init__()
         if not (0.0 < self.beta < 1.0):
@@ -321,16 +376,18 @@ class ExpPowSegment(Segment):
         if self.lo < 0:
             raise ParameterError("stretched-exponential tail requires lo >= 0")
 
-    def _base_log_value(self, x):
-        return -self.coeff * np.power(x, self.beta)
+    @staticmethod
+    def _value(p, x):
+        return -p.coeff * np.power(x, p.beta)
 
-    def _base_log_density(self, x):
+    @staticmethod
+    def _density(p, x):
         with np.errstate(divide="ignore"):
-            return (
-                math.log(self.coeff * self.beta)
-                + (self.beta - 1.0) * np.log(x)
-                - self.coeff * np.power(x, self.beta)
-            )
+            return p.log_dcoeff + (p.beta - 1.0) * np.log(x) + ExpPowSegment._value(p, x)
+
+    @property
+    def log_dcoeff(self) -> float:
+        return math.log(self.coeff * self.beta)
 
     def _base_log_integral(self, a, b):
         if self.beta != 0.5:
@@ -378,15 +435,17 @@ class PowerOfSegment(Segment):
         if not math.isfinite(self.hi):
             raise ParameterError("power-of segment must end at a finite point")
 
-    def _base_log_value(self, x):
-        return self.m * self.inner.log_value(x)
+    @staticmethod
+    def _value(p, x):
+        return p.m * p.inner.log_value(x)
 
-    def _base_log_density(self, x):
-        return (
-            math.log(self.m)
-            + (self.m - 1) * self.inner.log_value(x)
-            + self.inner.log_density(x)
-        )
+    @staticmethod
+    def _density(p, x):
+        return p.log_dcoeff + (p.m - 1) * p.inner.log_value(x) + p.inner.log_density(x)
+
+    @property
+    def log_dcoeff(self) -> float:
+        return math.log(self.m)
 
     @property
     def has_density(self) -> bool:
@@ -433,26 +492,145 @@ def chain_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
     Downward jumps (atoms) pass through untouched.  An upward jump larger
     than roundoff is a construction bug and raises ParameterError.
     """
-    if not segments:
+    return _chained(_SegmentTable(segments))[0]
+
+
+def _chained(table: "_SegmentTable") -> tuple[tuple[Segment, ...], bool]:
+    """``chain_segments`` on a table's segments, and whether it snapped
+    one.  Joins are judged in order from the table's end values; a
+    snapped segment's end is read again, and so is the join after it."""
+    if not table.segs:
         raise ParameterError("a tail curve needs at least one segment")
-    out = [segments[0]]
-    for seg in segments[1:]:
-        prev = out[-1]
-        if seg.lo != prev.hi:
-            raise ParameterError(
-                f"segments not contiguous: previous ends at {prev.hi}, next starts at {seg.lo}"
-            )
-        prev_end = prev.log_value_at(prev.hi) if math.isfinite(prev.hi) else _NEG_INF
-        start = seg.log_value_at(seg.lo)
-        if start > prev_end:
+    segs, (starts, ends) = table.segs, table.end_values
+    apart = np.flatnonzero(table.los[1:] != table.his[:-1])
+    stop = int(apart[0]) + 1 if apart.size else len(segs)
+    up = np.flatnonzero(starts[1:stop] > ends[: stop - 1]) + 1
+    out, ends = list(segs), ends.tolist()
+    judged, snapped = 0, False
+    for k in up.tolist():
+        while judged < k < stop:
+            judged = k
+            prev_end, start = ends[k - 1], float(starts[k])
+            if not start > prev_end:
+                break
             gap = start - prev_end
             if gap > _SNAP_RTOL * max(1.0, abs(prev_end)):
                 raise ParameterError(
-                    f"upward tail jump of {gap:.3e} at x={seg.lo}; tails must be nonincreasing"
+                    f"upward tail jump of {gap:.3e} at x={segs[k].lo}; tails must be nonincreasing"
                 )
-            seg = seg.with_offset(prev_end - start)
-        out.append(seg)
-    return tuple(out)
+            seg = out[k] = out[k].with_offset(prev_end - start)
+            snapped = True
+            ends[k] = seg.log_value_at(seg.hi) if math.isfinite(seg.hi) else _NEG_INF
+            k += 1
+    if apart.size:
+        raise ParameterError(
+            f"segments not contiguous: previous ends at {segs[stop - 1].hi}, "
+            f"next starts at {segs[stop].lo}"
+        )
+    return tuple(out), snapped
+
+
+class _SegmentTable:
+    """A curve's segments as parameter tables, one per group of the module
+    docstring: segment k is row ``_local[k]`` of group ``_group[k]``.  A
+    group's columns are gathered from its segments on first use."""
+
+    def __init__(self, segs: Sequence[Segment]):
+        self.segs = tuple(segs)
+        self.los = np.array([s.lo for s in segs], dtype=float)
+        self.his = np.array([s.hi for s in segs], dtype=float)
+        keys = [(type(s), bool(s.tilt), *(getattr(s, n) for n in s._SCALARS)) for s in segs]
+        ids: dict = {}
+        self._group = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
+        self._local = np.empty(len(segs), dtype=np.intp)
+        self._groups = []
+        for (fam, tilted, *_), g in ids.items():
+            rows = np.flatnonzero(self._group == g)
+            self._local[rows] = np.arange(len(rows))
+            self._groups.append(_Group(fam, tilted, [segs[k] for k in rows]))
+
+    @cached_property
+    def end_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each segment's log value at its lo, and at its hi (-inf where hi
+        is infinite)."""
+        k = np.arange(len(self.segs))
+        ends = np.full(len(k), _NEG_INF)
+        fin = np.isfinite(self.his)
+        ends[fin] = self.log_value(self.his[fin], k[fin])
+        return self.log_value(self.los, k), ends
+
+    def log_value(self, x: np.ndarray, k: np.ndarray | int) -> np.ndarray:
+        """log G at each point x[j] by the formula of its segment k[j]."""
+        return self._each(x, k, lambda g, p, y: _log_value(g.fam, p, y, g.tilted))
+
+    def log_density(self, x: np.ndarray, k: np.ndarray | int, lam=0.0) -> np.ndarray:
+        """log(e^{lam x} g(x)) at each point x[j] by its segment k[j]."""
+        return self._each(x, k, lambda g, p, y: _log_density(g.fam, p, y, lam, g.tilted))
+
+    def _each(self, x, k, run):
+        """``run(group, parameters, points)`` over the groups the points
+        meet.  k is each point's segment, or one segment for all points,
+        whose own fields are then the parameters: the scalars that its
+        gathered columns would repeat."""
+        if np.ndim(k) == 0:
+            return run(self._groups[self._group[k]], self.segs[k], x)
+        if len(self._groups) == 1:
+            return run(self._groups[0], _Rows(self._groups[0], self._local[k]), x)
+        group = self._group[k]
+        out = np.empty_like(x)
+        for g, grp in enumerate(self._groups):
+            at = np.flatnonzero(group == g)
+            if at.size:
+                out[at] = run(grp, _Rows(grp, self._local[k[at]]), x[at])
+        return out
+
+
+class _Group:
+    """The segments of one family table group, with their columns."""
+
+    def __init__(self, fam: type[Segment], tilted: bool, segs: list[Segment]):
+        self.fam, self.tilted, self._segs = fam, tilted, segs
+        self._cols = {n: getattr(segs[0], n) for n in fam._SCALARS}
+
+    def column(self, name: str):
+        """One entry per segment (a table for inner segments), or the
+        group's scalar."""
+        if name not in self._cols:
+            vals = [getattr(s, name) for s in self._segs]
+            self._cols[name] = (
+                _SegmentTable(vals) if isinstance(vals[0], Segment) else np.array(vals)
+            )
+        return self._cols[name]
+
+
+class _Rows:
+    """Parameters of a group at the rows ``rows``, one per point, read by
+    the family formulas as a segment's fields are."""
+
+    def __init__(self, group: _Group, rows: np.ndarray):
+        self._group, self._rows = group, rows
+
+    def __getattr__(self, name: str):
+        col = self._group.column(name)
+        if isinstance(col, _SegmentTable):
+            val = _Inner(col, self._rows)
+        else:
+            val = col[self._rows] if isinstance(col, np.ndarray) else col
+        setattr(self, name, val)
+        return val
+
+
+class _Inner:
+    """Inner segments of power-of rows, read as ``PowerOfSegment.inner``."""
+
+    def __init__(self, table: _SegmentTable, rows: np.ndarray):
+        self._table, self._rows = table, rows
+
+    def log_value(self, x):
+        return self._table.log_value(x, self._rows)
+
+    def log_density(self, x):
+        return self._table.log_density(x, self._rows)
 
 
 class TailCurve:
@@ -464,7 +642,8 @@ class TailCurve:
     """
 
     def __init__(self, segments: Sequence[Segment], *, validate: bool = True):
-        segs = chain_segments(segments) if validate else tuple(segments)
+        table = _SegmentTable(segments)
+        segs, changed = _chained(table) if validate else (table.segs, False)
         if segs[0].lo != 0.0:
             raise ParameterError(f"support must start at 0, got {segs[0].lo}")
         first = segs[0].log_value_at(0.0)
@@ -472,16 +651,15 @@ class TailCurve:
             raise ParameterError(f"tail at 0 exceeds 1: log value {first}")
         if first > 0.0:
             # Roundoff pushed log F(0) a hair above 0; pin it back.
-            segs = (segs[0].with_offset(-first), *segs[1:])
+            segs, changed = (segs[0].with_offset(-first), *segs[1:]), True
+        self._table = _SegmentTable(segs) if changed else table
         self.segments = segs
         self.support_lo = 0.0
         self.truncation_hi = segs[-1].hi
-        self._los = np.array([s.lo for s in segs])
-        self._starts = np.array([s.log_value_at(s.lo) for s in segs])
-        self._ends = np.array(
-            [s.log_value_at(s.hi) if math.isfinite(s.hi) else _NEG_INF for s in segs]
-        )
-        self._dense = np.array([s.has_density for s in segs])
+        self._los = self._table.los
+        self._starts, self._ends = self._table.end_values
+        # Segments with a density among the first k: _dense_below[k].
+        self._dense_below = np.cumsum([False, *(s.has_density for s in segs)])
         self._guide: np.ndarray | None = None  # built by the first quantile call
         finite_hi = [self.truncation_hi] if math.isfinite(self.truncation_hi) else []
         self._breakpoints = np.append(self._los, finite_hi)
@@ -489,12 +667,9 @@ class TailCurve:
 
     # ------------------------------------------------------------------ eval
 
-    def _segment_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._los, x, side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
-
     def _checked(self, x) -> np.ndarray:
-        """x as a 1-d float array, refused if NaN or past the truncation."""
+        """x as an at least 1-d float array, refused if NaN or past the
+        truncation."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         # One comparison catches both NaN and points past the truncation.
         if not np.all(xa <= self.truncation_hi):
@@ -508,9 +683,11 @@ class TailCurve:
         return xa
 
     def log_tail(self, x) -> np.ndarray | float:
-        """log F(x); scalar in, scalar out.  x < 0 gives 0.0 (tail is 1)."""
-        out = self._by_segment(self._checked(x), Segment.log_value, 0.0)
-        return float(out[0]) if np.isscalar(x) else out
+        """log F(x); scalar in, scalar out, else x's shape.  x < 0 gives 0.0
+        (tail is 1)."""
+        xa = self._checked(x)
+        out = self._on_support(xa.ravel(), self._table.log_value, 0.0)
+        return float(out[0]) if np.isscalar(x) else out.reshape(xa.shape)
 
     def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """log(e^{lam x} f(x)) on an array x within the support, f the density
@@ -521,42 +698,42 @@ class TailCurve:
         xa = self._checked(x)
         if lam and not np.isfinite(xa).all():
             raise ParameterError(f"log_density with lam={lam!r} needs finite x")
-        return self._by_segment(xa, lambda seg, y: seg.log_density(y, lam), _NEG_INF)
+        fn = partial(self._table.log_density, lam=lam)
+        return self._on_support(xa.ravel(), fn, _NEG_INF).reshape(xa.shape)
 
-    def _by_segment(self, x: np.ndarray, fn, below: float) -> np.ndarray:
-        """``fn(segment, points)`` on the points of x in each segment, and
-        ``below`` where x < 0."""
-        x_min = x.min() if x.size else -1.0  # empty: the grouped path
-        if x_min >= 0:
-            k = int(np.searchsorted(self._los, x_min, side="right")) - 1
-            if k + 1 == len(self._los) or x.max() < self._los[k + 1]:
-                # Every point lies in segment k: no grouping needed.
-                return fn(self.segments[k], x)
+    def _on_support(self, x: np.ndarray, fn, below: float) -> np.ndarray:
+        """``fn(points, their segments)`` on the points of a flat x at or
+        above 0, and ``below`` where x < 0.  Points that all lie in one
+        segment pass its index alone."""
+        if not x.size:
+            return np.full_like(x, below)
+        first = int(self._los.searchsorted(x.min(), side="right")) - 1
+        if first >= 0 and (first + 1 == len(self._los) or x.max() < self._los[first + 1]):
+            return fn(x, first)
+        k = self._los.searchsorted(x, side="right") - 1
+        if first >= 0:
+            return fn(x, k)
         out = np.full_like(x, below)
-        pos = np.flatnonzero(x >= 0)
-        for k, at in _groups(self._segment_index(x[pos])):
-            sel = pos[at]
-            out[sel] = fn(self.segments[k], x[sel])
+        pos = np.flatnonzero(k >= 0)
+        out[pos] = fn(x[pos], k[pos])
         return out
 
     def log_tail_left(self, x) -> np.ndarray | float:
         """log F(x-): the left limit, which exceeds log F(x) at an atom.
 
-        Scalar in, scalar out; x <= 0 gives 0.0.
+        Scalar in, scalar out, else x's shape; x <= 0 gives 0.0.
         """
-        scalar = np.isscalar(x)
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.log_tail(xa)  # refuses NaN and points past the truncation
-        out[xa <= 0] = 0.0
+        flat = xa.ravel()
+        out = self.log_tail(flat)  # refuses NaN and points past the truncation
+        out[flat <= 0] = 0.0
         # At a segment start, the left limit is the previous segment's value.
-        j = np.searchsorted(self._los, xa, side="left")
+        j = np.searchsorted(self._los, flat, side="left")
         join = (j > 0) & (j < len(self._los))
-        join[join] = self._los[j[join]] == xa[join]
-        joins = np.flatnonzero(join)
-        for k, at in _groups(j[joins]):
-            sel = joins[at]
-            out[sel] = self.segments[k - 1].log_value(xa[sel])
-        return float(out[0]) if scalar else out
+        join[join] = self._los[j[join]] == flat[join]
+        at = np.flatnonzero(join)
+        out[at] = self._table.log_value(flat[at], j[at] - 1)
+        return float(out[0]) if np.isscalar(x) else out.reshape(xa.shape)
 
     # -------------------------------------------------------------- quantile
 
@@ -565,12 +742,17 @@ class TailCurve:
 
         Exact per-segment inversion where closed forms exist, bisection to
         absolute tolerance 1e-12 * (1 + x) otherwise.  u below the tail at
-        the truncation point raises TruncationError.
+        the truncation point raises TruncationError.  Scalar in, scalar
+        out, else u's shape.
         """
-        scalar = np.isscalar(u)
         ua = np.atleast_1d(np.asarray(u, dtype=float))
         if not ua.size:
             return np.empty_like(ua)
+        out = self._quantile(ua.ravel())
+        return float(out[0]) if np.isscalar(u) else out.reshape(ua.shape)
+
+    def _quantile(self, ua: np.ndarray) -> np.ndarray:
+        """``quantile`` on a flat nonempty array."""
         # Written so that NaN fails the test too.
         if not (ua.min() > 0 and ua.max() <= 1):
             raise ParameterError("quantile level u must lie in (0, 1]")
@@ -583,15 +765,14 @@ class TailCurve:
             )
         if len(self.segments) == 1 and lu.max() < self._starts[0]:
             # Every level lies inside the only segment.
-            out = self._invert_in_segment(0, lu)
-            return float(out[0]) if scalar else out
+            return self._invert_in_segment(0, lu)
         k = self._segment_of_level(lu)
         inside = np.flatnonzero(self._starts[k] > lu)
         out = self._los[k]
         for j, at in _groups(k[inside]):
             sel = inside[at]
             out[sel] = self._invert_in_segment(j, lu[sel])
-        return float(out[0]) if scalar else out
+        return out
 
     def _segment_of_level(self, lu: np.ndarray) -> np.ndarray:
         """First segment k whose end value is at most lu, that is
@@ -650,11 +831,12 @@ class TailCurve:
         """The segment starts and a finite truncation point, read-only."""
         return self._breakpoints
 
-    def has_density_in(self, lo: float, hi: float) -> bool:
-        """Whether a segment with a density meets (lo, hi)."""
-        first = max(int(np.searchsorted(self._los, lo, side="right")) - 1, 0)
-        stop = int(np.searchsorted(self._los, hi, side="left"))
-        return lo < hi and bool(self._dense[first:stop].any())
+    def has_density_in(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Whether a segment with a density meets (lo[j], hi[j]), for each
+        pair of bounds."""
+        first = np.maximum(np.searchsorted(self._los, lo, side="right") - 1, 0)
+        stop = np.searchsorted(self._los, hi, side="left")
+        return (np.asarray(lo) < hi) & (self._dense_below[stop] > self._dense_below[first])
 
     def log_moment_range(self, k: int, a: float, b: float, cfg: QuadConfig | None = None) -> float:
         """log of integral_a^b y^k F(y) dy over [a, b] within the support."""

@@ -849,3 +849,41 @@ def test_dyadic_jump_cond_contains_the_enumerated_conditional(dyadic):
     x = Fraction(24)
     truth = 1 - _dyadic_exact(3, x, 20) / _dyadic_exact(3, x)
     assert br.lower <= truth <= br.upper
+
+
+@pytest.mark.parametrize("name", ["dyadic", "plateau2", "xu55", "pareto3"])
+def test_half_seeds_are_the_breakpoints_mirrors_and_grades_inside(name, request):
+    # Each half's seeds, with its ends, are {a, b} and the breakpoints, their
+    # mirrors x - bp and the grades a + (b - a) 8^-k strictly inside (a, b).
+    curve = request.getfixturevalue(name).tail
+    bps = curve.breakpoints()
+    rng = np.random.default_rng(3)
+    x = np.exp(rng.uniform(0.0, 12.0, 40))
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, (2, 40)) * x, axis=0)
+    c = 0.5 * x
+    xs = np.concatenate([x, x])
+    a = np.concatenate([lo, x - hi])  # the halves in y and in u = x - y
+    b = np.concatenate([np.minimum(hi, c), x - np.maximum(lo, c)])
+    # Ends that are breakpoints' mirrors at x = 3e17, where the mirrors of
+    # the breakpoints near them round onto them.
+    near = bps[(bps > 1e3) & (bps < 1e7)]
+    if len(near) >= 3:
+        big = 3e17
+        xs = np.append(xs, [big, big])
+        a = np.append(a, [big - near[-1], big - near[-1]])
+        b = np.append(b, [big - near[0], big - near[len(near) // 2]])
+    # Ends within an ulp of a breakpoint's mirror: at x = bp + t the mirror
+    # x - bp rounds to either side of t.
+    mid = bps[(bps > 4.0) & (bps < 1e12)][:30]
+    t = rng.uniform(0.0, 1.0, len(mid))
+    xs = np.concatenate([xs, mid + t, mid + t])
+    a = np.concatenate([a, t, 0.5 * t])
+    b = np.concatenate([b, 0.5 * (mid + t), t])
+    keep = a < b
+    xs, a, b = xs[keep], a[keep], b[keep]
+    owner, pts = convolve._half_seeds(curve, xs, a, b)
+    for i in range(len(xs)):
+        cand = np.concatenate([bps, xs[i] - bps, a[i] + (b[i] - a[i]) * convolve._GRADES])
+        want = {a[i], b[i], *cand[(cand > a[i]) & (cand < b[i])].tolist()}
+        assert {a[i], b[i], *pts[owner == i].tolist()} == want
+        assert np.all((pts[owner == i] > a[i]) & (pts[owner == i] < b[i]))

@@ -127,6 +127,12 @@ def _alone(log_f, a, b, bps, cfg):
         return err
 
 
+def _seed_table(bps):
+    """The seed table (owner, point) of per-integral breakpoint lists."""
+    owners = np.repeat(np.arange(len(bps)), [len(p) for p in bps])
+    return owners, np.concatenate([np.asarray(p, dtype=float) for p in bps])
+
+
 def _same(batched, alone):
     # Equal bits for a result; the same class, message and estimate for an error.
     if isinstance(alone, Exception):
@@ -164,7 +170,7 @@ def test_batch_equals_separate_calls():
             out[owner == i] = f(y[owner == i])
         return out
 
-    batched = log_quads(log_f, a, b, iter(bps), cfg)
+    batched = log_quads(log_f, a, b, _seed_table(bps), cfg)
     kinds = [type(r) for r in batched]
     assert kinds[2] is ToleranceError and kinds[3] is LogDepthError and kinds[4] is ParameterError
     assert (batched[5].n_panels, batched[5].rel_error) == (1, 0.0)
@@ -187,7 +193,7 @@ def test_batch_beyond_the_memory_caps_equals_separate_calls():
         return np.log(2.0 + np.sin(scales[owner] * y))
 
     cfg = QuadConfig(rel_tol=1e-11)
-    batched = log_quads(log_f, a, b, bps, cfg)
+    batched = log_quads(log_f, a, b, _seed_table(bps), cfg)
     assert max(calls) <= 15 * _MAX_PANELS
     for i in range(n):
         _same(batched[i], _alone(lambda y, s=scales[i]: np.log(2.0 + np.sin(s * y)), a[i], b[i], bps[i], cfg))

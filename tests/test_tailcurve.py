@@ -196,13 +196,26 @@ def test_quantile_segment_table_matches_the_search(law, gamma, monkeypatch):
 
 def _fast_vs_masked(curve, xs, monkeypatch):
     """log_tail of points in one segment, against the masked path."""
-    # A negative point sends the call through the per-segment masks.
-    masked = curve.log_tail(np.append(xs, -1.0))
-    assert masked[-1] == 0.0
+    table = curve._table
+    log_value = type(table).log_value
+    ranks = []  # np.ndim of the segment index of each call on the curve's table
+
+    def recorded(self, x, k):
+        if self is table:
+            ranks.append(np.ndim(k))
+        return log_value(self, x, k)
+
     with monkeypatch.context() as m:
-        m.setattr(curve, "_segment_index", None)  # the fast path never calls it
+        m.setattr(type(table), "log_value", recorded)
+        # A negative point sends the call through the mask of points below 0,
+        # with one segment index per point.
+        masked = curve.log_tail(np.append(xs, -1.0))
+        assert ranks == [1]
+        # Points in one segment pass its index alone.
         fast = curve.log_tail(xs)
         one = curve.log_tail(float(xs[0]))
+        assert ranks == [1, 0, 0]
+    assert masked[-1] == 0.0
     assert np.array_equal(fast, masked[:-1])
     assert one == masked[0]
 
@@ -499,3 +512,79 @@ def test_weighted_density_refuses_infinite_points(law, lam):
             law.tail.log_density(np.array([1.0, x]), lam)
     assert np.isfinite(law.tail.log_density(np.array([1.0, 2.0]), lam)).all()
     assert law.tail.log_density(np.array([math.inf]))[0] == -math.inf
+
+
+# The family table against the per-segment evaluation it replaced: each
+# point's segment found by search, and that segment's own formula run on
+# its points (the segment's fields as scalars).
+_TABLE_LAWS = [
+    tf.pareto(3.0),
+    tf.exponential(1.0),
+    tf.weibull_heavy(0.5),
+    tf.dyadic_pareto(),
+    tf.fkz_example(),
+    tf.plateau_example(2.0),
+    tf.xu_piecewise(5.5, 4096.0),
+    tf.xu_piecewise(5.5, 4096.0, m=2),  # power-of segments
+]
+
+
+def _per_segment(curve, x, fn, below):
+    out = np.full_like(x, below)
+    pos = np.flatnonzero(x >= 0)
+    k = np.clip(np.searchsorted(curve._los, x[pos], side="right") - 1, 0, len(curve.segments) - 1)
+    for j in np.unique(k):
+        sel = pos[k == j]
+        out[sel] = fn(curve.segments[j], x[sel])
+    return out
+
+
+def _per_segment_left(curve, x):
+    out = _per_segment(curve, x, lambda seg, y: seg.log_value(y), 0.0)
+    out[x <= 0] = 0.0
+    j = np.searchsorted(curve._los, x, side="left")
+    for i in np.flatnonzero((j > 0) & (j < len(curve._los))):
+        if curve._los[j[i]] == x[i]:
+            out[i] = curve.segments[j[i] - 1].log_value(x[i : i + 1])[0]
+    return out
+
+
+@pytest.mark.parametrize("gamma", [None, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("base", _TABLE_LAWS, ids=lambda d: d.label)
+def test_family_table_matches_per_segment_evaluation(base, gamma):
+    law = base if gamma is None else tf.gamma_transform(base, gamma)
+    curve = law.tail
+    segs, trunc = curve.segments, curve.truncation_hi
+    bps = curve.breakpoints()
+    top = trunc if math.isfinite(trunc) else 1e6
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([
+        rng.uniform(0.0, min(top, 1e4), 300),
+        np.exp(rng.uniform(-5.0, math.log(top), 300)),
+        bps, np.nextafter(bps, -math.inf), np.nextafter(bps, math.inf),
+        [0.0, -1.0, trunc if math.isfinite(trunc) else math.inf],
+    ])
+    xs = xs[xs <= trunc]
+    finite = xs[np.isfinite(xs)]
+    same = lambda got, want: got.tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert same(curve.log_tail(xs), _per_segment(curve, xs, lambda s, y: s.log_value(y), 0.0))
+    for lam in (0.0, 0.25):
+        want = _per_segment(curve, finite, lambda s, y: s.log_density(y, lam), -math.inf)
+        assert same(curve.log_density(finite, lam), want)
+    assert same(curve.log_tail_left(xs), _per_segment_left(curve, xs))
+    assert same(curve._starts, [s.log_value_at(s.lo) for s in segs])
+    ends = [s.log_value_at(s.hi) if math.isfinite(s.hi) else -math.inf for s in segs]
+    assert same(curve._ends, ends)
+
+
+def test_multidimensional_points_keep_their_shape(plateau2):
+    curve = plateau2.tail
+    xs = np.array([[0.5, 3.0], [20.0, 100.0]])
+    for fn in (curve.log_tail, curve.log_density, curve.log_tail_left):
+        got = fn(xs)
+        assert got.shape == xs.shape
+        assert got.tobytes() == fn(xs.ravel()).tobytes()
+    u = np.array([[0.5, 0.3], [0.2, 0.1]])
+    got = tf.quantile_from_tail(plateau2, u)
+    assert got.shape == u.shape
+    assert got.tobytes() == tf.quantile_from_tail(plateau2, u.ravel()).tobytes()
