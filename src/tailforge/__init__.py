@@ -55,14 +55,12 @@ from .functionals import (
     ClassifyConfig,
     ClassReport,
     DiagSeries,
-    JumpProfile,
     b2_cond,
     classify,
     classify_trend,
     exam300_lower_bound,
     geometric_grid,
     jump_cond,
-    jump_profile,
     ratio_diagnostic,
     t_ratio,
     weak_equiv_diag,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cache import cache_dir, cached_convn_tail_grid
+from .convolve import convn_tail_grid, trunc_convn_tail_grid
 from .distribution import quantile_from_tail, sample
 from .errors import ParameterError, TailforgeError
 from .experiments import EXPERIMENT_IDS, run_experiment
@@ -262,15 +262,14 @@ def _cmd_functional(args, parser) -> int:
     return 0
 
 
-def _cmd_conv(args, parser) -> int:
+def _cmd_conv(args) -> int:
     d = resolve_dist(args.dist)
     xs = args.x
     x_max = float(np.max(xs))
-    cap = args.cap if args.cap is not None else math.inf
-    try:
-        grid = cached_convn_tail_grid(d, args.n, x_max, args.h, cap)
-    except OSError as exc:  # the bracket itself touches no file
-        parser.error(f"TAILFORGE_CACHE_DIR={cache_dir()} is not a usable cache directory: {exc}")
+    if args.cap is None:
+        grid = convn_tail_grid(d, args.n, x_max, args.h)
+    else:
+        grid = trunc_convn_tail_grid(d, args.n, args.cap, x_max, args.h)
     if args.out is None and args.format == "csv":
         # The requested x values only, not the full grid --out writes.
         method = f"bracket-h={args.h:g}"
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
             sys.stdout.write(f"wrote tilted spec to {args.out}\n")
             return 0
         if args.command == "conv":
-            return _cmd_conv(args, parser)
+            return _cmd_conv(args)
         if args.command == "functional":
             return _cmd_functional(args, parser)
         if args.command == "classify":

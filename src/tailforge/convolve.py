@@ -95,7 +95,7 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import Distribution, _split_tilt
+from .distribution import Distribution, _count, _split_tilt
 from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError
 from .quadrature import QuadConfig, log_quads, unwrap
 from .tailcurve import TailCurve, _logsumexp_list
@@ -681,8 +681,7 @@ def _brackets(
 ) -> list[BracketGrid]:
     """``_bracket`` for each cap in turn, on the same nodes: the summand's
     log tails there are evaluated once for all of them."""
-    if not (n >= 2 and n % 1 == 0):
-        raise ParameterError(f"fold count must be an integer >= 2, got {n}")
+    n = _count("fold count", n, 2)
     if n > MAX_FOLDS:
         raise ParameterError(f"fold count {n} beyond configured cap {MAX_FOLDS}")
     if not 0.0 < h < math.inf:

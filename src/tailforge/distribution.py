@@ -47,6 +47,16 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int, or ParameterError unless it is an integer (a
+    Python or numpy one, not a bool or a float) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Atom:
     """Point mass: F jumps down by exp(log_mass) at ``location``."""
@@ -321,8 +331,7 @@ def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
     PRNG: numpy PCG64 seeded directly with ``seed``; the uniform stream is
     mapped through u -> 1 - u so levels lie in (0, 1].
     """
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
+    n = _count("sample count", n, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(n)
     for start, xs in quantile_blocks(d, rng, n):

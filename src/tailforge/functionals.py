@@ -54,12 +54,10 @@ __all__ = [
     "ClassEntry",
     "ClassReport",
     "ClassifyConfig",
-    "JumpProfile",
     "classify_trend",
     "t_ratio",
     "b2_cond",
     "jump_cond",
-    "jump_profile",
     "ratio_diagnostic",
     "exam300_lower_bound",
     "weak_equiv_diag",
@@ -285,70 +283,21 @@ def jump_cond(
     ``trunc_convn_tail_grid`` and ``convn_tail_grid``.  K >= x makes the
     event sure.
     """
-    return _jump_conds(d, n, x, [K], h)[0]
-
-
-def _jump_conds(d: Distribution, n: int, x: float, Ks, h: float) -> list[JumpBracket]:
-    """``jump_cond`` at x for each K in Ks.  The denominator is read once,
-    and one evaluation of the summand's tails at the nodes serves every
-    bracket."""
     if not 0 < x < math.inf:
         raise ParameterError(f"threshold x must be positive and finite, got {x}")
-    for K in Ks:
-        if not -math.inf < K < math.inf:
-            raise ParameterError(f"offset K must be finite, got {K}")
-    caps = [x - K for K in Ks if K < x]  # K >= x makes the event sure
-    if not caps:
-        return [JumpBracket(1.0, 1.0) for _ in Ks]
-    (den_lo, den_up), *nums = (
-        g.at(x) for g in _brackets(d, n, x + 2 * h, h, [math.inf, *caps], x)
-    )
+    if not -math.inf < K < math.inf:
+        raise ParameterError(f"offset K must be finite, got {K}")
+    if K >= x:
+        return JumpBracket(1.0, 1.0)
+    den, num = _brackets(d, n, x + 2 * h, h, (math.inf, x - K), x)
+    (den_lo, den_up), (num_lo, num_up) = den.at(x), num.at(x)
     if den_lo <= 0.0:
         raise InconclusiveBracketError(
             f"P(S_{n} > {x}) lower bound is 0 at step h={h}; bracket degenerate"
         )
-    nums = iter(nums)
-    out = []
-    for K in Ks:
-        if K >= x:
-            out.append(JumpBracket(1.0, 1.0))
-            continue
-        num_lo, num_up = next(nums)
-        ratio_lo = min(num_lo / den_up, 1.0) if den_up > 0 else 0.0
-        ratio_up = min(num_up / den_lo, 1.0)
-        out.append(JumpBracket(max(1.0 - ratio_up, 0.0), min(1.0 - ratio_lo, 1.0)))
-    return out
-
-
-@dataclass(frozen=True)
-class JumpProfile:
-    """Jump-conditional brackets over a (K, x) grid for fixed fold count."""
-
-    n: int
-    K_grid: np.ndarray
-    x_grid: np.ndarray
-    lower: np.ndarray  # shape (len(K_grid), len(x_grid))
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.lower > self.upper + 1e-12):
-            raise ParameterError("jump profile invariant violated: lower > upper")
-
-
-def jump_profile(
-    d: Distribution, n: int, x_grid, K_grid, h: float
-) -> JumpProfile:
-    """``jump_cond`` at every (K, x), with each x's denominator and node
-    tails read once."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    K_grid = np.asarray(K_grid, dtype=float)
-    lower = np.zeros((len(K_grid), len(x_grid)))
-    upper = np.zeros_like(lower)
-    for j, x in enumerate(x_grid.tolist()):
-        for i, br in enumerate(_jump_conds(d, n, x, K_grid.tolist(), h)):
-            lower[i, j] = br.lower
-            upper[i, j] = br.upper
-    return JumpProfile(n, K_grid, x_grid, lower, upper)
+    ratio_lo = min(num_lo / den_up, 1.0) if den_up > 0 else 0.0
+    ratio_up = min(num_up / den_lo, 1.0)
+    return JumpBracket(max(1.0 - ratio_up, 0.0), min(1.0 - ratio_lo, 1.0))
 
 
 # --------------------------------------------------------- ratio diagnostics

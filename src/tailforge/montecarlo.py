@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distribution import Distribution, quantile_blocks
+from .distribution import Distribution, _count, quantile_blocks
 from .errors import LowAcceptanceError, ParameterError, TailforgeError
 from .functionals import jump_cond
 
@@ -60,14 +60,6 @@ def _chunk_streams(base: np.random.SeedSequence, count: int) -> list[np.random.S
         np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (c,))
         for c in range(count)
     ]
-
-
-def _count(name: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 def mc_jump_cond(

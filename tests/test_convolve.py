@@ -370,6 +370,30 @@ def test_convn_refuses_non_integer_fold_count(exp1, n):
         tf.convn_tail_grid(exp1, n, 3.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda d: tf.convn_tail_grid(d, 2.0, 1.0, 0.5), "fold count must be an integer"),
+        (lambda d: tf.trunc_convn_tail_grid(d, 3.0, 2.0, 3.0, 0.5), "fold count must be an integer"),
+        (lambda d: tf.jump_cond(d, 2.0, 5.0, 1.0, 0.01), "fold count must be an integer"),
+        (lambda d: tf.sample(d, 1, 2.0), "sample count must be an integer"),
+        (lambda d: tf.sample(d, 1, True), "sample count must be an integer"),
+    ],
+    ids=["convn-float", "trunc-float", "jump-float", "sample-float", "sample-bool"],
+)
+def test_counts_of_the_wrong_type_are_parameter_errors(exp1, call, match):
+    with pytest.raises(ParameterError, match=match):
+        call(exp1)
+
+
+def test_numpy_integer_counts_keep_their_bits(exp1):
+    n = np.int64(3)
+    a, b = tf.convn_tail_grid(exp1, n, 4.0, 0.01), tf.convn_tail_grid(exp1, 3, 4.0, 0.01)
+    assert np.array_equal(a.log_lower, b.log_lower) and np.array_equal(a.log_upper, b.log_upper)
+    assert tf.jump_cond(exp1, n, 5.0, 1.0, 0.01) == tf.jump_cond(exp1, 3, 5.0, 1.0, 0.01)
+    assert np.array_equal(tf.sample(exp1, 1, np.int64(5)), tf.sample(exp1, 1, 5))
+
+
 def test_trunc_refuses_nan_cap(exp1):
     with pytest.raises(ParameterError, match="cap"):
         tf.trunc_convn_tail_grid(exp1, 2, math.nan, 3.0, 0.01)

@@ -210,6 +210,33 @@ def test_b2_profile_matches_per_K(name, request):
         np.testing.assert_allclose(prof, [tf.b2_cond(d, x, K, cfg) for K in Ks], rtol=1e-6, atol=0)
 
 
+_B2_KS = [1.0, 4.0, 16.0]
+
+
+def _tilt_b2_limit(K):
+    # m_K(γ)/m(γ) = (F(K) + γ∫_0^K Fbar)/(1 + γ∫_0^∞ Fbar) for the 0.5 tilt of
+    # Fbar(y) = (1 + y)^-3, with ∫_0^K Fbar = (1 − (1 + K)^-2)/2.
+    return (1 - (1 + K) ** -3 + 0.25 * (1 - (1 + K) ** -2)) / 1.25
+
+
+@pytest.mark.parametrize(
+    "d, limit, xs, rate",
+    [
+        # F(K), the summand's distribution function: the error falls like 1/x ...
+        (tf.pareto(3.0), lambda K: 1 - (1 + K) ** -3, (1e3, 1e5, 1e7), lambda x: 1 / x),
+        (tf.gamma_transform(tf.pareto(3.0), 0.5), _tilt_b2_limit, (1e3, 1e4, 1e5), lambda x: 1 / x),
+        # ... but like 1/√x for the Weibull tail.
+        (tf.weibull_heavy(0.5), lambda K: 1 - math.exp(-math.sqrt(K)), (1e3, 1e5, 1e7), lambda x: x**-0.5),
+    ],
+    ids=["pareto", "tilted-pareto", "weibull"],
+)
+def test_b2_first_order_limits(d, limit, xs, rate):
+    cfg = tf.QuadConfig()
+    for x in xs:
+        for K, v in zip(_B2_KS, _b2_profile(d, x, _B2_KS, cfg)):
+            assert abs(v - limit(K)) <= rate(x), (x, K, v, limit(K))
+
+
 def test_b2_profile_preconditions(pareto3):
     cfg = tf.QuadConfig()
     for Ks in ([1.0, 5.0], [2.0, 1.0], [1.0, 1.0], [math.nan]):
@@ -267,25 +294,12 @@ def test_jump_refuses_nan_offset(exp1):
         tf.jump_cond(exp1, 2, 3.0, math.nan, 0.01)
 
 
-def test_jump_profile_shape(exp1):
-    xs, Ks = [8.0, 12.0], [1.0, 2.0, 10.0]
-    prof = tf.jump_profile(exp1, 2, xs, Ks, 0.01)
-    assert prof.lower.shape == (3, 2)
-    assert np.all(prof.lower <= prof.upper + 1e-12)
-    assert np.all((0 <= prof.lower) & (prof.upper <= 1))
-    for i, K in enumerate(Ks):
-        for j, x in enumerate(xs):
-            br = tf.jump_cond(exp1, 2, x, K, 0.01)
-            assert (prof.lower[i, j], prof.upper[i, j]) == (br.lower, br.upper)
-
-
 @pytest.mark.parametrize("name, h", [("pareto3", 0.01), ("dyadic", 0.125)])
 def test_jump_reads_the_node_tails_once(request, monkeypatch, name, h):
     # The full and the capped brackets at one x stand on the same nodes: one
-    # log_tail call evaluates the summand there for all of them.
+    # log_tail call evaluates the summand there for both.
     d = request.getfixturevalue(name)
-    xs, Ks = [5.0, 6.0], [0.5, 1.0, 2.0]
-    expect = {(x, K): _grid_jump(d, 2, x, K, h) for x in xs for K in Ks}
+    expect = _grid_jump(d, 2, 5.0, 1.0, h)
     sizes = []
     log_tail = TailCurve.log_tail
 
@@ -295,14 +309,8 @@ def test_jump_reads_the_node_tails_once(request, monkeypatch, name, h):
 
     monkeypatch.setattr(TailCurve, "log_tail", counted)
     br = tf.jump_cond(d, 2, 5.0, 1.0, h)
-    assert (br.lower, br.upper) == expect[5.0, 1.0]
+    assert (br.lower, br.upper) == expect
     assert sizes == [round(5.0 / h) + 3, 1]  # the nodes up to x + 2h, then F(cap)
-    sizes.clear()
-    prof = tf.jump_profile(d, 2, xs, Ks, h)
-    assert [s for s in sizes if s > 1] == [round(x / h) + 3 for x in xs]
-    for i, K in enumerate(Ks):
-        for j, x in enumerate(xs):
-            assert (prof.lower[i, j], prof.upper[i, j]) == expect[x, K]
 
 
 def _grid_jump(d, n, x, K, h):

@@ -1,6 +1,5 @@
-"""Spec documents, export determinism, cache, and the CLI front end."""
+"""Spec documents, export determinism, and the CLI front end."""
 
-import hashlib
 import json
 import math
 
@@ -92,102 +91,6 @@ def test_export_schemas(tmp_path, exp1):
     assert b"\r" not in raw
 
 
-def test_bracket_cache_roundtrip(tmp_path, exp1, monkeypatch):
-    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(tmp_path / "cache"))
-    from tailforge.cache import cached_convn_tail_grid
-
-    a = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
-    files = list((tmp_path / "cache").glob("bracket-*.json"))
-    assert len(files) == 1
-    doc = json.loads(files[0].read_text())
-    assert doc["header"]["schema"] == "tailforge-bracket/4"
-    b = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
-    assert np.allclose(a.log_lower, b.log_lower, atol=1e-15, rtol=0)
-    assert np.allclose(a.log_upper, b.log_upper, atol=1e-15, rtol=0)
-
-
-def test_bracket_cache_corrupt_entry_is_a_miss(tmp_path, exp1, monkeypatch):
-    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(tmp_path / "cache"))
-    from tailforge.cache import cached_convn_tail_grid
-
-    a = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
-    (path,) = (tmp_path / "cache").glob("bracket-*.json")
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])  # a write cut short
-    b = cached_convn_tail_grid(exp1, 2, 3.0, 0.01)
-    assert np.array_equal(a.log_upper, b.log_upper)
-    assert json.loads(path.read_text())["header"]["schema"] == "tailforge-bracket/4"
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
-
-
-def test_bracket_cache_ignores_old_schema(tmp_path, exp1, monkeypatch):
-    # An entry under the schema-1 key, written by the old arithmetic, is
-    # not served: the schema tag is part of the key.
-    from tailforge.cache import cached_convn_tail_grid
-
-    root = tmp_path / "cache"
-    root.mkdir()
-    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(root))
-    req = {"spec": exp1.spec, "n": 2, "x_max": 3.0, "h": 0.5, "cap": None}
-    old_key = hashlib.sha256(json.dumps(req, sort_keys=True).encode()).hexdigest()
-    stale = {
-        "header": {"schema": "tailforge-bracket/1", "n": 2, "h": 0.5, "cap": None},
-        "grid": ["0", "0.5", "1", "1.5", "2", "2.5", "3"],
-        "log_lower": ["-1"] * 7,
-        "log_upper": ["-1"] * 7,
-    }
-    (root / f"bracket-{old_key}.json").write_text(json.dumps(stale))
-    got = cached_convn_tail_grid(exp1, 2, 3.0, 0.5)
-    assert np.array_equal(got.log_upper, tf.convn_tail_grid(exp1, 2, 3.0, 0.5).log_upper)
-    assert len(list(root.glob("bracket-*.json"))) == 2
-
-
-def _stale_entry_is_a_miss_and_is_rewritten(root, d, stale_schema):
-    """An entry written under ``stale_schema``, whether under its own key
-    or found at the current key, is not served; the current entry is
-    rewritten from the computed bracket."""
-    from tailforge.cache import cached_convn_tail_grid
-
-    req = {"spec": d.spec, "n": 2, "x_max": 3.0, "h": 0.5, "cap": None}
-    stale = {
-        "header": {"schema": stale_schema, "n": 2, "h": 0.5, "cap": None},
-        "grid": ["0", "0.5", "1", "1.5", "2", "2.5", "3"],
-        "log_lower": ["-1"] * 7,
-        "log_upper": ["-1"] * 7,
-    }
-    keys = []
-    for schema in (stale_schema, "tailforge-bracket/4"):
-        key = hashlib.sha256(json.dumps({"schema": schema, **req}, sort_keys=True).encode())
-        keys.append(key.hexdigest())
-        (root / f"bracket-{keys[-1]}.json").write_text(json.dumps(stale))
-    fresh = tf.convn_tail_grid(d, 2, 3.0, 0.5)
-    got = cached_convn_tail_grid(d, 2, 3.0, 0.5)
-    assert np.array_equal(got.log_lower, fresh.log_lower)
-    assert np.array_equal(got.log_upper, fresh.log_upper)
-    doc = json.loads((root / f"bracket-{keys[1]}.json").read_text())
-    assert doc["header"]["schema"] == "tailforge-bracket/4"
-    assert [float(v) for v in doc["log_upper"]] == fresh.log_upper.tolist()
-    again = cached_convn_tail_grid(d, 2, 3.0, 0.5)  # now a hit
-    assert np.array_equal(again.log_upper, fresh.log_upper)
-
-
-def test_bracket_cache_schema_2_entry_is_a_miss_and_is_rewritten(tmp_path, exp1, monkeypatch):
-    # Schema 3 changed the bits of every square fold.
-    root = tmp_path / "cache"
-    root.mkdir()
-    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(root))
-    _stale_entry_is_a_miss_and_is_rewritten(root, exp1, "tailforge-bracket/2")
-
-
-def test_bracket_cache_schema_3_entry_is_a_miss_and_is_rewritten(tmp_path, dyadic, monkeypatch):
-    # Schema 4 changed the bits of folds formed from their nonzero cells,
-    # as dyadic_pareto's are.
-    root = tmp_path / "cache"
-    root.mkdir()
-    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(root))
-    _stale_entry_is_a_miss_and_is_rewritten(root, dyadic, "tailforge-bracket/3")
-
-
 # ----------------------------------------------------------------------- CLI
 
 
@@ -226,19 +129,6 @@ def test_cli_conv_csv(capsys):
     x2 = out[2].split(",")
     truth = math.log(5 * math.exp(-2))
     assert float(x2[1]) <= truth <= float(x2[2])
-
-
-def test_cli_conv_unusable_cache_dir_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")
-    monkeypatch.setenv("TAILFORGE_CACHE_DIR", str(blocker))
-    with pytest.raises(SystemExit) as exc:
-        main(["conv", "--dist", "exponential:lam=1", "--n", "2", "--x", "1,2", "--h", "0.5"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert f"TAILFORGE_CACHE_DIR={blocker}" in err.splitlines()[-1]
-    assert blocker.read_text() == ""
 
 
 def test_cli_conv_stdout_reads_the_log_bounds(capsys):
