@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import Distribution, power_tail
+from .distribution import Distribution, _count, power_tail
 from .errors import ParameterError
 from .tailcurve import (
     AffineSegment,
@@ -102,7 +102,8 @@ def dyadic_pareto(n_max: int = 998) -> Distribution:
     varying with ratio exactly 4, finite mean 3, not long-tailed; serves as
     the D-minus-strong-subexponential witness in the experiments.
     """
-    if not (2 <= n_max <= 1020):
+    n_max = _count("n_max", n_max, 2)
+    if n_max > 1020:
         raise ParameterError(f"dyadic_pareto requires 2 <= n_max <= 1020, got {n_max}")
     segs: list[Segment] = [
         ConstSegment(lo=0.0, hi=1.0, level=0.0),
@@ -134,8 +135,8 @@ def fkz_a_sequence(max_terms: int | None = None) -> list[float]:
 def fkz_example(max_segments: int | None = None) -> Distribution:
     """Piecewise exponential tail exp(-(a_n + (x - a_n^2)/(a_n + a_{n+1})))
     on [a_n^2, a_{n+1}^2); continuous, absolutely continuous."""
-    if max_segments is not None and max_segments < 1:
-        raise ParameterError(f"max_segments must be >= 1, got {max_segments}")
+    if max_segments is not None:
+        max_segments = _count("max_segments", max_segments, 1)
     a = fkz_a_sequence(None if max_segments is None else max_segments + 1)
     if max_segments is not None:
         a = a[: max_segments + 1]
@@ -180,6 +181,8 @@ def plateau_example(
     """
     if not a > 1:
         raise ParameterError(f"plateau_example requires a > 1, got {a}")
+    if max_pairs is not None:
+        max_pairs = _count("max_pairs", max_pairs, 0)
     ln_a = math.log(a)
     if y0 is None:
         y0 = ln_a**2
@@ -228,8 +231,9 @@ def xu_piecewise(alpha: float, x1: float, m: int = 1, max_cycles: int | None = N
     exact because alpha * ln(x_{n+1}) = (alpha + 1) * ln(x_n).
     Requires alpha > 2 + 3/m and x1 > 4^alpha.
     """
-    if m < 1 or m != int(m):
-        raise ParameterError(f"xu_piecewise requires integer m >= 1, got {m}")
+    m = _count("m", m, 1)
+    if max_cycles is not None:
+        max_cycles = _count("max_cycles", max_cycles, 0)
     if not alpha > 2.0 + 3.0 / m:
         raise ParameterError(
             f"xu_piecewise requires alpha > 2 + 3/m = {2.0 + 3.0 / m:g}, got {alpha}"
@@ -268,7 +272,7 @@ def xu_piecewise(alpha: float, x1: float, m: int = 1, max_cycles: int | None = N
         return base
     d = power_tail(base, m)
     d.label = f"xu_piecewise(alpha={alpha:g}, x1={x1:g}, m={m})"
-    d.spec = {"kind": "xu_piecewise", "alpha": float(alpha), "x1": float(x1), "m": int(m)}
+    d.spec = {"kind": "xu_piecewise", "alpha": float(alpha), "x1": float(x1), "m": m}
     d.truncation_note = base.truncation_note
     return d
 

@@ -676,16 +676,24 @@ def _bracket(
     return _brackets(d, n, x_max, h, (cap,), at)[0]
 
 
-def _brackets(
-    d: Distribution, n: int, x_max: float, h: float, caps, at: float | None = None
-) -> list[BracketGrid]:
-    """``_bracket`` for each cap in turn, on the same nodes: the summand's
-    log tails there are evaluated once for all of them."""
+def _fold_count(n, h: float) -> int:
+    """The fold count n of an n-fold bracket on step h, as an int; refuses
+    a count that is not an integer in [2, MAX_FOLDS] and a step that is not
+    positive and finite."""
     n = _count("fold count", n, 2)
     if n > MAX_FOLDS:
         raise ParameterError(f"fold count {n} beyond configured cap {MAX_FOLDS}")
     if not 0.0 < h < math.inf:
         raise ParameterError(f"step must be positive and finite, got {h}")
+    return n
+
+
+def _brackets(
+    d: Distribution, n: int, x_max: float, h: float, caps, at: float | None = None
+) -> list[BracketGrid]:
+    """``_bracket`` for each cap in turn, on the same nodes: the summand's
+    log tails there are evaluated once for all of them."""
+    n = _fold_count(n, h)
     if not 0.0 <= x_max < math.inf:
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
     log_t = _node_log_tails(d, x_max, h)

@@ -17,14 +17,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, TruncationError
 from .quadrature import QuadConfig, log_quad
 from .tailcurve import (
-    ConstSegment,
     ExpAffineSegment,
     ExpPowSegment,
     PowerSegment,
@@ -151,10 +149,8 @@ def partial_moment(
     hi = d.tail.truncation_hi
     if math.isinf(B):
         if math.isinf(hi):
-            _check_terminal_convergence(d, k)
-            seg = d.tail.segments[-1]
-            B_eff = _cutoff(seg.lo, lambda T: seg.log_value_at(T) + (k + 2) * math.log(T))
-            lv = d.tail.log_moment_range(k, A, B_eff, cfg)
+            _check_terminal_decay(d, 0.0, k)
+            lv = d.tail.log_moment_range(k, A, _cutoff(d, 0.0, k), cfg)
             return math.exp(lv) if lv > _NEG_INF else 0.0
         # Finite truncation: integrate everything materialized, then make
         # sure nothing representable can hide beyond the cutoff.  The proxy
@@ -177,36 +173,23 @@ def partial_moment(
     return math.exp(lv) if lv > _NEG_INF else 0.0
 
 
-def _check_terminal_convergence(d: Distribution, k: int) -> None:
-    """Tail-exponent analysis of the last (infinite) segment."""
-    seg = d.tail.segments[-1]
-    if seg.tilt > 0:
-        return  # exponential decay dominates any polynomial factor
-    if isinstance(seg, PowerSegment):
-        if k + seg.exponent >= -1.0:
-            raise DivergenceError(
-                f"integral of y^{k} * tail diverges: tail exponent {seg.exponent} "
-                f"needs k + exponent < -1"
-            )
-        return
-    if isinstance(seg, ConstSegment):
-        raise DivergenceError("integral diverges: terminal segment is flat to infinity")
-    # exp-affine / stretched-exponential decay beats any polynomial.
-    return
+def _cutoff(d: Distribution, lam: float, k: int) -> float:
+    """A finite upper limit past which the integral of y^k e^{lam y} against
+    d's tail or its measure is below float significance.
 
-
-def _cutoff(lo: float, log_bound: Callable[[float], float]) -> float:
-    """A finite upper limit past which an integral is below float significance.
-
-    Doubles T from max(lo, 1) until ``log_bound(T)``, the log of a bound on
-    the integrand times T^2, falls below -60; capped at 8.9e307.
+    Doubles T from max(lo, 1), lo the last segment's start, until the log
+    of a bound on the integrand times T^2 falls below -60; capped at
+    8.9e307.  The bound fuses lam with the segment's tilt: evaluating the
+    tail and the exponential apart cancels at large T.
     """
-    T = max(lo, 1.0)
+    seg = d.tail.segments[-1]
+    core, net = seg.untilted(), lam - seg.tilt
+    T = max(seg.lo, 1.0)
     for _ in range(600):
         T *= 2.0
         if T >= 8.9e307:
             return 8.9e307
-        if log_bound(T) < -60.0:
+        if core.log_value_at(T) + net * T + (k + 2) * math.log(T) < -60.0:
             return T
     return T
 
@@ -223,12 +206,9 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
     cfg = cfg or QuadConfig()
     hi = d.tail.truncation_hi
     if lam > 0:
-        _check_exp_moment_convergence(d, lam)
+        _check_terminal_decay(d, lam, 0)
     if math.isinf(hi):
-        seg = d.tail.segments[-1]
-        core = seg.untilted()
-        net = lam - seg.tilt  # fused: evaluating tail and tilt separately cancels
-        B = _cutoff(seg.lo, lambda T: core.log_value_at(T) + net * T + 2 * math.log(T))
+        B = _cutoff(d, lam, 0)
     else:
         B = hi
         terminal = d.tail.log_tail_left(hi) + lam * hi + math.log(max(hi, 2.0))
@@ -273,26 +253,33 @@ def _terminal_rate(d: Distribution) -> float:
     return seg.tilt + seg.rate if isinstance(seg, ExpAffineSegment) else seg.tilt
 
 
-def _check_exp_moment_convergence(d: Distribution, lam: float) -> None:
+def _check_terminal_decay(d: Distribution, lam: float, k: int) -> None:
+    """DivergenceError unless the last segment's decay makes its integral
+    of y^k e^{lam y} finite: of its measure in ``exp_moment`` (k = 0), of
+    its tail in ``partial_moment`` (lam = 0).
+
+    A decay rate above lam converges.  At the rate, it converges when y^k
+    times the tail's residual factor is integrable: a power with
+    k + exponent < -1, or a stretched exponential.  A finite last segment
+    is left to the truncation certificate.
+    """
     seg = d.tail.segments[-1]
     if math.isfinite(seg.hi):
-        return  # finite support handled by the truncation certificate
+        return
     budget = _terminal_rate(d)
     if lam > budget:
         raise DivergenceError(
             f"exp moment with rate {lam} diverges: terminal exponential decay "
             f"rate is {budget}"
         )
-    if lam == budget:
-        # Boundary rate: e^{lam y} dG decays only through the base factor.
-        if isinstance(seg, PowerSegment) and seg.exponent < -1.0:
-            return  # finite-mean power residual keeps the integral finite
-        if isinstance(seg, ExpPowSegment):
-            return  # stretched-exponential residual decays to zero
-        raise DivergenceError(
-            f"exp moment at the terminal decay rate {budget} diverges: "
-            "the residual tail factor is not integrable"
-        )
+    if lam < budget:
+        return
+    if isinstance(seg, PowerSegment) and k + seg.exponent < -1.0:
+        return
+    if isinstance(seg, ExpPowSegment):
+        return
+    what = f"exp moment at the terminal decay rate {budget}" if lam else f"integral of y^{k} * tail"
+    raise DivergenceError(f"{what} diverges: the residual tail factor is not integrable")
 
 
 # ------------------------------------------------------------ quantile / rng
@@ -349,8 +336,7 @@ def power_tail(d: Distribution, m: int) -> Distribution:
     are recomputed from the new jump sizes, densities get the chain-rule
     factor m F^{m-1}.
     """
-    if m < 1 or m != int(m):
-        raise ParameterError(f"power must be a positive integer, got {m}")
+    m = _count("power", m, 1)
     if m == 1:
         return d
     segs = tuple(simplify_power(s, m) for s in d.tail.segments)

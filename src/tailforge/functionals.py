@@ -34,6 +34,7 @@ import numpy as np
 from .builtins import fkz_a_sequence
 from .convolve import (
     _brackets,
+    _fold_count,
     _log_conv2_tails,
     _log_cross_integrals,
 )
@@ -281,12 +282,13 @@ def jump_cond(
     reads it; interval arithmetic combines them.  Each bracket forms only
     the last fold's cells that this reading needs, with the bits of
     ``trunc_convn_tail_grid`` and ``convn_tail_grid``.  K >= x makes the
-    event sure.
+    event sure, once n and h pass the brackets' checks.
     """
     if not 0 < x < math.inf:
         raise ParameterError(f"threshold x must be positive and finite, got {x}")
     if not -math.inf < K < math.inf:
         raise ParameterError(f"offset K must be finite, got {K}")
+    _fold_count(n, h)
     if K >= x:
         return JumpBracket(1.0, 1.0)
     den, num = _brackets(d, n, x + 2 * h, h, (math.inf, x - K), x)

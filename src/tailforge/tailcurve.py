@@ -24,15 +24,18 @@ Numerical conventions that matter:
   tilted piece keeps the tilt outside the power (``simplify_power``).
 
 Each segment family writes its closed form once, as ``_value(p, x)`` and
-``_density(p, x)`` over a parameter holder p.  A segment passes itself, so
-its fields are scalars.  A curve keeps a family table (``_SegmentTable``),
-which groups its segments by family, by whether they are tilted and, for
-the stretched exponential, by ``beta``; it passes a group's fields
-gathered into arrays with one entry per point.  So a curve evaluates any
-number of points in one array pass per group, and each point gets the bits
-its own segment gives it (points that all lie in one segment pass that
-segment itself).  Constants such as log(rate) are computed once per
-segment, by the segment's ``log_dcoeff``.
+``_density(p, x)`` over a parameter holder p, and its closed inverse, where
+it has one, as ``_inverse(p, log_u)``; a tilted piece has none, and each of
+its levels is bisected from its own segment's ends.  A segment passes
+itself, so its fields are scalars.  A curve keeps a family table
+(``_SegmentTable``), which groups its segments by family, by whether they
+are tilted and, for the stretched exponential, by ``beta``; it passes a
+group's fields gathered into arrays with one entry per point.  So a curve
+evaluates any number of points, and inverts any number of quantile levels,
+in one array pass per group, and each point gets the bits its own segment
+gives it (points that all lie in one segment pass that segment itself).
+Constants such as log(rate) are computed once per segment, by the
+segment's ``log_dcoeff``.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ class Segment(ABC):
 
     # Fields a family table keeps as one scalar per group (module docstring).
     _SCALARS: ClassVar[tuple[str, ...]] = ()
+    # The closed form's inverse, _inverse(p, log_u), in the families that
+    # have one.
+    _inverse: ClassVar = None
 
     def __post_init__(self):
         if not (self.lo < self.hi):
@@ -119,9 +125,6 @@ class Segment(ABC):
         return math.log(self.tilt)
 
     def _base_log_integral(self, a: float, b: float) -> float | None:
-        return None
-
-    def _base_inverse(self, log_u):
         return None
 
     def log_value(self, x: np.ndarray) -> np.ndarray:
@@ -155,13 +158,14 @@ class Segment(ABC):
             return None
         return logsubexp(self.log_value_at(a), self.log_value_at(b)) - math.log(rate)
 
-    def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray | None:
-        """Exact x in [lo, hi] with log_value(x) = log_u, or None.
+    def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray:
+        """x in [lo, hi] with log_value(x) = log_u: exact where the closed
+        form has an inverse, else bisected (``_inverse``).
 
         Takes a scalar or an array of log levels and returns the same shape.
-        A tilted piece has no closed inverse; the curve bisects it.
         """
-        return None if self.tilt else self._base_inverse(log_u)
+        lu = np.asarray(log_u, dtype=float)
+        return _inverse(type(self), self, lu.ravel(), bool(self.tilt)).reshape(lu.shape)[()]
 
     def untilted(self) -> "Segment":
         """The same piece with tilt 0."""
@@ -194,6 +198,44 @@ def _log_density(fam: type[Segment], p, x: np.ndarray, lam, tilted: bool) -> np.
     # apart cancel catastrophically at large x.
     jump = p.log_tilt + (fam._value(p, x) + p.log_offset)
     return np.logaddexp(dens, jump) + (lam - p.tilt) * x
+
+
+def _inverse(fam: type[Segment], p, lu: np.ndarray, tilted: bool) -> np.ndarray:
+    """x in [p.lo, p.hi] with log G(x) = lu, G of ``fam`` with parameters p,
+    for a 1-d lu: the closed inverse clamped to [p.lo, p.hi], or bisection
+    where there is none.
+
+    The bisection starts at each level's own ends; an infinite end starts at
+    max(lo + 1, 1) and doubles until log G falls to the level.  Each round
+    evaluates every level, and each level stops on its own, at absolute
+    width 1e-12 (1 + x), keeping its ends from then on, so its x is the
+    same in any call."""
+    if fam._inverse is not None and not tilted:
+        x = fam._inverse(p, lu)
+        np.maximum(x, p.lo, out=x)
+        return np.minimum(x, p.hi, out=x)
+    lo, hi = np.empty_like(lu), np.empty_like(lu)
+    lo[:], hi[:] = p.lo, p.hi
+    far = np.isinf(hi)
+    if far.any():
+        hi[far] = np.maximum(lo[far] + 1.0, 1.0)
+        for _ in range(400):
+            short = far & (_log_value(fam, p, hi, tilted) > lu)
+            if not short.any():
+                break
+            hi[short] *= 2.0
+        else:
+            raise ParameterError("failed to bracket quantile on an infinite segment")
+    live = np.ones(lu.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        too_high = _log_value(fam, p, mid, tilted) > lu  # tail still above u: move right
+        np.copyto(lo, mid, where=live & too_high)
+        np.copyto(hi, mid, where=live & ~too_high)
+        live &= hi - lo > 1e-12 * (1.0 + np.abs(hi))
+        if not live.any():
+            break
+    return hi
 
 
 @dataclass(frozen=True)
@@ -263,14 +305,9 @@ class AffineSegment(Segment):
         mid_factor = 1.0 + self.ratio * (0.5 * (a + b) - self.hi)
         return self.log_v_hi + self.log_offset + math.log(b - a) + math.log(mid_factor)
 
-    def _base_inverse(self, log_u):
-        x = np.array(log_u, dtype=float)
-        x -= self.log_offset
-        x -= self.log_v_hi
-        np.expm1(x, out=x)
-        x /= self.ratio
-        x += self.hi
-        return _clamped(x, self.lo, self.hi)
+    @staticmethod
+    def _inverse(p, lu):
+        return np.expm1(lu - p.log_offset - p.log_v_hi) / p.ratio + p.hi
 
 
 @dataclass(frozen=True)
@@ -310,14 +347,9 @@ class PowerSegment(Segment):
             return base + logsubexp(p * lb, p * la) - math.log(p)
         return base + logsubexp(p * la, p * lb) - math.log(-p)
 
-    def _base_inverse(self, log_u):
-        x = np.array(log_u, dtype=float)
-        x -= self.log_offset
-        x -= self.log_coeff
-        x /= self.exponent
-        np.exp(x, out=x)
-        x -= self.shift
-        return _clamped(x, self.lo, self.hi)
+    @staticmethod
+    def _inverse(p, lu):
+        return np.exp((lu - p.log_offset - p.log_coeff) / p.exponent) - p.shift
 
 
 @dataclass(frozen=True)
@@ -349,12 +381,9 @@ class ExpAffineSegment(Segment):
         lb = self.log_v_lo - self.rate * (b - self.lo)
         return self.log_offset + logsubexp(la, lb) - math.log(self.rate)
 
-    def _base_inverse(self, log_u):
-        x = np.array(log_u, dtype=float)
-        np.subtract(self.log_v_lo + self.log_offset, x, out=x)
-        x /= self.rate
-        x += self.lo
-        return _clamped(x, self.lo, self.hi)
+    @staticmethod
+    def _inverse(p, lu):
+        return (p.log_v_lo + p.log_offset - lu) / p.rate + p.lo
 
 
 @dataclass(frozen=True)
@@ -402,15 +431,11 @@ class ExpPowSegment(Segment):
 
         return self.log_offset + logsubexp(anti(a), anti(b))
 
-    def _base_inverse(self, log_u):
-        x = np.array(log_u, dtype=float)
-        np.subtract(self.log_offset, x, out=x)
-        x /= self.coeff
+    @staticmethod
+    def _inverse(p, lu):
         # Levels above the curve's top have a negative target; flooring it
         # at 0 sends them to lo through the clamp.
-        np.maximum(x, 0.0, out=x)
-        np.power(x, 1.0 / self.beta, out=x)
-        return _clamped(x, self.lo, self.hi)
+        return np.power(np.maximum((p.log_offset - lu) / p.coeff, 0.0), 1.0 / p.beta)
 
 
 @dataclass(frozen=True)
@@ -451,15 +476,9 @@ class PowerOfSegment(Segment):
     def has_density(self) -> bool:
         return self.tilt > 0 or self.inner.has_density
 
-    def _base_inverse(self, log_u):
-        return self.inner.inverse(np.subtract(log_u, self.log_offset) / self.m)
-
-
-def _clamped(x: np.ndarray, lo: float, hi: float):
-    """Clamp x to [lo, hi] in place; a 0-d array comes back as a scalar."""
-    np.maximum(x, lo, out=x)
-    np.minimum(x, hi, out=x)
-    return x[()]
+    @staticmethod
+    def _inverse(p, lu):
+        return p.inner.inverse((lu - p.log_offset) / p.m)
 
 
 def simplify_power(inner: Segment, m: int) -> Segment:
@@ -567,6 +586,10 @@ class _SegmentTable:
         """log(e^{lam x} g(x)) at each point x[j] by its segment k[j]."""
         return self._each(x, k, lambda g, p, y: _log_density(g.fam, p, y, lam, g.tilted))
 
+    def inverse(self, lu: np.ndarray, k: np.ndarray | int) -> np.ndarray:
+        """x with log G(x) = lu[j] in each level's segment k[j]."""
+        return self._each(lu, k, lambda g, p, y: _inverse(g.fam, p, y, g.tilted))
+
     def _each(self, x, k, run):
         """``run(group, parameters, points)`` over the groups the points
         meet.  k is each point's segment, or one segment for all points,
@@ -631,6 +654,9 @@ class _Inner:
 
     def log_density(self, x):
         return self._table.log_density(x, self._rows)
+
+    def inverse(self, lu):
+        return self._table.inverse(lu, self._rows)
 
 
 class TailCurve:
@@ -765,13 +791,15 @@ class TailCurve:
             )
         if len(self.segments) == 1 and lu.max() < self._starts[0]:
             # Every level lies inside the only segment.
-            return self._invert_in_segment(0, lu)
+            return self._table.inverse(lu, 0)
         k = self._segment_of_level(lu)
         inside = np.flatnonzero(self._starts[k] > lu)
         out = self._los[k]
-        for j, at in _groups(k[inside]):
-            sel = inside[at]
-            out[sel] = self._invert_in_segment(j, lu[sel])
+        if inside.size:
+            # Levels that all lie in one segment pass its index alone.
+            k_in = k[inside]
+            first = int(k_in.min())
+            out[inside] = self._table.inverse(lu[inside], first if first == k_in.max() else k_in)
         return out
 
     def _segment_of_level(self, lu: np.ndarray) -> np.ndarray:
@@ -794,36 +822,6 @@ class TailCurve:
         search = np.flatnonzero(k < 0)
         k[search] = np.searchsorted(-self._ends, -lu[search], side="left")
         return k
-
-    def _invert_in_segment(self, k: int, lu: np.ndarray) -> np.ndarray:
-        seg = self.segments[k]
-        closed = seg.inverse(lu)
-        if closed is not None:
-            return closed
-        # Monotone bisection in x.  Each level has its own upper end and
-        # stops on its own, so its quantile is the same in any call.
-        if math.isfinite(seg.hi):
-            hi = np.full_like(lu, seg.hi)
-        else:
-            hi = np.full_like(lu, max(seg.lo + 1.0, 1.0))
-            for _ in range(400):
-                short = seg.log_value(hi) > lu
-                if not short.any():
-                    break
-                hi[short] *= 2.0
-            else:
-                raise ParameterError("failed to bracket quantile on an infinite segment")
-        lo = np.full_like(lu, seg.lo)
-        live = np.arange(lu.size)
-        for _ in range(200):
-            mid = 0.5 * (lo[live] + hi[live])
-            too_high = seg.log_value(mid) > lu[live]  # tail still above u: move right
-            lo[live[too_high]] = mid[too_high]
-            hi[live[~too_high]] = mid[~too_high]
-            live = live[hi[live] - lo[live] > 1e-12 * (1.0 + np.abs(hi[live]))]
-            if not live.size:
-                break
-        return hi
 
     # ------------------------------------------------------------- integrals
 
@@ -878,17 +876,6 @@ class TailCurve:
             return vals
 
         return log_quad(integrand, a, b, cfg=cfg).log_value
-
-
-def _groups(keys: np.ndarray):
-    """(key, positions) for each distinct key of a nonnegative integer
-    array, keys in increasing order and each key's positions in increasing
-    order: one stable argsort and contiguous slices of it."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    for s, e in zip(starts, [*starts[1:], len(keys)]):
-        yield int(ordered[s]), order[s:e]
 
 
 def _logsumexp_list(values: list[float]) -> float:

@@ -378,8 +378,19 @@ def test_convn_refuses_non_integer_fold_count(exp1, n):
         (lambda d: tf.jump_cond(d, 2.0, 5.0, 1.0, 0.01), "fold count must be an integer"),
         (lambda d: tf.sample(d, 1, 2.0), "sample count must be an integer"),
         (lambda d: tf.sample(d, 1, True), "sample count must be an integer"),
+        (lambda d: tf.dyadic_pareto(n_max=2.5), "n_max must be an integer"),
+        (lambda d: tf.fkz_example(max_segments=2.5), "max_segments must be an integer"),
+        (lambda d: tf.plateau_example(2.0, max_pairs=1.0), "max_pairs must be an integer"),
+        (lambda d: tf.xu_piecewise(5.5, 4096.0, m=True), "m must be an integer"),
+        (lambda d: tf.xu_piecewise(5.5, 4096.0, max_cycles=2.0), "max_cycles must be an integer"),
+        (lambda d: tf.power_tail(d, 2.0), "power must be an integer"),
+        (lambda d: tf.power_tail(d, True), "power must be an integer"),
     ],
-    ids=["convn-float", "trunc-float", "jump-float", "sample-float", "sample-bool"],
+    ids=[
+        "convn-float", "trunc-float", "jump-float", "sample-float", "sample-bool",
+        "n_max-float", "max_segments-float", "max_pairs-float", "m-bool", "max_cycles-float",
+        "power-float", "power-bool",
+    ],
 )
 def test_counts_of_the_wrong_type_are_parameter_errors(exp1, call, match):
     with pytest.raises(ParameterError, match=match):

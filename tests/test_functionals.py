@@ -263,6 +263,19 @@ def test_jump_sure_event(request):
         assert br.lower == br.upper == 1.0
 
 
+@pytest.mark.parametrize(
+    "n, h, match",
+    [(2.0, 0.01, "fold count"), (1, 0.01, "fold count"), (2, -1.0, "step"), (2, math.nan, "step")],
+    ids=["float-n", "one-fold", "negative-h", "nan-h"],
+)
+def test_jump_sure_event_checks_the_fold_count_and_step(exp1, n, h, match):
+    # K >= x is sure only for a bracket that could be formed.
+    with pytest.raises(ParameterError, match=match):
+        tf.jump_cond(exp1, n, 5.0, 6.0, h)
+    br = tf.jump_cond(exp1, 2, 5.0, 6.0, 0.01)
+    assert br.lower == br.upper == 1.0
+
+
 def test_jump_b2_consistency(exp1, pareto3):
     # {X_{2,2} <= K, S_2 > x} implies {X_{2,1} > x-K}
     for d in (exp1, pareto3):

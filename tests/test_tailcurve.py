@@ -62,33 +62,36 @@ def test_closed_integral_matches_quadrature(seg):
     assert exact == pytest.approx(quad, abs=1e-9)
 
 
+def _skip_flat(seg):
+    if isinstance(seg, ConstSegment) and not seg.tilt:
+        pytest.skip("a flat piece has no inverse")
+
+
 @pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_inverse_roundtrip(seg):
+    _skip_flat(seg)
     for x in (1.2, 2.0, 3.7):
-        lu = seg.log_value_at(x)
-        inv = seg.inverse(lu)
-        if inv is None:
-            pytest.skip("bisection handled at curve level")
-        assert inv == pytest.approx(x, rel=1e-10)
+        assert seg.inverse(seg.log_value_at(x)) == pytest.approx(x, rel=1e-10)
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.3])
 @pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_array_inverse_matches_elementwise(seg, offset):
+    _skip_flat(seg)
     seg = seg.with_offset(offset) if offset else seg
     start, end = seg.log_value_at(seg.lo), seg.log_value_at(seg.hi)
     # u = 1, above the start (clamps to lo), the ends, interior, below the end
     lu = np.concatenate([[0.0, start + 0.5, start, end, end - 0.5], np.linspace(start, end, 41)])
     before = lu.copy()
     arr = seg.inverse(lu)
-    if arr is None:
-        pytest.skip("bisection handled at curve level")
     assert np.array_equal(lu, before)  # the levels are not overwritten
     assert arr.shape == lu.shape
     one = [seg.inverse(float(v)) for v in lu]
     assert all(np.ndim(v) == 0 for v in one)  # scalar in, scalar out
     np.testing.assert_allclose(arr, one, rtol=4 * np.finfo(float).eps, atol=0.0)
-    assert arr[1] == seg.lo and arr[4] == seg.hi
+    # A tilted piece is bisected, down to width 1e-12 (1 + x).
+    tol = 1e-12 * (1.0 + seg.hi) if seg.tilt else 0.0
+    assert abs(arr[1] - seg.lo) <= tol and arr[4] == seg.hi
     assert np.all((arr >= seg.lo) & (arr <= seg.hi))
 
 
@@ -575,6 +578,85 @@ def test_family_table_matches_per_segment_evaluation(base, gamma):
     assert same(curve._starts, [s.log_value_at(s.lo) for s in segs])
     ends = [s.log_value_at(s.hi) if math.isfinite(s.hi) else -math.inf for s in segs]
     assert same(curve._ends, ends)
+
+
+def _invert_in_segment(seg, lu):
+    """The per-segment inversion the family table replaced: the segment's
+    closed inverse, or bisection of that segment alone."""
+    if not seg.tilt and not isinstance(seg, ConstSegment):
+        return seg.inverse(lu)
+    if math.isfinite(seg.hi):
+        hi = np.full_like(lu, seg.hi)
+    else:
+        hi = np.full_like(lu, max(seg.lo + 1.0, 1.0))
+        for _ in range(400):
+            short = seg.log_value(hi) > lu
+            if not short.any():
+                break
+            hi[short] *= 2.0
+    lo = np.full_like(lu, seg.lo)
+    live = np.arange(lu.size)
+    for _ in range(200):
+        mid = 0.5 * (lo[live] + hi[live])
+        too_high = seg.log_value(mid) > lu[live]
+        lo[live[too_high]] = mid[too_high]
+        hi[live[~too_high]] = mid[~too_high]
+        live = live[hi[live] - lo[live] > 1e-12 * (1.0 + np.abs(hi[live]))]
+        if not live.size:
+            break
+    return hi
+
+
+# Mixed groups (power-of, affine and flat pieces; stretched exponential and
+# flat pieces), and a last segment with an infinite end.
+@pytest.mark.parametrize("gamma", [None, 0.5])
+@pytest.mark.parametrize(
+    "base",
+    [tf.xu_piecewise(5.5, 4096.0, m=2), tf.plateau_example(2.0), tf.pareto(3.0)],
+    ids=lambda d: d.label,
+)
+def test_family_table_inverse_matches_per_segment_inversion(base, gamma):
+    curve = (base if gamma is None else tf.gamma_transform(base, gamma)).tail
+    rng = np.random.default_rng(13)
+    lu, k = [], []
+    for j, (start, end) in enumerate(zip(curve._starts, curve._ends)):
+        if not start > end:
+            continue  # a flat piece: no level lies inside it
+        end = max(end, start - 50.0)
+        levels = [*rng.uniform(end, start, 6), end, np.nextafter(start, -math.inf)]
+        lu += levels
+        k += [j] * len(levels)
+    order = rng.permutation(len(lu))
+    lu, k = np.array(lu)[order], np.array(k)[order]
+    assert len(np.unique(k)) > (10 if len(curve.segments) > 1 else 0)
+    want = np.empty_like(lu)
+    for j in np.unique(k):
+        want[k == j] = _invert_in_segment(curve.segments[j], lu[k == j])
+    assert np.array_equal(curve._table.inverse(lu, k), want)
+
+
+def test_quantile_passes_one_segment_index(plateau2, pareto3, monkeypatch):
+    ranks = []  # np.ndim of the segment index of each call on a curve's table
+    inverse = type(plateau2.tail._table).inverse
+
+    def recorded(self, lu, k):
+        if self in (plateau2.tail._table, pareto3.tail._table):
+            ranks.append(np.ndim(k))
+        return inverse(self, lu, k)
+
+    curve = plateau2.tail
+    first = np.exp(np.linspace(curve._starts[0], curve._ends[0], 9)[1:-1])
+    third = np.exp(np.linspace(curve._starts[2], curve._ends[2], 9)[1:-1])
+    # 1 is not inside a segment: it lands on the start of the first
+    calls = ([*first, 1.0], first[0], [*first, *third], [0.5], 0.5)
+    with monkeypatch.context() as m:
+        m.setattr(type(curve._table), "inverse", recorded)
+        got = [curve.quantile(np.array(u)) for u in calls[:3]]
+        assert ranks == [0, 0, 1]
+        pareto3.tail.quantile(np.array(calls[3])), pareto3.tail.quantile(calls[4])
+        assert ranks == [0, 0, 1, 0, 0]
+    assert np.array_equal(got[2], [curve.quantile(v) for v in calls[2]])
+    assert got[0][-1] == 0.0 and got[1] == got[0][0]
 
 
 def test_multidimensional_points_keep_their_shape(plateau2):
