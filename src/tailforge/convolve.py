@@ -97,8 +97,8 @@ import numpy as np
 
 from .distribution import Distribution, _count, _split_tilt
 from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError
-from .quadrature import QuadConfig, log_quads, unwrap
-from .tailcurve import TailCurve, _logsumexp_list
+from .quadrature import QuadConfig, _logsumexp_list, log_quads, unwrap
+from .tailcurve import TailCurve
 from .transform import gamma_transform
 
 __all__ = [

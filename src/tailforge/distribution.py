@@ -21,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, TruncationError
-from .quadrature import QuadConfig, log_quad
-from .tailcurve import (
-    ExpAffineSegment,
-    ExpPowSegment,
-    PowerSegment,
-    TailCurve,
-    _logsumexp_list,
-    simplify_power,
-)
+from .quadrature import QuadConfig, _logsumexp_list, log_quad
+from .tailcurve import ExpAffineSegment, ExpPowSegment, PowerSegment, TailCurve, simplify_power
 
 __all__ = [
     "Atom",
@@ -134,8 +127,9 @@ def partial_moment(
 ) -> float:
     """integral_A^B y^k F(y) dy; B may be inf when the terminal form allows.
 
-    Uses per-segment closed forms where available and adaptive quadrature
-    otherwise.  Raises DivergenceError when the integral is infinite, and
+    One quadrature of log F(y) + k log y over [max(A, 0), B], seeded as
+    ``exp_moment`` seeds its own (``_seeds``), so rel_tol bounds the whole
+    integral.  Raises DivergenceError when the integral is infinite, and
     TruncationError when B = inf cannot be certified from a finite curve.
     """
     # Both checks are written so that NaN fails them.
@@ -147,16 +141,29 @@ def partial_moment(
     if A == B:
         return 0.0
     hi = d.tail.truncation_hi
+    if B > hi and math.isfinite(B):
+        raise TruncationError(
+            f"moment upper bound {B!r} beyond materialized breakpoint {hi!r}"
+        )
+    if math.isinf(B) and math.isinf(hi):
+        _check_terminal_decay(d, 0.0, k)
+        B = _cutoff(d, 0.0, k)
+    a, b = max(A, 0.0), min(B, hi)
+    if b < A:  # a lower bound past the cutoff or the truncation
+        raise ParameterError(f"integration bounds out of order: [{A}, {b}]")
+
+    def integrand(y: np.ndarray) -> np.ndarray:
+        vals = d.tail.log_tail(y)
+        if k:
+            with np.errstate(divide="ignore"):
+                vals = vals + k * np.log(y)
+        return vals
+
+    lv = log_quad(integrand, a, b, _seeds(d, b), cfg).log_value if a < b else _NEG_INF
     if math.isinf(B):
-        if math.isinf(hi):
-            _check_terminal_decay(d, 0.0, k)
-            lv = d.tail.log_moment_range(k, A, _cutoff(d, 0.0, k), cfg)
-            return math.exp(lv) if lv > _NEG_INF else 0.0
-        # Finite truncation: integrate everything materialized, then make
-        # sure nothing representable can hide beyond the cutoff.  The proxy
-        # is the remainder under a y^-(k+2) envelope matched at the cutoff,
-        # roughly tail(hi) * hi^(k+1).
-        lv = d.tail.log_moment_range(k, A, hi, cfg)
+        # Finite truncation: make sure nothing representable can hide beyond
+        # it.  The proxy is the remainder under a y^-(k+2) envelope matched
+        # there, roughly tail(hi) * hi^(k+1).
         terminal = d.tail.log_tail_left(hi)
         remainder_proxy = terminal + (k + 1) * math.log(max(hi, 2.0))
         if lv == _NEG_INF or remainder_proxy > lv + math.log(cfg.rel_tol):
@@ -164,13 +171,17 @@ def partial_moment(
                 "cannot certify the integral to infinity beyond the materialized "
                 f"breakpoint {hi!r}; terminal log tail {terminal!r} is too large"
             )
-        return math.exp(lv)
-    if B > hi:
-        raise TruncationError(
-            f"moment upper bound {B!r} beyond materialized breakpoint {hi!r}"
-        )
-    lv = d.tail.log_moment_range(k, A, B, cfg)
     return math.exp(lv) if lv > _NEG_INF else 0.0
+
+
+def _seeds(d: Distribution, B: float) -> np.ndarray:
+    """Forced panel bounds of a quadrature against d over [0, B]: every
+    join, so that no panel straddles one, and the powers of 8 from 2^-60
+    (about 1e-18, the floor of the tail grades) up to B, so that every scale
+    of a heavy tail, and of a density singular at 0, has its panel in the
+    first round instead of one bisection per round."""
+    ladder = 2.0 ** np.arange(-60.0, math.log2(B), 3.0)
+    return np.concatenate([d.tail.breakpoints(), ladder])
 
 
 def _cutoff(d: Distribution, lam: float, k: int) -> float:
@@ -217,15 +228,9 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
                 "cannot certify the tilted moment beyond the materialized "
                 f"breakpoint {hi!r}"
             )
-    # One quadrature of the curve's density over [0, B], seeded at every
-    # join so that no panel straddles one, and at the powers of 8 from 2^-60
-    # (about 1e-18, the floor of the tail grades) up to B, so that every
-    # scale of a heavy tail, and of a density singular at 0, has its panel
-    # in the first round instead of one bisection per round; rel_tol bounds
-    # the whole integral, not each segment's share of it.
-    ladder = 2.0 ** np.arange(-60.0, math.log2(B), 3.0)
-    seeds = np.concatenate([d.tail.breakpoints(), ladder])
-    dens = log_quad(lambda y: d.tail.log_density(y, lam), 0.0, B, seeds, cfg)
+    # One quadrature of the curve's density over [0, B]; rel_tol bounds the
+    # whole integral, not each segment's share of it.
+    dens = log_quad(lambda y: d.tail.log_density(y, lam), 0.0, B, _seeds(d, B), cfg)
     lv = _logsumexp_list(
         [a.log_mass + lam * a.location for a in d.atoms if a.location <= B] + [dens.log_value]
     )

@@ -47,8 +47,7 @@ from .errors import (
     ToleranceError,
     TruncationError,
 )
-from .quadrature import QuadConfig, unwrap
-from .tailcurve import _logsumexp_list
+from .quadrature import QuadConfig, _logsumexp_list, unwrap
 
 __all__ = [
     "DiagSeries",

@@ -202,6 +202,14 @@ def _seg_logsumexp(x: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     return np.where(m == _NEG_INF, _NEG_INF, shift + s), m
 
 
+def _logsumexp_list(values: list[float]) -> float:
+    finite = [v for v in values if v > _NEG_INF]
+    if not finite:
+        return _NEG_INF
+    m = max(finite)
+    return m + math.log(sum(math.exp(v - m) for v in finite))
+
+
 def log_quads(
     log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: Sequence[float],

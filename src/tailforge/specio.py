@@ -29,6 +29,12 @@ SCHEMA = "tailforge-dist/1"
 _INT_PARAMS = {"m", "n_max", "max_segments", "max_pairs", "max_cycles"}
 
 
+def _integral(value):
+    """A float with an integral value as an int; any other value unchanged,
+    for the builder's count check to refuse."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def parse_spec(doc: dict) -> Distribution:
     """Build a Distribution from a spec document (dict form)."""
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -44,9 +50,9 @@ def parse_spec(doc: dict) -> Distribution:
     if kind == "power":
         if "base" not in doc or "m" not in doc:
             raise ParameterError("power spec needs 'm' and 'base'")
-        return power_tail(parse_spec(doc["base"]), int(doc["m"]))
+        return power_tail(parse_spec(doc["base"]), _integral(doc["m"]))
     params = {
-        k: (int(v) if k in _INT_PARAMS and v is not None else v)
+        k: (_integral(v) if k in _INT_PARAMS else v)
         for k, v in doc.items()
         if k not in ("kind", "schema")
     }
@@ -82,7 +88,7 @@ def parse_inline(text: str) -> Distribution:
                 num = float(val)
             except ValueError as exc:
                 raise ParameterError(f"non-numeric value in {chunk!r}") from exc
-            params[key] = int(num) if key in _INT_PARAMS else num
+            params[key] = _integral(num) if key in _INT_PARAMS else num
     return parse_spec({"kind": kind, **params})
 
 

@@ -50,7 +50,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ParameterError, TruncationError
-from .quadrature import QuadConfig, log_quad, logsubexp
 
 __all__ = [
     "Segment",
@@ -80,12 +79,11 @@ class Segment(ABC):
     """One piece of a survival function on [lo, hi).
 
     Subclasses provide the exact log tail value of a closed form, its log
-    density (-inf where flat), an exact log integral of the tail when a
-    closed form exists, and an exact inverse when the form is invertible in
-    closed form.  ``log_offset`` is a vertical shift in the log domain used
-    for join snapping and power simplifications.  ``tilt`` is the rate
-    gamma >= 0 of the exponential tilt G(x) = F(x) e^{-gamma x} applied to
-    the closed form: log G(x) = closed form + log_offset - tilt * x.
+    density (-inf where flat), and an exact inverse when the form is
+    invertible in closed form.  ``log_offset`` is a vertical shift in the
+    log domain used for join snapping and power simplifications.  ``tilt``
+    is the rate gamma >= 0 of the exponential tilt G(x) = F(x) e^{-gamma x}
+    applied to the closed form: log G(x) = closed form + log_offset - tilt * x.
     """
 
     lo: float
@@ -124,9 +122,6 @@ class Segment(ABC):
     def log_tilt(self) -> float:
         return math.log(self.tilt)
 
-    def _base_log_integral(self, a: float, b: float) -> float | None:
-        return None
-
     def log_value(self, x: np.ndarray) -> np.ndarray:
         return _log_value(type(self), self, np.asarray(x, dtype=float), bool(self.tilt))
 
@@ -141,22 +136,6 @@ class Segment(ABC):
     @property
     def has_density(self) -> bool:
         return True
-
-    def log_integral(self, a: float, b: float) -> float | None:
-        """Exact log of integral_a^b F(y) dy, or None if no closed form."""
-        if b == a:
-            return _NEG_INF
-        if not self.tilt:
-            return self._base_log_integral(a, b)
-        # Tilted, the closed form survives only where the piece is a pure
-        # exponential.
-        if isinstance(self, ExpAffineSegment):
-            rate = self.tilt + self.rate
-        elif isinstance(self, ConstSegment):
-            rate = self.tilt
-        else:
-            return None
-        return logsubexp(self.log_value_at(a), self.log_value_at(b)) - math.log(rate)
 
     def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray:
         """x in [lo, hi] with log_value(x) = log_u: exact where the closed
@@ -256,9 +235,6 @@ class ConstSegment(Segment):
     def has_density(self) -> bool:
         return self.tilt > 0  # a tilt gives a flat piece the density tilt * G
 
-    def _base_log_integral(self, a, b):
-        return self.level + self.log_offset + math.log(b - a)
-
 
 @dataclass(frozen=True)
 class AffineSegment(Segment):
@@ -301,10 +277,6 @@ class AffineSegment(Segment):
     def log_dcoeff(self) -> float:
         return self.log_v_hi + math.log(-self.ratio)
 
-    def _base_log_integral(self, a, b):
-        mid_factor = 1.0 + self.ratio * (0.5 * (a + b) - self.hi)
-        return self.log_v_hi + self.log_offset + math.log(b - a) + math.log(mid_factor)
-
     @staticmethod
     def _inverse(p, lu):
         return np.expm1(lu - p.log_offset - p.log_v_hi) / p.ratio + p.hi
@@ -337,16 +309,6 @@ class PowerSegment(Segment):
     def log_dcoeff(self) -> float:
         return self.log_coeff + math.log(-self.exponent)
 
-    def _base_log_integral(self, a, b):
-        p = self.exponent + 1.0
-        la, lb = math.log(self.shift + a), math.log(self.shift + b)
-        base = self.log_coeff + self.log_offset
-        if abs(p) < 1e-14:
-            return base + math.log(lb - la)
-        if p > 0:
-            return base + logsubexp(p * lb, p * la) - math.log(p)
-        return base + logsubexp(p * la, p * lb) - math.log(-p)
-
     @staticmethod
     def _inverse(p, lu):
         return np.exp((lu - p.log_offset - p.log_coeff) / p.exponent) - p.shift
@@ -375,11 +337,6 @@ class ExpAffineSegment(Segment):
     @property
     def log_dcoeff(self) -> float:
         return math.log(self.rate)
-
-    def _base_log_integral(self, a, b):
-        la = self.log_v_lo - self.rate * (a - self.lo)
-        lb = self.log_v_lo - self.rate * (b - self.lo)
-        return self.log_offset + logsubexp(la, lb) - math.log(self.rate)
 
     @staticmethod
     def _inverse(p, lu):
@@ -417,19 +374,6 @@ class ExpPowSegment(Segment):
     @property
     def log_dcoeff(self) -> float:
         return math.log(self.coeff * self.beta)
-
-    def _base_log_integral(self, a, b):
-        if self.beta != 0.5:
-            return None
-        c = self.coeff
-
-        def anti(y: float) -> float:
-            # integral of exp(-c sqrt(t)) dt has antiderivative
-            # -(2/c^2) (1 + c sqrt(t)) exp(-c sqrt(t))
-            s = math.sqrt(y)
-            return math.log(2.0 / (c * c)) + math.log1p(c * s) - c * s
-
-        return self.log_offset + logsubexp(anti(a), anti(b))
 
     @staticmethod
     def _inverse(p, lu):
@@ -539,7 +483,7 @@ def _chained(table: "_SegmentTable") -> tuple[tuple[Segment, ...], bool]:
                 )
             seg = out[k] = out[k].with_offset(prev_end - start)
             snapped = True
-            ends[k] = seg.log_value_at(seg.hi) if math.isfinite(seg.hi) else _NEG_INF
+            ends[k] = seg.log_value_at(seg.hi)
             k += 1
     if apart.size:
         raise ParameterError(
@@ -570,13 +514,11 @@ class _SegmentTable:
 
     @cached_property
     def end_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each segment's log value at its lo, and at its hi (-inf where hi
-        is infinite)."""
+        """Each segment's log value at its lo and at its hi, by its own
+        formula: at an infinite hi a decaying piece gives -inf and a flat
+        one its level."""
         k = np.arange(len(self.segs))
-        ends = np.full(len(k), _NEG_INF)
-        fin = np.isfinite(self.his)
-        ends[fin] = self.log_value(self.his[fin], k[fin])
-        return self.log_value(self.los, k), ends
+        return self.log_value(self.los, k), self.log_value(self.his, k)
 
     def log_value(self, x: np.ndarray, k: np.ndarray | int) -> np.ndarray:
         """log G at each point x[j] by the formula of its segment k[j]."""
@@ -768,7 +710,8 @@ class TailCurve:
 
         Exact per-segment inversion where closed forms exist, bisection to
         absolute tolerance 1e-12 * (1 + x) otherwise.  u below the tail at
-        the truncation point raises TruncationError.  Scalar in, scalar
+        the truncation point, or below the level of a flat last piece that
+        reaches infinity, raises TruncationError.  Scalar in, scalar
         out, else u's shape.
         """
         ua = np.atleast_1d(np.asarray(u, dtype=float))
@@ -783,7 +726,7 @@ class TailCurve:
         if not (ua.min() > 0 and ua.max() <= 1):
             raise ParameterError("quantile level u must lie in (0, 1]")
         lu = np.log(ua)
-        tail_floor = self._ends[-1]
+        tail_floor = float(self._ends[-1])
         if lu.min() < tail_floor:
             raise TruncationError(
                 "quantile level below the tail at the truncation point "
@@ -835,52 +778,3 @@ class TailCurve:
         first = np.maximum(np.searchsorted(self._los, lo, side="right") - 1, 0)
         stop = np.searchsorted(self._los, hi, side="left")
         return (np.asarray(lo) < hi) & (self._dense_below[stop] > self._dense_below[first])
-
-    def log_moment_range(self, k: int, a: float, b: float, cfg: QuadConfig | None = None) -> float:
-        """log of integral_a^b y^k F(y) dy over [a, b] within the support."""
-        cfg = cfg or QuadConfig()
-        if b < a:
-            raise ParameterError(f"integration bounds out of order: [{a}, {b}]")
-        a = max(a, 0.0)
-        b = min(b, self.truncation_hi)
-        if b <= a:
-            return _NEG_INF
-        pieces: list[float] = []
-        for seg in self.segments:
-            s_lo = max(a, seg.lo)
-            s_hi = min(b, seg.hi)
-            if s_hi <= s_lo:
-                continue
-            pieces.append(self._segment_log_moment(seg, k, s_lo, s_hi, cfg))
-        return _logsumexp_list(pieces)
-
-    def _segment_log_moment(
-        self, seg: Segment, k: int, a: float, b: float, cfg: QuadConfig
-    ) -> float:
-        if k == 0:
-            exact = seg.log_integral(a, b)
-            if exact is not None:
-                return exact
-        elif isinstance(seg, ConstSegment) and not seg.tilt:
-            # integral y^k on [a, b] in logs; b can be astronomically large.
-            kk = k + 1.0
-            la = kk * math.log(a) if a > 0 else _NEG_INF
-            lb = kk * math.log(b)
-            return seg.log_value_at(a) + logsubexp(lb, la) - math.log(kk)
-
-        def integrand(y: np.ndarray) -> np.ndarray:
-            vals = seg.log_value(y)
-            if k:
-                with np.errstate(divide="ignore"):
-                    vals = vals + k * np.log(y)
-            return vals
-
-        return log_quad(integrand, a, b, cfg=cfg).log_value
-
-
-def _logsumexp_list(values: list[float]) -> float:
-    finite = [v for v in values if v > _NEG_INF]
-    if not finite:
-        return _NEG_INF
-    m = max(finite)
-    return m + math.log(sum(math.exp(v - m) for v in finite))

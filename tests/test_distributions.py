@@ -9,6 +9,7 @@ import tailforge as tf
 from tailforge import quadrature
 from tailforge.distribution import _BLOCK
 from tailforge.errors import DivergenceError, ParameterError, TruncationError
+from tailforge.tailcurve import ConstSegment, ExpAffineSegment, TailCurve
 
 from conftest import ks_statistic
 
@@ -246,6 +247,47 @@ def test_divergence_detection():
         tf.partial_moment(tf.pareto(0.8), 0, 0.0, math.inf)
     with pytest.raises(DivergenceError):
         tf.partial_moment(tf.pareto(3.0), 3, 0.0, math.inf)  # k + (-3) >= -1
+
+
+def test_partial_moment_splits_at_breakpoints():
+    curve = TailCurve(
+        [
+            ConstSegment(lo=0.0, hi=2.0, level=0.0),
+            ExpAffineSegment(lo=2.0, hi=math.inf, log_v_lo=0.0, rate=1.0),
+        ]
+    )
+    # int_0^2 1 dy + int_2^5 e^{-(y-2)} dy
+    expect = 2.0 + (1.0 - math.exp(-3.0))
+    assert tf.partial_moment(tf.Distribution(curve), 0, 0.0, 5.0) == pytest.approx(expect, rel=1e-10)
+
+
+def test_partial_moment_of_a_tilted_flat_piece():
+    # A tilted ConstSegment is not flat: y F(y) = y e^{-0.5 - 0.9 y}.
+    seg = ConstSegment(lo=0.0, hi=5.0, level=-0.5, tilt=0.9)
+    d = tf.Distribution(TailCurve([seg], validate=False))
+    quad = quadrature.log_quad(
+        lambda y: np.log(y) + seg.log_value(y), 0.0, 5.0, cfg=quadrature.QuadConfig(rel_tol=1e-12)
+    )
+    got = math.log(tf.partial_moment(d, 1, 0.0, 5.0))
+    assert got == pytest.approx(quad.log_value, abs=1e-9)
+    # In closed form: e^{-0.5} (1 - (1 + 4.5) e^{-4.5}) / 0.81.
+    exact = math.log(math.exp(-0.5) * (1 - 5.5 * math.exp(-4.5)) / 0.81)
+    assert got == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_weibull_moments_are_exact(k):
+    # F(y) = exp(-sqrt(y)): integral y^k F(y) dy = 2 Gamma(2k + 2).
+    got = tf.partial_moment(tf.weibull_heavy(0.5), k, 0.0, math.inf)
+    assert got == pytest.approx(2.0 * math.gamma(2 * k + 2), rel=1e-12)
+
+
+def test_moments_with_negligible_deep_segments():
+    # One quadrature bounds the whole integral: a deep segment of no weight
+    # need not meet rel_tol on its own share.
+    tilt = tf.gamma_transform(tf.xu_piecewise(5.5, 4096.0), 0.5)
+    assert tilt.mean == pytest.approx(2.0 - 1.0 / 1024.0, rel=1e-12)
+    assert math.isfinite(tf.partial_moment(tf.plateau_example(2.0), 1, 0.0, math.inf))
 
 
 def test_quadrature_matches_analytic_moment(exp1):

@@ -31,6 +31,34 @@ def test_inline_parse_errors():
         tf.parse_inline("pareto:alpha=abc")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "xu_piecewise:alpha=5.5,x1=4096,m=2.5",
+        "dyadic_pareto:n_max=10.7",
+        {"kind": "xu_piecewise", "alpha": 5.5, "x1": 4096, "m": 2.5},
+        {"kind": "dyadic_pareto", "n_max": 10.7},
+        {"kind": "power", "m": True, "base": {"kind": "pareto", "alpha": 3}},
+        {"kind": "power", "m": 2.5, "base": {"kind": "pareto", "alpha": 3}},
+        {"kind": "power", "m": "2", "base": {"kind": "pareto", "alpha": 3}},
+        {"kind": "xu_piecewise", "alpha": 5.5, "x1": 4096, "m": "2"},
+    ],
+    ids=repr,
+)
+def test_spec_counts_are_not_truncated(spec):
+    parse = tf.parse_inline if isinstance(spec, str) else tf.parse_spec
+    with pytest.raises(ParameterError, match="must be an integer"):
+        parse(spec)
+
+
+def test_spec_counts_with_integral_float_values():
+    assert tf.parse_inline("dyadic_pareto:n_max=10.0").spec["n_max"] == 10
+    doc = {"kind": "power", "m": 2.0, "base": {"kind": "pareto", "alpha": 3}}
+    assert tf.parse_spec(doc).spec["m"] == 2
+    doc = {"kind": "xu_piecewise", "alpha": 5.5, "x1": 4096, "m": 2.0, "max_cycles": None}
+    assert tf.parse_spec(doc).spec["m"] == 2
+
+
 def test_spec_file_roundtrip(tmp_path):
     d = tf.xu_piecewise(6.0, 5000.0, m=2)
     path = tmp_path / "xu.json"

@@ -1,4 +1,4 @@
-"""Segment forms: values, closed-form integrals, inverses, densities."""
+"""Segment forms: values, inverses, densities."""
 
 import dataclasses
 import math
@@ -8,7 +8,6 @@ import pytest
 
 import tailforge as tf
 from tailforge.errors import ParameterError, TruncationError
-from tailforge.quadrature import QuadConfig, log_quad
 from tailforge.tailcurve import (
     AffineSegment,
     ConstSegment,
@@ -51,15 +50,6 @@ SEGMENTS = [
 def _seg_id(seg):
     """A test id: the family, or TiltedSegment for a tilted piece of any family."""
     return "TiltedSegment" if seg.tilt else type(seg).__name__
-
-
-@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
-def test_closed_integral_matches_quadrature(seg):
-    exact = seg.log_integral(1.5, 3.5)
-    if exact is None:
-        pytest.skip("no closed form for this segment")
-    quad = log_quad(seg.log_value, 1.5, 3.5, cfg=QuadConfig(rel_tol=1e-12)).log_value
-    assert exact == pytest.approx(quad, abs=1e-9)
 
 
 def _skip_flat(seg):
@@ -307,6 +297,24 @@ def test_quantile_refuses_nan(pareto3, dyadic):
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
+def test_quantile_below_a_flat_infinite_tail():
+    # F never falls below e^-1: the last piece is flat out to infinity, so
+    # its end value is its level, and a lower level is refused like one
+    # below a truncated tail.
+    curve = TailCurve(
+        [
+            ExpAffineSegment(lo=0.0, hi=1.0, log_v_lo=0.0, rate=1.0),
+            ConstSegment(lo=1.0, hi=math.inf, level=-1.0),
+        ]
+    )
+    assert list(curve._ends) == [-1.0, -1.0]
+    assert curve.quantile(math.exp(-1.0)) == 1.0
+    assert curve.quantile(0.3679) == pytest.approx(-math.log(0.3679), rel=1e-15)
+    for u in (0.3678, np.array([0.5, 0.1])):
+        with pytest.raises(TruncationError, match=r"\(log u < -1\.0\)$"):
+            curve.quantile(u)
+
+
 @pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_density_matches_finite_difference(seg):
     if not seg.has_density:
@@ -473,30 +481,6 @@ def test_affine_segment_refuses_an_infinite_end():
     # the segment log F = +inf.
     with pytest.raises(ParameterError, match="finite upper end"):
         AffineSegment(lo=0.0, hi=math.inf, log_v_hi=-1.0, ratio=-1.0)
-
-
-def test_log_moment_range_splits_at_breakpoints():
-    curve = TailCurve(
-        [
-            ConstSegment(lo=0.0, hi=2.0, level=0.0),
-            ExpAffineSegment(lo=2.0, hi=math.inf, log_v_lo=0.0, rate=1.0),
-        ]
-    )
-    # int_0^2 1 dy + int_2^5 e^{-(y-2)} dy
-    expect = 2.0 + (1.0 - math.exp(-3.0))
-    got = math.exp(curve.log_moment_range(0, 0.0, 5.0))
-    assert got == pytest.approx(expect, rel=1e-10)
-
-
-def test_log_moment_range_of_a_tilted_flat_piece():
-    # A tilted ConstSegment is not flat: y F(y) = y e^{-0.5 - 0.9 y}.
-    seg = ConstSegment(lo=0.0, hi=5.0, level=-0.5, tilt=0.9)
-    curve = TailCurve([seg], validate=False)
-    quad = log_quad(lambda y: np.log(y) + seg.log_value(y), 0.0, 5.0, cfg=QuadConfig(rel_tol=1e-12))
-    assert curve.log_moment_range(1, 0.0, 5.0) == pytest.approx(quad.log_value, abs=1e-9)
-    # In closed form: e^{-0.5} (1 - (1 + 4.5) e^{-4.5}) / 0.81.
-    exact = math.log(math.exp(-0.5) * (1 - 5.5 * math.exp(-4.5)) / 0.81)
-    assert curve.log_moment_range(1, 0.0, 5.0) == pytest.approx(exact, abs=1e-9)
 
 
 @pytest.mark.parametrize(
