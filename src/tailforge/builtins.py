@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import Distribution, _count, power_tail
-from .errors import ParameterError
+from .distribution import Distribution, power_tail
+from .errors import ParameterError, _count
 from .tailcurve import (
     AffineSegment,
     ConstSegment,

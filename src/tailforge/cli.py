@@ -64,48 +64,15 @@ def _load_json(parser: argparse.ArgumentParser, path: str, what: str):
         parser.error(f"cannot read {what} {path}: {exc}")
 
 
-def _fits(value, default) -> bool:
-    """Whether a JSON value has the type and shape of a setting's default.
-
-    A list default takes a nonempty list of values that fit its first
-    element; a None default (an optional list) takes null or a list of
-    numbers.
-    """
-    if isinstance(default, int):
-        return isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if isinstance(default, (list, tuple)):
-        return isinstance(value, list) and bool(value) and all(_fits(v, default[0]) for v in value)
-    return value is None or _fits(value, [0.0])
-
-
-def _expected(default) -> str:
-    if isinstance(default, int):
-        return "an integer"
-    if isinstance(default, float):
-        return "a finite number"
-    if isinstance(default, (list, tuple)):
-        return f"a nonempty list, each item {_expected(default[0])}"
-    return "null or a nonempty list of finite numbers"
-
-
-def _load_overrides(parser: argparse.ArgumentParser, path: str, defaults: dict) -> dict:
+def _load_overrides(parser: argparse.ArgumentParser, path: str, names: set) -> dict:
     """Config overrides from a JSON object whose keys all name settings in
-    ``defaults`` and whose values fit their type and shape."""
+    ``names``; the config class checks their values."""
     overrides = _load_json(parser, path, "config")
     if not isinstance(overrides, dict):
         parser.error(f"config {path} must hold a JSON object")
-    unknown = sorted(set(overrides) - set(defaults))
+    unknown = sorted(set(overrides) - names)
     if unknown:
         parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    for key, value in overrides.items():
-        default = defaults[key]
-        if not _fits(value, default):
-            parser.error(
-                f"config key {key!r} in {path} must be {_expected(default)}, "
-                f"got {json.dumps(value)}"
-            )
     return overrides
 
 
@@ -283,8 +250,8 @@ def _cmd_conv(args) -> int:
 def _cmd_classify(args, parser) -> int:
     cfg = ClassifyConfig()
     if args.config:
-        defaults = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-        overrides = _load_overrides(parser, args.config, defaults)
+        names = {f.name for f in dataclasses.fields(cfg)}
+        overrides = _load_overrides(parser, args.config, names)
         try:
             cfg = dataclasses.replace(
                 cfg, **{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}

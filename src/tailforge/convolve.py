@@ -95,8 +95,8 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import Distribution, _count, _split_tilt
-from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError
+from .distribution import Distribution, _split_tilt
+from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError, _count
 from .quadrature import QuadConfig, _logsumexp_list, log_quads, unwrap
 from .tailcurve import TailCurve
 from .transform import gamma_transform

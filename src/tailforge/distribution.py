@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, TruncationError
+from .errors import DivergenceError, ParameterError, TruncationError, _count
 from .quadrature import QuadConfig, _logsumexp_list, log_quad
 from .tailcurve import ExpAffineSegment, ExpPowSegment, PowerSegment, TailCurve, simplify_power
 
@@ -36,16 +36,6 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int, or ParameterError unless it is an integer (a
-    Python or numpy one, not a bool or a float) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -129,8 +119,11 @@ def partial_moment(
 
     One quadrature of log F(y) + k log y over [max(A, 0), B], seeded as
     ``exp_moment`` seeds its own (``_seeds``), so rel_tol bounds the whole
-    integral.  Raises DivergenceError when the integral is infinite, and
-    TruncationError when B = inf cannot be certified from a finite curve.
+    integral; an infinite B on an infinite curve is cut where the rest is
+    below float significance relative to the integral from A (``_cutoff``).
+    Raises DivergenceError when the integral is infinite, and TruncationError
+    when a bound lies past a finite curve's truncation or B = inf cannot be
+    certified from it.
     """
     # Both checks are written so that NaN fails them.
     if not (k >= 0 and k % 1 == 0):
@@ -141,15 +134,15 @@ def partial_moment(
     if A == B:
         return 0.0
     hi = d.tail.truncation_hi
-    if B > hi and math.isfinite(B):
+    if A > hi or (B > hi and math.isfinite(B)):
         raise TruncationError(
-            f"moment upper bound {B!r} beyond materialized breakpoint {hi!r}"
+            f"moment bounds [{A!r}, {B!r}] beyond materialized breakpoint {hi!r}"
         )
     if math.isinf(B) and math.isinf(hi):
         _check_terminal_decay(d, 0.0, k)
-        B = _cutoff(d, 0.0, k)
+        B = _cutoff(d, 0.0, k, A)
     a, b = max(A, 0.0), min(B, hi)
-    if b < A:  # a lower bound past the cutoff or the truncation
+    if b < A:  # a lower bound past the largest cutoff, 8.9e307
         raise ParameterError(f"integration bounds out of order: [{A}, {b}]")
 
     def integrand(y: np.ndarray) -> np.ndarray:
@@ -184,23 +177,29 @@ def _seeds(d: Distribution, B: float) -> np.ndarray:
     return np.concatenate([d.tail.breakpoints(), ladder])
 
 
-def _cutoff(d: Distribution, lam: float, k: int) -> float:
+def _cutoff(d: Distribution, lam: float, k: int, A: float = 0.0) -> float:
     """A finite upper limit past which the integral of y^k e^{lam y} against
-    d's tail or its measure is below float significance.
+    d's tail or its measure is below float significance relative to its
+    integral from A.
 
-    Doubles T from max(lo, 1), lo the last segment's start, until the log
-    of a bound on the integrand times T^2 falls below -60; capped at
-    8.9e307.  The bound fuses lam with the segment's tilt: evaluating the
-    tail and the exponential apart cancels at large T.
+    Doubles T from max(lo, 1, A), lo the last segment's start, until the log
+    of a bound on the integrand times T^2 falls below -60 + min(0, b(A)),
+    b(A) = log F(A) + lam A + (k + 2) log max(A, 1) the same bound read off
+    the curve at A (0 for A <= 0); capped at 8.9e307.  The bound at T fuses
+    lam with the segment's tilt: evaluating the tail and the exponential
+    apart cancels at large T.
     """
     seg = d.tail.segments[-1]
     core, net = seg.untilted(), lam - seg.tilt
-    T = max(seg.lo, 1.0)
+    floor = -60.0
+    if A > 0:
+        floor += min(0.0, d.tail.log_tail(A) + lam * A + (k + 2) * math.log(max(A, 1.0)))
+    T = max(seg.lo, 1.0, A)
     for _ in range(600):
         T *= 2.0
         if T >= 8.9e307:
             return 8.9e307
-        if core.log_value_at(T) + net * T + (k + 2) * math.log(T) < -60.0:
+        if core.log_value_at(T) + net * T + (k + 2) * math.log(T) < floor:
             return T
     return T
 

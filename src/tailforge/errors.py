@@ -1,8 +1,12 @@
-"""Exception hierarchy for tailforge.
+"""Exception hierarchy for tailforge, and the argument checks that raise
+ParameterError.
 
 Every error raised on purpose by the library derives from TailforgeError so
 CLI code can map numerical failures to a dedicated exit code.
 """
+
+import math
+import numbers
 
 
 class TailforgeError(Exception):
@@ -11,6 +15,24 @@ class TailforgeError(Exception):
 
 class ParameterError(TailforgeError, ValueError):
     """A constructor or operation argument violates its stated constraint."""
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int, or ParameterError unless it is an integer (a
+    Python or numpy one, not a bool or a float) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _positive(name: str, value) -> None:
+    """ParameterError unless ``value`` is a finite positive real number (a
+    Python or numpy one, not a bool)."""
+    # Written so that NaN fails it too.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
 
 
 class TruncationError(TailforgeError):

@@ -46,6 +46,8 @@ from .errors import (
     TailforgeError,
     ToleranceError,
     TruncationError,
+    _count,
+    _positive,
 )
 from .quadrature import QuadConfig, _logsumexp_list, unwrap
 
@@ -477,19 +479,22 @@ class ClassifyConfig:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        # Each condition is written so that NaN fails it.
-        if not 0.0 < self.x_lo < self.x_hi:
+        for name in ("x_lo", "x_hi", "rel_tol"):
+            _positive(name, getattr(self, name))
+        if not self.x_lo < self.x_hi:
             raise ParameterError(f"need 0 < x_lo < x_hi, got x_lo={self.x_lo}, x_hi={self.x_hi}")
-        if not self.n_grid >= 2:
-            raise ParameterError(f"n_grid must be >= 2, got {self.n_grid}")
+        _count("n_grid", self.n_grid, 2)
         for name in ("t_list", "K_list"):
-            values = getattr(self, name) or ()
-            if not all(v > 0.0 for v in values):
-                raise ParameterError(f"{name} entries must be positive, got {values}")
+            values = getattr(self, name)
+            if name == "K_list" and values is None:
+                continue  # the K grid is read off the law
+            if not (isinstance(values, tuple) and values):
+                raise ParameterError(f"{name} must be a nonempty tuple, got {values!r}")
+            for v in values:
+                _positive(f"{name} entry", v)
         K_list = self.K_list or ()
         if not all(a < b for a, b in zip(K_list, K_list[1:])):
             raise ParameterError(f"K_list must be strictly increasing, got {self.K_list}")
-        self.quad()  # refuses rel_tol <= 0
 
     def quad(self) -> QuadConfig:
         return QuadConfig(rel_tol=self.rel_tol)

@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distribution import Distribution, _count, quantile_blocks
-from .errors import LowAcceptanceError, ParameterError, TailforgeError
+from .distribution import Distribution, quantile_blocks
+from .errors import LowAcceptanceError, ParameterError, TailforgeError, _count
 from .functionals import jump_cond
 
 __all__ = ["McEstimate", "mc_jump_cond", "ComparisonRow", "ComparisonTable", "mc_vs_quadrature"]
@@ -167,10 +167,6 @@ class ComparisonTable:
     @property
     def flags(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.rows) if r.flagged)
-
-    def max_abs_z(self) -> float:
-        zs = [abs(r.z) for r in self.rows if r.z is not None]
-        return max(zs) if zs else 0.0
 
 
 def _default_bracket_step(x: float) -> float:

@@ -44,9 +44,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import LogDepthError, ParameterError, TailforgeError, ToleranceError
+from .errors import LogDepthError, ParameterError, TailforgeError, ToleranceError, _count, _positive
 
-__all__ = ["QuadConfig", "LogQuadResult", "log_quad", "log_quads", "logsubexp"]
+__all__ = ["QuadConfig", "LogQuadResult", "log_quad", "log_quads"]
 
 # 15-point Kronrod nodes on [-1, 1] (positive half; rule is symmetric) with
 # the embedded 7-point Gauss rule on the odd-indexed nodes.  Standard
@@ -87,17 +87,6 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _NEG_INF = float("-inf")
 
 
-def logsubexp(a: float, b: float) -> float:
-    """log(exp(a) - exp(b)) for a >= b, stable for nearly equal arguments."""
-    if b == _NEG_INF:
-        return a
-    if b > a:
-        raise ValueError(f"logsubexp requires a >= b, got a={a}, b={b}")
-    if a == b:
-        return _NEG_INF
-    return a + math.log1p(-math.exp(b - a))
-
-
 @dataclass(frozen=True)
 class QuadConfig:
     """Tolerances and limits for adaptive tail quadrature.
@@ -110,10 +99,8 @@ class QuadConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ParameterError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
+        _positive("rel_tol", self.rel_tol)
+        _count("max_subdivisions", self.max_subdivisions, 1)
 
 
 @dataclass

@@ -20,8 +20,10 @@ Numerical conventions that matter:
 * Queries beyond the last materialized breakpoint raise TruncationError;
   extrapolating an infinite construction would fabricate its asymptotics.
 * An exponential tilt is a number on the segment, not a wrapper: every piece
-  reads log F(x) = closed form + log_offset - tilt * x, and a power of a
-  tilted piece keeps the tilt outside the power (``simplify_power``).
+  reads log F(x) = closed form + log_offset - tilt * x.
+* So is an integer power: ``simplify_power`` folds F^m into the closed form
+  of F's own family (an affine piece keeps m as a field), with the tilt
+  outside the power.  No segment holds another segment.
 
 Each segment family writes its closed form once, as ``_value(p, x)`` and
 ``_density(p, x)`` over a parameter holder p, and its closed inverse, where
@@ -29,8 +31,9 @@ it has one, as ``_inverse(p, log_u)``; a tilted piece has none, and each of
 its levels is bisected from its own segment's ends.  A segment passes
 itself, so its fields are scalars.  A curve keeps a family table
 (``_SegmentTable``), which groups its segments by family, by whether they
-are tilted and, for the stretched exponential, by ``beta``; it passes a
-group's fields gathered into arrays with one entry per point.  So a curve
+are tilted and by the fields a family keeps as scalars (``beta`` of the
+stretched exponential, ``m`` of the affine power); it passes a group's
+fields gathered into arrays with one entry per point.  So a curve
 evaluates any number of points, and inverts any number of quantile levels,
 in one array pass per group, and each point gets the bits its own segment
 gives it (points that all lie in one segment pass that segment itself).
@@ -49,7 +52,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError, TruncationError, _count
 
 __all__ = [
     "Segment",
@@ -58,7 +61,6 @@ __all__ = [
     "PowerSegment",
     "ExpAffineSegment",
     "ExpPowSegment",
-    "PowerOfSegment",
     "TailCurve",
     "chain_segments",
 ]
@@ -238,17 +240,23 @@ class ConstSegment(Segment):
 
 @dataclass(frozen=True)
 class AffineSegment(Segment):
-    """Linear tail anchored at the upper endpoint.
+    """Integer power of a linear tail anchored at the upper endpoint.
 
-    F(x) = exp(log_v_hi) * (1 + ratio * (x - hi)) with ratio < 0 so the
-    tail decreases toward exp(log_v_hi) at hi.
+    F(x) = (exp(log_v_hi) * (1 + ratio * (x - hi))) ** m with ratio < 0 so
+    the tail decreases toward exp(m * log_v_hi) at hi.  m = 1 is the linear
+    tail itself; ``simplify_power`` folds a power into m.
     """
 
     log_v_hi: float = 0.0
     ratio: float = -1.0
+    m: int = 1
+
+    # One formula per power, so m = 1 takes no extra pass.
+    _SCALARS = ("m",)
 
     def __post_init__(self):
         super().__post_init__()
+        _count("affine power m", self.m, 1)
         if not self.ratio < 0:
             raise ParameterError(f"affine tail must decrease: ratio={self.ratio}")
         # An affine tail reaches 0 at a finite point; past it log F is not real.
@@ -266,20 +274,32 @@ class AffineSegment(Segment):
         return AffineSegment(lo=lo, hi=hi, log_v_hi=log_v_hi, ratio=ratio)
 
     @staticmethod
-    def _value(p, x):
+    def _linear(p, x):
+        """log of the linear tail, the closed form at m = 1."""
         return p.log_v_hi + np.log1p(p.ratio * (x - p.hi))
 
     @staticmethod
+    def _value(p, x):
+        v = AffineSegment._linear(p, x)
+        return v if p.m == 1 else p.m * v
+
+    @staticmethod
     def _density(p, x):
-        return np.full_like(x, p.log_dcoeff)
+        if p.m == 1:
+            return np.full_like(x, p.log_dcoeff)
+        # The chain rule: m L^(m-1) times the density of the linear tail L.
+        return math.log(p.m) + (p.m - 1) * AffineSegment._linear(p, x) + p.log_dcoeff
 
     @property
     def log_dcoeff(self) -> float:
+        """The linear tail's; ``_density`` adds the power's factor m L^(m-1)."""
         return self.log_v_hi + math.log(-self.ratio)
 
     @staticmethod
     def _inverse(p, lu):
-        return np.expm1(lu - p.log_offset - p.log_v_hi) / p.ratio + p.hi
+        if p.m == 1:
+            return np.expm1(lu - p.log_offset - p.log_v_hi) / p.ratio + p.hi
+        return np.expm1((lu - p.log_offset) / p.m - p.log_v_hi) / p.ratio + p.hi
 
 
 @dataclass(frozen=True)
@@ -382,49 +402,6 @@ class ExpPowSegment(Segment):
         return np.power(np.maximum((p.log_offset - lu) / p.coeff, 0.0), 1.0 / p.beta)
 
 
-@dataclass(frozen=True)
-class PowerOfSegment(Segment):
-    """Pointwise power of an inner tail piece: F(x) = inner(x) ** m.
-
-    ``simplify_power`` builds it for the pieces it cannot fold, with the
-    tilt outside the power and an untilted inner.  Those pieces are affine,
-    which ends at a finite point, so a power-of segment must too: the
-    terminal analysis of a curve reads its last segment's own family.
-    """
-
-    inner: Segment = None  # type: ignore[assignment]
-    m: int = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.inner is None:
-            raise ParameterError("power-of segment requires an inner segment")
-        if self.m < 1:
-            raise ParameterError(f"power must be a positive integer, got {self.m}")
-        if not math.isfinite(self.hi):
-            raise ParameterError("power-of segment must end at a finite point")
-
-    @staticmethod
-    def _value(p, x):
-        return p.m * p.inner.log_value(x)
-
-    @staticmethod
-    def _density(p, x):
-        return p.log_dcoeff + (p.m - 1) * p.inner.log_value(x) + p.inner.log_density(x)
-
-    @property
-    def log_dcoeff(self) -> float:
-        return math.log(self.m)
-
-    @property
-    def has_density(self) -> bool:
-        return self.tilt > 0 or self.inner.has_density
-
-    @staticmethod
-    def _inverse(p, lu):
-        return p.inner.inverse((lu - p.log_offset) / p.m)
-
-
 def simplify_power(inner: Segment, m: int) -> Segment:
     """Raise a segment's tail to an integer power, folding closed forms.
 
@@ -445,8 +422,7 @@ def simplify_power(inner: Segment, m: int) -> Segment:
         )
     if isinstance(inner, ExpPowSegment):
         return dataclasses.replace(inner, coeff=m * inner.coeff, **scaled)
-    untilted = inner.untilted()
-    return PowerOfSegment(lo=inner.lo, hi=inner.hi, inner=untilted, m=m, tilt=m * inner.tilt)
+    return dataclasses.replace(inner, m=m * inner.m, **scaled)
 
 
 def chain_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
@@ -558,13 +534,9 @@ class _Group:
         self._cols = {n: getattr(segs[0], n) for n in fam._SCALARS}
 
     def column(self, name: str):
-        """One entry per segment (a table for inner segments), or the
-        group's scalar."""
+        """One entry per segment, or the group's scalar."""
         if name not in self._cols:
-            vals = [getattr(s, name) for s in self._segs]
-            self._cols[name] = (
-                _SegmentTable(vals) if isinstance(vals[0], Segment) else np.array(vals)
-            )
+            self._cols[name] = np.array([getattr(s, name) for s in self._segs])
         return self._cols[name]
 
 
@@ -577,28 +549,9 @@ class _Rows:
 
     def __getattr__(self, name: str):
         col = self._group.column(name)
-        if isinstance(col, _SegmentTable):
-            val = _Inner(col, self._rows)
-        else:
-            val = col[self._rows] if isinstance(col, np.ndarray) else col
+        val = col[self._rows] if isinstance(col, np.ndarray) else col
         setattr(self, name, val)
         return val
-
-
-class _Inner:
-    """Inner segments of power-of rows, read as ``PowerOfSegment.inner``."""
-
-    def __init__(self, table: _SegmentTable, rows: np.ndarray):
-        self._table, self._rows = table, rows
-
-    def log_value(self, x):
-        return self._table.log_value(x, self._rows)
-
-    def log_density(self, x):
-        return self._table.log_density(x, self._rows)
-
-    def inverse(self, lu):
-        return self._table.inverse(lu, self._rows)
 
 
 class TailCurve:

@@ -290,6 +290,20 @@ def test_moments_with_negligible_deep_segments():
     assert math.isfinite(tf.partial_moment(tf.plateau_example(2.0), 1, 0.0, math.inf))
 
 
+@pytest.mark.parametrize("A", [100.0, 120.0, 127.0, 200.0])
+def test_moment_from_a_far_lower_bound_is_relative_to_it(exp1, A):
+    # integral_A^inf e^-y dy = e^-A: the cutoff of the infinite tail sits
+    # far enough past A for the rest to be negligible next to e^-A, not
+    # next to 1 (which cut this at 128, off by 37 % at A = 127).
+    assert tf.partial_moment(exp1, 0, A, math.inf) == pytest.approx(math.exp(-A), rel=1e-12, abs=0.0)
+
+
+def test_moment_from_past_the_truncation_is_a_truncation_error():
+    d = tf.xu_piecewise(6.0, 5000.0, max_cycles=2)
+    with pytest.raises(TruncationError, match="beyond materialized breakpoint"):
+        tf.partial_moment(d, 0, 1e30, math.inf)
+
+
 def test_quadrature_matches_analytic_moment(exp1):
     # int_0^inf y e^-y dy = 1 (quadrature path, no closed form for k=1)
     assert tf.partial_moment(exp1, 1, 0.0, math.inf) == pytest.approx(1.0, rel=1e-9)

@@ -556,6 +556,29 @@ def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
         assert log_den - pareto3.tail.log_tail(x) == os_.log_values[xs.index(x)]
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_grid": 2.5},
+        {"n_grid": True},
+        {"t_list": (1.0, "2")},
+        {"t_list": ()},
+        {"t_list": 2.0},
+        {"K_list": ()},
+        {"K_list": (1.0, math.inf)},
+        {"rel_tol": math.inf},
+        {"rel_tol": math.nan},
+        {"x_hi": math.inf},
+        {"x_lo": True},
+    ],
+)
+def test_classify_config_checks_its_own_types(kwargs):
+    # A count is an integer; every other number is finite and positive; the
+    # lists are nonempty tuples.
+    with pytest.raises(ParameterError):
+        ClassifyConfig(**kwargs)
+
+
 def test_K_list_must_strictly_increase(pareto3):
     # Read in the given order, (4, 4, 1) gave two b2(K=4) profiles and J
     # inconclusive off the K = 1 profile.

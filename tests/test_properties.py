@@ -1,5 +1,6 @@
 """Property tests over random chained tail curves built from the segment forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,14 +24,13 @@ from tailforge.tailcurve import (  # noqa: E402
     ConstSegment,
     ExpAffineSegment,
     ExpPowSegment,
-    PowerOfSegment,
     PowerSegment,
     TailCurve,
 )
 
-KINDS = ("const", "affine", "power", "exp", "exppow", "powerof", "tilted")
+KINDS = ("const", "affine", "power", "exp", "exppow", "affinepow", "tilted")
 # Segments whose tail strictly decreases, so every level inside is attained once.
-STRICT = {"affine", "power", "exp", "exppow", "powerof", "tilted"}
+STRICT = {"affine", "power", "exp", "exppow", "affinepow", "tilted"}
 UNTILTED = tuple(k for k in KINDS if k != "tilted")
 
 
@@ -46,9 +46,9 @@ def _segment(kind, lo, hi, a, b):
         return ExpAffineSegment(lo=lo, hi=hi, rate=0.05 + 2.0 * a)
     if kind == "exppow":
         return ExpPowSegment(lo=lo, hi=hi, beta=0.1 + 0.8 * a, coeff=0.2 + b)
-    if kind == "powerof":
-        inner = AffineSegment.from_endpoints(lo, hi, 0.0, -0.1 - a)
-        return PowerOfSegment(lo=lo, hi=hi, inner=inner, m=2 + int(3 * b))
+    if kind == "affinepow":
+        linear = AffineSegment.from_endpoints(lo, hi, 0.0, -0.1 - a)
+        return dataclasses.replace(linear, m=2 + int(3 * b))
     return ExpAffineSegment(lo=lo, hi=hi, rate=0.1 + a, tilt=0.05 + b)
 
 

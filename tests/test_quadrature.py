@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tailforge.errors import LogDepthError, ParameterError, ToleranceError
-from tailforge.quadrature import _MAX_LIVE_PANELS, _MAX_PANELS, QuadConfig, _gk15, log_quad, log_quads, logsubexp
+from tailforge.quadrature import _MAX_LIVE_PANELS, _MAX_PANELS, QuadConfig, _gk15, log_quad, log_quads
 
 
 def test_exponential_integral():
@@ -214,15 +214,20 @@ def test_logsumexp_spanning_300_orders():
     assert res.log_value == pytest.approx(math.log(1.0 + math.exp(-690.0)), abs=1e-12)
 
 
-def test_logsubexp():
-    assert logsubexp(0.0, -math.inf) == 0.0
-    assert logsubexp(0.0, 0.0) == -math.inf
-    assert logsubexp(math.log(3.0), math.log(1.0)) == pytest.approx(math.log(2.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        logsubexp(0.0, 1.0)
-
-
-@pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"rel_tol": math.nan}, {"max_subdivisions": 0}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rel_tol": 0.0},
+        {"rel_tol": math.nan},
+        {"max_subdivisions": 0},
+        # a tolerance that bounds nothing, and counts of the wrong type
+        {"rel_tol": math.inf},
+        {"rel_tol": True},
+        {"rel_tol": "1e-9"},
+        {"max_subdivisions": 2.5},
+        {"max_subdivisions": True},
+    ],
+)
 def test_quad_config_out_of_range_is_parameter_error(kwargs):
     with pytest.raises(ParameterError):
         QuadConfig(**kwargs)

@@ -13,43 +13,36 @@ from tailforge.tailcurve import (
     ConstSegment,
     ExpAffineSegment,
     ExpPowSegment,
-    PowerOfSegment,
     PowerSegment,
     TailCurve,
     chain_segments,
     simplify_power,
 )
 
+AFFINE = AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2))
 SEGMENTS = [
     ConstSegment(lo=1.0, hi=4.0, level=math.log(0.3)),
-    AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
+    AFFINE,
     PowerSegment(lo=1.0, hi=4.0, log_coeff=0.0, exponent=-2.5, shift=1.0),
     ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=math.log(0.8), rate=0.7),
     ExpPowSegment(lo=1.0, hi=4.0, beta=0.5, coeff=1.3),
     ConstSegment(lo=1.0, hi=4.0, level=-0.5, tilt=0.9),
     ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, tilt=0.4),
-    PowerOfSegment(
-        lo=1.0,
-        hi=4.0,
-        inner=AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
-        m=3,
-    ),
+    # The cube of the affine piece: its power is a field.
+    dataclasses.replace(AFFINE, m=3),
     # Two tilts, 0.4 and 0.25, each with a log offset: one summed tilt.
     ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, tilt=0.4 + 0.25, log_offset=-0.3),
-    # A tilted piece with no closed form to fold a power into.
-    PowerOfSegment(
-        lo=1.0,
-        hi=4.0,
-        inner=AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2)),
-        m=2,
-        tilt=0.35,
-    ),
+    # A tilted square of the affine piece, bisected where it is inverted.
+    dataclasses.replace(AFFINE, m=2, tilt=0.35),
 ]
 
 
 def _seg_id(seg):
-    """A test id: the family, or TiltedSegment for a tilted piece of any family."""
-    return "TiltedSegment" if seg.tilt else type(seg).__name__
+    """A test id: the family, PowerOfSegment for an affine piece raised to a
+    power m > 1, or TiltedSegment for a tilted piece of any family."""
+    if seg.tilt:
+        return "TiltedSegment"
+    return "PowerOfSegment" if getattr(seg, "m", 1) > 1 else type(seg).__name__
 
 
 def _skip_flat(seg):
@@ -391,26 +384,22 @@ STACKS = [
 @pytest.mark.parametrize("stack", STACKS, ids=lambda s: s[0])
 @pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
 def test_normal_form_reads_wrapper_stacks(seg, stack):
-    # A stack of tilts and powers is one segment: the summed tilt, over the
-    # power folded into a closed form or held by power-of wrappers whose
-    # inner pieces are untilted.
+    # A stack of tilts and powers is one segment of the piece's own family:
+    # the summed tilt over the power folded into the closed form, which an
+    # affine piece, like every other family, absorbs (as its m).
     _, build, outer_rate, own_factor, applied, meaning = stack
     stacked = build(seg)
+    assert type(stacked) is type(seg)
     assert stacked.tilt == pytest.approx(outer_rate + own_factor * seg.tilt, rel=1e-15)
-    power, base = 1, stacked
-    while isinstance(base, PowerOfSegment):
-        power, base = power * base.m, base.inner
-        assert base.tilt == 0.0
-    # Closed forms absorb the power; the affine piece keeps its wrappers.
-    own_power = seg.m if isinstance(seg, PowerOfSegment) else 1
-    assert power == (applied * own_power if isinstance(base, AffineSegment) else 1)
+    if isinstance(seg, AffineSegment):
+        assert stacked.m == applied * seg.m
     xs = np.array([1.0, 1.7, 2.9, 3.9])
     got = stacked.log_value(xs)
     np.testing.assert_allclose(got, meaning(seg.log_value(xs), xs), rtol=1e-13, atol=1e-13)
     core = stacked.untilted()
     np.testing.assert_allclose(core.log_value(xs) - stacked.tilt * xs, got, rtol=1e-13, atol=1e-13)
-    shift = core.log_value(xs) - power * base.untilted().log_value(xs)
-    np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-12)
+    want = applied * seg.untilted().log_value(xs)
+    np.testing.assert_allclose(core.log_value(xs), want, rtol=1e-13, atol=1e-13)
 
 
 def test_normal_form_of_closed_form_is_itself():
@@ -426,12 +415,12 @@ def test_power_of_tilt_is_stored_as_tilt_of_power():
     assert isinstance(squared, ExpAffineSegment)
     assert squared.tilt == 2 * tilted.tilt
     np.testing.assert_allclose(squared.log_value(xs), 2 * tilted.log_value(xs), rtol=1e-14)
-    # A piece no closed form absorbs: the tilt goes outside the wrapper.
-    affine = _tilt(SEGMENTS[1], 0.4)
+    # The affine piece folds the power as well, with the tilt outside it.
+    affine = _tilt(AFFINE, 0.4)
     squared = simplify_power(affine, 2)
-    assert isinstance(squared, PowerOfSegment)
-    assert squared.tilt == 2 * affine.tilt and squared.inner == SEGMENTS[1]
+    assert squared == dataclasses.replace(AFFINE, m=2, tilt=0.8)
     np.testing.assert_allclose(squared.log_value(xs), 2 * affine.log_value(xs), rtol=1e-14)
+    assert simplify_power(squared, 3) == dataclasses.replace(AFFINE, m=6, tilt=3 * 0.8)
 
 
 def test_chain_rejects_upward_jump():
@@ -472,8 +461,29 @@ def test_segment_validation():
     for tilt in (-0.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
             ConstSegment(lo=0.0, hi=1.0, tilt=tilt)
-    with pytest.raises(ParameterError):  # simplify_power never wraps a piece reaching infinity
-        PowerOfSegment(lo=1.0, hi=math.inf, inner=PowerSegment(lo=1.0, hi=math.inf), m=2)
+    with pytest.raises(ParameterError):  # a power of an affine piece still ends at a finite point
+        AffineSegment(lo=1.0, hi=math.inf, log_v_hi=-1.0, ratio=-1.0, m=2)
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, 2.0, True, "2", None])
+def test_affine_power_must_be_a_positive_integer(m):
+    with pytest.raises(ParameterError, match="affine power m"):
+        AffineSegment(lo=0.0, hi=1.0, log_v_hi=-1.0, ratio=-0.5, m=m)
+
+
+def test_nested_powers_fold_into_one(xu55):
+    # (F^2)^3 is one affine power m = 6 per ramp, as F^6 is; the two differ
+    # in the rounding of the snap offsets and of the density's constants.
+    nested = tf.power_tail(tf.power_tail(xu55, 2), 3).tail
+    direct = tf.power_tail(xu55, 6).tail
+    assert [type(s) for s in nested.segments] == [type(s) for s in direct.segments]
+    assert {s.m for s in nested.segments if isinstance(s, AffineSegment)} == {6}
+    bps = direct.breakpoints()
+    xs = np.concatenate([bps, np.nextafter(bps, 0.0), np.geomspace(1e-3, bps[-1], 400)])
+    for f in (TailCurve.log_tail, TailCurve.log_tail_left, TailCurve.log_density):
+        np.testing.assert_allclose(f(nested, xs), f(direct, xs), rtol=1e-14, atol=1e-14)
+    u = np.exp(np.linspace(0.0, -700.0, 300))
+    np.testing.assert_allclose(nested.quantile(u), direct.quantile(u), rtol=1e-14, atol=0.0)
 
 
 def test_affine_segment_refuses_an_infinite_end():
