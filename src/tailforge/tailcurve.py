@@ -31,8 +31,8 @@ it has one, as ``_inverse(p, log_u)``; a tilted piece has none, and each of
 its levels is bisected from its own segment's ends.  A segment passes
 itself, so its fields are scalars.  A curve keeps a family table
 (``_SegmentTable``), which groups its segments by family, by whether they
-are tilted and by the fields a family keeps as scalars (``beta`` of the
-stretched exponential, ``m`` of the affine power); it passes a group's
+are tilted and by the field a family keeps as a scalar (``beta`` of the
+stretched exponential); it passes a group's
 fields gathered into arrays with one entry per point.  So a curve
 evaluates any number of points, and inverts any number of quantile levels,
 in one array pass per group, and each point gets the bits its own segment
@@ -251,9 +251,6 @@ class AffineSegment(Segment):
     ratio: float = -1.0
     m: int = 1
 
-    # One formula per power, so m = 1 takes no extra pass.
-    _SCALARS = ("m",)
-
     def __post_init__(self):
         super().__post_init__()
         _count("affine power m", self.m, 1)
@@ -275,20 +272,17 @@ class AffineSegment(Segment):
 
     @staticmethod
     def _linear(p, x):
-        """log of the linear tail, the closed form at m = 1."""
+        """log of the linear tail L."""
         return p.log_v_hi + np.log1p(p.ratio * (x - p.hi))
 
     @staticmethod
     def _value(p, x):
-        v = AffineSegment._linear(p, x)
-        return v if p.m == 1 else p.m * v
+        return p.m * AffineSegment._linear(p, x)
 
     @staticmethod
     def _density(p, x):
-        if p.m == 1:
-            return np.full_like(x, p.log_dcoeff)
         # The chain rule: m L^(m-1) times the density of the linear tail L.
-        return math.log(p.m) + (p.m - 1) * AffineSegment._linear(p, x) + p.log_dcoeff
+        return np.log(p.m) + (p.m - 1) * AffineSegment._linear(p, x) + p.log_dcoeff
 
     @property
     def log_dcoeff(self) -> float:
@@ -297,8 +291,6 @@ class AffineSegment(Segment):
 
     @staticmethod
     def _inverse(p, lu):
-        if p.m == 1:
-            return np.expm1(lu - p.log_offset - p.log_v_hi) / p.ratio + p.hi
         return np.expm1((lu - p.log_offset) / p.m - p.log_v_hi) / p.ratio + p.hi
 
 

@@ -38,8 +38,10 @@ SEGMENTS = [
 
 
 def _seg_id(seg):
-    """A test id: the family, PowerOfSegment for an affine piece raised to a
-    power m > 1, or TiltedSegment for a tilted piece of any family."""
+    """A test id: the family's class name, or for the cases that were once
+    wrapper classes the wrapper's old name, kept so each case keeps its id:
+    "PowerOfSegment" for an affine power m > 1 and "TiltedSegment" for a
+    tilted piece.  Neither is a class now; both are segment fields."""
     if seg.tilt:
         return "TiltedSegment"
     return "PowerOfSegment" if getattr(seg, "m", 1) > 1 else type(seg).__name__
