@@ -272,7 +272,7 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     curve = base.tail
     out: list = [[[] for _ in cuts] for _, cuts in jobs]
     if base.atoms and jobs:
-        locs = np.array([a.location for a in base.atoms])
+        locs = base.atom_locations
         log_masses = np.array([a.log_mass for a in base.atoms])
         hits = []  # (job, band of each atom in it, atoms in it)
         for i, (x, cuts) in enumerate(jobs):
@@ -445,6 +445,9 @@ def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
     underflow; it is M + 1 when no node qualifies.  ``on_nodes`` says
     whether an atom sits on a node below the last one and inside the cap;
     without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.
+
+    Only the atoms at or below the last node are visited, found by one
+    search of the law's ``atom_locations``.
     """
     M = len(log_t) - 1
     nodes = np.arange(M + 1) * h
@@ -453,9 +456,7 @@ def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
     # sitting exactly on the node.
     t_left = np.exp(log_t)
     atom_on_node = np.zeros(M + 1)
-    for a in d.atoms:
-        if a.location > nodes[-1]:
-            continue
+    for a in d.atoms[: int(d.atom_locations.searchsorted(nodes[-1], side="right"))]:
         j = int(round(a.location / h))
         if 0 <= j <= M and nodes[j] == a.location:
             mass = math.exp(a.log_mass)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,13 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"Distribution({self.label or 'anonymous'}, segments={len(self.tail.segments)})"
+
+    @cached_property
+    def atom_locations(self) -> np.ndarray:
+        """The atoms' locations, increasing as ``atoms`` is; read-only."""
+        locs = np.array([a.location for a in self.atoms], dtype=float)
+        locs.flags.writeable = False
+        return locs
 
     @property
     def truncation_hi(self) -> float:
@@ -306,14 +314,18 @@ def quantile_blocks(d: Distribution, rng: np.random.Generator, rows: int, cols: 
 
     Consecutive ``random`` calls continue one stream in C order, so the
     blocks hold the values that one ``random((rows, cols))`` call maps to.
-    Levels are 1 - u, in (0, 1].
+    Levels are 1 - u, in (0, 1].  Each block's levels live in one buffer:
+    their logs are taken in it, and the curve inverts them from there,
+    writing a closed inverse's quantiles over them.  So a block's quantiles
+    may be overwritten by the next block's.
     """
     levels = np.empty((min(rows, _BLOCK), cols))
     for start in range(0, rows, _BLOCK):
         u = levels[: min(_BLOCK, rows - start)]
         rng.random(out=u)
         np.subtract(1.0, u, out=u)
-        yield start, d.tail.quantile(u.ravel()).reshape(u.shape)
+        np.log(u, out=u)
+        yield start, d.tail._quantile_of_log(u.reshape(-1)).reshape(u.shape)
 
 
 def sample(d: Distribution, seed: int, n: int) -> np.ndarray:

@@ -15,7 +15,10 @@ key.
 
 A chunk of 65536 rows is drawn from its one generator in blocks of 8192
 rows (``distribution.quantile_blocks``), each inverted, summed and counted
-while it stays in cache.  Consecutive draws continue the chunk's stream, so
+while it stays in cache.  A block's levels live in one buffer, which holds
+their logs and then, for a closed inverse, their quantiles; the curve
+checks them on log u, u in (0, 1] and above the truncation floor, by one
+minimum and one maximum.  Consecutive draws continue the chunk's stream, so
 the blocks hold the draws a whole chunk drew, and the check stops the run
 at the block that holds its last draw.
 """
@@ -110,22 +113,30 @@ def mc_jump_cond(
         # first rows of a chunk are the draws a shorter chunk makes.
         for offset, xs in quantile_blocks(d, rng, min(_CHUNK, total - first), n):
             start = first + offset
-            # Running sum and maximum over the n columns: a reduction along
-            # a short row axis is many times slower, and for n below numpy's
-            # pairwise block of 8 it adds in the same order.
-            sums = xs[:, 0].copy()
-            top = xs[:, 0].copy()
-            for j in range(1, n):
+            end = start + len(xs)
+            # Running sum and maximum over the n columns, from the first
+            # two: a reduction along a short row axis is many times slower,
+            # and for n below numpy's pairwise block of 8 it adds in the
+            # same order.
+            sums = top = xs[:, 0]
+            if n > 1:
+                sums, top = xs[:, 0] + xs[:, 1], np.maximum(xs[:, 0], xs[:, 1])
+            for j in range(2, n):
                 sums += xs[:, j]
                 np.maximum(top, xs[:, j], out=top)
             hit = sums > x
             event = hit if threshold <= 0 else hit & (top > threshold)
             if start < N:
-                accepted += int(np.count_nonzero(hit[: N - start]))
+                hits = int(np.count_nonzero(hit[: N - start]))
+                accepted += hits
                 events += int(np.count_nonzero(event[: N - start]))
             if start < pilot_n:
-                pilot_hits += int(np.count_nonzero(hit[: pilot_n - start]))
-                if start + len(xs) >= pilot_n and pilot_hits / pilot_n < acceptance_floor:
+                # Where the check and the estimate read the same rows of the
+                # block, the check takes the estimate's count.
+                if min(pilot_n, end) != min(N, end):
+                    hits = int(np.count_nonzero(hit[: pilot_n - start]))
+                pilot_hits += hits
+                if end >= pilot_n and pilot_hits / pilot_n < acceptance_floor:
                     rate = pilot_hits / pilot_n
                     raise LowAcceptanceError(
                         f"acceptance {rate:.2e} over the first {pilot_n} draws below floor "

@@ -27,9 +27,10 @@ Numerical conventions that matter:
 
 Each segment family writes its closed form once, as ``_value(p, x)`` and
 ``_density(p, x)`` over a parameter holder p, and its closed inverse, where
-it has one, as ``_inverse(p, log_u)``; a tilted piece has none, and each of
-its levels is bisected from its own segment's ends.  A segment passes
-itself, so its fields are scalars.  A curve keeps a family table
+it has one, as ``_inverse(p, log_u)``, which overwrites its array of log
+levels step by step in the order of the formula; a tilted piece has none,
+and each of its levels is bisected from its own segment's ends.  A segment
+passes itself, so its fields are scalars.  A curve keeps a family table
 (``_SegmentTable``), which groups its segments by family, by whether they
 are tilted and by the field a family keeps as a scalar (``beta`` of the
 stretched exponential); it passes a group's
@@ -96,7 +97,7 @@ class Segment(ABC):
     # Fields a family table keeps as one scalar per group (module docstring).
     _SCALARS: ClassVar[tuple[str, ...]] = ()
     # The closed form's inverse, _inverse(p, log_u), in the families that
-    # have one.
+    # have one: it writes x over the array log_u and returns it.
     _inverse: ClassVar = None
 
     def __post_init__(self):
@@ -143,9 +144,10 @@ class Segment(ABC):
         """x in [lo, hi] with log_value(x) = log_u: exact where the closed
         form has an inverse, else bisected (``_inverse``).
 
-        Takes a scalar or an array of log levels and returns the same shape.
+        Takes a scalar or an array of log levels and returns the same shape;
+        the caller's array is left as it is.
         """
-        lu = np.asarray(log_u, dtype=float)
+        lu = np.array(log_u, dtype=float)
         return _inverse(type(self), self, lu.ravel(), bool(self.tilt)).reshape(lu.shape)[()]
 
     def untilted(self) -> "Segment":
@@ -183,8 +185,8 @@ def _log_density(fam: type[Segment], p, x: np.ndarray, lam, tilted: bool) -> np.
 
 def _inverse(fam: type[Segment], p, lu: np.ndarray, tilted: bool) -> np.ndarray:
     """x in [p.lo, p.hi] with log G(x) = lu, G of ``fam`` with parameters p,
-    for a 1-d lu: the closed inverse clamped to [p.lo, p.hi], or bisection
-    where there is none.
+    for a 1-d lu: the closed inverse clamped to [p.lo, p.hi], written over
+    lu, or bisection where there is none, which leaves lu as it is.
 
     The bisection starts at each level's own ends; an infinite end starts at
     max(lo + 1, 1) and doubles until log G falls to the level.  Each round
@@ -194,7 +196,8 @@ def _inverse(fam: type[Segment], p, lu: np.ndarray, tilted: bool) -> np.ndarray:
     if fam._inverse is not None and not tilted:
         x = fam._inverse(p, lu)
         np.maximum(x, p.lo, out=x)
-        return np.minimum(x, p.hi, out=x)
+        # min(x, inf) is x: a piece that reaches infinity skips the pass.
+        return x if np.ndim(p.hi) == 0 and p.hi == math.inf else np.minimum(x, p.hi, out=x)
     lo, hi = np.empty_like(lu), np.empty_like(lu)
     lo[:], hi[:] = p.lo, p.hi
     far = np.isinf(hi)
@@ -291,7 +294,14 @@ class AffineSegment(Segment):
 
     @staticmethod
     def _inverse(p, lu):
-        return np.expm1((lu - p.log_offset) / p.m - p.log_v_hi) / p.ratio + p.hi
+        # expm1((lu - log_offset) / m - log_v_hi) / ratio + hi
+        lu -= p.log_offset
+        lu /= p.m
+        lu -= p.log_v_hi
+        np.expm1(lu, out=lu)
+        lu /= p.ratio
+        lu += p.hi
+        return lu
 
 
 @dataclass(frozen=True)
@@ -323,7 +333,13 @@ class PowerSegment(Segment):
 
     @staticmethod
     def _inverse(p, lu):
-        return np.exp((lu - p.log_offset - p.log_coeff) / p.exponent) - p.shift
+        # exp((lu - log_offset - log_coeff) / exponent) - shift
+        lu -= p.log_offset
+        lu -= p.log_coeff
+        lu /= p.exponent
+        np.exp(lu, out=lu)
+        lu -= p.shift
+        return lu
 
 
 @dataclass(frozen=True)
@@ -352,7 +368,11 @@ class ExpAffineSegment(Segment):
 
     @staticmethod
     def _inverse(p, lu):
-        return (p.log_v_lo + p.log_offset - lu) / p.rate + p.lo
+        # (log_v_lo + log_offset - lu) / rate + lo
+        np.subtract(p.log_v_lo + p.log_offset, lu, out=lu)
+        lu /= p.rate
+        lu += p.lo
+        return lu
 
 
 @dataclass(frozen=True)
@@ -389,9 +409,13 @@ class ExpPowSegment(Segment):
 
     @staticmethod
     def _inverse(p, lu):
-        # Levels above the curve's top have a negative target; flooring it
-        # at 0 sends them to lo through the clamp.
-        return np.power(np.maximum((p.log_offset - lu) / p.coeff, 0.0), 1.0 / p.beta)
+        # ((log_offset - lu) / coeff) ** (1 / beta).  Levels above the
+        # curve's top have a negative target; flooring it at 0 sends them to
+        # lo through the clamp.
+        np.subtract(p.log_offset, lu, out=lu)
+        lu /= p.coeff
+        np.maximum(lu, 0.0, out=lu)
+        return np.power(lu, 1.0 / p.beta, out=lu)
 
 
 def simplify_power(inner: Segment, m: int) -> Segment:
@@ -497,7 +521,8 @@ class _SegmentTable:
         return self._each(x, k, lambda g, p, y: _log_density(g.fam, p, y, lam, g.tilted))
 
     def inverse(self, lu: np.ndarray, k: np.ndarray | int) -> np.ndarray:
-        """x with log G(x) = lu[j] in each level's segment k[j]."""
+        """x with log G(x) = lu[j] in each level's segment k[j]; may write
+        x over lu."""
         return self._each(lu, k, lambda g, p, y: _inverse(g.fam, p, y, g.tilted))
 
     def _each(self, x, k, run):
@@ -662,27 +687,37 @@ class TailCurve:
         ua = np.atleast_1d(np.asarray(u, dtype=float))
         if not ua.size:
             return np.empty_like(ua)
-        out = self._quantile(ua.ravel())
+        # u = 0 and u < 0 are refused from their logs, -inf and NaN.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lu = np.log(ua.ravel())
+        out = self._quantile_of_log(lu)
         return float(out[0]) if np.isscalar(u) else out.reshape(ua.shape)
 
-    def _quantile(self, ua: np.ndarray) -> np.ndarray:
-        """``quantile`` on a flat nonempty array."""
+    def _quantile_of_log(self, lu: np.ndarray) -> np.ndarray:
+        """``quantile`` at the levels e^lu, for a flat nonempty array lu of
+        log levels, which it may overwrite with the result.
+
+        log u in (-inf, 0] is u in (0, 1], so one minimum and one maximum
+        check the levels, the truncation floor and the only segment."""
+        lo, hi = lu.min(), lu.max()
         # Written so that NaN fails the test too.
-        if not (ua.min() > 0 and ua.max() <= 1):
+        if not (lo > _NEG_INF and hi <= 0):
             raise ParameterError("quantile level u must lie in (0, 1]")
-        lu = np.log(ua)
         tail_floor = float(self._ends[-1])
-        if lu.min() < tail_floor:
+        if lo < tail_floor:
             raise TruncationError(
                 "quantile level below the tail at the truncation point "
                 f"(log u < {tail_floor!r})"
             )
-        if len(self.segments) == 1 and lu.max() < self._starts[0]:
+        if len(self.segments) == 1 and hi < self._starts[0]:
             # Every level lies inside the only segment.
             return self._table.inverse(lu, 0)
         k = self._segment_of_level(lu)
-        inside = np.flatnonzero(self._starts[k] > lu)
         out = self._los[k]
+        if not self._dense_below[-1]:
+            # Without a density every level lands on a segment start.
+            return out
+        inside = np.flatnonzero(self._starts[k] > lu)
         if inside.size:
             # Levels that all lie in one segment pass its index alone.
             k_in = k[inside]

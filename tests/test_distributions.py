@@ -1,5 +1,6 @@
 """Built-in distributions: exact tails, moments, quantiles, sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -337,6 +338,24 @@ def test_quantile_roundtrip_continuous(request):
         assert np.allclose(back, us, rtol=1e-9), name
 
 
+@pytest.mark.parametrize("name", ["exp1", "pareto3", "dyadic", "fkz", "plateau2", "xu55"])
+def test_quantile_leaves_the_callers_levels(request, name):
+    # Only quantile_blocks inverts levels in place, in its own buffer.
+    d = request.getfixturevalue(name)
+    curve = d.tail
+    u = np.exp(np.linspace(max(curve._ends[-1], -60.0), 0.0, 257))
+    keep = u.copy()
+    want = curve.quantile(keep)
+    assert np.array_equal(curve.quantile(u), want)
+    assert np.array_equal(tf.quantile_from_tail(d, u.reshape(-1, 1)).ravel(), want)
+    assert u.tobytes() == keep.tobytes()
+    for seg, start, end in list(zip(curve.segments, curve._starts, curve._ends))[:60]:
+        lu = np.linspace(start, max(end, start - 30.0), 9)
+        keep = lu.copy()
+        seg.inverse(lu)
+        assert lu.tobytes() == keep.tobytes()
+
+
 def test_quantile_atom_absorption(plateau2):
     # u strictly inside the jump at y_1 maps to y_1 itself
     a1 = plateau2.atoms[0]
@@ -363,6 +382,15 @@ def test_quantile_domain():
         tf.quantile_from_tail(tf.exponential(1.0), 0.0)
 
 
+def test_quantile_of_a_subnormal_level(exp1, pareto3, dyadic):
+    # The smallest subnormal level has a finite log, above these floors.
+    tiny = 5e-324
+    assert tf.quantile_from_tail(exp1, tiny) == pytest.approx(-math.log(tiny), rel=1e-15)
+    for d in (pareto3, dyadic):
+        x = tf.quantile_from_tail(d, np.array([tiny, 0.5]))
+        assert np.all(np.isfinite(x)) and x[0] > x[1]
+
+
 # ----------------------------------------------------------------- sampling
 
 
@@ -379,6 +407,32 @@ def test_sampling_in_blocks_keeps_one_calls_bits(name, request):
     n = 2 * _BLOCK + 3617
     u = 1.0 - np.random.Generator(np.random.PCG64(17)).random(n)
     assert np.array_equal(tf.sample(d, 17, n), d.tail.quantile(u))
+
+
+# sha256 of sample(d, 3, 50_000), read before each block's levels were
+# inverted in their own buffer: every inverse path, closed or bisected, on
+# one segment or many, keeps its bits (numpy 2.4 on x86-64).
+SAMPLE_SHA256 = {
+    "exp1": "63a8a13164011b08847f8e3004ead2c330cc1afd48bc30e97ccfcc53b6454ad6",
+    "pareto3": "bf615dd8bef7b4c4e0d6d62e062d08fa5dac96934bc20516f8db73da76db6ed5",
+    "weibull": "c110427e4cf38d59bbffeb70e168885bd5e9a50d4dd570ed3ddc352cefccf7eb",
+    "dyadic": "64c5c67c0beed5ead2ffcc88daf0889379062a595850e54f3ad5cda820d06743",
+    "fkz": "23fa4b15d55acad18704e38a570456de506b9d4e9e327afb08fd189a5ea8a9c5",
+    "plateau2": "253f5894fe4d2bdb7a4e8cc38047b90ce251efceabf4daacd72465f2bd9cb041",
+    "xu55": "2b1d7054abac9920721ae50295334492b0043e635d7632db97400fcbe537e2c6",
+    "pareto3-tilt0.5": "70a98ee562fab15af829fd1eb7ae6750442de2cf95312a8a954ee166e8660758",
+    "weibull-tilt0.5": "6b6eb22893239634427694652edccc70bbf078b8c56614623483e0d1a2a3a2bc",
+    "dyadic-tilt0.5": "cf3ba2b00ee501e72d5f4730421860f6a05b0a35b8d542a8b2e0923cd786b3cf",
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_SHA256))
+def test_sample_bits_pinned(request, name):
+    base, _, tilt = name.partition("-tilt")
+    d = tf.weibull_heavy(0.5) if base == "weibull" else request.getfixturevalue(base)
+    if tilt:
+        d = tf.gamma_transform(d, float(tilt))
+    assert hashlib.sha256(tf.sample(d, 3, 50_000).tobytes()).hexdigest() == SAMPLE_SHA256[name]
 
 
 def test_sampling_mean_clt(exp1):

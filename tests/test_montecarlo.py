@@ -132,6 +132,11 @@ MC_PINNED = [
     ("exp1", 2, 5.0, 6.0, 200000, 8053, 1.0),
     # N below the 10 / floor draws of the acceptance check
     ("exp1", 2, 5.0, 1.0, 50000, 2036, 0.6517681728880157),
+    # N equal to them, and above them: the check shares the estimate's
+    # count on the blocks where both read the same rows.
+    ("exp1", 2, 5.0, 1.0, 100000, 4018, 0.6503235440517671),
+    ("exp1", 2, 5.0, 1.0, 150000, 6030, 0.655223880597015),
+    ("dyadic", 3, 12.0, 2.0, 150000, 14434, 0.475266731328807),
 ]
 
 

@@ -282,10 +282,13 @@ def test_log_density_at_infinity_is_minus_infinity(pareto3):
 
 def test_quantile_refuses_nan(pareto3, dyadic):
     # Every level outside (0, 1] is refused, NaN at any position among them.
+    # The levels are checked on log u, where u = 0 reads -inf and u < 0 NaN,
+    # and their logs raise no RuntimeWarning.
     last_nan = np.full(10**5, 0.5)
     last_nan[-1] = math.nan
+    bads = (math.nan, np.array([0.5, math.nan]), last_nan, 0.0, np.array([0.5, 0.0]), -1.0)
     for curve in (pareto3.tail, dyadic.tail):
-        for bad in (math.nan, np.array([0.5, math.nan]), last_nan, 0.0, 1.0 + 2.0**-52):
+        for bad in (*bads, 1.5, 1.0 + 2.0**-52):
             with pytest.raises(ParameterError, match=r"^quantile level u must lie in \(0, 1\]$"):
                 curve.quantile(bad)
         empty = curve.quantile(np.array([]))
