@@ -1,11 +1,13 @@
 """The exponential tail tilt and its algebra."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import tailforge as tf
+from tailforge.distribution import _split_tilt
 from tailforge.errors import DivergenceError, ParameterError
 
 GRID = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
@@ -148,3 +150,124 @@ def test_tilted_power_constructions_classify_alike(pareto3):
     verdicts = [(e.cls, e.verdict) for e in power_of_tilt.entries]
     assert verdicts == [(e.cls, e.verdict) for e in tilt_of_power.entries]
     assert power_of_tilt.verdict("S(gamma)") == "evidence-for"
+
+
+# ------------------------------------------------------------ pinned bits
+
+TILT_BASES = {
+    "exp1": lambda: tf.exponential(1.0),
+    "pareto3": lambda: tf.pareto(3.0),
+    "weibull": lambda: tf.weibull_heavy(0.5),
+    "dyadic": tf.dyadic_pareto,
+    "fkz": tf.fkz_example,
+    "plateau2": lambda: tf.plateau_example(2.0),
+    "xu55": lambda: tf.xu_piecewise(5.5, 4096.0),
+    "xu55m2": lambda: tf.xu_piecewise(5.5, 4096.0, m=2),
+}
+TILT_VARIANTS = {
+    "tilt0.3": lambda d: tf.gamma_transform(d, 0.3),
+    "tilt0.5": lambda d: tf.gamma_transform(d, 0.5),
+    "tilt1": lambda d: tf.gamma_transform(d, 1.0),
+    "tilt-of-tilt": lambda d: tf.gamma_transform(tf.gamma_transform(d, 0.3), 0.2),
+    "power-of-tilt": lambda d: tf.power_tail(tf.gamma_transform(d, 0.5), 2),
+    "tilt-of-power": lambda d: tf.gamma_transform(tf.power_tail(d, 2), 1.0),
+}
+
+
+def _values(fn) -> np.ndarray:
+    """fn's result as floats, or the name of the error it raises."""
+    try:
+        return np.asarray(fn(), dtype=float).ravel()
+    except Exception as e:  # an error is part of what is pinned
+        return np.frombuffer(type(e).__name__.encode().ljust(24), dtype=float)
+
+
+def _tilt_digest(d) -> str:
+    """sha256 of d's log tails, left limits, densities (lam = 0 and 0.25),
+    atoms, quantiles, draws, density flags, split and moments."""
+    c = d.tail
+    top = min(c.truncation_hi, 1e6)
+    x = np.concatenate([[-1.0, 0.0], c.breakpoints()[:40], np.geomspace(1e-3, top, 60)])
+    xf = x[np.isfinite(x)]
+    base, rate = _split_tilt(d)
+    lu = np.linspace(0.0, 0.999 * max(float(c._ends[-1]), -700.0), 61)
+    lo = np.linspace(0.0, top, 30)
+    parts = [
+        lambda: c.log_tail(x),
+        lambda: c.log_tail_left(x),
+        lambda: c.log_density(xf),
+        lambda: c.log_density(xf, 0.25),
+        lambda: [(a.location, a.log_mass) for a in d.atoms],
+        lambda: c.quantile(np.exp(lu)),
+        lambda: tf.sample(d, 3, 2000),
+        lambda: c.has_density_in(lo, lo + top / 60),
+        lambda: base.tail.log_tail(x),
+        lambda: [rate],
+        lambda: [d.mean],
+        lambda: [tf.exp_moment(d, 0.1)],
+        lambda: [tf.partial_moment(d, 1, 0.0, math.inf)],
+    ]
+    return hashlib.sha256(np.concatenate([_values(f) for f in parts]).tobytes()).hexdigest()
+
+
+# sha256 of ``_tilt_digest`` for each builtin's tilts, read when the tilt
+# was a field of every segment (numpy 2.4 on x86-64).  A tilt of a tilt
+# whose rates sum to 0.5 is the 0.5 tilt, and a power of a tilt the tilt of
+# the power, bit for bit.
+TILT_SHA256 = {
+    "exp1-tilt0.3": "6545608bd0dbe76a7972343fadd025dbb61f9a73762d2dd3a000d4c65f66c74f",
+    "exp1-tilt0.5": "e75271adcccfe51266d5bd3e2290bd92849d79da56dbc68f0255e5cff8bdce0a",
+    "exp1-tilt1": "b0ba6eb6cdc4395cb517c6e27014c50f2b06451978c3dae7adcea0db47b3f806",
+    "exp1-tilt-of-tilt": "e75271adcccfe51266d5bd3e2290bd92849d79da56dbc68f0255e5cff8bdce0a",
+    "exp1-power-of-tilt": "60e96add83be3b97ee9a31c313304dc179ceb17ec6d54cec15f9c5a06497bc45",
+    "exp1-tilt-of-power": "60e96add83be3b97ee9a31c313304dc179ceb17ec6d54cec15f9c5a06497bc45",
+    "pareto3-tilt0.3": "7292134dc83b4df5bdd077aae9ed4c9365a28bf998eb4a0c4e1d5cbed0902099",
+    "pareto3-tilt0.5": "36cf5ca4220ef9e3d3aff6f4caa5636ddb9f4cfb97f96f47e9e1b989fcbe1ee1",
+    "pareto3-tilt1": "77b2cbfa8b73b70f08fd0c0fa40b45b571df23a217d7a5a4c2482852dbd466e7",
+    "pareto3-tilt-of-tilt": "36cf5ca4220ef9e3d3aff6f4caa5636ddb9f4cfb97f96f47e9e1b989fcbe1ee1",
+    "pareto3-power-of-tilt": "ebd56e42207c2eeab7b93e66a8c952b2a49d476ecbf47c0bb19315f2fe45548e",
+    "pareto3-tilt-of-power": "ebd56e42207c2eeab7b93e66a8c952b2a49d476ecbf47c0bb19315f2fe45548e",
+    "weibull-tilt0.3": "7c98bb3a91d2f6471a40f184f41f4a423e4e3acb675ba43a7629717520bc7833",
+    "weibull-tilt0.5": "12c51a9a5bd96d51f6c3b42fff3d526238d3a74064f4fe4c3bbc1c71b2b2a683",
+    "weibull-tilt1": "f13517bf0769253518a16522cae539c9f3eb3d79fb678d9501d0e66e2392cf5d",
+    "weibull-tilt-of-tilt": "12c51a9a5bd96d51f6c3b42fff3d526238d3a74064f4fe4c3bbc1c71b2b2a683",
+    "weibull-power-of-tilt": "cbc1516980485852b46096feee7ab62ea04e5bfdc53cf4e9d15b5593189a91f9",
+    "weibull-tilt-of-power": "cbc1516980485852b46096feee7ab62ea04e5bfdc53cf4e9d15b5593189a91f9",
+    "dyadic-tilt0.3": "a80de019c659036a238e35e389d048742cce0e0e49ce11d68c6b05945fd23c21",
+    "dyadic-tilt0.5": "ceaaeec3f6b9d92fb57833c0a58d275bda3cb0007967e14c4b9065191cc6f711",
+    "dyadic-tilt1": "c0073515f3ac44386a9bcffed2d982d167c38b62b38cf88affc6ad8d53e9cb1d",
+    "dyadic-tilt-of-tilt": "ceaaeec3f6b9d92fb57833c0a58d275bda3cb0007967e14c4b9065191cc6f711",
+    "dyadic-power-of-tilt": "e7f0cdc35c72b714268ea97837e1b361c2ffd4523574091c6548353b7f5209f2",
+    "dyadic-tilt-of-power": "e7f0cdc35c72b714268ea97837e1b361c2ffd4523574091c6548353b7f5209f2",
+    "fkz-tilt0.3": "5504f70464476cc8812fcedcae7e4ac6f8caafcc97cbeed1a6f151d158ad2b43",
+    "fkz-tilt0.5": "9110567c61ab05dc76979052800b8bd678ee26f677395930fa2870faf7995663",
+    "fkz-tilt1": "2e2dcb7cd477a828d6c2a949a1c9efb59a76e42303446f1660d4120a953073da",
+    "fkz-tilt-of-tilt": "9110567c61ab05dc76979052800b8bd678ee26f677395930fa2870faf7995663",
+    "fkz-power-of-tilt": "cdf4952b276bf15d081da7aa77c823febb954059bdd46ab8cbcf5d840012d759",
+    "fkz-tilt-of-power": "cdf4952b276bf15d081da7aa77c823febb954059bdd46ab8cbcf5d840012d759",
+    "plateau2-tilt0.3": "591fd7bd0d0b9110c0fe2e5da7b15e110ca334acce3ffab1b7f33239119ffaf3",
+    "plateau2-tilt0.5": "c8cc7c5fe34405e003de402440799167782caa2721a62a4dcf26af4ae545e033",
+    "plateau2-tilt1": "621e64eaaf02768f5bc2fe3a5f0e2b8ef14f7e84f2fc77e140cab7e631890738",
+    "plateau2-tilt-of-tilt": "c8cc7c5fe34405e003de402440799167782caa2721a62a4dcf26af4ae545e033",
+    "plateau2-power-of-tilt": "fa5aeb9325e4bb8c13b60e60e712c42fac5be2d39a05b0d7cd828cb5b0fbe82d",
+    "plateau2-tilt-of-power": "fa5aeb9325e4bb8c13b60e60e712c42fac5be2d39a05b0d7cd828cb5b0fbe82d",
+    "xu55-tilt0.3": "837266d29227b1a2b6c89f351d5bffdc57938f66d5e97a7532d390aa3c3ea8e5",
+    "xu55-tilt0.5": "1c106bf74e90438054ca524bcf9d629b746c551b20a122396c416f34864f4592",
+    "xu55-tilt1": "0f266ed686e8e264579bb69062238266622311e82b26da0191b9470574df38a5",
+    "xu55-tilt-of-tilt": "1c106bf74e90438054ca524bcf9d629b746c551b20a122396c416f34864f4592",
+    "xu55-power-of-tilt": "09aef7b7ebc95f75677c6f5dd0c63bf7ee2ba6c3c5255b50dc176e4963403bb8",
+    "xu55-tilt-of-power": "09aef7b7ebc95f75677c6f5dd0c63bf7ee2ba6c3c5255b50dc176e4963403bb8",
+    "xu55m2-tilt0.3": "e24e31566b5d52e0cccccb0758e8237b4124ec54037b587018cc83d37736180e",
+    "xu55m2-tilt0.5": "4e23d09909ac1a0b1d7793b22464939ea6c4c855d3f87666f66f97c766a8195a",
+    "xu55m2-tilt1": "09aef7b7ebc95f75677c6f5dd0c63bf7ee2ba6c3c5255b50dc176e4963403bb8",
+    "xu55m2-tilt-of-tilt": "4e23d09909ac1a0b1d7793b22464939ea6c4c855d3f87666f66f97c766a8195a",
+    "xu55m2-power-of-tilt": "80e00eb9247bb2016c85577d0194cfd68274d233cd58127716c3e9ee1b2bc7bc",
+    "xu55m2-tilt-of-power": "80e00eb9247bb2016c85577d0194cfd68274d233cd58127716c3e9ee1b2bc7bc",
+}
+
+
+@pytest.mark.parametrize("name", list(TILT_SHA256))
+def test_tilt_bits_pinned(name):
+    base, _, variant = name.partition("-")
+    d = TILT_VARIANTS[variant](TILT_BASES[base]())
+    assert _tilt_digest(d) == TILT_SHA256[name]
