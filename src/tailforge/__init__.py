@@ -69,4 +69,4 @@ from .montecarlo import McEstimate, mc_jump_cond, mc_vs_quadrature
 from .quadrature import LogQuadResult, QuadConfig, log_quad
 from .specio import dump_spec, load_spec, parse_inline, parse_spec, resolve_dist
 from .tailcurve import TailCurve
-from .transform import gamma_transform, tilt_compose_check
+from .transform import gamma_transform

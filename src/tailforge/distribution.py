@@ -14,7 +14,6 @@ generator.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,11 +193,11 @@ def _cutoff(d: Distribution, lam: float, k: int, A: float = 0.0) -> float:
     of a bound on the integrand times T^2 falls below -60 + min(0, b(A)),
     b(A) = log F(A) + lam A + (k + 2) log max(A, 1) the same bound read off
     the curve at A (0 for A <= 0); capped at 8.9e307.  The bound at T fuses
-    lam with the segment's tilt: evaluating the tail and the exponential
+    lam with the curve's tilt rate: evaluating the tail and the exponential
     apart cancels at large T.
     """
     seg = d.tail.segments[-1]
-    core, net = seg.untilted(), lam - seg.tilt
+    net = lam - d.tail.rate
     floor = -60.0
     if A > 0:
         floor += min(0.0, d.tail.log_tail(A) + lam * A + (k + 2) * math.log(max(A, 1.0)))
@@ -207,7 +206,7 @@ def _cutoff(d: Distribution, lam: float, k: int, A: float = 0.0) -> float:
         T *= 2.0
         if T >= 8.9e307:
             return 8.9e307
-        if core.log_value_at(T) + net * T + (k + 2) * math.log(T) < floor:
+        if seg.log_value_at(T) + net * T + (k + 2) * math.log(T) < floor:
             return T
     return T
 
@@ -246,23 +245,20 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
 
 def _split_tilt(d: Distribution) -> tuple[Distribution, float]:
     """The base law F and rate gamma of d's tail F(x) e^{-gamma x}, gamma the
-    smallest segment tilt (d and 0 if a segment is untilted).  A tilt takes
-    its source's split from ``gamma_transform``; other laws build it once."""
+    curve's tilt rate (d and 0 for an untilted curve).  A tilt takes its
+    source's base from ``gamma_transform``; other laws build it once."""
     if d._split is None:
-        rate = min(seg.tilt for seg in d.tail.segments)
-        base = d
-        if rate:
-            segs = [dataclasses.replace(seg, tilt=seg.tilt - rate) for seg in d.tail.segments]
-            base = Distribution(TailCurve(segs, validate=False))
+        rate = d.tail.rate
+        base = Distribution(TailCurve(d.tail.segments, validate=False)) if rate else d
         d._split = (base, rate)
     return d._split
 
 
 def _terminal_rate(d: Distribution) -> float:
-    """The exponential decay rate of the last segment: its tilt, plus its
-    rate when it is exp-affine."""
-    seg = d.tail.segments[-1]
-    return seg.tilt + seg.rate if isinstance(seg, ExpAffineSegment) else seg.tilt
+    """The exponential decay rate of the last segment: the curve's tilt
+    rate, plus the segment's rate when it is exp-affine."""
+    seg, rate = d.tail.segments[-1], d.tail.rate
+    return rate + seg.rate if isinstance(seg, ExpAffineSegment) else rate
 
 
 def _check_terminal_decay(d: Distribution, lam: float, k: int) -> None:
@@ -356,7 +352,7 @@ def power_tail(d: Distribution, m: int) -> Distribution:
     if m == 1:
         return d
     segs = tuple(simplify_power(s, m) for s in d.tail.segments)
-    curve = TailCurve(segs)
+    curve = TailCurve(segs, rate=m * d.tail.rate)
     label = f"{d.label}^({m})" if d.label else f"power({m})"
     spec = {"kind": "power", "m": m, "base": d.spec} if d.spec else {}
     return Distribution(curve, label=label, spec=spec)

@@ -633,8 +633,8 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries.append(ClassEntry("D", d_verdict, d_detail, (d_series,)))
 
     # --- L(gamma) at the terminal decay rate ------------------------------
-    # The rate is read off the curve: the last segment's tilt, plus its rate
-    # when it is exp-affine (the rate exp_moment checks a moment against).
+    # The rate is read off the curve: its tilt rate, plus the last segment's
+    # rate when it is exp-affine (the rate exp_moment checks a moment against).
     # L(gamma) reads the tilted shift ratios on the shift-probe grid as L
     # reads its own; S(gamma) compares the two-fold ratio with 2 m(gamma).
     gamma = _terminal_rate(d)

@@ -46,7 +46,7 @@ def parse_spec(doc: dict) -> Distribution:
     if kind == "tilted":
         if "base" not in doc or "gamma" not in doc:
             raise ParameterError("tilted spec needs 'gamma' and 'base'")
-        return gamma_transform(parse_spec(doc["base"]), float(doc["gamma"]))
+        return gamma_transform(parse_spec(doc["base"]), doc["gamma"])
     if kind == "power":
         if "base" not in doc or "m" not in doc:
             raise ParameterError("power spec needs 'm' and 'base'")

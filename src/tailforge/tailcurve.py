@@ -19,21 +19,22 @@ Numerical conventions that matter:
   roundoff are construction errors.
 * Queries beyond the last materialized breakpoint raise TruncationError;
   extrapolating an infinite construction would fabricate its asymptotics.
-* An exponential tilt is a number on the segment, not a wrapper: every piece
-  reads log F(x) = closed form + log_offset - tilt * x.
-* So is an integer power: ``simplify_power`` folds F^m into the closed form
-  of F's own family (an affine piece keeps m as a field), with the tilt
-  outside the power.  No segment holds another segment.
+* An exponential tilt is one rate on the curve, not a wrapper and not a
+  field of its segments: a curve with rate gamma reads
+  log G(x) = log F(x) - gamma * x, F from its segments' closed forms.
+* An integer power is a closed form too: ``simplify_power`` folds F^m into
+  the closed form of F's own family (an affine piece keeps m as a field).
+  No segment holds another segment.
 
 Each segment family writes its closed form once, as ``_value(p, x)`` and
 ``_density(p, x)`` over a parameter holder p, and its closed inverse, where
 it has one, as ``_inverse(p, log_u)``, which overwrites its array of log
-levels step by step in the order of the formula; a tilted piece has none,
-and each of its levels is bisected from its own segment's ends.  A segment
-passes itself, so its fields are scalars.  A curve keeps a family table
-(``_SegmentTable``), which groups its segments by family, by whether they
-are tilted and by the field a family keeps as a scalar (``beta`` of the
-stretched exponential); it passes a group's
+levels step by step in the order of the formula.  A tilted curve and a
+flat piece have none: each level is bisected from its own segment's ends
+(``_bisect``).  A segment passes itself, so its fields are scalars.  A
+curve keeps a family table (``_SegmentTable``), which carries the curve's
+rate and groups its segments by family and by the field a family keeps as
+a scalar (``beta`` of the stretched exponential); it passes a group's
 fields gathered into arrays with one entry per point.  So a curve
 evaluates any number of points, and inverts any number of quantile levels,
 in one array pass per group, and each point gets the bits its own segment
@@ -84,18 +85,17 @@ class Segment(ABC):
     Subclasses provide the exact log tail value of a closed form, its log
     density (-inf where flat), and an exact inverse when the form is
     invertible in closed form.  ``log_offset`` is a vertical shift in the
-    log domain used for join snapping and power simplifications.  ``tilt``
-    is the rate gamma >= 0 of the exponential tilt G(x) = F(x) e^{-gamma x}
-    applied to the closed form: log G(x) = closed form + log_offset - tilt * x.
+    log domain used for join snapping and power simplifications:
+    log F(x) = closed form + log_offset.
     """
 
     lo: float
     hi: float
     log_offset: float = 0.0
-    tilt: float = 0.0
 
     # Fields a family table keeps as one scalar per group (module docstring).
     _SCALARS: ClassVar[tuple[str, ...]] = ()
+    has_density: ClassVar[bool] = True
     # The closed form's inverse, _inverse(p, log_u), in the families that
     # have one: it writes x over the array log_u and returns it.
     _inverse: ClassVar = None
@@ -103,8 +103,6 @@ class Segment(ABC):
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ParameterError(f"segment bounds out of order: [{self.lo}, {self.hi})")
-        if not 0.0 <= self.tilt < math.inf:
-            raise ParameterError(f"tilt rate must be finite and nonnegative, got {self.tilt}")
 
     @staticmethod
     @abstractmethod
@@ -121,12 +119,8 @@ class Segment(ABC):
         """log of the constant factor of the closed form's density."""
         return _NEG_INF
 
-    @property
-    def log_tilt(self) -> float:
-        return math.log(self.tilt)
-
     def log_value(self, x: np.ndarray) -> np.ndarray:
-        return _log_value(type(self), self, np.asarray(x, dtype=float), bool(self.tilt))
+        return _log_value(type(self), self, np.asarray(x, dtype=float))
 
     def log_value_at(self, x: float) -> float:
         return float(self.log_value(np.array([x]))[0])
@@ -134,25 +128,17 @@ class Segment(ABC):
     def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """log(exp(lam * x) * f(x)), f the density of the piece; lam != 0
         gives the integrand of a tilted moment."""
-        return _log_density(type(self), self, np.asarray(x, dtype=float), lam, bool(self.tilt))
-
-    @property
-    def has_density(self) -> bool:
-        return True
+        return _log_density(type(self), self, np.asarray(x, dtype=float), lam)
 
     def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray:
         """x in [lo, hi] with log_value(x) = log_u: exact where the closed
-        form has an inverse, else bisected (``_inverse``).
+        form has an inverse, else bisected (``_bisect``).
 
         Takes a scalar or an array of log levels and returns the same shape;
         the caller's array is left as it is.
         """
         lu = np.array(log_u, dtype=float)
-        return _inverse(type(self), self, lu.ravel(), bool(self.tilt)).reshape(lu.shape)[()]
-
-    def untilted(self) -> "Segment":
-        """The same piece with tilt 0."""
-        return dataclasses.replace(self, tilt=0.0) if self.tilt else self
+        return _inverse(type(self), self, lu.ravel()).reshape(lu.shape)[()]
 
     def with_offset(self, delta: float) -> "Segment":
         return dataclasses.replace(self, log_offset=self.log_offset + delta)
@@ -161,50 +147,59 @@ class Segment(ABC):
         return dataclasses.replace(self, lo=lo, hi=hi)
 
 
-def _log_value(fam: type[Segment], p, x: np.ndarray, tilted: bool) -> np.ndarray:
-    """log G(x) of the family ``fam`` with parameters p (module docstring)."""
+def _log_value(fam: type[Segment], p, x: np.ndarray, rate: float = 0.0) -> np.ndarray:
+    """log G(x) = log F(x) - rate * x, F of the family ``fam`` with
+    parameters p (module docstring)."""
     out = fam._value(p, x) + p.log_offset
-    # An untilted piece subtracts nothing: 0 * inf would turn -inf at
-    # x = inf into NaN.
-    return out - p.tilt * x if tilted else out
+    # A rate of 0 subtracts nothing: 0 * inf would turn -inf at x = inf
+    # into NaN.
+    return out - rate * x if rate else out
 
 
-def _log_density(fam: type[Segment], p, x: np.ndarray, lam, tilted: bool) -> np.ndarray:
-    """log(e^{lam x} g(x)), g the density of ``fam``'s G with parameters p."""
+def _log_density(fam: type[Segment], p, x: np.ndarray, lam, rate: float = 0.0) -> np.ndarray:
+    """log(e^{lam x} g(x)), g the density of G(x) = F(x) e^{-rate x}, F of
+    ``fam`` with parameters p."""
     dens = fam._density(p, x) + p.log_offset
-    if not tilted:
+    if not rate:
         # lam = 0 adds nothing, and 0 * inf would turn a density's -inf at
         # x = inf into NaN.
         return dens + lam * x if lam else dens
-    # The tilted density exp(-tilt x) * (f(x) + tilt * F(x)), with
+    # The tilted density exp(-rate x) * (f(x) + rate * F(x)), with
     # exp(lam x) fused into the net rate: the two exponentials evaluated
     # apart cancel catastrophically at large x.
-    jump = p.log_tilt + (fam._value(p, x) + p.log_offset)
-    return np.logaddexp(dens, jump) + (lam - p.tilt) * x
+    jump = math.log(rate) + (fam._value(p, x) + p.log_offset)
+    return np.logaddexp(dens, jump) + (lam - rate) * x
 
 
-def _inverse(fam: type[Segment], p, lu: np.ndarray, tilted: bool) -> np.ndarray:
-    """x in [p.lo, p.hi] with log G(x) = lu, G of ``fam`` with parameters p,
-    for a 1-d lu: the closed inverse clamped to [p.lo, p.hi], written over
-    lu, or bisection where there is none, which leaves lu as it is.
+def _inverse(fam: type[Segment], p, lu: np.ndarray, rate: float = 0.0) -> np.ndarray:
+    """x in [p.lo, p.hi] with log G(x) = lu, G(x) = F(x) e^{-rate x} and F
+    of ``fam`` with parameters p, for a 1-d lu: the closed inverse clamped
+    to [p.lo, p.hi], written over lu, or bisection where there is none (a
+    flat piece, or a rate), which leaves lu as it is."""
+    if fam._inverse is None or rate:
+        return _bisect(partial(_log_value, fam, p, rate=rate), p.lo, p.hi, lu)
+    x = fam._inverse(p, lu)
+    np.maximum(x, p.lo, out=x)
+    # min(x, inf) is x: a piece that reaches infinity skips the pass.
+    return x if np.ndim(p.hi) == 0 and p.hi == math.inf else np.minimum(x, p.hi, out=x)
+
+
+def _bisect(log_g, seg_lo, seg_hi, lu: np.ndarray) -> np.ndarray:
+    """x in [seg_lo, seg_hi] with log_g(x) = lu, for a nonincreasing log_g
+    and a 1-d lu; the ends are scalars or one per level.
 
     The bisection starts at each level's own ends; an infinite end starts at
-    max(lo + 1, 1) and doubles until log G falls to the level.  Each round
+    max(lo + 1, 1) and doubles until log_g falls to the level.  Each round
     evaluates every level, and each level stops on its own, at absolute
     width 1e-12 (1 + x), keeping its ends from then on, so its x is the
     same in any call."""
-    if fam._inverse is not None and not tilted:
-        x = fam._inverse(p, lu)
-        np.maximum(x, p.lo, out=x)
-        # min(x, inf) is x: a piece that reaches infinity skips the pass.
-        return x if np.ndim(p.hi) == 0 and p.hi == math.inf else np.minimum(x, p.hi, out=x)
     lo, hi = np.empty_like(lu), np.empty_like(lu)
-    lo[:], hi[:] = p.lo, p.hi
+    lo[:], hi[:] = seg_lo, seg_hi
     far = np.isinf(hi)
     if far.any():
         hi[far] = np.maximum(lo[far] + 1.0, 1.0)
         for _ in range(400):
-            short = far & (_log_value(fam, p, hi, tilted) > lu)
+            short = far & (log_g(hi) > lu)
             if not short.any():
                 break
             hi[short] *= 2.0
@@ -213,7 +208,7 @@ def _inverse(fam: type[Segment], p, lu: np.ndarray, tilted: bool) -> np.ndarray:
     live = np.ones(lu.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        too_high = _log_value(fam, p, mid, tilted) > lu  # tail still above u: move right
+        too_high = log_g(mid) > lu  # tail still above u: move right
         np.copyto(lo, mid, where=live & too_high)
         np.copyto(hi, mid, where=live & ~too_high)
         live &= hi - lo > 1e-12 * (1.0 + np.abs(hi))
@@ -224,9 +219,11 @@ def _inverse(fam: type[Segment], p, lu: np.ndarray, tilted: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstSegment(Segment):
-    """Flat tail: F(x) = exp(level).  Carries no density unless tilted."""
+    """Flat tail: F(x) = exp(level).  Carries no density of its own; on a
+    tilted curve it has the tilt's."""
 
     level: float = 0.0
+    has_density: ClassVar[bool] = False
 
     @staticmethod
     def _value(p, x):
@@ -235,10 +232,6 @@ class ConstSegment(Segment):
     @staticmethod
     def _density(p, x):
         return np.full_like(x, _NEG_INF)
-
-    @property
-    def has_density(self) -> bool:
-        return self.tilt > 0  # a tilt gives a flat piece the density tilt * G
 
 
 @dataclass(frozen=True)
@@ -419,26 +412,23 @@ class ExpPowSegment(Segment):
 
 
 def simplify_power(inner: Segment, m: int) -> Segment:
-    """Raise a segment's tail to an integer power, folding closed forms.
-
-    (F e^{-tilt x})^m = F^m e^{-m tilt x}: the tilt stays outside the power.
-    """
+    """Raise a segment's tail to an integer power, folding closed forms."""
     if m == 1:
         return inner
-    scaled = {"log_offset": m * inner.log_offset, "tilt": m * inner.tilt}
+    off = m * inner.log_offset
     if isinstance(inner, ConstSegment):
-        return dataclasses.replace(inner, level=m * inner.level, **scaled)
+        return dataclasses.replace(inner, level=m * inner.level, log_offset=off)
     if isinstance(inner, ExpAffineSegment):
         return dataclasses.replace(
-            inner, log_v_lo=m * inner.log_v_lo, rate=m * inner.rate, **scaled
+            inner, log_v_lo=m * inner.log_v_lo, rate=m * inner.rate, log_offset=off
         )
     if isinstance(inner, PowerSegment):
         return dataclasses.replace(
-            inner, log_coeff=m * inner.log_coeff, exponent=m * inner.exponent, **scaled
+            inner, log_coeff=m * inner.log_coeff, exponent=m * inner.exponent, log_offset=off
         )
     if isinstance(inner, ExpPowSegment):
-        return dataclasses.replace(inner, coeff=m * inner.coeff, **scaled)
-    return dataclasses.replace(inner, m=m * inner.m, **scaled)
+        return dataclasses.replace(inner, coeff=m * inner.coeff, log_offset=off)
+    return dataclasses.replace(inner, m=m * inner.m, log_offset=off)
 
 
 def chain_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
@@ -452,8 +442,9 @@ def chain_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
 
 def _chained(table: "_SegmentTable") -> tuple[tuple[Segment, ...], bool]:
     """``chain_segments`` on a table's segments, and whether it snapped
-    one.  Joins are judged in order from the table's end values; a
-    snapped segment's end is read again, and so is the join after it."""
+    one.  Joins are judged in order from the table's end values, at the
+    table's rate; a snapped segment's end is read again, and so is the join
+    after it."""
     if not table.segs:
         raise ParameterError("a tail curve needs at least one segment")
     segs, (starts, ends) = table.segs, table.end_values
@@ -475,7 +466,7 @@ def _chained(table: "_SegmentTable") -> tuple[tuple[Segment, ...], bool]:
                 )
             seg = out[k] = out[k].with_offset(prev_end - start)
             snapped = True
-            ends[k] = seg.log_value_at(seg.hi)
+            ends[k] = float(_log_value(type(seg), seg, np.array([seg.hi]), table.rate)[0])
             k += 1
     if apart.size:
         raise ParameterError(
@@ -488,21 +479,22 @@ def _chained(table: "_SegmentTable") -> tuple[tuple[Segment, ...], bool]:
 class _SegmentTable:
     """A curve's segments as parameter tables, one per group of the module
     docstring: segment k is row ``_local[k]`` of group ``_group[k]``.  A
-    group's columns are gathered from its segments on first use."""
+    group's columns are gathered from its segments on first use.  Every
+    value, density and inverse is G(x) = F(x) e^{-rate x}'s."""
 
-    def __init__(self, segs: Sequence[Segment]):
-        self.segs = tuple(segs)
+    def __init__(self, segs: Sequence[Segment], rate: float = 0.0):
+        self.segs, self.rate = tuple(segs), rate
         self.los = np.array([s.lo for s in segs], dtype=float)
         self.his = np.array([s.hi for s in segs], dtype=float)
-        keys = [(type(s), bool(s.tilt), *(getattr(s, n) for n in s._SCALARS)) for s in segs]
+        keys = [(type(s), *(getattr(s, n) for n in s._SCALARS)) for s in segs]
         ids: dict = {}
         self._group = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
         self._local = np.empty(len(segs), dtype=np.intp)
         self._groups = []
-        for (fam, tilted, *_), g in ids.items():
+        for (fam, *_), g in ids.items():
             rows = np.flatnonzero(self._group == g)
             self._local[rows] = np.arange(len(rows))
-            self._groups.append(_Group(fam, tilted, [segs[k] for k in rows]))
+            self._groups.append(_Group(fam, [segs[k] for k in rows]))
 
     @cached_property
     def end_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -514,16 +506,16 @@ class _SegmentTable:
 
     def log_value(self, x: np.ndarray, k: np.ndarray | int) -> np.ndarray:
         """log G at each point x[j] by the formula of its segment k[j]."""
-        return self._each(x, k, lambda g, p, y: _log_value(g.fam, p, y, g.tilted))
+        return self._each(x, k, lambda g, p, y: _log_value(g.fam, p, y, self.rate))
 
     def log_density(self, x: np.ndarray, k: np.ndarray | int, lam=0.0) -> np.ndarray:
         """log(e^{lam x} g(x)) at each point x[j] by its segment k[j]."""
-        return self._each(x, k, lambda g, p, y: _log_density(g.fam, p, y, lam, g.tilted))
+        return self._each(x, k, lambda g, p, y: _log_density(g.fam, p, y, lam, self.rate))
 
     def inverse(self, lu: np.ndarray, k: np.ndarray | int) -> np.ndarray:
         """x with log G(x) = lu[j] in each level's segment k[j]; may write
         x over lu."""
-        return self._each(lu, k, lambda g, p, y: _inverse(g.fam, p, y, g.tilted))
+        return self._each(lu, k, lambda g, p, y: _inverse(g.fam, p, y, self.rate))
 
     def _each(self, x, k, run):
         """``run(group, parameters, points)`` over the groups the points
@@ -546,8 +538,8 @@ class _SegmentTable:
 class _Group:
     """The segments of one family table group, with their columns."""
 
-    def __init__(self, fam: type[Segment], tilted: bool, segs: list[Segment]):
-        self.fam, self.tilted, self._segs = fam, tilted, segs
+    def __init__(self, fam: type[Segment], segs: list[Segment]):
+        self.fam, self._segs = fam, segs
         self._cols = {n: getattr(segs[0], n) for n in fam._SCALARS}
 
     def column(self, name: str):
@@ -574,13 +566,17 @@ class _Rows:
 class TailCurve:
     """Piecewise survival function on [0, truncation_hi].
 
-    F(x) = 1 for x < 0 by convention.  Evaluation is right-continuous; the
-    left limit (needed for atom masses and staircase discretization) is
-    available via ``log_tail_left``.  All values are logs.
+    G(x) = F(x) e^{-rate x}, F from the segments and ``rate`` >= 0 the
+    exponential tilt (0 for none); G(x) = 1 for x < 0 by convention.
+    Evaluation is right-continuous; the left limit (needed for atom masses
+    and staircase discretization) is available via ``log_tail_left``.  All
+    values are logs.
     """
 
-    def __init__(self, segments: Sequence[Segment], *, validate: bool = True):
-        table = _SegmentTable(segments)
+    def __init__(self, segments: Sequence[Segment], *, rate: float = 0.0, validate: bool = True):
+        if not 0.0 <= rate < math.inf:
+            raise ParameterError(f"tilt rate must be finite and nonnegative, got {rate}")
+        table = _SegmentTable(segments, rate)
         segs, changed = _chained(table) if validate else (table.segs, False)
         if segs[0].lo != 0.0:
             raise ParameterError(f"support must start at 0, got {segs[0].lo}")
@@ -590,14 +586,15 @@ class TailCurve:
         if first > 0.0:
             # Roundoff pushed log F(0) a hair above 0; pin it back.
             segs, changed = (segs[0].with_offset(-first), *segs[1:]), True
-        self._table = _SegmentTable(segs) if changed else table
-        self.segments = segs
+        self._table = _SegmentTable(segs, rate) if changed else table
+        self.segments, self.rate = segs, rate
         self.support_lo = 0.0
         self.truncation_hi = segs[-1].hi
         self._los = self._table.los
         self._starts, self._ends = self._table.end_values
-        # Segments with a density among the first k: _dense_below[k].
-        self._dense_below = np.cumsum([False, *(s.has_density for s in segs)])
+        # Segments with a density among the first k: _dense_below[k].  A
+        # rate gives every segment one.
+        self._dense_below = np.cumsum([False, *(bool(rate) or s.has_density for s in segs)])
         self._guide: np.ndarray | None = None  # built by the first quantile call
         finite_hi = [self.truncation_hi] if math.isfinite(self.truncation_hi) else []
         self._breakpoints = np.append(self._los, finite_hi)

@@ -263,11 +263,14 @@ def test_partial_moment_splits_at_breakpoints():
 
 
 def test_partial_moment_of_a_tilted_flat_piece():
-    # A tilted ConstSegment is not flat: y F(y) = y e^{-0.5 - 0.9 y}.
-    seg = ConstSegment(lo=0.0, hi=5.0, level=-0.5, tilt=0.9)
-    d = tf.Distribution(TailCurve([seg], validate=False))
+    # A flat piece on a tilted curve is not flat: y G(y) = y e^{-0.5 - 0.9 y}.
+    seg = ConstSegment(lo=0.0, hi=5.0, level=-0.5)
+    d = tf.Distribution(TailCurve([seg], rate=0.9, validate=False))
     quad = quadrature.log_quad(
-        lambda y: np.log(y) + seg.log_value(y), 0.0, 5.0, cfg=quadrature.QuadConfig(rel_tol=1e-12)
+        lambda y: np.log(y) + seg.log_value(y) - 0.9 * y,
+        0.0,
+        5.0,
+        cfg=quadrature.QuadConfig(rel_tol=1e-12),
     )
     got = math.log(tf.partial_moment(d, 1, 0.0, 5.0))
     assert got == pytest.approx(quad.log_value, abs=1e-9)

@@ -16,7 +16,6 @@ from tailforge import (  # noqa: E402
     convn_tail_grid,
     gamma_transform,
     power_tail,
-    tilt_compose_check,
 )
 from tailforge.distribution import Distribution  # noqa: E402
 from tailforge.tailcurve import (  # noqa: E402
@@ -28,10 +27,12 @@ from tailforge.tailcurve import (  # noqa: E402
     TailCurve,
 )
 
-KINDS = ("const", "affine", "power", "exp", "exppow", "affinepow", "tilted")
-# Segments whose tail strictly decreases, so every level inside is attained once.
-STRICT = {"affine", "power", "exp", "exppow", "affinepow", "tilted"}
-UNTILTED = tuple(k for k in KINDS if k != "tilted")
+KINDS = ("const", "affine", "power", "exp", "exppow", "affinepow")
+# Segments whose tail strictly decreases, so every level inside is attained
+# once; on a tilted curve every segment does.
+STRICT = {"affine", "power", "exp", "exppow", "affinepow"}
+# A curve's tilt rate: none, or one in [0.05, 1.05).
+RATES = st.one_of(st.just(0.0), st.floats(0.05, 1.05, exclude_max=True))
 
 
 def _segment(kind, lo, hi, a, b):
@@ -46,20 +47,19 @@ def _segment(kind, lo, hi, a, b):
         return ExpAffineSegment(lo=lo, hi=hi, rate=0.05 + 2.0 * a)
     if kind == "exppow":
         return ExpPowSegment(lo=lo, hi=hi, beta=0.1 + 0.8 * a, coeff=0.2 + b)
-    if kind == "affinepow":
-        linear = AffineSegment.from_endpoints(lo, hi, 0.0, -0.1 - a)
-        return dataclasses.replace(linear, m=2 + int(3 * b))
-    return ExpAffineSegment(lo=lo, hi=hi, rate=0.1 + a, tilt=0.05 + b)
+    linear = AffineSegment.from_endpoints(lo, hi, 0.0, -0.1 - a)
+    return dataclasses.replace(linear, m=2 + int(3 * b))
 
 
 @st.composite
-def curves(draw, kinds=KINDS):
-    """(curve, kinds): 1-5 segments, each starting at or below where the
-    previous one ends (a downward jump is an atom)."""
+def curves(draw, rates=RATES):
+    """(curve, kinds): 1-5 segments of any kinds, each starting at or below
+    where the previous one ends (a downward jump is an atom), under one
+    tilt rate drawn from ``rates``."""
     count = draw(st.integers(1, 5))
     unit = st.floats(0.0, 1.0, exclude_max=True)
     widths = [draw(st.floats(0.25, 4.0)) for _ in range(count)]
-    kinds = [draw(st.sampled_from(kinds)) for _ in range(count)]
+    kinds = [draw(st.sampled_from(KINDS)) for _ in range(count)]
     segs, lo, level = [], 0.0, 0.0
     for kind, width in zip(kinds, widths):
         seg = _segment(kind, lo, lo + width, draw(unit), draw(unit))
@@ -67,7 +67,7 @@ def curves(draw, kinds=KINDS):
         seg = seg.with_offset(level - jump - seg.log_value_at(lo))
         segs.append(seg)
         lo, level = seg.hi, seg.log_value_at(seg.hi)
-    return TailCurve(segs), kinds
+    return TailCurve(segs, rate=draw(rates)), kinds
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -88,12 +88,12 @@ def test_log_tail_nonincreasing(curve_kinds, fractions):
 @given(curves(), st.data())
 def test_quantile_round_trips_continuous_levels(curve_kinds, data):
     curve, kinds = curve_kinds
-    strict = [k for k, kind in enumerate(kinds) if kind in STRICT]
+    strict = [k for k, kind in enumerate(kinds) if kind in STRICT or curve.rate]
     if not strict:
         return
     seg = curve.segments[data.draw(st.sampled_from(strict))]
     frac = data.draw(st.floats(0.01, 0.99))
-    lu = seg.log_value_at(seg.lo + frac * (seg.hi - seg.lo))
+    lu = curve.log_tail(seg.lo + frac * (seg.hi - seg.lo))
     x = curve.quantile(math.exp(lu))
     assert seg.lo <= x <= seg.hi
     assert curve.log_tail(x) == pytest.approx(lu, rel=1e-9, abs=1e-9)
@@ -151,25 +151,35 @@ def test_bracket_contains_conv2_tail(curve_kinds, cells, fractions):
 @PROPERTY
 @given(curves(), st.floats(0.01, 2.0), st.floats(0.01, 2.0), FRACTIONS)
 def test_tilts_compose(curve_kinds, g1, g2, fractions):
+    # On a tilted law (r + g1) + g2 and r + (g1 + g2) may differ in the
+    # last ulp: the log tails agree to 1e-12 of max(1, |log value|).
     curve, _ = curve_kinds
+    d = Distribution(curve)
     grid = np.asarray(fractions) * curve.truncation_hi
-    report = tilt_compose_check(Distribution(curve), g1, g2, grid)
-    assert report.passed, str(report)
+    composed = gamma_transform(gamma_transform(d, g1), g2).tail.log_tail(grid)
+    direct = gamma_transform(d, g1 + g2).tail.log_tail(grid)
+    assert np.all(np.abs(composed - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
 
 @PROPERTY
-@given(curves(kinds=UNTILTED), st.floats(0.01, 2.0), st.floats(0.01, 2.0), FRACTIONS)
+@given(curves(rates=st.just(0.0)), st.floats(0.01, 2.0), st.floats(0.01, 2.0), FRACTIONS)
 def test_tilt_of_tilt_is_one_tilt_bit_for_bit(curve_kinds, g1, g2, fractions):
-    # Tilting adds the rate to each segment's tilt: on an untilted law both
-    # routes hold the same rate g1 + g2, hence the same segments and bits.
+    # Tilting adds gamma to the curve's rate: on an untilted law both routes
+    # hold the same rate g1 + g2 over the same segments, hence the same bits,
+    # on atoms and flat pieces too.
     curve, _ = curve_kinds
     d = Distribution(curve)
-    composed = gamma_transform(gamma_transform(d, g1), g2).tail
-    direct = gamma_transform(d, g1 + g2).tail
-    assert composed.segments == direct.segments
+    composed = gamma_transform(gamma_transform(d, g1), g2)
+    direct = gamma_transform(d, g1 + g2)
+    assert composed.tail.segments == direct.tail.segments
+    assert composed.tail.rate == direct.tail.rate
+    assert composed.atoms == direct.atoms
     xs = np.asarray(fractions) * curve.truncation_hi
-    assert composed.log_tail(xs).tobytes() == direct.log_tail(xs).tobytes()
-    assert composed.log_density(xs, 0.25).tobytes() == direct.log_density(xs, 0.25).tobytes()
+    for f in ("log_tail", "log_tail_left"):
+        assert getattr(composed.tail, f)(xs).tobytes() == getattr(direct.tail, f)(xs).tobytes()
+    assert (
+        composed.tail.log_density(xs, 0.25).tobytes() == direct.tail.log_density(xs, 0.25).tobytes()
+    )
 
 
 @PROPERTY
@@ -178,7 +188,13 @@ def test_power_of_tilt_is_tilt_of_power(curve_kinds, gamma, m, fractions):
     curve, _ = curve_kinds
     d = Distribution(curve)
     xs = np.asarray(fractions) * curve.truncation_hi
-    power_of_tilt = power_tail(gamma_transform(d, gamma), m).tail.log_tail(xs)
-    tilt_of_power = gamma_transform(power_tail(d, m), m * gamma).tail.log_tail(xs)
-    scale = np.maximum(1.0, np.abs(tilt_of_power))
-    assert np.all(np.abs(power_of_tilt - tilt_of_power) <= 1e-12 * scale)
+    power_of_tilt = power_tail(gamma_transform(d, gamma), m)
+    tilt_of_power = gamma_transform(power_tail(d, m), m * gamma)
+    for f in ("log_tail", "log_tail_left"):
+        want = getattr(tilt_of_power.tail, f)(xs)
+        got = getattr(power_of_tilt.tail, f)(xs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    # The same atoms, tilted: the same locations, masses to a few ulps.
+    assert [a.location for a in power_of_tilt.atoms] == [a.location for a in tilt_of_power.atoms]
+    for a, b in zip(power_of_tilt.atoms, tilt_of_power.atoms):
+        assert abs(a.log_mass - b.log_mass) <= 1e-12 * max(1.0, abs(b.log_mass))

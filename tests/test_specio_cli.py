@@ -83,6 +83,19 @@ def test_nested_tilt_power_spec(tmp_path):
     )
 
 
+@pytest.mark.parametrize("gamma", ["abc", None, [0.5], True, "0.5"], ids=repr)
+def test_tilted_spec_refuses_a_gamma_that_is_not_a_number(tmp_path, capsys, gamma):
+    # Only a real number is a rate: no string, null, list or bool, not
+    # even one that reads as a number.
+    path = tmp_path / "tilt.json"
+    spec = {"kind": "tilted", "gamma": gamma, "base": {"kind": "pareto", "alpha": 3}}
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ParameterError, match="tilt rate must be a number"):
+        tf.load_spec(path)
+    assert main(["dist", "show", "--dist", str(path)]) == 3
+    assert "ParameterError: tilt rate must be a number" in capsys.readouterr().err
+
+
 def test_unknown_schema_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "other/9", "kind": "pareto", "alpha": 3}))

@@ -15,54 +15,93 @@ from tailforge.tailcurve import (
     ExpPowSegment,
     PowerSegment,
     TailCurve,
+    _SegmentTable,
     chain_segments,
     simplify_power,
 )
 
 AFFINE = AffineSegment.from_endpoints(1.0, 4.0, math.log(0.9), math.log(0.2))
+# Each case is a segment and the tilt rate of a curve that reads it.
 SEGMENTS = [
-    ConstSegment(lo=1.0, hi=4.0, level=math.log(0.3)),
-    AFFINE,
-    PowerSegment(lo=1.0, hi=4.0, log_coeff=0.0, exponent=-2.5, shift=1.0),
-    ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=math.log(0.8), rate=0.7),
-    ExpPowSegment(lo=1.0, hi=4.0, beta=0.5, coeff=1.3),
-    ConstSegment(lo=1.0, hi=4.0, level=-0.5, tilt=0.9),
-    ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, tilt=0.4),
+    (ConstSegment(lo=1.0, hi=4.0, level=math.log(0.3)), 0.0),
+    (AFFINE, 0.0),
+    (PowerSegment(lo=1.0, hi=4.0, log_coeff=0.0, exponent=-2.5, shift=1.0), 0.0),
+    (ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=math.log(0.8), rate=0.7), 0.0),
+    (ExpPowSegment(lo=1.0, hi=4.0, beta=0.5, coeff=1.3), 0.0),
+    (ConstSegment(lo=1.0, hi=4.0, level=-0.5), 0.9),
+    (ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3), 0.4),
     # The cube of the affine piece: its power is a field.
-    dataclasses.replace(AFFINE, m=3),
-    # Two tilts, 0.4 and 0.25, each with a log offset: one summed tilt.
-    ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, tilt=0.4 + 0.25, log_offset=-0.3),
+    (dataclasses.replace(AFFINE, m=3), 0.0),
+    # Two tilts, 0.4 and 0.25, and a log offset: one summed rate.
+    (ExpAffineSegment(lo=1.0, hi=4.0, log_v_lo=-0.5, rate=0.3, log_offset=-0.3), 0.4 + 0.25),
     # A tilted square of the affine piece, bisected where it is inverted.
-    dataclasses.replace(AFFINE, m=2, tilt=0.35),
+    (dataclasses.replace(AFFINE, m=2), 0.35),
 ]
 
 
-def _seg_id(seg):
+def _seg_id(case):
     """A test id: the family's class name, or for the cases that were once
     wrapper classes the wrapper's old name, kept so each case keeps its id:
     "PowerOfSegment" for an affine power m > 1 and "TiltedSegment" for a
-    tilted piece.  Neither is a class now; both are segment fields."""
-    if seg.tilt:
+    piece under a rate.  Neither is a class now: m is a segment field and
+    the rate is the curve's."""
+    seg, rate = case
+    if rate:
         return "TiltedSegment"
     return "PowerOfSegment" if getattr(seg, "m", 1) > 1 else type(seg).__name__
 
 
-def _skip_flat(seg):
-    if isinstance(seg, ConstSegment) and not seg.tilt:
+class _Tilted:
+    """A segment read at a curve's tilt rate through a one-segment family
+    table, the route a curve takes, with a segment's methods."""
+
+    has_density = True
+
+    def __init__(self, seg, rate):
+        self.seg, self.rate, self.lo, self.hi = seg, rate, seg.lo, seg.hi
+        self._table = _SegmentTable([seg], rate)
+
+    def log_value(self, x):
+        return self._table.log_value(np.asarray(x, dtype=float), 0)
+
+    def log_value_at(self, x):
+        return float(self.log_value(np.array([x]))[0])
+
+    def log_density(self, x, lam=0.0):
+        return self._table.log_density(np.asarray(x, dtype=float), 0, lam)
+
+    def inverse(self, log_u):
+        lu = np.array(log_u, dtype=float)
+        return self._table.inverse(lu.ravel(), 0).reshape(lu.shape)[()]
+
+    def with_offset(self, delta):
+        return _Tilted(self.seg.with_offset(delta), self.rate)
+
+
+def _piece(case):
+    """The case's segment, or its reading at a nonzero rate."""
+    seg, rate = case
+    return _Tilted(seg, rate) if rate else seg
+
+
+def _skip_flat(case):
+    if isinstance(case[0], ConstSegment) and not case[1]:
         pytest.skip("a flat piece has no inverse")
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
-def test_inverse_roundtrip(seg):
-    _skip_flat(seg)
+@pytest.mark.parametrize("case", SEGMENTS, ids=_seg_id)
+def test_inverse_roundtrip(case):
+    _skip_flat(case)
+    seg = _piece(case)
     for x in (1.2, 2.0, 3.7):
         assert seg.inverse(seg.log_value_at(x)) == pytest.approx(x, rel=1e-10)
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.3])
-@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
-def test_array_inverse_matches_elementwise(seg, offset):
-    _skip_flat(seg)
+@pytest.mark.parametrize("case", SEGMENTS, ids=_seg_id)
+def test_array_inverse_matches_elementwise(case, offset):
+    _skip_flat(case)
+    seg = _piece(case)
     seg = seg.with_offset(offset) if offset else seg
     start, end = seg.log_value_at(seg.lo), seg.log_value_at(seg.hi)
     # u = 1, above the start (clamps to lo), the ends, interior, below the end
@@ -75,7 +114,7 @@ def test_array_inverse_matches_elementwise(seg, offset):
     assert all(np.ndim(v) == 0 for v in one)  # scalar in, scalar out
     np.testing.assert_allclose(arr, one, rtol=4 * np.finfo(float).eps, atol=0.0)
     # A tilted piece is bisected, down to width 1e-12 (1 + x).
-    tol = 1e-12 * (1.0 + seg.hi) if seg.tilt else 0.0
+    tol = 1e-12 * (1.0 + seg.hi) if case[1] else 0.0
     assert abs(arr[1] - seg.lo) <= tol and arr[4] == seg.hi
     assert np.all((arr >= seg.lo) & (arr <= seg.hi))
 
@@ -138,7 +177,7 @@ def test_curve_density_is_each_segments_own(law, gamma):
     mids = np.array([s.lo + (0.5 * (s.hi - s.lo) if math.isfinite(s.hi) else 1.0) for s in segs])
     inside = [k for k, (s, m) in enumerate(zip(segs, mids)) if s.lo < m < s.hi]
     for lam in (0.0, 0.25):
-        want = [float(segs[k].log_density(mids[k : k + 1], lam)[0]) for k in inside]
+        want = [float(_seg_density(segs[k], mids[k : k + 1], lam, curve.rate)[0]) for k in inside]
         assert list(curve.log_density(mids[inside], lam)) == want
     assert curve.log_density(np.array([-1.0, mids[0]]))[0] == -math.inf
 
@@ -208,9 +247,10 @@ def _fast_vs_masked(curve, xs, monkeypatch):
     assert one == masked[0]
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
-def test_log_tail_fast_path_matches_masked_path(seg, monkeypatch):
-    curve = TailCurve([ConstSegment(lo=0.0, hi=1.0, level=0.0), seg])
+@pytest.mark.parametrize("case", SEGMENTS, ids=_seg_id)
+def test_log_tail_fast_path_matches_masked_path(case, monkeypatch):
+    seg, rate = case
+    curve = TailCurve([ConstSegment(lo=0.0, hi=1.0, level=0.0), seg], rate=rate)
     # the join at 1, interior points, and the truncation point
     _fast_vs_masked(curve, np.concatenate([[1.0], np.linspace(1.0, 4.0, 31)[1:]]), monkeypatch)
     _fast_vs_masked(curve, np.array([0.0, 0.25, 0.999]), monkeypatch)
@@ -313,8 +353,9 @@ def test_quantile_below_a_flat_infinite_tail():
             curve.quantile(u)
 
 
-@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
-def test_density_matches_finite_difference(seg):
+@pytest.mark.parametrize("case", SEGMENTS, ids=_seg_id)
+def test_density_matches_finite_difference(case):
+    seg = _piece(case)
     if not seg.has_density:
         pytest.skip("flat segment carries no density")
     h = 1e-6
@@ -351,17 +392,20 @@ def test_simplify_power_folds_closed_forms():
     assert pw.exponent == -4.0
 
 
-def _tilt(seg, gamma):
-    return dataclasses.replace(seg, tilt=seg.tilt + gamma)
+def _law(case):
+    """A law whose curve reads the case's segment on [1, 4) at its rate,
+    after a flat piece at 1 on [0, 1)."""
+    seg, rate = case
+    return tf.Distribution(TailCurve([ConstSegment(lo=0.0, hi=1.0, level=0.0), seg], rate=rate))
 
 
-# (label, stack builder, rate the stack adds outside seg's own tilt,
-#  factor applied to seg's own tilt rate, power the stack applies,
-#  log tail the stack means, from seg's log tail v at x)
+# (label, stack builder, rate the stack adds outside the law's own rate,
+#  factor applied to the law's own rate, power the stack applies,
+#  log tail the stack means, from the law's log tail v at x)
 STACKS = [
     (
         "tilt-of-power",
-        lambda s: _tilt(simplify_power(s, 2), 0.3),
+        lambda d: tf.gamma_transform(tf.power_tail(d, 2), 0.3),
         0.3,
         2,
         2,
@@ -369,7 +413,7 @@ STACKS = [
     ),
     (
         "power-of-tilt",
-        lambda s: simplify_power(_tilt(s, 0.3), 2),
+        lambda d: tf.power_tail(tf.gamma_transform(d, 0.3), 2),
         0.6,
         2,
         2,
@@ -377,7 +421,9 @@ STACKS = [
     ),
     (
         "tilts-of-powers",
-        lambda s: _tilt(_tilt(simplify_power(simplify_power(s, 2), 3), 0.2), 0.1),
+        lambda d: tf.gamma_transform(
+            tf.gamma_transform(tf.power_tail(tf.power_tail(d, 2), 3), 0.2), 0.1
+        ),
         0.1 + 0.2,
         6,
         6,
@@ -387,45 +433,50 @@ STACKS = [
 
 
 @pytest.mark.parametrize("stack", STACKS, ids=lambda s: s[0])
-@pytest.mark.parametrize("seg", SEGMENTS, ids=_seg_id)
-def test_normal_form_reads_wrapper_stacks(seg, stack):
-    # A stack of tilts and powers is one segment of the piece's own family:
-    # the summed tilt over the power folded into the closed form, which an
-    # affine piece, like every other family, absorbs (as its m).
+@pytest.mark.parametrize("case", SEGMENTS, ids=_seg_id)
+def test_normal_form_reads_wrapper_stacks(case, stack):
+    # A stack of tilts and powers is one segment of the piece's own family,
+    # with the power folded into the closed form (an affine piece, like
+    # every other family, absorbs it as its m), under the curve's summed rate.
     _, build, outer_rate, own_factor, applied, meaning = stack
-    stacked = build(seg)
+    seg, rate = case
+    d = _law(case)
+    curve = build(d).tail
+    stacked = curve.segments[1]
     assert type(stacked) is type(seg)
-    assert stacked.tilt == pytest.approx(outer_rate + own_factor * seg.tilt, rel=1e-15)
+    assert curve.rate == pytest.approx(outer_rate + own_factor * rate, rel=1e-15)
     if isinstance(seg, AffineSegment):
         assert stacked.m == applied * seg.m
     xs = np.array([1.0, 1.7, 2.9, 3.9])
-    got = stacked.log_value(xs)
-    np.testing.assert_allclose(got, meaning(seg.log_value(xs), xs), rtol=1e-13, atol=1e-13)
-    core = stacked.untilted()
-    np.testing.assert_allclose(core.log_value(xs) - stacked.tilt * xs, got, rtol=1e-13, atol=1e-13)
-    want = applied * seg.untilted().log_value(xs)
-    np.testing.assert_allclose(core.log_value(xs), want, rtol=1e-13, atol=1e-13)
+    got = curve.log_tail(xs)
+    np.testing.assert_allclose(got, meaning(d.tail.log_tail(xs), xs), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(stacked.log_value(xs) - curve.rate * xs, got, rtol=1e-13, atol=1e-13)
+    want = applied * seg.log_value(xs)
+    np.testing.assert_allclose(stacked.log_value(xs), want, rtol=1e-13, atol=1e-13)
 
 
 def test_normal_form_of_closed_form_is_itself():
-    seg = SEGMENTS[2]
-    assert seg.tilt == 0.0
-    assert seg.untilted() is seg and simplify_power(seg, 1) is seg
+    seg, rate = SEGMENTS[2]
+    assert rate == 0.0
+    assert simplify_power(seg, 1) is seg
+    d = _law(SEGMENTS[2])
+    assert tf.power_tail(d, 1) is d and d.tail.rate == 0.0
 
 
 def test_power_of_tilt_is_stored_as_tilt_of_power():
     xs = np.array([1.0, 2.5, 3.9])
-    tilted = SEGMENTS[6]
-    squared = simplify_power(tilted, 2)
-    assert isinstance(squared, ExpAffineSegment)
-    assert squared.tilt == 2 * tilted.tilt
-    np.testing.assert_allclose(squared.log_value(xs), 2 * tilted.log_value(xs), rtol=1e-14)
+    tilted = _law(SEGMENTS[6])
+    squared = tf.power_tail(tilted, 2).tail
+    assert isinstance(squared.segments[1], ExpAffineSegment)
+    assert squared.rate == 2 * tilted.tail.rate
+    np.testing.assert_allclose(squared.log_tail(xs), 2 * tilted.tail.log_tail(xs), rtol=1e-14)
     # The affine piece folds the power as well, with the tilt outside it.
-    affine = _tilt(AFFINE, 0.4)
-    squared = simplify_power(affine, 2)
-    assert squared == dataclasses.replace(AFFINE, m=2, tilt=0.8)
-    np.testing.assert_allclose(squared.log_value(xs), 2 * affine.log_value(xs), rtol=1e-14)
-    assert simplify_power(squared, 3) == dataclasses.replace(AFFINE, m=6, tilt=3 * 0.8)
+    affine = tf.gamma_transform(_law((AFFINE, 0.0)), 0.4)
+    squared = tf.power_tail(affine, 2).tail
+    assert squared.segments[1] == dataclasses.replace(AFFINE, m=2) and squared.rate == 0.8
+    np.testing.assert_allclose(squared.log_tail(xs), 2 * affine.tail.log_tail(xs), rtol=1e-14)
+    cubed = tf.power_tail(tf.power_tail(affine, 2), 3).tail
+    assert cubed.segments[1] == dataclasses.replace(AFFINE, m=6) and cubed.rate == 3 * 0.8
 
 
 def test_chain_rejects_upward_jump():
@@ -463,9 +514,9 @@ def test_segment_validation():
         ExpPowSegment(lo=0.0, hi=1.0, beta=1.5)
     with pytest.raises(ParameterError):
         ConstSegment(lo=2.0, hi=1.0)
-    for tilt in (-0.5, math.inf, math.nan):
+    for rate in (-0.5, math.inf, math.nan):
         with pytest.raises(ParameterError):
-            ConstSegment(lo=0.0, hi=1.0, tilt=tilt)
+            TailCurve([ConstSegment(lo=0.0, hi=1.0)], rate=rate)
     with pytest.raises(ParameterError):  # a power of an affine piece still ends at a finite point
         AffineSegment(lo=1.0, hi=math.inf, log_v_hi=-1.0, ratio=-1.0, m=2)
 
@@ -531,6 +582,19 @@ _TABLE_LAWS = [
 ]
 
 
+def _seg_value(seg, x, rate):
+    """log G(x) = log F(x) - rate x by the segment's own formula."""
+    return seg.log_value(x) - rate * x if rate else seg.log_value(x)
+
+
+def _seg_density(seg, x, lam, rate):
+    """log(e^{lam x} g(x)), g the density of G(x) = F(x) e^{-rate x}, by the
+    segment's own formulas: e^{-rate x} (f + rate F) with the rates fused."""
+    if not rate:
+        return seg.log_density(x, lam)
+    return np.logaddexp(seg.log_density(x), math.log(rate) + seg.log_value(x)) + (lam - rate) * x
+
+
 def _per_segment(curve, x, fn, below):
     out = np.full_like(x, below)
     pos = np.flatnonzero(x >= 0)
@@ -542,12 +606,12 @@ def _per_segment(curve, x, fn, below):
 
 
 def _per_segment_left(curve, x):
-    out = _per_segment(curve, x, lambda seg, y: seg.log_value(y), 0.0)
+    out = _per_segment(curve, x, lambda seg, y: _seg_value(seg, y, curve.rate), 0.0)
     out[x <= 0] = 0.0
     j = np.searchsorted(curve._los, x, side="left")
     for i in np.flatnonzero((j > 0) & (j < len(curve._los))):
         if curve._los[j[i]] == x[i]:
-            out[i] = curve.segments[j[i] - 1].log_value(x[i : i + 1])[0]
+            out[i] = _seg_value(curve.segments[j[i] - 1], x[i : i + 1], curve.rate)[0]
     return out
 
 
@@ -556,7 +620,7 @@ def _per_segment_left(curve, x):
 def test_family_table_matches_per_segment_evaluation(base, gamma):
     law = base if gamma is None else tf.gamma_transform(base, gamma)
     curve = law.tail
-    segs, trunc = curve.segments, curve.truncation_hi
+    segs, trunc, rate = curve.segments, curve.truncation_hi, curve.rate
     bps = curve.breakpoints()
     top = trunc if math.isfinite(trunc) else 1e6
     rng = np.random.default_rng(11)
@@ -569,27 +633,29 @@ def test_family_table_matches_per_segment_evaluation(base, gamma):
     xs = xs[xs <= trunc]
     finite = xs[np.isfinite(xs)]
     same = lambda got, want: got.tobytes() == np.asarray(want, dtype=float).tobytes()
-    assert same(curve.log_tail(xs), _per_segment(curve, xs, lambda s, y: s.log_value(y), 0.0))
+    value = lambda s, y: _seg_value(s, y, rate)
+    assert same(curve.log_tail(xs), _per_segment(curve, xs, value, 0.0))
     for lam in (0.0, 0.25):
-        want = _per_segment(curve, finite, lambda s, y: s.log_density(y, lam), -math.inf)
+        want = _per_segment(curve, finite, lambda s, y: _seg_density(s, y, lam, rate), -math.inf)
         assert same(curve.log_density(finite, lam), want)
     assert same(curve.log_tail_left(xs), _per_segment_left(curve, xs))
-    assert same(curve._starts, [s.log_value_at(s.lo) for s in segs])
-    ends = [s.log_value_at(s.hi) if math.isfinite(s.hi) else -math.inf for s in segs]
+    at = lambda s, x: float(value(s, np.array([x]))[0])
+    assert same(curve._starts, [at(s, s.lo) for s in segs])
+    ends = [at(s, s.hi) if math.isfinite(s.hi) else -math.inf for s in segs]
     assert same(curve._ends, ends)
 
 
-def _invert_in_segment(seg, lu):
+def _invert_in_segment(seg, lu, rate):
     """The per-segment inversion the family table replaced: the segment's
-    closed inverse, or bisection of that segment alone."""
-    if not seg.tilt and not isinstance(seg, ConstSegment):
+    closed inverse, or bisection of that segment alone at the rate."""
+    if not rate and not isinstance(seg, ConstSegment):
         return seg.inverse(lu)
     if math.isfinite(seg.hi):
         hi = np.full_like(lu, seg.hi)
     else:
         hi = np.full_like(lu, max(seg.lo + 1.0, 1.0))
         for _ in range(400):
-            short = seg.log_value(hi) > lu
+            short = _seg_value(seg, hi, rate) > lu
             if not short.any():
                 break
             hi[short] *= 2.0
@@ -597,7 +663,7 @@ def _invert_in_segment(seg, lu):
     live = np.arange(lu.size)
     for _ in range(200):
         mid = 0.5 * (lo[live] + hi[live])
-        too_high = seg.log_value(mid) > lu[live]
+        too_high = _seg_value(seg, mid, rate) > lu[live]
         lo[live[too_high]] = mid[too_high]
         hi[live[~too_high]] = mid[~too_high]
         live = live[hi[live] - lo[live] > 1e-12 * (1.0 + np.abs(hi[live]))]
@@ -630,7 +696,7 @@ def test_family_table_inverse_matches_per_segment_inversion(base, gamma):
     assert len(np.unique(k)) > (10 if len(curve.segments) > 1 else 0)
     want = np.empty_like(lu)
     for j in np.unique(k):
-        want[k == j] = _invert_in_segment(curve.segments[j], lu[k == j])
+        want[k == j] = _invert_in_segment(curve.segments[j], lu[k == j], curve.rate)
     assert np.array_equal(curve._table.inverse(lu, k), want)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import tailforge as tf
 from tailforge.distribution import _split_tilt
-from tailforge.errors import DivergenceError, ParameterError
+from tailforge.errors import DivergenceError, ParameterError, TailforgeError
 
 GRID = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
 
@@ -42,23 +42,10 @@ def test_domination(request):
 
 def test_tilt_compose_exponent_additivity(pareto3, dyadic):
     for d in (pareto3, dyadic):
-        rep = tf.tilt_compose_check(d, 0.3, 0.7, GRID)
-        assert rep.passed, str(rep)
-        rep2 = tf.tilt_compose_check(d, 0.5, 0.5, GRID)
-        assert rep2.passed
-
-
-def test_tilt_compose_failure_injection(pareto3):
-    # perturb one segment of the composed route by 1e-6: the report must
-    # fail and name a grid point
-    composed = tf.gamma_transform(tf.gamma_transform(pareto3, 0.3), 0.7)
-    seg = composed.tail.segments[0].with_offset(-1e-6)
-    bad_curve = tf.TailCurve([seg], validate=False)
-    bad = tf.Distribution(bad_curve, label="perturbed")
-    rep = tf.tilt_compose_check(pareto3, 0.3, 0.7, GRID, candidate=bad)
-    assert not rep.passed
-    assert rep.max_scaled_diff > 1e-8
-    assert rep.worst_x in GRID
+        for g1, g2 in ((0.3, 0.7), (0.5, 0.5)):
+            composed = tf.gamma_transform(tf.gamma_transform(d, g1), g2).tail.log_tail(GRID)
+            direct = tf.gamma_transform(d, g1 + g2).tail.log_tail(GRID)
+            assert np.all(np.abs(composed - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
 
 def test_lgamma_ratio_transfer(request):
@@ -178,7 +165,7 @@ def _values(fn) -> np.ndarray:
     """fn's result as floats, or the name of the error it raises."""
     try:
         return np.asarray(fn(), dtype=float).ravel()
-    except Exception as e:  # an error is part of what is pinned
+    except TailforgeError as e:  # a refusal is part of what is pinned
         return np.frombuffer(type(e).__name__.encode().ljust(24), dtype=float)
 
 
