@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .distribution import Distribution, power_tail
-from .errors import ParameterError, _count
+from .errors import ParameterError, _count, _positive
 from .tailcurve import (
     AffineSegment,
     ConstSegment,
@@ -70,8 +70,7 @@ def builtin(spec: dict) -> Distribution:
 
 def pareto(alpha: float) -> Distribution:
     """F(x) = (1 + x)^(-alpha) on [0, inf)."""
-    if not alpha > 0:
-        raise ParameterError(f"pareto requires alpha > 0, got {alpha}")
+    _positive("alpha", alpha)
     seg = PowerSegment(lo=0.0, hi=math.inf, log_coeff=0.0, exponent=-float(alpha), shift=1.0)
     curve = TailCurve([seg])
     return Distribution(curve, label=f"pareto({alpha:g})", spec={"kind": "pareto", "alpha": float(alpha)})
@@ -79,8 +78,7 @@ def pareto(alpha: float) -> Distribution:
 
 def exponential(lam: float = 1.0) -> Distribution:
     """F(x) = exp(-lam x) on [0, inf)."""
-    if not lam > 0:
-        raise ParameterError(f"exponential requires lam > 0, got {lam}")
+    _positive("lam", lam)
     seg = ExpAffineSegment(lo=0.0, hi=math.inf, log_v_lo=0.0, rate=float(lam))
     curve = TailCurve([seg])
     return Distribution(curve, label=f"exponential({lam:g})", spec={"kind": "exponential", "lam": float(lam)})
@@ -88,7 +86,8 @@ def exponential(lam: float = 1.0) -> Distribution:
 
 def weibull_heavy(beta: float) -> Distribution:
     """F(x) = exp(-x^beta) with 0 < beta < 1 (heavy-tailed Weibull)."""
-    if not (0.0 < beta < 1.0):
+    _positive("beta", beta)
+    if not beta < 1.0:
         raise ParameterError(f"weibull_heavy requires beta in (0, 1), got {beta}")
     seg = ExpPowSegment(lo=0.0, hi=math.inf, beta=float(beta), coeff=1.0)
     curve = TailCurve([seg])
@@ -179,6 +178,7 @@ def plateau_example(
     choice of this artifact, not of the construction, which only requires
     x_i < y_i < x_{i+1}.
     """
+    _positive("a", a)
     if not a > 1:
         raise ParameterError(f"plateau_example requires a > 1, got {a}")
     if max_pairs is not None:
@@ -186,8 +186,8 @@ def plateau_example(
     ln_a = math.log(a)
     if y0 is None:
         y0 = ln_a**2
-    if y0 < 0:
-        raise ParameterError(f"plateau_example requires y0 >= 0, got {y0}")
+    else:
+        _positive("y0", y0)
     if ln_a > math.sqrt(y0) + 1e-12:
         raise ParameterError(
             f"constraint a * F1(y0) <= 1 violated: need sqrt(y0) >= ln(a) = {ln_a:g}"
@@ -231,6 +231,8 @@ def xu_piecewise(alpha: float, x1: float, m: int = 1, max_cycles: int | None = N
     exact because alpha * ln(x_{n+1}) = (alpha + 1) * ln(x_n).
     Requires alpha > 2 + 3/m and x1 > 4^alpha.
     """
+    _positive("alpha", alpha)
+    _positive("x1", x1)
     m = _count("m", m, 1)
     if max_cycles is not None:
         max_cycles = _count("max_cycles", max_cycles, 0)

@@ -96,8 +96,8 @@ from functools import partial
 import numpy as np
 
 from .distribution import Distribution, _split_tilt
-from .errors import GridGuardError, ParameterError, TailforgeError, TruncationError, _count
-from .quadrature import QuadConfig, _logsumexp_list, log_quads, unwrap
+from .errors import GridGuardError, ParameterError, TruncationError, _count
+from .quadrature import QuadConfig, _logsumexp_list, log_quads
 from .tailcurve import TailCurve
 from .transform import gamma_transform
 
@@ -155,7 +155,7 @@ def _half_seeds(curve: TailCurve, x: np.ndarray, a: np.ndarray, b: np.ndarray):
     return owners[keep], pts[keep]
 
 
-def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
+def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list[float]:
     """log of int_lo^hi g(y) F(x - y) dy for each job (x, lo, hi), each in
     two halves, all in one ``log_quads`` batch.
 
@@ -169,8 +169,8 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
     from its small-argument end, where w is the half's width: the O(1)-wide
     peak of F near u = 0, or of a density near y = 0, gets panels in the
     first round instead of one bisection per round.  The integrand reads
-    each point's x and half from its owner.  Entry i is a float, or the
-    error of job i's first failing half.
+    each point's x and half from its owner.  Entry i is job i's log; the
+    batch raises its first failure (``log_quads``).
     """
     halves = []  # (job, x, in u, a, b)
     for i, (x, lo, hi) in enumerate(jobs):
@@ -190,49 +190,30 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list:
         return log_g(np.where(u, rest, v)) + curve.log_tail(np.where(u, v, rest))
 
     results = log_quads(integrand, a, b, _half_seeds(curve, x_of, a, b), cfg)
-    parts: list[list] = [[] for _ in jobs]
+    parts: list[list[float]] = [[] for _ in jobs]
     for (i, *_), res in zip(halves, results):
-        parts[i].append(res if isinstance(res, TailforgeError) else res.log_value)
-    return [_first_error(p) or _logsumexp_list(p) for p in parts]
+        parts[i].append(res.log_value)
+    return [_logsumexp_list(p) for p in parts]
 
 
-def _first_error(entries: list):
-    return next((e for e in entries if isinstance(e, TailforgeError)), None)
-
-
-def _checked_x(d: Distribution, x: float) -> TailforgeError | None:
-    """The error a tail quadrature at x raises before it integrates (x is
-    NaN or past the curve), or None."""
-    if x != x:
-        return ParameterError("tail argument x is NaN")
-    if x > d.tail.truncation_hi:
-        return TruncationError(f"x={x!r} beyond materialized breakpoint {d.tail.truncation_hi!r}")
-    return None
-
-
-def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list:
+def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list[float]:
     """``log_cross_integral`` for each job (A, B, x), in one batch, per
     e^{-gamma x} of d's tilt (``_split_tilt``): the integral of the base's
-    F(x - y) F(y).  Entry i is a float or the error job i raises alone."""
-    out: list = [None] * len(jobs)
-    quad, doubled = [], []
-    for i, (A, B, x) in enumerate(jobs):
+    F(x - y) F(y).  Every job is checked before any is integrated, and the
+    batch raises its first failure."""
+    for A, B, x in jobs:
         if not (0 <= A <= B <= x):
-            out[i] = ParameterError(f"need 0 <= A <= B <= x, got A={A}, B={B}, x={x}")
-        elif (bad := _checked_x(d, x)) is not None:
-            out[i] = bad
-        elif A == B:
-            out[i] = _NEG_INF
-        else:
-            # F(y) F(x - y) is symmetric about x / 2, and so are the two halves.
-            whole = A == 0.0 and B == x
-            quad.append((i, (x, 0.0, 0.5 * x) if whole else (x, A, B)))
-            doubled.append(whole)
+            raise ParameterError(f"need 0 <= A <= B <= x, got A={A}, B={B}, x={x}")
+    d.tail._checked([x for *_, x in jobs])
+    # F(y) F(x - y) is symmetric about x / 2, and so are the two halves.
+    whole = [A == 0.0 and B == x for A, B, x in jobs]
+    quad = [(x, 0.0, 0.5 * x) if w else (x, A, B) for (A, B, x), w in zip(jobs, whole) if A < B]
     curve = _split_tilt(d)[0].tail
-    vals = _log_against_tail(curve.log_tail, curve, [job for _, job in quad], cfg)
-    for (i, _), v, whole in zip(quad, vals, doubled):
-        out[i] = math.log(2.0) + v if whole and not isinstance(v, TailforgeError) else v
-    return out
+    vals = iter(_log_against_tail(curve.log_tail, curve, quad, cfg))
+    return [
+        _NEG_INF if A == B else (math.log(2.0) + next(vals) if w else next(vals))
+        for (A, B, _), w in zip(jobs, whole)
+    ]
 
 
 def log_cross_integral(
@@ -240,7 +221,7 @@ def log_cross_integral(
 ) -> float:
     """log of integral_A^B F(x - y) F(y) dy for 0 <= A <= B <= x."""
     rate = _split_tilt(d)[1]
-    lv = unwrap(_log_cross_integrals(d, [(A, B, x)], cfg or QuadConfig())[0])
+    lv = _log_cross_integrals(d, [(A, B, x)], cfg or QuadConfig())[0]
     return lv - rate * x if rate else lv
 
 
@@ -266,7 +247,7 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     it has one there, so a single cut K gives the terms of int_{[0, K]}.
     The atom terms of all jobs come from one ``log_tail`` call and the
     density terms from one ``_log_against_tail`` batch.  Entry i is job i's
-    list of bands, or the error of its first failing band.
+    list of bands; the batch raises its first failure.
     """
     base, rate = _split_tilt(d)
     curve = base.tail
@@ -295,12 +276,7 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     log_g = partial(d.tail.log_density, lam=rate)
     vals = _log_against_tail(log_g, curve, [job for *_, job in dense], cfg)
     for (i, j, _), v in zip(dense, vals):
-        if isinstance(out[i], TailforgeError):
-            continue
-        if isinstance(v, TailforgeError):
-            out[i] = v
-        else:
-            out[i][j].append(v)
+        out[i][j].append(v)
     return out
 
 
@@ -311,33 +287,25 @@ def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
     Both come from one pass cut at the increasing ``cuts``, all below x, and
     at x: log F2bar(x) sums F(x) and the terms of every band, so a prefix of
     the bands and the total share their quadratures.  With no cuts the pass
-    is the one band [0, x].  Entry i is the pair, or the error job i raises
-    alone.
+    is the one band [0, x].  Every x is checked before any job is
+    integrated, and the batch raises its first failure.
     """
-    out: list = [None] * len(jobs)
-    quad = []
-    for i, (x, cuts) in enumerate(jobs):
-        if x < 0:
-            out[i] = (0.0, [[] for _ in cuts])  # log F2bar(x) = 0 for x < 0
-        elif (bad := _checked_x(d, x)) is not None:
-            out[i] = bad
-        else:
-            quad.append(i)
-    passes = [(jobs[i][0], [*jobs[i][1], jobs[i][0]]) for i in quad]
+    d.tail._checked([x for x, _ in jobs])
+    passes = [(x, [*cuts, x]) for x, cuts in jobs if x >= 0]
     base = _split_tilt(d)[0]
     heads = base.tail.log_tail(np.array([x for x, _ in passes], dtype=float)).tolist()
-    for i, head, bands in zip(quad, heads, _log_stieltjes_bands(d, passes, cfg)):
-        if isinstance(bands, TailforgeError):
-            out[i] = bands
-        else:
-            out[i] = (_logsumexp_list([head, *(t for band in bands for t in band)]), bands[:-1])
-    return out
+    pairs = iter(
+        (_logsumexp_list([head, *(t for band in bands for t in band)]), bands[:-1])
+        for head, bands in zip(heads, _log_stieltjes_bands(d, passes, cfg))
+    )
+    # log F2bar(x) = 0 for x < 0
+    return [(0.0, [[] for _ in cuts]) if x < 0 else next(pairs) for x, cuts in jobs]
 
 
 def log_conv2_tail(d: Distribution, x: float, cfg: QuadConfig | None = None) -> float:
     """log of F2bar(x) = F(x) + int_{[0, x]} F(x - y) F(dy)."""
     rate = _split_tilt(d)[1]
-    lv = unwrap(_log_conv2_tails(d, [(x, [])], cfg or QuadConfig())[0])[0]
+    lv = _log_conv2_tails(d, [(x, [])], cfg or QuadConfig())[0][0]
     return lv - rate * max(x, 0.0) if rate else lv  # the tail is 1 below 0
 
 
@@ -362,8 +330,8 @@ def _fused_and_split(d: Distribution, gamma: float, xs, cfg: QuadConfig) -> list
     f2 = _log_conv2_tails(d, jobs, cfg)
     cross = _log_cross_integrals(d, [(0.0, x, x) for x in xs], cfg)
     return [
-        (unwrap(g2)[0], float(log_tilt_identity(unwrap(lf2)[0], unwrap(lc), gamma)))
-        for g2, lf2, lc in zip(fused, f2, cross)
+        (g2, float(log_tilt_identity(lf2, lc, gamma)))
+        for (g2, _), (lf2, _), lc in zip(fused, f2, cross)
     ]
 
 

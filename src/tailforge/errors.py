@@ -58,9 +58,7 @@ class ToleranceError(TailforgeError):
 
 class LogDepthError(ToleranceError):
     """An integral's log magnitude exceeds binary64 resolution (|log| beyond
-    ~4.5e15), so it carries no relative structure.  Callers that only sum
-    the value against much larger terms may treat it as zero; callers that
-    need the log itself (ratios of deep tails) must not."""
+    ~4.5e15), so it carries no relative structure."""
 
 
 class GridGuardError(TailforgeError):

@@ -49,7 +49,7 @@ from .errors import (
     _count,
     _positive,
 )
-from .quadrature import QuadConfig, _logsumexp_list, unwrap
+from .quadrature import QuadConfig, _logsumexp_list
 
 __all__ = [
     "DiagSeries",
@@ -193,9 +193,9 @@ def _t_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> l
         raise ParameterError(f"K values must increase, got {Ks}")
     cuts = [0.0, *Ks] if Ks[-1] == x / 2 else [0.0, *Ks, x / 2]
     jobs = [(a, b, x) for a, b in zip(cuts, cuts[1:])]
-    bands = [[unwrap(v)] for v in _log_cross_integrals(d, jobs, cfg)]
-    log_den = math.log(2.0) + _logsumexp_list([v for (v,) in bands])
-    return _prefix_ratios(x, Ks, log_den, bands, cfg)
+    logs = _log_cross_integrals(d, jobs, cfg)
+    log_den = math.log(2.0) + _logsumexp_list(logs)
+    return _prefix_ratios(x, Ks, log_den, [[v] for v in logs], cfg)
 
 
 def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:
@@ -218,7 +218,7 @@ def _b2_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> 
         raise ParameterError(f"need x > 2K > 0, got x={x}, K={bad}")
     if not all(a < b for a, b in zip(Ks, Ks[1:])):
         raise ParameterError(f"K values must increase, got {Ks}")
-    log_den, bands = unwrap(_log_conv2_tails(d, [(x, Ks)], cfg)[0])
+    log_den, bands = _log_conv2_tails(d, [(x, Ks)], cfg)[0]
     return _prefix_ratios(x, Ks, log_den, bands, cfg)
 
 
@@ -371,10 +371,10 @@ def ratio_diagnostic(
         logs = term + np.atleast_1d(curve.log_tail(y)) - np.atleast_1d(curve.log_tail(xs))
     elif kind == "os":
         entries = _log_conv2_tails(d, [(x, []) for x in xs.tolist()], cfg)
-        logs = np.array([unwrap(v)[0] for v in entries]) - curve.log_tail(xs)
+        logs = np.array([log_f2 for log_f2, _ in entries]) - curve.log_tail(xs)
     elif kind == "osstar":
         entries = _log_cross_integrals(d, [(0.0, x, x) for x in xs.tolist()], cfg)
-        logs = np.array([unwrap(v) for v in entries]) - curve.log_tail(xs)
+        logs = np.array(entries) - curve.log_tail(xs)
     else:
         raise ParameterError(f"unknown ratio kind {kind!r}")
     return DiagSeries.build(kind, "x", xs, logs, rel_tol=cfg.rel_tol)
@@ -664,7 +664,7 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     j_jobs = [
         (x, sorted({K for K in K_list if x >= max(_J_X_LO, 3.0 * K)})) for x in xgrid.tolist()
     ]
-    conv2 = [unwrap(v) for v in _log_conv2_tails(d, j_jobs, qcfg)]
+    conv2 = _log_conv2_tails(d, j_jobs, qcfg)
     os_logs = np.array([log_f2 for log_f2, _ in conv2]) - _split_tilt(d)[0].tail.log_tail(xgrid)
     os_series = DiagSeries.build("os", "x", xgrid, os_logs, rel_tol=qcfg.rel_tol)
     osstar_series = ratio_diagnostic(d, "osstar", xgrid, cfg=qcfg)

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import LogDepthError, ParameterError, TailforgeError, ToleranceError, _count, _positive
+from .errors import LogDepthError, ParameterError, ToleranceError, _count, _positive
 
 __all__ = ["QuadConfig", "LogQuadResult", "log_quad", "log_quads"]
 
@@ -203,7 +203,7 @@ def log_quads(
     b: Sequence[float],
     seeds: tuple[np.ndarray, np.ndarray],
     cfg: QuadConfig | None = None,
-) -> list[LogQuadResult | TailforgeError]:
+) -> list[LogQuadResult]:
     """``log_quad`` on the integrals i = 0, 1, ... of [a[i], b[i]] together.
 
     ``log_f(y, owner)`` returns log-integrand values at the abscissae y,
@@ -220,24 +220,26 @@ def log_quads(
     call) and then applies the rules of the module docstring to every
     integral at once with segmented reductions.  Every integral refines on
     its own, exactly as alone, so entry i of the result is the LogQuadResult
-    ``log_quad`` returns for it, or the error it raises there
-    (ParameterError, ToleranceError or LogDepthError); a failing integral
-    does not stop the others.
+    ``log_quad`` returns for it.
+
+    The first failure stops the batch.  Unordered bounds raise
+    ParameterError before any integral is evaluated, at the lowest such
+    index; then a round that finds an integral beyond log-domain resolution
+    (LogDepthError) or out of subdivisions (ToleranceError) raises it, at
+    the lowest index of that round.  Each error is the one the integral
+    raises alone; integrals not yet admitted are never evaluated.
     """
     cfg = cfg or QuadConfig()
     log_tol = math.log(cfg.rel_tol)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    results: list[LogQuadResult | TailforgeError | None] = [None] * len(a)
     ordered = (-math.inf < a) & (a <= b) & (b < math.inf)  # NaN fails this too
-    for i in np.flatnonzero(~ordered):
-        results[i] = ParameterError(
-            f"integration bounds must be finite and ordered, got [{a[i]}, {b[i]}]"
-        )
-    for i in np.flatnonzero(ordered & (a == b)):
-        results[i] = LogQuadResult(_NEG_INF, 0.0, 0)
-    live = np.flatnonzero(ordered & (a < b))
+    if not ordered.all():
+        i = np.argmin(ordered)  # the first unordered pair
+        raise ParameterError(f"integration bounds must be finite and ordered, got [{a[i]}, {b[i]}]")
+    results = [LogQuadResult(_NEG_INF, 0.0, 0) for _ in a]  # a == b keeps it
+    live = np.flatnonzero(a < b)
     s_owner, s_pts = np.asarray(seeds[0], dtype=np.intp), np.asarray(seeds[1], dtype=float)
-    inside = ordered[s_owner] & (s_pts > a[s_owner]) & (s_pts < b[s_owner])
+    inside = (s_pts > a[s_owner]) & (s_pts < b[s_owner])
     # Every seed panel, grouped by integral in increasing order; integrals
     # are admitted from the front.
     w_owner, w_lo, w_hi = _seed_panels(
@@ -264,7 +266,7 @@ def log_quads(
             vals, errs = (np.concatenate([v, np.empty(end - taken)]) for v in (vals, errs))
             taken = end
         if not len(owner):
-            return results  # type: ignore[return-value]
+            return results
         for s in range(0, len(fresh), _MAX_PANELS):
             part = fresh[s : s + _MAX_PANELS]
             rep = np.repeat(owner[part], len(_XGK))
@@ -286,16 +288,16 @@ def log_quads(
             with np.errstate(invalid="ignore", over="ignore"):
                 gap = toterr - total
                 rel[todo] = np.exp(gap[todo])
-            for k in np.flatnonzero(todo & np.isfinite(total) & (np.abs(total) > 4.5e15)):
+            deep = todo & np.isfinite(total) & (np.abs(total) > 4.5e15)
+            if deep.any():
                 # The ulp of the log exceeds any log-domain correction: a value
                 # this deep has no representable relative structure in binary64.
-                results[seg_owner[k]] = LogDepthError(
+                k = np.argmax(deep)
+                raise LogDepthError(
                     f"integral magnitude exp({total[k]:.3e}) is beyond log-domain float "
                     "resolution; no relative accuracy is attainable at this depth",
                     achieved_rel_error=math.inf,
                 )
-                done[k] = True
-            todo &= ~done
             exact = todo & (toterr == _NEG_INF)
             met = todo & (total > _NEG_INF) & (gap <= log_tol)
             for k in np.flatnonzero(exact | met):
@@ -321,15 +323,15 @@ def log_quads(
         # equal errors first.
         n_split = np.add.reduceat(split, starts)
         spent = (n_split > 0) & (splits[seg_owner] >= cfg.max_subdivisions)
-        for k in np.flatnonzero(spent):
+        if spent.any():
+            k = np.argmax(spent)
             i = seg_owner[k]
             achieved = math.inf if total[k] == _NEG_INF else float(rel[k])
-            results[i] = ToleranceError(
+            raise ToleranceError(
                 f"quadrature on [{a[i]}, {b[i]}] achieved relative error "
                 f"{achieved:.3e} > requested {cfg.rel_tol:.3e} after {splits[i]} subdivisions",
                 achieved_rel_error=achieved,
             )
-        done |= spent
         keep = np.repeat(~done, counts)
         split &= keep
         room = cfg.max_subdivisions - splits[seg_owner]
@@ -377,12 +379,5 @@ def log_quad(
         breakpoints if isinstance(breakpoints, np.ndarray) else list(breakpoints), dtype=float
     )
     seeds = (np.zeros(len(bps), dtype=np.intp), bps)
-    return unwrap(log_quads(lambda y, owner: log_f(y), [a], [b], seeds, cfg)[0])
-
-
-def unwrap(entry):
-    """The value of one entry of a batched result, or raise its error."""
-    if isinstance(entry, TailforgeError):
-        raise entry
-    return entry
+    return log_quads(lambda y, owner: log_f(y), [a], [b], seeds, cfg)[0]
 

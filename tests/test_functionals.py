@@ -17,7 +17,6 @@ from tailforge.errors import (
     TruncationError,
 )
 from tailforge.distribution import _split_tilt
-from tailforge.quadrature import unwrap
 from tailforge.functionals import (
     ClassifyConfig,
     _b2_profile,
@@ -431,6 +430,13 @@ def test_jump_keeps_the_grid_refusals(plateau2, n, h, x, error):
 # --------------------------------------------------------- ratio diagnostics
 
 
+@pytest.mark.parametrize("kind", ["os", "osstar"])
+def test_two_fold_series_past_the_truncation_is_refused(fkz, kind):
+    # Every x of the batch is checked before any is integrated.
+    with pytest.raises(TruncationError, match="refusing to extrapolate"):
+        tf.ratio_diagnostic(fkz, kind, [10.0, 1e40])
+
+
 def test_pareto_halving_ratio_formula(pareto3):
     xs = np.geomspace(4, 1e6, 30)
     s = tf.ratio_diagnostic(pareto3, "d", xs)
@@ -510,8 +516,8 @@ def test_two_fold_series_equal_per_x_calls(tilted, plateau2, dyadic):
     osstar = tf.ratio_diagnostic(d, "osstar", xs, cfg=cfg)
     for i, x in enumerate(map(float, os_.grid)):
         lt = base.tail.log_tail(x)
-        f2 = unwrap(convolve._log_conv2_tails(d, [(x, [])], cfg)[0])[0]
-        cross = unwrap(convolve._log_cross_integrals(d, [(0.0, x, x)], cfg)[0])
+        f2 = convolve._log_conv2_tails(d, [(x, [])], cfg)[0][0]
+        cross = convolve._log_cross_integrals(d, [(0.0, x, x)], cfg)[0]
         assert os_.log_values[i] == f2 - lt
         assert osstar.log_values[i] == cross - lt
         assert tf.log_conv2_tail(d, x, cfg) == f2 - rate * x

@@ -120,13 +120,6 @@ def test_one_integrand_call_per_round():
     assert math.exp(res.log_value) == pytest.approx(exact, rel=1e-11)
 
 
-def _alone(log_f, a, b, bps, cfg):
-    try:
-        return log_quad(log_f, a, b, bps, cfg)
-    except (ParameterError, ToleranceError) as err:
-        return err
-
-
 def _seed_table(bps):
     """The seed table (owner, point) of per-integral breakpoint lists."""
     owners = np.repeat(np.arange(len(bps)), [len(p) for p in bps])
@@ -134,49 +127,80 @@ def _seed_table(bps):
 
 
 def _same(batched, alone):
-    # Equal bits for a result; the same class, message and estimate for an error.
-    if isinstance(alone, Exception):
-        assert type(batched) is type(alone) and str(batched) == str(alone)
-        assert getattr(batched, "achieved_rel_error", None) == getattr(alone, "achieved_rel_error", None)
-    else:
-        assert (batched.log_value, batched.rel_error, batched.n_panels) == (
-            alone.log_value, alone.rel_error, alone.n_panels)
+    assert (batched.log_value, batched.rel_error, batched.n_panels) == (
+        alone.log_value, alone.rel_error, alone.n_panels)
 
 
-def test_batch_equals_separate_calls():
-    # A converging integral, a zero-width one, a needle that one subdivision
-    # cannot certify, one beyond log-domain resolution, bad bounds, a jump
-    # inside a panel one ulp wide (the narrow-panel rule accepts it), and an
-    # oscillation whose first round wants more splits than its budget has
-    # room for: each entry is what the integral gives or raises alone, and
-    # a failing one does not stop the others.
-    fs = [
-        lambda y: -y,
-        lambda y: -y,
-        lambda y: -1e6 * (y - 0.333333) ** 2,
-        lambda y: np.full_like(y, -8e15),
-        lambda y: -y,
-        lambda y: np.where(y >= 1.0, 0.0, -50.0),
-        lambda y: np.sin(40.0 * y),
-    ]
-    a = [0.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0]
-    b = [1.0, 2.0, 1.0, 1.0, 0.0, 1.0 + math.ulp(1.0), 10.0]
-    bps = [[0.5], [], [], [], [], [], np.arange(1.0, 10.0)]
-    cfg = QuadConfig(rel_tol=1e-12, max_subdivisions=1)
+# Integrals (log-integrand, a, b, breakpoints) under _CFG: a converging one,
+# a zero-width one, a needle that one subdivision cannot certify, one beyond
+# log-domain resolution, bad bounds, a jump inside a panel one ulp wide (the
+# narrow-panel rule accepts it), and an oscillation whose first round wants
+# more splits than its budget has room for.
+_INTEGRALS = [
+    (lambda y: -y, 0.0, 1.0, [0.5]),
+    (lambda y: -y, 2.0, 2.0, []),
+    (lambda y: -1e6 * (y - 0.333333) ** 2, 0.0, 1.0, []),
+    (lambda y: np.full_like(y, -8e15), 0.0, 1.0, []),
+    (lambda y: -y, 1.0, 0.0, []),
+    (lambda y: np.where(y >= 1.0, 0.0, -50.0), 1.0, 1.0 + math.ulp(1.0), []),
+    (lambda y: np.sin(40.0 * y), 0.0, 10.0, np.arange(1.0, 10.0)),
+]
+_SUCCEEDING = [0, 1, 5]
+_CFG = QuadConfig(rel_tol=1e-12, max_subdivisions=1)
+
+
+def _batch(indices, calls=None):
+    """log_quads on the chosen integrals, in that order; ``calls`` collects
+    one entry per call of the integrand."""
+    fs, a, b, bps = zip(*(_INTEGRALS[i] for i in indices))
 
     def log_f(y, owner):
+        if calls is not None:
+            calls.append(len(y))
         out = np.empty_like(y)
         for i, f in enumerate(fs):
             out[owner == i] = f(y[owner == i])
         return out
 
-    batched = log_quads(log_f, a, b, _seed_table(bps), cfg)
-    kinds = [type(r) for r in batched]
-    assert kinds[2] is ToleranceError and kinds[3] is LogDepthError and kinds[4] is ParameterError
-    assert (batched[5].n_panels, batched[5].rel_error) == (1, 0.0)
-    assert kinds[6] is ToleranceError and "after 1 subdivisions" in str(batched[6])
-    for i, f in enumerate(fs):
-        _same(batched[i], _alone(f, a[i], b[i], bps[i], cfg))
+    return log_quads(log_f, a, b, _seed_table(bps), _CFG)
+
+
+def test_batch_of_succeeding_integrals_equals_separate_calls():
+    batched = _batch(_SUCCEEDING)
+    assert (batched[2].n_panels, batched[2].rel_error) == (1, 0.0)
+    for res, i in zip(batched, _SUCCEEDING):
+        f, a, b, bps = _INTEGRALS[i]
+        _same(res, log_quad(f, a, b, bps, _CFG))
+
+
+@pytest.mark.parametrize("i, error", [
+    (2, ToleranceError), (3, LogDepthError), (4, ParameterError), (6, ToleranceError),
+], ids=["needle", "depth", "bounds", "budget"])
+def test_failing_integral_raises_in_a_batch_as_alone(i, error):
+    # Among succeeding integrals, the batch raises the class, message and
+    # estimate the integral raises alone.
+    f, a, b, bps = _INTEGRALS[i]
+    with pytest.raises(error) as alone:
+        log_quad(f, a, b, bps, _CFG)
+    with pytest.raises(error) as batched:
+        _batch([0, i, *_SUCCEEDING[1:]])
+    assert type(batched.value) is type(alone.value) and str(batched.value) == str(alone.value)
+    assert getattr(batched.value, "achieved_rel_error", None) == getattr(
+        alone.value, "achieved_rel_error", None)
+    if i == 6:
+        assert "after 1 subdivisions" in str(batched.value)
+
+
+@pytest.mark.parametrize("i, error, n_calls", [
+    (4, ParameterError, 0), (3, LogDepthError, 1),
+], ids=["bounds", "depth"])
+def test_a_failure_stops_the_batch(i, error, n_calls):
+    # Bad bounds are refused before any evaluation, and the depth guard
+    # raises in the round that finds it, before the others refine further.
+    calls = []
+    with pytest.raises(error):
+        _batch([*_SUCCEEDING, i, 2], calls)
+    assert len(calls) == n_calls
 
 
 def test_batch_beyond_the_memory_caps_equals_separate_calls():
@@ -196,7 +220,7 @@ def test_batch_beyond_the_memory_caps_equals_separate_calls():
     batched = log_quads(log_f, a, b, _seed_table(bps), cfg)
     assert max(calls) <= 15 * _MAX_PANELS
     for i in range(n):
-        _same(batched[i], _alone(lambda y, s=scales[i]: np.log(2.0 + np.sin(s * y)), a[i], b[i], bps[i], cfg))
+        _same(batched[i], log_quad(lambda y, s=scales[i]: np.log(2.0 + np.sin(s * y)), a[i], b[i], bps[i], cfg))
 
 
 def test_log_depth_guard():

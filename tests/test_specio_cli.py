@@ -96,6 +96,37 @@ def test_tilted_spec_refuses_a_gamma_that_is_not_a_number(tmp_path, capsys, gamm
     assert "ParameterError: tilt rate must be a number" in capsys.readouterr().err
 
 
+_REAL_PARAMS = [
+    ("pareto", "alpha", {}),
+    ("exponential", "lam", {}),
+    ("weibull_heavy", "beta", {}),
+    ("plateau_example", "a", {}),
+    ("plateau_example", "y0", {"a": 2.0}),
+    ("xu_piecewise", "alpha", {"x1": 4096.0}),
+    ("xu_piecewise", "x1", {"alpha": 5.5}),
+]
+# A null y0 is plateau_example's default, so it builds a valid law.
+_NOT_NUMBERS = [
+    pytest.param(kind, name, others, value, id=f"{kind}-{name}-{value!r}")
+    for kind, name, others in _REAL_PARAMS
+    for value in (True, "3", None, [3], math.inf, math.nan)
+    if not (name == "y0" and value is None)
+]
+
+
+@pytest.mark.parametrize("kind, name, others, value", _NOT_NUMBERS)
+def test_builtins_refuse_a_parameter_that_is_not_a_finite_number(tmp_path, capsys, kind, name, others, value):
+    # A bool, a string, null, a list or an infinity is no parameter, called
+    # directly or read from a spec file.
+    message = f"{name} must be a finite positive number"
+    with pytest.raises(ParameterError, match=message):
+        getattr(tf, kind)(**others, **{name: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": kind, **others, name: value}))
+    assert main(["dist", "show", "--dist", str(path)]) == 3
+    assert f"ParameterError: {message}" in capsys.readouterr().err
+
+
 def test_unknown_schema_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "other/9", "kind": "pareto", "alpha": 3}))
