@@ -169,7 +169,7 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list[fl
     from its small-argument end, where w is the half's width: the O(1)-wide
     peak of F near u = 0, or of a density near y = 0, gets panels in the
     first round instead of one bisection per round.  The integrand reads
-    each point's x and half from its owner.  Entry i is job i's log; the
+    each panel's x and half from its owner.  Entry i is job i's log; the
     batch raises its first failure (``log_quads``).
     """
     halves = []  # (job, x, in u, a, b)

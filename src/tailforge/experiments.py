@@ -35,6 +35,7 @@ from .export import _write_csv, _write_json, export_grid, fmt_float
 from .functionals import (
     _b2_profile,
     _t_profile,
+    _t_profiles,
     shift_probe_grid,
     exam300_lower_bound,
     geometric_grid,
@@ -97,15 +98,16 @@ def _K_profile(Ks, x: float, vals: list[float], path: Path, col: str) -> None:
 
 
 def _t_values(F: Distribution, pairs, qcfg: QuadConfig) -> dict[tuple[float, float], float]:
-    """t_ratio at each (K, x) pair, from one ``_t_profile`` per distinct x
-    over its Ks in increasing order."""
+    """t_ratio at each (K, x) pair, from one ``_t_profiles`` batch over the
+    distinct x, each with its Ks in increasing order."""
     Ks_at: dict[float, set[float]] = {}
     for K, x in pairs:
         Ks_at.setdefault(x, set()).add(K)
+    profiles = [(x, sorted(Ks)) for x, Ks in Ks_at.items()]
     return {
         (K, x): v
-        for x, Ks in Ks_at.items()
-        for K, v in zip(sorted(Ks), _t_profile(F, x, sorted(Ks), qcfg))
+        for (x, Ks), vals in zip(profiles, _t_profiles(F, profiles, qcfg))
+        for K, v in zip(Ks, vals)
     }
 
 

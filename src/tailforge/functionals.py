@@ -179,23 +179,37 @@ def t_ratio(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) 
 
 
 def _t_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> list[float]:
-    """``t_ratio(d, x, K)`` for each K of the increasing list ``Ks``.
+    """``t_ratio(d, x, K)`` for each K of the increasing list ``Ks``: the
+    one-x case of ``_t_profiles``."""
+    return _t_profiles(d, [(x, Ks)], cfg)[0]
 
-    One batch of cross-integral bands over [0, x/2], cut at every K, gives
-    the numerators as prefix sums, so the profile is nondecreasing in K,
-    and half the denominator as the bands' total; at K = x/2 the prefix is
-    that total, so the entry there is exactly 1.
+
+def _t_profiles(d: Distribution, profiles, cfg: QuadConfig) -> list[list[float]]:
+    """``_t_profile`` for each (x, Ks) of ``profiles``, from one batch.
+
+    The cross-integral bands over [0, x/2], cut at every K, give the
+    numerators as prefix sums, so a profile is nondecreasing in K, and half
+    the denominator as the bands' total; at K = x/2 the prefix is that
+    total, so the entry there is exactly 1.  The bands of every profile are
+    one ``_log_cross_integrals`` batch, and each band has the bits it has
+    alone.  Every profile is checked before any band is integrated.
     """
-    bad = next((K for K in Ks if not (0 < K <= x / 2)), None)
-    if bad is not None:
-        raise ParameterError(f"need 0 < K <= x/2, got K={bad}, x={x}")
-    if not all(a < b for a, b in zip(Ks, Ks[1:])):
-        raise ParameterError(f"K values must increase, got {Ks}")
-    cuts = [0.0, *Ks] if Ks[-1] == x / 2 else [0.0, *Ks, x / 2]
-    jobs = [(a, b, x) for a, b in zip(cuts, cuts[1:])]
-    logs = _log_cross_integrals(d, jobs, cfg)
-    log_den = math.log(2.0) + _logsumexp_list(logs)
-    return _prefix_ratios(x, Ks, log_den, [[v] for v in logs], cfg)
+    cuts_of = []
+    for x, Ks in profiles:
+        bad = next((K for K in Ks if not (0 < K <= x / 2)), None)
+        if bad is not None:
+            raise ParameterError(f"need 0 < K <= x/2, got K={bad}, x={x}")
+        if not all(a < b for a, b in zip(Ks, Ks[1:])):
+            raise ParameterError(f"K values must increase, got {Ks}")
+        cuts_of.append([0.0, *Ks] if Ks[-1] == x / 2 else [0.0, *Ks, x / 2])
+    jobs = [(a, b, x) for (x, _), cuts in zip(profiles, cuts_of) for a, b in zip(cuts, cuts[1:])]
+    logs = iter(_log_cross_integrals(d, jobs, cfg))
+    out = []
+    for (x, Ks), cuts in zip(profiles, cuts_of):
+        bands = [next(logs) for _ in cuts[1:]]
+        log_den = math.log(2.0) + _logsumexp_list(bands)
+        out.append(_prefix_ratios(x, Ks, log_den, [[v] for v in bands], cfg))
+    return out
 
 
 def b2_cond(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:

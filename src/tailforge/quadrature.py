@@ -18,9 +18,17 @@ with segmented numpy reductions (``np.maximum.reduceat``,
 ``np.add.reduceat``): totals, errors, the convergence test, the depth guard,
 the splits, the narrow-panel rule and the budget.  The new panels of all
 integrals are evaluated together, up to ``_MAX_PANELS`` panels per call of
-the integrand, which is told each point's integral.  A segment's sums read
+the integrand, which is told each panel's integral.  A segment's sums read
 its own entries only, so each integral gets the same bits as alone;
 ``log_quad`` is the batch of one.
+
+The integrand sees the panels as rows: its abscissae come as a (panels, 15)
+array whose row i holds panel i's Kronrod nodes in ascending order, and the
+owners as a (panels, 1) column, so an elementwise integrand broadcasts over
+both unchanged and returns a (panels, 15) array.  A row is monotone, and so
+is x - y along it, so it mostly lies in one piece of a piecewise integrand,
+which can then be looked up once per row (``TailCurve.log_tail`` of a 2-D
+array does so).
 
 The K15 and G7 sums of a panel are row sums over its 15 nodes, not a matrix
 product against the weights: a product's blocking makes a row's last bits
@@ -122,15 +130,20 @@ class LogQuadResult:
 
 
 def _gk15(log_f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.ndarray):
-    """(G7, K15) on every panel [los[i], his[i]] with one call of ``log_f``.
+    """(G7, K15) on every panel [los[i], his[i]] with one call of ``log_f``,
+    which takes the nodes as a (panels, 15) array of ascending rows.
 
     Returns (log integrals, log abs error estimates), one entry per panel.
     The rule's sums are row sums, so each panel's result is the same bits
     whatever other panels share the call.
     """
     half = 0.5 * (his - los)
-    xs = (0.5 * (los + his))[:, None] + half[:, None] * _XGK
-    ls = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape)
+    # Node-major in memory, so that an integrand's parameters broadcast
+    # along a row run over the panels in the inner loop.
+    xs = (0.5 * (los + his) + _XGK[:, None] * half).T
+    # C order: each row's sums below then add its 15 nodes in one fixed
+    # order, whatever the layout of the integrand's result.
+    ls = np.asarray(log_f(xs), dtype=float, order="C").reshape(xs.shape)
     m = ls.max(axis=1)
     # A row whose maximum is not finite is identically zero (or invalid);
     # its sums are formed against 0 and then discarded.
@@ -206,8 +219,10 @@ def log_quads(
 ) -> list[LogQuadResult]:
     """``log_quad`` on the integrals i = 0, 1, ... of [a[i], b[i]] together.
 
-    ``log_f(y, owner)`` returns log-integrand values at the abscissae y,
-    where ``owner[j]`` is the index of the integral that y[j] belongs to.
+    ``log_f(y, owner)`` returns log-integrand values at the abscissae y, a
+    (panels, 15) array with one panel's nodes per row in ascending order,
+    where ``owner``, a (panels, 1) column, holds the index of the integral
+    that each row belongs to; the result has y's shape.
     ``seeds`` is the seed table (owner, point) of forced panel boundaries:
     point j is one of integral owner[j]'s, in any order, and points outside
     (a[i], b[i]) are ignored.
@@ -269,8 +284,8 @@ def log_quads(
             return results
         for s in range(0, len(fresh), _MAX_PANELS):
             part = fresh[s : s + _MAX_PANELS]
-            rep = np.repeat(owner[part], len(_XGK))
-            vals[part], errs[part] = _gk15(lambda y: log_f(y, rep), los[part], his[part])
+            col = owner[part][:, None]
+            vals[part], errs[part] = _gk15(lambda y: log_f(y, col), los[part], his[part])
 
         starts = np.flatnonzero(_heads(owner))
         counts = np.diff(np.r_[starts, len(owner)])
@@ -367,9 +382,10 @@ def log_quad(
 ) -> LogQuadResult:
     """Compute log( integral_a^b exp(log_f(y)) dy ) adaptively.
 
-    ``log_f`` must accept an ndarray of abscissae and return log-integrand
-    values (-inf where the integrand vanishes).  ``breakpoints`` are forced
-    panel boundaries; points outside (a, b) are ignored.
+    ``log_f`` must accept a (panels, 15) array of abscissae, one panel's
+    nodes per row in ascending order, and return log-integrand values of
+    the same shape (-inf where the integrand vanishes).  ``breakpoints``
+    are forced panel boundaries; points outside (a, b) are ignored.
 
     Raises ParameterError unless -inf < a <= b < inf, and ToleranceError
     when the requested relative tolerance cannot be certified within the

@@ -39,6 +39,10 @@ fields gathered into arrays with one entry per point.  So a curve
 evaluates any number of points, and inverts any number of quantile levels,
 in one array pass per group, and each point gets the bits its own segment
 gives it (points that all lie in one segment pass that segment itself).
+A 2-D array is evaluated a row at a time: a row whose minimum and maximum
+lie in one segment is looked up once and gathers its fields once,
+broadcast along the row, with the same bits.  A quadrature's rows of
+nodes are monotone and mostly lie in one segment.
 Constants such as log(rate) are computed once per segment, by the
 segment's ``log_dcoeff``.
 """
@@ -76,6 +80,9 @@ _SNAP_RTOL = 1e-9
 # each level's bucket.
 _GUIDE_SCALE = 64.0
 _GUIDE_BUCKETS = 4096
+# Fewer rows than this take the per-point lookup in ``TailCurve._on_rows``:
+# the row lookup's fixed cost in numpy calls exceeds what so few rows save.
+_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -521,18 +528,29 @@ class _SegmentTable:
         """``run(group, parameters, points)`` over the groups the points
         meet.  k is each point's segment, or one segment for all points,
         whose own fields are then the parameters: the scalars that its
-        gathered columns would repeat."""
+        gathered columns would repeat.  For a 2-D x, k may be a (1, n) row,
+        one segment per column of x (``TailCurve._on_rows``): each field is
+        then gathered once per column and broadcast down it."""
         if np.ndim(k) == 0:
             return run(self._groups[self._group[k]], self.segs[k], x)
         if len(self._groups) == 1:
             return run(self._groups[0], _Rows(self._groups[0], self._local[k]), x)
         group = self._group[k]
-        out = np.empty_like(x)
-        for g, grp in enumerate(self._groups):
-            at = np.flatnonzero(group == g)
-            if at.size:
-                out[at] = run(grp, _Rows(grp, self._local[k[at]]), x[at])
-        return out
+        # The points of a 1-d x, or the columns of a 2-d one, of each group
+        # met; the groups' results are put back in order by one ``take``.
+        ats = [(grp, np.flatnonzero(group == g)) for g, grp in enumerate(self._groups)]
+        ats = [(grp, at) for grp, at in ats if at.size]
+        if len(ats) < 2:  # one group, or no points
+            grp = ats[0][0] if ats else self._groups[0]
+            return run(grp, _Rows(grp, self._local[k]), x)
+        parts = [
+            run(grp, _Rows(grp, self._local[k.take(at, axis=-1)]), x.take(at, axis=-1))
+            for grp, at in ats
+        ]
+        order = np.concatenate([at for _, at in ats])
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        return np.concatenate(parts, axis=-1).take(back, axis=-1)
 
 
 class _Group:
@@ -619,8 +637,11 @@ class TailCurve:
 
     def log_tail(self, x) -> np.ndarray | float:
         """log F(x); scalar in, scalar out, else x's shape.  x < 0 gives 0.0
-        (tail is 1)."""
+        (tail is 1).  A 2-D x is looked up a row at a time (``_on_rows``),
+        with the bits of the per-point lookup."""
         xa = self._checked(x)
+        if xa.ndim == 2:
+            return self._on_rows(xa, self._table.log_value, 0.0)
         out = self._on_support(xa.ravel(), self._table.log_value, 0.0)
         return float(out[0]) if np.isscalar(x) else out.reshape(xa.shape)
 
@@ -629,12 +650,43 @@ class TailCurve:
         of dF: each point's segment's own ``log_density``, -inf on flat
         segments and for x < 0.  NaN and points past the truncation are
         refused as ``log_tail`` refuses them, and x = +-inf when lam != 0,
-        where e^{lam x} f(x) has no value to read."""
+        where e^{lam x} f(x) has no value to read.  A 2-D x is looked up a
+        row at a time, as in ``log_tail``."""
         xa = self._checked(x)
         if lam and not np.isfinite(xa).all():
             raise ParameterError(f"log_density with lam={lam!r} needs finite x")
         fn = partial(self._table.log_density, lam=lam)
+        if xa.ndim == 2:
+            return self._on_rows(xa, fn, _NEG_INF)
         return self._on_support(xa.ravel(), fn, _NEG_INF).reshape(xa.shape)
+
+    def _on_rows(self, x: np.ndarray, fn, below: float) -> np.ndarray:
+        """``_on_support`` on a 2-D x, one segment lookup per row.  A row
+        whose minimum and maximum lie in one segment lies in it whole, so
+        its parameters are gathered once and broadcast along it; a
+        quadrature's rows of nodes mostly do.  The other rows (one that
+        straddles a join, or reaches below 0) take the per-point lookup.
+
+        The work runs on x.T, one column per row of x with its segment in a
+        (1, rows) index row, so that a parameter broadcast along a row of x
+        is contiguous with the other rows' (``_gk15`` lays its nodes out
+        this way); the result is x's shape."""
+        xt = x.T
+        if len(x) < _MIN_ROWS or len(self._los) == 1 or not x.size:
+            return self._on_support(xt.ravel(), fn, below).reshape(xt.shape).T
+        k, last = self._los.searchsorted([xt.min(axis=0), xt.max(axis=0)], side="right") - 1
+        cut = np.flatnonzero((k < 0) | (k != last))
+        k = k[None]
+        if not cut.size:
+            first = int(k.min())
+            return fn(xt, first if first == k.max() else k).T
+        # The cut columns read segment 0 at 0 first, then their own values.
+        xs = xt.copy()
+        xs[:, cut], k[0, cut] = 0.0, 0
+        out = fn(xs, k)
+        part = xt[:, cut].T
+        out[:, cut] = self._on_support(part.ravel(), fn, below).reshape(part.shape).T
+        return out.T
 
     def _on_support(self, x: np.ndarray, fn, below: float) -> np.ndarray:
         """``fn(points, their segments)`` on the points of a flat x at or

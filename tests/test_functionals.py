@@ -86,6 +86,24 @@ def test_t_profile_is_exactly_one_at_half(request):
             assert prof[-1] == 1.0 and prof[0] < 1.0
 
 
+@pytest.mark.parametrize("name", ["pareto3", "dyadic", "plateau2", "xu55"])
+def test_t_values_batch_has_the_bits_of_each_profile_alone(name, request):
+    # One batch over every (K, x) pair gives each x the bits of its own
+    # profile, and of t_ratio where the x has a single K (a profile's
+    # prefix sums its own bands, so several Ks cut the same x finer).
+    from tailforge.experiments import _t_values
+
+    d = request.getfixturevalue(name)
+    cfg = tf.QuadConfig()
+    Ks = [1.0, 4.0, 16.0, 30.0]
+    xs = [64.0, 300.0, 2.0**12]
+    got = _t_values(d, [(K, x) for x in xs for K in Ks] + [(3.0, 100.0), (50.0, 2.0**14)], cfg)
+    for x in xs:
+        assert [got[(K, x)] for K in Ks] == _t_profile(d, x, Ks, cfg)
+    for K, x in [(3.0, 100.0), (50.0, 2.0**14)]:
+        assert got[(K, x)] == tf.t_ratio(d, x, K, cfg)
+
+
 def test_t_profile_preconditions(pareto3):
     cfg = tf.QuadConfig()
     for Ks in ([1.0, 1.0], [2.0, 1.0], [1.0, 6.0], [0.0, 1.0], [math.nan]):

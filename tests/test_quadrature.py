@@ -106,11 +106,12 @@ def test_panel_same_alone_as_in_batch():
 def test_one_integrand_call_per_round():
     # An oscillation across the whole range needs many splits, and they
     # come in a few batched calls: each call evaluates 15 nodes on every
-    # panel it makes.
+    # panel it makes, one row of nodes per panel.
     calls = []
 
     def logf(y):
-        calls.append(len(y))
+        assert y.shape[1:] == (15,)
+        calls.append(y.size)
         return np.log(2.0 + np.sin(50.0 * y))
 
     res = log_quad(logf, 0.0, 10.0, cfg=QuadConfig(rel_tol=1e-12))
@@ -151,15 +152,17 @@ _CFG = QuadConfig(rel_tol=1e-12, max_subdivisions=1)
 
 def _batch(indices, calls=None):
     """log_quads on the chosen integrals, in that order; ``calls`` collects
-    one entry per call of the integrand."""
+    one entry per call of the integrand.  The integrand gets one panel's
+    nodes per row and each row's integral in a column."""
     fs, a, b, bps = zip(*(_INTEGRALS[i] for i in indices))
 
     def log_f(y, owner):
         if calls is not None:
-            calls.append(len(y))
+            calls.append(y.size)
         out = np.empty_like(y)
         for i, f in enumerate(fs):
-            out[owner == i] = f(y[owner == i])
+            rows = owner[:, 0] == i
+            out[rows] = f(y[rows])
         return out
 
     return log_quads(log_f, a, b, _seed_table(bps), _CFG)
@@ -213,7 +216,7 @@ def test_batch_beyond_the_memory_caps_equals_separate_calls():
     calls = []
 
     def log_f(y, owner):
-        calls.append(len(y))
+        calls.append(y.size)
         return np.log(2.0 + np.sin(scales[owner] * y))
 
     cfg = QuadConfig(rel_tol=1e-11)

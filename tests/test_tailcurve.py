@@ -8,7 +8,9 @@ import pytest
 
 import tailforge as tf
 from tailforge.errors import ParameterError, TruncationError
+from tailforge.quadrature import _gk15
 from tailforge.tailcurve import (
+    _MIN_ROWS,
     AffineSegment,
     ConstSegment,
     ExpAffineSegment,
@@ -735,3 +737,65 @@ def test_multidimensional_points_keep_their_shape(plateau2):
     got = tf.quantile_from_tail(plateau2, u)
     assert got.shape == u.shape
     assert got.tobytes() == tf.quantile_from_tail(plateau2, u.ravel()).tobytes()
+
+
+def _gk15_nodes(los, his):
+    """The nodes ``_gk15`` hands its integrand for the panels [los, his]:
+    one panel per row, ascending, in the rule's own memory layout."""
+    seen = []
+    record = lambda y: seen.append(y) or np.zeros(y.shape)
+    _gk15(record, np.asarray(los, dtype=float), np.asarray(his, dtype=float))
+    return seen[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("law", BUILTINS, ids=lambda d: d.label)
+def test_row_lookup_is_the_per_point_lookup(law, gamma, seed):
+    # Quadrature panels: random ones, the panels between breakpoints, and
+    # one-ulp panels that end on a join, so that their last nodes straddle
+    # it; then the same rows mirrored about an x, as x - y, which is
+    # descending and reaches below 0 where y > x.  More rows than
+    # _MIN_ROWS, so a multi-segment curve takes the row lookup.
+    curve = (tf.gamma_transform(law, gamma) if gamma else law).tail
+    bps = curve.breakpoints()[:200]
+    top = min(2.0 * bps[-1] + 10.0, curve.truncation_hi)
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.uniform(0.0, top, 300))
+    joins = bps[1:]
+    los = np.concatenate([cuts[:-1], bps[:-1], np.nextafter(joins, -math.inf), [-2.0, -1.0]])
+    his = np.concatenate([cuts[1:], bps[1:], joins, [-1.0, 1.0]])
+    y = _gk15_nodes(los, his)
+    assert len(y) >= _MIN_ROWS
+    straddle = curve._los.searchsorted(y[:, [0, -1]], side="right")
+    assert len(curve.segments) == 1 or (straddle[:, 0] != straddle[:, 1]).any()
+    for x in (y, rng.uniform(0.0, top) - y, top - y):
+        flat = x.ravel()
+        want = curve.log_tail(flat).reshape(x.shape)
+        assert curve.log_tail(x).tobytes() == want.tobytes()
+        for lam in (0.0, 0.25):
+            want = curve.log_density(flat, lam).reshape(x.shape)
+            assert curve.log_density(x, lam).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("law", BUILTINS, ids=lambda d: d.label)
+def test_rows_in_any_order_keep_the_per_point_values(law, gamma):
+    # A row's segment is read from its minimum and maximum, so the row
+    # lookup assumes no order along a row: rows inside one segment in
+    # random order, and rows whose two ends share a segment while their
+    # middle points do not, in either memory layout.
+    curve = (tf.gamma_transform(law, gamma) if gamma else law).tail
+    los = curve._los[:200]
+    top = min(2.0 * los[-1] + 10.0, curve.truncation_hi)
+    his = np.append(curve._los[1:], top)[:200]
+    rng = np.random.default_rng(5)
+    j = rng.integers(0, len(los), (2, _MIN_ROWS, 1))
+    inside, ends = los[j] + (his[j] - los[j]) * rng.random((2, _MIN_ROWS, 15))
+    ends[:, 1:-1] = rng.uniform(-1.0, top, (_MIN_ROWS, 13))
+    for x in (np.concatenate([inside, ends]), np.asfortranarray(np.concatenate([ends, inside]))):
+        flat = x.ravel()
+        assert curve.log_tail(x).tobytes() == curve.log_tail(flat).reshape(x.shape).tobytes()
+        for lam in (0.0, 0.25):
+            want = curve.log_density(flat, lam).reshape(x.shape)
+            assert curve.log_density(x, lam).tobytes() == want.tobytes()
