@@ -169,8 +169,11 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list[fl
     from its small-argument end, where w is the half's width: the O(1)-wide
     peak of F near u = 0, or of a density near y = 0, gets panels in the
     first round instead of one bisection per round.  The integrand reads
-    each panel's x and half from its owner.  Entry i is job i's log; the
-    batch raises its first failure (``log_quads``).
+    each panel's x and half from its owner, and both factors a panel at a
+    time, ``log_g(arg, left)`` as ``TailCurve._on_panels``: x - y, or
+    x - u, is read from the left, as the number below x that it is.
+    Entry i is job i's log; the batch raises its first failure
+    (``log_quads``).
     """
     halves = []  # (job, x, in u, a, b)
     for i, (x, lo, hi) in enumerate(jobs):
@@ -187,7 +190,7 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list[fl
     def integrand(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
         x, u = x_of[owner], in_u[owner]
         rest = x - v
-        return log_g(np.where(u, rest, v)) + curve.log_tail(np.where(u, v, rest))
+        return log_g(np.where(u, rest, v), u) + curve._on_panels(np.where(u, v, rest), ~u)
 
     results = log_quads(integrand, a, b, _half_seeds(curve, x_of, a, b), cfg)
     parts: list[list[float]] = [[] for _ in jobs]
@@ -209,7 +212,7 @@ def _log_cross_integrals(d: Distribution, jobs, cfg: QuadConfig) -> list[float]:
     whole = [A == 0.0 and B == x for A, B, x in jobs]
     quad = [(x, 0.0, 0.5 * x) if w else (x, A, B) for (A, B, x), w in zip(jobs, whole) if A < B]
     curve = _split_tilt(d)[0].tail
-    vals = iter(_log_against_tail(curve.log_tail, curve, quad, cfg))
+    vals = iter(_log_against_tail(curve._on_panels, curve, quad, cfg))
     return [
         _NEG_INF if A == B else (math.log(2.0) + next(vals) if w else next(vals))
         for (A, B, _), w in zip(jobs, whole)
@@ -273,7 +276,7 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     ]
     ends = np.array([job[1:] for *_, job in bands], dtype=float).reshape(-1, 2)
     dense = [bands[k] for k in np.flatnonzero(d.tail.has_density_in(ends[:, 0], ends[:, 1]))]
-    log_g = partial(d.tail.log_density, lam=rate)
+    log_g = partial(d.tail._on_panels, lam=rate)
     vals = _log_against_tail(log_g, curve, [job for *_, job in dense], cfg)
     for (i, j, _), v in zip(dense, vals):
         out[i][j].append(v)

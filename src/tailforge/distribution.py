@@ -153,7 +153,7 @@ def partial_moment(
         raise ParameterError(f"integration bounds out of order: [{A}, {b}]")
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        vals = d.tail.log_tail(y)
+        vals = d.tail._on_panels(y)
         if k:
             with np.errstate(divide="ignore"):
                 vals = vals + k * np.log(y)
@@ -236,7 +236,7 @@ def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> fl
             )
     # One quadrature of the curve's density over [0, B]; rel_tol bounds the
     # whole integral, not each segment's share of it.
-    dens = log_quad(lambda y: d.tail.log_density(y, lam), 0.0, B, _seeds(d, B), cfg)
+    dens = log_quad(lambda y: d.tail._on_panels(y, lam=lam), 0.0, B, _seeds(d, B), cfg)
     lv = _logsumexp_list(
         [a.log_mass + lam * a.location for a in d.atoms if a.location <= B] + [dens.log_value]
     )
@@ -327,11 +327,11 @@ def quantile_blocks(d: Distribution, rng: np.random.Generator, rows: int, cols: 
 def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
     """Draw n values by inverse transform; deterministic in (seed, n).
 
-    PRNG: numpy PCG64 seeded directly with ``seed``; the uniform stream is
-    mapped through u -> 1 - u so levels lie in (0, 1].
+    PRNG: numpy PCG64 seeded directly with ``seed``, an integer >= 0; the
+    uniform stream is mapped through u -> 1 - u so levels lie in (0, 1].
     """
     n = _count("sample count", n, 1)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_count("seed", seed, 0)))
     out = np.empty(n)
     for start, xs in quantile_blocks(d, rng, n):
         out[start : start + len(xs)] = xs[:, 0]

@@ -91,7 +91,9 @@ def mc_jump_cond(
     # Written so that NaN fails the test too.
     if not 0.0 <= acceptance_floor < 1.0:
         raise ParameterError(f"acceptance floor must lie in [0, 1), got {acceptance_floor}")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    base = seed
+    if not isinstance(seed, np.random.SeedSequence):
+        base = np.random.SeedSequence(_count("seed", seed, 0))
     seed_tag = int(base.entropy) if isinstance(base.entropy, int) else 0
 
     threshold = x - K  # max > threshold; threshold <= 0 makes the event sure
@@ -206,6 +208,7 @@ def mc_vs_quadrature(
     not raised; any other exception is a fault and propagates.  ``bias_injection`` maps row index -> additive bias, a
     self-test hook for verifying that the harness flags what it should.
     """
+    seed = _count("seed", seed, 0)
     rows: list[ComparisonRow] = []
     for i, (n, x, K) in enumerate(scenarios):
         try:

@@ -25,10 +25,9 @@ its own entries only, so each integral gets the same bits as alone;
 The integrand sees the panels as rows: its abscissae come as a (panels, 15)
 array whose row i holds panel i's Kronrod nodes in ascending order, and the
 owners as a (panels, 1) column, so an elementwise integrand broadcasts over
-both unchanged and returns a (panels, 15) array.  A row is monotone, and so
-is x - y along it, so it mostly lies in one piece of a piecewise integrand,
-which can then be looked up once per row (``TailCurve.log_tail`` of a 2-D
-array does so).
+both unchanged and returns a (panels, 15) array.  A piecewise integrand
+whose pieces' ends are among the seeds can read each row's piece once, at
+its middle node, the middle column (``TailCurve._on_panels`` does so).
 
 The K15 and G7 sums of a panel are row sums over its 15 nodes, not a matrix
 product against the weights: a product's blocking makes a row's last bits

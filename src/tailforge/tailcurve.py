@@ -39,10 +39,10 @@ fields gathered into arrays with one entry per point.  So a curve
 evaluates any number of points, and inverts any number of quantile levels,
 in one array pass per group, and each point gets the bits its own segment
 gives it (points that all lie in one segment pass that segment itself).
-A 2-D array is evaluated a row at a time: a row whose minimum and maximum
-lie in one segment is looked up once and gathers its fields once,
-broadcast along the row, with the same bits.  A quadrature's rows of
-nodes are monotone and mostly lie in one segment.
+A quadrature's (panels, 15) nodes are evaluated a panel at a time
+(``TailCurve._on_panels``): its seeds put every join at a panel end, so
+each row reads the segment of its middle node and gathers its fields once,
+broadcast along the row.
 Constants such as log(rate) are computed once per segment, by the
 segment's ``log_dcoeff``.
 """
@@ -80,9 +80,6 @@ _SNAP_RTOL = 1e-9
 # each level's bucket.
 _GUIDE_SCALE = 64.0
 _GUIDE_BUCKETS = 4096
-# Fewer rows than this take the per-point lookup in ``TailCurve._on_rows``:
-# the row lookup's fixed cost in numpy calls exceeds what so few rows save.
-_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -529,8 +526,8 @@ class _SegmentTable:
         meet.  k is each point's segment, or one segment for all points,
         whose own fields are then the parameters: the scalars that its
         gathered columns would repeat.  For a 2-D x, k may be a (1, n) row,
-        one segment per column of x (``TailCurve._on_rows``): each field is
-        then gathered once per column and broadcast down it."""
+        one segment per column of x (``TailCurve._on_panels``): each field
+        is then gathered once per column and broadcast down it."""
         if np.ndim(k) == 0:
             return run(self._groups[self._group[k]], self.segs[k], x)
         if len(self._groups) == 1:
@@ -637,11 +634,8 @@ class TailCurve:
 
     def log_tail(self, x) -> np.ndarray | float:
         """log F(x); scalar in, scalar out, else x's shape.  x < 0 gives 0.0
-        (tail is 1).  A 2-D x is looked up a row at a time (``_on_rows``),
-        with the bits of the per-point lookup."""
+        (tail is 1)."""
         xa = self._checked(x)
-        if xa.ndim == 2:
-            return self._on_rows(xa, self._table.log_value, 0.0)
         out = self._on_support(xa.ravel(), self._table.log_value, 0.0)
         return float(out[0]) if np.isscalar(x) else out.reshape(xa.shape)
 
@@ -650,43 +644,36 @@ class TailCurve:
         of dF: each point's segment's own ``log_density``, -inf on flat
         segments and for x < 0.  NaN and points past the truncation are
         refused as ``log_tail`` refuses them, and x = +-inf when lam != 0,
-        where e^{lam x} f(x) has no value to read.  A 2-D x is looked up a
-        row at a time, as in ``log_tail``."""
+        where e^{lam x} f(x) has no value to read."""
         xa = self._checked(x)
         if lam and not np.isfinite(xa).all():
             raise ParameterError(f"log_density with lam={lam!r} needs finite x")
         fn = partial(self._table.log_density, lam=lam)
-        if xa.ndim == 2:
-            return self._on_rows(xa, fn, _NEG_INF)
         return self._on_support(xa.ravel(), fn, _NEG_INF).reshape(xa.shape)
 
-    def _on_rows(self, x: np.ndarray, fn, below: float) -> np.ndarray:
-        """``_on_support`` on a 2-D x, one segment lookup per row.  A row
-        whose minimum and maximum lie in one segment lies in it whole, so
-        its parameters are gathered once and broadcast along it; a
-        quadrature's rows of nodes mostly do.  The other rows (one that
-        straddles a join, or reaches below 0) take the per-point lookup.
+    def _on_panels(self, x: np.ndarray, left=False, lam: float | None = None) -> np.ndarray:
+        """``log_tail`` on a quadrature's (panels, 15) nodes x, or with lam
+        given ``log_density(x, lam)``, each row by the formula of its middle
+        node's segment.  The seeds put every join, and every mirror x - join,
+        at a panel end, so a row lies in one segment but for rounding.  The
+        middle node is looked up from the right, or from the left in the
+        rows where ``left`` (a bool or a (panels, 1) column) is set: an
+        argument x - y that rounds onto a join lies below it.  x is not
+        checked for NaN or truncation, as the integrands' bounds are; a
+        middle node below the support is refused.
 
-        The work runs on x.T, one column per row of x with its segment in a
-        (1, rows) index row, so that a parameter broadcast along a row of x
-        is contiguous with the other rows' (``_gk15`` lays its nodes out
-        this way); the result is x's shape."""
-        xt = x.T
-        if len(x) < _MIN_ROWS or len(self._los) == 1 or not x.size:
-            return self._on_support(xt.ravel(), fn, below).reshape(xt.shape).T
-        k, last = self._los.searchsorted([xt.min(axis=0), xt.max(axis=0)], side="right") - 1
-        cut = np.flatnonzero((k < 0) | (k != last))
-        k = k[None]
-        if not cut.size:
-            first = int(k.min())
-            return fn(xt, first if first == k.max() else k).T
-        # The cut columns read segment 0 at 0 first, then their own values.
-        xs = xt.copy()
-        xs[:, cut], k[0, cut] = 0.0, 0
-        out = fn(xs, k)
-        part = xt[:, cut].T
-        out[:, cut] = self._on_support(part.ravel(), fn, below).reshape(part.shape).T
-        return out.T
+        The work runs on x.T, one segment per column, so that a parameter
+        broadcast along a row of x is contiguous with the other rows'
+        (``_gk15`` lays its nodes out this way)."""
+        fn = self._table.log_value if lam is None else partial(self._table.log_density, lam=lam)
+        mid = x[:, x.shape[1] // 2]
+        k = self._los.searchsorted(mid, side="right") - 1
+        if np.any(left):
+            k -= np.ravel(left) & (self._los[k] == mid)
+        first = int(k.min())
+        if first < 0:
+            raise ParameterError(f"a panel's middle node lies below the support: {mid.min()!r}")
+        return fn(x.T, first if first == k.max() else k[None]).T
 
     def _on_support(self, x: np.ndarray, fn, below: float) -> np.ndarray:
         """``fn(points, their segments)`` on the points of a flat x at or

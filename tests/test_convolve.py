@@ -72,6 +72,25 @@ def test_conv2_dyadic_atom_sum_oracle(dyadic):
         assert lo <= oracle <= up
 
 
+# log F2bar(x) of plateau_example(2), from mpmath 1.3.0 at 30 digits:
+# F(x) + sum_a m_a F(x - a) + int f(y) F(x - y) dy, the integral split at
+# every breakpoint and every mirror x - breakpoint, with x - y exact.  The
+# first three x are atoms of the law, where x - y for y below ulp(x) / 2
+# rounds onto the atom; the last two are not.
+PLATEAU2_LOG_CONV2 = [
+    (466104.3558412708, -681.3320632661464772874573),
+    (933547.6725950747, -964.8164134570047956020096),
+    (122785002033.13501, -350405.522931377508578444),
+    (932208.7116825416, -964.8152425090708874935391),
+    (500000.0, -706.4120336123125206110198),
+]
+
+
+@pytest.mark.parametrize("x,ref", PLATEAU2_LOG_CONV2)
+def test_plateau_conv2_matches_the_reference_at_atoms(plateau2, x, ref):
+    assert abs(tf.log_conv2_tail(plateau2, x) - ref) <= 1e-9
+
+
 def test_union_intersection_bounds(request):
     for name in ("exp1", "pareto3", "dyadic", "plateau2"):
         d = request.getfixturevalue(name)

@@ -438,6 +438,12 @@ def test_sample_bits_pinned(request, name):
     assert hashlib.sha256(tf.sample(d, 3, 50_000).tobytes()).hexdigest() == SAMPLE_SHA256[name]
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.0, None, "3"], ids=repr)
+def test_sample_refuses_a_seed_that_is_no_count(exp1, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        tf.sample(exp1, seed, 10)
+
+
 def test_sampling_mean_clt(exp1):
     # 3 sigma / sqrt(n) with sigma = 1
     xs = tf.sample(exp1, 7, 10**6)

@@ -231,6 +231,14 @@ def test_refuses_non_integer_counts(exp1, n, N):
         tf.mc_jump_cond(exp1, n, 5.0, 1.0, N, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.0, None], ids=repr)
+def test_refuses_a_seed_that_is_no_count(exp1, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        tf.mc_jump_cond(exp1, 2, 5.0, 1.0, 1000, seed=seed)
+    with pytest.raises(ParameterError, match="seed"):
+        tf.mc_vs_quadrature(exp1, [(2, 5.0, 1.0)], 1000, seed=seed)
+
+
 @pytest.mark.parametrize("floor", [math.nan, -1e-4, 1.0, 2.0])
 def test_refuses_bad_acceptance_floor(exp1, floor):
     with pytest.raises(ParameterError, match="acceptance floor"):

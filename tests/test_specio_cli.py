@@ -309,6 +309,21 @@ def test_cli_classify(tmp_path):
     assert doc["disclaimer"] == "numerical evidence, not proof"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dist", "pareto:alpha=3", "--n", "2", "--x", "10", "--K", "2", "--samples", "100"],
+        ["dist", "sample", "--dist", "pareto:alpha=3", "--n", "10"],
+    ],
+    ids=["simulate", "dist-sample"],
+)
+def test_cli_refuses_a_negative_seed(capsys, argv):
+    assert main([*argv, "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tailforge: ParameterError: seed must be >= 0")
+    assert err.count("\n") == 1
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     # moment beyond the representable construction: exit 3
     code = main([

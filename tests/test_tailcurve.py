@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import tailforge as tf
 from tailforge.errors import ParameterError, TruncationError
 from tailforge.quadrature import _gk15
 from tailforge.tailcurve import (
-    _MIN_ROWS,
     AffineSegment,
     ConstSegment,
     ExpAffineSegment,
@@ -748,51 +748,81 @@ def _gk15_nodes(los, his):
     return seen[0]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+_PANEL_OPS = {
+    "classify": tf.classify,
+    "mean": lambda d: tf.partial_moment(d, 0, 0.0, math.inf),
+    "exp_moment(0.1)": lambda d: tf.exp_moment(d, 0.1),
+}
+
+
+@pytest.mark.parametrize("op", _PANEL_OPS)
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 @pytest.mark.parametrize("law", BUILTINS, ids=lambda d: d.label)
-def test_row_lookup_is_the_per_point_lookup(law, gamma, seed):
-    # Quadrature panels: random ones, the panels between breakpoints, and
-    # one-ulp panels that end on a join, so that their last nodes straddle
-    # it; then the same rows mirrored about an x, as x - y, which is
-    # descending and reaches below 0 where y > x.  More rows than
-    # _MIN_ROWS, so a multi-segment curve takes the row lookup.
-    curve = (tf.gamma_transform(law, gamma) if gamma else law).tail
-    bps = curve.breakpoints()[:200]
-    top = min(2.0 * bps[-1] + 10.0, curve.truncation_hi)
-    rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.uniform(0.0, top, 300))
-    joins = bps[1:]
-    los = np.concatenate([cuts[:-1], bps[:-1], np.nextafter(joins, -math.inf), [-2.0, -1.0]])
-    his = np.concatenate([cuts[1:], bps[1:], joins, [-1.0, 1.0]])
-    y = _gk15_nodes(los, his)
-    assert len(y) >= _MIN_ROWS
-    straddle = curve._los.searchsorted(y[:, [0, -1]], side="right")
-    assert len(curve.segments) == 1 or (straddle[:, 0] != straddle[:, 1]).any()
-    for x in (y, rng.uniform(0.0, top) - y, top - y):
-        flat = x.ravel()
-        want = curve.log_tail(flat).reshape(x.shape)
-        assert curve.log_tail(x).tobytes() == want.tobytes()
-        for lam in (0.0, 0.25):
-            want = curve.log_density(flat, lam).reshape(x.shape)
-            assert curve.log_density(x, lam).tobytes() == want.tobytes()
+def test_each_panel_lies_in_its_middle_nodes_segment(law, gamma, op, monkeypatch):
+    # Every panel the quadrature integrands evaluate during one of classify,
+    # the mean and exp_moment(., 0.1): its middle node lies at or above 0,
+    # and each node's own segment, looked up from the row's side, is the
+    # row's, but in rows at most 256 ulps wide, where rounding may cross a
+    # join.
+    d = tf.gamma_transform(law, gamma) if gamma else law
+    real = TailCurve._on_panels
+    rows = []
+
+    def segment(curve, v, left):
+        los = curve._los
+        return np.where(left, los.searchsorted(v, "left"), los.searchsorted(v, "right"))
+
+    def checked(curve, x, left=False, lam=None):
+        mid = x[:, 7]
+        assert (mid >= 0).all()
+        side = np.broadcast_to(np.ravel(left), mid.shape)
+        off = (segment(curve, x, side[:, None]) != segment(curve, mid, side)[:, None]).any(axis=1)
+        wide = np.ptp(x, axis=1) > 256 * np.spacing(np.abs(x).max(axis=1))
+        assert not (off & wide).any()
+        rows.append(len(x))
+        return real(curve, x, left, lam)
+
+    monkeypatch.setattr(TailCurve, "_on_panels", checked)
+    try:
+        _PANEL_OPS[op](d)
+    except (tf.DivergenceError, tf.TruncationError):
+        # Only exp_moment refuses a law, and before any panel.
+        assert op == "exp_moment(0.1)" and not rows
+        return
+    assert sum(rows) > (1000 if op == "classify" else 0)
+
+
+def test_a_middle_node_on_a_join_reads_its_side():
+    # A panel centred on the atom at 2 of the 0.5 tilt of dyadic_pareto:
+    # read from the left its row takes the segment below the join, else
+    # the one starting at it.
+    curve = tf.gamma_transform(tf.dyadic_pareto(), 0.5).tail
+    k = int(np.flatnonzero(curve._los == 2.0)[0])
+    x = np.repeat(_gk15_nodes([1.0], [3.0]), 2, axis=0)
+    assert x[0, 7] == 2.0
+    left = np.array([[True], [False]])
+    for lam in (None, 0.0, 0.25):
+        fn = curve._table.log_value if lam is None else partial(curve._table.log_density, lam=lam)
+        got = curve._on_panels(x, left, lam)
+        assert got[0].tobytes() == fn(x[0], k - 1).tobytes()
+        assert got[1].tobytes() == fn(x[1], k).tobytes()
+        assert (got[0] > got[1]).all()
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 @pytest.mark.parametrize("law", BUILTINS, ids=lambda d: d.label)
 def test_rows_in_any_order_keep_the_per_point_values(law, gamma):
-    # A row's segment is read from its minimum and maximum, so the row
-    # lookup assumes no order along a row: rows inside one segment in
-    # random order, and rows whose two ends share a segment while their
-    # middle points do not, in either memory layout.
+    # A 2-D array is read point by point, whatever its rows: rows inside
+    # one segment in random order, and rows whose two ends share a segment
+    # while their middle points do not, in either memory layout.
     curve = (tf.gamma_transform(law, gamma) if gamma else law).tail
     los = curve._los[:200]
     top = min(2.0 * los[-1] + 10.0, curve.truncation_hi)
     his = np.append(curve._los[1:], top)[:200]
     rng = np.random.default_rng(5)
-    j = rng.integers(0, len(los), (2, _MIN_ROWS, 1))
-    inside, ends = los[j] + (his[j] - los[j]) * rng.random((2, _MIN_ROWS, 15))
-    ends[:, 1:-1] = rng.uniform(-1.0, top, (_MIN_ROWS, 13))
+    j = rng.integers(0, len(los), (2, 128, 1))
+    inside, ends = los[j] + (his[j] - los[j]) * rng.random((2, 128, 15))
+    ends[:, 1:-1] = rng.uniform(-1.0, top, (128, 13))
     for x in (np.concatenate([inside, ends]), np.asfortranarray(np.concatenate([ends, inside]))):
         flat = x.ravel()
         assert curve.log_tail(x).tobytes() == curve.log_tail(flat).reshape(x.shape).tobytes()
