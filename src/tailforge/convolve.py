@@ -123,10 +123,15 @@ MAX_CELLS = 2_000_000
 # ----------------------------------------------------------- cross integral
 
 
-# Geometric offsets w 8^-k, k = 1..20, from a part's small-argument end: a
+# Geometric offsets w 8^-k, k = 1..20, from a part's small-argument end a: a
 # ratio of 8 down to the same w 2^-60 floor as a ratio of 2 with 60 seeds.
 # Refinement fills in between grades where it must, and mostly it need not.
+# A grade is kept only if its offset is at least _GRADE_FLOOR a, so that it
+# moves the argument by 0.1 % or more: at a = 0, where the peaks sit, every
+# grade is kept, and at a > 0 the deep grades, which round to within a few
+# ulps of a, are not.
 _GRADES = 8.0 ** -np.arange(1, 21)
+_GRADE_FLOOR = 2.0**-10
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,18 +144,20 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _half_seeds(curve: TailCurve, x: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The seed table (owner, point) of the halves [a[i], b[i]] at x[i]: the
     points strictly inside (a, b) among the curve's breakpoints, their
-    mirrors x - breakpoint, and the grades a + (b - a) 8^-k, where g(y)
-    F(x - y) can kink or peak.  Breakpoints and mirrors are read off
-    ``searchsorted`` slices of the sorted breakpoints.  x - bp is
-    nonincreasing in bp, and lies in (a, b) only if bp lies in
-    [x - b, x - a] as rounded, so that slice holds every mirror inside."""
+    mirrors x - breakpoint, and the grades a + (b - a) 8^-k whose offset
+    (b - a) 8^-k is at least ``_GRADE_FLOOR`` a, where g(y) F(x - y) can
+    kink or peak.  Breakpoints and mirrors are read off ``searchsorted``
+    slices of the sorted breakpoints.  x - bp is nonincreasing in bp, and
+    lies in (a, b) only if bp lies in [x - b, x - a] as rounded, so that
+    slice holds every mirror inside."""
     bps = curve.breakpoints()
     own, at = _spans(np.searchsorted(bps, a, "right"), np.searchsorted(bps, b, "left"))
     m_own, m_at = _spans(np.searchsorted(bps, x - b, "left"), np.searchsorted(bps, x - a, "right"))
     mirrors = x[m_own] - bps[m_at]
-    grades = a[:, None] + (b - a)[:, None] * _GRADES
-    owners = np.concatenate([own, m_own, np.repeat(np.arange(len(a)), len(_GRADES))])
-    pts = np.concatenate([bps[at], mirrors, grades.ravel()])
+    offsets = (b - a)[:, None] * _GRADES
+    g_own, k = np.nonzero(offsets >= _GRADE_FLOOR * a[:, None])
+    owners = np.concatenate([own, m_own, g_own])
+    pts = np.concatenate([bps[at], mirrors, a[g_own] + offsets[g_own, k]])
     keep = (pts > a[owners]) & (pts < b[owners])
     return owners[keep], pts[keep]
 
@@ -166,9 +173,11 @@ def _log_against_tail(log_g, curve: TailCurve, jobs, cfg: QuadConfig) -> list[fl
     2^16.  Each half is seeded (``_half_seeds``) at the curve's
     breakpoints and their mirrors about x / 2, a set that is the same in y
     and in u, and at geometric offsets w 8^-k, k = 1..20 (``_GRADES``),
-    from its small-argument end, where w is the half's width: the O(1)-wide
-    peak of F near u = 0, or of a density near y = 0, gets panels in the
-    first round instead of one bisection per round.  The integrand reads
+    from its small-argument end a, where w is the half's width: the
+    O(1)-wide peak of F near u = 0, or of a density near y = 0, gets panels
+    in the first round instead of one bisection per round.  A half with
+    a > 0 holds no such peak, and keeps only the offsets of at least
+    ``_GRADE_FLOOR`` a.  The integrand reads
     each panel's x and half from its owner, and both factors a panel at a
     time, ``log_g(arg, left)`` as ``TailCurve._on_panels``: x - y, or
     x - u, is read from the left, as the number below x that it is.

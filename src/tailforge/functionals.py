@@ -478,7 +478,8 @@ class ClassifyConfig:
     ``K_list`` may be given explicitly, strictly increasing; by default the
     K grid is the distribution's own quantiles at ``_K_LEVELS`` (plus the
     untilted base's for tilted laws), so that the small-summand profile
-    probes K values carrying most of the mass.
+    probes K values carrying most of the mass.  Every shift in ``t_list``
+    lies below ``x_lo``, where the x grid starts.
 
     Verdicts are relative to the x window: a construction whose defining
     excursions live beyond ``x_hi`` reads as bounded here, and the scripted
@@ -509,11 +510,22 @@ class ClassifyConfig:
         K_list = self.K_list or ()
         if not all(a < b for a, b in zip(K_list, K_list[1:])):
             raise ParameterError(f"K_list must be strictly increasing, got {self.K_list}")
+        if max(self.t_list) >= self.x_lo:
+            raise ParameterError(f"t_list entries must be below x_lo={self.x_lo}, got {self.t_list}")
 
     def quad(self) -> QuadConfig:
         return QuadConfig(rel_tol=self.rel_tol)
 
     def resolve_K(self, d: Distribution) -> tuple[float, ...]:
+        """``K_list``, or else the sorted distinct quantiles max(q(u), 1) at
+        the levels u of ``_K_LEVELS``, of d's curve and, for a tilted law,
+        of its base's; (1, 4, 16) when no level yields one.
+
+        Each curve inverts its levels in one ``quantile`` call, leaving out
+        those below the tail at its truncation point, which it would
+        refuse.  Each level is inverted on its own (a bisection stops each
+        level apart), so every K has the bits of a call at its level alone.
+        """
         if self.K_list is not None:
             return self.K_list
         curves = [d.tail]
@@ -523,13 +535,11 @@ class ClassifyConfig:
             # base: the tilt compresses d's own quantiles to O(1/gamma)
             # while the conditional mechanism still integrates base mass.
             curves.append(base.tail)
+        levels = np.array(_K_LEVELS)
         ks = []
         for curve in curves:
-            for u in _K_LEVELS:
-                try:
-                    ks.append(max(float(curve.quantile(u)), 1.0))
-                except TailforgeError:
-                    continue
+            us = levels[np.log(levels) >= curve._ends[-1]]
+            ks.extend(np.maximum(curve.quantile(us), 1.0).tolist())
         out = sorted(set(ks))
         return tuple(out) if out else (1.0, 4.0, 16.0)
 
@@ -612,9 +622,7 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
     entries: list[ClassEntry] = []
 
     # --- shift ratios: OL and L -------------------------------------------
-    ol_series = tuple(
-        ratio_diagnostic(d, "ol", xgrid, t=t, cfg=qcfg) for t in cfg.t_list if t < xgrid.min()
-    )
+    ol_series = tuple(ratio_diagnostic(d, "ol", xgrid, t=t, cfg=qcfg) for t in cfg.t_list)
     ol_verdict = _bounded(ol_series)
     ol_detail = "diverges" if ol_verdict == "evidence-against" else "stays bounded"
     entries.append(ClassEntry("OL", ol_verdict, f"shift ratio {ol_detail}", ol_series))

@@ -202,6 +202,9 @@ def _seg_logsumexp(x: np.ndarray, starts: np.ndarray, counts: np.ndarray):
 
 
 def _logsumexp_list(values: list[float]) -> float:
+    if len(values) == 1 and math.isfinite(values[0]):
+        # m + log(exp(0)) bit for bit, -0.0 read as 0.0
+        return values[0] + 0.0
     finite = [v for v in values if v > _NEG_INF]
     if not finite:
         return _NEG_INF

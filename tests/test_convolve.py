@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tailforge as tf
-from tailforge import convolve
+from tailforge import convolve, quadrature
 from tailforge.errors import GridGuardError, ParameterError
 
 EPS = np.finfo(float).eps
@@ -908,7 +908,8 @@ def test_dyadic_jump_cond_contains_the_enumerated_conditional(dyadic):
 @pytest.mark.parametrize("name", ["dyadic", "plateau2", "xu55", "pareto3"])
 def test_half_seeds_are_the_breakpoints_mirrors_and_grades_inside(name, request):
     # Each half's seeds, with its ends, are {a, b} and the breakpoints, their
-    # mirrors x - bp and the grades a + (b - a) 8^-k strictly inside (a, b).
+    # mirrors x - bp and the grades a + (b - a) 8^-k whose offset is at least
+    # 2^-10 a, strictly inside (a, b).
     curve = request.getfixturevalue(name).tail
     bps = curve.breakpoints()
     rng = np.random.default_rng(3)
@@ -937,7 +938,49 @@ def test_half_seeds_are_the_breakpoints_mirrors_and_grades_inside(name, request)
     xs, a, b = xs[keep], a[keep], b[keep]
     owner, pts = convolve._half_seeds(curve, xs, a, b)
     for i in range(len(xs)):
-        cand = np.concatenate([bps, xs[i] - bps, a[i] + (b[i] - a[i]) * convolve._GRADES])
+        offsets = (b[i] - a[i]) * convolve._GRADES
+        cand = np.concatenate([bps, xs[i] - bps, a[i] + offsets[offsets >= 2.0**-10 * a[i]]])
         want = {a[i], b[i], *cand[(cand > a[i]) & (cand < b[i])].tolist()}
         assert {a[i], b[i], *pts[owner == i].tolist()} == want
         assert np.all((pts[owner == i] > a[i]) & (pts[owner == i] < b[i]))
+
+
+def test_half_seeds_keep_every_grade_at_zero(exp1):
+    # The peak of F near u = 0, or of a density near y = 0, gets all 20.
+    owner, pts = convolve._half_seeds(exp1.tail, np.array([10.0]), np.array([0.0]), np.array([5.0]))
+    assert set((5.0 * 8.0 ** -np.arange(1, 21)).tolist()) <= set(pts.tolist())
+
+
+def test_half_seeds_keep_the_grades_that_move_the_argument(exp1):
+    # At a = 1e6 and w = 1e6 only offsets of at least 2^-10 a = 976.5625 are
+    # kept: w / 8, w / 64 and w / 512, not w / 4096 = 244.1...  exp1's only
+    # breakpoint, 0, and its mirror, 4e6, lie outside the half.
+    owner, pts = convolve._half_seeds(exp1.tail, np.array([4e6]), np.array([1e6]), np.array([2e6]))
+    assert sorted(pts.tolist()) == [1e6 + 1e6 / 512, 1e6 + 1e6 / 64, 1e6 + 1e6 / 8]
+    assert owner.tolist() == [0, 0, 0]
+
+
+def test_classify_evaluates_no_panel_a_few_ulps_wide(monkeypatch):
+    # Deep grades at a > 0 rounded to within a few ulps of a and made
+    # panels that narrow, each far below rel_tol.
+    real = quadrature._gk15
+    widths = []
+
+    def gk15(log_f, los, his):
+        widths.append((his - los) / np.spacing(np.maximum(np.abs(los), np.abs(his))))
+        return real(log_f, los, his)
+
+    monkeypatch.setattr(quadrature, "_gk15", gk15)
+    laws = [
+        tf.pareto(3.0),
+        tf.exponential(1.0),
+        tf.weibull_heavy(0.5),
+        tf.dyadic_pareto(),
+        tf.fkz_example(),
+        tf.plateau_example(2.0),
+        tf.xu_piecewise(5.5, 4096.0),
+    ]
+    for d in laws + [tf.gamma_transform(d, 0.5) for d in laws]:
+        tf.classify(d)
+    widths = np.concatenate(widths)
+    assert len(widths) > 10_000 and widths.min() > 64.0

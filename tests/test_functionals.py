@@ -8,11 +8,12 @@ import pytest
 import tailforge as tf
 from tailforge import convolve, functionals
 from tailforge.convolve import MAX_FOLDS
-from tailforge.tailcurve import TailCurve
+from tailforge.tailcurve import ExpAffineSegment, TailCurve
 from tailforge.errors import (
     GridGuardError,
     InconclusiveBracketError,
     ParameterError,
+    TailforgeError,
     ToleranceError,
     TruncationError,
 )
@@ -594,13 +595,61 @@ def test_j_profiles_read_the_os_pass(monkeypatch, pareto3):
         {"rel_tol": math.nan},
         {"x_hi": math.inf},
         {"x_lo": True},
+        {"t_list": (1.0, 8.0)},
+        {"t_list": (1.0, 4.0)},
+        {"x_lo": 2.0, "t_list": (1.0, 2.5)},
     ],
 )
 def test_classify_config_checks_its_own_types(kwargs):
     # A count is an integer; every other number is finite and positive; the
-    # lists are nonempty tuples.
+    # lists are nonempty tuples; every shift t is below x_lo, so x - t stays
+    # positive on the whole grid.
     with pytest.raises(ParameterError):
         ClassifyConfig(**kwargs)
+
+
+def _resolve_K_per_level(d):
+    # One quantile call per level, skipping the levels a curve refuses.
+    base, rate = _split_tilt(d)
+    ks = []
+    for curve in [d.tail, base.tail] if rate else [d.tail]:
+        for u in functionals._K_LEVELS:
+            try:
+                ks.append(max(float(curve.quantile(u)), 1.0))
+            except TailforgeError:
+                continue
+    return tuple(sorted(set(ks))) or (1.0, 4.0, 16.0)
+
+
+def test_resolve_K_is_the_per_level_quantiles_bit_for_bit():
+    # One call inverts all levels of a curve; each level stops on its own.
+    laws = [
+        tf.pareto(3.0),
+        tf.exponential(1.0),
+        tf.weibull_heavy(0.5),
+        tf.dyadic_pareto(),
+        tf.fkz_example(),
+        tf.plateau_example(2.0),
+        tf.xu_piecewise(5.5, 4096.0),
+    ]
+    cfg = ClassifyConfig()
+    for d in laws + [tf.gamma_transform(d, g) for d in laws for g in (0.3, 0.5, 1.0)]:
+        Ks = cfg.resolve_K(d)
+        assert [k.hex() for k in Ks] == [k.hex() for k in _resolve_K_per_level(d)], d.label
+
+
+def test_resolve_K_skips_the_levels_below_the_truncation():
+    # F(5) = e^-5 > 0.003: the curve refuses the last level and keeps four;
+    # its 0.5 tilt reaches e^-7.5 at 5 and keeps all five of its own.
+    d = tf.Distribution(TailCurve([ExpAffineSegment(lo=0.0, hi=5.0)]))
+    with pytest.raises(TruncationError):
+        d.tail.quantile(0.003)
+    Ks = ClassifyConfig().resolve_K(d)
+    assert Ks == tuple(max(d.tail.quantile(u), 1.0) for u in (0.3, 0.1, 0.03, 0.01))
+    assert Ks == _resolve_K_per_level(d)
+    g = tf.gamma_transform(d, 0.5)
+    Ks = ClassifyConfig().resolve_K(g)
+    assert len(Ks) == 9 and Ks == _resolve_K_per_level(g)
 
 
 def test_K_list_must_strictly_increase(pareto3):

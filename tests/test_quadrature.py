@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from tailforge.errors import LogDepthError, ParameterError, ToleranceError
-from tailforge.quadrature import _MAX_LIVE_PANELS, _MAX_PANELS, QuadConfig, _gk15, log_quad, log_quads
+from tailforge.quadrature import (
+    _MAX_LIVE_PANELS,
+    _MAX_PANELS,
+    QuadConfig,
+    _gk15,
+    _logsumexp_list,
+    log_quad,
+    log_quads,
+)
 
 
 def test_exponential_integral():
@@ -258,3 +266,14 @@ def test_logsumexp_spanning_300_orders():
 def test_quad_config_out_of_range_is_parameter_error(kwargs):
     with pytest.raises(ParameterError):
         QuadConfig(**kwargs)
+
+
+@pytest.mark.parametrize("v", [-0.0, 0.0, 1.5, -745.25, 5e-324, -1e308, 1e15 + 0.5])
+def test_logsumexp_of_one_value_is_its_formula(v):
+    # m + log(sum exp(v - m)) with m = v, bit for bit: -0.0 gives 0.0
+    assert _logsumexp_list([v]).hex() == (v + math.log(sum(math.exp(w - v) for w in [v]))).hex()
+
+
+def test_logsumexp_of_one_non_finite_value():
+    assert _logsumexp_list([-math.inf]) == -math.inf
+    assert _logsumexp_list([math.nan]) == -math.inf

@@ -375,6 +375,8 @@ CONFIG_ERRORS = [
     ("classify-zero-x-lo", CLASSIFY, '{"x_lo": 0}'),
     ("classify-window-reversed", CLASSIFY, '{"x_lo": 1e4, "x_hi": 100}'),
     ("classify-negative-t", CLASSIFY, '{"t_list": [1.0, -2.0]}'),
+    ("classify-t-beyond-x-lo", CLASSIFY, '{"t_list": [1.0, 8.0]}'),
+    ("classify-t-at-x-lo", CLASSIFY, '{"t_list": [1.0, 4.0]}'),
     ("classify-negative-K", CLASSIFY, '{"K_list": [-2.0]}'),
     ("classify-K-list-not-increasing", CLASSIFY, '{"K_list": [4.0, 4.0, 1.0]}'),
 ]
