@@ -77,6 +77,8 @@ def _load_overrides(parser: argparse.ArgumentParser, path: str, names: set) -> d
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; a subcommand that refuses its input after parsing holds
+    itself as ``parser``, so its usage heads the error."""
     p = argparse.ArgumentParser(
         prog="tailforge",
         description="numerical analysis of distribution tails on [0, inf)",
@@ -134,12 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     fn.add_argument("--tol", type=float, default=1e-9)
     fn.add_argument("--format", choices=("csv", "json"), default="csv")
     fn.add_argument("--out", default=None)
+    fn.set_defaults(parser=fn)
 
     cl = sub.add_parser("classify", help="run the class-membership diagnostics")
     cl.add_argument("--dist", required=True)
     cl.add_argument("--config", default=None, help="JSON file of ClassifyConfig overrides")
     cl.add_argument("--format", choices=("csv", "json"), default="json")
     cl.add_argument("--out", default=None)
+    cl.set_defaults(parser=cl)
 
     sim = sub.add_parser("simulate", help="Monte Carlo single-big-jump estimate")
     sim.add_argument("--dist", required=True)
@@ -159,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--infile", required=True)
     xp.add_argument("--format", choices=("csv", "json"), default="csv")
     xp.add_argument("--out", required=True)
+    xp.set_defaults(parser=xp)
     return p
 
 
@@ -203,10 +208,10 @@ def _cmd_dist(args) -> int:
     raise AssertionError("unreachable")
 
 
-def _cmd_functional(args, parser) -> int:
+def _cmd_functional(args) -> int:
     kind = args.kind
     if kind in ("t_ratio", "b2", "jump") and args.format == "json":
-        parser.error(f"functional --kind {kind} writes CSV only; --format json is not available")
+        args.parser.error(f"functional --kind {kind} writes CSV only; --format json is not available")
     d = resolve_dist(args.dist)
     xs = args.x
     qcfg = QuadConfig(rel_tol=args.tol)
@@ -247,17 +252,17 @@ def _cmd_conv(args) -> int:
     return 0
 
 
-def _cmd_classify(args, parser) -> int:
+def _cmd_classify(args) -> int:
     cfg = ClassifyConfig()
     if args.config:
         names = {f.name for f in dataclasses.fields(cfg)}
-        overrides = _load_overrides(parser, args.config, names)
+        overrides = _load_overrides(args.parser, args.config, names)
         try:
             cfg = dataclasses.replace(
                 cfg, **{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
             )
         except ParameterError as exc:
-            parser.error(f"config {args.config}: {exc}")
+            args.parser.error(f"config {args.config}: {exc}")
     d = resolve_dist(args.dist)
     report = classify(d, cfg)
     export_grid(report, args.format, args.out)
@@ -265,8 +270,7 @@ def _cmd_classify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "dist":
             return _cmd_dist(args)
@@ -279,9 +283,9 @@ def main(argv=None) -> int:
         if args.command == "conv":
             return _cmd_conv(args)
         if args.command == "functional":
-            return _cmd_functional(args, parser)
+            return _cmd_functional(args)
         if args.command == "classify":
-            return _cmd_classify(args, parser)
+            return _cmd_classify(args)
         if args.command == "simulate":
             d = resolve_dist(args.dist)
             est = mc_jump_cond(d, args.n, args.x, args.K, args.samples, args.seed)
@@ -290,7 +294,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return run_experiment(args.id, args.out)
         if args.command == "export":
-            result = result_from_obj(_load_json(parser, args.infile, "result file"))
+            result = result_from_obj(_load_json(args.parser, args.infile, "result file"))
             export_grid(result, args.format, args.out)
             return 0
         raise AssertionError("unreachable")

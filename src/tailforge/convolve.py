@@ -68,7 +68,7 @@ err(S_a) + err(S_b) + about (2M + 4) u on each cell and on the overflow,
 and along any product tree of n leaves (n - 1 folds) the errors add up to
 about (n - 1)(2M + 4) u.  The final suffix sums (and, with one chain, the
 total mass) add another (M + 2) u: at most n (M + 2) eps in all, which the
-outward margin 4 eps n max(M, 1) of ``_bracket`` covers for every M >= 0.
+outward margin 4 eps n max(M, 1) of ``_bracket_on`` covers for every M >= 0.
 
 Node readings.  A bracket read at one point x (``jump_cond``) needs the
 tails at two nodes only, and a tail at node k sums cells k + 1..M.  So the
@@ -647,16 +647,6 @@ def _halves(pmf: np.ndarray, overflow: float, n: int, M: int):
     return (*_power(powers, n - n // 2, M), *_power(powers, n // 2, M))
 
 
-def _bracket(
-    d: Distribution, n: int, x_max: float, h: float, cap: float, at: float | None = None
-) -> BracketGrid:
-    """The bracket on nodes j*h, j = 0..M; given ``at``, the same bracket
-    on the nodes from the lowest one that ``log_at(at)`` reads, with the
-    same bits there.  The last product of the two halves then forms only
-    the cells from that node on (from n nodes lower with one chain)."""
-    return _brackets(d, n, x_max, h, (cap,), at)[0]
-
-
 def _fold_count(n, h: float) -> int:
     """The fold count n of an n-fold bracket on step h, as an int; refuses
     a count that is not an integer in [2, MAX_FOLDS] and a step that is not
@@ -672,8 +662,12 @@ def _fold_count(n, h: float) -> int:
 def _brackets(
     d: Distribution, n: int, x_max: float, h: float, caps, at: float | None = None
 ) -> list[BracketGrid]:
-    """``_bracket`` for each cap in turn, on the same nodes: the summand's
-    log tails there are evaluated once for all of them."""
+    """The bracket on nodes j*h, j = 0..M, for each cap in turn: the
+    summand's log tails there are evaluated once for all of them.  Given
+    ``at``, each is the same bracket on the nodes from the lowest one that
+    ``log_at(at)`` reads, with the same bits there.  The last product of
+    the two halves then forms only the cells from that node on (from n
+    nodes lower with one chain)."""
     n = _fold_count(n, h)
     if not 0.0 <= x_max < math.inf:
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
@@ -682,7 +676,8 @@ def _brackets(
 
 
 def _bracket_on(d: Distribution, n: int, log_t, h: float, cap: float, at) -> BracketGrid:
-    """``_bracket`` on the nodes whose log tails are ``log_t``."""
+    """One cap's bracket (``_brackets``) on the nodes whose log tails are
+    ``log_t``."""
     pmf_down, pmf_up, overflow, end, on_nodes = _staircase_masses(d, log_t, h, cap)
     M = len(pmf_down) - 1
     nodes = np.arange(M + 1) * h
@@ -755,7 +750,7 @@ def convn_tail_grid(d: Distribution, n: int, x_max: float, h: float) -> BracketG
     upper staircase ceils it (atoms on nodes stay put), so the true tail of
     S_n lies between the two discrete tails at every node.
     """
-    return _bracket(d, n, x_max, h, math.inf)
+    return _brackets(d, n, x_max, h, (math.inf,))[0]
 
 
 def trunc_convn_tail_grid(
@@ -768,4 +763,4 @@ def trunc_convn_tail_grid(
     """
     if not cap > 0:
         raise ParameterError(f"cap must be positive, got {cap}")
-    return _bracket(d, n, x_max, h, cap)
+    return _brackets(d, n, x_max, h, (cap,))[0]

@@ -249,7 +249,7 @@ def _split_tilt(d: Distribution) -> tuple[Distribution, float]:
     source's base from ``gamma_transform``; other laws build it once."""
     if d._split is None:
         rate = d.tail.rate
-        base = Distribution(TailCurve(d.tail.segments, validate=False)) if rate else d
+        base = Distribution(TailCurve(d.tail.segments)) if rate else d
         d._split = (base, rate)
     return d._split
 

@@ -34,8 +34,7 @@ from .errors import DivergenceError, ParameterError, TailforgeError, TruncationE
 from .export import _write_csv, _write_json, export_grid, fmt_float
 from .functionals import (
     _b2_profile,
-    _t_profile,
-    _t_profiles,
+    _t_ratios,
     shift_probe_grid,
     exam300_lower_bound,
     geometric_grid,
@@ -95,20 +94,6 @@ def _K_profile(Ks, x: float, vals: list[float], path: Path, col: str) -> None:
     ``K,x,<col>`` table at ``path``."""
     rows = [[fmt_float(K), fmt_float(x), fmt_float(v)] for K, v in zip(Ks, vals)]
     _write_csv(path, ["K", "x", col], rows)
-
-
-def _t_values(F: Distribution, pairs, qcfg: QuadConfig) -> dict[tuple[float, float], float]:
-    """t_ratio at each (K, x) pair, from one ``_t_profiles`` batch over the
-    distinct x, each with its Ks in increasing order."""
-    Ks_at: dict[float, set[float]] = {}
-    for K, x in pairs:
-        Ks_at.setdefault(x, set()).add(K)
-    profiles = [(x, sorted(Ks)) for x, Ks in Ks_at.items()]
-    return {
-        (K, x): v
-        for (x, Ks), vals in zip(profiles, _t_profiles(F, profiles, qcfg))
-        for K, v in zip(Ks, vals)
-    }
 
 
 def _rises(vals: list[float], level: float) -> bool:
@@ -229,7 +214,7 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     probe_xs = sorted(set(shallow_xs) | set(cfg["deep_x"]))
 
     pairs = [(K, x) for K in cfg["K_list"] for x in probe_xs if K <= x / 2]
-    t_at = _t_values(F, pairs, qcfg)
+    t_at = _t_ratios(F, pairs, qcfg)
     rows = []
     deep_ok = True
     for K, x in pairs:
@@ -302,7 +287,7 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     # t_ratio K-profiles on the power-of-two grid.
     cells = [(K, m) for K in cfg["K_list"] for m in cfg["m_grid"]]
-    t_at = _t_values(F, [(K, 2.0**m) for K, m in cells], qcfg)
+    t_at = _t_ratios(F, [(K, 2.0**m) for K, m in cells], qcfg)
     rows = [
         [fmt_float(K), str(m), fmt_float(2.0**m), fmt_float(t_at[K, 2.0**m])] for K, m in cells
     ]
@@ -411,7 +396,8 @@ def _run_prop14(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     exp.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
 
     # J mechanism on the source and the transform: profiles rise toward 1.
-    t_vals = _t_profile(F, cfg["x_star"], cfg["K_list"], qcfg)
+    t_at = _t_ratios(F, [(K, cfg["x_star"]) for K in cfg["K_list"]], qcfg)
+    t_vals = [t_at[K, cfg["x_star"]] for K in cfg["K_list"]]
     _K_profile(cfg["K_list"], cfg["x_star"], t_vals, out / "t_ratio.csv", "t_ratio")
     exp.check(
         "t-ratio-rises",
@@ -527,7 +513,7 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
             min(2.0 * xn + 2.0 * K, 0.5 * (2.0 * xn + K + x_next)),
         ]
         cells += [(K, w, x) for x, w in zip(xs, xu_window_labels(F, xs, K))]
-    t_at = _t_values(F, [(K, x) for K, _, x in cells], qcfg)
+    t_at = _t_ratios(F, [(K, x) for K, _, x in cells], qcfg)
     win_rows = []
     t_win: dict[float, dict[str, float]] = {K: {} for K in cfg["K_windows"]}
     for K, w, x in cells:

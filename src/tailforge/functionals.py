@@ -172,43 +172,38 @@ class DiagSeries:
 def t_ratio(d: Distribution, x: float, K: float, cfg: QuadConfig | None = None) -> float:
     """2 int_0^K F(x-y) F(y) dy  /  int_0^x F(x-y) F(y) dy, in (0, 1].
 
-    The one-K case of ``_t_profile``; exactly 1 at K = x/2 by the
+    The one-pair case of ``_t_ratios``; exactly 1 at K = x/2 by the
     y -> x - y symmetry of the denominator.
     """
-    return _t_profile(d, x, [K], cfg or QuadConfig())[0]
+    return _t_ratios(d, [(K, x)], cfg or QuadConfig())[(K, x)]
 
 
-def _t_profile(d: Distribution, x: float, Ks: list[float], cfg: QuadConfig) -> list[float]:
-    """``t_ratio(d, x, K)`` for each K of the increasing list ``Ks``: the
-    one-x case of ``_t_profiles``."""
-    return _t_profiles(d, [(x, Ks)], cfg)[0]
+def _t_ratios(d: Distribution, pairs, cfg: QuadConfig) -> dict[tuple[float, float], float]:
+    """``t_ratio(d, x, K)`` at each (K, x) of ``pairs``, from one batch.
 
-
-def _t_profiles(d: Distribution, profiles, cfg: QuadConfig) -> list[list[float]]:
-    """``_t_profile`` for each (x, Ks) of ``profiles``, from one batch.
-
-    The cross-integral bands over [0, x/2], cut at every K, give the
-    numerators as prefix sums, so a profile is nondecreasing in K, and half
-    the denominator as the bands' total; at K = x/2 the prefix is that
-    total, so the entry there is exactly 1.  The bands of every profile are
+    The pairs are grouped by x, each x with its distinct Ks in increasing
+    order.  The cross-integral bands over [0, x/2], cut at every K, give
+    the numerators as prefix sums, so t is nondecreasing in K at each x,
+    and half the denominator as the bands' total; at K = x/2 the prefix is
+    that total, so the entry there is exactly 1.  The bands of every x are
     one ``_log_cross_integrals`` batch, and each band has the bits it has
-    alone.  Every profile is checked before any band is integrated.
+    alone.  Every pair is checked before any band is integrated.
     """
-    cuts_of = []
-    for x, Ks in profiles:
-        bad = next((K for K in Ks if not (0 < K <= x / 2)), None)
-        if bad is not None:
-            raise ParameterError(f"need 0 < K <= x/2, got K={bad}, x={x}")
-        if not all(a < b for a, b in zip(Ks, Ks[1:])):
-            raise ParameterError(f"K values must increase, got {Ks}")
-        cuts_of.append([0.0, *Ks] if Ks[-1] == x / 2 else [0.0, *Ks, x / 2])
+    Ks_at: dict[float, set[float]] = {}
+    for K, x in pairs:
+        if not 0 < K <= x / 2:
+            raise ParameterError(f"need 0 < K <= x/2, got K={K}, x={x}")
+        Ks_at.setdefault(x, set()).add(K)
+    profiles = [(x, sorted(Ks)) for x, Ks in Ks_at.items()]
+    cuts_of = [[0.0, *Ks] if Ks[-1] == x / 2 else [0.0, *Ks, x / 2] for x, Ks in profiles]
     jobs = [(a, b, x) for (x, _), cuts in zip(profiles, cuts_of) for a, b in zip(cuts, cuts[1:])]
     logs = iter(_log_cross_integrals(d, jobs, cfg))
-    out = []
+    out = {}
     for (x, Ks), cuts in zip(profiles, cuts_of):
         bands = [next(logs) for _ in cuts[1:]]
         log_den = math.log(2.0) + _logsumexp_list(bands)
-        out.append(_prefix_ratios(x, Ks, log_den, [[v] for v in bands], cfg))
+        ts = _prefix_ratios(x, Ks, log_den, [[v] for v in bands], cfg)
+        out.update(((K, x), t) for K, t in zip(Ks, ts))
     return out
 
 
@@ -322,13 +317,19 @@ def jump_cond(
 
 def geometric_grid(d: Distribution, x_lo: float, x_hi: float, n: int) -> np.ndarray:
     """Geometric grid clipped to the materialized range, augmented with the
-    curve's breakpoints (oscillation lives exactly there)."""
+    curve's breakpoints (oscillation lives exactly there).  A geometric
+    point within 4 ulps of a breakpoint is taken as that breakpoint: it is
+    dropped and the breakpoint kept."""
     hi = min(x_hi, d.tail.truncation_hi)
     if hi <= x_lo:
         raise ParameterError(f"empty grid: [{x_lo}, {hi}]")
     bps = d.tail.breakpoints()
     bps = bps[(bps >= x_lo) & (bps <= hi)]
-    return np.unique(np.concatenate([np.geomspace(x_lo, hi, n), bps]))
+    xs = np.geomspace(x_lo, hi, n)
+    ends = np.r_[-np.inf, bps, np.inf]
+    j = np.searchsorted(bps, xs)  # bps[j - 1] < xs <= bps[j]
+    near = np.minimum(xs - ends[j], ends[j + 1] - xs) <= 4 * np.spacing(xs)
+    return np.unique(np.concatenate([xs[~near], bps]))
 
 
 def shift_probe_grid(d: Distribution, xgrid, t: float) -> np.ndarray:

@@ -38,9 +38,8 @@ Panels are seeded from caller-supplied mandatory breakpoints, which for tail
 integrands are the segment boundaries of both factors.  That keeps every
 panel's integrand smooth, which is what makes the K15-G7 error estimate
 trustworthy.  A batch takes them as one seed table, a row (integral,
-point) per breakpoint, and cuts every integral's seed panels in one sort;
-integrals then join the panel table in order, by the running count of
-their seed panels.
+point) per breakpoint, and cuts every integral's seed panels in one sort:
+those panels are the table's first round.
 """
 
 from __future__ import annotations
@@ -162,14 +161,12 @@ def _gk15(log_f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.nd
     return vals, errs
 
 
-# Memory caps of log_quads: integrals join the panel table while it holds
-# fewer than _MAX_LIVE_PANELS panels, and one call of the integrand takes at
-# most _MAX_PANELS panels.  Both bound the refined panels, not the results: a
-# panel's bits do not depend on its call (see _gk15), nor an integral's sums
-# on its place in the table.  The seed panels of the whole batch (three
-# arrays, one entry per seed panel) are cut before the first round and held
-# until the last, so a batch's seed table is not bounded by these caps.
-_MAX_LIVE_PANELS = 4096
+# Memory cap of log_quads: one call of the integrand takes at most
+# _MAX_PANELS panels, so its (panels, 15) temporaries stay small however
+# large the table.  Without it, the peak RSS of the 12 classify calls and
+# five experiments of the evidence benchmark, run in one process, rose
+# from 35 to 40 MB.  It bounds memory, not the results: a panel's bits do
+# not depend on its call (see _gk15).
 _MAX_PANELS = 512
 
 
@@ -230,21 +227,19 @@ def log_quads(
     (a[i], b[i]) are ignored.
 
     The live panels of all integrals form one table, grouped by integral
-    and ascending within each.  Integrals join it in order, by the running
-    count of their seed panels, while it holds fewer than
-    ``_MAX_LIVE_PANELS`` panels.  Each round evaluates the table's new
-    panels with one call of ``log_f`` (at most ``_MAX_PANELS`` panels per
-    call) and then applies the rules of the module docstring to every
-    integral at once with segmented reductions.  Every integral refines on
-    its own, exactly as alone, so entry i of the result is the LogQuadResult
-    ``log_quad`` returns for it.
+    and ascending within each; every integral's seed panels enter it at
+    round 1.  Each round evaluates the table's new panels with one call of
+    ``log_f`` (at most ``_MAX_PANELS`` panels per call) and then applies the
+    rules of the module docstring to every integral at once with segmented
+    reductions.  Every integral refines on its own, exactly as alone, so
+    entry i of the result is the LogQuadResult ``log_quad`` returns for it.
 
     The first failure stops the batch.  Unordered bounds raise
     ParameterError before any integral is evaluated, at the lowest such
-    index; then a round that finds an integral beyond log-domain resolution
-    (LogDepthError) or out of subdivisions (ToleranceError) raises it, at
-    the lowest index of that round.  Each error is the one the integral
-    raises alone; integrals not yet admitted are never evaluated.
+    index; then the earliest round in which an integral is beyond
+    log-domain resolution (LogDepthError) or out of subdivisions
+    (ToleranceError) raises it, at the lowest index of that round.  Each
+    error is the one the integral raises alone.
     """
     cfg = cfg or QuadConfig()
     log_tol = math.log(cfg.rel_tol)
@@ -257,33 +252,15 @@ def log_quads(
     live = np.flatnonzero(a < b)
     s_owner, s_pts = np.asarray(seeds[0], dtype=np.intp), np.asarray(seeds[1], dtype=float)
     inside = (s_pts > a[s_owner]) & (s_pts < b[s_owner])
-    # Every seed panel, grouped by integral in increasing order; integrals
-    # are admitted from the front.
-    w_owner, w_lo, w_hi = _seed_panels(
+    # Every seed panel, grouped by integral in increasing order.
+    owner, los, his = _seed_panels(
         np.concatenate([live, live, s_owner[inside]]),
         np.concatenate([a[live], b[live], s_pts[inside]]),
     )
-    w_starts = np.flatnonzero(_heads(w_owner))
-    taken = 0  # seed panels admitted
+    vals, errs = np.empty(len(owner)), np.empty(len(owner))
+    fresh = np.arange(len(owner))  # rows awaiting evaluation
     splits = np.zeros(len(a), dtype=np.int64)
-    owner = np.empty(0, dtype=np.intp)
-    los = his = vals = errs = np.empty(0)
-    fresh = np.empty(0, dtype=np.intp)  # rows awaiting evaluation
-    while True:
-        # Admit integrals while the table has room: each one whose earlier
-        # admitted panels leave some.
-        free = _MAX_LIVE_PANELS - len(owner)
-        if free > 0 and taken < len(w_owner):
-            k = np.searchsorted(w_starts, taken + free, side="left")
-            end = int(w_starts[k]) if k < len(w_starts) else len(w_owner)
-            fresh = np.concatenate([fresh, len(owner) + np.arange(end - taken)])
-            owner = np.concatenate([owner, w_owner[taken:end]])
-            los = np.concatenate([los, w_lo[taken:end]])
-            his = np.concatenate([his, w_hi[taken:end]])
-            vals, errs = (np.concatenate([v, np.empty(end - taken)]) for v in (vals, errs))
-            taken = end
-        if not len(owner):
-            return results
+    while len(owner):
         for s in range(0, len(fresh), _MAX_PANELS):
             part = fresh[s : s + _MAX_PANELS]
             col = owner[part][:, None]
@@ -373,6 +350,7 @@ def log_quads(
         his[halves] = cuts
         los[halves + 1] = cuts
         fresh = np.stack([halves, halves + 1], axis=1).ravel()
+    return results
 
 
 def log_quad(

@@ -436,7 +436,7 @@ def simplify_power(inner: Segment, m: int) -> Segment:
 
 
 def chain_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
-    """Validate contiguity and snap away roundoff-sized upward jumps.
+    """Check contiguity and snap away roundoff-sized upward jumps.
 
     Downward jumps (atoms) pass through untouched.  An upward jump larger
     than roundoff is a construction bug and raises ParameterError.
@@ -588,11 +588,11 @@ class TailCurve:
     values are logs.
     """
 
-    def __init__(self, segments: Sequence[Segment], *, rate: float = 0.0, validate: bool = True):
+    def __init__(self, segments: Sequence[Segment], *, rate: float = 0.0):
         if not 0.0 <= rate < math.inf:
             raise ParameterError(f"tilt rate must be finite and nonnegative, got {rate}")
         table = _SegmentTable(segments, rate)
-        segs, changed = _chained(table) if validate else (table.segs, False)
+        segs, changed = _chained(table)
         if segs[0].lo != 0.0:
             raise ParameterError(f"support must start at 0, got {segs[0].lo}")
         first = segs[0].log_value_at(0.0)

@@ -35,7 +35,7 @@ def gamma_transform(d: Distribution, gamma: float) -> Distribution:
     gamma = float(gamma)
     if not 0 < gamma < math.inf:
         raise ParameterError(f"tilt rate must be positive and finite, got {gamma}")
-    curve = TailCurve(d.tail.segments, rate=d.tail.rate + gamma, validate=False)
+    curve = TailCurve(d.tail.segments, rate=d.tail.rate + gamma)
 
     label = f"tilt({d.label or 'F'}, gamma={gamma:g})"
     spec_doc = {"kind": "tilted", "gamma": gamma, "base": d.spec} if d.spec else {}

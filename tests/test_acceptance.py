@@ -138,14 +138,14 @@ def test_06_prop13_mechanism(dyadic):
     _ok("6 prop-1.3-mechanism", f"(min t_ratio {worst:.5f}, oracle-matched)")
 
 
-def test_06_t_profile_matches_the_oracle_at_every_K(dyadic):
-    from tailforge.functionals import _t_profile
+def test_06_t_ratios_match_the_oracle_at_every_K(dyadic):
+    from tailforge.functionals import _t_ratios
 
     x = 2.0**16
     Ks = [1.0, 3.0, 64.0, 100.0, 1024.0, 5000.0, x / 2]
-    prof = _t_profile(dyadic, x, Ks, tf.QuadConfig())
+    t = _t_ratios(dyadic, [(K, x) for K in Ks], tf.QuadConfig())
     den = _dyadic_cross_integral_oracle(0, x / 2, x)
-    for K, got in zip(Ks, prof):
+    for K, got in ((K, t[K, x]) for K in Ks):
         assert got == pytest.approx(_dyadic_cross_integral_oracle(0, K, x) / den, rel=1e-9)
 
 

@@ -753,9 +753,9 @@ def test_one_chain_matches_two_chains(request, monkeypatch, name, x_max, h, capp
     cap = x_max / 3 if capped else math.inf
     masses = convolve._staircase_masses(d, convolve._node_log_tails(d, x_max, h), h, cap)
     assert not masses[4]  # these laws have no atom on a node
-    one = convolve._bracket(d, n, x_max, h, cap)
+    one = convolve._brackets(d, n, x_max, h, (cap,))[0]
     _two_chain(monkeypatch)
-    two = convolve._bracket(d, n, x_max, h, cap)
+    two = convolve._brackets(d, n, x_max, h, (cap,))[0]
     assert np.array_equal(one.log_lower, two.log_lower)
     assert np.array_equal(np.isfinite(one.log_upper), np.isfinite(two.log_upper))
     fin = np.isfinite(one.log_upper)
@@ -836,9 +836,9 @@ def _sequential(pmf, overflow, n, M):
 def test_halves_match_a_sequential_fold(request, monkeypatch, name, x_max, h, capped, n):
     d = request.getfixturevalue(name)
     cap = x_max / 3 if capped else math.inf
-    by_halves = convolve._bracket(d, n, x_max, h, cap)
+    by_halves = convolve._brackets(d, n, x_max, h, (cap,))[0]
     monkeypatch.setattr(convolve, "_halves", _sequential)
-    folded = convolve._bracket(d, n, x_max, h, cap)
+    folded = convolve._brackets(d, n, x_max, h, (cap,))[0]
     if n <= 3:
         # S_2 = S_1 * S_1 and S_3 = S_2 * S_1 either way: the same products
         assert np.array_equal(by_halves.log_lower, folded.log_lower)
@@ -960,9 +960,11 @@ def test_half_seeds_keep_the_grades_that_move_the_argument(exp1):
     assert owner.tolist() == [0, 0, 0]
 
 
-def test_classify_evaluates_no_panel_a_few_ulps_wide(monkeypatch):
+def test_classify_evaluates_no_panel_a_few_ulps_wide(monkeypatch, tmp_path):
     # Deep grades at a > 0 rounded to within a few ulps of a and made
-    # panels that narrow, each far below rel_tol.
+    # panels that narrow, each far below rel_tol; so did grades below a
+    # breakpoint from a grid point an ulp below another one (the five
+    # experiments' grids).
     real = quadrature._gk15
     widths = []
 
@@ -982,5 +984,7 @@ def test_classify_evaluates_no_panel_a_few_ulps_wide(monkeypatch):
     ]
     for d in laws + [tf.gamma_transform(d, 0.5) for d in laws]:
         tf.classify(d)
+    for exp_id in tf.EXPERIMENT_IDS:
+        assert tf.run_experiment(exp_id, tmp_path / exp_id) == 0
     widths = np.concatenate(widths)
     assert len(widths) > 10_000 and widths.min() > 64.0

@@ -265,7 +265,7 @@ def test_partial_moment_splits_at_breakpoints():
 def test_partial_moment_of_a_tilted_flat_piece():
     # A flat piece on a tilted curve is not flat: y G(y) = y e^{-0.5 - 0.9 y}.
     seg = ConstSegment(lo=0.0, hi=5.0, level=-0.5)
-    d = tf.Distribution(TailCurve([seg], rate=0.9, validate=False))
+    d = tf.Distribution(TailCurve([seg], rate=0.9))
     quad = quadrature.log_quad(
         lambda y: np.log(y) + seg.log_value(y) - 0.9 * y,
         0.0,

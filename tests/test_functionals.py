@@ -21,7 +21,7 @@ from tailforge.distribution import _split_tilt
 from tailforge.functionals import (
     ClassifyConfig,
     _b2_profile,
-    _t_profile,
+    _t_ratios,
     classify_trend,
     geometric_grid,
     shift_probe_grid,
@@ -66,50 +66,50 @@ def test_t_ratio_precondition(pareto3):
 
 
 @pytest.mark.parametrize("name", ["exp1", "pareto3", "dyadic", "plateau2", "fkz"])
-def test_t_profile_matches_two_cross_integrals(name, request):
+def test_t_ratios_match_two_cross_integrals(name, request):
     d = request.getfixturevalue(name)
     cfg = tf.QuadConfig(rel_tol=1e-7)
     Ks = [0.5, 1.0, 2.0, 3.5, 4.0, 8.0, 16.0, 31.0]
     for x in (64.0, 300.0):
-        prof = _t_profile(d, x, Ks, cfg)
+        t = _t_ratios(d, [(K, x) for K in Ks], cfg)
+        prof = [t[K, x] for K in Ks]
         assert all(b >= a for a, b in zip(prof, prof[1:]))  # exactly nondecreasing
         log_den = tf.log_cross_integral(d, 0.0, x / 2, x, cfg)
         two_calls = [math.exp(tf.log_cross_integral(d, 0.0, K, x, cfg) - log_den) for K in Ks]
         np.testing.assert_allclose(prof, two_calls, rtol=cfg.rel_tol, atol=0)
 
 
-def test_t_profile_is_exactly_one_at_half(request):
+def test_t_ratios_are_exactly_one_at_half(request):
     cfg = tf.QuadConfig()
     for name in ("exp1", "pareto3", "dyadic", "plateau2", "xu55"):
         d = request.getfixturevalue(name)
         for x in (10.0, 300.0, 2.0**20):
-            prof = _t_profile(d, x, [1.0, 4.0, x / 2], cfg)
-            assert prof[-1] == 1.0 and prof[0] < 1.0
+            t = _t_ratios(d, [(1.0, x), (4.0, x), (x / 2, x)], cfg)
+            assert t[x / 2, x] == 1.0 and t[1.0, x] < 1.0
 
 
 @pytest.mark.parametrize("name", ["pareto3", "dyadic", "plateau2", "xu55"])
-def test_t_values_batch_has_the_bits_of_each_profile_alone(name, request):
-    # One batch over every (K, x) pair gives each x the bits of its own
-    # profile, and of t_ratio where the x has a single K (a profile's
-    # prefix sums its own bands, so several Ks cut the same x finer).
-    from tailforge.experiments import _t_values
-
+def test_t_ratios_batch_has_the_bits_of_each_x_alone(name, request):
+    # One batch over every (K, x) pair gives each x the bits of its pairs
+    # alone, and of t_ratio where the x has a single K (an x's prefix sums
+    # its own bands, so several Ks cut the same x finer).
     d = request.getfixturevalue(name)
     cfg = tf.QuadConfig()
     Ks = [1.0, 4.0, 16.0, 30.0]
     xs = [64.0, 300.0, 2.0**12]
-    got = _t_values(d, [(K, x) for x in xs for K in Ks] + [(3.0, 100.0), (50.0, 2.0**14)], cfg)
+    got = _t_ratios(d, [(K, x) for x in xs for K in Ks] + [(3.0, 100.0), (50.0, 2.0**14)], cfg)
     for x in xs:
-        assert [got[(K, x)] for K in Ks] == _t_profile(d, x, Ks, cfg)
+        alone = _t_ratios(d, [(K, x) for K in reversed(Ks)], cfg)
+        assert [got[(K, x)] for K in Ks] == [alone[(K, x)] for K in Ks]
     for K, x in [(3.0, 100.0), (50.0, 2.0**14)]:
         assert got[(K, x)] == tf.t_ratio(d, x, K, cfg)
 
 
-def test_t_profile_preconditions(pareto3):
+def test_t_ratios_preconditions(pareto3):
     cfg = tf.QuadConfig()
-    for Ks in ([1.0, 1.0], [2.0, 1.0], [1.0, 6.0], [0.0, 1.0], [math.nan]):
+    for Ks in ([1.0, 6.0], [0.0, 1.0], [math.nan]):
         with pytest.raises(ParameterError):
-            _t_profile(pareto3, 10.0, Ks, cfg)
+            _t_ratios(pareto3, [(K, 10.0) for K in Ks], cfg)
 
 
 def _shift_series(d):
@@ -391,8 +391,8 @@ def test_jump_reads_the_grid_log_at_past_three_folds(law, n):
         for x in ((cells - 3) * h, (cells - 3.5) * h):
             K = 0.3 * x
             for cap in (math.inf, x - K):
-                node = convolve._bracket(d, n, x + 2 * h, h, cap, x).log_at(x)
-                grid = convolve._bracket(d, n, x + 2 * h, h, cap).log_at(x)
+                node = convolve._brackets(d, n, x + 2 * h, h, (cap,), x)[0].log_at(x)
+                grid = convolve._brackets(d, n, x + 2 * h, h, (cap,))[0].log_at(x)
                 assert node == grid, (cells, x, cap)
             br = tf.jump_cond(d, n, x, K, h)
             assert (br.lower, br.upper) == _grid_jump(d, n, x, K, h), (cells, x)
@@ -848,6 +848,14 @@ def test_xu_window_labels(xu55):
         xu55, [xn + 1, xn + K + 1, 1.6 * xn, 2 * xn + 1, 2 * xn + K + 1], K
     )
     assert labels == ("W1", "W2", "W3", "W4", "W5")
+
+
+def test_geometric_grid_takes_a_point_ulps_from_a_breakpoint_as_it(dyadic):
+    # geomspace puts a point at 16383.999999999996, one ulp below the
+    # breakpoint 16384: the grid keeps the breakpoint alone.
+    grid = geometric_grid(tf.gamma_transform(dyadic, 0.5), 4.0, 2.0**20, 22)
+    near = grid[np.abs(grid - 16384.0) <= 4 * np.spacing(16384.0)]
+    assert near.tolist() == [16384.0]
 
 
 def test_shift_probe_grid(dyadic):

@@ -7,7 +7,6 @@ import pytest
 
 from tailforge.errors import LogDepthError, ParameterError, ToleranceError
 from tailforge.quadrature import (
-    _MAX_LIVE_PANELS,
     _MAX_PANELS,
     QuadConfig,
     _gk15,
@@ -214,13 +213,33 @@ def test_a_failure_stops_the_batch(i, error, n_calls):
     assert len(calls) == n_calls
 
 
+def test_the_earliest_failing_round_raises_however_many_seed_panels():
+    # Integral 0 has 5001 seed panels and is out of subdivisions in round
+    # 2; integral 1 is beyond log-domain resolution in round 1, so its
+    # error is the batch's, whatever integral 0's panel count.
+    wiggle = (lambda y: np.log(2.0 + np.sin(1e6 * y)), 0.0, 1.0, np.linspace(0.0, 1.0, 5002))
+    deep = (lambda y: np.full_like(y, -1e16), 0.0, 1.0, [])
+    with pytest.raises(ToleranceError):
+        log_quad(*wiggle, _CFG)
+    with pytest.raises(LogDepthError) as alone:
+        log_quad(*deep, _CFG)
+    fs, a, b, bps = zip(wiggle, deep)
+
+    def log_f(y, owner):
+        return np.where(owner == 0, fs[0](y), fs[1](y))
+
+    with pytest.raises(LogDepthError) as batched:
+        log_quads(log_f, a, b, _seed_table(bps), _CFG)
+    assert str(batched.value) == str(alone.value)
+
+
 def test_batch_beyond_the_memory_caps_equals_separate_calls():
-    # More seed panels than may refine at once, and first rounds of more
-    # panels than one integrand call takes.
+    # A first round of 8,241 seed panels, many more than one integrand call
+    # takes.
     n = 41
     scales = np.linspace(5.0, 60.0, n)
     a, b = np.zeros(n), np.linspace(3.0, 10.0, n)
-    bps = [np.linspace(0.0, hi, 2 * _MAX_LIVE_PANELS // n + 3) for hi in b]
+    bps = [np.linspace(0.0, hi, 8192 // n + 3) for hi in b]
     calls = []
 
     def log_f(y, owner):

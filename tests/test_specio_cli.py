@@ -398,6 +398,26 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, content):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, content", [
+    ([*CLASSIFY, "--config", "{file}"], '{"t_list": [1.0, 8.0]}'),
+    ([*CLASSIFY, "--config", "{file}"], "[1, 2]"),
+    ([*_FN, "--kind", "b2", "--format", "json"], None),
+    (["export", "--infile", "{file}", "--out", "{file}.csv"], None),
+], ids=["classify-config-value", "classify-config-array", "functional-json", "export-missing"])
+def test_cli_usage_errors_found_after_parsing_print_the_subcommand_usage(
+    tmp_path, capsys, argv, content
+):
+    # Refusals made after argparse has parsed the command line report with
+    # the subcommand's parser, not with the top-level one.
+    f = tmp_path / "in.json"
+    if content is not None:
+        f.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{file}", str(f)) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: tailforge {argv[0]} ")
+
+
 def test_cli_config_values_of_the_right_shape_run(tmp_path):
     cfgf = tmp_path / "cfg.json"
     # ints where floats are expected, a list for a tuple, null for an option

@@ -9,6 +9,7 @@ import pytest
 import tailforge as tf
 from tailforge.distribution import _split_tilt
 from tailforge.errors import DivergenceError, ParameterError, TailforgeError
+from tailforge.tailcurve import _chained, _SegmentTable
 
 GRID = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
 
@@ -28,6 +29,27 @@ def test_tail_at_zero(pareto3):
 def test_exponential_tilt_closed_form(exp1):
     g = tf.gamma_transform(exp1, 1.0)
     assert g.log_tail(2.0) == pytest.approx(-4.0, abs=1e-14)
+
+
+def test_rechaining_a_curve_at_any_rate_snaps_nothing():
+    # A tilt (and a tilt's base) is built from a chained curve's segments:
+    # each join subtracts the same rate * x on both sides, so chaining them
+    # again at any rate snaps no join and keeps every segment.
+    laws = [
+        tf.pareto(3.0),
+        tf.exponential(1.0),
+        tf.weibull_heavy(0.5),
+        tf.dyadic_pareto(),
+        tf.fkz_example(),
+        tf.plateau_example(2.0),
+        tf.xu_piecewise(5.5, 4096.0),
+        tf.xu_piecewise(5.5, 4096.0, m=2),
+        tf.power_tail(tf.plateau_example(2.0), 2),
+    ]
+    for d in laws + [tf.gamma_transform(d, 0.5) for d in laws]:
+        for rate in (1e-9, 1e-7, 1e-5, 1e-3, 0.1, 10.0, 1e3):
+            segs, snapped = _chained(_SegmentTable(d.tail.segments, rate))
+            assert not snapped and segs == d.tail.segments, (d.label, rate)
 
 
 def test_domination(request):
