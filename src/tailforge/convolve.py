@@ -33,37 +33,46 @@ would form them, but S_4 = S_2 * S_2 and S_8 = S_4 * S_4, so a grid takes
 n - 1 full folds for n <= 3, two for n = 4 and three for n = 8.  Most of
 these folds are squares (S_2, S_4, and the last product for even n): cell k
 of S_a * S_a sums p[i] p[j] over i + j = k, symmetric in i and j, so each
-block of p adds its own block-by-block product once and twice its dots
-against the cells after it, up to cell M.  A square forms about half the
-products of a fold of two different factors.
+pair of tiles is formed once, doubled, and each tile's own product once.
+A square forms about half the products of a fold of two different factors.
+
+Tiled folds.  A dense fold forms cells 0..M - 16 by matrix products over
+64-cell tiles (``_tiled_cells``): GEMM d multiplies the tiles of the left
+factor, reversed, by one 64 x 64 window of the right factor's cells, and
+adds the product to the rows of cells from tile d on.  A GEMM runs at
+about three times the rate of the dots it replaces.  Tiles past either
+factor's last nonzero cell (past a cap, say) are left out.  The top 16
+cells are each summed alone from their own products, in an order fixed by
+M, with no BLAS call (``_top_cells``): a node reading needs those only.
 
 Lattice folds.  A law whose mass sits on a few nodes leaves most cells of
-its staircases at zero, yet spread over most blocks: at h = 1/8 and 22 001
-cells, ``dyadic_pareto``'s S_1 has 16 nonzero cells and S_2 120, in 9 and
-19 of the 22 blocks, so skipping zero blocks saves little.  A fold whose
-factors have k1 and k2 nonzero cells forms from those cells alone when
-``_SPARSE_COST`` k1 k2 is below the products the dense route forms over
-the nonzero blocks of its left factor (a scattered add costs about a
-hundred contiguous multiply-adds): each product p1[i] p2[j] with
-i + j <= M is added into cell i + j, a square taking all ordered pairs, in
-chunks of about ``_CHUNK`` pairs, so memory stays O(M + _CHUNK).  Every
-cell is formed and the kept ones are sliced off, so a reading from a node
-keeps the full fold's bits.
+its staircases at zero, yet spread over most tiles: at h = 1/8 and 22 001
+cells, ``dyadic_pareto``'s S_1 has 16 nonzero cells and S_2 120.  A fold
+whose factors have k1 and k2 nonzero cells forms from those cells alone
+when ``_SPARSE_COST`` k1 k2 is below the products the tiled route forms
+(a scattered add costs about two hundred products of a GEMM): each
+product p1[i] p2[j] with i + j <= M is added into cell i + j, a square
+taking all ordered pairs, in chunks of about ``_CHUNK`` pairs, so memory
+stays O(M + _CHUNK).  Every cell is formed and the kept ones are sliced
+off, so a reading from a node keeps the full fold's bits.
 
 Rounding margin.  Each fold keeps cells 0..M of the product, each a sum of
-at most M + 1 nonnegative products formed in blocks of ``_BLOCK`` cells,
-then added across at most ceil((M + 1) / _BLOCK) partial dots.  In a
-square, doubling is exact: a doubled partial dot is the same dot of the
-terms 2 p[i] p[j], each standing for the two terms p[i] p[j] and
-p[j] p[i], so each cell still sums at most M + 1 rounded products.  A
-lattice fold sums each cell's nonzero products one by one in ascending i,
-leaving out only exact zeros: again at most M + 1 rounded products, in
-another order, which the bound below does not depend on.  The spill past
-cell M is a dot of nonnegative terms against suffix sums of at most M
-terms.  Recursive summation of m nonnegative terms, in any order,
-has relative error at most gamma_{m-1} = (m - 1) u / (1 - (m - 1) u) with
-u = eps / 2, and a product of rounded nonnegative factors carries their
-relative errors forward.  So the fold S_a * S_b has relative error at most
+at most M + 1 nonnegative products in some order: a GEMM sums a tile's
+products against a window, fused or not, and the partial sums of the
+windows are added into the cell; a top cell adds two pairwise sums.  Zero
+padding adds exact zeros.  In a square, doubling is exact: a doubled term
+is the product 2 p[i] p[j], standing for the two terms p[i] p[j] and
+p[j] p[i], or those two terms apart, so each cell still sums at most
+M + 1 rounded products.  A lattice fold sums each cell's nonzero products
+one by one in ascending i, leaving out only exact zeros: again at most
+M + 1 rounded products, in another order, which the bound below does not
+depend on.  The spill past cell M is a sum of nonnegative terms against
+suffix sums of at most M terms.  Recursive summation of m nonnegative
+terms, in any order and any tree, has relative error at most
+gamma_{m-1} = (m - 1) u / (1 - (m - 1) u) with u = eps / 2 (a fused
+multiply-add rounds once where a product and a sum round twice), and a
+product of rounded nonnegative factors carries their relative errors
+forward.  So the fold S_a * S_b has relative error at most
 err(S_a) + err(S_b) + about (2M + 4) u on each cell and on the overflow,
 and along any product tree of n leaves (n - 1 folds) the errors add up to
 about (n - 1)(2M + 4) u.  The final suffix sums (and, with one chain, the
@@ -74,17 +83,20 @@ Node readings.  A bracket read at one point x (``jump_cond``) needs the
 tails at two nodes only, and a tail at node k sums cells k + 1..M.  So the
 halves run in full, and the last product forms only the cells from the
 lowest node the reading needs: that node, or n nodes lower with one chain.
-Each such cell is formed from the same partial dots, in the same block
-order, as in the full fold (a square forms a block's own product in full
-whenever one of its cells is kept), and the suffix sums run down from cell
-M alike, so every tail read keeps its bits, and the margin and containment
-argument above holds unchanged.  The full bracket and the capped ones at
-one x share one evaluation of the summand's tails at the nodes
-(``_brackets``).  The tails are nonincreasing node by node in floating
-point too, so the running minimum of the upper bounds, taken from the read
-node on, is the whole grid's when that node's upper tail is above the
-underflow floor (or its bound is already -inf); otherwise the reading falls
-back to the full last product.
+A reading at x on a grid that ends two nodes past it (``jump_cond``'s)
+reads from node M - 3 at the lowest, or from M - 3 - n >= M - 11, all
+among the top 16 cells, which it forms alone, each summed as in the full
+fold; from a lower node it forms the full fold and slices it.  The suffix
+sums run down from cell M alike, so every tail read keeps its bits, and
+the margin and containment argument above holds unchanged.  No cell's sum
+depends on the BLAS thread count: the GEMMs split only their rows and
+columns across threads, and the top cells and the spill call no BLAS.  The
+full bracket and the capped ones at one x share one evaluation of the
+summand's tails at the nodes (``_brackets``).  The tails are nonincreasing
+node by node in floating point too, so the running minimum of the upper
+bounds, taken from the read node on, is the whole grid's when that node's
+upper tail is above the underflow floor (or its bound is already -inf);
+otherwise the reading falls back to the full last product.
 """
 
 from __future__ import annotations
@@ -417,14 +429,15 @@ def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
     """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow,
     from the log tails ``log_t`` at the nodes (``_node_log_tails``).
 
-    Returns (pmf_down, pmf_up, overflow, end, on_nodes) where overflow
-    applies to both staircases (mass at or beyond the last node, and beyond
+    Returns (pmf_down, pmf_up, overflow, end, on_nodes, log_fcap) where
+    overflow applies to both staircases (mass at or beyond the last node, and beyond
     cap it is dropped entirely).  ``end`` is the first node index the
     (restricted) summand provably never exceeds, read from the log-domain
     tail and the cap rather than from the PMFs, whose small masses
     underflow; it is M + 1 when no node qualifies.  ``on_nodes`` says
     whether an atom sits on a node below the last one and inside the cap;
     without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.
+    ``log_fcap`` is log F(cap), -inf without a cap.
 
     Only the atoms at or below the last node are visited, found by one
     search of the law's ``atom_locations``.
@@ -464,20 +477,31 @@ def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
     # restricted summand is at most v_j.
     bounded = np.flatnonzero((log_t <= log_fcap) | (nodes >= cap))
     end = int(bounded[0]) if bounded.size else M + 1
-    return pmf_down, pmf_up, overflow, end, bool(atom_cell.any())
+    return pmf_down, pmf_up, overflow, end, bool(atom_cell.any()), log_fcap
 
 
-# Cells of the left factor per block of _convolve_defective: large enough
-# that each block's dots run at full speed, small enough that a block and
-# its partial output stay in cache.
-_BLOCK = 1024
+# Cells per tile of the dense kernel (``_tiled_cells``).  Its GEMMs run at
+# 40-45 GFLOP/s on one x86-64 core (OpenBLAS 0.3.31), against about 16 for
+# the dots of np.correlate.  Of 32, 48, 64, 96 and 128, 64 was the fastest
+# or within 5 % of it from 1e3 to 2.5e4 cells: smaller tiles take more
+# GEMM steps, larger ones copy more window cells.
+_TILE = 64
+# The cells below the top of every dense fold that are summed one at a time
+# (``_top_cells``): a reading at x reads from node M - 3 at the lowest, or
+# n <= MAX_FOLDS nodes lower with one chain, so it forms these alone.
+_TOP = 16
+# Windows copied per call of the dense kernel: 8 of 64 x 64 floats, 256 KiB.
+_WINDOWS = 8
 # Pairs of nonzero cells per chunk of the sparse route: its scratch arrays
 # hold O(_CHUNK) entries whatever the factors.
 _CHUNK = 1 << 16
 # What one product of the sparse route costs in products of the dense one:
-# index arithmetic and a scattered add, 10-13 ns, against 0.1 ns in a
-# contiguous dot (2-core x86-64, numpy 2.4).
-_SPARSE_COST = 100
+# index arithmetic and a scattered add, 12-20 ns, against 0.07-0.1 ns in
+# the tiled GEMMs at 20 001 cells (one x86-64 core, numpy 2.4).  Measured
+# on squares of k scattered nonzero cells, the routes cost the same at
+# k = 720-820 of 20 001 cells (here: k = 707) and k = 210-260 of 3001
+# (here: k = 106; the GEMMs' fixed costs weigh more in small folds).
+_SPARSE_COST = 200
 
 
 def _suffix_sums(p: np.ndarray) -> np.ndarray:
@@ -485,82 +509,109 @@ def _suffix_sums(p: np.ndarray) -> np.ndarray:
     return np.cumsum(p[::-1])[::-1]
 
 
-def _aligned(n: int) -> np.ndarray:
-    """An empty array of n floats that starts on a 64-byte boundary."""
-    buf = np.empty(n + 8)
-    start = (-buf.ctypes.data % 64) // 8
-    return buf[start : start + n]
+def _tile_rows(p1, p2, N):
+    """The tiles ``_tiled_cells`` multiplies for cells 0..N: for each GEMM
+    d = 0, 1, ..., the number of tiles of the left factor it takes (from
+    tile 0 on), and for a square the number of band steps.  Tiles past
+    either factor's last nonzero cell are all zero, and are left out."""
+    if N < 0:
+        return np.zeros(0, dtype=int), 0
+    S = N // _TILE + 1
+    ends = [N - int(np.argmax(p[N::-1] != 0)) for p in (p1, p2)]  # last nonzero cells
+    if not (p1[ends[0]] and p2[ends[1]]):
+        return np.zeros(0, dtype=int), 0
+    last1, last2 = ends[0] // _TILE, ends[1] // _TILE
+    d = np.arange(min(last2 + 1, S - 1) + 1)
+    rows = np.minimum(last1, S - 1 - d)
+    if p1 is p2:
+        return np.maximum(np.minimum(rows, d - 2) + 1, 0), min(last1 + 1, S // 2) + 1
+    return rows + 1, 0
 
 
-def _outputs_from(a, v, lo, rev):
-    """np.convolve(a, v)[lo : len(v)] for len(a) <= len(v), each output the
-    dot that np.convolve forms it by; ``rev`` is scratch space.
+def _windows(v, start, shape, steps):
+    """A read-only view of the contiguous array v: entry (a, b, ...) is
+    v[start + a steps[0] + b steps[1] + ...]."""
+    size = v.itemsize
+    view = np.ndarray(shape, v.dtype, v, start * size, tuple(s * size for s in steps))
+    view.flags.writeable = False
+    return view
 
-    np.convolve correlates its longer factor with a reversed copy of the
-    shorter one, m terms long: output i < m - 1 is numpy's dot over the
-    overlap of i + 1 terms, and every later output its 'valid' loop, a dot
-    of m terms (or, for m at most a few terms, its unrolled loop).
-    np.correlate runs the same loop on a reversed copy given to it, here one
-    on a 64-byte boundary: np.convolve's own copy lands wherever the heap
-    puts it, and off that boundary the same dots take 20-45 % longer.
-    From lo > 0 on, the same dots are taken over the same slices in the same
-    order, so each output keeps its bits.
+
+def _tiled_cells(p1, p2, N, rows, bands):
+    """Cells 0..N of p1 * p2 by GEMMs over m-cell tiles (``_tile_rows``
+    gives ``rows`` and ``bands``).
+
+    Tile s of p1, reversed, is row s of A; window d of p2 holds
+    p2[(d - 1) m + 1 + t + r] at (t, r), zero outside 0..N.  Then
+    A[s] @ W_d is the sum over r of p1[s m + m - 1 - r] p2[(d - 1) m + 1
+    + t + r], the part of cell (s + d) m + t that tile s forms with the
+    cells of p2 in the window, and over d = 0, 1, ... each pair of cells
+    is formed once.  So GEMM d adds A[:S - d] @ W_d to the tile rows of
+    cells from d on, one window copied per GEMM.
+
+    A square (p1 is p2) forms each pair of tiles once.  Its GEMM d takes
+    the tiles s <= d - 2, doubled (exact), whose window lies past them.
+    Band step d adds, to tile row 2d - 1, what tile d - 1 forms with W_d
+    and, once more, with U_d, W_d's part in tile d (t + r >= m - 1); and
+    to row 2d what tile d forms with U_d, its own product's first row.
+    Doubled or twice, each cell sums at most N + 1 nonnegative products.
     """
-    keep = len(v)
-    long, short = (v, a) if len(a) < keep else (a, v)
-    m = len(short)
-    rev = rev[:m]
-    rev[:] = short[::-1]
-    if lo == 0:
-        return np.correlate(long, rev, "full")[:keep]
-    out = np.empty(keep - lo)
-    for i in range(lo, m - 1):
-        out[i - lo] = np.dot(long[: i + 1], rev[m - 1 - i :])
-    s = max(lo, m - 1)
-    out[s - lo :] = np.correlate(long[s - m + 1 :], rev, "valid")
-    return out
+    m = _TILE
+    S = N // m + 1
+    cells = np.zeros((S + 2, m))  # tile row u of the cells is cells[u + 1]
+    padded = np.zeros((S + 2) * m)
+    padded[m : m + N + 1] = p1[: N + 1]
+    A = padded.reshape(S + 2, m)[:, ::-1].copy()  # A[s + 1]: tile s, reversed
+    q = np.zeros((S + 1) * m)
+    q[m - 1 : m + N] = p2[: N + 1]
+    windows = _windows(q, 0, (S, m, m), (m, 1, 1))  # window d: q[d m + t + r]
+    part = np.empty((S, m))
+    left = A
+    if p1 is p2:
+        left = 2.0 * A
+        ends = np.zeros((bands, 2 * m - 1))  # m - 1 zeros, then tile d
+        ends[:, m - 1 :] = padded[m : (bands + 1) * m].reshape(bands, m)
+        upper = _windows(ends, 0, (bands, m, m), (2 * m - 1, 1, 1))
+        # Band step d as one product: (tile d - 1, tile d - 1) against
+        # (W_d, U_d) for tile row 2d - 1, and (0, tile d) for row 2d.
+        steps = np.zeros((_WINDOWS, 2, 2 * m))
+        band = np.empty((_WINDOWS, 2, m))
+    # One buffer for the windows and, in a square, their parts U_d: a
+    # second one that size is mapped afresh, and paged in, on every call.
+    both = np.empty((_WINDOWS, 2 if p1 is p2 else 1, m, m))
+    for d0 in range(0, len(rows), _WINDOWS):
+        g = min(_WINDOWS, len(rows) - d0)
+        np.copyto(both[:g, 0], windows[d0 : d0 + g])
+        for i, r in enumerate(rows[d0 : d0 + g].tolist()):
+            if r:
+                np.matmul(left[1 : r + 1], both[i, 0], out=part[:r])
+                cells[d0 + i + 1 : d0 + i + 1 + r] += part[:r]
+        k = min(g, bands - d0)
+        if k > 0:
+            np.copyto(both[:k, 1], upper[d0 : d0 + k])
+            steps[:k, 0, :m] = steps[:k, 0, m:] = A[d0 : d0 + k]
+            steps[:k, 1, m:] = A[d0 + 1 : d0 + k + 1]
+            np.matmul(steps[:k], both[:k].reshape(k, 2 * m, m), out=band[:k])
+            cells[2 * d0 : 2 * (d0 + k)] += band[:k].reshape(2 * k, m)
+    return cells[1:].ravel()[: N + 1]
 
 
-def _product_cells(p1, p2, M, first):
-    """Cells first..M of p1 * p2, one block of p1 at a time."""
-    cells = np.zeros(M + 1 - first)
-    rev = _aligned(min(_BLOCK, M + 1))
-    for b in range(0, M + 1, _BLOCK):
-        block = p1[b : b + _BLOCK]
-        if not block.any():
-            continue
-        lo = max(first - b, 0)
-        cells[b + lo - first :] += _outputs_from(block, p2[: M + 1 - b], lo, rev)
-    return cells
-
-
-def _square_cells(p, M, first):
-    """Cells first..M of p * p.  Cell k sums p[i] p[j] over i + j = k, and
-    the pairs (i, j) and (j, i) carry the same product.  So each block of p
-    adds its own block-by-block product once, and twice its dots against
-    the cells after it, up to cell M; doubling is exact.  A block's cells
-    start at twice its first index, so the blocks past M / 2 add nothing.
-    The own product is formed in full whenever a cell of it is kept, so
-    each cell gets the same bits whatever ``first`` is."""
-    cells = np.zeros(M + 1 - first)
-    rev = _aligned(min(_BLOCK, M + 1))
-    for b in range(0, M // 2 + 1, _BLOCK):
-        block = p[b : b + _BLOCK]
-        if not block.any():
-            continue
-        size, start = len(block), 2 * b
-        end = min(start + 2 * size - 1, M + 1)  # past the own product's cells
-        if end > first:
-            rev[:size] = block[::-1]
-            own = np.correlate(block, rev[:size], "full")
-            lo = max(first - start, 0)
-            cells[start + lo - first : end - first] += own[lo : end - start]
-        rest = p[b + size : M + 1 - b]  # the partners of cells start + size..M
-        lo = max(first - start - size, 0)
-        if lo < len(rest):
-            part = _outputs_from(block[: len(rest)], rest, lo, rev)
-            cells[start + size + lo - first :] += 2.0 * part
-    return cells
+def _top_cells(p1, p2, M, lo):
+    """Cells lo..M of p1 * p2, lo >= s = max(M - _TOP + 1, 0).  Cell k is
+    the pairwise sum of its products p1[i] p2[k - i] for i <= s, plus that
+    of the fewer than _TOP ones past s: rows of one block sum alone, so
+    no cell's bits depend on lo, and no BLAS call, so no thread count,
+    enters.  Blocks hold at most ``_CHUNK`` products, or one cell."""
+    s, n = max(M - _TOP + 1, 0), M + 1 - lo
+    p2 = np.ascontiguousarray(p2)
+    head = _windows(p2, lo - s, (n, s + 1), (1, 1))  # p2[k - i], i = s..0
+    rev = p1[s::-1].copy()
+    low = np.zeros(2 * _TOP)  # _TOP zeros, then p2's first cells
+    low[_TOP : _TOP + M - s] = p2[: M - s]
+    tail = _windows(low, _TOP + lo - s - 1, (n, M - s), (1, -1))  # i = s + 1..M
+    step = max(_CHUNK // (s + 1), 1)
+    heads = [np.add.reduce(head[a : a + step] * rev, axis=1) for a in range(0, n, step)]
+    return np.concatenate(heads) + np.add.reduce(tail * p1[s + 1 : M + 1], axis=1)
 
 
 def _sparse_cells(p1, p2, M):
@@ -583,15 +634,10 @@ def _sparse_cells(p1, p2, M):
     return cells
 
 
-def _dense_products(p1, M, square):
-    """Products the dense route forms from the blocks of the left factor
-    that hold a nonzero cell: a block of m cells at b forms m (M + 1 - b)
-    of them in a product; in a square, the blocks at b <= M / 2 form
-    m (M + 1 - 2 b), and at least their own m^2."""
-    b = np.arange(0, M // 2 + 1 if square else M + 1, _BLOCK)
-    b = b[np.add.reduceat(p1[: b[-1] + _BLOCK], b) > 0]  # cells are nonnegative
-    m = np.minimum(_BLOCK, M + 1 - b)
-    return int(np.dot(m, np.maximum(M + 1 - 2 * b, m) if square else M + 1 - b))
+def _dense_products(rows, bands, M):
+    """Products the dense route forms: m^2 per tile of each GEMM and 3 m^2
+    per band step (``_tile_rows``), and M + 1 for each top cell."""
+    return _TILE**2 * (int(rows.sum()) + 3 * bands) + (M + 1) * min(_TOP, M + 1)
 
 
 def _convolve_defective(p1, o1, p2, o2, M, first=0):
@@ -601,21 +647,24 @@ def _convolve_defective(p1, o1, p2, o2, M, first=0):
     and each cell gets the same bits whatever ``first`` is.  Factors with
     k1 and k2 nonzero cells fold from those cells alone (``_sparse_cells``,
     all cells formed, then sliced) when their k1 k2 products cost less than
-    the dense route's; otherwise a square (p1 is p2) forms each pair of
-    cells once, and a block of the left factor that is all zero is skipped:
-    its partial dots would add exact zeros."""
-    square = p1 is p2
+    the dense route's.  The dense route forms cells 0..M - _TOP by tiled
+    GEMMs (``_tiled_cells``) and the top ``_TOP`` cells one at a time
+    (``_top_cells``); from first > M - _TOP on it forms those alone."""
     k1 = np.count_nonzero(p1)
-    k2 = k1 if square else np.count_nonzero(p2)
-    if _SPARSE_COST * k1 * k2 < _dense_products(p1, M, square):
+    k2 = k1 if p1 is p2 else np.count_nonzero(p2)
+    top = max(M - _TOP + 1, 0)
+    tiles = _tile_rows(p1, p2, top - 1)
+    if _SPARSE_COST * k1 * k2 < _dense_products(*tiles, M):
         cells = _sparse_cells(p1, p2, M)[first:]
-    elif square:
-        cells = _square_cells(p1, M, first)
+    elif first >= top:
+        cells = _top_cells(p1, p2, M, first)
     else:
-        cells = _product_cells(p1, p2, M, first)
+        cells = np.concatenate([_tiled_cells(p1, p2, top - 1, *tiles), _top_cells(p1, p2, M, top)])
+        cells = cells[first:]
     # Products p1[i] p2[j] with i + j > M: p1[i] times the mass of p2 on
-    # cells M - i + 1 .. M.
-    spill = float(np.dot(p1[1:], _suffix_sums(p2)[M:0:-1]))
+    # cells M - i + 1 .. M, summed pairwise (a BLAS dot splits its sum
+    # across threads).
+    spill = float(np.add.reduce(p1[1:] * _suffix_sums(p2)[M:0:-1]))
     overflow = spill + o1 * float(p2.sum()) + o2 * (float(p1.sum()) + o1)
     return cells, overflow
 
@@ -678,7 +727,7 @@ def _brackets(
 def _bracket_on(d: Distribution, n: int, log_t, h: float, cap: float, at) -> BracketGrid:
     """One cap's bracket (``_brackets``) on the nodes whose log tails are
     ``log_t``."""
-    pmf_down, pmf_up, overflow, end, on_nodes = _staircase_masses(d, log_t, h, cap)
+    pmf_down, pmf_up, overflow, end, on_nodes, log_fcap = _staircase_masses(d, log_t, h, cap)
     M = len(pmf_down) - 1
     nodes = np.arange(M + 1) * h
     pmfs = (pmf_down, pmf_up) if on_nodes else (pmf_down,)
@@ -719,6 +768,9 @@ def _bracket_on(d: Distribution, n: int, log_t, h: float, cap: float, at) -> Bra
         # drops to 0 and the upper bound becomes the union bound
         # P(S_n > v) <= n F(v/n), with v/n rounded down, except from n times
         # the summand's support end on, where the true tail is exactly 0.
+        # Under a cap no tail exceeds the restricted n-fold mass
+        # (1 - F(cap))^n, which bounds the union bound too: its log, from
+        # expm1, and rounded outward by the margin and by 2 ulps of itself.
         # The tail is nonincreasing, so an upper bound also holds at every
         # later node; carrying the running minimum keeps the tighter of the
         # two.
@@ -728,6 +780,12 @@ def _bracket_on(d: Distribution, n: int, log_t, h: float, cap: float, at) -> Bra
         if deep.size:
             share = np.nextafter(nodes[first + deep] / n, 0.0)
             log_upper[deep] = math.log(n) + math.log1p(margin) + d.tail.log_tail(share)
+        if math.isfinite(cap):
+            mass, whole = -math.expm1(log_fcap), _NEG_INF
+            if mass > 0.0:
+                whole = n * math.log(mass)
+                whole += math.log1p(margin) + 2.0 * np.finfo(float).eps * abs(whole)
+            np.minimum(log_upper, whole, out=log_upper)
         log_upper = np.minimum.accumulate(np.maximum(log_upper, log_lower))
         # The running minimum from node first on is the whole grid's when
         # no node below it is under the floor (their tails, and the logs of

@@ -3,7 +3,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,17 @@ def test_trunc_support_bound(exp1):
     assert lo == 0.0
 
 
+def test_trunc_upper_bound_is_at_most_the_restricted_mass(exp1):
+    # Every summand <= c = 1e-300: P(both <= c, S_2 > v) <= (1 - e^{-c})^2,
+    # about e^-1381.55, where the union bound 2 F(v / 2) reads about 2.
+    tb = tf.trunc_convn_tail_grid(exp1, 2, 1e-300, 0.1, 0.1)
+    whole = 2 * math.log(-math.expm1(-1e-300))
+    assert np.all(tb.log_upper <= whole + 1e-12 * abs(whole))
+    assert tb.log_upper[0] >= whole  # contains P(both <= c, S_2 > 0)
+    tb = tf.trunc_convn_tail_grid(exp1, 3, 0.05, 0.3, 0.1)
+    assert np.all(tb.log_upper <= 3 * math.log(-math.expm1(-0.05)) + 1e-12)
+
+
 def test_trunc_matches_1d_oracle(pareto3):
     # P(both <= c, S > x) = int_{x-c}^c f(y)(F(x-y) - F(c)) dy for c < x < 2c
     c, x = 5.0, 8.0
@@ -449,53 +464,66 @@ def test_convolve_defective_matches_full_product(M):
     assert math.fsum(full[M + 1 :]) == pytest.approx(spill, rel=(M + 1) * EPS)
 
 
-# M + 1 cells at and around the 1024-cell block edges, with last blocks of
-# 1..11 cells (np.convolve sums those by its unrolled loop, not a dot).
-@pytest.mark.parametrize("M", [1, 5, 11, 1022, 1023, 1024, 1025, 1027, 1034, 2047, 2048, 3000])
+def _first_cuts(M):
+    """Cuts around the top cells' edge (cell M - _TOP + 1), the tile edges
+    (multiples of _TILE) and the ends."""
+    T, m = convolve._TOP, convolve._TILE
+    near = [e + d for e in (m, 2 * m, M // 2, M - T, M) for d in (-2, -1, 0, 1, 2)]
+    return sorted({c for c in [1, 2, M - 3, M - 11, *near] if 1 <= c <= M})
+
+
+def _assert_cuts_keep_the_bits(p1, o1, p2, o2, M):
+    whole, overflow = convolve._convolve_defective(p1, o1, p2, o2, M)
+    for first in _first_cuts(M):
+        cells, ov = convolve._convolve_defective(p1, o1, p2, o2, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+        assert ov == overflow
+    return whole
+
+
+# M + 1 cells at and around the top cells (16), the tiles (64 cells) and
+# the windows copied per call (8 tiles).
+@pytest.mark.parametrize("M", [1, 5, 15, 16, 17, 63, 64, 79, 80, 81, 527, 528, 1040, 3000])
 def test_convolve_defective_from_first_keeps_the_bits(M):
     rng = np.random.default_rng(M)
     p1, p2 = rng.random(M + 1) ** 4, rng.random(M + 1) ** 4
-    whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
-    # the blocked np.convolve loop, term for term
-    ref = np.zeros(M + 1)
-    for b in range(0, M + 1, convolve._BLOCK):
-        ref[b:] += np.convolve(p1[b : b + convolve._BLOCK], p2[: M + 1 - b])[: M + 1 - b]
-    assert np.array_equal(whole, ref)
-    cuts = {1, 2, M // 2, M - 1030, M - 1024, M - 1023, M - 12, M - 8, M - 2, M - 1, M}
-    for first in sorted(c for c in cuts if 1 <= c <= M):
-        cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M, first)
-        assert np.array_equal(cells, whole[first:]), first
-        assert ov == overflow
+    _assert_cuts_keep_the_bits(p1, 0.25, p2, 0.125, M)
+
+
+def _gemm_tiles(monkeypatch):
+    """A list of the tiles of the left factor that each GEMM of the dense
+    route multiplies (its rows over the tile size)."""
+    tiles = []
+    matmul = np.matmul
+
+    def counted(a, b, out=None):
+        if a.ndim == 2:
+            tiles.append(a.shape[0])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return tiles
 
 
 @pytest.mark.parametrize("M", [1025, 3000, 5000])
-def test_convolve_defective_skips_zero_blocks_and_keeps_the_bits(monkeypatch, M):
-    # A staircase with few atoms (dyadic_pareto's) leaves whole blocks of
-    # the left factor at zero; their dots would add exact zeros.
+def test_convolve_defective_leaves_out_zero_tiles_and_keeps_the_bits(monkeypatch, M):
+    # A capped staircase is zero past the cap: its tiles there add exact
+    # zeros, and the GEMMs leave them out.  Zero tiles inside are formed.
     rng = np.random.default_rng(M)
+    m = convolve._TILE
     p1, p2 = rng.random(M + 1) ** 4, rng.random(M + 1) ** 4
-    p1[: convolve._BLOCK] = 0.0
-    p1[2 * convolve._BLOCK : 3 * convolve._BLOCK] = 0.0
-    p2[convolve._BLOCK : 2 * convolve._BLOCK] = 0.0
-    ref = np.zeros(M + 1)
-    for b in range(0, M + 1, convolve._BLOCK):
-        ref[b:] += np.convolve(p1[b : b + convolve._BLOCK], p2[: M + 1 - b])[: M + 1 - b]
-    blocks = []
-    outputs = convolve._outputs_from
-
-    def counted(a, *args):
-        blocks.append(len(a))
-        return outputs(a, *args)
-
-    monkeypatch.setattr(convolve, "_outputs_from", counted)
-    whole, overflow = convolve._convolve_defective(p1, 0.25, p2, 0.125, M)
-    assert np.array_equal(whole, ref)
-    nonzero = [b for b in range(0, M + 1, convolve._BLOCK) if p1[b : b + convolve._BLOCK].any()]
-    assert len(blocks) == len(nonzero)
-    for first in (1, M // 2, M - 7, M):
-        cells, ov = convolve._convolve_defective(p1, 0.25, p2, 0.125, M, first)
-        assert np.array_equal(cells, whole[first:]), first
-        assert ov == overflow
+    p1[2 * m : 5 * m] = 0.0
+    p1[M // 2 :] = 0.0
+    p2[m : 3 * m] = 0.0
+    tiles = _gemm_tiles(monkeypatch)
+    whole = _assert_cuts_keep_the_bits(p1, 0.25, p2, 0.125, M)
+    exact = [math.fsum((p1[: k + 1] * p2[k::-1]).tolist()) for k in range(M + 1)]
+    np.testing.assert_allclose(whole, exact, rtol=(M + 1) * EPS, atol=0)
+    # tile s of p1 meets GEMMs d <= S - 1 - s; the tiles from (M / 2) / m on
+    # are zero
+    S = (M - convolve._TOP) // m + 1
+    last = (M // 2 - 1) // m
+    assert tiles[: S] == [min(last, S - 1 - d) + 1 for d in range(S)]
 
 
 def test_convolve_defective_spill_keeps_relative_accuracy():
@@ -509,22 +537,7 @@ def test_convolve_defective_spill_keeps_relative_accuracy():
     assert grid[M] == pytest.approx(2e-150, rel=4 * EPS)
 
 
-def _blocked_square(p, M):
-    """Cells 0..M of p * p as ``_square_cells`` sums them, through every
-    block: its own product once, then twice its dots against the cells
-    after it, each by np.convolve."""
-    B = convolve._BLOCK
-    ref = np.zeros(M + 1)
-    for b in range(0, M // 2 + 1, B):
-        block, rest = p[b : b + B], p[b + B : M + 1 - b]
-        own = np.convolve(block, block)[: M + 1 - 2 * b]
-        ref[2 * b : 2 * b + len(own)] += own
-        if len(rest):
-            ref[2 * b + B :] += 2.0 * np.convolve(block[: len(rest)], rest)[: len(rest)]
-    return ref
-
-
-_SQUARE_MS = [0, 1, 5, 11, 1022, 1023, 1024, 1025, 2047, 2048, 3000]
+_SQUARE_MS = [0, 1, 5, 11, 15, 16, 17, 63, 64, 80, 81, 144, 145, 1022, 1025, 2047, 3000]
 
 
 @pytest.mark.parametrize("M", _SQUARE_MS)
@@ -536,77 +549,90 @@ def test_square_matches_an_exact_sum(M):
     np.testing.assert_allclose(cells, exact, rtol=(M + 1) * EPS, atol=0)
     # the spill and overflow formula is the product's
     assert overflow == convolve._convolve_defective(p, 0.25, p.copy(), 0.25, M)[1]
-    assert np.array_equal(cells, _blocked_square(p, M))
 
 
-# cuts around the blocks' own products (cells 2b..2b + 2047) and their
-# dots against later cells (from 2b + 1024)
-@pytest.mark.parametrize("M", [1, 5, 11, 1022, 1023, 1024, 1025, 2047, 2048, 3000, 5000])
+# cuts around the band steps (tile rows 2d - 1 and 2d) and the top cells
+@pytest.mark.parametrize("M", [1, 5, 11, 16, 17, 127, 128, 129, 1023, 1024, 2047, 3000, 5000])
 def test_square_from_first_keeps_the_bits(M):
     rng = np.random.default_rng(M)
     p = rng.random(M + 1) ** 4
-    whole, overflow = convolve._convolve_defective(p, 0.25, p, 0.25, M)
-    edges = [e + d for e in (1024, 2048, 3072, 4096, M // 2, M) for d in (-2, -1, 0, 1)]
-    for first in sorted({c for c in [1, 2, *edges] if 1 <= c <= M}):
-        cells, ov = convolve._convolve_defective(p, 0.25, p, 0.25, M, first)
-        assert np.array_equal(cells, whole[first:]), first
-        assert ov == overflow
+    _assert_cuts_keep_the_bits(p, 0.25, p, 0.25, M)
 
 
 @pytest.mark.parametrize("M", [3000, 5000])
-def test_square_skips_zero_blocks(monkeypatch, M):
+def test_square_leaves_out_zero_tiles(monkeypatch, M):
     rng = np.random.default_rng(M)
-    p = rng.random(M + 1) ** 4
-    p[: convolve._BLOCK] = 0.0
-    p[2 * convolve._BLOCK : 3 * convolve._BLOCK] = 0.0
-    ref = _blocked_square(p, M)
-    blocks = []
-    outputs = convolve._outputs_from
-
-    def counted(a, *args):
-        blocks.append(len(a))
-        return outputs(a, *args)
-
-    monkeypatch.setattr(convolve, "_outputs_from", counted)
-    whole, _ = convolve._convolve_defective(p, 0.25, p, 0.25, M)
-    assert np.array_equal(whole, ref)
-    # blocks at b <= M / 2 with cells after them up to M - b, and not all zero
-    kept = [
-        b for b in range(0, M // 2 + 1, convolve._BLOCK)
-        if p[b : b + convolve._BLOCK].any() and b + convolve._BLOCK <= M - b
-    ]
-    assert len(blocks) == len(kept)
-    for first in (1, M // 2, M - 7, M):
-        cells, _ = convolve._convolve_defective(p, 0.25, p, 0.25, M, first)
-        assert np.array_equal(cells, whole[first:]), first
+    m = convolve._TILE
+    p = rng.random(M + 1) ** 4 / (M + 1)
+    p[m : 3 * m] = 0.0
+    p[M // 3 :] = 0.0
+    tiles = _gemm_tiles(monkeypatch)
+    whole = _assert_cuts_keep_the_bits(p, 0.25, p, 0.25, M)
+    exact = [math.fsum((p[: k + 1] * p[k::-1]).tolist()) for k in range(M + 1)]
+    np.testing.assert_allclose(whole, exact, rtol=(M + 1) * EPS, atol=0)
+    # GEMM d takes tiles s <= d - 2 with s + d <= S - 1, up to the last
+    # nonzero tile, and runs to one past it
+    S = (M - convolve._TOP) // m + 1
+    last = (M // 3 - 1) // m
+    want = [min(last, S - 1 - d, d - 2) + 1 for d in range(last + 2)]
+    assert tiles[: len([w for w in want if w > 0])] == [w for w in want if w > 0]
 
 
 def test_square_forms_about_half_the_products(monkeypatch):
-    # Count the products of every np.correlate and np.dot the kernel takes.
+    # Count the products of every GEMM and batched GEMM the kernel takes,
+    # and of the top cells' sums.
     M = 8191
     products = []
-    correlate, dot = np.correlate, np.dot
+    matmul, top = np.matmul, convolve._top_cells
 
-    def counted_correlate(a, v, mode):
-        k = len(a) * len(v) if mode == "full" else (len(a) - len(v) + 1) * len(v)
-        products.append(k)
-        return correlate(a, v, mode)
+    def counted_matmul(a, b, out=None):
+        products.append(a.size // a.shape[-1] * b.shape[-2] * b.shape[-1])
+        return matmul(a, b, out=out)
 
-    def counted_dot(a, b):
-        products.append(len(a))
-        return dot(a, b)
+    def counted_top(p1, p2, M, lo):
+        products.append((M + 1) * (M + 1 - lo))
+        return top(p1, p2, M, lo)
 
     p = np.random.default_rng(1).random(M + 1) / (M + 1)
-    monkeypatch.setattr(np, "correlate", counted_correlate)
-    monkeypatch.setattr(np, "dot", counted_dot)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    monkeypatch.setattr(convolve, "_top_cells", counted_top)
     convolve._convolve_defective(p, 0.0, p.copy(), 0.0, M)
     product = sum(products)
     products.clear()
     convolve._convolve_defective(p, 0.0, p, 0.0, M)
     square = sum(products)
-    # (M + 1)^2 / 2 against (M + 1)^2 / 4, plus a block's own products
+    # (M + 1)^2 / 2 against (M + 1)^2 / 4, plus the band steps' 3 m^2 per
+    # tile pair on the diagonal and the tiles the triangle cuts
     assert product >= (M + 1) ** 2 / 2
-    assert square <= product / 2 + (M + 1) * convolve._BLOCK / 2
+    assert square <= product / 2 + 2 * (M + 1) * convolve._TILE
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from tailforge import convolve
+M = 20000
+p = np.random.default_rng(7).random(M + 1) / (M + 1)
+q = np.random.default_rng(8).random(M + 1) / (M + 1)
+for a, b in ((p, p), (p, q)):
+    cells, overflow = convolve._convolve_defective(a, 0.0, b, 0.0, M)
+    print(hashlib.sha256(cells.tobytes()).hexdigest(), float(overflow).hex())
+"""
+
+
+def test_fold_keeps_its_bits_across_blas_thread_counts():
+    # A threaded dot splits its sum across threads; the GEMMs split only
+    # their rows and columns, and the top cells call no BLAS.
+    src = str(Path(convolve.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert out[0] == out[1] and len(out[0].split()) == 4
 
 
 def _scattered(M, k, seed):
@@ -717,9 +743,9 @@ def test_sparse_fold_chunks_keep_the_bits(monkeypatch, chunk, square):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_dyadic_folds_take_the_sparse_route(dyadic, monkeypatch, n):
     # At h = 1/8 and 20001 cells, dyadic_pareto's S_1 has 16 nonzero cells
-    # and S_2 120, but most 1024-cell blocks of both hold one of them.
+    # and S_2 120, spread over most of the 64-cell tiles.
     dense = []
-    for name in ("_outputs_from", "_square_cells", "_product_cells"):
+    for name in ("_tiled_cells", "_top_cells"):
         def counted(*args, kernel=getattr(convolve, name), name=name):
             dense.append(name)
             return kernel(*args)
@@ -738,7 +764,8 @@ def _two_chain(monkeypatch):
     masses = convolve._staircase_masses
 
     def forced(*args):
-        return (*masses(*args)[:4], True)
+        out = masses(*args)
+        return (*out[:4], True, *out[5:])
 
     monkeypatch.setattr(convolve, "_staircase_masses", forced)
 

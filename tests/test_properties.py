@@ -17,6 +17,7 @@ from tailforge import (  # noqa: E402
     gamma_transform,
     power_tail,
 )
+from tailforge import convolve  # noqa: E402
 from tailforge.distribution import Distribution  # noqa: E402
 from tailforge.tailcurve import (  # noqa: E402
     AffineSegment,
@@ -198,3 +199,42 @@ def test_power_of_tilt_is_tilt_of_power(curve_kinds, gamma, m, fractions):
     assert [a.location for a in power_of_tilt.atoms] == [a.location for a in tilt_of_power.atoms]
     for a, b in zip(power_of_tilt.atoms, tilt_of_power.atoms):
         assert abs(a.log_mass - b.log_mass) <= 1e-12 * max(1.0, abs(b.log_mass))
+
+
+# ------------------------------------------------------- staircase fold kernel
+
+
+_KERNEL_CASES = st.tuples(
+    st.integers(0, 3 * convolve._TILE + 5),
+    st.sampled_from(["dense", "sparse", "zero-tiles"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_KERNEL_CASES)
+def test_fold_is_accurate_and_keeps_its_bits_from_every_first(case):
+    # Every size up to three tiles and five cells, across the top cells'
+    # edge, with factors of every kind, as a square and as a product.
+    M, kind, square, seed = case
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        p = rng.random(M + 1) / (M + 1)
+        if kind == "sparse":
+            p[rng.random(M + 1) < 0.9] = 0.0
+        elif kind == "zero-tiles":
+            p[convolve._TILE : 2 * convolve._TILE] = 0.0
+            p[(M * 2) // 3 :] = 0.0
+        return p
+
+    p1 = factor()
+    p2 = p1 if square else factor()
+    whole, overflow = convolve._convolve_defective(p1, 0.5, p2, 0.25, M)
+    exact = [math.fsum((p1[: k + 1] * p2[k::-1]).tolist()) for k in range(M + 1)]
+    np.testing.assert_allclose(whole, exact, rtol=(M + 1) * np.finfo(float).eps, atol=0)
+    for first in range(1, M + 1):
+        cells, ov = convolve._convolve_defective(p1, 0.5, p2, 0.25, M, first)
+        assert np.array_equal(cells, whole[first:]), first
+        assert ov == overflow

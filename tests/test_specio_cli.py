@@ -211,6 +211,25 @@ def test_cli_conv_stdout_reads_the_log_bounds(capsys):
     assert float(x1600[1]) <= math.log(1601.0) - 1600.0 <= float(x1600[2]) < -700
 
 
+def test_cli_conv_brackets_the_erlang_tail_on_157_tiles(capsys):
+    # The workflow's smoke line: 20 001 cells, the dense kernel's 157
+    # tiles below the top cells; log P(S_3 > 20) = log(221) - 20.
+    argv = ["conv", "--dist", "exponential:lam=1", "--n", "3", "--x", "20", "--h", "0.001"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == "20" and float(row[1]) <= -14.601837298482248 <= float(row[2])
+
+
+def test_cli_conv_capped_upper_bound_is_at_most_one(capsys):
+    # The workflow's smoke line: the union bound n F(v / n) ignores the cap,
+    # and read 0.643 here; the restricted mass is (1 - e^{-1e-300})^2.
+    argv = ["conv", "--dist", "exponential:lam=1", "--n", "2", "--x", "0.1", "--h", "0.1"]
+    assert main([*argv, "--cap", "1e-300"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[2]) <= 0.0
+    assert float(row[2]) == pytest.approx(2 * math.log(1e-300), rel=1e-12)
+
+
 _FN = ["functional", "--dist", "pareto:alpha=3", "--x", "8,16"]
 _EXP1 = ["--dist", "exponential:lam=1"]
 # Commands with one table form: they write csv and refuse json.  dist eval
