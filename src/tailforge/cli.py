@@ -19,7 +19,7 @@ from .convolve import convn_tail_grid, trunc_convn_tail_grid
 from .distribution import quantile_from_tail, sample
 from .errors import ParameterError, TailforgeError
 from .experiments import EXPERIMENT_IDS, run_experiment
-from .export import _dest_stream, _write_csv, _write_json, export_grid, fmt_float, result_from_obj
+from .export import _dest_stream, _write_csv, _write_json, export_grid, result_from_obj
 from .functionals import (
     ClassifyConfig,
     b2_cond,
@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--u", type=_parse_grid, default=None, help="grid of quantile levels")
     ev.add_argument("--out", default=None)
+    ev.set_defaults(parser=ev)
     smp = dist_sub.add_parser("sample", help="inverse-transform sampling")
     smp.add_argument("--dist", required=True)
     smp.add_argument("--n", type=int, required=True)
@@ -168,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dist(args) -> int:
+    if args.dist_command == "eval" and args.x is None and args.u is None:
+        args.parser.error("dist eval needs --x, --u or both")
     d = resolve_dist(args.dist)
     if args.dist_command == "show":
         info = {
@@ -191,19 +194,14 @@ def _cmd_dist(args) -> int:
         with _dest_stream(args.out) as fh:
             if args.x is not None:
                 ls = np.atleast_1d(d.tail.log_tail(args.x))
-                rows = [
-                    [fmt_float(float(x)), fmt_float(float(l)), fmt_float(math.exp(l))]
-                    for x, l in zip(args.x, ls)
-                ]
+                rows = [(x, l, math.exp(l)) for x, l in zip(args.x, ls)]
                 _write_csv(fh, ["x", "log_tail", "tail"], rows)
             if args.u is not None:
                 qs = np.atleast_1d(quantile_from_tail(d, args.u))
-                rows = [[fmt_float(float(u)), fmt_float(float(q))] for u, q in zip(args.u, qs)]
-                _write_csv(fh, ["u", "quantile"], rows)
+                _write_csv(fh, ["u", "quantile"], zip(args.u, qs))
         return 0
     if args.dist_command == "sample":
-        xs = sample(d, args.seed, args.n)
-        _write_csv(args.out, ["sample"], [[fmt_float(float(v))] for v in xs])
+        _write_csv(args.out, ["sample"], zip(sample(d, args.seed, args.n)))
         return 0
     raise AssertionError("unreachable")
 
@@ -220,16 +218,12 @@ def _cmd_functional(args) -> int:
         export_grid(series, args.format, args.out)
         return 0
     if kind == "jump":
-        rows = []
-        for x in xs:
-            br = jump_cond(d, args.n, float(x), args.K, args.h)
-            rows.append(
-                [fmt_float(float(x)), fmt_float(args.K), str(args.n), fmt_float(br.lower), fmt_float(br.upper)]
-            )
+        brs = [jump_cond(d, args.n, float(x), args.K, args.h) for x in xs]
+        rows = [(x, args.K, args.n, br.lower, br.upper) for x, br in zip(xs, brs)]
         _write_csv(args.out, ["x", "K", "n", "lower", "upper"], rows)
         return 0
     fn = t_ratio if kind == "t_ratio" else b2_cond
-    rows = [[fmt_float(float(x)), fmt_float(args.K), fmt_float(fn(d, float(x), args.K, qcfg))] for x in xs]
+    rows = [(x, args.K, fn(d, float(x), args.K, qcfg)) for x in xs]
     _write_csv(args.out, ["x", "K", kind], rows)
     return 0
 
@@ -245,7 +239,7 @@ def _cmd_conv(args) -> int:
     if args.out is None and args.format == "csv":
         # The requested x values only, not the full grid --out writes.
         method = f"bracket-h={args.h:g}"
-        rows = [[fmt_float(float(x)), *map(fmt_float, grid.log_at(float(x))), method] for x in xs]
+        rows = [(x, *grid.log_at(float(x)), method) for x in xs]
         _write_csv(None, ["x", "lower", "upper", "method"], rows)
         return 0
     export_grid(grid, args.format, args.out)

@@ -31,7 +31,7 @@ from .builtins import (
 from .convolve import _fused_and_split
 from .distribution import Distribution, exp_moment, power_tail
 from .errors import DivergenceError, ParameterError, TailforgeError, TruncationError
-from .export import _write_csv, _write_json, export_grid, fmt_float
+from .export import _write_csv, _write_json, export_grid
 from .functionals import (
     _b2_profile,
     _t_ratios,
@@ -50,9 +50,22 @@ __all__ = ["EXPERIMENT_IDS", "run_experiment"]
 EXPERIMENT_IDS = ("prop-1.1", "prop-1.2", "prop-1.3", "prop-1.4", "thm-1.1")
 
 
-class _Expectations:
-    def __init__(self) -> None:
+class _Run:
+    """One experiment's output directory, its checks, and the names of the
+    tables it wrote, in write order."""
+
+    def __init__(self, out: Path) -> None:
+        self.out = out
         self.items: list[dict[str, Any]] = []
+        self.artifacts: list[str] = []
+
+    def table(self, name: str, header: list[str], rows) -> None:
+        _write_csv(self.out / name, header, rows)
+        self.artifacts.append(name)
+
+    def series(self, name: str, result) -> None:
+        export_grid(result, "csv", self.out / name)
+        self.artifacts.append(name)
 
     def check(self, name: str, passed: bool, detail: str) -> None:
         self.items.append({"name": name, "passed": bool(passed), "detail": detail})
@@ -75,25 +88,24 @@ def run_experiment(exp_id: str, out_dir: str | os.PathLike) -> int:
     runner, cfg = _SCRIPTS[exp_id]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    exp = _Expectations()
-    artifacts = runner(cfg, out, exp)
+    run = _Run(out)
+    runner(cfg, run)
     summary = {
         "experiment": exp_id,
         "config": cfg,
-        "expectations": exp.items,
-        "passed": exp.all_passed,
-        "first_failure": exp.first_failure(),
-        "artifacts": artifacts,
+        "expectations": run.items,
+        "passed": run.all_passed,
+        "first_failure": run.first_failure(),
+        "artifacts": run.artifacts,
     }
     _write_json(out / "summary.json", summary)
-    return 0 if exp.all_passed else 1
+    return 0 if run.all_passed else 1
 
 
-def _K_profile(Ks, x: float, vals: list[float], path: Path, col: str) -> None:
+def _K_profile(run: _Run, name: str, Ks, x: float, vals: list[float], col: str) -> None:
     """Write the values of one K-profile at threshold x as the
-    ``K,x,<col>`` table at ``path``."""
-    rows = [[fmt_float(K), fmt_float(x), fmt_float(v)] for K, v in zip(Ks, vals)]
-    _write_csv(path, ["K", "x", col], rows)
+    ``K,x,<col>`` table ``name``."""
+    run.table(name, ["K", "x", col], [(K, x, v) for K, v in zip(Ks, vals)])
 
 
 def _rises(vals: list[float], level: float) -> bool:
@@ -101,17 +113,15 @@ def _rises(vals: list[float], level: float) -> bool:
     return all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])) and vals[-1] >= level
 
 
-def _shift_ratio_unsettled(
-    G: Distribution, grid: np.ndarray, qcfg: QuadConfig, out: Path, exp: _Expectations
-) -> None:
+def _shift_ratio_unsettled(G: Distribution, grid: np.ndarray, qcfg: QuadConfig, run: _Run) -> None:
     """Write G(x+1)/G(x) on the shift-probe grid to ``shift_ratio.csv`` and
     expect it not to settle: G is in L(beta) iff the ratio settles at
     e^{-beta}, so this one series refutes every rate."""
     shift = ratio_diagnostic(
         G, "lgamma", shift_probe_grid(G, grid, 1.0), t=1.0, gamma=0.0, cfg=qcfg
     )
-    export_grid(shift, "csv", out / "shift_ratio.csv")
-    exp.check(
+    run.series("shift_ratio.csv", shift)
+    run.check(
         "shift-ratio-unsettled", shift.trend != "converging", f"G(x+1)/G(x) trend {shift.trend}"
     )
 
@@ -130,21 +140,20 @@ _PROP11: dict[str, Any] = {
 }
 
 
-def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
+def _run_prop11(cfg: dict, run: _Run) -> None:
     qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
     F = fkz_example()
     G = gamma_transform(F, cfg["gamma"])
     a = fkz_a_sequence()
 
     bounds = {n: exam300_lower_bound(n) for n in cfg["bound_n"]}
-    rows = [[str(n), fmt_float(v)] for n, v in bounds.items()]
-    _write_csv(out / "exam300.csv", ["n", "lower_bound"], rows)
+    run.table("exam300.csv", ["n", "lower_bound"], bounds.items())
     ns = sorted(cfg["bound_n"])
     increasing = all(
         bounds[ns[i + 1]] > bounds[ns[i]] for i in range(len(ns) - 1) if ns[i] >= 2
     )
-    exp.check("exam300-increasing-from-2", increasing, f"bounds {bounds}")
-    exp.check(
+    run.check("exam300-increasing-from-2", increasing, f"bounds {bounds}")
+    run.check(
         "exam300-explodes", bounds[max(ns)] > 1e10, f"bound at n={max(ns)} is {bounds[max(ns)]:.3e}"
     )
 
@@ -154,16 +163,16 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     gate_x = [a[n + 1] ** 2 for n in cfg["gate_n"]]
     ratios = ratio_diagnostic(F, "osstar", gate_x, cfg=qcfg).values.tolist()
     for n, x, ratio in zip(cfg["gate_n"], gate_x, ratios):
-        ratio_rows.append([str(n), fmt_float(x), fmt_float(ratio), fmt_float(bounds[n])])
+        ratio_rows.append((n, x, ratio, bounds[n]))
         if not ratio >= bounds[n]:
             chain_ok = False
-    _write_csv(out / "osstar_at_breakpoints.csv", ["n", "x", "osstar_ratio", "lower_bound"], ratio_rows)
-    exp.check("osstar-dominates-bound", chain_ok, "cross-integral ratio >= lower bound at a_{n+1}^2")
+    run.table("osstar_at_breakpoints.csv", ["n", "x", "osstar_ratio", "lower_bound"], ratio_rows)
+    run.check("osstar-dominates-bound", chain_ok, "cross-integral ratio >= lower bound at a_{n+1}^2")
 
     grid = geometric_grid(F, 2.0, cfg["x_cap"], 22)
     osstar = ratio_diagnostic(F, "osstar", grid, cfg=qcfg)
-    export_grid(osstar, "csv", out / "osstar_series.csv")
-    exp.check("osstar-diverging", osstar.trend == "diverging", f"trend {osstar.trend}")
+    run.series("osstar_series.csv", osstar)
+    run.check("osstar-diverging", osstar.trend == "diverging", f"trend {osstar.trend}")
 
     # Tilted two-fold ratio, read through the base F on the full grid.  Its
     # two quadratures, fused (f + gamma F in one pass) and split (F2bar and
@@ -174,22 +183,15 @@ def _run_prop11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     for x, (fused, split) in zip(xs, _fused_and_split(F, cfg["gamma"], xs, qcfg)):
         rel = abs(math.expm1(split - fused))
         lt = F.tail.log_tail(x)
-        id_rows.append([fmt_float(v) for v in (x, math.exp(fused - lt), math.exp(split - lt), rel)])
+        id_rows.append((x, math.exp(fused - lt), math.exp(split - lt), rel))
         if rel > 1e-6:
             id_ok = False
-    _write_csv(out / "os_identity_check.csv", ["x", "fused", "split", "rel_err"], id_rows)
-    exp.check("os-identity-agrees", id_ok, "fused and split tilted ratios match to 1e-6")
+    run.table("os_identity_check.csv", ["x", "fused", "split", "rel_err"], id_rows)
+    run.check("os-identity-agrees", id_ok, "fused and split tilted ratios match to 1e-6")
 
     os_g = ratio_diagnostic(G, "os", grid, cfg=qcfg)
-    export_grid(os_g, "csv", out / "os_transform.csv")
-    exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
-    return [
-        "exam300.csv",
-        "osstar_at_breakpoints.csv",
-        "osstar_series.csv",
-        "os_identity_check.csv",
-        "os_transform.csv",
-    ]
+    run.series("os_transform.csv", os_g)
+    run.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
 
 
 # ------------------------------------------------------------------ prop 1.2
@@ -205,7 +207,7 @@ _PROP12: dict[str, Any] = {
 }
 
 
-def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
+def _run_prop12(cfg: dict, run: _Run) -> None:
     qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
     F = fkz_example()
     G = gamma_transform(F, cfg["gamma"])
@@ -219,28 +221,27 @@ def _run_prop12(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     deep_ok = True
     for K, x in pairs:
         v = t_at[K, x]
-        rows.append([fmt_float(K), fmt_float(x), fmt_float(v)])
+        rows.append((K, x, v))
         if x in cfg["deep_x"] and v > cfg["t_gate"]:
             deep_ok = False
-    _write_csv(out / "t_ratio.csv", ["K", "x", "t_ratio"], rows)
-    exp.check(
+    run.table("t_ratio.csv", ["K", "x", "t_ratio"], rows)
+    run.check(
         "t-criterion-fails",
         deep_ok,
         f"t_ratio at the deep probes stays <= {cfg['t_gate']}",
     )
 
     b2_vals = _b2_profile(G, a[4] ** 2, cfg["b2_K_list"], qcfg)
-    _K_profile(cfg["b2_K_list"], a[4] ** 2, b2_vals, out / "b2_transform.csv", "b2")
-    exp.check(
+    _K_profile(run, "b2_transform.csv", cfg["b2_K_list"], a[4] ** 2, b2_vals, "b2")
+    run.check(
         "b2-transform-low",
         not any(v > cfg["t_gate"] for v in b2_vals),
         f"small-summand probability stuck <= {cfg['t_gate']}",
     )
 
     os_g = ratio_diagnostic(G, "os", geometric_grid(G, 2.0, cfg["x_cap"], 22), cfg=qcfg)
-    export_grid(os_g, "csv", out / "os_transform.csv")
-    exp.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
-    return ["t_ratio.csv", "b2_transform.csv", "os_transform.csv"]
+    run.series("os_transform.csv", os_g)
+    run.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
 
 
 # ------------------------------------------------------------------ prop 1.3
@@ -280,7 +281,7 @@ _PROP13: dict[str, Any] = {
 }
 
 
-def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
+def _run_prop13(cfg: dict, run: _Run) -> None:
     qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
     F = dyadic_pareto()
     G = gamma_transform(F, cfg["gamma"])
@@ -288,20 +289,18 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     # t_ratio K-profiles on the power-of-two grid.
     cells = [(K, m) for K in cfg["K_list"] for m in cfg["m_grid"]]
     t_at = _t_ratios(F, [(K, 2.0**m) for K, m in cells], qcfg)
-    rows = [
-        [fmt_float(K), str(m), fmt_float(2.0**m), fmt_float(t_at[K, 2.0**m])] for K, m in cells
-    ]
-    _write_csv(out / "t_ratio.csv", ["K", "m", "x", "t_ratio"], rows)
+    rows = [(K, m, 2.0**m, t_at[K, 2.0**m]) for K, m in cells]
+    run.table("t_ratio.csv", ["K", "m", "x", "t_ratio"], rows)
     K_max = max(cfg["K_list"])
     gate_min = min(t_at[K_max, 2.0**m] for m in cfg["m_grid"] if m >= cfg["gate_m_min"])
-    exp.check(
+    run.check(
         "t-ratio-near-1",
         gate_min >= cfg["gate_level"],
         f"min t_ratio at K={K_max:g} over m >= {cfg['gate_m_min']} is {gate_min:.4g}",
     )
     tol = 10.0 * cfg["rel_tol"]
     gap = max(abs(t_at[K, 2.0**m] / _dyadic_step_t(2.0**m, K) - 1.0) for K, m in cells)
-    exp.check(
+    run.check(
         "t-ratio-matches-step-sum",
         gap <= tol,
         f"largest relative gap to the exact step-function sum is {gap:.3e} "
@@ -309,12 +308,12 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     )
 
     # The transform lies in no L(beta).
-    _shift_ratio_unsettled(G, geometric_grid(G, 64.0, 2.0**20, 25), qcfg, out, exp)
+    _shift_ratio_unsettled(G, geometric_grid(G, 64.0, 2.0**20, 25), qcfg, run)
 
     # S(gamma) evidence-against: the two-fold ratio of G does not converge.
     os_g = ratio_diagnostic(G, "os", geometric_grid(G, 4.0, 2.0**20, 22), cfg=qcfg)
-    export_grid(os_g, "csv", out / "os_transform.csv")
-    exp.check(
+    run.series("os_transform.csv", os_g)
+    run.check(
         "sgamma-against",
         os_g.trend != "converging",
         f"two-fold ratio of the transform has trend {os_g.trend}",
@@ -332,18 +331,17 @@ def _run_prop13(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
         heavy_ok = False
     except (DivergenceError, TruncationError):
         heavy_ok = True
-    exp.check("transform-light-tailed", light_ok, "exp moment at gamma/2 finite for the transform")
-    exp.check("source-heavy-tailed", heavy_ok, "no positive exp moment certifiable for the source")
+    run.check("transform-light-tailed", light_ok, "exp moment at gamma/2 finite for the transform")
+    run.check("source-heavy-tailed", heavy_ok, "no positive exp moment certifiable for the source")
 
     # J evidence on the transform: small-summand profile rises with K.
     b2_vals = _b2_profile(G, cfg["b2_x"], cfg["b2_K_list"], qcfg)
-    _K_profile(cfg["b2_K_list"], cfg["b2_x"], b2_vals, out / "b2_transform.csv", "b2")
-    exp.check(
+    _K_profile(run, "b2_transform.csv", cfg["b2_K_list"], cfg["b2_x"], b2_vals, "b2")
+    run.check(
         "b2-transform-rises",
         _rises(b2_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
-    return ["t_ratio.csv", "shift_ratio.csv", "os_transform.csv", "b2_transform.csv"]
 
 
 # ------------------------------------------------------------------ prop 1.4
@@ -362,7 +360,7 @@ _PROP14: dict[str, Any] = {
 }
 
 
-def _run_prop14(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
+def _run_prop14(cfg: dict, run: _Run) -> None:
     qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
     F = plateau_example(a=cfg["a"])
     F1 = weibull_heavy(0.5)
@@ -370,55 +368,44 @@ def _run_prop14(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     grid = geometric_grid(F, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"])
     ol = ratio_diagnostic(F, "ol", grid, t=cfg["t"], cfg=qcfg)
-    export_grid(ol, "csv", out / "ol_series.csv")
+    run.series("ol_series.csv", ol)
     late_max = float(np.max(ol.values[len(ol.values) // 2 :]))
     not_long = not (ol.trend == "converging" and ol.limit is not None and abs(ol.limit - 1) <= 0.02)
-    exp.check(
+    run.check(
         "ol-bounded-but-not-1",
         not_long and cfg["a"] - 0.05 <= late_max <= cfg["a"] * (1.0 + 1e-3),
         f"late shift-ratio peak {late_max:.6g} pins the plateau factor a={cfg['a']:g}",
     )
 
     dser = ratio_diagnostic(F, "d", grid, cfg=qcfg)
-    export_grid(dser, "csv", out / "d_series.csv")
-    exp.check("d-diverging", dser.trend == "diverging", f"halving ratio trend {dser.trend}")
+    run.series("d_series.csv", dser)
+    run.check("d-diverging", dser.trend == "diverging", f"halving ratio trend {dser.trend}")
 
     # Weak tail equivalence to the base: ratio pinned inside [1, a].
     lt_f = np.atleast_1d(F.tail.log_tail(grid))
     lt_f1 = np.atleast_1d(F1.tail.log_tail(grid))
     ratio = np.exp(lt_f - lt_f1)
     equiv_ok = bool(np.all(ratio >= 1.0 - 1e-9) and np.all(ratio <= cfg["a"] + 1e-9))
-    _write_csv(
-        out / "weak_equiv_base.csv",
-        ["x", "tail_ratio"],
-        [[fmt_float(float(x)), fmt_float(float(r))] for x, r in zip(grid, ratio)],
-    )
-    exp.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
+    run.table("weak_equiv_base.csv", ["x", "tail_ratio"], zip(grid, ratio))
+    run.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
 
     # J mechanism on the source and the transform: profiles rise toward 1.
     t_at = _t_ratios(F, [(K, cfg["x_star"]) for K in cfg["K_list"]], qcfg)
     t_vals = [t_at[K, cfg["x_star"]] for K in cfg["K_list"]]
-    _K_profile(cfg["K_list"], cfg["x_star"], t_vals, out / "t_ratio.csv", "t_ratio")
-    exp.check(
+    _K_profile(run, "t_ratio.csv", cfg["K_list"], cfg["x_star"], t_vals, "t_ratio")
+    run.check(
         "t-ratio-rises",
         _rises(t_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in t_vals]}",
     )
 
     b2_vals = _b2_profile(G, cfg["x_star"], cfg["K_list"], qcfg)
-    _K_profile(cfg["K_list"], cfg["x_star"], b2_vals, out / "b2_transform.csv", "b2")
-    exp.check(
+    _K_profile(run, "b2_transform.csv", cfg["K_list"], cfg["x_star"], b2_vals, "b2")
+    run.check(
         "b2-transform-rises",
         _rises(b2_vals, cfg["gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
-    return [
-        "ol_series.csv",
-        "d_series.csv",
-        "weak_equiv_base.csv",
-        "t_ratio.csv",
-        "b2_transform.csv",
-    ]
 
 
 # ------------------------------------------------------------------- thm 1.1
@@ -438,7 +425,7 @@ _THM11: dict[str, Any] = {
 }
 
 
-def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
+def _run_thm11(cfg: dict, run: _Run) -> None:
     qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
     alpha, x1 = cfg["alpha"], cfg["x1"]
     F = xu_piecewise(alpha, x1, m=1)
@@ -463,15 +450,9 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     hi_bound = alpha * math.log(2.0) - alpha * np.log(grid)
     slack = 1e-9
     bound_ok = bool(np.all(lt >= lo_bound - slack) and np.all(lt <= hi_bound + slack))
-    _write_csv(
-        out / "bound35.csv",
-        ["x", "log_tail", "log_lower", "log_upper"],
-        [
-            [fmt_float(float(a_)), fmt_float(float(b_)), fmt_float(float(c_)), fmt_float(float(d_))]
-            for a_, b_, c_, d_ in zip(grid, lt, lo_bound, hi_bound)
-        ],
-    )
-    exp.check("bound-3.5", bound_ok, f"sandwich holds on {len(grid)} points over {n_cycles} cycles")
+    rows = zip(grid, lt, lo_bound, hi_bound)
+    run.table("bound35.csv", ["x", "log_tail", "log_lower", "log_upper"], rows)
+    run.check("bound-3.5", bound_ok, f"sandwich holds on {len(grid)} points over {n_cycles} cycles")
 
     # Shift-ratio identity at the ramp tops: F(2x_n - t)/F(2x_n) = 1 + t - t/x_n.
     id_rows = []
@@ -484,11 +465,11 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
             ratio = math.exp(F.tail.log_tail(two_xn - t) - F.tail.log_tail(two_xn))
             target = 1.0 + t - t / xn
             rel = abs(ratio / target - 1.0)
-            id_rows.append([str(n), fmt_float(t), fmt_float(ratio), fmt_float(target), fmt_float(rel)])
+            id_rows.append((n, t, ratio, target, rel))
             if rel > 1e-12:
                 id_ok = False
-    _write_csv(out / "ol_identity.csv", ["n", "t", "ratio", "target", "rel_err"], id_rows)
-    exp.check("ol-identity", id_ok, f"{len(id_rows)} ramp-top ratios match 1 + t - t/x_n to 1e-12")
+    run.table("ol_identity.csv", ["n", "t", "ratio", "target", "rel_err"], id_rows)
+    run.check("ol-identity", id_ok, f"{len(id_rows)} ramp-top ratios match 1 + t - t/x_n to 1e-12")
 
     # Not weakly equivalent to anything long-tailed: sup shift ratio diverges
     # in t.  The grid probes the recurring ramp tops from the second cycle
@@ -496,8 +477,8 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     rec = xns[1:n_cycles]
     xgrid = np.unique(np.concatenate([2.0 * rec, 1.5 * rec, rec]))
     weak = weak_equiv_diag(F, cfg["t_list"], xgrid)
-    export_grid(weak, "csv", out / "weak_equiv.csv")
-    exp.check("weak-equiv-diverging", weak.trend == "diverging", f"trend {weak.trend}")
+    run.series("weak_equiv.csv", weak)
+    run.check("weak-equiv-diverging", weak.trend == "diverging", f"trend {weak.trend}")
 
     # Five-window small-summand criterion: T rises toward 1 in K, uniformly.
     nw = cfg["n_window"]
@@ -518,16 +499,16 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
     t_win: dict[float, dict[str, float]] = {K: {} for K in cfg["K_windows"]}
     for K, w, x in cells:
         v = t_at[K, x]
-        win_rows.append([fmt_float(K), w, fmt_float(x), fmt_float(v)])
+        win_rows.append((K, w, x, v))
         t_win[K][w] = v
-    _write_csv(out / "t_windows.csv", ["K", "window", "x", "t_ratio"], win_rows)
+    run.table("t_windows.csv", ["K", "window", "x", "t_ratio"], win_rows)
     ks = cfg["K_windows"]
     windows = sorted(t_win[ks[-1]])
     monotone = all(
         t_win[hi][w] >= t_win[lo][w] - 1e-9 for lo, hi in zip(ks, ks[1:]) for w in windows
     )
     top = min(t_win[ks[-1]].values())
-    exp.check(
+    run.check(
         "five-windows-rise",
         monotone and top >= cfg["gate_level"],
         f"min T per window at K={ks[-1]:g} is {top:.4g}; windows {windows}",
@@ -535,25 +516,17 @@ def _run_thm11(cfg: dict, out: Path, exp: _Expectations) -> list[str]:
 
     # No exponential rate fits the tilted power family.
     lg_grid = geometric_grid(Gm, 64.0, float(xns[7]) * 2.0, 25)
-    _shift_ratio_unsettled(Gm, lg_grid, qcfg, out, exp)
+    _shift_ratio_unsettled(Gm, lg_grid, qcfg, run)
 
     # J evidence for the tilted power family.
     x_star = 2.2 * xn
     b2_vals = _b2_profile(Gm, x_star, cfg["K_windows"], qcfg)
-    _K_profile(cfg["K_windows"], x_star, b2_vals, out / "b2_transform.csv", "b2")
-    exp.check(
+    _K_profile(run, "b2_transform.csv", cfg["K_windows"], x_star, b2_vals, "b2")
+    run.check(
         "b2-transform-rises",
         _rises(b2_vals, cfg["b2_gate_level"]),
         f"profile {['%.4g' % v for v in b2_vals]}",
     )
-    return [
-        "bound35.csv",
-        "ol_identity.csv",
-        "weak_equiv.csv",
-        "t_windows.csv",
-        "shift_ratio.csv",
-        "b2_transform.csv",
-    ]
 
 
 _SCRIPTS = {

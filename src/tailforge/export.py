@@ -1,11 +1,16 @@
 """Bit-stable export of result objects to CSV and JSON.
 
 Every table and JSON document tailforge writes goes through ``_write_csv``
-or ``_write_json`` here.  Fixed column order per type, floats printed with
-17 significant digits, LF line endings: exporting the same result twice
-yields byte-identical files, which the determinism acceptance test relies
-on.  ``result_from_obj`` inverts ``result_to_obj`` for every result type, so
-a saved JSON result exports to the same bytes as the object it came from.
+or ``_write_json`` here.  Fixed column order per type, LF line endings:
+exporting the same result twice yields byte-identical files, which the
+determinism acceptance test relies on.  ``result_from_obj`` inverts
+``result_to_obj`` for every result type, so a saved JSON result exports to
+the same bytes as the object it came from.
+
+One cell format, owned by ``_cell``: a string as it is, a flag as 1 or 0,
+an integer in full, a missing value as an empty cell, and any other number
+with 17 significant digits (``inf``, ``-inf``).  A cell that holds a comma,
+a quote or a line break is quoted as RFC 4180 asks; no other cell is.
 
 A destination ``dest`` is a path, an open text stream, or None / ``"-"``
 for stdout.
@@ -14,11 +19,15 @@ for stdout.
 from __future__ import annotations
 
 import contextlib
+import csv
+import dataclasses
+import io
 import json
 import math
+import numbers
 import os
 import sys
-from typing import IO, Any, Iterator, Union
+from typing import IO, Any, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -44,11 +53,27 @@ def _dest_stream(dest: Dest) -> Iterator[IO[str]]:
             yield fh
 
 
-def _write_csv(dest: Dest, header: list[str], rows: list[list[str]]) -> None:
-    """Write comma-joined cells, header first, one LF-ended line per row."""
-    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+def _cell(v: Any) -> str:
+    """The CSV text of one value (the rules are in the module docstring)."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):  # before Integral: a bool is one
+        return "1" if v else "0"
+    if isinstance(v, numbers.Integral):
+        return str(v)
+    if v is None:
+        return ""
+    return fmt_float(float(v))
+
+
+def _write_csv(dest: Dest, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write the header, then one LF-ended line of ``_cell`` texts per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
     with _dest_stream(dest) as fh:
-        fh.write(text)
+        fh.write(buf.getvalue())
 
 
 def _write_json(dest: Dest, obj: Any) -> None:
@@ -70,54 +95,21 @@ def fmt_float(v: float) -> str:
 
 
 def _diag_rows(s: DiagSeries):
-    header = [s.param_name, "value", "log_value"]
-    rows = [
-        [fmt_float(float(s.grid[i])), fmt_float(float(s.values[i])), fmt_float(float(s.log_values[i]))]
-        for i in range(len(s.grid))
-    ]
-    return header, rows
+    return [s.param_name, "value", "log_value"], zip(s.grid, s.values, s.log_values)
 
 
 def _bracket_rows(b: BracketGrid):
-    header = ["x", "log_lower", "log_upper"]
-    rows = [
-        [fmt_float(float(b.grid[i])), fmt_float(float(b.log_lower[i])), fmt_float(float(b.log_upper[i]))]
-        for i in range(len(b.grid))
-    ]
-    return header, rows
+    return ["x", "log_lower", "log_upper"], zip(b.grid, b.log_lower, b.log_upper)
 
 
-def _mc_rows(m: McEstimate):
-    header = ["estimate", "std_error", "accepted", "total", "seed"]
-    rows = [[fmt_float(m.estimate), fmt_float(m.std_error), str(m.accepted), str(m.total), str(m.seed)]]
-    return header, rows
-
-
-def _table_rows(t: ComparisonTable):
-    header = ["n", "x", "K", "estimate", "std_error", "bracket_lower", "bracket_upper", "z", "flagged", "error"]
-    rows = []
-    for r in t.rows:
-        rows.append(
-            [
-                str(r.n),
-                fmt_float(r.x),
-                fmt_float(r.K),
-                fmt_float(r.estimate) if r.estimate is not None else "",
-                fmt_float(r.std_error) if r.std_error is not None else "",
-                fmt_float(r.bracket_lower) if r.bracket_lower is not None else "",
-                fmt_float(r.bracket_upper) if r.bracket_upper is not None else "",
-                fmt_float(r.z) if r.z is not None else "",
-                "1" if r.flagged else "0",
-                r.error or "",
-            ]
-        )
-    return header, rows
+def _field_rows(cls, rows):
+    """Header and rows of a dataclass's fields, in declaration order."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return names, ([getattr(r, f) for f in names] for r in rows)
 
 
 def _report_rows(rep: ClassReport):
-    header = ["class", "verdict", "detail"]
-    rows = [[e.cls, e.verdict, e.detail] for e in rep.entries]
-    return header, rows
+    return ["class", "verdict", "detail"], ([e.cls, e.verdict, e.detail] for e in rep.entries)
 
 
 def result_to_obj(result: Any) -> dict:
@@ -144,33 +136,12 @@ def result_to_obj(result: Any) -> dict:
             "log_upper": [float(v) for v in result.log_upper],
         }
     if isinstance(result, McEstimate):
-        return {
-            "type": "McEstimate",
-            "estimate": result.estimate,
-            "std_error": result.std_error,
-            "accepted": result.accepted,
-            "total": result.total,
-            "seed": result.seed,
-        }
+        return {"type": "McEstimate", **dataclasses.asdict(result)}
     if isinstance(result, ComparisonTable):
         return {
             "type": "ComparisonTable",
             "z_flag": float(result.z_flag),
-            "rows": [
-                {
-                    "n": r.n,
-                    "x": r.x,
-                    "K": r.K,
-                    "estimate": r.estimate,
-                    "std_error": r.std_error,
-                    "bracket_lower": r.bracket_lower,
-                    "bracket_upper": r.bracket_upper,
-                    "z": r.z,
-                    "flagged": r.flagged,
-                    "error": r.error,
-                }
-                for r in result.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in result.rows],
         }
     if isinstance(result, ClassReport):
         return {
@@ -213,8 +184,7 @@ def result_from_obj(obj: dict) -> Any:
                 cap=math.inf if obj.get("cap") is None else obj["cap"],
             )
         if kind == "McEstimate":
-            fields = ("estimate", "std_error", "accepted", "total", "seed")
-            return McEstimate(**{f: obj[f] for f in fields})
+            return McEstimate(**{f.name: obj[f.name] for f in dataclasses.fields(McEstimate)})
         if kind == "ComparisonTable":
             rows = tuple(ComparisonRow(**row) for row in obj["rows"])
             return ComparisonTable(rows=rows, z_flag=obj["z_flag"])
@@ -234,8 +204,8 @@ def result_from_obj(obj: dict) -> Any:
 _CSV_ROWS = {
     DiagSeries: _diag_rows,
     BracketGrid: _bracket_rows,
-    McEstimate: _mc_rows,
-    ComparisonTable: _table_rows,
+    McEstimate: lambda m: _field_rows(McEstimate, [m]),
+    ComparisonTable: lambda t: _field_rows(ComparisonRow, t.rows),
     ClassReport: _report_rows,
 }
 

@@ -39,6 +39,7 @@ __all__ = ["McEstimate", "mc_jump_cond", "ComparisonRow", "ComparisonTable", "mc
 
 _CHUNK = 65536
 _PILOT_CAP = 500_000
+_Z_FLAG = 4.0  # mc_vs_quadrature flags a row whose |z| exceeds this
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,6 @@ def mc_vs_quadrature(
     scenarios: Sequence[tuple[int, float, float]],
     N: int,
     seed: int,
-    h: float | None = None,
-    z_flag: float = 4.0,
     acceptance_floor: float = 1e-4,
     bias_injection: Mapping[int, float] | None = None,
 ) -> ComparisonTable:
@@ -203,10 +202,12 @@ def mc_vs_quadrature(
     z = (MC estimate - bracket midpoint) / sqrt(SE_ac^2 + (width/2)^2),
     where SE_ac is the Agresti-Coull adjusted standard error (two pseudo
     successes and failures), which stays positive at empirical rates of 0
-    or 1 where the plain binomial SE degenerates.  Rows with |z| > z_flag
-    are flagged.  A scenario's ``TailforgeError`` is recorded in the table,
-    not raised; any other exception is a fault and propagates.  ``bias_injection`` maps row index -> additive bias, a
-    self-test hook for verifying that the harness flags what it should.
+    or 1 where the plain binomial SE degenerates.  The bracket step is
+    ``_default_bracket_step(x)``, and rows with |z| > _Z_FLAG are flagged.
+    A scenario's ``TailforgeError`` is recorded in the table, not raised;
+    any other exception is a fault and propagates.  ``bias_injection`` maps
+    row index -> additive bias, a self-test hook for verifying that the
+    harness flags what it should.
     """
     seed = _count("seed", seed, 0)
     rows: list[ComparisonRow] = []
@@ -214,8 +215,7 @@ def mc_vs_quadrature(
         try:
             stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
             est = mc_jump_cond(d, n, float(x), float(K), N, stream, acceptance_floor)
-            step = h if h is not None else _default_bracket_step(float(x))
-            bracket = jump_cond(d, n, float(x), float(K), step)
+            bracket = jump_cond(d, n, float(x), float(K), _default_bracket_step(float(x)))
             value = est.estimate + (bias_injection.get(i, 0.0) if bias_injection else 0.0)
             events = est.estimate * est.accepted
             p_adj = (events + 2.0) / (est.accepted + 4.0)
@@ -235,7 +235,7 @@ def mc_vs_quadrature(
                     bracket_lower=bracket.lower,
                     bracket_upper=bracket.upper,
                     z=z,
-                    flagged=abs(z) > z_flag,
+                    flagged=abs(z) > _Z_FLAG,
                 )
             )
         except TailforgeError as exc:  # recorded, not thrown; a coding fault propagates
@@ -253,4 +253,4 @@ def mc_vs_quadrature(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
-    return ComparisonTable(tuple(rows), z_flag)
+    return ComparisonTable(tuple(rows), _Z_FLAG)

@@ -290,6 +290,10 @@ def test_10_cli_experiment_determinism(tmp_path):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (exp_id, name)
         summary = json.loads((d1 / "summary.json").read_text())
         assert summary["passed"] is True
+        # the artifact list names each table once, and every file but itself
+        artifacts = summary["artifacts"]
+        assert len(set(artifacts)) == len(artifacts), exp_id
+        assert sorted([*artifacts, "summary.json"]) == names1, exp_id
         assert [c["name"] for c in summary["expectations"]] == EXPERIMENT_CHECKS[exp_id]
         # items, not the dict: the key order is part of the byte-stable file
         config = list(summary["config"].items())

@@ -370,10 +370,13 @@ _NODE_LAWS = {
 def test_jump_reads_the_grid_nodes_bit_for_bit(law, n):
     make, scale, step = _NODE_LAWS[law]
     d = make()
-    # M + 1 cells at the edges of the convolution's 1024-cell blocks, and a
-    # last block of 6 cells, which np.convolve sums by its unrolled loop; x
-    # on the node two below the last, or halfway between two nodes.
-    for cells in (1023, 1024, 1025, 1030, 2049):
+    # M + 1 cells.  A dense fold forms cells 0..M - 16 by GEMMs over 64-cell
+    # tiles, whose windows it copies 8 at a time, and its top 16 cells one
+    # at a time.  At 1040 cells the tiled cells end exactly on a tile edge
+    # that is also an 8-window batch edge (16 tiles, two batches); 1039 and
+    # 1041 sit one cell on either side.  x on the node two below the last,
+    # or halfway between two nodes.
+    for cells in (1023, 1024, 1025, 1030, 1039, 1040, 1041, 2049):
         h = step or scale / (cells - 3)
         for x in ((cells - 3) * h, (cells - 3.5) * h):
             K = 0.3 * x

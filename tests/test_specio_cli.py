@@ -1,5 +1,7 @@
 """Spec documents, export determinism, and the CLI front end."""
 
+import csv
+import io
 import json
 import math
 
@@ -9,7 +11,7 @@ import pytest
 import tailforge as tf
 from tailforge.cli import main
 from tailforge.errors import ParameterError
-from tailforge.export import export_grid, result_from_obj, result_to_obj
+from tailforge.export import _cell, _write_csv, export_grid, result_from_obj, result_to_obj
 
 
 # -------------------------------------------------------------------- specio
@@ -163,6 +165,40 @@ def test_export_schemas(tmp_path, exp1):
     assert b"\r" not in raw
 
 
+@pytest.mark.parametrize("value, text", [
+    ("a b", "a b"),
+    (True, "1"),
+    (False, "0"),
+    (np.bool_(True), "1"),
+    (np.bool_(False), "0"),
+    (3, "3"),
+    (np.int64(-12), "-12"),
+    (2**63 - 1, "9223372036854775807"),
+    (None, ""),
+    (0.1, "0.10000000000000001"),
+    (np.float64(2.0), "2"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+], ids=repr)
+def test_cell_writes_one_format_per_kind_of_value(value, text):
+    assert _cell(value) == text
+
+
+def test_write_csv_quotes_only_a_cell_that_needs_it():
+    from tailforge.montecarlo import ComparisonRow, ComparisonTable
+
+    error = "ToleranceError: quadrature on [1, 2] missed 1e-09"
+    row = ComparisonRow(2, 5.0, 1.0, None, None, None, None, None, True, error)
+    buf = io.StringIO()
+    export_grid(ComparisonTable((row,), 4.0), "csv", buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[1] == f'2,5,1,,,,,,1,"{error}"'
+    assert list(csv.reader(lines))[1][-1] == error
+    buf = io.StringIO()
+    _write_csv(buf, ["a", "b"], [('say "hi"', 1.5)])
+    assert buf.getvalue() == 'a,b\n"say ""hi""",1.5\n'
+
+
 # ----------------------------------------------------------------------- CLI
 
 
@@ -173,6 +209,14 @@ def test_cli_dist_eval(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,log_tail,tail"
     assert lines[3].startswith("10,-10,")
+
+
+def test_cli_dist_sample_prints_the_pinned_draws(capsys):
+    # The workflow's smoke line: 17 significant digits, one draw a line.
+    assert main(["dist", "sample", "--dist", "pareto:alpha=3", "--n", "3", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "sample", "0.030296865104996851", "0.09426507674621587", "0.71362362857553352"
+    ]
 
 
 def test_cli_dist_sample_deterministic(tmp_path):
@@ -422,7 +466,11 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, content):
     ([*CLASSIFY, "--config", "{file}"], "[1, 2]"),
     ([*_FN, "--kind", "b2", "--format", "json"], None),
     (["export", "--infile", "{file}", "--out", "{file}.csv"], None),
-], ids=["classify-config-value", "classify-config-array", "functional-json", "export-missing"])
+    (["dist", "eval", "--dist", "pareto:alpha=3"], None),
+], ids=[
+    "classify-config-value", "classify-config-array", "functional-json", "export-missing",
+    "dist-eval-no-grid",
+])
 def test_cli_usage_errors_found_after_parsing_print_the_subcommand_usage(
     tmp_path, capsys, argv, content
 ):
@@ -435,6 +483,26 @@ def test_cli_usage_errors_found_after_parsing_print_the_subcommand_usage(
         main([a.replace("{file}", str(f)) for a in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: tailforge {argv[0]} ")
+
+
+_BUILTIN_SPECS = [
+    "pareto:alpha=3", "exponential:lam=1", "weibull_heavy:beta=0.5", "dyadic_pareto",
+    "fkz_example", "plateau_example:a=2", "xu_piecewise:alpha=5.5,x1=4096",
+]
+
+
+@pytest.mark.parametrize("spec", _BUILTIN_SPECS)
+def test_cli_classify_csv_reads_back_three_fields_a_row(tmp_path, capsys, spec):
+    # Part of the workflow's smoke step: an OS detail such as "two-fold
+    # ratio trend converging, limit ~ 2" holds a comma, and is quoted.
+    saved = tmp_path / "report.json"
+    assert main(["classify", "--dist", spec, "--out", str(saved)]) == 0
+    assert main(["classify", "--dist", spec, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["class", "verdict", "detail"]
+    assert all(len(r) == 3 for r in rows)
+    details = {e["class"]: e["detail"] for e in json.loads(saved.read_text())["entries"]}
+    assert {r[0]: r[2] for r in rows[1:]} == details
 
 
 def test_cli_config_values_of_the_right_shape_run(tmp_path):
