@@ -1,10 +1,9 @@
 """Distributions on [0, infinity): a tail curve and the measure dF it defines.
 
-Stieltjes integrals against dF read the measure off the TailCurve: its atoms
-are the curve's downward jumps (``atoms_from_curve``), the rest one piecewise
-density, ``TailCurve.log_density``, integrated by one quadrature seeded at
-every join.  Atom masses are stored as logs; some here are as small as
-3 * 4**-900.
+Its atoms are the curve's downward jumps (a tilt's, its base's), its
+density ``TailCurve.log_density``.  Moments read the tail, not the measure:
+each is one quadrature of it (``_log_tail_integral``).  Atom masses are
+stored as logs; some here are as small as 3 * 4**-900.
 
 The curve and its atoms are fixed at construction; the builtins fill in
 ``label``, ``spec`` and ``truncation_note`` afterwards.  ``sample`` is a pure
@@ -15,13 +14,14 @@ generator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, TruncationError, _count
-from .quadrature import QuadConfig, _logsumexp_list, log_quad
+from .errors import DivergenceError, ParameterError, ToleranceError, TruncationError, _count
+from .quadrature import QuadConfig, log_quad
 from .tailcurve import ExpAffineSegment, ExpPowSegment, PowerSegment, TailCurve, simplify_power
 
 __all__ = [
@@ -56,14 +56,18 @@ _ATOM_ULPS = 4.0
 
 
 def atoms_from_curve(curve: TailCurve) -> tuple[Atom, ...]:
-    """The atoms of dF: the downward jumps of the curve at segment joins."""
-    ends, starts = curve._ends[:-1], curve._starts[1:]
+    """The atoms of dF: the downward jumps of the curve at segment joins.
+    A tilted curve's are its base's, read off its segments at rate 0, each
+    log mass less rate * location: on the tilted curve that term would
+    swamp the deep drops."""
+    base = TailCurve(curve.segments) if curve.rate else curve
+    ends, starts = base._ends[:-1], base._starts[1:]
     with np.errstate(invalid="ignore"):  # a join where F is already 0
         drops = starts - ends
         joins = np.flatnonzero(drops < -_ATOM_ULPS * np.spacing(np.maximum(1.0, np.abs(ends))))
     return tuple(
-        Atom(curve.segments[k + 1].lo, float(ends[k] + math.log(-math.expm1(drops[k]))))
-        for k in joins
+        Atom(lo, float(ends[k] + math.log(-math.expm1(drops[k]))) - curve.rate * lo)
+        for k, lo in zip(joins, curve._los[joins + 1].tolist())
     )
 
 
@@ -123,62 +127,89 @@ def partial_moment(
     d: Distribution, k: int, A: float, B: float, cfg: QuadConfig | None = None
 ) -> float:
     """integral_A^B y^k F(y) dy; B may be inf when the terminal form allows.
-
-    One quadrature of log F(y) + k log y over [max(A, 0), B], seeded as
-    ``exp_moment`` seeds its own (``_seeds``), so rel_tol bounds the whole
-    integral; an infinite B on an infinite curve is cut where the rest is
-    below float significance relative to the integral from A (``_cutoff``).
-    Raises DivergenceError when the integral is infinite, and TruncationError
-    when a bound lies past a finite curve's truncation or B = inf cannot be
-    certified from it.
-    """
+    ``_log_tail_integral`` at lam = 0, with its errors."""
     # Both checks are written so that NaN fails them.
     if not (k >= 0 and k % 1 == 0):
         raise ParameterError(f"moment order must be a nonnegative integer, got {k}")
     if not A <= B:
         raise ParameterError(f"moment bounds out of order or NaN: [{A}, {B}]")
-    cfg = cfg or QuadConfig()
     if A == B:
         return 0.0
+    lv = _log_tail_integral(d, k, 0.0, A, B, cfg or QuadConfig())
+    return math.exp(lv) if lv > _NEG_INF else 0.0
+
+
+def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> float:
+    """integral e^{lam y} F(dy) over [0, inf) for a rate lam >= 0: exactly 1
+    at lam = 0, else 1 + lam e^I, I the ``_log_tail_integral`` at lam, as
+    e^{lam X} = 1 + integral_0^X lam e^{lam y} dy.  Finite only when the tail
+    decays at least exponentially with rate > lam (rate >= lam with
+    integrable remainder); DivergenceError otherwise."""
+    if not 0.0 <= lam <= math.inf:  # NaN fails this
+        raise ParameterError(f"exp moment rate must be a nonnegative number, got {lam}")
+    if lam == 0.0:
+        return 1.0
+    lv = _log_tail_integral(d, 0, lam, 0.0, math.inf, cfg or QuadConfig())
+    return 1.0 + lam * math.exp(lv) if lv > _NEG_INF else 1.0
+
+
+def _log_tail_integral(
+    d: Distribution, k: int, lam: float, A: float, B: float, cfg: QuadConfig
+) -> float:
+    """log integral_A^B y^k e^{lam y} G(y) dy for d's tail G = F e^{-gamma y}.
+
+    One quadrature of log F(y) + (lam - gamma) y + k log y, F and gamma d's
+    base and rate (``_split_tilt``), so lam and the tilt never cancel; seeded
+    by ``_seeds``, so rel_tol bounds the whole integral.  An infinite B on an
+    infinite curve is cut by ``_cutoff``.  Past a finite truncation hi the
+    rest is bounded by log F(hi-) + (lam - gamma) hi + (k + 1) log max(hi, 2),
+    the remainder under a y^-(k+2) envelope matched at hi: TruncationError
+    when that exceeds 0, unintegrated, or rel_tol of the integral.
+    ToleranceError when the moment, e^I or 1 + lam e^I, overflows binary64.
+    """
     hi = d.tail.truncation_hi
     if A > hi or (B > hi and math.isfinite(B)):
         raise TruncationError(
             f"moment bounds [{A!r}, {B!r}] beyond materialized breakpoint {hi!r}"
         )
+    base, rate = _split_tilt(d)
+    net = lam - rate
+    rest = _NEG_INF
     if math.isinf(B) and math.isinf(hi):
-        _check_terminal_decay(d, 0.0, k)
-        B = _cutoff(d, 0.0, k, A)
+        _check_terminal_decay(d, lam, k)
+        B = _cutoff(d, lam, k, A)
+    elif math.isinf(B):
+        rest = base.tail.log_tail_left(hi) + net * hi + (k + 1) * math.log(max(hi, 2.0))
     a, b = max(A, 0.0), min(B, hi)
     if b < A:  # a lower bound past the largest cutoff, 8.9e307
         raise ParameterError(f"integration bounds out of order: [{A}, {b}]")
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        vals = d.tail._on_panels(y)
+        vals = base.tail._on_panels(y)
+        if net:
+            vals = vals + net * y
         if k:
             with np.errstate(divide="ignore"):
                 vals = vals + k * np.log(y)
         return vals
 
-    lv = log_quad(integrand, a, b, _seeds(d, b), cfg).log_value if a < b else _NEG_INF
-    if math.isinf(B):
-        # Finite truncation: make sure nothing representable can hide beyond
-        # it.  The proxy is the remainder under a y^-(k+2) envelope matched
-        # there, roughly tail(hi) * hi^(k+1).
-        terminal = d.tail.log_tail_left(hi)
-        remainder_proxy = terminal + (k + 1) * math.log(max(hi, 2.0))
-        if lv == _NEG_INF or remainder_proxy > lv + math.log(cfg.rel_tol):
-            raise TruncationError(
-                "cannot certify the integral to infinity beyond the materialized "
-                f"breakpoint {hi!r}; terminal log tail {terminal!r} is too large"
-            )
-    return math.exp(lv) if lv > _NEG_INF else 0.0
+    # A rest past 0 would run the quadrature into a LogDepthError first.
+    lv = log_quad(integrand, a, b, _seeds(d, b), cfg).log_value if a < b and rest <= 0 else _NEG_INF
+    if not rest <= lv + math.log(cfg.rel_tol):  # NaN fails this
+        raise TruncationError(
+            f"cannot certify the integral to infinity beyond the materialized breakpoint {hi!r}; "
+            f"the log of its remainder bound {rest!r} is too large"
+        )
+    if lv + (math.log(lam) if lam else 0.0) > math.log(sys.float_info.max):
+        raise ToleranceError(f"the moment overflows binary64: its log integral is {lv!r}", math.inf)
+    return lv
 
 
 def _seeds(d: Distribution, B: float) -> np.ndarray:
     """Forced panel bounds of a quadrature against d over [0, B]: every
     join, so that no panel straddles one, and the powers of 8 from 2^-60
     (about 1e-18, the floor of the tail grades) up to B, so that every scale
-    of a heavy tail, and of a density singular at 0, has its panel in the
+    of a heavy tail, and of an integrand singular at 0, has its panel in the
     first round instead of one bisection per round."""
     ladder = 2.0 ** np.arange(-60.0, math.log2(B), 3.0)
     return np.concatenate([d.tail.breakpoints(), ladder])
@@ -186,8 +217,7 @@ def _seeds(d: Distribution, B: float) -> np.ndarray:
 
 def _cutoff(d: Distribution, lam: float, k: int, A: float = 0.0) -> float:
     """A finite upper limit past which the integral of y^k e^{lam y} against
-    d's tail or its measure is below float significance relative to its
-    integral from A.
+    d's tail is below float significance relative to its integral from A.
 
     Doubles T from max(lo, 1, A), lo the last segment's start, until the log
     of a bound on the integrand times T^2 falls below -60 + min(0, b(A)),
@@ -211,38 +241,6 @@ def _cutoff(d: Distribution, lam: float, k: int, A: float = 0.0) -> float:
     return T
 
 
-def exp_moment(d: Distribution, lam: float, cfg: QuadConfig | None = None) -> float:
-    """integral e^{lam y} F(dy) over [0, inf) (a Stieltjes integral).
-
-    Finite for lam <= 0 always; for lam > 0 only when the tail decays at
-    least exponentially with rate > lam (rate >= lam with integrable
-    remainder).  Raises DivergenceError otherwise.
-    """
-    if not -math.inf <= lam <= math.inf:  # NaN fails this
-        raise ParameterError(f"exp moment rate must be a number, got {lam}")
-    cfg = cfg or QuadConfig()
-    hi = d.tail.truncation_hi
-    if lam > 0:
-        _check_terminal_decay(d, lam, 0)
-    if math.isinf(hi):
-        B = _cutoff(d, lam, 0)
-    else:
-        B = hi
-        terminal = d.tail.log_tail_left(hi) + lam * hi + math.log(max(hi, 2.0))
-        if terminal > -30.0:
-            raise TruncationError(
-                "cannot certify the tilted moment beyond the materialized "
-                f"breakpoint {hi!r}"
-            )
-    # One quadrature of the curve's density over [0, B]; rel_tol bounds the
-    # whole integral, not each segment's share of it.
-    dens = log_quad(lambda y: d.tail._on_panels(y, lam=lam), 0.0, B, _seeds(d, B), cfg)
-    lv = _logsumexp_list(
-        [a.log_mass + lam * a.location for a in d.atoms if a.location <= B] + [dens.log_value]
-    )
-    return math.exp(lv) if lv > _NEG_INF else 0.0
-
-
 def _split_tilt(d: Distribution) -> tuple[Distribution, float]:
     """The base law F and rate gamma of d's tail F(x) e^{-gamma x}, gamma the
     curve's tilt rate (d and 0 for an untilted curve).  A tilt takes its
@@ -262,9 +260,9 @@ def _terminal_rate(d: Distribution) -> float:
 
 
 def _check_terminal_decay(d: Distribution, lam: float, k: int) -> None:
-    """DivergenceError unless the last segment's decay makes its integral
-    of y^k e^{lam y} finite: of its measure in ``exp_moment`` (k = 0), of
-    its tail in ``partial_moment`` (lam = 0).
+    """DivergenceError unless the last segment's decay makes the integral
+    of y^k e^{lam y} against its tail finite: k = 0 for ``exp_moment``,
+    lam = 0 for ``partial_moment``.
 
     A decay rate above lam converges.  At the rate, it converges when y^k
     times the tail's residual factor is integrable: a power with

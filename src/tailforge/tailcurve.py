@@ -130,8 +130,7 @@ class Segment(ABC):
         return float(self.log_value(np.array([x]))[0])
 
     def log_density(self, x: np.ndarray, lam: float = 0.0) -> np.ndarray:
-        """log(exp(lam * x) * f(x)), f the density of the piece; lam != 0
-        gives the integrand of a tilted moment."""
+        """log(exp(lam * x) * f(x)), f the density of the piece."""
         return _log_density(type(self), self, np.asarray(x, dtype=float), lam)
 
     def inverse(self, log_u: float | np.ndarray) -> float | np.ndarray:

@@ -6,11 +6,11 @@ log G(x) = log F(x) - rate * x, so ratios like G(x - t) / G(x) are exact
 and oscillation of the source tail shows up undamped in the shift
 diagnostics.  Tilting twice adds two floats, so tilt(tilt(d, g1), g2) and
 tilt(d, g1 + g2) are the same curve whenever the rates sum to the same
-float.  The measure is read off the tilted curve like any other: atoms
-(``atoms_from_curve``) scale by exp(-gamma * location), and every segment
-carries the density exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept
-symbolic.  The tilt keeps its source's base and the summed rate as its
-split (``distribution._split_tilt``), which the two-fold quadratures read.
+float.  The tilt keeps its source's base and the summed rate as its split
+(``distribution._split_tilt``), which its moments and the two-fold
+quadratures read.  Its atoms are the base's, each scaled by
+exp(-gamma * location) (``atoms_from_curve``), and every segment carries
+the density exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
 
 This is the plain tail tilt; no Esscher normalization is applied.
 """

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import tailforge as tf
+from tailforge.distribution import _cutoff, _seeds
+from tailforge.quadrature import QuadConfig, log_quad
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +53,13 @@ def ks_statistic(d, samples: np.ndarray) -> float:
         float(np.max(np.abs(emp_gt - tails))),
         float(np.max(np.abs(emp_ge - tails_left))),
     )
+
+
+def measure_integral(d, lam: float) -> float:
+    """integral e^{lam y} F(dy) over [0, inf) read off the measure: d's atoms
+    plus one quadrature of the density ``TailCurve.log_density``, seeded and
+    cut as the moments seed and cut theirs."""
+    B = min(d.tail.truncation_hi, _cutoff(d, lam, 0))
+    dens = log_quad(lambda y: d.tail._on_panels(y, lam=lam), 0.0, B, _seeds(d, B), QuadConfig())
+    logs = [dens.log_value] + [a.log_mass + lam * a.location for a in d.atoms if a.location <= B]
+    return float(np.exp(np.logaddexp.reduce(logs)))

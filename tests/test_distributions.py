@@ -9,10 +9,10 @@ import pytest
 import tailforge as tf
 from tailforge import quadrature
 from tailforge.distribution import _BLOCK
-from tailforge.errors import DivergenceError, ParameterError, TruncationError
+from tailforge.errors import DivergenceError, ParameterError, ToleranceError, TruncationError
 from tailforge.tailcurve import ConstSegment, ExpAffineSegment, TailCurve
 
-from conftest import ks_statistic
+from conftest import ks_statistic, measure_integral
 
 LOG4 = math.log(4.0)
 KS_999 = 1.9495  # sqrt(-ln(0.0005)/2): 0.999 quantile of the KS statistic
@@ -132,15 +132,15 @@ def _plateau_atoms(d):
     "name, closed_form, gamma, kept",
     [
         ("dyadic", _dyadic_atoms, 0.0, 998),
-        ("dyadic", _dyadic_atoms, 0.5, 51),
+        ("dyadic", _dyadic_atoms, 0.5, 998),
         ("plateau2", _plateau_atoms, 0.0, 97),
-        ("plateau2", _plateau_atoms, 0.5, 48),
+        ("plateau2", _plateau_atoms, 0.5, 97),
     ],
 )
 def test_derived_atoms_match_closed_form(name, closed_form, gamma, kept, request):
     base = request.getfixturevalue(name)
     d = tf.gamma_transform(base, gamma) if gamma else base
-    # a tilt scales each atom by exp(-gamma * location)
+    # a tilt scales each of its base's atoms by exp(-gamma * location)
     ref = {x: lm - gamma * x for x, lm in closed_form(base).items()}
     atoms = {a.location: a.log_mass for a in d.atoms}
     assert len(atoms) == len(d.atoms) == kept
@@ -189,7 +189,10 @@ def test_partial_moment_refuses_nan(pareto3, k, A, B):
 def test_exp_moment_refuses_nan(exp1):
     with pytest.raises(ParameterError):
         tf.exp_moment(exp1, math.nan)
-    assert tf.exp_moment(exp1, -math.inf) == 0.0  # infinite rates keep their meaning
+    for lam in (-math.inf, -0.5):  # the moment is read off the tail for lam >= 0 only
+        with pytest.raises(ParameterError):
+            tf.exp_moment(exp1, lam)
+    assert tf.exp_moment(exp1, 0.0) == 1.0
     with pytest.raises(DivergenceError):
         tf.exp_moment(exp1, math.inf)
 
@@ -205,7 +208,7 @@ def _gk15_calls(monkeypatch) -> list:
 
 def test_exp_moment_of_a_light_tilt_takes_few_rounds(monkeypatch, pareto3):
     # int e^{y/2} G(dy) for G = F e^{-y/2} is 1 + E[X]/2 = 1.25.  The
-    # density reaches out to B ~ 1e26; the geometric ladder of seeds gives
+    # integrand reaches out to B ~ 1e26; the geometric ladder of seeds gives
     # each scale its panel at once, so the integral takes a few rounds of
     # one integrand call each instead of one bisection per round.
     calls = _gk15_calls(monkeypatch)
@@ -218,11 +221,15 @@ def test_exp_moment_with_a_singular_density_at_the_seeded_end(monkeypatch):
     # and int e^{y/2} G(dy) for its 0.5 tilt G is 1 + E[X]/2 = 2.  The
     # ladder reaches down to 2^-60, so that end has its panels at once.
     f = tf.weibull_heavy(0.5)
+    g = tf.gamma_transform(f, 0.5)
     calls = _gk15_calls(monkeypatch)
-    for d, rate, moment in ((f, 0.0, 1.0), (tf.gamma_transform(f, 0.5), 0.5, 2.0)):
+    for d, rate, moment in ((f, 0.0, 1.0), (g, 0.5, 2.0)):
         calls.clear()
-        assert tf.exp_moment(d, rate) == pytest.approx(moment, abs=1e-10)
+        assert measure_integral(d, rate) == pytest.approx(moment, abs=1e-10)
         assert len(calls) <= 5
+    calls.clear()
+    assert tf.exp_moment(g, 0.5) == pytest.approx(2.0, abs=1e-10)
+    assert len(calls) <= 5
 
 
 def test_exp_moment_of_a_many_segment_tilt_meets_the_default_tolerance(dyadic):
@@ -231,6 +238,114 @@ def test_exp_moment_of_a_many_segment_tilt_meets_the_default_tolerance(dyadic):
     g = tf.gamma_transform(dyadic, 0.5)
     loose = tf.exp_moment(g, 0.25, tf.QuadConfig(rel_tol=1e-7))
     assert tf.exp_moment(g, 0.25) == pytest.approx(loose, rel=1e-7)
+
+
+# Closed forms of m(lam) = int e^{lam y} G(dy) = 1 + lam int_0^hi e^{-c y} F(y) dy
+# for the tilt G = F e^{-gamma y} of a truncated base F, c = gamma - lam >= 0.
+# Each base is laid out here from its definition, not from tailforge, and
+# each of its flat, linear or exponential pieces integrates exactly.
+
+
+def _exp_piece(log_v, r, c, a, b):
+    """int_a^b e^{-c y} exp(log_v - r (y - a)) dy."""
+    if r + c == 0.0:
+        return math.exp(log_v) * (b - a)
+    return math.exp(log_v - c * a) * -math.expm1(-(r + c) * (b - a)) / (r + c)
+
+
+def _linear_piece(v_a, v_b, c, a, b):
+    """int_a^b e^{-c y} F(y) dy for F linear from v_a at a to v_b at b."""
+    w = b - a
+    slope = (v_b - v_a) / w
+    if c == 0.0:
+        return v_a * w + slope * w * w / 2.0
+    # int_a^b (y - a) e^{-c y} dy = e^{-c a} (1 - (1 + c w) e^{-c w}) / c^2
+    ramp = math.exp(-c * a) * (1.0 - (1.0 + c * w) * math.exp(-c * w)) / (c * c)
+    return v_a * _exp_piece(0.0, 0.0, c, a, b) + slope * ramp
+
+
+def _dyadic_pieces(c):
+    """F = 1 on [0, 2) and 4^-n on [2^n, 2^(n+1)) for n = 1..998."""
+    yield _exp_piece(0.0, 0.0, c, 0.0, 2.0)
+    for n in range(1, 999):
+        yield _exp_piece(-n * LOG4, 0.0, c, 2.0**n, 2.0 ** (n + 1))
+
+
+def _fkz_pieces(c):
+    """F = exp(-(a_n + (y - a_n^2) / (a_n + a_{n+1}))) on [a_n^2, a_{n+1}^2),
+    a_{n+1} = e^{a_n} / a_n, while a_{n+1}^2 stays below 1e306."""
+    a = [0.0, 1.0]
+    while a[-1] <= 700.0 and (math.exp(a[-1]) / a[-1]) ** 2 < 1e306:
+        a.append(math.exp(a[-1]) / a[-1])
+    for lo, hi in zip(a, a[1:]):
+        yield _exp_piece(-lo, 1.0 / (lo + hi), c, lo * lo, hi * hi)
+
+
+def _xu_pieces(c, alpha=5.5, x1=4096.0):
+    """F linear from 1 to x1^-alpha on [0, x1), then per cycle linear from
+    x^-alpha to x^-(alpha+1) on [x, 2x) and flat until x^(1 + 1/alpha)."""
+    yield _linear_piece(1.0, x1**-alpha, c, 0.0, x1)
+    x = x1
+    while (1.0 + 1.0 / alpha) * math.log(x) < math.log(1e306):
+        nxt = x ** (1.0 + 1.0 / alpha)
+        yield _linear_piece(x**-alpha, x ** -(alpha + 1.0), c, x, 2.0 * x)
+        yield _exp_piece(-(alpha + 1.0) * math.log(x), 0.0, c, 2.0 * x, nxt)
+        x = nxt
+
+
+@pytest.mark.parametrize(
+    "base, pieces",
+    [
+        (tf.dyadic_pareto, _dyadic_pieces),
+        (tf.fkz_example, _fkz_pieces),
+        (lambda: tf.xu_piecewise(5.5, 4096.0), _xu_pieces),
+    ],
+    ids=["dyadic", "fkz", "xu55"],
+)
+@pytest.mark.parametrize("lam", [0.5, 0.25])
+def test_exp_moment_of_a_truncated_tilt_is_its_closed_form(base, pieces, lam):
+    # The 0.5 tilt's moment reads its base at the net rate lam - 0.5, so the
+    # tilt and lam never meet as two terms of size 0.5 * 5e37 that cancel.
+    want = 1.0 + lam * math.fsum(pieces(0.5 - lam))
+    assert tf.exp_moment(tf.gamma_transform(base(), 0.5), lam) == pytest.approx(
+        want, rel=tf.QuadConfig().rel_tol
+    )
+
+
+@pytest.mark.parametrize(
+    "base, error",
+    [
+        (tf.dyadic_pareto, TruncationError),
+        (tf.fkz_example, TruncationError),
+        (lambda: tf.xu_piecewise(5.5, 4096.0), TruncationError),
+        (lambda: tf.plateau_example(2.0), TruncationError),
+        (lambda: tf.pareto(3.0), DivergenceError),
+        (lambda: tf.weibull_heavy(0.5), DivergenceError),
+    ],
+    ids=["dyadic", "fkz", "xu55", "plateau2", "pareto3", "weibull"],
+)
+def test_a_heavy_law_has_no_exp_moment(base, error):
+    # A truncated heavy law is refused before its quadrature, which would
+    # otherwise run into a log magnitude past binary64 resolution.
+    with pytest.raises(error):
+        tf.exp_moment(base(), 0.05)
+
+
+def test_a_moment_past_the_float_maximum_is_a_tolerance_error():
+    # int_0^1000 y^300 (1 + y)^-3 dy is about e^2053.
+    with pytest.raises(ToleranceError, match="overflows binary64") as exc:
+        tf.partial_moment(tf.pareto(3.0), 300, 0.0, 1e3)
+    assert exc.value.achieved_rel_error == math.inf
+    # F = 1 on [0, 1000), then e^{-(y - 1000)}: m(0.9) is about e^900.
+    curve = TailCurve(
+        [
+            ConstSegment(lo=0.0, hi=1000.0, level=0.0),
+            ExpAffineSegment(lo=1000.0, hi=math.inf, log_v_lo=0.0, rate=1.0),
+        ]
+    )
+    with pytest.raises(ToleranceError, match="overflows binary64") as exc:
+        tf.exp_moment(tf.Distribution(curve), 0.9)
+    assert exc.value.achieved_rel_error == math.inf
 
 
 def test_moment_additivity(request):

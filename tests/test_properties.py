@@ -115,21 +115,25 @@ def test_array_and_scalar_quantile_agree(curve_kinds, fractions):
 @PROPERTY
 @given(curves())
 def test_derived_atom_mass_is_the_jump_at_each_join(curve_kinds):
+    # A tilt's jumps are its base's, each scaled by e^{-rate x}: they are
+    # read on the untilted curve, where rate * x does not swamp them.
     curve, _ = curve_kinds
     atoms = Distribution(curve).atoms
     by_location = {a.location: a.log_mass for a in atoms}
     assert len(by_location) == len(atoms)
+    base = TailCurve(curve.segments)
     for seg in curve.segments[1:]:
         x = seg.lo
-        left, right = curve.log_tail_left(x), float(curve.log_tail(x))
+        left, right = base.log_tail_left(x), float(base.log_tail(x))
         if right - left >= -4 * np.spacing(max(1.0, abs(left))):
             assert x not in by_location  # a continuous join up to rounding
             continue
         log_mass = by_location.pop(x)
-        # log(F(x-) - F(x)), accurate to an ulp or two
-        expected = left + math.log(-math.expm1(right - left))
+        # log(F(x-) - F(x)) - rate x, accurate to an ulp or two
+        expected = left + math.log(-math.expm1(right - left)) - curve.rate * x
         assert abs(log_mass - expected) <= 4 * np.spacing(abs(expected))
-        assert math.exp(log_mass) == pytest.approx(math.exp(left) - math.exp(right), rel=1e-12)
+        jump = (math.exp(left) - math.exp(right)) * math.exp(-curve.rate * x)
+        assert math.exp(log_mass) == pytest.approx(jump, rel=1e-12)
     assert not by_location  # no atom away from a join
 
 
