@@ -14,13 +14,23 @@ ceil(10 / floor) draws and the estimate its first N, with no separate pilot
 key.
 
 A chunk of 65536 rows is drawn from its one generator in blocks of 8192
-rows (``distribution.quantile_blocks``), each inverted, summed and counted
-while it stays in cache.  A block's levels live in one buffer, which holds
-their logs and then, for a closed inverse, their quantiles; the curve
-checks them on log u, u in (0, 1] and above the truncation floor, by one
-minimum and one maximum.  Consecutive draws continue the chunk's stream, so
-the blocks hold the draws a whole chunk drew, and the check stops the run
-at the block that holds its last draw.
+rows, each filtered, inverted, summed and counted while it stays in cache.
+Consecutive draws continue the chunk's stream, so the blocks hold the draws
+a whole chunk drew, and the check stops the run at the block that holds its
+last draw.
+
+Which rows are inverted: only a row whose largest raw uniform u exceeds the
+run's cutoff u* (``_row_cutoff``) can reach {S_n > x}; every draw of the
+other rows lies at or below z = x/n - 1e-6 (1 + x/n) but for the inverse's
+own error, far inside the margin, so their sums stay at or below x.  The rows above the cutoff are gathered and inverted alone:
+1 - u, its log and the curve's inverse, which checks the levels (in (0, 1]
+and above the truncation floor) by one minimum and one maximum.  Where the
+share bound 1 - (1 - F(z))^n of such rows reaches ``_FILTER_SHARE``, or z
+lies outside (0, truncation_hi), every row is inverted.  A skipped row is
+no hit and no event, so the counts, and every estimate, keep the bits that
+inverting every row gives, and a level below the floor, which always lies
+in an inverted row, still raises TruncationError.  ``distribution.sample``
+still inverts every draw.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distribution import Distribution, quantile_blocks
+from .distribution import _BLOCK, Distribution
 from .errors import LowAcceptanceError, ParameterError, TailforgeError, _count
 from .functionals import jump_cond
 
@@ -40,6 +50,10 @@ __all__ = ["McEstimate", "mc_jump_cond", "ComparisonRow", "ComparisonTable", "mc
 _CHUNK = 65536
 _PILOT_CAP = 500_000
 _Z_FLAG = 4.0  # mc_vs_quadrature flags a row whose |z| exceeds this
+# The row filter runs while the share of rows that can reach the event stays
+# below this: near it, finding and gathering those rows costs about what the
+# inverse of the rest, at exponential(1)'s cheap closed form, would.
+_FILTER_SHARE = 0.7
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,34 @@ def _chunk_streams(base: np.random.SeedSequence, count: int) -> list[np.random.S
         np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (c,))
         for c in range(count)
     ]
+
+
+def _row_cutoff(d: Distribution, n: int, x: float) -> float | None:
+    """The cutoff u* on a row's raw uniforms: a row whose every draw u is
+    at most u* cannot reach {S_n > x}, so it need not be inverted.  None
+    where every row is to be inverted: z = x/n - 1e-6 (1 + x/n) outside
+    (0, truncation_hi), or a share bound 1 - (1 - F(z))^n of rows that may
+    reach the event of at least ``_FILTER_SHARE``.
+
+    u* = 1 - F(z)(1 + 1e-9) - 1e-15.  A draw's level is fl(1 - u), at most
+    2^-53 from 1 - u, so every level of a row at or below u* exceeds
+    F(z)(1 + 1e-9).  The pad 1e-9 covers the rounding of F(z) and of the
+    level's log against the curve's own end values (ulps of |log F| <= 745),
+    so the quantile of each level lies at or below z, and the computed one
+    exceeds it at most by the inverse's own error: ulps for a closed form,
+    1e-12 (1 + z) for bisection.  The margin 1e-6 (1 + x/n) dominates both
+    and the rounding of a sum of n terms, so every draw lies below x/n, and
+    their float sum, whose rounding is monotone on nonnegative terms, stays
+    at or below x: the row is no hit and no event.  A level below the
+    truncation floor lies below F(z), so its row is inverted and still
+    raises TruncationError."""
+    z = x / n - 1e-6 * (1.0 + x / n)
+    if not 0.0 < z < d.tail.truncation_hi:
+        return None
+    tail = math.exp(d.tail.log_tail(z))
+    if 1.0 - (1.0 - tail) ** n >= _FILTER_SHARE:
+        return None
+    return 1.0 - tail * (1.0 + 1e-9) - 1e-15
 
 
 def mc_jump_cond(
@@ -105,6 +147,8 @@ def mc_jump_cond(
         pilot_n = 0
     total = max(N, pilot_n)
 
+    cutoff = _row_cutoff(d, n, x)
+    draws = np.empty((min(total, _BLOCK), n))
     accepted = 0
     events = 0
     pilot_hits = 0
@@ -112,11 +156,27 @@ def mc_jump_cond(
     for c, ss in enumerate(_chunk_streams(base, n_chunks)):
         rng = np.random.Generator(np.random.PCG64(ss))
         first = c * _CHUNK
+        rows = min(_CHUNK, total - first)
         # The chunk's blocks continue its one stream row by row, so the
         # first rows of a chunk are the draws a shorter chunk makes.
-        for offset, xs in quantile_blocks(d, rng, min(_CHUNK, total - first), n):
+        for offset in range(0, rows, _BLOCK):
+            u = draws[: min(_BLOCK, rows - offset)]
+            rng.random(out=u)
             start = first + offset
-            end = start + len(xs)
+            end = start + len(u)
+            # The rows to invert: every row, or with a cutoff the block
+            # rows in kept, whose largest u exceeds it.
+            xs, kept = u, None
+            if cutoff is not None:
+                most = u[:, 0] if n == 1 else np.maximum(u[:, 0], u[:, 1])
+                for j in range(2, n):
+                    np.maximum(most, u[:, j], out=most)
+                kept = np.flatnonzero(most > cutoff)
+                xs = u.take(kept, axis=0)
+            if len(xs):
+                np.subtract(1.0, xs, out=xs)
+                np.log(xs, out=xs)
+                xs = d.tail._quantile_of_log(xs.reshape(-1)).reshape(xs.shape)
             # Running sum and maximum over the n columns, from the first
             # two: a reduction along a short row axis is many times slower,
             # and for n below numpy's pairwise block of 8 it adds in the
@@ -129,15 +189,20 @@ def mc_jump_cond(
                 np.maximum(top, xs[:, j], out=top)
             hit = sums > x
             event = hit if threshold <= 0 else hit & (top > threshold)
+            # The estimate counts the inverted rows before block row N -
+            # start, and the check those before pilot_n - start.
+            to_N, to_pilot = N - start, pilot_n - start
+            if kept is not None:
+                to_N, to_pilot = kept.searchsorted((to_N, to_pilot))
             if start < N:
-                hits = int(np.count_nonzero(hit[: N - start]))
+                hits = int(np.count_nonzero(hit[:to_N]))
                 accepted += hits
-                events += int(np.count_nonzero(event[: N - start]))
+                events += int(np.count_nonzero(event[:to_N]))
             if start < pilot_n:
                 # Where the check and the estimate read the same rows of the
                 # block, the check takes the estimate's count.
                 if min(pilot_n, end) != min(N, end):
-                    hits = int(np.count_nonzero(hit[: pilot_n - start]))
+                    hits = int(np.count_nonzero(hit[:to_pilot]))
                 pilot_hits += hits
                 if end >= pilot_n and pilot_hits / pilot_n < acceptance_floor:
                     rate = pilot_hits / pilot_n

@@ -993,3 +993,44 @@ def test_classify_report_is_exportable(tmp_path, exp1):
     export_grid(rep, "csv", tmp_path / "rep.csv")
     export_grid(rep, "json", tmp_path / "rep.json")
     assert (tmp_path / "rep.csv").read_text().startswith("class,verdict,detail")
+
+
+def _j_inputs(profile: dict[float, list[float]]):
+    """Synthetic ``_classify_j`` jobs and two-fold results: at each x of
+    64, 128, ... the ratio 2 e^{prefix - log_den} reads profile[K][i], one
+    band term per K (prefix sums are kept nondecreasing, so the values of a
+    row must not fall with K)."""
+    Ks = list(profile)
+    jobs, conv2 = [], []
+    for i in range(len(profile[Ks[0]])):
+        jobs.append((64.0 * 2**i, Ks))
+        cum = [math.log(profile[K][i] / 2.0) for K in Ks]
+        bands = [[cum[0]]] + [[math.log(math.exp(b) - math.exp(a))] for a, b in zip(cum, cum[1:])]
+        conv2.append((0.0, bands))
+    return Ks, jobs, conv2
+
+
+def test_classify_j_profile_stuck_low_reads_against():
+    # The late minimum 0.45 lies just below _J_LO = 0.5.
+    Ks, jobs, conv2 = _j_inputs({1.0: [0.2, 0.25, 0.3, 0.3], 4.0: [0.35, 0.4, 0.45, 0.45]})
+    entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
+    assert (entry.verdict, len(entry.evidence)) == ("evidence-against", 2)
+    assert entry.detail == "small-summand profile stuck at 0.45 at K=4"
+
+
+def test_classify_j_middle_profile_reads_inconclusive():
+    Ks, jobs, conv2 = _j_inputs({1.0: [0.5, 0.6, 0.6], 4.0: [0.7, 0.75, 0.8]})
+    entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
+    assert (entry.verdict, entry.detail) == ("inconclusive", "profile at K=4 is 0.75")
+
+
+def test_classify_j_without_three_points_per_K_has_no_grid():
+    # The third x's ratio exceeds 1 beyond the quadrature slack, so that x
+    # is refused and each K keeps two points.
+    Ks, jobs, conv2 = _j_inputs({1.0: [0.9, 0.95, 1.5]})
+    entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
+    assert (entry.verdict, entry.detail, entry.evidence) == (
+        "inconclusive",
+        "no usable (x, K) grid",
+        (),
+    )

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import tailforge as tf
+from tailforge import montecarlo
 from tailforge.distribution import _BLOCK
-from tailforge.errors import LowAcceptanceError, ParameterError
+from tailforge.errors import LowAcceptanceError, ParameterError, TruncationError
 from tailforge.montecarlo import _CHUNK
 
 
@@ -95,8 +96,6 @@ def test_only_tailforge_errors_are_recorded(monkeypatch, exp1):
     # A coding fault in the bracket route propagates; the deep-tail row,
     # which fails in the Monte Carlo route first, still records its
     # LowAcceptanceError.
-    from tailforge import montecarlo
-
     def broken(*args):
         raise TypeError("broken route")
 
@@ -171,10 +170,37 @@ def _whole_chunk_reference(d, n, x, K, N, seed, floor=1e-4):
     return np.count_nonzero(event[:N]) / accepted, accepted
 
 
-@pytest.mark.parametrize(
-    "name,x,K", [("exp1", 5.0, 1.0), ("exp1", 8.0, 0.5), ("dyadic", 12.0, 2.0), ("dyadic", 24.0, 4.0)]
-)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.fixture(scope="module")
+def pareto3_tilt05(pareto3):
+    return tf.gamma_transform(pareto3, 0.5)
+
+
+# (n, law, x, K, whether the run inverts only the rows that can reach
+# {S_n > x}).  dyadic at x/n = 4 and 8 and at n = 3, x = 6 puts x/n on an
+# atom; the tilt inverts by bisection, and plateau2 has atoms off the
+# dyadic lattice.
+WHOLE_CHUNK_CASES = [
+    (n, name, x, K, True)
+    for n in (2, 3)
+    for name, x, K in [
+        ("exp1", 5.0, 1.0), ("exp1", 8.0, 0.5), ("dyadic", 12.0, 2.0), ("dyadic", 24.0, 4.0)
+    ]
+] + [
+    (2, "pareto3", 20.0, 5.0, True),
+    (3, "exp1", 3.0, 1.0, False),
+    (3, "dyadic", 6.0, 2.0, False),
+    (2, "pareto3_tilt05", 5.0, 1.0, True),
+    (2, "plateau2", 10.0, 1.0, True),
+]
+
+
+@pytest.mark.parametrize("n,name,x,K,filtered", WHOLE_CHUNK_CASES)
+def test_row_filter_runs_where_few_rows_can_reach_the_event(request, n, name, x, K, filtered):
+    d = request.getfixturevalue(name)
+    assert (montecarlo._row_cutoff(d, n, x) is not None) == filtered
+
+
+@pytest.mark.parametrize("n,name,x,K", [case[:4] for case in WHOLE_CHUNK_CASES])
 def test_blocked_draws_match_whole_chunks(request, name, n, x, K):
     # N ends past the first chunk's edge and inside a block.
     N = 70001
@@ -201,6 +227,17 @@ def test_blocked_acceptance_check_matches_whole_chunks(request, name, n, x, K, f
     with pytest.raises(LowAcceptanceError) as info:
         tf.mc_jump_cond(d, n, x, K, N, seed=29, acceptance_floor=floor)
     assert info.value.pilot_acceptance == rate
+
+
+def test_draws_past_a_truncated_curve_still_raise():
+    # fkz_example cut after 3 segments ends at x = 31.08 with F = 0.0038:
+    # the filter keeps every row with a level below that floor.
+    d = tf.fkz_example(max_segments=3)
+    assert montecarlo._row_cutoff(d, 2, 10.0) < 1.0 - math.exp(d.tail.log_tail(d.truncation_hi))
+    with pytest.raises(TruncationError):
+        _whole_chunk_reference(d, 2, 10.0, 1.0, 70001, seed=29)
+    with pytest.raises(TruncationError):
+        tf.mc_jump_cond(d, 2, 10.0, 1.0, 70001, seed=29)
 
 
 def test_acceptance_check_reads_the_runs_own_draws(pareto3):
