@@ -82,16 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tailforge",
         description="numerical analysis of distribution tails on [0, inf)",
+        allow_abbrev=False,
     )
     p.add_argument("--version", action="version", version=f"tailforge {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    dist = sub.add_parser("dist", help="inspect, evaluate, or sample a distribution")
+    dist = sub.add_parser(
+        "dist", help="inspect, evaluate, or sample a distribution", allow_abbrev=False
+    )
     dist_sub = dist.add_subparsers(dest="dist_command", required=True)
-    show = dist_sub.add_parser("show", help="print the spec and basic facts")
+    show = dist_sub.add_parser("show", help="print the spec and basic facts", allow_abbrev=False)
     show.add_argument("--dist", required=True, help="spec file or inline kind:param=value")
     show.add_argument("--out", default=None, help="write the spec document here")
-    ev = dist_sub.add_parser("eval", help="evaluate log-tail / tail / quantile")
+    ev = dist_sub.add_parser("eval", help="evaluate log-tail / tail / quantile", allow_abbrev=False)
     ev.add_argument("--dist", required=True)
     ev.add_argument(
         "--x", type=_parse_grid, default=None, help="grid of x values (list or geom:lo:hi:n)"
@@ -99,18 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--u", type=_parse_grid, default=None, help="grid of quantile levels")
     ev.add_argument("--out", default=None)
     ev.set_defaults(parser=ev)
-    smp = dist_sub.add_parser("sample", help="inverse-transform sampling")
+    smp = dist_sub.add_parser("sample", help="inverse-transform sampling", allow_abbrev=False)
     smp.add_argument("--dist", required=True)
     smp.add_argument("--n", type=int, required=True)
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--out", default=None)
 
-    tr = sub.add_parser("transform", help="apply the exponential tail tilt")
+    tr = sub.add_parser("transform", help="apply the exponential tail tilt", allow_abbrev=False)
     tr.add_argument("--dist", required=True)
     tr.add_argument("--gamma", type=float, required=True)
     tr.add_argument("--out", required=True, help="spec file to write")
 
-    conv = sub.add_parser("conv", help="n-fold convolution tail brackets")
+    conv = sub.add_parser("conv", help="n-fold convolution tail brackets", allow_abbrev=False)
     conv.add_argument("--dist", required=True)
     conv.add_argument("--n", type=int, default=2)
     conv.add_argument(
@@ -121,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--format", choices=("csv", "json"), default="csv")
     conv.add_argument("--out", default=None)
 
-    fn = sub.add_parser("functional", help="evaluate a tail functional on a grid")
+    fn = sub.add_parser(
+        "functional", help="evaluate a tail functional on a grid", allow_abbrev=False
+    )
     fn.add_argument("--dist", required=True)
     fn.add_argument(
         "--kind",
@@ -139,14 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     fn.add_argument("--out", default=None)
     fn.set_defaults(parser=fn)
 
-    cl = sub.add_parser("classify", help="run the class-membership diagnostics")
+    cl = sub.add_parser("classify", help="run the class-membership diagnostics", allow_abbrev=False)
     cl.add_argument("--dist", required=True)
     cl.add_argument("--config", default=None, help="JSON file of ClassifyConfig overrides")
     cl.add_argument("--format", choices=("csv", "json"), default="json")
     cl.add_argument("--out", default=None)
     cl.set_defaults(parser=cl)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo single-big-jump estimate")
+    sim = sub.add_parser(
+        "simulate", help="Monte Carlo single-big-jump estimate", allow_abbrev=False
+    )
     sim.add_argument("--dist", required=True)
     sim.add_argument("--n", type=int, default=2)
     sim.add_argument("--x", type=float, required=True)
@@ -156,11 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=("csv", "json"), default="json")
     sim.add_argument("--out", default=None)
 
-    ex = sub.add_parser("experiment", help="run a scripted proposition experiment")
+    ex = sub.add_parser(
+        "experiment", help="run a scripted proposition experiment", allow_abbrev=False
+    )
     ex.add_argument("id", choices=EXPERIMENT_IDS)
     ex.add_argument("--out", required=True, help="output directory")
 
-    xp = sub.add_parser("export", help="re-export a saved JSON result as CSV or JSON")
+    xp = sub.add_parser(
+        "export", help="re-export a saved JSON result as CSV or JSON", allow_abbrev=False
+    )
     xp.add_argument("--infile", required=True)
     xp.add_argument("--format", choices=("csv", "json"), default="csv")
     xp.add_argument("--out", required=True)

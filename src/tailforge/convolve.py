@@ -49,8 +49,9 @@ Lattice folds.  A law whose mass sits on a few nodes leaves most cells of
 its staircases at zero, yet spread over most tiles: at h = 1/8 and 22 001
 cells, ``dyadic_pareto``'s S_1 has 16 nonzero cells and S_2 120.  A fold
 whose factors have k1 and k2 nonzero cells forms from those cells alone
-when ``_SPARSE_COST`` k1 k2 is below the products the tiled route forms
-(a scattered add costs about two hundred products of a GEMM): each
+when ``_SPARSE_COST`` k1 k2 is below the dense route's cost in products,
+each GEMM step's fixed cost included (``_dense_products``; a scattered
+add costs about 250 products of a GEMM, a GEMM step about 2e5): each
 product p1[i] p2[j] with i + j <= M is added into cell i + j, a square
 taking all ordered pairs, in chunks of about ``_CHUNK`` pairs, so memory
 stays O(M + _CHUNK).  Every cell is formed and the kept ones are sliced
@@ -97,6 +98,32 @@ node by node in floating point too, so the running minimum of the upper
 bounds, taken from the read node on, is the whole grid's when that node's
 upper tail is above the underflow floor (or its bound is already -inf);
 otherwise the reading falls back to the full last product.
+
+Capped readings.  ``jump_cond`` reads the full bracket and the one capped
+at c = x - K on the same nodes.  Let J be the cap cell, v_J <= c <
+v_{J+1}.  Below cell J the capped staircase holds the full one's cell
+masses, F(v_j) - F(v_{j+1}) read as a difference of F - F(c); from cell J
+on it holds only what lies up to c.  So each full power is
+S_k = S^c_k + D_k: D_1 is the full masses from cell J on less the capped
+ones, overflow included, and D_{a+b} = S^c_a * D_b + D_a * S^c_b +
+D_a * D_b.  Every product in D_k has a summand from cell J on, so D_k
+lies on cells J..M, and when 2J > M the term D_a * D_b lies past cell M
+and adds to the overflow only (``_past``).  The capped chain folds as
+``trunc_convn_tail_grid`` folds it, with its bits; each D product is one
+fold of the M - J + 1 cells from J on, both factors shifted down by J, and
+a square's two cross terms are one fold, doubled.  At J = 0.75 M and
+n = 3 the halves of both chains take about 0.25 M^2 products instead of
+0.47 M^2.  When 2J <= M the products past the cap are no fewer than the
+full fold's, and each cap folds its own chains.  The margin argument
+carries over: every term is a product of nonnegative rounded factors, and
+S^c_k and D_k each carry at most S_k's error bound.  A cell of S_k adds
+its cell of S^c_k, a sum of at most M + 1 rounded products, to its cell
+of D_k, two sums of at most M - J + 1 joined by one addition: a sum of
+nonnegative terms whose tree is at most two additions deeper than a
+fold's, which the margin's slack (n (M + 2) eps against 4 eps n M)
+covers.  Below cell J the full bracket's masses are the capped
+staircase's, the same cell masses rounded once more, so its bits differ
+from ``convn_tail_grid``'s, within the margin of them.
 """
 
 from __future__ import annotations
@@ -495,13 +522,15 @@ _WINDOWS = 8
 # Pairs of nonzero cells per chunk of the sparse route: its scratch arrays
 # hold O(_CHUNK) entries whatever the factors.
 _CHUNK = 1 << 16
-# What one product of the sparse route costs in products of the dense one:
-# index arithmetic and a scattered add, 12-20 ns, against 0.07-0.1 ns in
-# the tiled GEMMs at 20 001 cells (one x86-64 core, numpy 2.4).  Measured
-# on squares of k scattered nonzero cells, the routes cost the same at
-# k = 720-820 of 20 001 cells (here: k = 707) and k = 210-260 of 3001
-# (here: k = 106; the GEMMs' fixed costs weigh more in small folds).
-_SPARSE_COST = 200
+# What one product of the sparse route costs in products of the dense one,
+# and what each GEMM step of the dense route costs whatever its rows: a
+# window copied, a call, a slice added, about 6 us (one x86-64 core,
+# OpenBLAS 0.3.31, numpy 2.4).  Fitted to the crossovers measured on
+# squares of k scattered nonzero cells: the routes cost the same at
+# k = 225-230 of 3001 cells (here: k = 218), k = 390-400 of 8001 (here:
+# k = 408) and k = 830-855 of 20 001 (here: k = 811).
+_SPARSE_COST = 250
+_STEP_COST = 200_000
 
 
 def _suffix_sums(p: np.ndarray) -> np.ndarray:
@@ -635,9 +664,11 @@ def _sparse_cells(p1, p2, M):
 
 
 def _dense_products(rows, bands, M):
-    """Products the dense route forms: m^2 per tile of each GEMM and 3 m^2
-    per band step (``_tile_rows``), and M + 1 for each top cell."""
-    return _TILE**2 * (int(rows.sum()) + 3 * bands) + (M + 1) * min(_TOP, M + 1)
+    """What the dense route costs, in products: m^2 per tile of each GEMM and
+    3 m^2 per band step (``_tile_rows``), ``_STEP_COST`` per GEMM step, and
+    M + 1 for each top cell."""
+    tiles = int(rows.sum()) + 3 * bands
+    return _TILE**2 * tiles + _STEP_COST * len(rows) + (M + 1) * min(_TOP, M + 1)
 
 
 def _convolve_defective(p1, o1, p2, o2, M, first=0):
@@ -688,12 +719,54 @@ def _power(powers: dict, k: int, M: int):
     return powers[k]
 
 
-def _halves(pmf: np.ndarray, overflow: float, n: int, M: int):
-    """S_ceil(n/2) and S_floor(n/2), each with its overflow.  (A nested
+def _halves(powers: dict, n: int, M: int):
+    """S_ceil(n/2) and S_floor(n/2), each with its overflow, from the powers
+    {1: S_1, ...}; every power formed is kept in ``powers``.  (A nested
     recursive helper would hold itself in its closure, and the powers until
     the cycle collector runs.)"""
-    powers = {1: (pmf, overflow)}
     return (*_power(powers, n - n // 2, M), *_power(powers, n // 2, M))
+
+
+def _head(power, J: int, M: int):
+    """A capped power's cells 0..M - J, and its mass past them."""
+    cells, overflow = power
+    return cells[: M - J + 1], float(cells[M - J + 1 :].sum()) + overflow
+
+
+def _past(low: dict, past: dict, k: int, J: int, M: int):
+    """D_k = S_k - S^c_k: the products of k summands that reach past cell J,
+    as cells J..M shifted down by J, with the mass past cell M.  ``low``
+    holds the capped powers S^c and ``past`` the D formed so far:
+    D_{a+b} = S^c_a * D_b + D_a * S^c_b, one fold of a square doubled, and
+    D_a * D_b lies past cell 2J > M, so it adds to the mass past M only."""
+    if k not in past:
+        a, b = k - k // 2, k // 2
+        d_a, d_b = _past(low, past, a, J, M), _past(low, past, b, J, M)
+        cells, over = _convolve_defective(*_head(low[a], J, M), *d_b, M - J)
+        if a == b:
+            cells, over = 2.0 * cells, 2.0 * over
+        else:
+            more, more_over = _convolve_defective(*d_a, *_head(low[b], J, M), M - J)
+            cells, over = cells + more, over + more_over
+        over += (float(d_a[0].sum()) + d_a[1]) * (float(d_b[0].sum()) + d_b[1])
+        past[k] = cells, over
+    return past[k]
+
+
+def _halves_past(low: dict, pmf: np.ndarray, overflow: float, n: int, J: int, M: int):
+    """``_halves`` of the chain whose capped twin, capped in cell J with
+    2J > M, has the powers ``low``: each S_k = S^c_k + D_k (``_past``), with
+    D_1 the masses from cell J on less the capped ones, and S_1 = pmf."""
+    low_pmf, low_overflow = low[1]
+    past = {1: (np.maximum(pmf[J:] - low_pmf[J:], 0.0), max(overflow - low_overflow, 0.0))}
+    sums = {1: (pmf, overflow)}
+    for k in (n - n // 2, n // 2):
+        if k not in sums:
+            cells, over = _past(low, past, k, J, M)
+            total = low[k][0].copy()
+            total[J:] += cells
+            sums[k] = total, low[k][1] + over
+    return (*sums[n - n // 2], *sums[n // 2])
 
 
 def _fold_count(n, h: float) -> int:
@@ -716,22 +789,51 @@ def _brackets(
     ``at``, each is the same bracket on the nodes from the lowest one that
     ``log_at(at)`` reads, with the same bits there.  The last product of
     the two halves then forms only the cells from that node on (from n
-    nodes lower with one chain)."""
+    nodes lower with one chain).
+
+    The lowest cap folds its own chains.  With J its cap cell
+    (v_J <= cap < v_{J+1}) and 2J > M, every other cap's chains are the
+    lowest one's plus the products that reach past cell J
+    (``_halves_past``; module docstring, "Capped readings"); otherwise each
+    cap folds its own."""
     n = _fold_count(n, h)
     if not 0.0 <= x_max < math.inf:
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
     log_t = _node_log_tails(d, x_max, h)
-    return [_bracket_on(d, n, log_t, h, cap, at) for cap in caps]
+    M = len(log_t) - 1
+    stairs = [_staircase_masses(d, log_t, h, cap) for cap in caps]
+    low = int(np.argmin(caps))
+    lows = [{1: (pmf, stairs[low][2])} for pmf in _chains(stairs[low])]
+    low_halves = [_halves(powers, n, M) for powers in lows]
+    J = int(np.searchsorted(np.arange(M + 1) * h, caps[low], side="right")) - 1
+
+    def halves(stair):
+        return [
+            _halves_past(lows[c], pmf, stair[2], n, J, M)
+            if 2 * J > M and c < len(lows)
+            else _halves({1: (pmf, stair[2])}, n, M)
+            for c, pmf in enumerate(_chains(stair))
+        ]
+
+    return [
+        _bracket_on(d, n, stair, low_halves if i == low else halves(stair), h, cap, at)
+        for i, (stair, cap) in enumerate(zip(stairs, caps))
+    ]
 
 
-def _bracket_on(d: Distribution, n: int, log_t, h: float, cap: float, at) -> BracketGrid:
-    """One cap's bracket (``_brackets``) on the nodes whose log tails are
-    ``log_t``."""
-    pmf_down, pmf_up, overflow, end, on_nodes, log_fcap = _staircase_masses(d, log_t, h, cap)
+def _chains(stair):
+    """The staircase PMFs a bracket folds: the lower one, and the upper one
+    when an atom sits on a node (``_staircase_masses``)."""
+    pmf_down, pmf_up, *_, on_nodes, _ = stair
+    return (pmf_down, pmf_up) if on_nodes else (pmf_down,)
+
+
+def _bracket_on(d: Distribution, n: int, stair, halves, h: float, cap: float, at) -> BracketGrid:
+    """One cap's bracket (``_brackets``) from its staircase masses and the
+    halves of each chain it folds."""
+    pmf_down, _, _, end, on_nodes, log_fcap = stair
     M = len(pmf_down) - 1
     nodes = np.arange(M + 1) * h
-    pmfs = (pmf_down, pmf_up) if on_nodes else (pmf_down,)
-    halves = [_halves(pmf, overflow, n, M) for pmf in pmfs]
 
     def tails(chain: int, first: int):
         # Tails on nodes first..M from the last fold's cells first..M.

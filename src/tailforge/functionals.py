@@ -290,9 +290,13 @@ def jump_cond(
     truncated bracket, the denominator P(S_n > x) from the full bracket,
     each on nodes j*h up to x + 2h and read at x as ``BracketGrid.at``
     reads it; interval arithmetic combines them.  Each bracket forms only
-    the last fold's cells that this reading needs, with the bits of
-    ``trunc_convn_tail_grid`` and ``convn_tail_grid``.  K >= x makes the
-    event sure, once n and h pass the brackets' checks.
+    the last fold's cells that this reading needs.  The numerator has the
+    bits of ``trunc_convn_tail_grid``.  When the cap x - K lies in cell J
+    with 2J > M, the denominator's chains are the capped ones plus the
+    products that reach past the cap (``convolve`` module docstring,
+    "Capped readings"): it agrees with ``convn_tail_grid`` within the
+    rounding margin, 4 eps n M relative, and otherwise has its bits.  K >= x
+    makes the event sure, once n and h pass the brackets' checks.
     """
     if not 0 < x < math.inf:
         raise ParameterError(f"threshold x must be positive and finite, got {x}")

@@ -578,10 +578,9 @@ def test_square_leaves_out_zero_tiles(monkeypatch, M):
     assert tiles[: len([w for w in want if w > 0])] == [w for w in want if w > 0]
 
 
-def test_square_forms_about_half_the_products(monkeypatch):
-    # Count the products of every GEMM and batched GEMM the kernel takes,
-    # and of the top cells' sums.
-    M = 8191
+def _fold_products(monkeypatch):
+    """A list that grows by the products of every GEMM and batched GEMM the
+    dense kernel takes, and of each top cells' sum."""
     products = []
     matmul, top = np.matmul, convolve._top_cells
 
@@ -593,9 +592,15 @@ def test_square_forms_about_half_the_products(monkeypatch):
         products.append((M + 1) * (M + 1 - lo))
         return top(p1, p2, M, lo)
 
-    p = np.random.default_rng(1).random(M + 1) / (M + 1)
     monkeypatch.setattr(np, "matmul", counted_matmul)
     monkeypatch.setattr(convolve, "_top_cells", counted_top)
+    return products
+
+
+def test_square_forms_about_half_the_products(monkeypatch):
+    M = 8191
+    p = np.random.default_rng(1).random(M + 1) / (M + 1)
+    products = _fold_products(monkeypatch)
     convolve._convolve_defective(p, 0.0, p.copy(), 0.0, M)
     product = sum(products)
     products.clear()
@@ -605,6 +610,21 @@ def test_square_forms_about_half_the_products(monkeypatch):
     # tile pair on the diagonal and the tiles the triangle cuts
     assert product >= (M + 1) ** 2 / 2
     assert square <= product / 2 + 2 * (M + 1) * convolve._TILE
+
+
+def test_jump_folds_the_full_chain_past_the_cap_only(exp1, monkeypatch):
+    # n = 3 on 20 001 cells with the cap in cell J = 0.75 M: the two brackets
+    # folded apart form about 0.47 M^2 products, the capped chain and the
+    # products past its cap about 0.25 M^2.
+    h, n = 1e-3, 3
+    x, cap = 19.998, 15.0
+    products = _fold_products(monkeypatch)
+    for c in (math.inf, cap):
+        convolve._brackets(exp1, n, x + 2 * h, h, (c,), x)
+    apart = sum(products)
+    products.clear()
+    tf.jump_cond(exp1, n, x, x - cap, h)
+    assert sum(products) <= 0.6 * apart
 
 
 _THREADS_SCRIPT = """
@@ -677,6 +697,20 @@ def test_sparse_fold_matches_an_exact_sum(monkeypatch, M, square):
             terms[i + j].append(p1[i] * p2[j])
     exact = [math.fsum(t) for t in terms]
     np.testing.assert_allclose(cells, exact, rtol=(M + 1) * EPS, atol=0)
+
+
+@pytest.mark.parametrize("M, k, sparse", [
+    (3000, 150, True), (3000, 210, True), (3000, 260, False), (20000, 720, True), (20000, 820, False),
+])
+def test_route_switches_within_the_measured_crossover(monkeypatch, M, k, sparse):
+    # Squares of k scattered nonzero cells: timed apart, the two routes cost
+    # the same at k = 210-260 of 3001 cells and k = 720-855 of 20 001 over
+    # several measurements, and the switch lies inside 210-260 and 720-820.
+    # The dense route's GEMM steps cost about 6 us each whatever their rows.
+    p = _scattered(M, k, k)
+    calls = _sparse_calls(monkeypatch)
+    convolve._convolve_defective(p, 0.0, p, 0.0, M)
+    assert calls == ([1] if sparse else [])
 
 
 @pytest.mark.parametrize("square", [False, True], ids=_SQUARE_IDS)
@@ -838,17 +872,20 @@ def test_node_reading_forms_the_last_fold_from_the_read_node(exp1, dyadic, monke
 
     monkeypatch.setattr(convolve, "_convolve_defective", counted)
     halves = [0] * (_FULL_FOLDS[n] - 1)  # the halves, formed in full
+    # Both brackets form their halves (the capped one first, then the full
+    # one's products past the cap) before either forms its last product.
     # x = 5 sits on node 500 of 502; one chain reads the lower tail n nodes back
     tf.jump_cond(exp1, n, 5.0, 1.0, 0.01)
-    assert firsts == 2 * (halves + [500 - n])
+    assert firsts == 2 * halves + 2 * [500 - n]
     firsts.clear()
     # two chains (atoms on nodes): both read from node 40
     tf.jump_cond(dyadic, n, 5.0, 1.0, 0.125)
-    assert firsts == 2 * (2 * halves + [40, 40])
+    assert firsts == 4 * halves + 4 * [40]
 
 
-def _sequential(pmf, overflow, n, M):
+def _sequential(powers, n, M):
     """The two last factors of a fold one summand at a time: S_{n-1} and S_1."""
+    pmf, overflow = powers[1]
     acc, ov = pmf, overflow
     for _ in range(n - 2):
         acc, ov = convolve._convolve_defective(acc, ov, pmf, overflow, M)

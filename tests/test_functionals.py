@@ -346,8 +346,8 @@ def test_jump_reads_the_node_tails_once(request, monkeypatch, name, h):
 
 def _grid_jump(d, n, x, K, h):
     """jump_cond as read off the two whole grids, combined as jump_cond does."""
-    den_lo, den_up = tf.convn_tail_grid(d, n, x + 2 * h, h).at(x)
-    num_lo, num_up = tf.trunc_convn_tail_grid(d, n, x - K, x + 2 * h, h).at(x)
+    den, num = convolve._brackets(d, n, x + 2 * h, h, (math.inf, x - K))
+    (den_lo, den_up), (num_lo, num_up) = den.at(x), num.at(x)
     if den_lo <= 0.0:
         raise InconclusiveBracketError("degenerate")
     ratio_lo = min(num_lo / den_up, 1.0) if den_up > 0 else 0.0
@@ -399,6 +399,89 @@ def test_jump_reads_the_grid_log_at_past_three_folds(law, n):
                 assert node == grid, (cells, x, cap)
             br = tf.jump_cond(d, n, x, K, h)
             assert (br.lower, br.upper) == _grid_jump(d, n, x, K, h), (cells, x)
+
+
+def _erlang_log_tails(n, v):
+    """log P(S_n > v) for n exponential(1) summands, at each node v."""
+    terms = np.array([v**j / math.factorial(j) for j in range(n)])
+    return np.log(terms.sum(axis=0)) - v
+
+
+@pytest.mark.parametrize("law", sorted(_NODE_LAWS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_full_bracket_past_the_cap_agrees_with_the_grid_within_the_margin(law, n):
+    # With a cap in cell J > M / 2, the full bracket's chains are the capped
+    # ones plus the products that reach past the cap: other bits than
+    # convn_tail_grid's, within the outward margin of either.  The capped
+    # bracket keeps trunc_convn_tail_grid's bits.
+    make, scale, step = _NODE_LAWS[law]
+    d = make()
+    for cells in (1025, 2049):
+        h = step or scale / (cells - 3)
+        x = (cells - 3) * h
+        K = 0.3 * x
+        den, num = convolve._brackets(d, n, x + 2 * h, h, (math.inf, x - K))
+        full = tf.convn_tail_grid(d, n, x + 2 * h, h)
+        trunc = tf.trunc_convn_tail_grid(d, n, x - K, x + 2 * h, h)
+        assert np.array_equal(num.log_lower, trunc.log_lower)
+        assert np.array_equal(num.log_upper, trunc.log_upper)
+        M = len(full.grid) - 1
+        bound = 2 * math.log1p(4 * np.finfo(float).eps * n * M)
+        for a, b in ((den.log_lower, full.log_lower), (den.log_upper, full.log_upper)):
+            assert np.array_equal(np.isfinite(a), np.isfinite(b)), cells
+            fin = np.isfinite(a)
+            assert np.all(np.abs(a[fin] - b[fin]) <= bound), cells
+        if law == "exponential":
+            truth = _erlang_log_tails(n, full.grid)
+            for bg in (den, full):
+                assert np.all(bg.log_lower <= truth) and np.all(truth <= bg.log_upper)
+
+
+def _exp_jump_cond(n, x, K):
+    """P(max X_i > x - K | S_n > x) for n exponential(1) summands: by
+    memorylessness and inclusion-exclusion over the summands past c = x - K,
+    1 - sum_k (-1)^k C(n, k) e^{-kc} Q_n(x - kc) / Q_n(x), Q_n the Erlang
+    tail."""
+    c = x - K
+
+    def q(v):
+        return 1.0 if v < 0 else math.exp(-v) * math.fsum(v**j / math.factorial(j) for j in range(n))
+
+    return 1.0 - math.fsum(
+        (-1) ** k * math.comb(n, k) * math.exp(-k * c) * q(x - k * c) for k in range(n + 1)
+    ) / q(x)
+
+
+@pytest.mark.parametrize("n, x, K, h, past", [
+    # a low cap, 2J <= M: each bracket folds its own chains
+    (4, 5.0, 3.5, 2.0**-9, 0),
+    (3, 8.0, 5.0, 2.0**-8, 0),
+    # a high cap: the full chain is the capped one plus the products past it
+    (3, 8.0, 2.0, 2.0**-8, 1),
+    (4, 12.0, 3.0, 2.0**-7, 1),
+    (5, 12.0, 2.0, 2.0**-7, 1),
+    (7, 16.0, 4.0, 2.0**-6, 1),
+    (3, 19.998, 4.998, 1e-3, 1),  # 20 001 cells, J = 0.75 M
+])
+def test_jump_contains_the_exponential_conditional(exp1, monkeypatch, n, x, K, h, past):
+    calls = []
+    halves_past = convolve._halves_past
+
+    def counted(*args):
+        calls.append(1)
+        return halves_past(*args)
+
+    monkeypatch.setattr(convolve, "_halves_past", counted)
+    br = tf.jump_cond(exp1, n, x, K, h)
+    assert len(calls) == past
+    assert br.lower <= _exp_jump_cond(n, x, K) <= br.upper
+
+
+def test_jump_low_cap_pins_the_oracle(exp1):
+    # 2J = 1536 <= M = 2562; the inclusion-exclusion value 0.9991217091227599
+    br = tf.jump_cond(exp1, 4, 5.0, 3.5, 2.0**-9)
+    assert br.lower <= 0.9991217091227599 <= br.upper
+    assert br.upper - br.lower < 4e-5
 
 
 @pytest.mark.parametrize("name, n, x, K, h", [

@@ -1,5 +1,6 @@
 """Spec documents, export determinism, and the CLI front end."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import tailforge as tf
-from tailforge.cli import main
+from tailforge.cli import build_parser, main
 from tailforge.errors import ParameterError
 from tailforge.export import _cell, _write_csv, export_grid, result_from_obj, result_to_obj
 
@@ -264,6 +265,18 @@ def test_cli_conv_brackets_the_erlang_tail_on_157_tiles(capsys):
     assert row[0] == "20" and float(row[1]) <= -14.601837298482248 <= float(row[2])
 
 
+def test_cli_jump_low_cap_contains_the_exponential_conditional(capsys):
+    # The workflow's smoke line: the cap 1.5 sits in cell J = 768 of
+    # M = 2562, so each bracket folds its own chain; 0.9991217091227599 is
+    # the inclusion-exclusion value over the summands past the cap.
+    argv = ["functional", "--dist", "exponential:lam=1", "--kind", "jump", "--n", "4",
+            "--x", "5", "--K", "3.5", "--h", "0.001953125"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:3] == ["5", "3.5", "4"]
+    assert float(row[3]) <= 0.9991217091227599 <= float(row[4])
+
+
 def test_cli_conv_capped_upper_bound_is_at_most_one(capsys):
     # The workflow's smoke line: the union bound n F(v / n) ignores the cap,
     # and read 0.643 here; the restricted mass is (1 - e^{-1e-300})^2.
@@ -400,6 +413,29 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "prop-9.9", "--out", "/tmp/x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--versio"],
+    ["classify", "--dis", "pareto:alpha=3"],
+    ["conv", "--dist", "exponential:lam=1", "--x", "2", "--ca", "1"],
+], ids=["version", "classify-dist", "conv-cap"])
+def test_cli_refuses_an_abbreviated_option(capsys, argv):
+    # a prefix of an option is no option: --versio does not print the version
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_every_parser_refuses_abbreviations():
+    parsers = [build_parser()]
+    for parser in parsers:
+        assert parser.allow_abbrev is False, parser.prog
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert len(parsers) == 12  # tailforge, its 8 subcommands and dist's 3
 
 
 CLASSIFY = ["classify", "--dist", "exponential:lam=1"]
