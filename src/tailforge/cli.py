@@ -85,12 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     p.add_argument("--version", action="version", version=f"tailforge {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    # Subcommands are checked in main, after argparse has named any
+    # unrecognised option: it reports a missing subcommand first.
+    sub = p.add_subparsers(dest="command")
 
     dist = sub.add_parser(
         "dist", help="inspect, evaluate, or sample a distribution", allow_abbrev=False
     )
-    dist_sub = dist.add_subparsers(dest="dist_command", required=True)
+    dist.set_defaults(parser=dist)
+    dist_sub = dist.add_subparsers(dest="dist_command")
     show = dist_sub.add_parser("show", help="print the spec and basic facts", allow_abbrev=False)
     show.add_argument("--dist", required=True, help="spec file or inline kind:param=value")
     show.add_argument("--out", default=None, help="write the spec document here")
@@ -275,7 +278,12 @@ def _cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.error("the following arguments are required: command")
+    if args.command == "dist" and args.dist_command is None:
+        args.parser.error("the following arguments are required: dist_command")
     try:
         if args.command == "dist":
             return _cmd_dist(args)

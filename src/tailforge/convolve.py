@@ -436,8 +436,16 @@ class BracketGrid:
         return math.exp(log_lo), math.exp(log_up)
 
 
-def _node_log_tails(d: Distribution, x_max: float, h: float) -> np.ndarray:
-    """log F at the nodes j*h, j = 0..M, M = ceil(x_max / h)."""
+def _node_tails(d: Distribution, x_max: float, h: float):
+    """What every cap's staircase (``_staircase_masses``) reads on the
+    nodes v_j = j*h, j = 0..M, M = ceil(x_max / h), built once per grid:
+    (nodes, log F there, the left-limit tails F(v_j-), the atoms on nodes
+    as (j, mass, location)).  A left-limit tail is the right-continuous
+    tail plus the mass of any atom sitting exactly on the node.
+
+    Only the atoms at or below the last node are visited, found by one
+    search of the law's ``atom_locations``.
+    """
     M = int(math.ceil(x_max / h - 1e-12))
     if M + 1 > MAX_CELLS:
         raise GridGuardError(
@@ -449,12 +457,21 @@ def _node_log_tails(d: Distribution, x_max: float, h: float) -> np.ndarray:
         raise TruncationError(
             f"grid reaches {nodes[-1]!r}, beyond materialized breakpoint {trunc!r}"
         )
-    return np.atleast_1d(d.tail.log_tail(nodes))
+    log_t = np.atleast_1d(d.tail.log_tail(nodes))
+    t_left = np.exp(log_t)
+    on_node = []
+    for a in d.atoms[: int(d.atom_locations.searchsorted(nodes[-1], side="right"))]:
+        j = int(round(a.location / h))
+        if 0 <= j <= M and nodes[j] == a.location:
+            mass = math.exp(a.log_mass)
+            t_left[j] += mass
+            on_node.append((j, mass, a.location))
+    return nodes, log_t, t_left, on_node
 
 
-def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
+def _staircase_masses(d: Distribution, node_tails, cap: float):
     """Upper/lower staircase PMFs on nodes j*h, j = 0..M, plus overflow,
-    from the log tails ``log_t`` at the nodes (``_node_log_tails``).
+    from the nodes' tails (``_node_tails``) and F(cap).
 
     Returns (pmf_down, pmf_up, overflow, end, on_nodes, log_fcap) where
     overflow applies to both staircases (mass at or beyond the last node, and beyond
@@ -465,24 +482,14 @@ def _staircase_masses(d: Distribution, log_t: np.ndarray, h: float, cap: float):
     whether an atom sits on a node below the last one and inside the cap;
     without one, ``pmf_up`` is ``pmf_down`` shifted up one cell.
     ``log_fcap`` is log F(cap), -inf without a cap.
-
-    Only the atoms at or below the last node are visited, found by one
-    search of the law's ``atom_locations``.
     """
-    M = len(log_t) - 1
-    nodes = np.arange(M + 1) * h
+    nodes, log_t, t_left, on_node = node_tails
+    M = len(nodes) - 1
     trunc = d.tail.truncation_hi
-    # Left-limit tails at the nodes: right-continuous tail plus any atom
-    # sitting exactly on the node.
-    t_left = np.exp(log_t)
     atom_on_node = np.zeros(M + 1)
-    for a in d.atoms[: int(d.atom_locations.searchsorted(nodes[-1], side="right"))]:
-        j = int(round(a.location / h))
-        if 0 <= j <= M and nodes[j] == a.location:
-            mass = math.exp(a.log_mass)
-            t_left[j] += mass
-            if a.location <= cap:
-                atom_on_node[j] = mass
+    for j, mass, location in on_node:
+        if location <= cap:
+            atom_on_node[j] = mass
     log_fcap = _NEG_INF
     if math.isfinite(cap):
         if cap > trunc:
@@ -799,9 +806,10 @@ def _brackets(
     n = _fold_count(n, h)
     if not 0.0 <= x_max < math.inf:
         raise ParameterError(f"grid end must be nonnegative and finite, got {x_max}")
-    log_t = _node_log_tails(d, x_max, h)
-    M = len(log_t) - 1
-    stairs = [_staircase_masses(d, log_t, h, cap) for cap in caps]
+    node_tails = _node_tails(d, x_max, h)
+    stairs = [_staircase_masses(d, node_tails, cap) for cap in caps]
+    del node_tails  # its three node arrays would stay live through the folds
+    M = len(stairs[0][0]) - 1
     low = int(np.argmin(caps))
     lows = [{1: (pmf, stairs[low][2])} for pmf in _chains(stairs[low])]
     low_halves = [_halves(powers, n, M) for powers in lows]

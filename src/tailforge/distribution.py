@@ -6,9 +6,12 @@ each is one quadrature of it (``_log_tail_integral``).  Atom masses are
 stored as logs; some here are as small as 3 * 4**-900.
 
 The curve and its atoms are fixed at construction; the builtins fill in
-``label``, ``spec`` and ``truncation_note`` afterwards.  ``sample`` is a pure
-function of (seed, n) built on inverse transform with numpy's PCG64
-generator.
+``label``, ``spec`` and ``truncation_note`` afterwards.
+
+Draws take one path: ``_draw_blocks`` turns a generator's raw uniforms
+into inverse-transform draws a block of rows at a time, every row for
+``sample`` (a pure function of (seed, n) on numpy's PCG64 generator) and,
+for ``montecarlo.mc_jump_cond``, only the rows above a cutoff.
 """
 
 from __future__ import annotations
@@ -301,25 +304,43 @@ def quantile_from_tail(d: Distribution, u) -> float | np.ndarray:
 _BLOCK = 8192
 
 
-def quantile_blocks(d: Distribution, rng: np.random.Generator, rows: int, cols: int = 1):
+def _draw_blocks(
+    d: Distribution, rng: np.random.Generator, rows: int, cols: int, cutoff: float | None = None
+):
     """Inverse-transform draws of ``rows`` tuples of ``cols`` values from
-    ``rng``, as (first row, quantiles of shape (size, cols)) for consecutive
-    blocks of up to ``_BLOCK`` rows.
+    ``rng``, as (first row, kept offsets or None, draws) for consecutive
+    blocks of up to ``_BLOCK`` rows: the one loop that inverts raw uniforms.
 
     Consecutive ``random`` calls continue one stream in C order, so the
     blocks hold the values that one ``random((rows, cols))`` call maps to.
-    Levels are 1 - u, in (0, 1].  Each block's levels live in one buffer:
-    their logs are taken in it, and the curve inverts them from there,
-    writing a closed inverse's quantiles over them.  So a block's quantiles
-    may be overwritten by the next block's.
+    With a ``cutoff``, only the rows whose largest raw uniform exceeds it
+    are gathered, inverted and yielded, at the kept offsets (increasing,
+    from the block's first row).  Under ``montecarlo._row_cutoff``'s u* no
+    row can reach {S_n > x}, and a row with a level below a truncation
+    floor lies above it, so that level still raises TruncationError.
+
+    Levels are 1 - u, in (0, 1].  A block's levels (its kept rows) live in
+    one buffer: their logs are taken in it, and the curve inverts them from
+    there, checking them by one minimum and one maximum and writing a
+    closed inverse's quantiles over them.  So a block's draws may be
+    overwritten by the next block's.
     """
     levels = np.empty((min(rows, _BLOCK), cols))
     for start in range(0, rows, _BLOCK):
         u = levels[: min(_BLOCK, rows - start)]
         rng.random(out=u)
-        np.subtract(1.0, u, out=u)
-        np.log(u, out=u)
-        yield start, d.tail._quantile_of_log(u.reshape(-1)).reshape(u.shape)
+        kept = None
+        if cutoff is not None:
+            most = u[:, 0] if cols == 1 else np.maximum(u[:, 0], u[:, 1])
+            for j in range(2, cols):
+                np.maximum(most, u[:, j], out=most)
+            kept = np.flatnonzero(most > cutoff)
+            u = u.take(kept, axis=0)
+        if len(u):
+            np.subtract(1.0, u, out=u)
+            np.log(u, out=u)
+            u = d.tail._quantile_of_log(u.reshape(-1)).reshape(u.shape)
+        yield start, kept, u
 
 
 def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
@@ -331,7 +352,7 @@ def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
     n = _count("sample count", n, 1)
     rng = np.random.Generator(np.random.PCG64(_count("seed", seed, 0)))
     out = np.empty(n)
-    for start, xs in quantile_blocks(d, rng, n):
+    for start, _, xs in _draw_blocks(d, rng, n, 1):
         out[start : start + len(xs)] = xs[:, 0]
     return out
 

@@ -670,7 +670,9 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
         for t in cfg.t_list
     )
     t_max = max(cfg.t_list)
-    if math.expm1(gamma * t_max) <= _L_TOL:
+    # Capped at 1, where e^{gamma t} - 1 is past _L_TOL: a huge rate would
+    # overflow expm1.
+    if math.expm1(min(gamma * t_max, 1.0)) <= _L_TOL:
         # e^{gamma t} stays within _L_TOL of 1 at every shift, so the window
         # cannot tell this rate from 0.
         lg_verdict = "evidence-against"

@@ -13,24 +13,15 @@ draws.  A run draws one stream: the acceptance check reads its first
 ceil(10 / floor) draws and the estimate its first N, with no separate pilot
 key.
 
-A chunk of 65536 rows is drawn from its one generator in blocks of 8192
-rows, each filtered, inverted, summed and counted while it stays in cache.
-Consecutive draws continue the chunk's stream, so the blocks hold the draws
-a whole chunk drew, and the check stops the run at the block that holds its
-last draw.
-
-Which rows are inverted: only a row whose largest raw uniform u exceeds the
-run's cutoff u* (``_row_cutoff``) can reach {S_n > x}; every draw of the
-other rows lies at or below z = x/n - 1e-6 (1 + x/n) but for the inverse's
-own error, far inside the margin, so their sums stay at or below x.  The rows above the cutoff are gathered and inverted alone:
-1 - u, its log and the curve's inverse, which checks the levels (in (0, 1]
-and above the truncation floor) by one minimum and one maximum.  Where the
-share bound 1 - (1 - F(z))^n of such rows reaches ``_FILTER_SHARE``, or z
-lies outside (0, truncation_hi), every row is inverted.  A skipped row is
-no hit and no event, so the counts, and every estimate, keep the bits that
-inverting every row gives, and a level below the floor, which always lies
-in an inverted row, still raises TruncationError.  ``distribution.sample``
-still inverts every draw.
+A chunk of 65536 rows is drawn from its one generator through
+``distribution._draw_blocks``, the one loop that turns raw uniforms into
+draws, in blocks of 8192 rows, each filtered, inverted, summed and counted
+while it stays in cache.  Consecutive draws continue the chunk's stream, so
+the blocks hold the draws a whole chunk drew, and the check stops the run at
+the block that holds its last draw.  The loop inverts only the rows whose
+largest raw uniform exceeds the run's cutoff (``_row_cutoff``): the other
+rows cannot reach {S_n > x}, so every estimate keeps the bits that
+inverting every row gives.
 """
 
 from __future__ import annotations
@@ -41,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distribution import _BLOCK, Distribution
+from .distribution import _BLOCK, Distribution, _draw_blocks
 from .errors import LowAcceptanceError, ParameterError, TailforgeError, _count
 from .functionals import jump_cond
 
@@ -148,7 +139,6 @@ def mc_jump_cond(
     total = max(N, pilot_n)
 
     cutoff = _row_cutoff(d, n, x)
-    draws = np.empty((min(total, _BLOCK), n))
     accepted = 0
     events = 0
     pilot_hits = 0
@@ -159,24 +149,9 @@ def mc_jump_cond(
         rows = min(_CHUNK, total - first)
         # The chunk's blocks continue its one stream row by row, so the
         # first rows of a chunk are the draws a shorter chunk makes.
-        for offset in range(0, rows, _BLOCK):
-            u = draws[: min(_BLOCK, rows - offset)]
-            rng.random(out=u)
+        for offset, kept, xs in _draw_blocks(d, rng, rows, n, cutoff):
             start = first + offset
-            end = start + len(u)
-            # The rows to invert: every row, or with a cutoff the block
-            # rows in kept, whose largest u exceeds it.
-            xs, kept = u, None
-            if cutoff is not None:
-                most = u[:, 0] if n == 1 else np.maximum(u[:, 0], u[:, 1])
-                for j in range(2, n):
-                    np.maximum(most, u[:, j], out=most)
-                kept = np.flatnonzero(most > cutoff)
-                xs = u.take(kept, axis=0)
-            if len(xs):
-                np.subtract(1.0, xs, out=xs)
-                np.log(xs, out=xs)
-                xs = d.tail._quantile_of_log(xs.reshape(-1)).reshape(xs.shape)
+            end = first + min(offset + _BLOCK, rows)
             # Running sum and maximum over the n columns, from the first
             # two: a reduction along a short row axis is many times slower,
             # and for n below numpy's pairwise block of 8 it adds in the

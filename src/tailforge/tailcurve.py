@@ -178,10 +178,12 @@ def _inverse(fam: type[Segment], p, lu: np.ndarray, rate: float = 0.0) -> np.nda
     """x in [p.lo, p.hi] with log G(x) = lu, G(x) = F(x) e^{-rate x} and F
     of ``fam`` with parameters p, for a 1-d lu: the closed inverse clamped
     to [p.lo, p.hi], written over lu, or bisection where there is none (a
-    flat piece, or a rate), which leaves lu as it is."""
+    flat piece, or a rate), which leaves lu as it is.  A closed inverse
+    past the largest float reads inf (``pareto(1e-3)`` at u = 0.1)."""
     if fam._inverse is None or rate:
         return _bisect(partial(_log_value, fam, p, rate=rate), p.lo, p.hi, lu)
-    x = fam._inverse(p, lu)
+    with np.errstate(over="ignore"):
+        x = fam._inverse(p, lu)
     np.maximum(x, p.lo, out=x)
     # min(x, inf) is x: a piece that reaches infinity skips the pass.
     return x if np.ndim(p.hi) == 0 and p.hi == math.inf else np.minimum(x, p.hi, out=x)
@@ -266,7 +268,15 @@ class AffineSegment(Segment):
     def from_endpoints(lo: float, hi: float, log_v_lo: float, log_v_hi: float) -> "AffineSegment":
         if not log_v_lo > log_v_hi:
             raise ParameterError("affine tail requires log_v_lo > log_v_hi")
-        ratio = math.expm1(log_v_lo - log_v_hi) / (lo - hi)
+        try:
+            ratio = math.expm1(log_v_lo - log_v_hi) / (lo - hi)
+        except OverflowError:
+            ratio = -math.inf
+        if ratio == -math.inf:
+            raise ParameterError(
+                f"affine tail from log F {log_v_lo!r} at {lo!r} to {log_v_hi!r} at {hi!r} "
+                "is steeper than binary64 can hold"
+            )
         return AffineSegment(lo=lo, hi=hi, log_v_hi=log_v_hi, ratio=ratio)
 
     @staticmethod
@@ -716,8 +726,8 @@ class TailCurve:
         Exact per-segment inversion where closed forms exist, bisection to
         absolute tolerance 1e-12 * (1 + x) otherwise.  u below the tail at
         the truncation point, or below the level of a flat last piece that
-        reaches infinity, raises TruncationError.  Scalar in, scalar
-        out, else u's shape.
+        reaches infinity, raises TruncationError.  A quantile past the
+        largest float reads inf.  Scalar in, scalar out, else u's shape.
         """
         ua = np.atleast_1d(np.asarray(u, dtype=float))
         if not ua.size:

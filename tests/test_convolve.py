@@ -812,7 +812,7 @@ def _two_chain(monkeypatch):
 def test_one_chain_matches_two_chains(request, monkeypatch, name, x_max, h, capped, n):
     d = request.getfixturevalue(name)
     cap = x_max / 3 if capped else math.inf
-    masses = convolve._staircase_masses(d, convolve._node_log_tails(d, x_max, h), h, cap)
+    masses = convolve._staircase_masses(d, convolve._node_tails(d, x_max, h), cap)
     assert not masses[4]  # these laws have no atom on a node
     one = convolve._brackets(d, n, x_max, h, (cap,))[0]
     _two_chain(monkeypatch)

@@ -458,7 +458,7 @@ def test_quantile_roundtrip_continuous(request):
 
 @pytest.mark.parametrize("name", ["exp1", "pareto3", "dyadic", "fkz", "plateau2", "xu55"])
 def test_quantile_leaves_the_callers_levels(request, name):
-    # Only quantile_blocks inverts levels in place, in its own buffer.
+    # Only _draw_blocks inverts levels in place, in its own buffer.
     d = request.getfixturevalue(name)
     curve = d.tail
     u = np.exp(np.linspace(max(curve._ends[-1], -60.0), 0.0, 257))

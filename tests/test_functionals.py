@@ -819,6 +819,16 @@ def test_trend_rules():
     assert classify_trend(grid, values, rel_tol=1e-9)[0] == "decreasing"
 
 
+@pytest.mark.parametrize("tail, trend", [
+    ([10.5, 11.5], "increasing"),  # rising with one dip: 2 sign changes on 11 steps
+    ([9.0, 8.5], "oscillating"),  # and falling over the last two steps: 3
+], ids=["two-changes", "three-changes"])
+def test_trend_oscillates_past_a_quarter_of_the_steps(tail, trend):
+    # _OSCILLATE_FRAC = 0.25 reads more than 2.75 changes as oscillating
+    values = np.array([2.0, 3.0, 4.0, 5.0, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5, *tail])
+    assert classify_trend(np.geomspace(1, 100, 12), values) == (trend, None)
+
+
 # ------------------------------------------------- settling at 1: L, L(gamma)
 
 _GRID12 = np.geomspace(4.0, 1e6, 12)
@@ -828,6 +838,9 @@ _SHIFT_SERIES = {
     "oscillating": (np.array([1.0, 1.3] * 6), "oscillating", "evidence-against"),
     # rises from 0.6 to 1.4, never strays past 10 _L_TOL from 1, never settles
     "rising": (np.linspace(0.6, 1.4, 12), "increasing", "inconclusive"),
+    # settled off 1 by 0.045 and 0.055, either side of _L_TOL = 0.05
+    "inside-tol": (np.full(12, 1.045), "converging", "evidence-for"),
+    "outside-tol": (np.full(12, 1.055), "converging", "evidence-against"),
 }
 
 
@@ -862,6 +875,30 @@ def test_lgamma_reads_an_unsettled_series_as_inconclusive(monkeypatch, exp1):
     assert entry.detail == "tilted shift ratio trend ambiguous for gamma=1"
     # An unsettled rate leaves S(gamma) undecided too, not refuted.
     assert rep.verdict("S(gamma)") == "inconclusive"
+
+
+_HALVING_SERIES = {
+    # one early spike over a flat tail: max over median 80 and 120, either
+    # side of _D_SPREAD = 100
+    "spread-80": ([80.0] + [1.0] * 11, "evidence-for", "halving ratio bounded (limit ~ 1)"),
+    "spread-120": ([120.0] + [1.0] * 11, "inconclusive", "halving ratio trend converging"),
+    "oscillating": ([2.0, 3.0] * 6, "evidence-for", "halving ratio oscillates in a bounded band"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HALVING_SERIES))
+def test_d_reads_the_spread_of_a_hand_built_halving_series(monkeypatch, exp1, case):
+    values, verdict, detail = _HALVING_SERIES[case]
+    real = functionals.ratio_diagnostic
+
+    def halving(d, kind, xgrid, **kw):
+        if kind == "d":
+            return functionals.DiagSeries.build("d", "x", _GRID12, np.log(values), rel_tol=1e-7)
+        return real(d, kind, xgrid, **kw)
+
+    monkeypatch.setattr(functionals, "ratio_diagnostic", halving)
+    entry = tf.classify(exp1).entry("D")
+    assert (entry.verdict, entry.detail) == (verdict, detail)
 
 
 # ------------------------------------------------------ exam300 lower bound
@@ -1105,6 +1142,31 @@ def test_classify_j_middle_profile_reads_inconclusive():
     Ks, jobs, conv2 = _j_inputs({1.0: [0.5, 0.6, 0.6], 4.0: [0.7, 0.75, 0.8]})
     entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
     assert (entry.verdict, entry.detail) == ("inconclusive", "profile at K=4 is 0.75")
+
+
+@pytest.mark.parametrize("late, verdict", [(0.93, "evidence-for"), (0.87, "inconclusive")])
+def test_classify_j_reads_for_from_j_hi(late, verdict):
+    # late minima 0.93 and 0.87, either side of _J_HI = 0.9
+    Ks, jobs, conv2 = _j_inputs({1.0: [0.8, 0.85, 0.85, 0.85], 4.0: [0.81, 0.86, late, late]})
+    entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
+    assert entry.verdict == verdict
+
+
+@pytest.mark.parametrize("low, verdict, detail", [
+    (0.94, "evidence-for", "small-summand profile reaches 0.94 at K=4"),
+    (0.91, "inconclusive", "profile at K=4 is 0.91"),
+], ids=["within", "past"])
+def test_classify_j_lets_a_profile_fall_by_j_slack(low, verdict, detail):
+    # K = 4 reads two more x than K = 1, where its profile sits lower: the
+    # late minima fall from 0.98 by 0.04 and 0.07, either side of
+    # _J_SLACK = 0.05.  classify cannot build this: a larger K's late x lie
+    # among the smaller K's, where its ratio is never the smaller.
+    Ks, jobs, conv2 = _j_inputs({1.0: [0.97, 0.98, 0.98, 0.98], 4.0: [0.975, 0.99, 0.99, 0.99]})
+    for i in (4, 5):
+        jobs.append((64.0 * 2**i, [4.0]))
+        conv2.append((0.0, [[math.log(low / 2.0)]]))
+    entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
+    assert (entry.verdict, entry.detail) == (verdict, detail)
 
 
 def test_classify_j_without_three_points_per_K_has_no_grid():

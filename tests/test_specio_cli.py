@@ -370,6 +370,15 @@ def test_cli_simulate(tmp_path):
     assert 0.5 < doc["estimate"] < 0.8
 
 
+def test_cli_simulate_pareto_line_pinned(capsys):
+    # the pareto simulate line of the workflow's smoke step, digit for digit
+    argv = ["simulate", "--dist", "pareto:alpha=3", "--n", "2", "--x", "10", "--K", "2",
+            "--samples", "200000", "--seed", "11", "--format", "csv"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == "0.97435897435897434,0.0084367199451764914,351,200000,11"
+
+
 def test_cli_classify(tmp_path):
     out = tmp_path / "report.json"
     cfgf = tmp_path / "cfg.json"
@@ -426,6 +435,40 @@ def test_cli_refuses_an_abbreviated_option(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--versio"], "tailforge: error: unrecognized arguments: --versio"),
+    (["dist", "--versio"], "tailforge: error: unrecognized arguments: --versio"),
+    ([], "tailforge: error: the following arguments are required: command"),
+    (["dist"], "tailforge dist: error: the following arguments are required: dist_command"),
+], ids=["top-option", "dist-option", "top-command", "dist-command"])
+def test_cli_names_an_unrecognised_option_before_a_missing_command(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["dist", "show", "--dist", "xu_piecewise:alpha=5.5,x1=1e300"], "ParameterError"),
+    (["classify", "--dist", "exponential:lam=1e300"], "LogDepthError"),
+], ids=["xu-x1", "exponential-lam"])
+def test_cli_refuses_a_law_past_the_float_range(capsys, argv, error):
+    # each raised a bare OverflowError (exit 1): math.expm1 past binary64
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"tailforge: {error}: ")
+
+
+def test_cli_classify_reads_a_quantile_past_the_float_range_as_inf(capsys):
+    # pareto(1e-3)'s K quantiles lie near 10^1000: they read inf, with no
+    # overflow warning, and J says it has no usable grid
+    assert main(["classify", "--dist", "pareto:alpha=1e-3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    j = json.loads(out)["entries"][-1]
+    assert (j["class"], j["verdict"], j["detail"]) == ("J", "inconclusive", "no usable (x, K) grid")
 
 
 def test_every_parser_refuses_abbreviations():
