@@ -76,10 +76,39 @@ def _load_overrides(parser: argparse.ArgumentParser, path: str, names: set) -> d
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that names an unrecognised option before a missing
+    required argument.  argparse checks a subcommand's required arguments
+    inside that subcommand's parse, before the top parser sees what is left
+    over, so ``classify --dis x`` would read as a missing ``--dist``.  On
+    that error the subcommand parses its arguments again with nothing
+    required, and names what it does not recognise, if anything.  No help
+    action ran in the first parse, which would have exited before the
+    check."""
+
+    _args = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = args
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        if message.startswith("the following arguments are required") and self._args:
+            required = [a for a in self._actions if a.required]
+            for a in required:
+                a.required = False
+            extras = super().parse_known_args(self._args)[1]
+            for a in required:
+                a.required = True
+            if extras:
+                message = f"unrecognized arguments: {' '.join(extras)}"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; a subcommand that refuses its input after parsing holds
     itself as ``parser``, so its usage heads the error."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tailforge",
         description="numerical analysis of distribution tails on [0, inf)",
         allow_abbrev=False,

@@ -288,30 +288,37 @@ def cross_integral(
 # ----------------------------------------------------------- two-fold tails
 
 
-def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
-    """Log terms of int F(x - y) F(dy) over the bands of increasing ``cuts``,
-    for each job (x, cuts), in one batch, per e^{-gamma x} of d's tilt.
+def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
+    """For each job (x, cuts), log F2bar(x) and the log terms of
+    int F(x - y) F(dy) over the bands of the increasing ``cuts``, all below
+    x, both per e^{-gamma x} of d's tilt (``_split_tilt``).
 
     Band j is (cuts[j-1], cuts[j]]; the first band is [0, cuts[0]].  Each
     band lists one term per atom of the base in it, then one for d's
     density at its rate, ``log_density(y, gamma)`` = log(f + gamma F), if
     it has one there, so a single cut K gives the terms of int_{[0, K]}.
-    The atom terms of all jobs come from one ``log_tail`` call and the
-    density terms from one ``_log_against_tail`` batch.  Entry i is job i's
-    list of bands; the batch raises its first failure.
+    log F2bar(x) sums F(x) and the terms of every band and of one more,
+    (cuts[-1], x], so a prefix of the bands and the total share their
+    quadratures; with no cuts the one band is [0, x].  The atom terms of all
+    jobs come from one ``log_tail`` call and the density terms from one
+    ``_log_against_tail`` batch.  Every x is checked before any job is
+    integrated, and the batch raises its first failure.
     """
+    d.tail._checked([x for x, _ in jobs])
+    passes = [(x, [*cuts, x]) for x, cuts in jobs if x >= 0]
     base, rate = _split_tilt(d)
     curve = base.tail
-    out: list = [[[] for _ in cuts] for _, cuts in jobs]
-    if base.atoms and jobs:
+    heads = curve.log_tail(np.array([x for x, _ in passes], dtype=float)).tolist()
+    out: list = [[[] for _ in cuts] for _, cuts in passes]
+    if base.atoms and passes:
         locs = base.atom_locations
         log_masses = np.array([a.log_mass for a in base.atoms])
         hits = []  # (job, band of each atom in it, atoms in it)
-        for i, (x, cuts) in enumerate(jobs):
+        for i, (x, cuts) in enumerate(passes):
             band = np.searchsorted(cuts, locs, side="left")
             at = np.flatnonzero(band < len(cuts))
             hits.append((i, band[at], at))
-        args = np.concatenate([jobs[i][0] - locs[at] for i, _, at in hits])
+        args = np.concatenate([passes[i][0] - locs[at] for i, _, at in hits])
         masses = log_masses[np.concatenate([at for *_, at in hits])]
         terms = iter((masses + curve.log_tail(args)).tolist())
         for i, band, _ in hits:
@@ -319,7 +326,7 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
                 out[i][j].append(next(terms))
     bands = [
         (i, j, (x, lo, hi))
-        for i, (x, cuts) in enumerate(jobs)
+        for i, (x, cuts) in enumerate(passes)
         for j, (lo, hi) in enumerate(zip([0.0, *cuts], cuts))
     ]
     ends = np.array([job[1:] for *_, job in bands], dtype=float).reshape(-1, 2)
@@ -328,26 +335,9 @@ def _log_stieltjes_bands(d: Distribution, jobs, cfg: QuadConfig) -> list:
     vals = _log_against_tail(log_g, curve, [job for *_, job in dense], cfg)
     for (i, j, _), v in zip(dense, vals):
         out[i][j].append(v)
-    return out
-
-
-def _log_conv2_tails(d: Distribution, jobs, cfg: QuadConfig) -> list:
-    """For each job (x, cuts), log F2bar(x) and the bands of
-    ``_log_stieltjes_bands`` below the last cut, both per e^{-gamma x}.
-
-    Both come from one pass cut at the increasing ``cuts``, all below x, and
-    at x: log F2bar(x) sums F(x) and the terms of every band, so a prefix of
-    the bands and the total share their quadratures.  With no cuts the pass
-    is the one band [0, x].  Every x is checked before any job is
-    integrated, and the batch raises its first failure.
-    """
-    d.tail._checked([x for x, _ in jobs])
-    passes = [(x, [*cuts, x]) for x, cuts in jobs if x >= 0]
-    base = _split_tilt(d)[0]
-    heads = base.tail.log_tail(np.array([x for x, _ in passes], dtype=float)).tolist()
     pairs = iter(
-        (_logsumexp_list([head, *(t for band in bands for t in band)]), bands[:-1])
-        for head, bands in zip(heads, _log_stieltjes_bands(d, passes, cfg))
+        (_logsumexp_list([head, *(t for band in own for t in band)]), own[:-1])
+        for head, own in zip(heads, out)
     )
     # log F2bar(x) = 0 for x < 0
     return [(0.0, [[] for _ in cuts]) if x < 0 else next(pairs) for x, cuts in jobs]

@@ -81,9 +81,8 @@ _CONVERGE_BAND = 0.02  # trend: last quarter within this relative band
 _OSCILLATE_FRAC = 0.25  # trend: sign changes on more than this share of steps
 _K_LEVELS = (0.3, 0.1, 0.03, 0.01, 0.003)  # tail levels of the default J Ks
 _J_X_LO = 64.0  # J reads b2(x, K) from max(_J_X_LO, 3K) up
-_J_HI = 0.9  # J: for when the last profile's late minimum reaches this
+_J_HI = 0.9  # J: for when the largest K's late profile minimum reaches this
 _J_LO = 0.5  # J: against when it stays at or below this
-_J_SLACK = 0.05  # J: a profile may fall this far below the previous K's
 _L_TOL = 0.05  # L, L(gamma): a shift ratio settles within this of 1
 _L_EXCURSION = 10.0  # L, L(gamma): a late excursion past this many _L_TOL refutes
 _D_SPREAD = 100.0  # D: max over median of the halving ratio, bounded
@@ -771,6 +770,11 @@ def classify(d: Distribution, config: ClassifyConfig | None = None) -> ClassRepo
 
 
 def _classify_j(qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool) -> ClassEntry:
+    """J from one statistic: the late-half minimum of the b2 profile of the
+    largest K with at least 3 points, against ``_J_HI`` and ``_J_LO``.
+    Every such K's profile is evidence.  No smaller K's minimum can lie
+    above it: each larger K's x set is a suffix of a smaller K's, a refused
+    x leaves every K, and each x's ratios never fall with K."""
     rows: dict[float, tuple[list[float], list[float]]] = {K: ([], []) for K in K_list}
     for (x, Ks), (log_den, bands) in zip(jobs, conv2):
         try:
@@ -781,7 +785,6 @@ def _classify_j(qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool) -> Clas
             rows[K][0].append(x)
             rows[K][1].append(v)
     profiles: list[DiagSeries] = []
-    proxies: list[float] = []
     for K in K_list:
         kept_x, vals = rows[K]
         if len(vals) < 3:
@@ -789,9 +792,7 @@ def _classify_j(qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool) -> Clas
         log_vals = np.log(np.maximum(vals, 1e-300))
         series = DiagSeries.build(f"b2(K={K:g})", "x", kept_x, log_vals, rel_tol=qcfg.rel_tol)
         profiles.append(series)
-        half = np.asarray(vals)[len(vals) // 2 :]
-        proxies.append(float(np.min(half)))
-        last_K = K
+        last_K, late = K, min(vals[len(vals) // 2 :])
     if os_against:
         return ClassEntry(
             "J",
@@ -799,22 +800,13 @@ def _classify_j(qcfg: QuadConfig, K_list, jobs, conv2, os_against: bool) -> Clas
             "two-fold ratio diverges (membership would require a bounded one)",
             tuple(profiles),
         )
-    if not proxies:
+    if not profiles:
         return ClassEntry("J", "inconclusive", "no usable (x, K) grid", tuple(profiles))
-    nondecreasing = all(b >= a - _J_SLACK for a, b in zip(proxies, proxies[1:]))
-    if proxies[-1] >= _J_HI and nondecreasing:
-        verdict, detail = (
-            "evidence-for",
-            f"small-summand profile reaches {proxies[-1]:.4g} at K={last_K:g}",
-        )
-    elif proxies[-1] <= _J_LO:
-        verdict, detail = (
-            "evidence-against",
-            f"small-summand profile stuck at {proxies[-1]:.4g} at K={last_K:g}",
-        )
+    at = f"{late:.4g} at K={last_K:g}"
+    if late >= _J_HI:
+        verdict, detail = "evidence-for", f"small-summand profile reaches {at}"
+    elif late <= _J_LO:
+        verdict, detail = "evidence-against", f"small-summand profile stuck at {at}"
     else:
-        verdict, detail = (
-            "inconclusive",
-            f"profile at K={last_K:g} is {proxies[-1]:.4g}",
-        )
+        verdict, detail = "inconclusive", f"profile at K={last_K:g} is {late:.4g}"
     return ClassEntry("J", verdict, detail, tuple(profiles))

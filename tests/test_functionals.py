@@ -1154,19 +1154,20 @@ def test_classify_j_reads_for_from_j_hi(late, verdict):
 
 @pytest.mark.parametrize("low, verdict, detail", [
     (0.94, "evidence-for", "small-summand profile reaches 0.94 at K=4"),
-    (0.91, "inconclusive", "profile at K=4 is 0.91"),
-], ids=["within", "past"])
-def test_classify_j_lets_a_profile_fall_by_j_slack(low, verdict, detail):
-    # K = 4 reads two more x than K = 1, where its profile sits lower: the
-    # late minima fall from 0.98 by 0.04 and 0.07, either side of
-    # _J_SLACK = 0.05.  classify cannot build this: a larger K's late x lie
-    # among the smaller K's, where its ratio is never the smaller.
+    (0.91, "evidence-for", "small-summand profile reaches 0.91 at K=4"),
+    (0.6, "inconclusive", "profile at K=4 is 0.6"),
+], ids=["for", "for-below-smaller-K", "inconclusive"])
+def test_classify_j_reads_the_largest_K_alone(low, verdict, detail):
+    # K = 4 reads two more x than K = 1, where its profile sits lower: its
+    # late minimum falls from K = 1's 0.98 to low, and the verdict reads
+    # that minimum alone.  classify cannot build this: a larger K's late x
+    # lie among the smaller K's, where its ratio is never the smaller.
     Ks, jobs, conv2 = _j_inputs({1.0: [0.97, 0.98, 0.98, 0.98], 4.0: [0.975, 0.99, 0.99, 0.99]})
     for i in (4, 5):
         jobs.append((64.0 * 2**i, [4.0]))
         conv2.append((0.0, [[math.log(low / 2.0)]]))
     entry = functionals._classify_j(tf.QuadConfig(), Ks, jobs, conv2, os_against=False)
-    assert (entry.verdict, entry.detail) == (verdict, detail)
+    assert (entry.verdict, entry.detail, len(entry.evidence)) == (verdict, detail, 2)
 
 
 def test_classify_j_without_three_points_per_K_has_no_grid():

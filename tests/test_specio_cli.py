@@ -442,7 +442,19 @@ def test_cli_refuses_an_abbreviated_option(capsys, argv):
     (["dist", "--versio"], "tailforge: error: unrecognized arguments: --versio"),
     ([], "tailforge: error: the following arguments are required: command"),
     (["dist"], "tailforge dist: error: the following arguments are required: dist_command"),
-], ids=["top-option", "dist-option", "top-command", "dist-command"])
+    # argparse checks a subcommand's required options first: --dis read as
+    # a missing --dist
+    (["dist", "show", "--dis", "x"],
+     "tailforge dist show: error: unrecognized arguments: --dis x"),
+    (["classify", "--dis", "pareto:alpha=3"],
+     "tailforge classify: error: unrecognized arguments: --dis pareto:alpha=3"),
+    (["conv", "--dis", "pareto:alpha=3", "--x", "10"],
+     "tailforge conv: error: unrecognized arguments: --dis pareto:alpha=3"),
+    (["simulate", "--dis", "pareto:alpha=3", "--x", "10", "--K", "2"],
+     "tailforge simulate: error: unrecognized arguments: --dis pareto:alpha=3"),
+    (["classify"], "tailforge classify: error: the following arguments are required: --dist"),
+], ids=["top-option", "dist-option", "top-command", "dist-command", "dist-show-dis",
+        "classify-dis", "conv-dis", "simulate-dis", "classify-no-dist"])
 def test_cli_names_an_unrecognised_option_before_a_missing_command(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

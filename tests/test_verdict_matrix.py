@@ -12,8 +12,11 @@ with
 and review the diff.
 """
 
+import functools
 import io
 import pathlib
+
+import numpy as np
 
 import tailforge as tf
 from tailforge.errors import TailforgeError
@@ -39,21 +42,31 @@ WINDOWS = (
 )
 
 
-def matrix_rows():
-    """The matrix's rows, laws in ``BASES`` order, each untilted and then
-    at each of ``GAMMAS``, every law at every window."""
+@functools.cache
+def matrix_reports():
+    """(label, window, report) per matrix law and window, laws in ``BASES``
+    order, each untilted and then at each of ``GAMMAS``; the report is the
+    error where classify raises.  Built once for every test here."""
+    out = []
     for build in BASES:
         base = build()
         for d in [base] + [tf.gamma_transform(base, g) for g in GAMMAS]:
             for cfg in WINDOWS:
                 window = f"x_hi={cfg.x_hi:g} n_grid={cfg.n_grid}"
                 try:
-                    report = tf.classify(d, cfg)
+                    out.append((d.label, window, tf.classify(d, cfg)))
                 except TailforgeError as exc:
-                    yield [d.label, window, "error", type(exc).__name__, str(exc)]
-                    continue
-                for e in report.entries:
-                    yield [d.label, window, e.cls, e.verdict, e.detail]
+                    out.append((d.label, window, exc))
+    return tuple(out)
+
+
+def matrix_rows():
+    for law, window, report in matrix_reports():
+        if isinstance(report, TailforgeError):
+            yield [law, window, "error", type(report).__name__, str(report)]
+            continue
+        for e in report.entries:
+            yield [law, window, e.cls, e.verdict, e.detail]
 
 
 def matrix_text() -> str:
@@ -67,6 +80,21 @@ def test_verdict_matrix_matches_the_committed_file():
     want = MATRIX.read_text(encoding="utf-8").splitlines()
     moved = [f"{w!r} -> {g!r}" for w, g in zip(want, got) if w != g]
     assert not moved and len(got) == len(want), "\n".join(moved[:20]) or "row count differs"
+
+
+def test_j_late_minima_never_fall_with_K():
+    # J reads the largest usable K's late-half minimum alone: each larger
+    # K's x set is a suffix of a smaller K's and each x's ratios never fall
+    # with K, so no smaller K's minimum lies above it.
+    pairs, falls = 0, []
+    for law, window, report in matrix_reports():
+        if isinstance(report, TailforgeError):
+            continue
+        profiles = report.entry("J").evidence
+        late = [float(np.min(p.log_values[len(p.log_values) // 2 :])) for p in profiles]
+        pairs += len(late) - 1
+        falls += [(law, window, p.kind) for p, a, b in zip(profiles[1:], late, late[1:]) if b < a]
+    assert (pairs, falls) == (541, [])
 
 
 if __name__ == "__main__":
