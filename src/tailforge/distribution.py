@@ -59,17 +59,14 @@ _ATOM_ULPS = 4.0
 
 
 def atoms_from_curve(curve: TailCurve) -> tuple[Atom, ...]:
-    """The atoms of dF: the downward jumps of the curve at segment joins.
-    A tilted curve's are its base's, read off its segments at rate 0, each
-    log mass less rate * location: on the tilted curve that term would
-    swamp the deep drops."""
-    base = TailCurve(curve.segments) if curve.rate else curve
-    ends, starts = base._ends[:-1], base._starts[1:]
+    """The atoms of dF for an untilted curve: its downward jumps at segment
+    joins.  A tilt takes its base's (``Distribution.atoms``)."""
+    ends, starts = curve._ends[:-1], curve._starts[1:]
     with np.errstate(invalid="ignore"):  # a join where F is already 0
         drops = starts - ends
         joins = np.flatnonzero(drops < -_ATOM_ULPS * np.spacing(np.maximum(1.0, np.abs(ends))))
     return tuple(
-        Atom(lo, float(ends[k] + math.log(-math.expm1(drops[k]))) - curve.rate * lo)
+        Atom(lo, float(ends[k] + math.log(-math.expm1(drops[k]))))
         for k, lo in zip(joins, curve._los[joins + 1].tolist())
     )
 
@@ -78,12 +75,11 @@ class Distribution:
     """Distribution on [0, inf): tail curve, atoms, label.
 
     dF is read off the curve: its density is ``TailCurve.log_density`` and
-    its atoms come from ``atoms_from_curve``.
+    its atoms are ``atoms``.
     """
 
     def __init__(self, tail: TailCurve, label: str = "", spec: dict | None = None):
         self.tail = tail
-        self.atoms = atoms_from_curve(tail)
         self.label = label
         self.spec = spec or {}
         self.truncation_note: str | None = None
@@ -92,6 +88,16 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"Distribution({self.label or 'anonymous'}, segments={len(self.tail.segments)})"
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The curve's atoms (``atoms_from_curve``); a tilt's are its base's
+        (``_split_tilt``), each log mass less rate * location: on the tilted
+        curve that term would swamp the deep drops."""
+        base, rate = _split_tilt(self)
+        if not rate:
+            return atoms_from_curve(self.tail)
+        return tuple(Atom(a.location, a.log_mass - rate * a.location) for a in base.atoms)
 
     @cached_property
     def atom_locations(self) -> np.ndarray:

@@ -111,9 +111,10 @@ def classify_trend(
     band = _CONVERGE_BAND * max(abs(center), 1e-300)
     if float(np.max(quarter) - np.min(quarter)) <= 2 * band:
         return "converging", center
+    # The least-squares slope of the last half has the sign of this sum.
     half_v = values[n // 2 :]
     half_g = np.log(grid[n // 2 :])
-    slope = float(np.polyfit(half_g, half_v, 1)[0]) if len(half_v) >= 2 else 0.0
+    slope = float(np.sum((half_g - np.mean(half_g)) * (half_v - np.mean(half_v))))
     if values[-1] > diverge_ratio * values[0] and slope > 0:
         return "diverging", None
     diffs = np.diff(values)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -235,7 +235,6 @@ def mc_vs_quadrature(
     N: int,
     seed: int,
     acceptance_floor: float = 1e-4,
-    bias_injection: Mapping[int, float] | None = None,
 ) -> ComparisonTable:
     """Run every (n, x, K) scenario through both routes and z-score them.
 
@@ -245,9 +244,7 @@ def mc_vs_quadrature(
     or 1 where the plain binomial SE degenerates.  The bracket step is
     ``_default_bracket_step(x)``, and rows with |z| > _Z_FLAG are flagged.
     A scenario's ``TailforgeError`` is recorded in the table, not raised;
-    any other exception is a fault and propagates.  ``bias_injection`` maps
-    row index -> additive bias, a self-test hook for verifying that the
-    harness flags what it should.
+    any other exception is a fault and propagates.
     """
     seed = _count("seed", seed, 0)
     rows: list[ComparisonRow] = []
@@ -256,21 +253,20 @@ def mc_vs_quadrature(
             stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
             est = mc_jump_cond(d, n, float(x), float(K), N, stream, acceptance_floor)
             bracket = jump_cond(d, n, float(x), float(K), _default_bracket_step(float(x)))
-            value = est.estimate + (bias_injection.get(i, 0.0) if bias_injection else 0.0)
             events = est.estimate * est.accepted
             p_adj = (events + 2.0) / (est.accepted + 4.0)
             se_ac = math.sqrt(p_adj * (1.0 - p_adj) / (est.accepted + 4.0))
             se_eff = math.sqrt(se_ac**2 + (bracket.width / 2.0) ** 2)
             if se_eff == 0.0:
-                z = 0.0 if value == bracket.mid else math.inf
+                z = 0.0 if est.estimate == bracket.mid else math.inf
             else:
-                z = (value - bracket.mid) / se_eff
+                z = (est.estimate - bracket.mid) / se_eff
             rows.append(
                 ComparisonRow(
                     n=n,
                     x=float(x),
                     K=float(K),
-                    estimate=value,
+                    estimate=est.estimate,
                     std_error=est.std_error,
                     bracket_lower=bracket.lower,
                     bracket_upper=bracket.upper,

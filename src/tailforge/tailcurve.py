@@ -260,9 +260,8 @@ class AffineSegment(Segment):
         # An affine tail reaches 0 at a finite point; past it log F is not real.
         if not self.hi < math.inf:
             raise ParameterError("affine tail needs a finite upper end, got hi=inf")
-        # Value must stay positive on [lo, hi).
-        if 1.0 + self.ratio * (self.lo - self.hi) <= 0.0:
-            raise ParameterError("affine tail nonpositive at segment start")
+        # With ratio < 0 and lo < hi, 1 + ratio (x - hi) > 1 on [lo, hi): the
+        # value stays positive with no further check.
 
     @staticmethod
     def from_endpoints(lo: float, hi: float, log_v_lo: float, log_v_hi: float) -> "AffineSegment":

@@ -9,7 +9,7 @@ tilt(d, g1 + g2) are the same curve whenever the rates sum to the same
 float.  The tilt keeps its source's base and the summed rate as its split
 (``distribution._split_tilt``), which its moments and the two-fold
 quadratures read.  Its atoms are the base's, each scaled by
-exp(-gamma * location) (``atoms_from_curve``), and every segment carries
+exp(-gamma * location) (``Distribution.atoms``), and every segment carries
 the density exp(-gamma x) * (f(x) + gamma F(x)) with the rate kept symbolic.
 
 This is the plain tail tilt; no Esscher normalization is applied.

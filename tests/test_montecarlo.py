@@ -1,5 +1,6 @@
 """Monte Carlo estimator and the MC-versus-quadrature harness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,11 +77,19 @@ def test_ten_exponential_scenarios_no_flags(exp1):
     assert table.flags == (), [r.z for r in table.rows]
 
 
-def test_bias_injection_flags_exactly_that_row(exp1):
+def test_bias_injection_flags_exactly_that_row(monkeypatch, exp1):
+    # The Monte Carlo route of row 1 alone reads 0.05 high.
     scenarios = [(2, x, 1.0) for x in (3.0, 5.0, 8.0)]
-    table = tf.mc_vs_quadrature(
-        exp1, scenarios, 100000, seed=20240808, bias_injection={1: 0.05}
-    )
+    unbiased = montecarlo.mc_jump_cond
+
+    def biased(d, n, x, K, *args):
+        est = unbiased(d, n, x, K, *args)
+        if (n, x, K) == scenarios[1]:
+            est = dataclasses.replace(est, estimate=est.estimate + 0.05)
+        return est
+
+    monkeypatch.setattr(montecarlo, "mc_jump_cond", biased)
+    table = tf.mc_vs_quadrature(exp1, scenarios, 100000, seed=20240808)
     assert table.flags == (1,)
 
 

@@ -212,14 +212,6 @@ def test_cli_dist_eval(tmp_path, capsys):
     assert lines[3].startswith("10,-10,")
 
 
-def test_cli_dist_sample_prints_the_pinned_draws(capsys):
-    # The workflow's smoke line: 17 significant digits, one draw a line.
-    assert main(["dist", "sample", "--dist", "pareto:alpha=3", "--n", "3", "--seed", "3"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "sample", "0.030296865104996851", "0.09426507674621587", "0.71362362857553352"
-    ]
-
-
 def test_cli_dist_sample_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -256,30 +248,9 @@ def test_cli_conv_stdout_reads_the_log_bounds(capsys):
     assert float(x1600[1]) <= math.log(1601.0) - 1600.0 <= float(x1600[2]) < -700
 
 
-def test_cli_conv_brackets_the_erlang_tail_on_157_tiles(capsys):
-    # The workflow's smoke line: 20 001 cells, the dense kernel's 157
-    # tiles below the top cells; log P(S_3 > 20) = log(221) - 20.
-    argv = ["conv", "--dist", "exponential:lam=1", "--n", "3", "--x", "20", "--h", "0.001"]
-    assert main(argv) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert row[0] == "20" and float(row[1]) <= -14.601837298482248 <= float(row[2])
-
-
-def test_cli_jump_low_cap_contains_the_exponential_conditional(capsys):
-    # The workflow's smoke line: the cap 1.5 sits in cell J = 768 of
-    # M = 2562, so each bracket folds its own chain; 0.9991217091227599 is
-    # the inclusion-exclusion value over the summands past the cap.
-    argv = ["functional", "--dist", "exponential:lam=1", "--kind", "jump", "--n", "4",
-            "--x", "5", "--K", "3.5", "--h", "0.001953125"]
-    assert main(argv) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert row[:3] == ["5", "3.5", "4"]
-    assert float(row[3]) <= 0.9991217091227599 <= float(row[4])
-
-
 def test_cli_conv_capped_upper_bound_is_at_most_one(capsys):
-    # The workflow's smoke line: the union bound n F(v / n) ignores the cap,
-    # and read 0.643 here; the restricted mass is (1 - e^{-1e-300})^2.
+    # The union bound n F(v / n) ignores the cap, and read 0.643 here; the
+    # restricted mass is (1 - e^{-1e-300})^2.
     argv = ["conv", "--dist", "exponential:lam=1", "--n", "2", "--x", "0.1", "--h", "0.1"]
     assert main([*argv, "--cap", "1e-300"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -368,15 +339,6 @@ def test_cli_simulate(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["type"] == "McEstimate"
     assert 0.5 < doc["estimate"] < 0.8
-
-
-def test_cli_simulate_pareto_line_pinned(capsys):
-    # the pareto simulate line of the workflow's smoke step, digit for digit
-    argv = ["simulate", "--dist", "pareto:alpha=3", "--n", "2", "--x", "10", "--K", "2",
-            "--samples", "200000", "--seed", "11", "--format", "csv"]
-    assert main(argv) == 0
-    row = capsys.readouterr().out.splitlines()[1]
-    assert row == "0.97435897435897434,0.0084367199451764914,351,200000,11"
 
 
 def test_cli_classify(tmp_path):
@@ -584,8 +546,8 @@ _BUILTIN_SPECS = [
 
 @pytest.mark.parametrize("spec", _BUILTIN_SPECS)
 def test_cli_classify_csv_reads_back_three_fields_a_row(tmp_path, capsys, spec):
-    # Part of the workflow's smoke step: an OS detail such as "two-fold
-    # ratio trend converging, limit ~ 2" holds a comma, and is quoted.
+    # An OS detail such as "two-fold ratio trend converging, limit ~ 2"
+    # holds a comma, and is quoted.
     saved = tmp_path / "report.json"
     assert main(["classify", "--dist", spec, "--out", str(saved)]) == 0
     assert main(["classify", "--dist", spec, "--format", "csv"]) == 0
