@@ -50,7 +50,7 @@ from .errors import (
     ToleranceError,
     TruncationError,
 )
-from .experiments import EXPERIMENT_IDS, run_experiment
+from .experiments import EXPERIMENT_IDS, exam300_lower_bound, run_experiment
 from .functionals import (
     ClassifyConfig,
     ClassReport,
@@ -58,7 +58,6 @@ from .functionals import (
     b2_cond,
     classify,
     classify_trend,
-    exam300_lower_bound,
     geometric_grid,
     jump_cond,
     ratio_diagnostic,

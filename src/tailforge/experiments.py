@@ -8,6 +8,10 @@ records the table under ``"config"``, and succeeds (exit 0) iff every
 expectation holds.  Expectations are deliberately qualitative: the
 underlying statements are limits at infinity, and a desk-scale grid can
 only trend toward them.
+
+A claim that several experiments make is one helper (``_K_profile``,
+``_os_transform``, ``_shift_ratio_unsettled``); a helper that one
+construction alone needs sits beside its experiment.
 """
 
 from __future__ import annotations
@@ -35,17 +39,15 @@ from .export import _write_csv, _write_json, export_grid
 from .functionals import (
     _b2_profile,
     _t_ratios,
-    shift_probe_grid,
-    exam300_lower_bound,
     geometric_grid,
     ratio_diagnostic,
+    shift_probe_grid,
     weak_equiv_diag,
-    xu_window_labels,
 )
 from .quadrature import QuadConfig
 from .transform import gamma_transform
 
-__all__ = ["EXPERIMENT_IDS", "run_experiment"]
+__all__ = ["EXPERIMENT_IDS", "exam300_lower_bound", "run_experiment"]
 
 EXPERIMENT_IDS = ("prop-1.1", "prop-1.2", "prop-1.3", "prop-1.4", "thm-1.1")
 
@@ -89,7 +91,7 @@ def run_experiment(exp_id: str, out_dir: str | os.PathLike) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = _Run(out)
-    runner(cfg, run)
+    runner(cfg, QuadConfig(rel_tol=cfg["rel_tol"]), run)
     summary = {
         "experiment": exp_id,
         "config": cfg,
@@ -102,15 +104,35 @@ def run_experiment(exp_id: str, out_dir: str | os.PathLike) -> int:
     return 0 if run.all_passed else 1
 
 
-def _K_profile(run: _Run, name: str, Ks, x: float, vals: list[float], col: str) -> None:
-    """Write the values of one K-profile at threshold x as the
-    ``K,x,<col>`` table ``name``."""
+def _K_profile(run: _Run, col: str, Ks, x: float, vals: list[float], level: float | None) -> None:
+    """Write one K-profile at threshold x as a ``K,x,<col>`` table and, given
+    a level, expect it to rise: nondecreasing up to 1e-9 and ending at or
+    above ``level``.  The b2 profile is the transform's, the t profile the
+    source's."""
+    name, check = {
+        "b2": ("b2_transform.csv", "b2-transform-rises"),
+        "t_ratio": ("t_ratio.csv", "t-ratio-rises"),
+    }[col]
     run.table(name, ["K", "x", col], [(K, x, v) for K, v in zip(Ks, vals)])
+    if level is not None:
+        rises = all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])) and vals[-1] >= level
+        run.check(check, rises, f"profile {['%.4g' % v for v in vals]}")
 
 
-def _rises(vals: list[float], level: float) -> bool:
-    """Nondecreasing up to 1e-9 and ending at or above ``level``."""
-    return all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])) and vals[-1] >= level
+def _os_transform(G: Distribution, grid, qcfg: QuadConfig, run: _Run, diverging: bool) -> None:
+    """Write the transform's two-fold ratio F2bar(x)/F(x) to
+    ``os_transform.csv`` and expect it to diverge (G lies outside OS) or,
+    as evidence against S(gamma), not to converge."""
+    os_g = ratio_diagnostic(G, "os", grid, cfg=qcfg)
+    run.series("os_transform.csv", os_g)
+    if diverging:
+        run.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
+    else:
+        run.check(
+            "sgamma-against",
+            os_g.trend != "converging",
+            f"two-fold ratio of the transform has trend {os_g.trend}",
+        )
 
 
 def _shift_ratio_unsettled(G: Distribution, grid: np.ndarray, qcfg: QuadConfig, run: _Run) -> None:
@@ -140,8 +162,23 @@ _PROP11: dict[str, Any] = {
 }
 
 
-def _run_prop11(cfg: dict, run: _Run) -> None:
-    qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
+def exam300_lower_bound(n: int) -> float:
+    """(a_{n+1}^2 / 2 - a_n^2) * exp(-a_n) for the explosive-gap recursion
+    a_{n+1} = exp(a_n)/a_n; strictly increasing for n >= 2 and unbounded."""
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    a = fkz_a_sequence()
+    if n + 1 >= len(a):
+        raise TruncationError(
+            f"a_{n + 1} is beyond the representable recursion (have {len(a) - 1} terms)"
+        )
+    gap = 0.5 * a[n + 1] ** 2 - a[n] ** 2
+    if gap <= 0:
+        return 0.0
+    return math.exp(math.log(gap) - a[n])
+
+
+def _run_prop11(cfg: dict, qcfg: QuadConfig, run: _Run) -> None:
     F = fkz_example()
     G = gamma_transform(F, cfg["gamma"])
     a = fkz_a_sequence()
@@ -189,9 +226,7 @@ def _run_prop11(cfg: dict, run: _Run) -> None:
     run.table("os_identity_check.csv", ["x", "fused", "split", "rel_err"], id_rows)
     run.check("os-identity-agrees", id_ok, "fused and split tilted ratios match to 1e-6")
 
-    os_g = ratio_diagnostic(G, "os", grid, cfg=qcfg)
-    run.series("os_transform.csv", os_g)
-    run.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
+    _os_transform(G, grid, qcfg, run, diverging=True)
 
 
 # ------------------------------------------------------------------ prop 1.2
@@ -207,8 +242,7 @@ _PROP12: dict[str, Any] = {
 }
 
 
-def _run_prop12(cfg: dict, run: _Run) -> None:
-    qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
+def _run_prop12(cfg: dict, qcfg: QuadConfig, run: _Run) -> None:
     F = fkz_example()
     G = gamma_transform(F, cfg["gamma"])
     a = fkz_a_sequence()
@@ -232,16 +266,14 @@ def _run_prop12(cfg: dict, run: _Run) -> None:
     )
 
     b2_vals = _b2_profile(G, a[4] ** 2, cfg["b2_K_list"], qcfg)
-    _K_profile(run, "b2_transform.csv", cfg["b2_K_list"], a[4] ** 2, b2_vals, "b2")
+    _K_profile(run, "b2", cfg["b2_K_list"], a[4] ** 2, b2_vals, None)
     run.check(
         "b2-transform-low",
         not any(v > cfg["t_gate"] for v in b2_vals),
         f"small-summand probability stuck <= {cfg['t_gate']}",
     )
 
-    os_g = ratio_diagnostic(G, "os", geometric_grid(G, 2.0, cfg["x_cap"], 22), cfg=qcfg)
-    run.series("os_transform.csv", os_g)
-    run.check("os-transform-diverging", os_g.trend == "diverging", f"trend {os_g.trend}")
+    _os_transform(G, geometric_grid(G, 2.0, cfg["x_cap"], 22), qcfg, run, diverging=True)
 
 
 # ------------------------------------------------------------------ prop 1.3
@@ -281,8 +313,7 @@ _PROP13: dict[str, Any] = {
 }
 
 
-def _run_prop13(cfg: dict, run: _Run) -> None:
-    qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
+def _run_prop13(cfg: dict, qcfg: QuadConfig, run: _Run) -> None:
     F = dyadic_pareto()
     G = gamma_transform(F, cfg["gamma"])
 
@@ -311,13 +342,7 @@ def _run_prop13(cfg: dict, run: _Run) -> None:
     _shift_ratio_unsettled(G, geometric_grid(G, 64.0, 2.0**20, 25), qcfg, run)
 
     # S(gamma) evidence-against: the two-fold ratio of G does not converge.
-    os_g = ratio_diagnostic(G, "os", geometric_grid(G, 4.0, 2.0**20, 22), cfg=qcfg)
-    run.series("os_transform.csv", os_g)
-    run.check(
-        "sgamma-against",
-        os_g.trend != "converging",
-        f"two-fold ratio of the transform has trend {os_g.trend}",
-    )
+    _os_transform(G, geometric_grid(G, 4.0, 2.0**20, 22), qcfg, run, diverging=False)
 
     # Light/heavy control: tilted moment finite for the transform at rate
     # gamma/2, not certifiable for the heavy source.
@@ -336,12 +361,7 @@ def _run_prop13(cfg: dict, run: _Run) -> None:
 
     # J evidence on the transform: small-summand profile rises with K.
     b2_vals = _b2_profile(G, cfg["b2_x"], cfg["b2_K_list"], qcfg)
-    _K_profile(run, "b2_transform.csv", cfg["b2_K_list"], cfg["b2_x"], b2_vals, "b2")
-    run.check(
-        "b2-transform-rises",
-        _rises(b2_vals, cfg["gate_level"]),
-        f"profile {['%.4g' % v for v in b2_vals]}",
-    )
+    _K_profile(run, "b2", cfg["b2_K_list"], cfg["b2_x"], b2_vals, cfg["gate_level"])
 
 
 # ------------------------------------------------------------------ prop 1.4
@@ -360,8 +380,7 @@ _PROP14: dict[str, Any] = {
 }
 
 
-def _run_prop14(cfg: dict, run: _Run) -> None:
-    qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
+def _run_prop14(cfg: dict, qcfg: QuadConfig, run: _Run) -> None:
     F = plateau_example(a=cfg["a"])
     F1 = weibull_heavy(0.5)
     G = gamma_transform(F, cfg["gamma"])
@@ -390,22 +409,11 @@ def _run_prop14(cfg: dict, run: _Run) -> None:
     run.check("weak-equiv-to-base", equiv_ok, f"tail ratio within [1, {cfg['a']:g}]")
 
     # J mechanism on the source and the transform: profiles rise toward 1.
-    t_at = _t_ratios(F, [(K, cfg["x_star"]) for K in cfg["K_list"]], qcfg)
-    t_vals = [t_at[K, cfg["x_star"]] for K in cfg["K_list"]]
-    _K_profile(run, "t_ratio.csv", cfg["K_list"], cfg["x_star"], t_vals, "t_ratio")
-    run.check(
-        "t-ratio-rises",
-        _rises(t_vals, cfg["gate_level"]),
-        f"profile {['%.4g' % v for v in t_vals]}",
-    )
-
-    b2_vals = _b2_profile(G, cfg["x_star"], cfg["K_list"], qcfg)
-    _K_profile(run, "b2_transform.csv", cfg["K_list"], cfg["x_star"], b2_vals, "b2")
-    run.check(
-        "b2-transform-rises",
-        _rises(b2_vals, cfg["gate_level"]),
-        f"profile {['%.4g' % v for v in b2_vals]}",
-    )
+    Ks, x_star = cfg["K_list"], cfg["x_star"]
+    t_at = _t_ratios(F, [(K, x_star) for K in Ks], qcfg)
+    _K_profile(run, "t_ratio", Ks, x_star, [t_at[K, x_star] for K in Ks], cfg["gate_level"])
+    b2_vals = _b2_profile(G, x_star, Ks, qcfg)
+    _K_profile(run, "b2", Ks, x_star, b2_vals, cfg["gate_level"])
 
 
 # ------------------------------------------------------------------- thm 1.1
@@ -425,8 +433,34 @@ _THM11: dict[str, Any] = {
 }
 
 
-def _run_thm11(cfg: dict, run: _Run) -> None:
-    qcfg = QuadConfig(rel_tol=cfg["rel_tol"])
+def xu_window_labels(d: Distribution, xgrid, K: float) -> tuple[str, ...]:
+    """Label each grid x with its ramp/plateau window.
+
+    Windows per cycle: W1 = [x_n, x_n+K), W2 = [x_n+K, 1.5 x_n),
+    W3 = [1.5 x_n, 2 x_n), W4 = [2 x_n, 2 x_n + K), W5 = [2 x_n + K, x_{n+1}).
+    """
+    xns = xu_breakpoints(d)
+    labels = []
+    for x in np.asarray(xgrid, dtype=float):
+        idx = int(np.searchsorted(xns, x, side="right")) - 1
+        if idx < 0:
+            labels.append("head")
+            continue
+        xn = xns[idx]
+        if x < xn + K:
+            labels.append("W1")
+        elif x < 1.5 * xn:
+            labels.append("W2")
+        elif x < 2.0 * xn:
+            labels.append("W3")
+        elif x < 2.0 * xn + K:
+            labels.append("W4")
+        else:
+            labels.append("W5")
+    return tuple(labels)
+
+
+def _run_thm11(cfg: dict, qcfg: QuadConfig, run: _Run) -> None:
     alpha, x1 = cfg["alpha"], cfg["x1"]
     F = xu_piecewise(alpha, x1, m=1)
     Fm = power_tail(F, cfg["m"])
@@ -521,12 +555,7 @@ def _run_thm11(cfg: dict, run: _Run) -> None:
     # J evidence for the tilted power family.
     x_star = 2.2 * xn
     b2_vals = _b2_profile(Gm, x_star, cfg["K_windows"], qcfg)
-    _K_profile(run, "b2_transform.csv", cfg["K_windows"], x_star, b2_vals, "b2")
-    run.check(
-        "b2-transform-rises",
-        _rises(b2_vals, cfg["b2_gate_level"]),
-        f"profile {['%.4g' % v for v in b2_vals]}",
-    )
+    _K_profile(run, "b2", cfg["K_windows"], x_star, b2_vals, cfg["b2_gate_level"])
 
 
 _SCRIPTS = {

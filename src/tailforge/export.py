@@ -196,6 +196,8 @@ def result_from_obj(obj: dict) -> Any:
                     raise ParameterError("malformed ClassReport result: evidence must be series")
                 entries.append(ClassEntry(e["class"], e["verdict"], e["detail"], evidence))
             return ClassReport(obj["label"], tuple(entries), obj["disclaimer"])
+    except ParameterError:
+        raise  # it already names what is malformed
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed {kind} result: {exc!r}") from exc
     raise ParameterError(f"cannot rebuild result of type {kind!r}")

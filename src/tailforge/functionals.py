@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builtins import fkz_a_sequence
 from .convolve import (
     _brackets,
     _fold_count,
@@ -61,12 +60,10 @@ __all__ = [
     "b2_cond",
     "jump_cond",
     "ratio_diagnostic",
-    "exam300_lower_bound",
     "weak_equiv_diag",
     "classify",
     "geometric_grid",
     "shift_probe_grid",
-    "xu_window_labels",
 ]
 
 _NEG_INF = float("-inf")
@@ -365,6 +362,9 @@ def ratio_diagnostic(
     Each ratio reads d's base F (``_split_tilt``) and adds d's tilt as an
     exact term; the two-fold values, per e^{-rate x}, are divided by F(x).
     """
+    _positive("shift t", t)
+    if not 0 <= gamma < math.inf:  # written so that NaN fails it too
+        raise ParameterError(f"rate gamma must be a finite nonnegative number, got {gamma!r}")
     cfg = cfg or QuadConfig()
     xs = np.unique(np.asarray(xgrid, dtype=float))
     base, rate = _split_tilt(d)
@@ -399,22 +399,6 @@ def ratio_diagnostic(
     return DiagSeries.build(kind, "x", xs, logs, rel_tol=cfg.rel_tol)
 
 
-def exam300_lower_bound(n: int) -> float:
-    """(a_{n+1}^2 / 2 - a_n^2) * exp(-a_n) for the explosive-gap recursion
-    a_{n+1} = exp(a_n)/a_n; strictly increasing for n >= 2 and unbounded."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    a = fkz_a_sequence()
-    if n + 1 >= len(a):
-        raise TruncationError(
-            f"a_{n + 1} is beyond the representable recursion (have {len(a) - 1} terms)"
-        )
-    gap = 0.5 * a[n + 1] ** 2 - a[n] ** 2
-    if gap <= 0:
-        return 0.0
-    return math.exp(math.log(gap) - a[n])
-
-
 def weak_equiv_diag(d: Distribution, tgrid, xgrid) -> DiagSeries:
     """Series over t of sup over the x grid of F(x-t)/F(x).
 
@@ -442,35 +426,6 @@ def _shift_resolved(xs: np.ndarray, t: float) -> np.ndarray:
     compare the tail with itself; those points are dropped, not read as 1.
     """
     return (xs - t != xs) & (xs + t != xs)
-
-
-def xu_window_labels(d: Distribution, xgrid, K: float) -> tuple[str, ...]:
-    """Label each grid x with its ramp/plateau window.
-
-    Windows per cycle: W1 = [x_n, x_n+K), W2 = [x_n+K, 1.5 x_n),
-    W3 = [1.5 x_n, 2 x_n), W4 = [2 x_n, 2 x_n + K), W5 = [2 x_n + K, x_{n+1}).
-    """
-    from .builtins import xu_breakpoints
-
-    xns = xu_breakpoints(d)
-    labels = []
-    for x in np.asarray(xgrid, dtype=float):
-        idx = int(np.searchsorted(xns, x, side="right")) - 1
-        if idx < 0:
-            labels.append("head")
-            continue
-        xn = xns[idx]
-        if x < xn + K:
-            labels.append("W1")
-        elif x < 1.5 * xn:
-            labels.append("W2")
-        elif x < 2.0 * xn:
-            labels.append("W3")
-        elif x < 2.0 * xn + K:
-            labels.append("W4")
-        else:
-            labels.append("W5")
-    return tuple(labels)
 
 
 # ---------------------------------------------------------------- classify

@@ -250,6 +250,22 @@ EXPERIMENT_CHECKS = {
         "shift-ratio-unsettled", "b2-transform-rises",
     ],
 }
+# Each experiment's tables in write order, the order its summary.json lists.
+EXPERIMENT_ARTIFACTS = {
+    "prop-1.1": [
+        "exam300.csv", "osstar_at_breakpoints.csv", "osstar_series.csv", "os_identity_check.csv",
+        "os_transform.csv",
+    ],
+    "prop-1.2": ["t_ratio.csv", "b2_transform.csv", "os_transform.csv"],
+    "prop-1.3": ["t_ratio.csv", "shift_ratio.csv", "os_transform.csv", "b2_transform.csv"],
+    "prop-1.4": [
+        "ol_series.csv", "d_series.csv", "weak_equiv_base.csv", "t_ratio.csv", "b2_transform.csv",
+    ],
+    "thm-1.1": [
+        "bound35.csv", "ol_identity.csv", "weak_equiv.csv", "t_windows.csv", "shift_ratio.csv",
+        "b2_transform.csv",
+    ],
+}
 EXPERIMENT_CONFIGS = {
     "prop-1.1": {
         "gamma": 1.0, "bound_n": [1, 2, 3, 4], "gate_n": [1, 2, 3], "x_cap": 1e24,
@@ -277,7 +293,7 @@ EXPERIMENT_CONFIGS = {
 
 
 def test_10_cli_experiment_determinism(tmp_path):
-    assert list(EXPERIMENT_CHECKS) == list(tf.EXPERIMENT_IDS)
+    assert list(EXPERIMENT_CHECKS) == list(EXPERIMENT_ARTIFACTS) == list(tf.EXPERIMENT_IDS)
     for exp_id in tf.EXPERIMENT_IDS:
         d1 = tmp_path / exp_id / "run1"
         d2 = tmp_path / exp_id / "run2"
@@ -290,9 +306,9 @@ def test_10_cli_experiment_determinism(tmp_path):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (exp_id, name)
         summary = json.loads((d1 / "summary.json").read_text())
         assert summary["passed"] is True
-        # the artifact list names each table once, and every file but itself
+        # the artifact list names every file but itself, in write order
         artifacts = summary["artifacts"]
-        assert len(set(artifacts)) == len(artifacts), exp_id
+        assert artifacts == EXPERIMENT_ARTIFACTS[exp_id], exp_id
         assert sorted([*artifacts, "summary.json"]) == names1, exp_id
         assert [c["name"] for c in summary["expectations"]] == EXPERIMENT_CHECKS[exp_id]
         # items, not the dict: the key order is part of the byte-stable file

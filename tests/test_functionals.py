@@ -25,8 +25,8 @@ from tailforge.functionals import (
     classify_trend,
     geometric_grid,
     shift_probe_grid,
-    xu_window_labels,
 )
+from tailforge.experiments import xu_window_labels
 
 
 # ------------------------------------------------------------------- t_ratio

@@ -32,6 +32,12 @@ _BAD_GRID = {"x": [0.0, 1.0], "log_lower": [0.0, -1.0], "log_upper": [-1.0, -2.0
 _SERIES_NOT = {"type": "ClassReport", "label": "x", "disclaimer": "", "entries": [
     {"class": "OL", "verdict": "inconclusive", "detail": "", "evidence": [{"type": "McEstimate", **_MC}]}]}
 _EXPORT = "export --infile {file} --out {file}.csv"
+_FUNCTIONAL = "functional --dist pareto:alpha=3 --x 4,8 --out f.csv --kind "
+
+
+def _ratio(kind, **kw):
+    return tf.ratio_diagnostic(tf.pareto(3.0), kind, [4.0, 8.0], **kw)
+
 
 # (id, library call, error, command line or None, the document {file} holds)
 CASES = [
@@ -52,6 +58,14 @@ CASES = [
     ("grid-past-truncation", lambda: tf.geometric_grid(tf.fkz_example(), 1e38, 1e40, 8),
      ParameterError, "classify --dist fkz_example --config {file}", {"x_lo": 1e38, "x_hi": 1e40}),
     ("exam300-n-0", lambda: tf.exam300_lower_bound(0), ParameterError, None, None),
+    ("ratio-gamma-nan", lambda: _ratio("lgamma", gamma=math.nan), ParameterError,
+     _FUNCTIONAL + "lgamma --gamma nan", None),
+    ("ratio-gamma-inf", lambda: _ratio("lgamma", gamma=_INF), ParameterError,
+     _FUNCTIONAL + "lgamma --gamma inf", None),
+    ("ratio-gamma-negative", lambda: _ratio("lgamma", gamma=-1.0), ParameterError,
+     _FUNCTIONAL + "lgamma --gamma -1", None),
+    ("ratio-shift-negative", lambda: _ratio("ol", t=-1.0), ParameterError,
+     _FUNCTIONAL + "ol --t -1", None),
     ("weak-equiv-t-past-x", lambda: tf.weak_equiv_diag(tf.pareto(3.0), [1.0, 8.0], [4.0, 16.0]),
      ParameterError, None, None),
     ("unknown-experiment", lambda: tf.run_experiment("prop-9.9", "out"), ParameterError, None, None),
@@ -101,6 +115,14 @@ def test_refusal(tmp_path, capsys, monkeypatch, call, error, line, doc):
     assert main(line.format(file=path).split()) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"tailforge: {error.__name__}: ") and err.count("\n") == 1, err
+
+
+def test_export_names_a_malformed_report_once(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_SERIES_NOT))
+    assert main(_EXPORT.format(file=path).split()) == 3
+    err = capsys.readouterr().err
+    assert err == "tailforge: ParameterError: malformed ClassReport result: evidence must be series\n"
 
 
 def test_log_tail_a_hair_above_0_at_0_is_pinned_to_0():
